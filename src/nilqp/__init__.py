@@ -2,8 +2,8 @@
 quasi-projectivity obstructions for the associated non-compact nilmanifolds.
 
 All arithmetic is exact (rationals and Gaussian rationals); results are
-deterministic.  The hot elimination loops run in an optional compiled kernel
-with a pure-Python fallback selected at import time (see nilqp.kernel).
+deterministic.  The elimination loops run in one pure-Python kernel on
+arbitrary-precision integers (see nilqp.kernel).
 """
 
 from .catalog import CatalogEntry, catalog_keys, export_entry, get as catalog_get

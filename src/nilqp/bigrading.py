@@ -40,7 +40,7 @@ from .liealg import (
     complexify,
     lower_central_series,
 )
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, conj
+from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj
 
 __all__ = [
     "Bigrading",
@@ -54,14 +54,6 @@ __all__ = [
     "bigrading_from_filtrations",
     "search_bigrading",
 ]
-
-
-def _coerce(x) -> Scalar:
-    if isinstance(x, (Rational, Gaussian)):
-        return x
-    if isinstance(x, int):
-        return Rational(x)
-    raise TypeError(f"not a scalar: {x!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,7 @@ class Bigrading:
             if (p, q) in seen:
                 raise GradingNotCompatible(f"duplicate bidegree ({p}, {q})")
             seen.add((p, q))
-            gen_vecs = tuple(tuple(_coerce(x) for x in g) for g in gens)
+            gen_vecs = tuple(tuple(as_scalar(x) for x in g) for g in gens)
             if not gen_vecs:
                 continue
             comps.append(BigradingComponent(p=p, q=q, generators=gen_vecs))
@@ -416,7 +408,7 @@ def bigrading_from_filtrations(
     n = fp.ambient_dim
 
     def conj_vec(v):
-        return real_structure.matvec([conj(_coerce(x)) for x in v])
+        return real_structure.matvec([conj(as_scalar(x)) for x in v])
 
     comps = []
     for p in range(-n, 1):

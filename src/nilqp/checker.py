@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .bigrading import Bigrading, SearchBounds, search_bigrading
 from .errors import NotLatticeAdmissible
-from .liealg import LieAlgebra, commutator_ideal, lower_central_series
+from .liealg import LieAlgebra, lower_central_series
 
 __all__ = [
     "NilmanifoldSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "Reason",
     "check",
     "reproduce_classification",
+    "CLASSIFICATION_DIMS",
     "diagonal_h1_check",
     "OBSTRUCTED",
     "PASSES_NECESSARY",
@@ -79,7 +80,8 @@ def check(
         spec = NilmanifoldSpec(algebra=spec, m=1 if m is None else m)
     L = spec.algebra
     series = lower_central_series(L)  # raises NotNilpotent
-    b1 = L.dim - commutator_ideal(L).dim
+    # C^1 is the series' second term; a dim-0 algebra has only C^0.
+    b1 = L.dim - series.terms[1].dim if L.dim else 0
     reasons: list[Reason] = []
 
     if spec.m == 0:
@@ -174,12 +176,19 @@ class ClassificationTable:
     passes_only: tuple[str, ...]  # PassesNecessaryConditions entries
 
 
+# The dimensions whose classification tables the catalog covers.
+CLASSIFICATION_DIMS = range(1, 9)
+
+
 def reproduce_classification(dim: int, bounds: SearchBounds | None = None) -> ClassificationTable:
     """Run `check` over all rational catalog entries of one dimension."""
     from .catalog import catalog_keys, get
 
-    if not 1 <= dim <= 8:
-        raise ValueError("dimension must be between 1 and 8")
+    if dim not in CLASSIFICATION_DIMS:
+        raise ValueError(
+            f"dimension must be between {CLASSIFICATION_DIMS[0]} "
+            f"and {CLASSIFICATION_DIMS[-1]}"
+        )
     exhibited: dict[int, list[str]] = {}
     obstructed: list[tuple[str, str]] = []
     passes: list[str] = []

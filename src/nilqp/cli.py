@@ -15,7 +15,12 @@ import sys
 from . import __version__
 from .bigrading import SearchBounds, search_bigrading, verify_bigrading
 from .catalog import catalog_keys, export_entry, get
-from .checker import NilmanifoldSpec, check, reproduce_classification
+from .checker import (
+    CLASSIFICATION_DIMS,
+    NilmanifoldSpec,
+    check,
+    reproduce_classification,
+)
 from .cohomology import betti_numbers, bigraded_cohomology
 from .errors import InputError, InternalError
 from .jsonio import (
@@ -95,7 +100,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, required=True)
     _add_bounds(sp)
 
-    sp = sub.add_parser("backend", help="print the active kernel backend")
+    sp = sub.add_parser("backend", help="print the elimination kernel's name (pure)")
     return p
 
 
@@ -282,6 +287,11 @@ def _dispatch(args) -> int:
             return 0
 
     if cmd == "report":
+        if args.dim not in CLASSIFICATION_DIMS:
+            raise InputError(
+                f"--dim must be between {CLASSIFICATION_DIMS[0]} "
+                f"and {CLASSIFICATION_DIMS[-1]}"
+            )
         table = reproduce_classification(args.dim, bounds=_bounds_from_args(args))
         payload = {
             "dim": table.dim,

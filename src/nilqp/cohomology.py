@@ -242,24 +242,11 @@ def _block_rank(mat, dst_basis, col_idx, mono_bidegree, bidegree, n, k):
     from . import kernel as _kernel
 
     entries = mat.entries
+    rows = _kernel.encode(
+        ([entries[r][c] for c in col_idx] for r in row_idx), mat.field
+    )
     if mat.field == "Q":
-        rows = [
-            [(entries[r][c].num, entries[r][c].den) for c in col_idx]
-            for r in row_idx
-        ]
         return _kernel.rank_q(rows, len(col_idx))
-    rows = [
-        [
-            (
-                entries[r][c].re.num,
-                entries[r][c].re.den,
-                entries[r][c].im.num,
-                entries[r][c].im.den,
-            )
-            for c in col_idx
-        ]
-        for r in row_idx
-    ]
     return _kernel.rank_qi(rows, len(col_idx))
 
 

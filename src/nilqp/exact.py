@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 
 from . import kernel
 from .errors import AmbientMismatch, NotInvolution
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, conj, format_scalar
+from .scalars import Gaussian, Q0, Q1, Scalar, as_scalar, conj, format_scalar
 
 __all__ = [
     "ExactMatrix",
@@ -28,21 +28,13 @@ __all__ = [
 Vector = tuple[Scalar, ...]
 
 
-def _coerce_scalar(x) -> Scalar:
-    if isinstance(x, (Rational, Gaussian)):
-        return x
-    if isinstance(x, int):
-        return Rational(x)
-    raise TypeError(f"not a scalar: {x!r}")
-
-
 class ExactMatrix:
     """Immutable dense matrix of exact scalars."""
 
     __slots__ = ("rows", "cols", "entries", "field")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        grid = tuple(tuple(_coerce_scalar(x) for x in row) for row in entries)
+        grid = tuple(tuple(as_scalar(x) for x in row) for row in entries)
         nrows = len(grid)
         if nrows:
             ncols = len(grid[0])
@@ -136,7 +128,7 @@ class ExactMatrix:
         )
 
     def scale(self, c) -> "ExactMatrix":
-        c = _coerce_scalar(c)
+        c = as_scalar(c)
         return ExactMatrix(
             [[c * x for x in row] for row in self.entries], cols=self.cols
         )
@@ -173,7 +165,7 @@ class ExactMatrix:
     def matvec(self, v: Sequence) -> Vector:
         if len(v) != self.cols:
             raise AmbientMismatch("vector length mismatch in matvec")
-        vec = [_coerce_scalar(x) for x in v]
+        vec = [as_scalar(x) for x in v]
         out = []
         for row in self.entries:
             s: Scalar = Q0
@@ -190,43 +182,24 @@ class ExactMatrix:
 
     # -- elimination ------------------------------------------------------------
 
-    def _to_pairs(self):
-        if self.field == "Q":
-            return [[(x.num, x.den) for x in row] for row in self.entries]
-        return [
-            [(x.re.num, x.re.den, x.im.num, x.im.den) for x in row]
-            for row in self.entries
-        ]
-
-    @staticmethod
-    def _from_pairs(rows, ncols: int, field: str) -> "ExactMatrix":
-        if field == "Q":
-            grid = [[Rational(n, d) for (n, d) in row] for row in rows]
-        else:
-            grid = [
-                [Gaussian(Rational(a, b), Rational(c, d)) for (a, b, c, d) in row]
-                for row in rows
-            ]
-        return ExactMatrix(grid, cols=ncols)
-
     def rref(self) -> tuple["ExactMatrix", list[int]]:
         """Unique reduced row echelon form and its pivot columns."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        pairs = self._to_pairs()
+        rows = kernel.encode(self.entries, self.field)
         if self.field == "Q":
-            out, pivots = kernel.rref_q(pairs, self.cols)
+            out, pivots = kernel.rref_q(rows, self.cols)
         else:
-            out, pivots = kernel.rref_qi(pairs, self.cols)
-        return self._from_pairs(out, self.cols, self.field), pivots
+            out, pivots = kernel.rref_qi(rows, self.cols)
+        return ExactMatrix(kernel.decode(out, self.field), cols=self.cols), pivots
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        pairs = self._to_pairs()
+        rows = kernel.encode(self.entries, self.field)
         if self.field == "Q":
-            return kernel.rank_q(pairs, self.cols)
-        return kernel.rank_qi(pairs, self.cols)
+            return kernel.rank_q(rows, self.cols)
+        return kernel.rank_qi(rows, self.cols)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse of a square matrix; raises ValueError when singular."""
@@ -283,7 +256,7 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [tuple(_coerce_scalar(x) for x in v) for v in vectors]
+        rows = [tuple(as_scalar(x) for x in v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise AmbientMismatch(
@@ -323,7 +296,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} in ambient {self.ambient_dim})"
 
     def contains(self, v: Sequence) -> bool:
-        vec = tuple(_coerce_scalar(x) for x in v)
+        vec = tuple(as_scalar(x) for x in v)
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length mismatch")
         residual = self.reduce(vec)
@@ -331,7 +304,7 @@ class Subspace:
 
     def reduce(self, v: Sequence) -> Vector:
         """Reduce a vector against the canonical basis (residual coordinates)."""
-        vec = [_coerce_scalar(x) for x in v]
+        vec = [as_scalar(x) for x in v]
         # basis is already RREF; its pivots are the leading columns of each row
         for row in self.basis.entries:
             lead = next((j for j, x in enumerate(row) if x), None)
@@ -357,9 +330,9 @@ class Subspace:
 class RowReducer:
     """Incremental exact row reduction for dimension/membership queries.
 
-    Rows are kept as Gaussian-rational integer quadruples and reduced with
-    the same tuple arithmetic as the pure kernel, which keeps this cheap for
-    the search's many small rank queries.
+    Rows are kept in the kernel's Q(i) layout and reduced with its tuple
+    arithmetic, which keeps this cheap for the search's many small rank
+    queries.
     """
 
     __slots__ = ("ncols", "rows", "leads")
@@ -373,43 +346,22 @@ class RowReducer:
     def dim(self) -> int:
         return len(self.rows)
 
-    @staticmethod
-    def _quad(x):
-        if isinstance(x, Gaussian):
-            return (x.re.num, x.re.den, x.im.num, x.im.den)
-        if isinstance(x, Rational):
-            return (x.num, x.den, 0, 1)
-        return (x, 1, 0, 1)
-
     def _reduce(self, vec):
-        from ._purekernel import qi_mul, qi_sub
-
-        v = [self._quad(x) for x in vec]
-        for lead, row in zip(self.leads, self.rows):
-            c = v[lead]
-            if c[0] or c[2]:
-                for j in range(lead, self.ncols):
-                    r = row[j]
-                    if r[0] or r[2]:
-                        v[j] = qi_sub(v[j], qi_mul(c, r))
-        return v
+        (v,) = kernel.encode([vec], "Qi")
+        return kernel.qi_reduce(v, self.rows, self.leads, self.ncols)
 
     def add(self, vec) -> bool:
         """Reduce and insert; True when the span grew."""
-        from ._purekernel import qi_div
-
         v = self._reduce(vec)
-        lead = next((j for j, x in enumerate(v) if x[0] or x[2]), None)
+        lead = kernel.qi_lead(v)
         if lead is None:
             return False
-        inv = v[lead]
-        v = [qi_div(x, inv) if (x[0] or x[2]) else x for x in v]
-        self.rows.append(v)
+        self.rows.append(kernel.qi_monic(v, lead))
         self.leads.append(lead)
         return True
 
     def contains(self, vec) -> bool:
-        return not any(x[0] or x[2] for x in self._reduce(vec))
+        return kernel.qi_lead(self._reduce(vec)) is None
 
 
 def subspace_sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
@@ -448,4 +400,4 @@ def check_real_structure(s: ExactMatrix) -> None:
 def conjugate_vector(v: Sequence, real_structure: ExactMatrix) -> Vector:
     """Apply the antilinear involution v -> S * conj(v)."""
     check_real_structure(real_structure)
-    return real_structure.matvec([conj(_coerce_scalar(x)) for x in v])
+    return real_structure.matvec([conj(as_scalar(x)) for x in v])

@@ -21,7 +21,7 @@ from .errors import (
     SingularTransformation,
 )
 from .exact import ExactMatrix, Subspace, Vector, kernel_basis
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, conj
+from .scalars import Gaussian, Q0, Q1, Scalar, as_scalar, conj
 
 __all__ = [
     "LieAlgebra",
@@ -43,14 +43,6 @@ __all__ = [
 BracketMap = dict[tuple[int, int], dict[int, Scalar]]
 
 
-def _coerce(x) -> Scalar:
-    if isinstance(x, (Rational, Gaussian)):
-        return x
-    if isinstance(x, int):
-        return Rational(x)
-    raise TypeError(f"not a scalar: {x!r}")
-
-
 def _freeze_brackets(brackets, dim: int) -> tuple:
     """Canonical sparse form: sorted ((i, j), ((k, c), ...)) with zeros dropped."""
     out = []
@@ -61,7 +53,7 @@ def _freeze_brackets(brackets, dim: int) -> tuple:
         for k, c in coeffs.items():
             if not 0 <= k < dim:
                 raise ValueError(f"bracket ({i}, {j}) targets invalid index {k}")
-            c = _coerce(c)
+            c = as_scalar(c)
             if c:
                 cleaned.append((k, c))
         if cleaned:
@@ -133,8 +125,8 @@ class LieAlgebra:
     def bracket(self, u, v) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors."""
         out = [self._zero()] * self.dim
-        uu = [_coerce(x) for x in u]
-        vv = [_coerce(x) for x in v]
+        uu = [as_scalar(x) for x in u]
+        vv = [as_scalar(x) for x in v]
         for (i, j), coeffs in self.brackets:
             c = uu[i] * vv[j] - uu[j] * vv[i]
             if c:
@@ -145,10 +137,10 @@ class LieAlgebra:
     def conj_vector(self, v) -> Vector:
         """Antilinear conjugation v -> S * conj(v); identity matrix over Q."""
         if self.field == "Q":
-            return tuple(conj(_coerce(x)) for x in v)
+            return tuple(conj(as_scalar(x)) for x in v)
         if self.real_structure is None:
             raise InvalidRealStructure(f"{self.name}: no real structure available")
-        return self.real_structure.matvec([conj(_coerce(x)) for x in v])
+        return self.real_structure.matvec([conj(as_scalar(x)) for x in v])
 
     def has_conjugation(self) -> bool:
         return self.field == "Q" or self.real_structure is not None

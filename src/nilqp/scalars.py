@@ -32,6 +32,7 @@ __all__ = [
     "gauss",
     "conj",
     "is_zero",
+    "as_scalar",
     "parse_scalar",
     "format_scalar",
 ]
@@ -216,6 +217,15 @@ class Gaussian:
 
 
 Scalar = Rational | Gaussian
+
+
+def as_scalar(x) -> Scalar:
+    """``x`` as an exact scalar: ints become Rationals, other types are refused."""
+    if isinstance(x, (Rational, Gaussian)):
+        return x
+    if isinstance(x, int):
+        return Rational(x)
+    raise TypeError(f"not a scalar: {x!r}")
 
 
 def _as_rational(x) -> Rational:

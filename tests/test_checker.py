@@ -53,18 +53,19 @@ def test_check_parity_obstruction_l5():
 
 
 def test_check_exhibits_bigradings():
-    for key, b1 in (
-        ("n3", 2),
-        ("n5", 4),
-        ("n3+n3", 4),
-        ("N1_84_real", 4),
-        ("abelian_4", 4),
+    for alg, b1 in (
+        (get("n3").algebra, 2),
+        (get("n5").algebra, 4),
+        (get("n3+n3").algebra, 4),
+        (get("N1_84_real").algebra, 4),
+        (get("abelian_4").algebra, 4),
+        (abelian(0), 0),  # one-term lower central series
     ):
-        v = check(NilmanifoldSpec(get(key).algebra, m=1))
-        assert v.status == EXHIBITED, key
+        v = check(NilmanifoldSpec(alg, m=1))
+        assert v.status == EXHIBITED, alg.name
         assert v.b1 == b1
         assert v.bigrading is not None
-        report = verify_bigrading(get(key).algebra, v.bigrading, mode="strict")
+        report = verify_bigrading(alg, v.bigrading, mode="strict")
         assert report.valid and report.shape == "restricted"
 
 

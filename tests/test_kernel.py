@@ -1,25 +1,12 @@
-"""Pure and compiled kernels must agree exactly wherever both apply.
+"""The elimination kernel against the independent Fraction oracles."""
 
-The compiled kernel may raise OverflowError on any input whose reduced
-intermediate values would not fit in 64 bits; the dispatcher then recomputes
-with the pure kernel.  Parity tests therefore treat OverflowError as a valid
-outcome, and a separate test pins the fallback behavior.
-"""
+from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilqp import _purekernel, kernel
-
-try:
-    from nilqp import _fastkernel
-except ImportError:
-    _fastkernel = None
-
-needs_fast = pytest.mark.skipif(
-    _fastkernel is None, reason="compiled kernel not built"
-)
+from nilqp import kernel
+from oracles import frac_rank, frac_rref
 
 small_q = st.tuples(
     st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=4)
@@ -46,30 +33,8 @@ def q_matrices(entry_strategy, max_dim=6):
     )
 
 
-@needs_fast
-@settings(max_examples=150, deadline=None)
-@given(q_matrices(small_q))
-def test_fast_and_pure_rref_agree_over_q(data):
-    rows, ncols = data
-    try:
-        out_f, piv_f = _fastkernel.rref_q([r[:] for r in rows], ncols)
-    except OverflowError:
-        return  # legitimate: dispatcher falls back to the pure kernel
-    out_p, piv_p = _purekernel.rref_q([r[:] for r in rows], ncols)
-    assert piv_p == piv_f
-    assert out_p == out_f
-
-
-@needs_fast
-@settings(max_examples=150, deadline=None)
-@given(q_matrices(small_q))
-def test_fast_and_pure_rank_agree_over_q(data):
-    rows, ncols = data
-    try:
-        rank_f = _fastkernel.rank_q([r[:] for r in rows], ncols)
-    except OverflowError:
-        return
-    assert _purekernel.rank_q([r[:] for r in rows], ncols) == rank_f
+def as_fractions(rows):
+    return [[Fraction(n, d) for (n, d) in row] for row in rows]
 
 
 big_q = st.tuples(
@@ -83,8 +48,8 @@ big_q = st.tuples(
 def test_dispatch_handles_arbitrary_precision(data):
     rows, ncols = data
     out, piv = kernel.rref_q([r[:] for r in rows], ncols)
-    out2, piv2 = _purekernel.rref_q([r[:] for r in rows], ncols)
-    assert (out, piv) == (out2, piv2)
+    assert (as_fractions(out), piv) == frac_rref(as_fractions(rows), ncols)
+    assert kernel.rank_q([r[:] for r in rows], ncols) == frac_rank(as_fractions(rows))
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,75 +62,5 @@ def test_rref_idempotent_and_rank_consistent(data):
     assert kernel.rank_q([r[:] for r in rows], ncols) == len(piv)
 
 
-small_qi = st.tuples(
-    st.integers(min_value=-6, max_value=6),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=-6, max_value=6),
-    st.integers(min_value=1, max_value=3),
-)
-
-
-def norm_qi(t):
-    from math import gcd
-
-    a, b, c, d = t
-
-    def n2(n, den):
-        if n == 0:
-            return (0, 1)
-        g = gcd(n, den)
-        return (n // g, den // g)
-
-    return n2(a, b) + n2(c, d)
-
-
-def qi_matrices(max_dim=4):
-    return st.integers(min_value=1, max_value=max_dim).flatmap(
-        lambda cols: st.lists(
-            st.lists(small_qi.map(norm_qi), min_size=cols, max_size=cols),
-            min_size=1,
-            max_size=max_dim,
-        ).map(lambda rows: (rows, cols))
-    )
-
-
-@needs_fast
-@settings(max_examples=100, deadline=None)
-@given(qi_matrices())
-def test_fast_and_pure_agree_over_qi(data):
-    rows, ncols = data
-    try:
-        out_f, piv_f = _fastkernel.rref_qi([r[:] for r in rows], ncols)
-        rank_f = _fastkernel.rank_qi([r[:] for r in rows], ncols)
-    except OverflowError:
-        return
-    out_p, piv_p = _purekernel.rref_qi([r[:] for r in rows], ncols)
-    assert piv_p == piv_f
-    assert out_p == out_f
-    assert _purekernel.rank_qi([r[:] for r in rows], ncols) == rank_f
-
-
-@needs_fast
-def test_overflow_falls_back_to_pure():
-    rows = [[(10**30, 1), (1, 1)]]
-    with pytest.raises(OverflowError):
-        _fastkernel.rref_q([r[:] for r in rows], 2)
-    out, piv = kernel.rref_q([r[:] for r in rows], 2)
-    assert piv == [0]
-    assert out[0][1] == (1, 10**30)
-
-
-@needs_fast
-def test_fast_kernel_handles_workload_shape():
-    # Differential-style matrix: sparse, small integers; must not overflow.
-    rows = [[(0, 1)] * 10 for _ in range(10)]
-    rows[0][3] = (1, 1)
-    rows[2][3] = (-1, 1)
-    rows[4][7] = (2, 1)
-    rows[5][7] = (1, 2)
-    out, piv = _fastkernel.rref_q([r[:] for r in rows], 10)
-    assert piv == [3, 7]
-
-
 def test_backend_name_reports():
-    assert kernel.backend_name() in ("compiled", "pure")
+    assert kernel.backend_name() == "pure"

@@ -6,6 +6,7 @@ from nilqp.errors import ParseError
 from nilqp.scalars import (
     Gaussian,
     Rational,
+    as_scalar,
     conj,
     format_scalar,
     parse_scalar,
@@ -116,3 +117,9 @@ def test_canonical_format():
     assert format_scalar(Gaussian(Rational(-1, 2), 3)) == "-1/2+3*i"
     assert format_scalar(Gaussian(2, -1)) == "2-1*i"
     assert format_scalar(Gaussian(0, 0)) == "0"
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_as_scalar_rejects_floats_and_strings(bad):
+    with pytest.raises(TypeError, match="not a scalar"):
+        as_scalar(bad)
