@@ -32,7 +32,8 @@ from .errors import (
     MissingRealStructure,
     NotAFiltration,
 )
-from .exact import ExactMatrix, Subspace, Vector, kernel_basis
+from . import kernel
+from .exact import ExactMatrix, RowReducer, Subspace, Vector, kernel_basis
 from .liealg import (
     LieAlgebra,
     center,
@@ -172,7 +173,11 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
     """Check all bigrading axioms; failures are reported, not raised."""
     if mode not in ("strict", "lax"):
         raise ValueError(f"mode must be 'strict' or 'lax', not {mode!r}")
-    Lc = _complex_carrier(L)
+    return _verify_on_carrier(_complex_carrier(L), g, mode)
+
+
+def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
+    """`verify_bigrading` on the grading's carrier ``Lc`` (see `_complex_carrier`)."""
     n = Lc.dim
     failures: list = []
 
@@ -1383,8 +1388,6 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
 
 def _krylov_span(w_matrix: ExactMatrix, u, h: int):
     """Basis of span{u, Wu, W^2 u, ...} truncated at h vectors."""
-    from .exact import RowReducer
-
     vecs = []
     span = RowReducer(len(u))
     vec = u
@@ -1395,7 +1398,7 @@ def _krylov_span(w_matrix: ExactMatrix, u, h: int):
         if len(vecs) > h:
             break
         vec = w_matrix.matvec(vec)
-    return vecs, span
+    return vecs
 
 
 def _bi_isotropic(frame: _TwoStepFrame, vectors) -> bool:
@@ -1407,8 +1410,6 @@ def _bi_isotropic(frame: _TwoStepFrame, vectors) -> bool:
 
 
 def _transversal(vectors, v: int) -> bool:
-    from .exact import RowReducer
-
     red = RowReducer(v)
     for w in vectors:
         if not red.add(w):
@@ -1506,15 +1507,13 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
                     tuple(x + iu * y for x, y in zip(pool[a], pool[b]))
                 )
     partials = []
-    spans_seen: list[Subspace] = []
     for u in candidates[:200]:
-        vecs, span = _krylov_span(w_matrix, u, h)
+        vecs = _krylov_span(w_matrix, u, h)
         if len(vecs) == h:
             if _transversal(vecs, v) and _bi_isotropic(frame, vecs):
                 return vecs
         elif len(vecs) == h - 1 and len(partials) < 16:
-            if span not in spans_seen and _bi_isotropic(frame, vecs):
-                spans_seen.append(span)
+            if _bi_isotropic(frame, vecs):
                 partials.append(vecs)
     null_w = kernel_basis(w_matrix)
     for vecs in partials:
@@ -1556,8 +1555,6 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
             if not any(w):
                 continue
             full = vecs + [w]
-            from .exact import RowReducer
-
             red = RowReducer(v)
             if not all(red.add(x) for x in full):
                 continue
@@ -1625,6 +1622,7 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
     coeffs = [c for c in bounds.coefficients if c]
 
     def complex_candidates(space: Subspace, chosen):
+        """Candidates as (Z[i] row, denominator) pairs, in the search order."""
         pool: list[Vector] = []
 
         def push(vec):
@@ -1648,33 +1646,29 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
                 push(s)
         for b in space.vectors():
             push(b)
-        yield from pool
+        rows, den = kernel.zi_rows(pool)
+        for row in rows:
+            yield row, den
+        one = (1, 0)
         if bounds.depth >= 2:
-            for a in range(len(pool)):
-                for b in range(len(pool)):
+            for a, x in enumerate(rows):
+                for b, y in enumerate(rows):
                     if a == b:
                         continue
                     for cc in coeffs:
-                        yield tuple(
-                            x + Rational(cc) * y for x, y in zip(pool[a], pool[b])
-                        )
-                        yield tuple(
-                            x + Gaussian(0, cc) * y for x, y in zip(pool[a], pool[b])
-                        )
+                        yield kernel.zi_combine((one, x), ((cc, 0), y)), den
+                        yield kernel.zi_combine((one, x), ((0, cc), y)), den
         if bounds.depth >= 3:
-            for a in range(len(pool)):
-                for b in range(a + 1, len(pool)):
-                    for c2 in range(b + 1, len(pool)):
+            for a, x in enumerate(rows):
+                for b in range(a + 1, len(rows)):
+                    y = rows[b]
+                    for w in rows[b + 1 :]:
                         for c_b in coeffs:
+                            iy = ((0, c_b), y)
                             for c_c in coeffs:
-                                yield tuple(
-                                    x + Gaussian(0, c_b) * y + Gaussian(c_c) * w
-                                    for x, y, w in zip(pool[a], pool[b], pool[c2])
-                                )
-                                yield tuple(
-                                    x + Gaussian(0, c_b) * y + Gaussian(0, c_c) * w
-                                    for x, y, w in zip(pool[a], pool[b], pool[c2])
-                                )
+                                rw, iw = ((c_c, 0), w), ((0, c_c), w)
+                                yield kernel.zi_combine((one, x), iy, rw), den
+                                yield kernel.zi_combine((one, x), iy, iw), den
 
     def constraint_space(chosen) -> Subspace:
         """Vectors commuting (mod center) with every chosen generator."""
@@ -1691,39 +1685,32 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
             return Subspace.full(v)
         return kernel_basis(ExactMatrix(rows, cols=v))
 
-    def independent(chosen, u) -> bool:
-        from .exact import RowReducer
-
-        red = RowReducer(v)
-        for x in chosen + [u]:
-            if not red.add(x):
-                return False
-            if not red.add(tuple(conj(t) for t in x)):
-                return False
-        return True
-
-    def rec(chosen):
+    def rec(chosen, red: RowReducer):
+        # ``red`` holds the chosen generators and their conjugates; a
+        # candidate u is independent of them when a copy takes u and conj(u).
         if len(chosen) == h:
             return list(chosen)
         space = constraint_space(chosen)
         if space.dim < h:
             return None
-        for cand in complex_candidates(space, chosen):
+        for cand, den in complex_candidates(space, chosen):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
-            if not any(cand):
+            if not cand:
                 continue
-            if not independent(chosen, cand):
+            grown = red.copy()
+            if not (grown.add(cand) and grown.add(kernel.zi_conj(cand))):
                 continue
-            if not space.contains(cand):
+            vec = kernel.zi_decode(cand, den, v)
+            if not space.contains(vec):
                 continue
-            result = rec(chosen + [cand])
+            result = rec(chosen + [vec], grown)
             if result is not None:
                 return result
         return None
 
-    return rec([])
+    return rec([], RowReducer(v))
 
 
 def search_bigrading(
@@ -1795,9 +1782,9 @@ def search_bigrading(
     if z_c.dim:
         comps.append((-1, -1, z_c.vectors()))
     grading = Bigrading.build(comps)
-    report = verify_bigrading(L, grading, mode="strict")
+    report = _verify_on_carrier(Lc, grading, "strict")
     if not report.valid:
-        report = verify_bigrading(L, grading, mode="lax")
+        report = _verify_on_carrier(Lc, grading, "lax")
         if not report.valid:
             return SearchOutcome(
                 status="not_found_within_bounds", witness=necessary, bounds=bounds

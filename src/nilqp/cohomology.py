@@ -68,7 +68,9 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
     zero = Gaussian(0) if L.field == "Qi" else Q0
     grid = [[zero] * cols for _ in range(rows)]
     if rows == 0 or cols == 0 or k == 0:
-        return ExactMatrix(grid, cols=cols) if rows else ExactMatrix([], cols=cols)
+        if not rows:
+            return ExactMatrix.empty(cols, L.field)
+        return ExactMatrix(grid, cols=cols)
     duals = _dual_differentials(L)
     for c, mon in enumerate(src):
         full = _mask(mon)

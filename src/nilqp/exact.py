@@ -79,6 +79,13 @@ class ExactMatrix:
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
         return cls([[Q0] * cols for _ in range(rows)], cols=cols)
 
+    @classmethod
+    def empty(cls, cols: int, field: str = "Q") -> "ExactMatrix":
+        """The matrix with no rows over ``field``, which no entry can carry."""
+        m = cls([], cols=cols)
+        object.__setattr__(m, "field", field)
+        return m
+
     # -- basics --------------------------------------------------------------
 
     def __eq__(self, other):
@@ -340,38 +347,45 @@ class Subspace:
 class RowReducer:
     """Incremental exact row reduction for dimension/membership queries.
 
-    Rows are kept in the kernel's Q(i) layout and reduced with its tuple
-    arithmetic, which keeps this cheap for the search's many small rank
-    queries.
+    Rows are kept as primitive sparse Z[i] rows (the kernel's
+    ``{column: (re, im)}``: denominators cleared, content divided out) in
+    echelon form, and a vector is reduced fraction-free against them
+    (`kernel.zi_reduce`).  Only zero tests are asked of the result, so no
+    row is ever divided by its lead.  `add` and `contains` take a sequence
+    of scalars or a row already encoded by the kernel (`kernel.zi_row`);
+    any nonzero multiple of a vector spans the same line, so the scale of
+    an encoded row does not matter.  `copy` is cheap: rows are never
+    changed in place, so a copy shares them, and the bigrading search keeps
+    one reducer per level and tests each candidate on a copy.
     """
 
-    __slots__ = ("ncols", "rows", "leads")
+    __slots__ = ("ncols", "rows")
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list] = []
-        self.leads: list[int] = []
+        self.rows: list = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec):
-        (v,) = kernel.encode([vec], "Qi")
-        return kernel.qi_reduce(v, self.rows, self.leads, self.ncols)
+    def copy(self) -> "RowReducer":
+        """An independent reducer with the same rows."""
+        other = RowReducer(self.ncols)
+        other.rows = self.rows.copy()
+        return other
 
     def add(self, vec) -> bool:
         """Reduce and insert; True when the span grew."""
-        v = self._reduce(vec)
-        lead = kernel.qi_lead(v)
-        if lead is None:
-            return False
-        self.rows.append(kernel.qi_monic(v, lead))
-        self.leads.append(lead)
-        return True
+        return kernel.zi_insert(self.rows, _zi(vec))
 
     def contains(self, vec) -> bool:
-        return kernel.qi_lead(self._reduce(vec)) is None
+        return not kernel.zi_reduce(_zi(vec), self.rows)
+
+
+def _zi(vec):
+    """``vec`` as a kernel Z[i] row, unless it already is one."""
+    return vec if isinstance(vec, dict) else kernel.zi_row(vec)
 
 
 def subspace_sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:

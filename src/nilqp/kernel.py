@@ -1,20 +1,27 @@
 """The exact elimination kernel over Q and Q(i).
 
-Elimination runs on plain integer tuples rather than scalar objects: an entry
-is ``(num, den)`` over the rationals and ``(re_num, re_den, im_num, im_den)``
-over the Gaussian rationals, always in lowest terms with positive
-denominators.  This module is the only code that knows that layout.  Callers
-hand it rows of ``Rational``/``Gaussian`` scalars through `encode` and read
-results back through `decode`.
+Elimination runs on plain integers rather than scalar objects.  This module
+is the only code that knows the layouts; callers hand it rows of
+`Rational`/`Gaussian` scalars and read results back through its helpers.
 
-`rref_q`/`rref_qi` implement Gauss-Jordan reduction (the unique reduced row
-echelon form) with fraction arithmetic on those tuples.  `rank_q`/`rank_qi`
-take the same rows but eliminate without fractions: each row is scaled to
-integers (pairs of integers, that is Gaussian integers, over Q(i)), kept
-sparse, and divided by its content after every step, in the manner of
-fraction-free elimination (Bareiss, Math. Comp. 22 (1968) 565-578).
-`qi_reduce`, `qi_lead` and `qi_monic` are the steps of incremental
-reduction over Q(i) used by ``exact.RowReducer``.
+* For `rref_q`/`rref_qi` an entry is ``(num, den)`` over the rationals and
+  ``(re_num, re_den, im_num, im_den)`` over the Gaussian rationals, always in
+  lowest terms with positive denominators (`encode`/`decode`).  They
+  implement Gauss-Jordan reduction (the unique reduced row echelon form)
+  with fraction arithmetic on those tuples.
+* `rank_q`/`rank_qi` take the same rows but eliminate without fractions:
+  each row is scaled to integers (pairs of integers, that is Gaussian
+  integers, over Q(i)), kept sparse, and divided by its content after every
+  step, in the manner of fraction-free elimination (Bareiss, Math. Comp. 22
+  (1968) 565-578).
+* A Z[i] row is such a sparse row on its own: ``{column: (re, im)}`` with no
+  zero entries, so the zero row is the empty, false dict.  `zi_rows`/
+  `zi_row` encode scalar vectors (over one common denominator, which
+  `zi_decode` divides out again), `zi_conj` and `zi_combine` form conjugates
+  and Z[i]-combinations, and `zi_reduce`/`zi_insert` keep an echelon of
+  primitive rows for ``exact.RowReducer``: a new row v is reduced by
+  p * v - c * row (p the row's lead entry, c v's entry there), so only zero
+  tests are ever asked of it and no division is needed.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .scalars import Q0, Gaussian, Rational
 
 QPair = tuple[int, int]
 QiQuad = tuple[int, int, int, int]
+ZiRow = dict[int, tuple[int, int]]
 
 Q_ZERO: QPair = (0, 1)
 Q_ONE: QPair = (1, 1)
@@ -257,11 +265,7 @@ def rank_qi(rows: list[list[QiQuad]], ncols: int) -> int:
     pool = []
     for row in rows:
         den = lcm(*{b for _, b, _, _ in row}, *{d for _, _, _, d in row})
-        vec = {
-            j: (a * (den // b), c * (den // d))
-            for j, (a, b, c, d) in enumerate(row)
-            if a or c
-        }
+        vec = _zi_scaled(row, den)
         if vec:
             pool.append(_primitive_qi(vec))
     rank = 0
@@ -270,30 +274,14 @@ def rank_qi(rows: list[list[QiQuad]], ncols: int) -> int:
         if pivot is None:
             continue
         rank += 1
-        pr, pi = pivot[col]
         rest = []
         for row in pool:
             if row is pivot:
                 continue
-            f = row.get(col)
-            if f:
-                # row <- (pr + pi*i) * row - (fr + fi*i) * pivot, over their gcd
-                g = gcd(pr, pi, *f)
-                ar, ai, br, bi = pr // g, pi // g, f[0] // g, f[1] // g
-                row = {
-                    j: (ar * x - ai * y, ar * y + ai * x) for j, (x, y) in row.items()
-                }
-                for j, (u, v) in pivot.items():
-                    x, y = row.get(j, (0, 0))
-                    x -= br * u - bi * v
-                    y -= br * v + bi * u
-                    if x or y:
-                        row[j] = (x, y)
-                    else:
-                        del row[j]
+            if col in row:
+                row = _zi_eliminate(row, pivot, col)
                 if not row:
                     continue
-                row = _primitive_qi(row)
             rest.append(row)
         pool = rest
     return rank
@@ -304,27 +292,102 @@ def _primitive_qi(vec: dict) -> dict:
     return {j: (x // g, y // g) for j, (x, y) in vec.items()} if g > 1 else vec
 
 
-# -- incremental reduction over Q(i) ----------------------------------------------
+# -- sparse rows over Z[i] ----------------------------------------------------------
 
 
-def qi_reduce(v: list[QiQuad], rows, leads, ncols: int) -> list[QiQuad]:
-    """Reduce ``v`` in place against monic echelon rows with the given leads."""
-    for lead, row in zip(leads, rows):
-        c = v[lead]
-        if c[0] or c[2]:
-            for j in range(lead, ncols):
-                r = row[j]
-                if r[0] or r[2]:
-                    v[j] = qi_sub(v[j], qi_mul(c, r))
-    return v
+def zi_rows(vectors) -> tuple[list[ZiRow], int]:
+    """Scalar vectors as Z[i] rows over one common denominator.
+
+    Returns ``(rows, den)`` with ``vec[j] == (re + im*i) / den`` for each
+    entry ``(re, im) = row[j]``; `zi_decode` inverts it.  Entries may be
+    `Gaussian`, `Rational` or int.
+    """
+    quads = encode(vectors, "Qi")
+    den = lcm(
+        *{b for row in quads for _, b, _, _ in row},
+        *{d for row in quads for _, _, _, d in row},
+    )
+    return [_zi_scaled(row, den) for row in quads], den
 
 
-def qi_lead(v: list[QiQuad]) -> int | None:
-    """Column of the first nonzero entry of ``v``, or None when ``v`` is zero."""
-    return next((j for j, x in enumerate(v) if x[0] or x[2]), None)
+def zi_row(vec) -> ZiRow:
+    """One scalar vector as a Z[i] row: the vector times its common denominator."""
+    return zi_rows([vec])[0][0]
 
 
-def qi_monic(v: list[QiQuad], lead: int) -> list[QiQuad]:
-    """``v`` divided by its entry in column ``lead``."""
-    inv = v[lead]
-    return [qi_div(x, inv) if (x[0] or x[2]) else x for x in v]
+def _zi_scaled(row: list[QiQuad], den: int) -> ZiRow:
+    return {
+        j: (a * (den // b), c * (den // d))
+        for j, (a, b, c, d) in enumerate(row)
+        if a or c
+    }
+
+
+def zi_decode(row: ZiRow, den: int, ncols: int) -> tuple[Gaussian, ...]:
+    """The vector ``row / den`` as a tuple of ``ncols`` `Gaussian` scalars."""
+    zero = Gaussian(0)
+    out = [zero] * ncols
+    for j, (a, b) in row.items():
+        out[j] = Gaussian(Rational(a, den) if a else Q0, Rational(b, den) if b else Q0)
+    return tuple(out)
+
+
+def zi_conj(row: ZiRow) -> ZiRow:
+    """The entrywise complex conjugate of a row."""
+    return {j: (a, -b) for j, (a, b) in row.items()}
+
+
+def zi_combine(*terms) -> ZiRow:
+    """The sum of ``c * row`` over the ``(c, row)`` terms, ``c = (re, im)`` in Z[i]."""
+    out: dict[int, tuple[int, int]] = {}
+    for (cr, ci), row in terms:
+        for j, (x, y) in row.items():
+            a, b = out.get(j, (0, 0))
+            out[j] = (a + cr * x - ci * y, b + cr * y + ci * x)
+    return {j: e for j, e in out.items() if e[0] or e[1]}
+
+
+def _zi_eliminate(row: ZiRow, pivot: ZiRow, col: int) -> ZiRow:
+    """a * row - b * pivot, zero in column ``col``, with its content divided out.
+
+    a / b = pivot[col] / row[col], both Gaussian integers divided by the
+    integer gcd of their four parts.  The zero row comes back empty.
+    """
+    pr, pi = pivot[col]
+    fr, fi = row[col]
+    g = gcd(pr, pi, fr, fi)
+    ar, ai, br, bi = pr // g, pi // g, fr // g, fi // g
+    out = {j: (ar * x - ai * y, ar * y + ai * x) for j, (x, y) in row.items()}
+    for j, (u, v) in pivot.items():
+        x, y = out.get(j, (0, 0))
+        x -= br * u - bi * v
+        y -= br * v + bi * u
+        if x or y:
+            out[j] = (x, y)
+        else:
+            del out[j]
+    return _primitive_qi(out) if out else out
+
+
+def zi_reduce(row: ZiRow, echelon: list[tuple[int, ZiRow]]) -> ZiRow:
+    """``row`` reduced against echelon rows; empty exactly when it lies in their span.
+
+    ``echelon`` holds ``(lead, row)`` pairs, each row nonzero at its lead and
+    zero at the leads of the rows before it, as `zi_insert` builds them.  The
+    result is zero at every lead.
+    """
+    for lead, pivot in echelon:
+        if lead in row:
+            row = _zi_eliminate(row, pivot, lead)
+            if not row:
+                break
+    return row
+
+
+def zi_insert(echelon: list[tuple[int, ZiRow]], row: ZiRow) -> bool:
+    """Append ``row``, reduced, to ``echelon`` if nonzero; True when the span grew."""
+    row = zi_reduce(row, echelon)
+    if not row:
+        return False
+    echelon.append((min(row), _primitive_qi(row)))
+    return True

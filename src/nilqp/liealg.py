@@ -126,7 +126,15 @@ class LieAlgebra:
         return tuple(v)
 
     def bracket(self, u, v) -> Vector:
-        """Bilinear extension of the bracket to coordinate vectors."""
+        """Bilinear extension of the bracket to coordinate vectors.
+
+        Over Q(i) every entry of the result is a `Gaussian`, zeros included.
+        Over Q, entries are `Rational` unless the input holds `Gaussian`
+        entries (the two-step frame's lifts mix both types): then an entry is
+        a `Gaussian` exactly where a nonzero term u_i v_j - u_j v_i with a
+        Gaussian factor, even a zero one, was added into it, and stays
+        `Rational` elsewhere.
+        """
         out = [self._zero()] * self.dim
         uu = [as_scalar(x) for x in u]
         vv = [as_scalar(x) for x in v]

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from nilqp import (
@@ -8,6 +11,7 @@ from nilqp import (
     apply_basis_change,
     bigrading_from_filtrations,
     complexify,
+    direct_sum,
     filtrations_from_bigrading,
     lower_central_series,
     search_bigrading,
@@ -20,7 +24,7 @@ from nilqp.errors import (
     MissingRealStructure,
     NotAFiltration,
 )
-from nilqp.scalars import Gaussian
+from nilqp.scalars import Gaussian, format_scalar
 
 from conftest import random_invertible_t
 
@@ -296,3 +300,40 @@ def test_search_found_gradings_reverify_strict():
         out = search_bigrading(get(key).algebra)
         report = verify_bigrading(get(key).algebra, out.bigrading, mode="strict")
         assert report.valid
+
+
+# Two-step sums whose search at max_nodes=2000 reaches the depth-first search
+# (L5_parity+L5_parity exhausts it, n3+n3+n3 and n3+n3+n3+C1 are settled by
+# it, the last not on every basis change) or a structured construction (the
+# other two).  The digest was recorded with the earlier RowReducer, which
+# reduced tuple fractions and rebuilt its rows for every candidate; any change
+# of candidate order, node count or independence test changes it.
+GOLDEN_SUMS = (
+    ("L5_parity", "L5_parity"),
+    ("n5", "n3", "abelian_1"),
+    ("n7", "abelian_2"),
+    ("n3", "n3", "n3"),
+    ("n3", "n3", "n3", "abelian_1"),
+)
+GOLDEN_SEARCH_SHA256 = (
+    "5ccce8d0a1163545ccbcbabef0eb5ae499cb23429384386f43d32239c0fc0d25"
+)
+
+
+def test_search_outputs_match_golden_digest():
+    rng = random.Random(4)
+    digest = hashlib.sha256()
+    for keys in GOLDEN_SUMS:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        for _ in range(3):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+            text = out.status + "".join(
+                f"\n{c.p},{c.q}:"
+                + ";".join(" ".join(format_scalar(x) for x in v) for v in c.generators)
+                for c in (out.bigrading.components if out.bigrading else ())
+            )
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_SEARCH_SHA256

@@ -237,7 +237,8 @@ def test_differential_of_complexification_stays_over_qi():
     for alg in [dense_n3] + [get(key).algebra for key in keys]:
         key = alg.name
         lc = complexify(alg)
-        for k in range(alg.dim):
+        # k = n included: d_n has no rows, and its field is Q(i) all the same.
+        for k in range(alg.dim + 1):
             d = ce_differential(lc, k)
             assert d.field == "Qi", (key, k)
             assert all(type(x) is Gaussian for row in d.entries for x in row), (key, k)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilqp import kernel
+from nilqp.exact import RowReducer
+from nilqp.scalars import Gaussian, Rational
 from oracles import frac_rank, frac_rref
 
 small_q = st.tuples(
@@ -89,20 +91,89 @@ def qi_matrices_with_dependent_rows(draw, max_dim=3):
     return rows, ncols
 
 
-@settings(max_examples=60, deadline=None)
-@given(qi_matrices_with_dependent_rows())
-def test_rank_qi_matches_realified_oracle(data):
-    # A + iB has half the rank of the real block matrix [[A, -B], [B, A]].
-    rows, ncols = data
+def _realified_rank(rows):
+    """Rank over Q(i) of rows of (re, im) Fractions, by the Fraction oracle.
+
+    A + iB has half the rank of the real block matrix [[A, -B], [B, A]].
+    """
+    if not rows:
+        return 0
     a = [[x for x, _ in row] for row in rows]
     b = [[y for _, y in row] for row in rows]
     realified = [ra + [-y for y in rb] for ra, rb in zip(a, b)] + [
         rb + ra for ra, rb in zip(a, b)
     ]
-    want = frac_rank(realified)
-    assert want % 2 == 0
+    rank = frac_rank(realified)
+    assert rank % 2 == 0
+    return rank // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices_with_dependent_rows())
+def test_rank_qi_matches_realified_oracle(data):
+    rows, ncols = data
     encoded = [
         [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in row]
         for row in rows
     ]
-    assert kernel.rank_qi(encoded, ncols) == want // 2
+    assert kernel.rank_qi(encoded, ncols) == _realified_rank(rows)
+
+
+def _gaussians(row):
+    def q(x):
+        return Rational(x.numerator, x.denominator)
+
+    return tuple(Gaussian(q(x), q(y)) for x, y in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4))
+def test_rowreducer_matches_realified_oracle(data):
+    rows, ncols = data
+    red = RowReducer(ncols)
+    for k, row in enumerate(rows):
+        rank_before = _realified_rank(rows[:k])
+        in_span = _realified_rank(rows[: k + 1]) == rank_before
+        assert red.contains(_gaussians(row)) is in_span
+        assert red.add(_gaussians(row)) is not in_span
+        assert red.dim == _realified_rank(rows[: k + 1])
+        assert red.contains(_gaussians(row))
+
+
+@settings(max_examples=40, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4))
+def test_rowreducer_copy_leaves_original_unchanged(data):
+    rows, ncols = data
+    half = len(rows) // 2
+    red = RowReducer(ncols)
+    for row in rows[:half]:
+        red.add(_gaussians(row))
+    dim = red.dim
+    grown = red.copy()
+    for row in rows[half:]:
+        grown.add(_gaussians(row))
+    assert grown.dim == _realified_rank(rows)
+    assert red.dim == dim == _realified_rank(rows[:half])
+    for row in rows[half:]:
+        in_span = _realified_rank(rows[:half] + [row]) == dim
+        assert red.contains(_gaussians(row)) is in_span
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4))
+def test_zi_rows_combine_and_decode_match_fractions(data):
+    rows, ncols = data
+    vecs = [_gaussians(row) for row in rows]
+    encoded, den = kernel.zi_rows(vecs)
+    assert [kernel.zi_decode(r, den, ncols) for r in encoded] == vecs
+    x, y = rows[0], rows[-1]
+    # x + i*y - 2*conj(x), on Z[i] rows and on Fractions
+    got = kernel.zi_combine(
+        ((1, 0), encoded[0]),
+        ((0, 1), encoded[-1]),
+        ((-2, 0), kernel.zi_conj(encoded[0])),
+    )
+    want = [
+        (a - d - 2 * a, b + c + 2 * b) for (a, b), (c, d) in zip(x, y)
+    ]
+    assert kernel.zi_decode(got, den, ncols) == _gaussians(want)
