@@ -10,6 +10,15 @@ Betti numbers b_k = dim ker d_k - rank d_{k-1}.  When a bigrading of the
 algebra is supplied, each basis vector of bidegree (p, q) (p, q <= 0) gives a
 dual generator of bidegree (-p, -q), monomial bidegrees add, and the
 differential preserves them, so cohomology splits into bidegree blocks.
+
+Each d_k is assembled once, sparsely, from bit masks of the monomials with
+Koszul signs in closed form.  Its entries are the structure constants times
+one common denominator D of all of them: integers over Q, (re, im) Gaussian
+integers over Q(i).  Scaling by D != 0 changes neither the rank nor which
+entries are nonzero, so Betti numbers and bidegree blocks are ranked on
+these rows directly (``kernel.rank_q``/``rank_qi``); d_0 and d_n are zero
+and are not assembled.  `ce_differential` divides by D again to return the
+dense matrix that representatives (RREF, kernels) need.
 """
 
 from __future__ import annotations
@@ -17,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
+from . import kernel
 from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
-from .exact import ExactMatrix, Subspace
+from .exact import ExactMatrix, Subspace, kernel_basis
 from .liealg import LieAlgebra, apply_basis_change
-from .scalars import Gaussian, Q0
+from .scalars import Gaussian, Q0, Rational
 
 __all__ = [
     "exterior_basis",
@@ -59,38 +70,22 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
     n = L.dim
     if not 0 <= k <= n:
         raise DegreeOutOfRange(f"degree {k} out of range 0..{n}")
-    src = exterior_basis(n, k)
-    # Monomials are looked up by bit mask: bit t is set when x^t is a factor.
-    dst = exterior_basis(n, k + 1) if k < n else ()
-    dst_index = {_mask(mon): idx for idx, mon in enumerate(dst)}
-    rows = len(dst_index)
-    cols = len(src)
+    cols = len(exterior_basis(n, k))
+    rows = len(exterior_basis(n, k + 1)) if k < n else 0
+    if not rows:
+        return ExactMatrix.empty(cols, L.field)
     zero = Gaussian(0) if L.field == "Qi" else Q0
     grid = [[zero] * cols for _ in range(rows)]
-    if rows == 0 or cols == 0 or k == 0:
-        if not rows:
-            return ExactMatrix.empty(cols, L.field)
-        return ExactMatrix(grid, cols=cols)
-    duals = _dual_differentials(L)
-    for c, mon in enumerate(src):
-        full = _mask(mon)
-        for m in mon:
-            terms = duals.get(m)
-            if terms is None:
-                continue
-            rest = full ^ (1 << m)
-            # x^m sits in slot r_pos, which gives the Koszul sign (-1)^{r_pos}.
-            r_pos = (full & ((1 << m) - 1)).bit_count()
-            for pair, between, signed in terms:
-                if rest & pair:
-                    continue
-                # Sorting (i, j, *rest) takes one transposition per element of
-                # rest below i and one per element below j; mod 2, that is
-                # the number of elements between i and j.
-                x = signed[(r_pos + (rest & between).bit_count()) & 1]
-                row = dst_index[rest | pair]
-                cur = grid[row][c]
-                grid[row][c] = x if cur is zero else cur + x
+    if k:
+        field, den, terms = _dual_terms(L)
+        for r, row in _assemble(n, k, field, terms).items():
+            line = grid[r]
+            for c, x in row.items():
+                line[c] = (
+                    Rational(x, den)
+                    if field == "Q"
+                    else Gaussian(Rational(x[0], den), Rational(x[1], den))
+                )
     return ExactMatrix(grid, cols=cols)
 
 
@@ -98,29 +93,110 @@ def _mask(mon: tuple[int, ...]) -> int:
     return sum(1 << t for t in mon)
 
 
-def _dual_differentials(L: LieAlgebra):
-    """For each m: the terms of d x^m = -sum_{i<j} C_ij^m x^i ^ x^j.
+@lru_cache(maxsize=None)
+def _masks(n: int, k: int) -> tuple[int, ...]:
+    """Bit masks of the k-monomials in lexicographic order (bit t: x^t is a factor)."""
+    return tuple(_mask(mon) for mon in exterior_basis(n, k))
 
-    A term is (mask of {i, j}, mask of the indices strictly between i and j,
-    (-C_ij^m, C_ij^m)); over Q(i) both are Gaussians.
+
+def _dual_terms(L: LieAlgebra) -> tuple[str, int, dict[int, list]]:
+    """The terms of d x^m = -sum_{i<j} C_ij^m x^i ^ x^j, scaled to integers.
+
+    Returns ``(field, D, terms)``: D is the least common denominator of all
+    of L's constants and ``terms[m]`` lists (mask of {i, j}, mask of the
+    indices strictly between i and j, (-D C_ij^m, D C_ij^m)).  The scaled
+    constants are ints over Q and (re, im) Gaussian integers over Q(i),
+    which is also the field of a Q algebra holding a `Gaussian` constant.
     """
-    out: dict[int, list] = {}
-    promote = L.field == "Qi"
+    # consts, and so signed, follow the order of L.brackets.
+    consts = [w for _, coeffs in L.brackets for _, w in coeffs]
+    if L.field == "Qi" or any(type(w) is Gaussian for w in consts):
+        field = "Qi"
+        consts = [w if type(w) is Gaussian else Gaussian(w) for w in consts]
+        den = lcm(*{x.den for w in consts for x in (w.re, w.im)})
+        scaled = [
+            (w.re.num * (den // w.re.den), w.im.num * (den // w.im.den)) for w in consts
+        ]
+        signed = iter([((-re, -im), (re, im)) for re, im in scaled])
+    else:
+        field = "Q"
+        den = lcm(*{w.den for w in consts})
+        signed = iter([(-x, x) for x in (w.num * (den // w.den) for w in consts)])
+    terms: dict[int, list] = {}
     for (i, j), coeffs in L.brackets:
         pair = (1 << i) | (1 << j)
         between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
-        for m, w in coeffs:
-            if promote and not isinstance(w, Gaussian):
-                w = Gaussian(w)
-            out.setdefault(m, []).append((pair, between, (-w, w)))
-    return out
+        for m, _ in coeffs:
+            terms.setdefault(m, []).append((pair, between, next(signed)))
+    return field, den, terms
+
+
+def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, dict]:
+    """D times d_k (0 < k < n) as sparse rows ``{dst monomial: {src monomial: entry}}``.
+
+    Monomials are lexicographic indices, entries the integers of
+    `_dual_terms`; entries that cancel are left out, and so are zero rows.
+    """
+    dst_index = {mask: idx for idx, mask in enumerate(_masks(n, k + 1))}
+    rows: dict[int, dict] = {}
+    summed = False
+    for c, (mon, full) in enumerate(zip(exterior_basis(n, k), _masks(n, k))):
+        for m in mon:
+            mterms = terms.get(m)
+            if mterms is None:
+                continue
+            rest = full ^ (1 << m)
+            # x^m sits in slot r_pos, which gives the Koszul sign (-1)^{r_pos}.
+            r_pos = (full & ((1 << m) - 1)).bit_count()
+            for pair, between, signed in mterms:
+                if rest & pair:
+                    continue
+                # Sorting (i, j, *rest) takes one transposition per element of
+                # rest below i and one per element below j; mod 2, that is
+                # the number of elements between i and j.
+                x = signed[(r_pos + (rest & between).bit_count()) & 1]
+                r = dst_index[rest | pair]
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {c: x}
+                elif c not in row:
+                    row[c] = x
+                else:
+                    y = row[c]
+                    row[c] = y + x if field == "Q" else (y[0] + x[0], y[1] + x[1])
+                    summed = True
+    if summed:
+        zero = 0 if field == "Q" else (0, 0)
+        for r in list(rows):
+            row = {c: x for c, x in rows[r].items() if x != zero}
+            if row:
+                rows[r] = row
+            else:
+                del rows[r]
+    return rows
+
+
+def _sparse_differentials(L: LieAlgebra):
+    """``(rank, {k: rows})``: D times d_k as `_assemble` rows for 0 < k < n.
+
+    ``rank`` is the kernel's rank for the rows' field.  d_0 and d_n are zero
+    and are not assembled, nor is any d_k of an abelian algebra.
+    """
+    n = L.dim
+    if n < 2 or not L.brackets:
+        return kernel.rank_q, {}
+    field, _, terms = _dual_terms(L)
+    rank = kernel.rank_q if field == "Q" else kernel.rank_qi
+    return rank, {k: _assemble(n, k, field, terms) for k in range(1, n)}
 
 
 def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
     """Betti numbers b_0..b_n, optionally with canonical cocycle representatives."""
     n = L.dim
-    diffs = [ce_differential(L, k) for k in range(n + 1)]
-    ranks = [d.rank() for d in diffs]
+    ranks = [0] * (n + 1)
+    rank, diffs = _sparse_differentials(L)
+    for k, rows in diffs.items():
+        ranks[k] = rank(list(rows.values()), len(exterior_basis(n, k)))
     betti = []
     for k in range(n + 1):
         dim_k = len(exterior_basis(n, k))
@@ -129,8 +205,7 @@ def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTab
     reps = None
     if representatives:
         reps = {}
-        from .exact import kernel_basis
-
+        diffs = [ce_differential(L, k) for k in range(n + 1)]
         for k in range(n + 1):
             cocycles = kernel_basis(diffs[k])
             if k == 0:
@@ -183,49 +258,53 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
         )
     adapted = apply_basis_change(L, t, name=f"{L.name}.adapted")
     dual = [(-p, -q) for (p, q) in bidegrees]
-
-    def mono_bidegree(mon: tuple[int, ...]) -> tuple[int, int]:
-        return (
-            sum(dual[m][0] for m in mon),
-            sum(dual[m][1] for m in mon),
+    # bideg[k][c]: the bidegree of the c-th k-monomial; pos[k][c]: its index
+    # within its block; dims[k][b]: the size of the block of bidegree b.
+    bideg, pos, dims = [], [], []
+    for k in range(n + 1):
+        bk, pk, dk = [], [], {}
+        for mon in exterior_basis(n, k):
+            b = (sum(dual[m][0] for m in mon), sum(dual[m][1] for m in mon))
+            bk.append(b)
+            pk.append(dk.get(b, 0))
+            dk[b] = pk[-1] + 1
+        bideg.append(bk)
+        pos.append(pk)
+        dims.append(dk)
+    # block_rank[k][b]: rank of d_k on the block of bidegree b.  A compatible
+    # d_k maps each block into the block of the same bidegree, so that is the
+    # rank of the rows whose destination monomial has bidegree b.
+    block_rank: list[dict] = [{} for _ in range(n + 1)]
+    rank, diffs = _sparse_differentials(adapted)
+    for k, rows in diffs.items():
+        src, dst = bideg[k], bideg[k + 1]
+        bad = min(
+            ((c, r) for r, row in rows.items() for c in row if src[c] != dst[r]),
+            default=None,
         )
-
-    diffs = [ce_differential(adapted, k) for k in range(n + 1)]
-    # Compatibility: every nonzero entry of d must connect equal bidegrees.
-    for k in range(n):
-        src = exterior_basis(n, k)
-        dst = exterior_basis(n, k + 1)
-        mat = diffs[k]
-        for c, mon in enumerate(src):
-            bc = mono_bidegree(mon)
-            for r, dmon in enumerate(dst):
-                if mat.entries[r][c] and mono_bidegree(dmon) != bc:
-                    raise GradingNotCompatible(
-                        f"d maps bidegree {bc} monomial {mon} to "
-                        f"{mono_bidegree(dmon)} monomial {dmon} in degree {k}"
-                    )
+        if bad is not None:
+            c, r = bad
+            raise GradingNotCompatible(
+                f"d maps bidegree {src[c]} monomial {exterior_basis(n, k)[c]} to "
+                f"{dst[r]} monomial {exterior_basis(n, k + 1)[r]} in degree {k}"
+            )
+        local = pos[k]
+        blocks: dict[tuple[int, int], list] = {}
+        for r, row in rows.items():
+            blocks.setdefault(dst[r], []).append(
+                {local[c]: x for c, x in row.items()}
+            )
+        block_rank[k] = {
+            b: rank(group, dims[k][b]) for b, group in blocks.items()
+        }
     betti = []
     by_bidegree: dict[tuple[int, int, int], int] = {}
     for k in range(n + 1):
-        src = exterior_basis(n, k)
-        blocks: dict[tuple[int, int], list[int]] = {}
-        for idx, mon in enumerate(src):
-            blocks.setdefault(mono_bidegree(mon), []).append(idx)
         total = 0
-        for (p, q), col_idx in sorted(blocks.items()):
-            dim_block = len(col_idx)
-            rank_out = _block_rank(diffs[k], exterior_basis(n, k + 1) if k < n else (),
-                                   col_idx, mono_bidegree, (p, q), n, k)
-            rank_in = 0
+        for (p, q), dim_block in sorted(dims[k].items()):
+            h = dim_block - block_rank[k].get((p, q), 0)
             if k > 0:
-                prev_src = exterior_basis(n, k - 1)
-                prev_cols = [
-                    i for i, mon in enumerate(prev_src) if mono_bidegree(mon) == (p, q)
-                ]
-                rank_in = _block_rank(
-                    diffs[k - 1], src, prev_cols, mono_bidegree, (p, q), n, k - 1
-                )
-            h = dim_block - rank_out - rank_in
+                h -= block_rank[k - 1].get((p, q), 0)
             if h:
                 by_bidegree[(k, p, q)] = h
             total += h
@@ -234,24 +313,6 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
         (j, p, q, d) for (j, p, q), d in sorted(by_bidegree.items())
     )
     return CohomologyTable(betti=tuple(betti), by_bidegree=table)
-
-
-def _block_rank(mat, dst_basis, col_idx, mono_bidegree, bidegree, n, k):
-    """Rank of the differential restricted to one bidegree block."""
-    if not col_idx or mat.rows == 0:
-        return 0
-    row_idx = [r for r, mon in enumerate(dst_basis) if mono_bidegree(mon) == bidegree]
-    if not row_idx:
-        return 0
-    from . import kernel as _kernel
-
-    entries = mat.entries
-    rows = _kernel.encode(
-        ([entries[r][c] for c in col_idx] for r in row_idx), mat.field
-    )
-    if mat.field == "Q":
-        return _kernel.rank_q(rows, len(col_idx))
-    return _kernel.rank_qi(rows, len(col_idx))
 
 
 def top_class_bidegree(L: LieAlgebra, grading) -> tuple[int, int]:

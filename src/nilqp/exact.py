@@ -213,7 +213,7 @@ class ExactMatrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        rows = kernel.encode(self.entries, self.field)
+        rows = kernel.int_rows(self.entries, self.field)
         if self.field == "Q":
             return kernel.rank_q(rows, self.cols)
         return kernel.rank_qi(rows, self.cols)
@@ -244,7 +244,8 @@ def kernel_basis(m: ExactMatrix) -> "Subspace":
     """Null space of ``m`` acting on column vectors, as a canonical subspace."""
     n = m.cols
     red, pivots = m.rref()
-    free = [j for j in range(n) if j not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
     zero = Q0 if m.field == "Q" else Gaussian(0)
     one = Q1 if m.field == "Q" else Gaussian(1)
     vecs = []

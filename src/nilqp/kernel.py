@@ -1,19 +1,23 @@
 """The exact elimination kernel over Q and Q(i).
 
-Elimination runs on plain integers rather than scalar objects.  This module
-is the only code that knows the layouts; callers hand it rows of
-`Rational`/`Gaussian` scalars and read results back through its helpers.
+Elimination runs on plain integers rather than scalar objects.  Callers hand
+it rows of `Rational`/`Gaussian` scalars and read results back through its
+helpers; the one exception is the sparse integer row that `rank_q`/`rank_qi`
+take, which ``cohomology`` assembles its differentials in directly.
 
 * For `rref_q`/`rref_qi` an entry is ``(num, den)`` over the rationals and
   ``(re_num, re_den, im_num, im_den)`` over the Gaussian rationals, always in
   lowest terms with positive denominators (`encode`/`decode`).  They
   implement Gauss-Jordan reduction (the unique reduced row echelon form)
   with fraction arithmetic on those tuples.
-* `rank_q`/`rank_qi` take the same rows but eliminate without fractions:
-  each row is scaled to integers (pairs of integers, that is Gaussian
-  integers, over Q(i)), kept sparse, and divided by its content after every
-  step, in the manner of fraction-free elimination (Bareiss, Math. Comp. 22
-  (1968) 565-578).
+* `rank_q`/`rank_qi` take sparse integer rows: ``{column: int}`` over Q and
+  ``{column: (re, im)}`` (a Gaussian integer) over Q(i), with no zero
+  entries.  `int_rows` clears each row of scalars of its denominators into
+  that form; the Chevalley-Eilenberg differentials are assembled in it
+  directly (``cohomology``).  They eliminate without fractions, keeping the
+  rows sparse and dividing each by its content after every step, in the
+  manner of fraction-free elimination (Bareiss, Math. Comp. 22 (1968)
+  565-578).
 * A Z[i] row is such a sparse row on its own: ``{column: (re, im)}`` with no
   zero entries, so the zero row is the empty, false dict.  `zi_rows`/
   `zi_row` encode scalar vectors (over one common denominator, which
@@ -82,6 +86,23 @@ def decode(rows, field: str) -> list[list]:
         ]
         for row in rows
     ]
+
+
+def int_rows(rows, field: str) -> list[dict]:
+    """Rows of scalars as sparse integer rows for `rank_q`/`rank_qi`.
+
+    Each row is multiplied by the least common denominator of its entries,
+    which changes neither its span nor which entries are nonzero: over "Q"
+    it becomes ``{column: int}`` (every entry a `Rational`), over "Qi" a
+    Z[i] row ``{column: (re, im)}`` (entries as `encode` takes them).
+    """
+    if field == "Qi":
+        return [zi_row(row) for row in rows]
+    out = []
+    for row in rows:
+        den = lcm(*{x.den for x in row})
+        out.append({j: x.num * (den // x.den) for j, x in enumerate(row) if x.num})
+    return out
 
 
 # -- tuple arithmetic -----------------------------------------------------------
@@ -193,21 +214,16 @@ def rref_q(rows: list[list[QPair]], ncols: int):
     return out, pivots
 
 
-def rank_q(rows: list[list[QPair]], ncols: int) -> int:
-    """Rank over Q, by fraction-free elimination on sparse integer rows.
+def rank_q(rows: list[dict], ncols: int) -> int:
+    """Rank over Q of sparse integer rows ``{column: int}``, columns below ``ncols``.
 
-    Each row is cleared of denominators and kept as {column: integer} with no
-    common factor.  Eliminating column ``col`` replaces every other row r
-    holding an entry there by a * r - b * pivot, with a / b = pivot[col] /
-    r[col] in lowest terms, and divides out the new row's content.  The
-    pivot is the shortest row with an entry in the column, to limit fill-in.
+    Rows are divided by their content, never changed in place.  Eliminating
+    column ``col`` replaces every other row r holding an entry there by
+    a * r - b * pivot, with a / b = pivot[col] / r[col] in lowest terms, and
+    divides out the new row's content.  The pivot is the shortest row with
+    an entry in the column, to limit fill-in.
     """
-    pool = []
-    for row in rows:
-        den = lcm(*{d for _, d in row})
-        vec = {j: n * (den // d) for j, (n, d) in enumerate(row) if n}
-        if vec:
-            pool.append(_primitive_q(vec))
+    pool = [_primitive_q(row) for row in rows if row]
     rank = 0
     for col in range(ncols):
         pivot = _pivot(pool, col)
@@ -256,18 +272,13 @@ def rref_qi(rows: list[list[QiQuad]], ncols: int):
     return out, pivots
 
 
-def rank_qi(rows: list[list[QiQuad]], ncols: int) -> int:
-    """Rank over Q(i), by fraction-free elimination on sparse rows over Z[i].
+def rank_qi(rows: list[ZiRow], ncols: int) -> int:
+    """Rank over Q(i) of sparse Z[i] rows ``{column: (re, im)}``.
 
-    As `rank_q`, with entries (re, im) of Gaussian integers; a row's content
-    is the integer gcd of all its real and imaginary parts.
+    As `rank_q`, with Gaussian-integer entries; a row's content is the
+    integer gcd of all its real and imaginary parts.
     """
-    pool = []
-    for row in rows:
-        den = lcm(*{b for _, b, _, _ in row}, *{d for _, _, _, d in row})
-        vec = _zi_scaled(row, den)
-        if vec:
-            pool.append(_primitive_qi(vec))
+    pool = [_primitive_qi(row) for row in rows if row]
     rank = 0
     for col in range(ncols):
         pivot = _pivot(pool, col)

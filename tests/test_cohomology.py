@@ -243,3 +243,76 @@ def test_differential_of_complexification_stays_over_qi():
             assert d.field == "Qi", (key, k)
             assert all(type(x) is Gaussian for row in d.entries for x in row), (key, k)
             assert d == ce_differential(alg, k), (key, k)
+
+
+def _fraction_brackets(alg):
+    return {
+        ij: {t: Fraction(c.num, c.den) for t, c in coeffs.items()}
+        for ij, coeffs in alg.bracket_map().items()
+    }
+
+
+# Rational forms of the Q(i) catalog entries.
+REAL_FORMS = {"37B": "n7_143", "37D": "n7_142", "N1_84": "N1_84_real"}
+# Real and imaginary parts with different denominators, so that clearing
+# the constants of a moved algebra needs one common denominator of both.
+_GAUSSIAN_COEFFS = (
+    Gaussian(Rational(1, 2), Rational(1, 3)),
+    Gaussian(Rational(-1, 3), Rational(1, 2)),
+    Gaussian(Rational(2), Rational(-1, 5)),
+    Gaussian(Rational(-3, 4), Rational(2, 3)),
+)
+
+
+def _random_gaussian_t(n, rng):
+    """Product of 2n elementary row operations with Gaussian coefficients."""
+    m = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = _GAUSSIAN_COEFFS[rng.randrange(len(_GAUSSIAN_COEFFS))]
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return ExactMatrix(m, cols=n)
+
+
+@pytest.mark.parametrize("key", sorted(REAL_FORMS))
+def test_qi_moved_by_gaussian_denominators(key, rng):
+    entry = get(key)
+    alg, grading = entry.algebra, entry.known_bigradings[0]
+    t = _random_gaussian_t(alg.dim, rng)
+    moved = apply_basis_change(alg, t)
+    consts = [c for coeffs in moved.bracket_map().values() for c in coeffs.values()]
+    assert any(c.re and c.im and c.re.den != c.im.den for c in consts)
+    real = get(REAL_FORMS[key]).algebra
+    assert list(betti_numbers(moved).betti) == oracle_betti(
+        _fraction_brackets(real), real.dim
+    )
+    # Old coordinates map to the moved basis by (T^t)^-1.
+    u = t.transpose().inverse()
+    carried = Bigrading.build(
+        [(c.p, c.q, [u.matvec(v) for v in c.generators]) for c in grading.components]
+    )
+    assert bigraded_cohomology(moved, carried) == bigraded_cohomology(alg, grading)
+
+
+# Solvable, not nilpotent and not unimodular: b_n = 0 and Poincare duality
+# fails, so Betti numbers cannot be read off half of the complex.
+SOLVABLE = {
+    "r2": (2, {(0, 1): {1: 1}}),
+    "r3_diag": (3, {(0, 1): {1: 1}, (0, 2): {2: 1}}),
+    "r3_jordan": (3, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1}}),
+    "r3_ratio": (3, {(0, 1): {1: 1}, (0, 2): {2: Rational(1, 2)}}),
+    "heis_ext": (4, {(0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}, (1, 2): {3: 1}}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SOLVABLE))
+def test_betti_of_solvable_non_unimodular_matches_oracle(key, rng):
+    dim, brackets = SOLVABLE[key]
+    alg = LieAlgebra.from_brackets(key, dim, brackets)
+    want = oracle_betti(_fraction_brackets(alg), dim)
+    assert want != list(reversed(want))
+    assert list(betti_numbers(alg).betti) == want
+    moved = apply_basis_change(alg, random_invertible_t(dim, rng))
+    assert list(betti_numbers(moved).betti) == want

@@ -39,6 +39,11 @@ def as_fractions(rows):
     return [[Fraction(n, d) for (n, d) in row] for row in rows]
 
 
+def rank_rows(rows, field):
+    """Tuple rows in the sparse integer form that `rank_q`/`rank_qi` take."""
+    return kernel.int_rows(kernel.decode(rows, field), field)
+
+
 big_q = st.tuples(
     st.integers(min_value=-(10**20), max_value=10**20),
     st.integers(min_value=1, max_value=10**6),
@@ -51,7 +56,7 @@ def test_dispatch_handles_arbitrary_precision(data):
     rows, ncols = data
     out, piv = kernel.rref_q([r[:] for r in rows], ncols)
     assert (as_fractions(out), piv) == frac_rref(as_fractions(rows), ncols)
-    assert kernel.rank_q([r[:] for r in rows], ncols) == frac_rank(as_fractions(rows))
+    assert kernel.rank_q(rank_rows(rows, "Q"), ncols) == frac_rank(as_fractions(rows))
 
 
 @settings(max_examples=80, deadline=None)
@@ -61,7 +66,7 @@ def test_rref_idempotent_and_rank_consistent(data):
     out, piv = kernel.rref_q([r[:] for r in rows], ncols)
     again, piv2 = kernel.rref_q([r[:] for r in out], ncols)
     assert again == out and piv2 == piv
-    assert kernel.rank_q([r[:] for r in rows], ncols) == len(piv)
+    assert kernel.rank_q(rank_rows(rows, "Q"), ncols) == len(piv)
 
 
 def test_backend_name_reports():
@@ -116,7 +121,7 @@ def test_rank_qi_matches_realified_oracle(data):
         [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in row]
         for row in rows
     ]
-    assert kernel.rank_qi(encoded, ncols) == _realified_rank(rows)
+    assert kernel.rank_qi(rank_rows(encoded, "Qi"), ncols) == _realified_rank(rows)
 
 
 def _gaussians(row):
