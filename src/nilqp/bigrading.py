@@ -1702,10 +1702,7 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
             grown = red.copy()
             if not (grown.add(cand) and grown.add(kernel.zi_conj(cand))):
                 continue
-            vec = kernel.zi_decode(cand, den, v)
-            if not space.contains(vec):
-                continue
-            result = rec(chosen + [vec], grown)
+            result = rec(chosen + [kernel.zi_decode(cand, den, v)], grown)
             if result is not None:
                 return result
         return None

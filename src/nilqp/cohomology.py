@@ -26,12 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
 
 from . import kernel
 from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
 from .exact import ExactMatrix, Subspace, kernel_basis
-from .liealg import LieAlgebra, apply_basis_change
+from .liealg import LieAlgebra, apply_basis_change, structure_table
 from .scalars import Gaussian, Q0, Rational
 
 __all__ = [
@@ -102,32 +101,23 @@ def _masks(n: int, k: int) -> tuple[int, ...]:
 def _dual_terms(L: LieAlgebra) -> tuple[str, int, dict[int, list]]:
     """The terms of d x^m = -sum_{i<j} C_ij^m x^i ^ x^j, scaled to integers.
 
-    Returns ``(field, D, terms)``: D is the least common denominator of all
-    of L's constants and ``terms[m]`` lists (mask of {i, j}, mask of the
-    indices strictly between i and j, (-D C_ij^m, D C_ij^m)).  The scaled
-    constants are ints over Q and (re, im) Gaussian integers over Q(i),
-    which is also the field of a Q algebra holding a `Gaussian` constant.
+    Returns ``(field, D, terms)`` from L's `structure_table`: D is its common
+    denominator and ``terms[m]`` lists (mask of {i, j}, mask of the indices
+    strictly between i and j, (-D C_ij^m, D C_ij^m)).  The scaled constants
+    are ints over Q and (re, im) Gaussian integers over Q(i), which is also
+    the field of a Q algebra holding a `Gaussian` constant.
     """
-    # consts, and so signed, follow the order of L.brackets.
-    consts = [w for _, coeffs in L.brackets for _, w in coeffs]
-    if L.field == "Qi" or any(type(w) is Gaussian for w in consts):
-        field = "Qi"
-        consts = [w if type(w) is Gaussian else Gaussian(w) for w in consts]
-        den = lcm(*{x.den for w in consts for x in (w.re, w.im)})
-        scaled = [
-            (w.re.num * (den // w.re.den), w.im.num * (den // w.im.den)) for w in consts
-        ]
-        signed = iter([((-re, -im), (re, im)) for re, im in scaled])
-    else:
-        field = "Q"
-        den = lcm(*{w.den for w in consts})
-        signed = iter([(-x, x) for x in (w.num * (den // w.den) for w in consts)])
+    field, den, columns = structure_table(L)
     terms: dict[int, list] = {}
-    for (i, j), coeffs in L.brackets:
+    for i, j, ms, *parts in zip(*columns):
         pair = (1 << i) | (1 << j)
         between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
-        for m, _ in coeffs:
-            terms.setdefault(m, []).append((pair, between, next(signed)))
+        if field == "Q":
+            signed = [(-x, x) for x in parts[0]]
+        else:
+            signed = [((-x, -y), (x, y)) for x, y in zip(*parts)]
+        for m, pm in zip(ms, signed):
+            terms.setdefault(m, []).append((pair, between, pm))
     return field, den, terms
 
 

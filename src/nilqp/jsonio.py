@@ -27,7 +27,7 @@ from .cohomology import CohomologyTable
 from .errors import ParseError
 from .exact import ExactMatrix
 from .liealg import LieAlgebra, validate
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Gaussian, Scalar, format_scalar, parse_scalar
 
 __all__ = [
     "lie_algebra_to_json",
@@ -154,7 +154,12 @@ def lie_algebra_from_json(data, path: str = "$", check: bool = True) -> LieAlgeb
                 raise ParseError(f"coefficient key {k_str!r} is not an integer", cpath)
             if not 0 <= k < dim:
                 raise ParseError(f"target index {k} out of range 0..{dim - 1}", cpath)
-            coeffs[k] = parse_scalar(val, path=cpath)
+            c = parse_scalar(val, path=cpath)
+            if fielded == "Q" and isinstance(c, Gaussian) and c.im:
+                raise ParseError(
+                    f"coefficient {val!r} is not rational in a 'Q' algebra", cpath
+                )
+            coeffs[k] = c
         brackets[(i, j)] = coeffs
     real = data.get("real_structure")
     real_matrix = None

@@ -5,6 +5,12 @@ it rows of `Rational`/`Gaussian` scalars and read results back through its
 helpers; the one exception is the sparse integer row that `rank_q`/`rank_qi`
 take, which ``cohomology`` assembles its differentials in directly.
 
+`q_ints` and `zi_pairs` clear a vector of scalars of its denominators into
+dense integers, or dense Z[i] pairs ``(re, im)``, over one least common
+denominator.  ``liealg`` encodes its integer table of structure constants
+(`liealg.structure_table`), the vectors it brackets and the matrices of a
+change of basis with them.
+
 * For `rref_q`/`rref_qi` an entry is ``(num, den)`` over the rationals and
   ``(re_num, re_den, im_num, im_den)`` over the Gaussian rationals, always in
   lowest terms with positive denominators (`encode`/`decode`).  They
@@ -86,6 +92,35 @@ def decode(rows, field: str) -> list[list]:
         ]
         for row in rows
     ]
+
+
+def q_ints(vec) -> tuple[list[int], int]:
+    """`Rational` entries as ``(ints, den)`` with ``vec[j] == ints[j] / den``.
+
+    ``den`` is the least common denominator of the entries.
+    """
+    den = lcm(*{x.den for x in vec})
+    if den == 1:
+        return [x.num for x in vec], 1
+    return [x.num * (den // x.den) for x in vec], den
+
+
+def zi_pairs(vec) -> tuple[list[tuple[int, int]], int]:
+    """`Gaussian`/`Rational` entries as dense Z[i] pairs over one denominator.
+
+    Returns ``(pairs, den)`` with ``vec[j] == (re + im*i) / den`` for
+    ``(re, im) = pairs[j]``, ``den`` the least common denominator of all
+    real and imaginary parts.
+    """
+    if Gaussian not in map(type, vec):
+        ints, den = q_ints(vec)
+        return [(x, 0) for x in ints], den
+    re = [x.re if type(x) is Gaussian else x for x in vec]
+    im = [x.im if type(x) is Gaussian else Q0 for x in vec]
+    den = lcm(*{x.den for x in re}, *{x.den for x in im})
+    if den == 1:
+        return [(a.num, b.num) for a, b in zip(re, im)], 1
+    return [(a.num * (den // a.den), b.num * (den // b.den)) for a, b in zip(re, im)], den
 
 
 def int_rows(rows, field: str) -> list[dict]:

@@ -5,12 +5,24 @@ the k-th basis vector in [X_i, X_j].  Antisymmetry is implicit and the Jacobi
 identity is enforced by ``validate``, which every public constructor calls.
 Algebras over Q(i) may carry a real structure: an antilinear involution that
 is also a bracket automorphism, used for all conjugation-dependent checks.
+
+Brackets and changes of basis run on integers.  `structure_table` holds the
+constants once per instance as integers over one common denominator
+(Gaussian-integer pairs over Q(i)); `LieAlgebra.bracket` and
+`apply_basis_change` clear the denominators of their input, form every
+product on integers and divide once per result entry, and the
+Chevalley-Eilenberg differentials of ``cohomology`` are assembled from the
+same table.  Scalars are made only for the results, with the types that
+`LieAlgebra.bracket` and `apply_basis_change` document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
+from . import kernel
 from .errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -20,7 +32,7 @@ from .errors import (
     NotNilpotent,
     SingularTransformation,
 )
-from .exact import ExactMatrix, Subspace, Vector, kernel_basis
+from .exact import ExactMatrix, Subspace, Vector, _scalar_row, kernel_basis
 from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj
 
 __all__ = [
@@ -104,9 +116,6 @@ class LieAlgebra:
     def _zero(self) -> Scalar:
         return Gaussian(0) if self.field == "Qi" else Q0
 
-    def zero_vector(self) -> Vector:
-        return tuple(self._zero() for _ in range(self.dim))
-
     def bracket_map(self) -> BracketMap:
         return {ij: dict(coeffs) for ij, coeffs in self.brackets}
 
@@ -133,32 +142,35 @@ class LieAlgebra:
         entries (the two-step frame's lifts mix both types): then an entry is
         a `Gaussian` exactly where a nonzero term u_i v_j - u_j v_i with a
         Gaussian factor, even a zero one, was added into it, and stays
-        `Rational` elsewhere.
+        `Rational` elsewhere.  Likewise, a `Gaussian` constant of an algebra
+        over Q makes an entry a `Gaussian` wherever a nonzero term times it
+        was added into that entry.
+
+        The product is formed on `structure_table`: u and v are cleared of
+        their denominators, every term is an integer (over Q(i) a Z[i] pair)
+        product, and each entry is divided once by the product of the three
+        denominators.  The mixed types over Q are made by scalar arithmetic.
         """
-        out = [self._zero()] * self.dim
-        uu = [as_scalar(x) for x in u]
-        vv = [as_scalar(x) for x in v]
-        nu = [bool(x) for x in uu]
-        nv = [bool(x) for x in vv]
-        # A product with a zero factor adds nothing and is skipped, except over
-        # Q with Gaussian input, where a Gaussian zero still makes the entry a
-        # Gaussian.
-        every = self.field == "Q" and (
-            Gaussian in map(type, uu) or Gaussian in map(type, vv)
-        )
-        for (i, j), coeffs in self.brackets:
-            if every:
+        uu, vv = _scalar_row(u), _scalar_row(v)
+        field, den, columns = structure_table(self)
+        if self.field == "Q" and (
+            field == "Qi" or Gaussian in map(type, uu) or Gaussian in map(type, vv)
+        ):
+            out = [Q0] * self.dim
+            for (i, j), coeffs in self.brackets:
                 c = uu[i] * vv[j] - uu[j] * vv[i]
-            elif nu[i] and nv[j]:
-                c = uu[i] * vv[j] - uu[j] * vv[i] if nu[j] and nv[i] else uu[i] * vv[j]
-            elif nu[j] and nv[i]:
-                c = -(uu[j] * vv[i])
-            else:
-                continue
-            if c:
-                for k, w in coeffs:
-                    out[k] = out[k] + c * w
-        return tuple(out)
+                if c:
+                    for k, w in coeffs:
+                        out[k] = out[k] + c * w
+            return tuple(out)
+        if field == "Q":
+            (us, du), (vs, dv) = kernel.q_ints(uu), kernel.q_ints(vv)
+            d = du * dv * den
+            return tuple([
+                Rational(x, d) if x else Q0 for x in _bracket_q(columns, us, vs, self.dim)
+            ])
+        (us, du), (vs, dv) = kernel.zi_pairs(uu), kernel.zi_pairs(vv)
+        return _gaussians(zip(*_bracket_qi(columns, us, vs, self.dim)), du * dv * den)
 
     def conj_vector(self, v) -> Vector:
         """Antilinear conjugation v -> S * conj(v); identity matrix over Q."""
@@ -167,9 +179,6 @@ class LieAlgebra:
         if self.real_structure is None:
             raise InvalidRealStructure(f"{self.name}: no real structure available")
         return self.real_structure.matvec([conj(as_scalar(x)) for x in v])
-
-    def has_conjugation(self) -> bool:
-        return self.field == "Q" or self.real_structure is not None
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -249,6 +258,90 @@ def validate(L: LieAlgebra) -> ValidationReport:
         dim=n,
         name=L.name,
     )
+
+
+class StructureTable(NamedTuple):
+    """The structure constants as integers over one common denominator.
+
+    ``columns`` holds one entry per nonzero [X_i, X_j], in the order of
+    ``L.brackets``, as parallel tuples: over "Q" ``(is, js, ks, xs)`` with
+    C_ij^k = x / den for k, x in zip(ks, xs); over "Qi" ``(is, js, ks, res,
+    ims)`` with C_ij^k = (re + im*i) / den.  "Qi" is also the field of an
+    algebra over Q that holds a `Gaussian` constant.  Columns rather than a
+    tuple per bracket, and one ``ks`` tuple per distinct support, keep the
+    table small next to the constants themselves.
+    """
+
+    field: str
+    den: int
+    columns: tuple
+
+
+def structure_table(L: LieAlgebra) -> StructureTable:
+    """L's `StructureTable`, computed at most once per instance."""
+    table = L._facts.get("structure_table")
+    if table is not None:
+        return table
+    consts = [w for _, coeffs in L.brackets for _, w in coeffs]
+    if L.field == "Qi" or Gaussian in map(type, consts):
+        field = "Qi"
+        pairs, den = kernel.zi_pairs(consts)
+        parts = [[x for x, _ in pairs], [y for _, y in pairs]]
+    else:
+        field = "Q"
+        ints, den = kernel.q_ints(consts)
+        parts = [ints]
+    supports: dict[tuple, tuple] = {}
+    ks = [tuple(k for k, _ in coeffs) for _, coeffs in L.brackets]
+    columns = (
+        tuple(i for (i, _), _ in L.brackets),
+        tuple(j for (_, j), _ in L.brackets),
+        tuple(supports.setdefault(k, k) for k in ks),
+        *(tuple(tuple(islice(it, len(k))) for k in ks) for it in map(iter, parts)),
+    )
+    table = StructureTable(field, den, columns)
+    L._facts["structure_table"] = table
+    return table
+
+
+def _bracket_q(columns, u: list[int], v: list[int], n: int) -> list[int]:
+    """The integer bracket of integer vectors on the columns of a table over Q."""
+    out = [0] * n
+    for i, j, ks, xs in zip(*columns):
+        c = u[i] * v[j] - u[j] * v[i]
+        if c:
+            for k, w in zip(ks, xs):
+                out[k] += c * w
+    return out
+
+
+def _bracket_qi(columns, u: list, v: list, n: int) -> tuple[list[int], list[int]]:
+    """The bracket of Z[i] pair vectors on a table over Q(i), as (real, imaginary) parts."""
+    re = [0] * n
+    im = [0] * n
+    for i, j, ks, ps, qs in zip(*columns):
+        (a, b), (c, d) = u[i], v[j]
+        (e, f), (g, h) = u[j], v[i]
+        x = a * c - b * d - e * g + f * h
+        y = a * d + b * c - e * h - f * g
+        if x or y:
+            for k, p, q in zip(ks, ps, qs):
+                re[k] += x * p - y * q
+                im[k] += x * q + y * p
+    return re, im
+
+
+def _gaussians(pairs, den: int) -> Vector:
+    """Z[i] pairs (re, im) as the `Gaussian` scalars (re + im*i) / den."""
+    return tuple([
+        Gaussian(Rational(x, den) if x else Q0, Rational(y, den) if y else Q0)
+        if x or y
+        else _GAUSSIAN_ZERO
+        for x, y in pairs
+    ])
+
+
+_GAUSSIAN_ZERO = Gaussian(0)
 
 
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
@@ -337,6 +430,14 @@ def apply_basis_change(
 
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
+
+    Past the inverse of T, the work is on Gaussian integers: T, T^-1 and
+    the real structure are each encoded once as rows of Z[i] pairs over a
+    common denominator, the rows of T are bracketed on `structure_table`,
+    and each new constant and real-structure entry is divided once.  The
+    scalar types are those of scalar arithmetic: over Q(i) every constant
+    is a `Gaussian`, and the real structure is over Q(i) exactly when T or
+    the old real structure is.
     """
     n = L.dim
     if T.rows != n or T.cols != n:
@@ -347,26 +448,58 @@ def apply_basis_change(
         t_inv = T.inverse()
     except ValueError as exc:
         raise SingularTransformation(str(exc)) from exc
-    # Column-vector convention: old coords v = T^t x, so x = (T^t)^{-1} v.
-    t_t = T.transpose()
-    t_inv_t = t_inv.transpose()
     new_field = "Qi" if (L.field == "Qi" or T.field == "Qi") else "Q"
+    field, den, columns = structure_table(L)
+    if field == "Q":
+        columns = (*columns, tuple((0,) * len(ks) for ks in columns[2]))
+    e, t_den = _zi_matrix(T)  # e_i in old coordinates, times t_den
+    inv, inv_den = _zi_matrix(t_inv)
+    d = t_den * t_den * den * inv_den
     new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    e_old = [T.row(i) for i in range(n)]  # e_i in old coordinates
     for i in range(n):
         for j in range(i + 1, n):
-            w = L.bracket(e_old[i], e_old[j])
-            if not any(w):
-                continue
-            coords = t_inv_t.matvec(w)
-            coeffs = {k: c for k, c in enumerate(coords) if c}
+            w = list(zip(*_bracket_qi(columns, e[i], e[j], n)))
+            # Column-vector convention: old coords w = T^t x, so x = (T^t)^{-1} w,
+            # the row vector w times T^-1.
+            x = _zi_matmul([w], inv)[0]
+            hit = ()
+            if new_field == "Q" and field == "Qi":
+                # L is over Q with `Gaussian` constants and T is rational: as
+                # in `LieAlgebra.bracket`, a new constant is a Gaussian exactly
+                # where a nonzero term times such a constant reached it.
+                hit = {
+                    k
+                    for (a, b), consts in L.brackets
+                    if e[i][a][0] * e[j][b][0] != e[i][b][0] * e[j][a][0]
+                    for l, c in consts
+                    if type(c) is Gaussian and w[l] != (0, 0)
+                    for k, y in enumerate(inv[l])
+                    if y != (0, 0)
+                }
+            coeffs = {
+                k: Gaussian(Rational(a, d), Rational(b, d))
+                if new_field == "Qi" or k in hit
+                else Rational(a, d)
+                for k, (a, b) in enumerate(x)
+                if a or b
+            }
             if coeffs:
                 new_brackets[(i, j)] = coeffs
     new_real = None
-    if L.real_structure is not None:
-        new_real = t_inv_t.matmul(L.real_structure).matmul(t_t.conj_entrywise())
-    elif L.field == "Q" and new_field == "Qi":
-        new_real = t_inv_t.matmul(t_t.conj_entrywise())
+    s = L.real_structure
+    if s is not None or new_field != L.field:
+        # (T^t)^-1 S conj(T)^t, S the identity when L is over Q.
+        m = [list(col) for col in zip(*inv)]
+        d = inv_den * t_den
+        if s is not None:
+            s_rows, s_den = _zi_matrix(s)
+            m = _zi_matmul(m, s_rows)
+            d *= s_den
+        m = _zi_matmul(m, [[(a, -b) for a, b in col] for col in zip(*e)])
+        if T.field == "Qi" or (s is not None and s.field == "Qi"):
+            new_real = ExactMatrix([_gaussians(row, d) for row in m], cols=n)
+        else:
+            new_real = ExactMatrix([[Rational(a, d) for a, _ in row] for row in m], cols=n)
     return LieAlgebra.from_brackets(
         name=name or f"{L.name}~",
         dim=n,
@@ -376,6 +509,28 @@ def apply_basis_change(
         real_structure=new_real,
         check=False,  # Jacobi and involution properties are conjugation-invariant
     )
+
+
+def _zi_matrix(m: ExactMatrix) -> tuple[list[list[tuple[int, int]]], int]:
+    """``m`` as rows of Z[i] pairs over one common denominator (`kernel.zi_pairs`)."""
+    flat, den = kernel.zi_pairs([x for row in m.entries for x in row])
+    c = m.cols
+    return [flat[r * c : (r + 1) * c] for r in range(m.rows)], den
+
+
+def _zi_matmul(a: list[list], b: list[list]) -> list[list[tuple[int, int]]]:
+    """The product of two matrices of Z[i] pairs, each a list of rows."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        re, im = [0] * cols, [0] * cols
+        for (p, q), brow in zip(row, b):
+            if p or q:
+                for c, (u, v) in enumerate(brow):
+                    re[c] += p * u - q * v
+                    im[c] += p * v + q * u
+        out.append(list(zip(re, im)))
+    return out
 
 
 def verify_isomorphism(L1: LieAlgebra, L2: LieAlgebra, T: ExactMatrix) -> bool:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from nilqp import ExactMatrix
-from nilqp.scalars import Q0, Q1, Rational
+from nilqp.scalars import Gaussian, Q0, Q1, Rational
 
 _COEFFS = (
     Rational(1),
@@ -25,6 +25,28 @@ def random_invertible_t(n: int, rng: random.Random) -> ExactMatrix:
         c = _COEFFS[rng.randrange(len(_COEFFS))]
         for t in range(n):
             m[i][t] = m[i][t] + c * m[j][t]
+    return ExactMatrix(m, cols=n)
+
+
+# Real and imaginary parts with different denominators, so that clearing
+# the constants of a moved algebra needs one common denominator of both.
+_GAUSSIAN_COEFFS = (
+    Gaussian(Rational(1, 2), Rational(1, 3)),
+    Gaussian(Rational(-1, 3), Rational(1, 2)),
+    Gaussian(Rational(2), Rational(-1, 5)),
+    Gaussian(Rational(-3, 4), Rational(2, 3)),
+)
+
+
+def random_gaussian_t(n: int, rng: random.Random) -> ExactMatrix:
+    """Product of 2n elementary row operations with Gaussian coefficients."""
+    m = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = _GAUSSIAN_COEFFS[rng.randrange(len(_GAUSSIAN_COEFFS))]
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     return ExactMatrix(m, cols=n)
 
 

@@ -148,3 +148,81 @@ def oracle_centralizer_dim(brackets, n):
         for coord in range(n):
             rows.append([cols[j][coord] for j in range(n)])
     return n - frac_rank(rows)
+
+
+# -- Q(i) as pairs (re, im) of Fractions ----------------------------------------
+
+
+def _c_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _c_sub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _c_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def _c_inverse(rows):
+    """Inverse of a square matrix of pairs by Gauss-Jordan elimination."""
+    n = len(rows)
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    m = [list(r) + [one if c == i else zero for c in range(n)] for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if m[i][col] != zero)
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [_c_div(x, lead) for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != zero:
+                f = m[i][col]
+                m[i] = [_c_sub(a, _c_mul(f, b)) for a, b in zip(m[i], m[col])]
+    return [r[n:] for r in m]
+
+
+def _c_matmul(a, b):
+    zero = (Fraction(0), Fraction(0))
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for x, brow in zip(row, b):
+            if x != zero:
+                for c, y in enumerate(brow):
+                    p = _c_mul(x, y)
+                    acc[c] = (acc[c][0] + p[0], acc[c][1] + p[1])
+        out.append(acc)
+    return out
+
+
+def oracle_basis_change(brackets, n, t, real=None):
+    """Constants and real structure in the basis e_i = sum_j t[i][j] X_j, over Q(i).
+
+    ``brackets`` is {(i, j): {k: (re, im)}} for i < j, ``t`` and ``real``
+    (the real structure S, or None) are rows of (re, im) pairs, all parts
+    Fractions.  Returns ``(constants, S')``: the nonzero new constants as
+    {(i, j): {k: (re, im)}}, and S' = (t^T)^-1 S conj(t)^T with S the
+    identity when ``real`` is None.
+    """
+    zero = (Fraction(0), Fraction(0))
+    inv = _c_inverse(t)
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            # [e_i, e_j] in old coordinates w; new coordinates are w t^-1.
+            w = [zero] * n
+            for (a, b), coeffs in brackets.items():
+                c = _c_sub(_c_mul(t[i][a], t[j][b]), _c_mul(t[i][b], t[j][a]))
+                for k, x in coeffs.items():
+                    p = _c_mul(c, x)
+                    w[k] = (w[k][0] + p[0], w[k][1] + p[1])
+            x = _c_matmul([w], inv)[0]
+            coeffs = {k: y for k, y in enumerate(x) if y != zero}
+            if coeffs:
+                out[(i, j)] = coeffs
+    inv_t = [list(col) for col in zip(*inv)]
+    conj_t = [[(y[0], -y[1]) for y in col] for col in zip(*t)]
+    left = inv_t if real is None else _c_matmul(inv_t, real)
+    return out, _c_matmul(left, conj_t)

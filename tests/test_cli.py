@@ -55,6 +55,39 @@ def test_parse_error_json_on_stdout(capsys, bad_file):
     assert doc["error"]["kind"] == "input"
 
 
+def _n3_with_constant(tmp_path, text):
+    """n3's file with its one constant, [X1, X2] = c X3, written as ``text``."""
+    doc = lie_algebra_to_json(get("n3").algebra)
+    assert doc["field"] == "Q" and doc["brackets"][0]["coeffs"] == {"2": "1"}
+    doc["brackets"][0]["coeffs"] = {"2": text}
+    path = tmp_path / "n3_const.json"
+    dump_json(path, doc)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_non_real_constant_over_q_exit_code_1(capsys, tmp_path, command):
+    path = _n3_with_constant(tmp_path, "i")
+    code, out, err = invoke(capsys, command, path)
+    assert code == 1 and not out
+    assert f"{path}.brackets[0].coeffs['2']" in err and "'i'" in err
+    code, out, _ = invoke(capsys, "--format", "json", command, path)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "input"
+    assert f"{path}.brackets[0].coeffs['2']" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_real_constant_written_as_gaussian_is_accepted_over_q(capsys, tmp_path, command, n3_file):
+    code, out, _ = invoke(
+        capsys, "--format", "json", command, _n3_with_constant(tmp_path, "1+0*i")
+    )
+    assert code == 0
+    _, want, _ = invoke(capsys, "--format", "json", command, n3_file)
+    assert out == want
+
+
 def test_missing_file_exit_code_1(capsys, tmp_path):
     code, _, err = invoke(capsys, "validate", str(tmp_path / "none.json"))
     assert code == 1

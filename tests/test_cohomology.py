@@ -20,7 +20,7 @@ from nilqp.catalog import catalog_keys, get
 from nilqp.errors import DegreeOutOfRange, GradingNotCompatible
 from nilqp.scalars import Q0, Q1, Gaussian, Rational
 
-from conftest import random_invertible_t
+from conftest import random_gaussian_t, random_invertible_t
 from oracles import oracle_betti, oracle_differential
 
 # Golden Betti numbers, produced by the independent Fraction oracle
@@ -254,33 +254,11 @@ def _fraction_brackets(alg):
 
 # Rational forms of the Q(i) catalog entries.
 REAL_FORMS = {"37B": "n7_143", "37D": "n7_142", "N1_84": "N1_84_real"}
-# Real and imaginary parts with different denominators, so that clearing
-# the constants of a moved algebra needs one common denominator of both.
-_GAUSSIAN_COEFFS = (
-    Gaussian(Rational(1, 2), Rational(1, 3)),
-    Gaussian(Rational(-1, 3), Rational(1, 2)),
-    Gaussian(Rational(2), Rational(-1, 5)),
-    Gaussian(Rational(-3, 4), Rational(2, 3)),
-)
-
-
-def _random_gaussian_t(n, rng):
-    """Product of 2n elementary row operations with Gaussian coefficients."""
-    m = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = _GAUSSIAN_COEFFS[rng.randrange(len(_GAUSSIAN_COEFFS))]
-        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return ExactMatrix(m, cols=n)
-
-
 @pytest.mark.parametrize("key", sorted(REAL_FORMS))
 def test_qi_moved_by_gaussian_denominators(key, rng):
     entry = get(key)
     alg, grading = entry.algebra, entry.known_bigradings[0]
-    t = _random_gaussian_t(alg.dim, rng)
+    t = random_gaussian_t(alg.dim, rng)
     moved = apply_basis_change(alg, t)
     consts = [c for coeffs in moved.bracket_map().values() for c in coeffs.values()]
     assert any(c.re and c.im and c.re.den != c.im.den for c in consts)

@@ -32,8 +32,13 @@ from nilqp.errors import (
 )
 from nilqp.scalars import Gaussian, Rational
 
-from conftest import random_invertible_t
-from oracles import oracle_bracket, oracle_centralizer_dim, oracle_jacobi_residual
+from conftest import random_gaussian_t, random_invertible_t
+from oracles import (
+    oracle_basis_change,
+    oracle_bracket,
+    oracle_centralizer_dim,
+    oracle_jacobi_residual,
+)
 
 
 def n3():
@@ -175,6 +180,125 @@ def test_invariants_under_random_basis_change(rng):
             assert center(moved).dim == ref_center
             assert commutator_ideal(moved).dim == ref_comm
             assert betti_numbers(moved).betti == ref_betti
+
+
+def _pair(x):
+    """A scalar as (re, im) Fractions."""
+    if isinstance(x, Gaussian):
+        return (Fraction(x.re.num, x.re.den), Fraction(x.im.num, x.im.den))
+    return (Fraction(x.num, x.den), Fraction(0))
+
+
+def _pair_brackets(alg):
+    return {ij: {k: _pair(c) for k, c in cs.items()} for ij, cs in alg.bracket_map().items()}
+
+
+def _pair_rows(m):
+    return None if m is None else [[_pair(x) for x in row] for row in m.entries]
+
+
+def test_apply_basis_change_matches_fraction_oracle(rng):
+    # The catalog algebras up to dimension 6 and those over Q(i), and a few
+    # moved once by a rational T (dense constants with denominators), each
+    # with its complexification, are moved by a rational and by a Gaussian T
+    # and compared with the Fraction oracle.
+    algebras = [
+        get(key).algebra
+        for key in catalog_keys()
+        if get(key).algebra.dim <= 6 or get(key).algebra.field == "Qi"
+    ]
+    for key in ("n5", "L5_parity", "g_sec6", "N1_84_real", "37D"):
+        base = get(key).algebra
+        algebras.append(apply_basis_change(base, random_invertible_t(base.dim, rng), key))
+    for base in algebras:
+        n = base.dim
+        if not n:
+            continue
+        for alg in (base, complexify(base)) if base.field == "Q" else (base,):
+            for t in (random_invertible_t(n, rng), random_gaussian_t(n, rng)):
+                got = apply_basis_change(alg, t)
+                s = alg.real_structure
+                want, want_real = oracle_basis_change(
+                    _pair_brackets(alg), n, _pair_rows(t), _pair_rows(s)
+                )
+                where = (base.name, alg.field, t.field)
+                field = "Qi" if "Qi" in (alg.field, t.field) else "Q"
+                assert got.field == field, where
+                assert _pair_brackets(got) == want, where
+                scalar = Gaussian if field == "Qi" else Rational
+                assert {type(c) for _, cs in got.brackets for _, c in cs} <= {scalar}, where
+                if field == "Q":
+                    assert got.real_structure is None, where
+                    continue
+                real = got.real_structure
+                assert _pair_rows(real) == want_real, where
+                # Over Q(i) exactly when T or the old real structure is.
+                qi = t.field == "Qi" or (s is not None and s.field == "Qi")
+                assert real.field == ("Qi" if qi else "Q"), where
+                scalar = Gaussian if qi else Rational
+                assert {type(x) for row in real.entries for x in row} == {scalar}, where
+
+
+def _complex_bracket(brackets, n, u, v):
+    """The bracket of (re, im) Fraction vectors from the real `oracle_bracket`."""
+    (ur, ui), (vr, vi) = (map(list, zip(*w)) for w in (u, v))
+    re = [a - b for a, b in zip(oracle_bracket(brackets, n, ur, vr), oracle_bracket(brackets, n, ui, vi))]
+    im = [a + b for a, b in zip(oracle_bracket(brackets, n, ur, vi), oracle_bracket(brackets, n, ui, vr))]
+    return list(zip(re, im))
+
+
+def test_bracket_mixed_types_over_q(rng):
+    # Over Q a vector may mix Rational and Gaussian entries (the two-step
+    # frame's lifts do).  An entry of the bracket is a Gaussian exactly where
+    # a nonzero u_i v_j - u_j v_i with a Gaussian factor, even a zero one,
+    # was added into it; its value is the bilinear bracket's.
+    rationals = [Rational(0), Rational(1), Rational(-3, 2)]
+    values = rationals + [
+        Gaussian(0), Gaussian(1, -1), Gaussian(Rational(1, 2), Rational(2, 3)),
+        Gaussian(Rational(-1, 3)),
+    ]
+    for key in ("n3", "n5", "L5_parity", "g_sec6", "N1_84_real"):
+        base = get(key).algebra
+        alg = apply_basis_change(base, random_invertible_t(base.dim, rng))
+        n = alg.dim
+        brackets = alg.bracket_map()
+        fr = {ij: {k: Fraction(c.num, c.den) for k, c in cs.items()} for ij, cs in brackets.items()}
+        for trial in range(6):
+            u = [rng.choice(values) for _ in range(n)]
+            u[rng.randrange(n)] = Gaussian(0)
+            v = [rng.choice(values if trial % 2 else rationals) for _ in range(n)]
+            got = alg.bracket(u, v)
+            gaussian = set()
+            for (i, j), cs in brackets.items():
+                factors = (u[i], v[j], u[j], v[i])
+                if u[i] * v[j] - u[j] * v[i] and Gaussian in map(type, factors):
+                    gaussian.update(cs)
+            assert [type(x) is Gaussian for x in got] == [k in gaussian for k in range(n)], key
+            want = _complex_bracket(fr, n, [_pair(x) for x in u], [_pair(x) for x in v])
+            assert [_pair(x) for x in got] == want, key
+
+
+def test_basis_change_keeps_gaussian_constants_of_a_q_algebra():
+    # An algebra over Q may hold a Gaussian constant (a file may write 1 as
+    # "1+0*i").  A new constant is a Gaussian exactly where one reached it.
+    g, third = Gaussian(1), Gaussian(Rational(1, 3))
+    alg = LieAlgebra.from_brackets(
+        "g", 4, {(0, 1): {2: g, 3: Rational(2)}, (0, 2): {3: third}}, field="Q"
+    )
+    swap = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    for t, want in (
+        (ExactMatrix.identity(4), ((2, Gaussian, 1), (3, Rational, 2), (3, Gaussian, third))),
+        (swap, ((2, Rational, 2), (3, Gaussian, 1), (2, Gaussian, third))),
+    ):
+        moved = apply_basis_change(alg, t)
+        assert moved.field == "Q" and moved.real_structure is None
+        got = [(k, type(c), c) for _, coeffs in moved.brackets for k, c in coeffs]
+        assert [(k, tp) for k, tp, _ in got] == [(k, tp) for k, tp, _ in want]
+        assert [c for _, _, c in got] == [c for _, _, c in want]
+        u = [Rational(1), Rational(2), Rational(0), Rational(5)]
+        assert [type(x) for x in moved.bracket(u, t.row(1))] == [
+            Rational, Rational, want[0][1], want[1][1]
+        ]
 
 
 def test_verify_isomorphism_identity_and_mismatch():
