@@ -2,7 +2,9 @@
 
 Exit codes: 0 for any successful run (mathematical verdicts, including
 obstructions, are successes), 1 for invalid input (parse errors, Jacobi
-failures, unknown keys, bad files), 2 for internal invariant violations.
+failures, unknown keys, bad files), 2 for internal invariant violations and
+any other unexpected exception, which is reported like an error of kind
+"internal" rather than as a traceback.
 Output is deterministic: no timestamps, no randomness, fixed ordering; with
 --format json every result and every error is a single JSON document.
 """
@@ -161,6 +163,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         _emit_error(args, exc, kind="input")
         return 1
+    except Exception as exc:
+        _emit_error(args, exc, kind="internal")
+        return 2
 
 
 def _emit_error(args, exc, kind: str) -> None:

@@ -12,13 +12,22 @@ dual generator of bidegree (-p, -q), monomial bidegrees add, and the
 differential preserves them, so cohomology splits into bidegree blocks.
 
 Each d_k is assembled once, sparsely, from bit masks of the monomials with
-Koszul signs in closed form.  Its entries are the structure constants times
-one common denominator D of all of them: integers over Q, (re, im) Gaussian
-integers over Q(i).  Scaling by D != 0 changes neither the rank nor which
-entries are nonzero, so Betti numbers and bidegree blocks are ranked on
-these rows directly (``kernel.rank_q``/``rank_qi``); d_0 and d_n are zero
-and are not assembled.  `ce_differential` divides by D again to return the
-dense matrix that representatives (RREF, kernels) need.
+Koszul signs in closed form, out of a table of structure constants
+(`liealg.StructureTable`).  Its entries are the constants times one common
+denominator D of all of them: integers over Q, (re, im) Gaussian integers
+over Q(i).  Scaling by D != 0 changes neither the rank nor which entries are
+nonzero, so ranks are taken on these rows directly (``kernel.rank_q``/
+``rank_qi``); d_0 and d_n are zero and are not assembled.
+
+Betti numbers do not depend on the basis, so `betti_numbers` ranks the
+differentials in a basis adapted to C^1 = [g, g]: unit vectors completing
+C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There the
+n - dim C^1 dual generators of the unit vectors are closed, and each d_k
+has fewer and shorter rows than in a basis where every d x^m is nonzero.
+`bigraded_cohomology` ranks its blocks in the basis of the grading.
+`ce_differential` and the representatives of `betti_numbers` stay in L's
+own basis: `ce_differential` divides by D again to return the dense matrix
+that representatives (RREF, kernels) need.
 """
 
 from __future__ import annotations
@@ -26,11 +35,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 from . import kernel
 from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
 from .exact import ExactMatrix, Subspace, kernel_basis
-from .liealg import LieAlgebra, apply_basis_change, structure_table
+from .liealg import (
+    LieAlgebra,
+    StructureTable,
+    _bracket_q,
+    _bracket_qi,
+    apply_basis_change,
+    commutator_ideal,
+    structure_table,
+)
 from .scalars import Gaussian, Q0, Rational
 
 __all__ = [
@@ -76,8 +94,9 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
     zero = Gaussian(0) if L.field == "Qi" else Q0
     grid = [[zero] * cols for _ in range(rows)]
     if k:
-        field, den, terms = _dual_terms(L)
-        for r, row in _assemble(n, k, field, terms).items():
+        table = structure_table(L)
+        field, den = table.field, table.den
+        for r, row in _assemble(n, k, field, _dual_terms(table)).items():
             line = grid[r]
             for c, x in row.items():
                 line[c] = (
@@ -98,16 +117,16 @@ def _masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(_mask(mon) for mon in exterior_basis(n, k))
 
 
-def _dual_terms(L: LieAlgebra) -> tuple[str, int, dict[int, list]]:
+def _dual_terms(table: StructureTable) -> dict[int, list]:
     """The terms of d x^m = -sum_{i<j} C_ij^m x^i ^ x^j, scaled to integers.
 
-    Returns ``(field, D, terms)`` from L's `structure_table`: D is its common
-    denominator and ``terms[m]`` lists (mask of {i, j}, mask of the indices
-    strictly between i and j, (-D C_ij^m, D C_ij^m)).  The scaled constants
-    are ints over Q and (re, im) Gaussian integers over Q(i), which is also
-    the field of a Q algebra holding a `Gaussian` constant.
+    From a `StructureTable`: ``terms[m]`` lists (mask of {i, j}, mask of the
+    indices strictly between i and j, (-D C_ij^m, D C_ij^m)), D the table's
+    common denominator.  The scaled constants are ints over Q and (re, im)
+    Gaussian integers over Q(i), which is also the field of a Q algebra
+    holding a `Gaussian` constant.
     """
-    field, den, columns = structure_table(L)
+    field, _, columns = table
     terms: dict[int, list] = {}
     for i, j, ms, *parts in zip(*columns):
         pair = (1 << i) | (1 << j)
@@ -118,7 +137,7 @@ def _dual_terms(L: LieAlgebra) -> tuple[str, int, dict[int, list]]:
             signed = [((-x, -y), (x, y)) for x, y in zip(*parts)]
         for m, pm in zip(ms, signed):
             terms.setdefault(m, []).append((pair, between, pm))
-    return field, den, terms
+    return terms
 
 
 def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, dict]:
@@ -166,25 +185,80 @@ def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, d
     return rows
 
 
-def _sparse_differentials(L: LieAlgebra):
+def _sparse_differentials(n: int, table: StructureTable):
     """``(rank, {k: rows})``: D times d_k as `_assemble` rows for 0 < k < n.
 
-    ``rank`` is the kernel's rank for the rows' field.  d_0 and d_n are zero
-    and are not assembled, nor is any d_k of an abelian algebra.
+    The differentials are those of the dimension-``n`` algebra whose
+    constants ``table`` holds, and ``rank`` is the kernel's rank for the
+    rows' field.  d_0 and d_n are zero and are not assembled, nor is any
+    d_k of an abelian algebra.
     """
-    n = L.dim
-    if n < 2 or not L.brackets:
-        return kernel.rank_q, {}
-    field, _, terms = _dual_terms(L)
+    field, _, columns = table
     rank = kernel.rank_q if field == "Q" else kernel.rank_qi
+    if n < 2 or not columns[0]:
+        return rank, {}
+    terms = _dual_terms(table)
     return rank, {k: _assemble(n, k, field, terms) for k in range(1, n)}
 
 
+def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
+    """L's structure constants in a basis adapted to C^1 = [L, L].
+
+    The basis is the unit vectors e_j for the columns j that are not pivots
+    of C^1's RREF basis, then the RREF rows r_a (pivot p_a) cleared of their
+    denominators: R_a = d_a r_a.  Every bracket w lies in C^1, so
+    w = sum_a w[p_a] r_a, and the new constants are the pivot entries of
+    the old-basis brackets of the new basis vectors: no inverse is needed.
+    The brackets are formed on `structure_table` over its field; the dual
+    generators of the n - dim C^1 unit vectors are closed.
+    """
+    n = L.dim
+    field, den, columns = structure_table(L)
+    rows = commutator_ideal(L).vectors()
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    free = sorted(set(range(n)) - set(pivots))
+    if field == "Q":
+        zero, one, encode, bracket = 0, 1, kernel.q_ints, _bracket_q
+    else:
+        zero, one, encode, bracket = (0, 0), (1, 0), kernel.zi_pairs, _bracket_qi
+    basis = []
+    for j in free:
+        e = [zero] * n
+        e[j] = one
+        basis.append(e)
+    dens = []
+    for r in rows:
+        vec, d = encode(r)
+        basis.append(vec)
+        dens.append(d)
+    # R_a carries d_a at its pivot, so w = sum_a (w[p_a] / d_a) R_a; over
+    # the common multiple m of the d_a the coefficient is w[p_a] (m / d_a).
+    m = lcm(*dens)
+    scale = [m // d for d in dens]
+    new = ([], [], [], *([] for _ in columns[3:]))
+    for s in range(n):
+        for t in range(s + 1, n):
+            w = bracket(columns, basis[s], basis[t], n)
+            parts = (w,) if field == "Q" else w  # (ints,) or (re, im)
+            hit = [a for a, p in enumerate(pivots) if any(part[p] for part in parts)]
+            if hit:
+                new[0].append(s)
+                new[1].append(t)
+                new[2].append(tuple(len(free) + a for a in hit))
+                for col, part in zip(new[3:], parts):
+                    col.append(tuple(part[pivots[a]] * scale[a] for a in hit))
+    return StructureTable(field, den * m, tuple(map(tuple, new)))
+
+
 def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
-    """Betti numbers b_0..b_n, optionally with canonical cocycle representatives."""
+    """Betti numbers b_0..b_n, optionally with canonical cocycle representatives.
+
+    The ranks are taken in the basis of `_commutator_adapted_table`;
+    representatives are cocycles of `ce_differential`, in L's basis.
+    """
     n = L.dim
     ranks = [0] * (n + 1)
-    rank, diffs = _sparse_differentials(L)
+    rank, diffs = _sparse_differentials(n, _commutator_adapted_table(L))
     for k, rows in diffs.items():
         ranks[k] = rank(list(rows.values()), len(exterior_basis(n, k)))
     betti = []
@@ -265,7 +339,7 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     # d_k maps each block into the block of the same bidegree, so that is the
     # rank of the rows whose destination monomial has bidegree b.
     block_rank: list[dict] = [{} for _ in range(n + 1)]
-    rank, diffs = _sparse_differentials(adapted)
+    rank, diffs = _sparse_differentials(n, structure_table(adapted))
     for k, rows in diffs.items():
         src, dst = bideg[k], bideg[k + 1]
         bad = min(

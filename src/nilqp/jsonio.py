@@ -17,7 +17,6 @@ import json
 
 from .bigrading import (
     Bigrading,
-    FiltrationPair,
     GradingReport,
     SearchBounds,
     SearchOutcome,
@@ -280,14 +279,4 @@ def verdict_to_json(v: Verdict) -> dict:
         "b1": v.b1,
         "reasons": [{"test": r.test, "witness": r.witness} for r in v.reasons],
         "bigrading": bigrading_to_json(v.bigrading) if v.bigrading else None,
-    }
-
-
-def filtrations_to_json(fp: FiltrationPair) -> dict:
-    return {
-        "ambient_dim": fp.ambient_dim,
-        "weight": [
-            {"k": k, "basis": matrix_to_json(s.basis)} for k, s in fp.weight
-        ],
-        "hodge": [{"p": p, "basis": matrix_to_json(s.basis)} for p, s in fp.hodge],
     }

@@ -12,7 +12,8 @@ constants once per instance as integers over one common denominator
 `apply_basis_change` clear the denominators of their input, form every
 product on integers and divide once per result entry, and the
 Chevalley-Eilenberg differentials of ``cohomology`` are assembled from the
-same table.  Scalars are made only for the results, with the types that
+same table, or from one in a basis adapted to the commutator ideal or to a
+grading.  Scalars are made only for the results, with the types that
 `LieAlgebra.bracket` and `apply_basis_change` document.
 """
 
@@ -345,17 +346,81 @@ _GAUSSIAN_ZERO = Gaussian(0)
 
 
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
-    """Span of [X_i, w] over all basis vectors X_i and w in the subspace."""
+    """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
+
+    The n brackets [X_i, w] of one w are read off `structure_table` in one
+    pass: a constant column [X_i, X_j] adds w_j [X_i, X_j] to [X_i, w] and
+    -w_i [X_i, X_j] to [X_j, w].  The span is over Q(i) exactly when one of
+    the nonzero brackets holds a `Gaussian` as `LieAlgebra.bracket` types
+    it: over Q(i), for Gaussian w, or where a term times a `Gaussian`
+    constant of an algebra over Q reached it.
+    """
     n = L.dim
-    vecs = []
+    field, den, columns = structure_table(L)
+    if field == "Q":
+        vecs = []
+        for w in sub.vectors():
+            ws, dw = kernel.q_ints(w)
+            d = dw * den
+            vecs.extend(
+                [Rational(x, d) if x else Q0 for x in row]
+                for row in _ad_q(columns, ws, n)
+                if any(row)
+            )
+        return Subspace.from_spanning(vecs, ambient_dim=n)
+    gaussian = L.field == "Qi" or sub.basis.field == "Qi"
+    marked = [any(type(c) is Gaussian for _, c in coeffs) for _, coeffs in L.brackets]
+    found = []
     for w in sub.vectors():
-        for i in range(n):
-            e = [Q0] * n
-            e[i] = Q1
-            v = L.bracket(e, w)
-            if any(v):
-                vecs.append(v)
+        ws, dw = kernel.zi_pairs(w)
+        rows, hit = _ad_qi(columns, ws, n, marked)
+        for i, row in enumerate(rows):
+            if any(x or y for x, y in row):
+                found.append((row, dw * den))
+                gaussian = gaussian or i in hit
+    if gaussian:
+        vecs = [_gaussians(row, d) for row, d in found]
+    else:
+        vecs = [[Rational(x, d) if x else Q0 for x, _ in row] for row, d in found]
     return Subspace.from_spanning(vecs, ambient_dim=n)
+
+
+def _ad_q(columns, w: list[int], n: int) -> list[list[int]]:
+    """The integer brackets [X_i, w], i < n, on the columns of a table over Q."""
+    out = [[0] * n for _ in range(n)]
+    for i, j, ks, xs in zip(*columns):
+        a, b = w[j], w[i]
+        if a:
+            row = out[i]
+            for k, x in zip(ks, xs):
+                row[k] += a * x
+        if b:
+            row = out[j]
+            for k, x in zip(ks, xs):
+                row[k] -= b * x
+    return out
+
+
+def _ad_qi(columns, w: list, n: int, marked) -> tuple[list[list], set[int]]:
+    """The Z[i] brackets [X_i, w] on a table over Q(i), as rows of pairs.
+
+    Also returns the i whose bracket took a term from a column flagged in
+    ``marked`` (one flag per column).
+    """
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    hit = set()
+    for (i, j, ks, ps, qs), flag in zip(zip(*columns), marked):
+        for t, (a, b), sign in ((i, w[j], 1), (j, w[i], -1)):
+            if a or b:
+                a, b = sign * a, sign * b
+                rr, ri = re[t], im[t]
+                for k, p, q in zip(ks, ps, qs):
+                    rr[k] += a * p - b * q
+                    ri[k] += a * q + b * p
+                if flag:
+                    hit.add(t)
+    return [list(zip(r, s)) for r, s in zip(re, im)], hit
 
 
 def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
@@ -403,8 +468,14 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def commutator_ideal(L: LieAlgebra) -> Subspace:
-    """C^1 L = span of all [X_i, X_j]."""
-    vecs = [L.bracket_basis(i, j) for (i, j), _ in L.brackets]
+    """C^1 L = span of all [X_i, X_j], read off the constants of each bracket."""
+    zero = L._zero()
+    vecs = []
+    for _, coeffs in L.brackets:
+        v = [zero] * L.dim
+        for k, c in coeffs:
+            v[k] = c
+        vecs.append(v)
     return Subspace.from_spanning(vecs, ambient_dim=L.dim)
 
 

@@ -28,10 +28,7 @@ __all__ = [
     "Q0",
     "Q1",
     "I",
-    "rat",
-    "gauss",
     "conj",
-    "is_zero",
     "as_scalar",
     "parse_scalar",
     "format_scalar",
@@ -263,23 +260,11 @@ Q1 = Rational(1)
 I = Gaussian(0, 1)
 
 
-def rat(num: int, den: int = 1) -> Rational:
-    return Rational(num, den)
-
-
-def gauss(re, im=0) -> Gaussian:
-    return Gaussian(re, im)
-
-
 def conj(x: Scalar) -> Scalar:
     """Complex conjugate (identity on rationals)."""
     if isinstance(x, Gaussian):
         return Gaussian(x.re, -x.im)
     return x
-
-
-def is_zero(x) -> bool:
-    return not x
 
 
 # -- text form ------------------------------------------------------------

@@ -48,6 +48,20 @@ def test_build_rejects_bad_bidegrees():
         Bigrading.build([(-1, 0, [(1, 0)]), (-1, 0, [(0, 1)])])
 
 
+def test_component_looks_up_a_bidegree():
+    g = eg_grading_n3()
+    assert g.component(-1, -1).generators == ((0, 0, 1),)
+    assert g.component(-1, 0).generators == ((1, I, 0),)
+    assert g.component(0, -1).generators == ((1, -I, 0),)
+    assert g.component(-2, -1) is None
+    # A component given with no generators is dropped by `build`.
+    assert Bigrading.build([(-1, 0, [(1,)]), (-2, 0, [])]).component(-2, 0) is None
+    for key in catalog_keys():
+        for grading in get(key).known_bigradings:
+            for c in grading.components:
+                assert grading.component(c.p, c.q) is c, key
+
+
 def test_verify_eg2_abelian_diagonal():
     entry = get("abelian_4")
     report = verify_bigrading(entry.algebra, entry.known_bigradings[0])

@@ -44,6 +44,15 @@ def test_check_filiform_obstructed_by_class():
         assert r.witness["nilpotency_class"] == expected_class
 
 
+def test_verdict_obstructed_reads_the_status():
+    for key in ("filiform_4", "L5_parity", "g_sec6", "n3", "n3+n3", "abelian_4"):
+        v = check(NilmanifoldSpec(get(key).algebra, m=1))
+        assert v.obstructed == (v.status == OBSTRUCTED), key
+    assert check(NilmanifoldSpec(get("filiform_4").algebra, m=1)).obstructed
+    assert not check(NilmanifoldSpec(get("n3").algebra, m=1)).obstructed
+    assert check(NilmanifoldSpec(get("n3").algebra, m=0)).obstructed
+
+
 def test_check_parity_obstruction_l5():
     v = check(NilmanifoldSpec(get("L5_parity").algebra, m=1))
     assert v.status == OBSTRUCTED

@@ -241,3 +241,25 @@ def test_backend_command(capsys):
     code, out, _ = invoke(capsys, "backend")
     assert code == 0
     assert out.strip() == "pure"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unexpected_exception_exit_code_2(capsys, monkeypatch, n3_file, fmt):
+    def boom(*args, **kwargs):
+        raise RuntimeError("unexpected failure")
+
+    monkeypatch.setattr("nilqp.cli.validate", boom)
+    code, out, err = invoke(capsys, "--format", fmt, "validate", n3_file)
+    assert code == 2
+    if fmt == "json":
+        assert json.loads(out) == {
+            "error": {
+                "kind": "internal",
+                "type": "RuntimeError",
+                "message": "unexpected failure",
+            }
+        }
+        assert err == ""
+    else:
+        assert out == ""
+        assert err == "error (RuntimeError): unexpected failure\n"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -5,6 +6,7 @@ import pytest
 
 from nilqp import (
     Bigrading,
+    CohomologyTable,
     ExactMatrix,
     LieAlgebra,
     abelian,
@@ -12,11 +14,14 @@ from nilqp import (
     betti_numbers,
     bigraded_cohomology,
     ce_differential,
+    commutator_ideal,
     complexify,
+    direct_sum,
     exterior_basis,
     top_class_bidegree,
 )
 from nilqp.catalog import catalog_keys, get
+from nilqp.cohomology import _commutator_adapted_table
 from nilqp.errors import DegreeOutOfRange, GradingNotCompatible
 from nilqp.scalars import Q0, Q1, Gaussian, Rational
 
@@ -294,3 +299,133 @@ def test_betti_of_solvable_non_unimodular_matches_oracle(key, rng):
     assert list(betti_numbers(alg).betti) == want
     moved = apply_basis_change(alg, random_invertible_t(dim, rng))
     assert list(betti_numbers(moved).betti) == want
+
+
+# -- Betti numbers ranked in a basis adapted to C^1 = [g, g] -------------------
+
+# The dims 9-10 sums of the benchmark's ``betti`` workload.
+BETTI_SUMS = (
+    ("n3", "n3", "n3"),
+    ("n5", "n3", "abelian_1"),
+    ("N3_82", "abelian_1"),
+    ("n7", "abelian_2"),
+    ("n3", "n3", "abelian_4"),
+)
+
+
+def _sum(keys):
+    alg = get(keys[0]).algebra
+    for key in keys[1:]:
+        alg = direct_sum(alg, get(key).algebra)
+    return alg
+
+
+def _c1_pivots(alg):
+    return [next(j for j, x in enumerate(v) if x) for v in commutator_ideal(alg).vectors()]
+
+
+def _rational_bases():
+    bases = [get(key).algebra for key in catalog_keys() if get(key).algebra.field == "Q"]
+    return bases + [_sum(keys) for keys in BETTI_SUMS]
+
+
+def test_adapted_table_closes_the_complement_generators():
+    # No constant of the adapted table lands on one of the first
+    # n - dim C^1 basis vectors, so their dual generators are closed.
+    for alg in _rational_bases():
+        moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(3)))
+        table = _commutator_adapted_table(moved)
+        closed = moved.dim - commutator_ideal(moved).dim
+        assert all(k >= closed for ks in table.columns[2] for k in ks), alg.name
+        assert len(table.columns[0]) == len(set(zip(*table.columns[:2]))), alg.name
+
+
+def test_betti_of_moved_rational_algebras_match_oracle(rng):
+    interleaved = False
+    for alg in _rational_bases():
+        want = oracle_betti(_fraction_brackets(alg), alg.dim)
+        assert list(betti_numbers(alg).betti) == want, alg.name
+        for _ in range(2):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            assert list(betti_numbers(moved).betti) == want, alg.name
+            # C^1's pivots with a complement column on both sides of one.
+            pivots = _c1_pivots(moved)
+            free = set(range(moved.dim)) - set(pivots)
+            interleaved = interleaved or any(min(free) < p < max(free) for p in pivots)
+    assert interleaved
+
+
+def test_betti_of_complexifications_moved_by_gaussian_t_match_oracle(rng):
+    for alg in _rational_bases():
+        if alg.dim > 9:
+            continue
+        want = oracle_betti(_fraction_brackets(alg), alg.dim)
+        moved = apply_basis_change(complexify(alg), random_gaussian_t(alg.dim, rng))
+        assert moved.field == "Qi"
+        assert list(betti_numbers(moved).betti) == want, alg.name
+
+
+def test_betti_of_q_algebra_with_gaussian_constant(rng):
+    # Over Q(i), X2' = g X2, X3' = g X3, X4' = g X4 gives the rational
+    # constants [X0, X1] = X2', [X0, X2'] = X3', [X1, X2'] = 3/2 X4'.
+    g = Gaussian(Rational(1, 2), Rational(1, 3))
+    alg = LieAlgebra.from_brackets(
+        "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}
+    )
+    assert alg.field == "Q"
+    want = oracle_betti(
+        {(0, 1): {2: Fraction(1)}, (0, 2): {3: Fraction(1)}, (1, 2): {4: Fraction(3, 2)}}, 5
+    )
+    assert list(betti_numbers(alg).betti) == want
+    for _ in range(3):
+        moved = apply_basis_change(alg, random_invertible_t(5, rng))
+        assert list(betti_numbers(moved).betti) == want
+
+
+def test_betti_in_low_dimensions_and_abelian():
+    for field in ("Q", "Qi"):
+        for n in range(0, 5):
+            assert list(betti_numbers(abelian(n, field)).betti) == [
+                comb(n, k) for k in range(n + 1)
+            ]
+    # C^1 = 0 in a basis where no unit vector is special.
+    t = ExactMatrix([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    assert list(betti_numbers(apply_basis_change(abelian(3), t)).betti) == [1, 3, 3, 1]
+    r2 = LieAlgebra.from_brackets("r2", 2, {(0, 1): {1: 1}})
+    assert list(betti_numbers(r2).betti) == [1, 1, 0]
+    assert list(betti_numbers(complexify(r2)).betti) == [1, 1, 0]
+    moved = apply_basis_change(r2, ExactMatrix([[1, 1], [1, 2]]))
+    assert list(betti_numbers(moved).betti) == [1, 1, 0]
+
+
+def test_betti_with_and_without_representatives_agree(rng):
+    algebras = []
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.dim > 7:
+            continue
+        algebras.append(alg)
+        if alg.dim:
+            algebras.append(apply_basis_change(alg, random_invertible_t(alg.dim, rng)))
+        if alg.field == "Q" and 0 < alg.dim <= 5:
+            algebras.append(
+                apply_basis_change(complexify(alg), random_gaussian_t(alg.dim, rng))
+            )
+    for alg in algebras:
+        plain = betti_numbers(alg)
+        assert plain.representatives is None
+        full = betti_numbers(alg, representatives=True)
+        assert plain.betti == full.betti, alg.name
+        assert [len(full.representatives[k]) for k in range(alg.dim + 1)] == list(
+            plain.betti
+        ), alg.name
+
+
+def test_euler_characteristic():
+    for key in catalog_keys():
+        alg = get(key).algebra
+        assert betti_numbers(alg).euler_characteristic() == (0 if alg.dim else 1), key
+    assert betti_numbers(abelian(0)).euler_characteristic() == 1
+    assert CohomologyTable(betti=(1, 2, 2, 1)).euler_characteristic() == 0
+    assert CohomologyTable(betti=(1, 1, 0)).euler_characteristic() == 0
+    assert CohomologyTable(betti=(1, 3, 1)).euler_characteristic() == -1

@@ -485,3 +485,51 @@ def test_series_and_center_computed_once_per_instance():
     assert again == LieAlgebra(
         "n5 again", moved.dim, moved.field, moved.basis_names, moved.brackets
     )
+
+
+def _typed(space):
+    return space.basis.field, [[type(x) for x in v] for v in space.vectors()]
+
+
+def _series_by_bracket(alg):
+    """C^{k+1} as the span of L.bracket(X_i, w), w running over C^k's basis."""
+    n = alg.dim
+    e = [[Rational(int(i == j)) for j in range(n)] for i in range(n)]
+    terms = [Subspace.full(n)]
+    while terms[-1].dim:
+        vecs = [alg.bracket(x, w) for w in terms[-1].vectors() for x in e]
+        terms.append(Subspace.from_spanning([v for v in vecs if any(v)], ambient_dim=n))
+    return terms
+
+
+def _gaussian_constant_algebra():
+    g = Gaussian(Rational(1, 2), Rational(1, 3))
+    return LieAlgebra.from_brackets(
+        "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}
+    )
+
+
+def test_series_and_commutator_keep_values_and_types(rng):
+    algebras = [_gaussian_constant_algebra()]
+    for key in catalog_keys():
+        alg = get(key).algebra
+        algebras.append(alg)
+        if alg.dim:
+            algebras.append(apply_basis_change(alg, random_invertible_t(alg.dim, rng)))
+            if alg.field == "Q" and alg.dim <= 6:
+                algebras.append(complexify(algebras[-1]))
+                algebras.append(apply_basis_change(alg, random_gaussian_t(alg.dim, rng)))
+    qg = algebras[0]
+    algebras.append(apply_basis_change(qg, random_invertible_t(qg.dim, rng)))
+    for alg in algebras:
+        want = _series_by_bracket(alg)
+        got = lower_central_series(alg).terms
+        assert got == tuple(want), alg.name
+        assert [_typed(t) for t in got] == [_typed(t) for t in want], alg.name
+        c1 = Subspace.from_spanning(
+            [alg.bracket_basis(i, j) for (i, j), _ in alg.brackets], ambient_dim=alg.dim
+        )
+        assert commutator_ideal(alg) == c1, alg.name
+        assert _typed(commutator_ideal(alg)) == _typed(c1), alg.name
+    # Over Q, the Gaussian constant makes C^1 and C^2 spans over Q(i).
+    assert [t.basis.field for t in lower_central_series(qg).terms] == ["Q", "Qi", "Qi", "Q"]
