@@ -15,10 +15,9 @@ The bounded search looks for a restricted-shape grading
     g = U + conj(U) + Z(g),   [U, U] = 0,  U + conj(U) a complement of Z
 
 by exact linear algebra: a symplectic pairing argument when the commutator
-ideal is a line, an exterior-square kernel argument when dim U = 2, and a
-depth-first search over exactly solved commutation constraint spaces in
-general.  Every hit is re-verified before being returned; exhaustion yields
-NotFoundWithinBounds, never a nonexistence claim.
+ideal is a line, and a depth-first search over exactly solved commutation
+constraint spaces in general.  Every hit is re-verified before being
+returned; exhaustion yields NotFoundWithinBounds, never a nonexistence claim.
 """
 
 from __future__ import annotations
@@ -552,15 +551,6 @@ def _sqrt_rational(r: Rational):
     return None
 
 
-def _sqrt_gaussian_of_rational(w: Rational):
-    """Exact square root of a rational inside Q(i), or None."""
-    if w.num >= 0:
-        root = _sqrt_rational(w)
-        return Gaussian(root) if root is not None else None
-    root = _sqrt_rational(-w)
-    return Gaussian(0, root) if root is not None else None
-
-
 class _TwoStepFrame:
     """Quotient V = L / Z of a rational 2-step algebra, with lifts and pairing."""
 
@@ -631,122 +621,6 @@ def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
         pairs.append((x, y))
     iu = Gaussian(0, 1)
     return [tuple(a - iu * b for a, b in zip(x, y)) for (x, y) in pairs]
-
-
-_PAIR_IDX = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _pf_quadratic(z) -> Scalar:
-    """z01*z23 - z02*z13 + z03*z12: vanishing = decomposability in dim 4."""
-    return z[0] * z[5] - z[1] * z[4] + z[2] * z[3]
-
-
-def _pf_bilinear(z, w) -> Scalar:
-    s = (
-        z[0] * w[5]
-        + w[0] * z[5]
-        - z[1] * w[4]
-        - w[1] * z[4]
-        + z[2] * w[3]
-        + w[2] * z[3]
-    )
-    return s / 2
-
-
-def _plucker_u(frame: _TwoStepFrame, bounds: SearchBounds) -> list[Vector] | None:
-    """U generators for dim U = 2 via decomposable kernel bivectors."""
-    if frame.v != 4:
-        return None
-    std = frame.std_basis()
-    cols = []
-    for (a, b) in _PAIR_IDX:
-        cols.append(frame.beta(std[a], std[b]))
-    bhat = ExactMatrix(
-        [[cols[c][r] for c in range(6)] for r in range(frame.n)], cols=6
-    )
-    kspace = kernel_basis(bhat)
-    if kspace.dim == 0:
-        return None
-    basis = [tuple(x for x in vec) for vec in kspace.vectors()]
-    candidates: list[tuple] = []
-
-    def push(z):
-        if any(z) and not _pf_quadratic(z):
-            candidates.append(tuple(z))
-
-    for b in basis:
-        push(b)
-    # Diagonalize the quadratic on the kernel; isotropic leftovers surface above.
-    diag = []
-    work = [list(b) for b in basis]
-    for vec in work:
-        v = list(vec)
-        for o, d in diag:
-            coef = _pf_bilinear(v, o) / d
-            if coef:
-                v = [x - coef * y for x, y in zip(v, o)]
-        qv = _pf_quadratic(v)
-        if qv:
-            diag.append((tuple(v), qv))
-        else:
-            push(v)
-    for (o1, d1), (o2, d2) in combinations(diag, 2):
-        t = _sqrt_gaussian_of_rational(_as_rational_scalar(-d1 / d2))
-        if t is not None:
-            push(tuple(a + t * b for a, b in zip(o1, o2)))
-    # Small-grid completion and expansion through found points.
-    pool = [o for o, _ in diag] + basis
-    coeffs = [c for c in bounds.coefficients if c]
-    grid_scalars = [Rational(c) for c in coeffs] + [Gaussian(0, c) for c in coeffs]
-    for za, zb in combinations(pool, 2):
-        for s in grid_scalars:
-            push(tuple(a + s * b for a, b in zip(za, zb)))
-    expanded = list(candidates)
-    for z0 in candidates[:8]:
-        for w in pool:
-            qw = _pf_quadratic(w)
-            bw = _pf_bilinear(z0, w)
-            if qw:
-                tau = (Rational(-2) * bw) / qw
-                expanded.append(tuple(a + tau * b for a, b in zip(z0, w)))
-            elif not bw:
-                expanded.append(tuple(a + b for a, b in zip(z0, w)))
-    for z in expanded:
-        if not any(z) or _pf_quadratic(z):
-            continue
-        u = _bivector_support(z)
-        if u is None:
-            continue
-        both = list(u) + [tuple(conj(x) for x in vec) for vec in u]
-        if Subspace.from_spanning(both, ambient_dim=4).dim == 4:
-            return u
-    return None
-
-
-def _as_rational_scalar(x: Scalar) -> Rational:
-    if isinstance(x, Gaussian):
-        if x.im:
-            raise ValueError("expected a rational value")
-        return x.re
-    return x
-
-
-def _bivector_support(z) -> list[Vector] | None:
-    """For decomposable z in Lambda^2 C^4: the 2-plane {x : z ^ x = 0}."""
-    triples = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    pair_pos = {pair: idx for idx, pair in enumerate(_PAIR_IDX)}
-    rows = []
-    for (a, b, c) in triples:
-        row = [Gaussian(0)] * 4
-        # coefficient of x_t in (z ^ x)_{abc}
-        row[a] = _g(z[pair_pos[(b, c)]])
-        row[b] = -_g(z[pair_pos[(a, c)]])
-        row[c] = _g(z[pair_pos[(a, b)]])
-        rows.append(row)
-    null = kernel_basis(ExactMatrix(rows, cols=4))
-    if null.dim != 2:
-        return None
-    return [tuple(v) for v in null.vectors()]
 
 
 def _g(x: Scalar) -> Gaussian:
@@ -1760,8 +1634,6 @@ def search_bigrading(
             dfs_tried = True
     if u_gens is None and frame.c1.dim >= 2:
         u_gens = _jspace_u(frame, h)
-    if u_gens is None and h == 2:
-        u_gens = _plucker_u(frame, bounds)
     if u_gens is None and not dfs_tried:
         u_gens = _dfs_u(frame, h, bounds, structure=structure)
     if u_gens is None:

@@ -203,12 +203,18 @@ class ExactMatrix:
         """Unique reduced row echelon form and its pivot columns."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        rows = kernel.encode(self.entries, self.field)
+        n = self.cols
+        rows = kernel.int_rows(self.entries, self.field)
         if self.field == "Q":
-            out, pivots = kernel.rref_q(rows, self.cols)
+            out, pivots = kernel.rref_q(rows, n)
+            red = [kernel.q_decode(row, row[p], n) for row, p in zip(out, pivots)]
+            zero = Q0
         else:
-            out, pivots = kernel.rref_qi(rows, self.cols)
-        return ExactMatrix(kernel.decode(out, self.field), cols=self.cols), pivots
+            out, pivots = kernel.rref_qi(rows, n)
+            red = [_zi_divided(row, row[p], n) for row, p in zip(out, pivots)]
+            zero = Gaussian(0)
+        red += [(zero,) * n] * (self.rows - len(red))
+        return ExactMatrix(red, cols=n), pivots
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -232,6 +238,14 @@ class ExactMatrix:
         return ExactMatrix(
             [row[n:] for row in red.entries], cols=n
         )
+
+
+def _zi_divided(row: dict, p: tuple[int, int], ncols: int) -> Vector:
+    """The Z[i] row divided by the Gaussian integer ``p``: row * conj(p) / |p|^2."""
+    pr, pi = p
+    if not pi:
+        return kernel.zi_decode(row, pr, ncols)
+    return kernel.zi_decode(kernel.zi_combine(((pr, -pi), row)), pr * pr + pi * pi, ncols)
 
 
 def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:

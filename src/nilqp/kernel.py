@@ -1,52 +1,41 @@
 """The exact elimination kernel over Q and Q(i).
 
-Elimination runs on plain integers rather than scalar objects.  Callers hand
-it rows of `Rational`/`Gaussian` scalars and read results back through its
-helpers; the one exception is the sparse integer row that `rank_q`/`rank_qi`
-take, which ``cohomology`` assembles its differentials in directly.
+Elimination runs on plain integers rather than scalar objects, on one row
+format per field: ``{column: int}`` over Q and the Z[i] row
+``{column: (re, im)}`` (a Gaussian integer per entry) over Q(i).  Neither
+holds zero entries, so the zero row is the empty, false dict.
 
-`q_ints` and `zi_pairs` clear a vector of scalars of its denominators into
-dense integers, or dense Z[i] pairs ``(re, im)``, over one least common
-denominator.  ``liealg`` encodes its integer table of structure constants
-(`liealg.structure_table`), the vectors it brackets and the matrices of a
-change of basis with them.
-
-* For `rref_q`/`rref_qi` an entry is ``(num, den)`` over the rationals and
-  ``(re_num, re_den, im_num, im_den)`` over the Gaussian rationals, always in
-  lowest terms with positive denominators (`encode`/`decode`).  They
-  implement Gauss-Jordan reduction (the unique reduced row echelon form)
-  with fraction arithmetic on those tuples.
-* `rank_q`/`rank_qi` take sparse integer rows: ``{column: int}`` over Q and
-  ``{column: (re, im)}`` (a Gaussian integer) over Q(i), with no zero
-  entries.  `int_rows` clears each row of scalars of its denominators into
-  that form; the Chevalley-Eilenberg differentials are assembled in it
-  directly (``cohomology``).  They eliminate without fractions, keeping the
-  rows sparse and dividing each by its content after every step, in the
-  manner of fraction-free elimination (Bareiss, Math. Comp. 22 (1968)
-  565-578).
-* A Z[i] row is such a sparse row on its own: ``{column: (re, im)}`` with no
-  zero entries, so the zero row is the empty, false dict.  `zi_rows`/
-  `zi_row` encode scalar vectors (over one common denominator, which
-  `zi_decode` divides out again), `zi_conj` and `zi_combine` form conjugates
-  and Z[i]-combinations, and `zi_reduce`/`zi_insert` keep an echelon of
-  primitive rows for ``exact.RowReducer``: a new row v is reduced by
-  p * v - c * row (p the row's lead entry, c v's entry there), so only zero
-  tests are ever asked of it and no division is needed.
+* `q_ints` and `zi_pairs` clear a vector of scalars of its denominators into
+  dense integers, or dense Z[i] pairs, over one least common denominator;
+  ``liealg`` encodes its integer table of structure constants
+  (`liealg.structure_table`), the vectors it brackets and the matrices of a
+  change of basis with them.  `int_rows` clears a matrix of its
+  denominators into sparse rows, `zi_rows`/`zi_row` do so for vectors, and
+  `q_decode`/`zi_decode` divide a denominator out again.
+* Rank (`rank_q`/`rank_qi`), reduced row echelon form (`rref_q`/`rref_qi`)
+  and the echelon of ``exact.RowReducer`` (`zi_reduce`/`zi_insert`) share
+  one elimination step per field, `_q_eliminate` and `_zi_eliminate`:
+  a * v - b * pivot with a / b = pivot[col] / v[col], then the row's content
+  (over Q(i), a gcd in Z[i]) divided out.  No row is ever divided by a
+  pivot: this is fraction-free elimination (Bareiss, Math. Comp. 22 (1968)
+  565-578; Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3) (1997)
+  11-19).  Rank and reduced form run on one loop, `_echelon`; the reduced
+  form back-substitutes with the same step and returns primitive rows,
+  which the caller divides by their pivot entries to read off the unique
+  reduced row echelon form.  `zi_conj` and `zi_combine` form conjugates
+  and Z[i]-combinations.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 
 from .scalars import Q0, Gaussian, Rational
 
-QPair = tuple[int, int]
-QiQuad = tuple[int, int, int, int]
 ZiRow = dict[int, tuple[int, int]]
 
-Q_ZERO: QPair = (0, 1)
-Q_ONE: QPair = (1, 1)
-QI_ZERO: QiQuad = (0, 1, 0, 1)
+_GAUSSIAN_ZERO = Gaussian(0)
 
 
 def backend_name() -> str:
@@ -55,43 +44,6 @@ def backend_name() -> str:
 
 
 # -- conversion from and to scalars ---------------------------------------------
-
-
-def encode(rows, field: str) -> list[list]:
-    """Rows of scalars as kernel rows.
-
-    Over "Q" every entry must be a `Rational`.  Over "Qi" an entry may be a
-    `Gaussian`, a `Rational` or an int; the last two are promoted.
-    """
-    if field == "Q":
-        return [[(x.num, x.den) for x in row] for row in rows]
-    return [
-        [
-            (x.re.num, x.re.den, x.im.num, x.im.den)
-            if isinstance(x, Gaussian)
-            else (x.num, x.den, 0, 1)
-            if isinstance(x, Rational)
-            else (x, 1, 0, 1)
-            for x in row
-        ]
-        for row in rows
-    ]
-
-
-def decode(rows, field: str) -> list[list]:
-    """Kernel rows back as rows of `Rational` ("Q") or `Gaussian` ("Qi")."""
-    if field == "Q":
-        return [[Rational(n, d) if n else Q0 for (n, d) in row] for row in rows]
-    zero = Gaussian(0)
-    return [
-        [
-            Gaussian(Rational(a, b) if a else Q0, Rational(c, d) if c else Q0)
-            if a or c
-            else zero
-            for (a, b, c, d) in row
-        ]
-        for row in rows
-    ]
 
 
 def q_ints(vec) -> tuple[list[int], int]:
@@ -124,174 +76,126 @@ def zi_pairs(vec) -> tuple[list[tuple[int, int]], int]:
 
 
 def int_rows(rows, field: str) -> list[dict]:
-    """Rows of scalars as sparse integer rows for `rank_q`/`rank_qi`.
+    """Rows of scalars as sparse integer rows for the elimination routines.
 
-    Each row is multiplied by the least common denominator of its entries,
-    which changes neither its span nor which entries are nonzero: over "Q"
-    it becomes ``{column: int}`` (every entry a `Rational`), over "Qi" a
-    Z[i] row ``{column: (re, im)}`` (entries as `encode` takes them).
+    The rows are multiplied by the least common denominator of all their
+    entries, which changes neither their spans nor which entries are
+    nonzero: over "Q" each becomes ``{column: int}`` (every entry a
+    `Rational`), over "Qi" a Z[i] row ``{column: (re, im)}`` (every entry a
+    `Gaussian`).
     """
     if field == "Qi":
-        return [zi_row(row) for row in rows]
-    out = []
-    for row in rows:
-        den = lcm(*{x.den for x in row})
-        out.append({j: x.num * (den // x.den) for j, x in enumerate(row) if x.num})
-    return out
+        den = lcm(*{x.re.den for row in rows for x in row})
+        den = lcm(den, *{x.im.den for row in rows for x in row})
+        return [
+            {
+                j: (x.re.num * (den // x.re.den), x.im.num * (den // x.im.den))
+                for j, x in enumerate(row)
+                if x.re.num or x.im.num
+            }
+            for row in rows
+        ]
+    den = lcm(*{x.den for row in rows for x in row})
+    return [{j: x.num * (den // x.den) for j, x in enumerate(row) if x.num} for row in rows]
 
 
-# -- tuple arithmetic -----------------------------------------------------------
-
-
-def _q_norm(n: int, d: int) -> QPair:
-    if n == 0:
-        return Q_ZERO
-    if d < 0:
-        n, d = -n, -d
-    g = gcd(n, d)
-    if g > 1:
-        return (n // g, d // g)
-    return (n, d)
-
-
-def q_add(a: QPair, b: QPair) -> QPair:
-    return _q_norm(a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-
-def q_sub(a: QPair, b: QPair) -> QPair:
-    return _q_norm(a[0] * b[1] - b[0] * a[1], a[1] * b[1])
-
-
-def q_mul(a: QPair, b: QPair) -> QPair:
-    return _q_norm(a[0] * b[0], a[1] * b[1])
-
-
-def q_div(a: QPair, b: QPair) -> QPair:
-    if b[0] == 0:
-        raise ZeroDivisionError
-    return _q_norm(a[0] * b[1], a[1] * b[0])
-
-
-def qi_sub(a: QiQuad, b: QiQuad) -> QiQuad:
-    return q_sub(a[:2], b[:2]) + q_sub(a[2:], b[2:])
-
-
-def qi_mul(a: QiQuad, b: QiQuad) -> QiQuad:
-    ar, ai, br, bi = a[:2], a[2:], b[:2], b[2:]
-    return q_sub(q_mul(ar, br), q_mul(ai, bi)) + q_add(q_mul(ar, bi), q_mul(ai, br))
-
-
-def qi_div(a: QiQuad, b: QiQuad) -> QiQuad:
-    br, bi = b[:2], b[2:]
-    n = q_add(q_mul(br, br), q_mul(bi, bi))
-    if n[0] == 0:
-        raise ZeroDivisionError
-    ar, ai = a[:2], a[2:]
-    return q_div(q_add(q_mul(ar, br), q_mul(ai, bi)), n) + q_div(
-        q_sub(q_mul(ai, br), q_mul(ar, bi)), n
-    )
+def q_decode(row: dict, den: int, ncols: int) -> tuple[Rational, ...]:
+    """The vector ``row / den`` as a tuple of ``ncols`` `Rational` scalars."""
+    out = [Q0] * ncols
+    for j, x in row.items():
+        out[j] = Rational(x, den)
+    return tuple(out)
 
 
 # -- elimination ------------------------------------------------------------------
 
 
-def _rref(rows, ncols, zero, one, sub, mul, div, is_zero):
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        src = None
-        for i in range(r, nrows):
-            if not is_zero(rows[i][col]):
-                src = i
-                break
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        row = rows[r]
-        p = row[col]
-        if p != one:
-            row[col] = one
-            for j in range(col + 1, ncols):
-                if not is_zero(row[j]):
-                    row[j] = div(row[j], p)
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][col]
-            if is_zero(f):
-                continue
-            other = rows[i]
-            other[col] = zero
-            for j in range(col + 1, ncols):
-                x = row[j]
-                if not is_zero(x):
-                    other[j] = sub(other[j], mul(f, x))
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _q_is_zero(a: QPair) -> bool:
-    return a[0] == 0
-
-
-def _qi_is_zero(a: QiQuad) -> bool:
-    return a[0] == 0 and a[2] == 0
-
-
-def rref_q(rows: list[list[QPair]], ncols: int):
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    out, pivots = _rref(rows, ncols, Q_ZERO, Q_ONE, q_sub, q_mul, q_div, _q_is_zero)
-    return out, pivots
-
-
 def rank_q(rows: list[dict], ncols: int) -> int:
-    """Rank over Q of sparse integer rows ``{column: int}``, columns below ``ncols``.
+    """Rank over Q of sparse integer rows ``{column: int}``, columns below ``ncols``."""
+    return len(_echelon([_primitive_q(row) for row in rows if row], _q_eliminate))
 
-    Rows are divided by their content, never changed in place.  Eliminating
-    column ``col`` replaces every other row r holding an entry there by
-    a * r - b * pivot, with a / b = pivot[col] / r[col] in lowest terms, and
-    divides out the new row's content.  The pivot is the shortest row with
-    an entry in the column, to limit fill-in.
+
+def rank_qi(rows: list[ZiRow], ncols: int) -> int:
+    """Rank over Q(i) of sparse Z[i] rows ``{column: (re, im)}``, columns below ``ncols``."""
+    return len(_echelon([_primitive_qi(row) for row in rows if row], _zi_eliminate))
+
+
+def rref_q(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over Q of sparse integer rows ``{column: int}``.
+
+    Returns ``(rows, pivots)``: one primitive row per pivot column, in
+    order, each zero at every other pivot.  Dividing each row by its entry
+    at its pivot gives the nonzero rows of the unique reduced form.
     """
-    pool = [_primitive_q(row) for row in rows if row]
-    rank = 0
-    for col in range(ncols):
-        pivot = _pivot(pool, col)
+    return _reduced([_primitive_q(row) for row in rows if row], _q_eliminate)
+
+
+def rref_qi(rows: list[ZiRow], ncols: int) -> tuple[list[ZiRow], list[int]]:
+    """Reduced row echelon form over Q(i) of sparse Z[i] rows; as `rref_q`."""
+    return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate)
+
+
+def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
+    """Echelon form of nonzero rows, as ``(pivot column, row)`` pairs in column order.
+
+    Each column that some row holds is visited in turn; its pivot is the
+    shortest row holding it, to limit fill-in, and ``eliminate`` clears the
+    column from every other row.  A new row only holds columns of the rows
+    it came from, so no other column can gain a pivot.  Each returned row
+    is zero at the pivots before its own; rows are never changed in place.
+    """
+    pairs = []
+    for col in sorted(set().union(*pool)):
+        if not pool:
+            break
+        pivot = min((row for row in pool if col in row), key=len, default=None)
         if pivot is None:
             continue
-        rank += 1
-        p = pivot[col]
+        pairs.append((col, pivot))
         rest = []
         for row in pool:
             if row is pivot:
                 continue
-            f = row.get(col)
-            if f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = {j: a * x for j, x in row.items()}
-                for j, y in pivot.items():
-                    x = row.get(j, 0) - b * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+            if col in row:
+                row = eliminate(row, pivot, col)
                 if not row:
                     continue
-                row = _primitive_q(row)
             rest.append(row)
         pool = rest
-    return rank
+    return pairs
 
 
-def _pivot(pool: list[dict], col: int) -> dict | None:
-    """The shortest row with an entry in column ``col``, or None."""
-    return min((row for row in pool if col in row), key=len, default=None)
+def _reduced(pool: list[dict], eliminate) -> tuple[list[dict], list[int]]:
+    """`_echelon`, then each pivot column cleared from the rows above it."""
+    pairs = _echelon(pool, eliminate)
+    rows = [row for _, row in pairs]
+    # Last pivot first: rows[k] is already zero at every later pivot, so
+    # subtracting it keeps the rows above zero there too.
+    for k in range(len(pairs) - 1, 0, -1):
+        col, pivot = pairs[k][0], rows[k]
+        for i in range(k):
+            if col in rows[i]:
+                rows[i] = eliminate(rows[i], pivot, col)
+    return rows, [col for col, _ in pairs]
+
+
+def _q_eliminate(row: dict, pivot: dict, col: int) -> dict:
+    """a * row - b * pivot, zero in column ``col``, with its content divided out.
+
+    a / b = pivot[col] / row[col] in lowest terms.  The zero row comes back
+    empty.
+    """
+    p, f = pivot[col], row[col]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {j: a * x for j, x in row.items()}
+    for j, y in pivot.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive_q(out) if out else out
 
 
 def _primitive_q(vec: dict) -> dict:
@@ -299,43 +203,47 @@ def _primitive_q(vec: dict) -> dict:
     return {j: x // g for j, x in vec.items()} if g > 1 else vec
 
 
-def rref_qi(rows: list[list[QiQuad]], ncols: int):
-    """Reduced row echelon form over Q(i); returns (rows, pivot columns)."""
-    out, pivots = _rref(
-        rows, ncols, QI_ZERO, (1, 1, 0, 1), qi_sub, qi_mul, qi_div, _qi_is_zero
-    )
-    return out, pivots
+def _primitive_qi(vec: ZiRow) -> ZiRow:
+    """``vec`` divided by a gcd in Z[i] of its entries.
 
-
-def rank_qi(rows: list[ZiRow], ncols: int) -> int:
-    """Rank over Q(i) of sparse Z[i] rows ``{column: (re, im)}``.
-
-    As `rank_q`, with Gaussian-integer entries; a row's content is the
-    integer gcd of all its real and imaginary parts.
+    Dividing by the integer gcd of the parts alone would leave Gaussian
+    common factors (1 + i, 2 + i, ...), which eliminating multiplies in
+    again and again: their growth made back-substitution on a 24 x 28
+    matrix run for minutes.  A primitive row is fixed by its line up to a
+    unit, so its entries stay as small as the minors that determine it.
     """
-    pool = [_primitive_qi(row) for row in rows if row]
-    rank = 0
-    for col in range(ncols):
-        pivot = _pivot(pool, col)
-        if pivot is None:
-            continue
-        rank += 1
-        rest = []
-        for row in pool:
-            if row is pivot:
-                continue
-            if col in row:
-                row = _zi_eliminate(row, pivot, col)
-                if not row:
-                    continue
-            rest.append(row)
-        pool = rest
-    return rank
+    # A common factor divides every norm x^2 + y^2 = e * conj(e), hence their
+    # gcd n, and n == 1 settles the row at once.
+    n = 0
+    for x, y in vec.values():
+        n = gcd(n, x * x + y * y)
+        if n == 1:
+            return vec
+    g = gcd(*chain.from_iterable(vec.values()))
+    if g > 1:
+        vec = {j: (x // g, y // g) for j, (x, y) in vec.items()}
+        n //= g * g
+        if n == 1:
+            return vec
+    d = (n, 0)
+    for e in vec.values():
+        dr, di = d = _zi_gcd(e, d)
+        n = dr * dr + di * di
+        if n == 1:
+            return vec
+    return {j: ((x * dr + y * di) // n, (y * dr - x * di) // n) for j, (x, y) in vec.items()}
 
 
-def _primitive_qi(vec: dict) -> dict:
-    g = gcd(*(x for pair in vec.values() for x in pair))
-    return {j: (x // g, y // g) for j, (x, y) in vec.items()} if g > 1 else vec
+def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd of two Gaussian integers, by Euclid's algorithm with rounded quotients."""
+    ar, ai = a
+    br, bi = b
+    while br or bi:
+        n = br * br + bi * bi
+        xr, xi = ar * br + ai * bi, ai * br - ar * bi  # a * conj(b)
+        qr, qi = (2 * xr + n) // (2 * n), (2 * xi + n) // (2 * n)
+        ar, ai, br, bi = br, bi, ar - qr * br + qi * bi, ai - qr * bi - qi * br
+    return ar, ai
 
 
 # -- sparse rows over Z[i] ----------------------------------------------------------
@@ -348,31 +256,34 @@ def zi_rows(vectors) -> tuple[list[ZiRow], int]:
     entry ``(re, im) = row[j]``; `zi_decode` inverts it.  Entries may be
     `Gaussian`, `Rational` or int.
     """
-    quads = encode(vectors, "Qi")
-    den = lcm(
-        *{b for row in quads for _, b, _, _ in row},
-        *{d for row in quads for _, _, _, d in row},
-    )
-    return [_zi_scaled(row, den) for row in quads], den
+    flat, den = zi_pairs(_scalars([x for vec in vectors for x in vec]))
+    rows = []
+    start = 0
+    for vec in vectors:
+        rows.append(_zi_sparse(flat[start : start + len(vec)]))
+        start += len(vec)
+    return rows, den
 
 
 def zi_row(vec) -> ZiRow:
     """One scalar vector as a Z[i] row: the vector times its common denominator."""
-    return zi_rows([vec])[0][0]
+    return _zi_sparse(zi_pairs(_scalars(vec))[0])
 
 
-def _zi_scaled(row: list[QiQuad], den: int) -> ZiRow:
-    return {
-        j: (a * (den // b), c * (den // d))
-        for j, (a, b, c, d) in enumerate(row)
-        if a or c
-    }
+def _scalars(vec):
+    """``vec`` with its int entries as `Rational` scalars."""
+    if int not in map(type, vec):
+        return vec
+    return [Rational(x) if type(x) is int else x for x in vec]
+
+
+def _zi_sparse(pairs) -> ZiRow:
+    return {j: p for j, p in enumerate(pairs) if p[0] or p[1]}
 
 
 def zi_decode(row: ZiRow, den: int, ncols: int) -> tuple[Gaussian, ...]:
     """The vector ``row / den`` as a tuple of ``ncols`` `Gaussian` scalars."""
-    zero = Gaussian(0)
-    out = [zero] * ncols
+    out = [_GAUSSIAN_ZERO] * ncols
     for j, (a, b) in row.items():
         out[j] = Gaussian(Rational(a, den) if a else Q0, Rational(b, den) if b else Q0)
     return tuple(out)

@@ -166,21 +166,43 @@ def _c_div(a, b):
     return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
 
 
-def _c_inverse(rows):
-    """Inverse of a square matrix of pairs by Gauss-Jordan elimination."""
+def frac_rref_qi(rows, ncols):
+    """Reduced row echelon form over Q(i), entries as (re, im) Fraction pairs.
+
+    Returns (rows, pivots), as `frac_rref`.
+    """
+    zero = (Fraction(0), Fraction(0))
+    m = [[(Fraction(x), Fraction(y)) for x, y in r] for r in rows]
+    pivots = []
+    rank = 0
+    nrows = len(m)
+    for col in range(ncols):
+        piv = next((i for i in range(rank, nrows) if m[i][col] != zero), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank][col]
+        m[rank] = [_c_div(x, lead) for x in m[rank]]
+        for i in range(nrows):
+            if i != rank and m[i][col] != zero:
+                f = m[i][col]
+                m[i] = [_c_sub(a, _c_mul(f, b)) for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return m, pivots
+
+
+def frac_inverse_qi(rows):
+    """Inverse of a square matrix of pairs by Gauss-Jordan elimination, or None."""
     n = len(rows)
     zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
-    m = [list(r) + [one if c == i else zero for c in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != zero)
-        m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [_c_div(x, lead) for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != zero:
-                f = m[i][col]
-                m[i] = [_c_sub(a, _c_mul(f, b)) for a, b in zip(m[i], m[col])]
-    return [r[n:] for r in m]
+    aug = [list(r) + [one if c == i else zero for c in range(n)] for i, r in enumerate(rows)]
+    red, pivots = frac_rref_qi(aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [r[n:] for r in red]
 
 
 def _c_matmul(a, b):
@@ -207,7 +229,7 @@ def oracle_basis_change(brackets, n, t, real=None):
     identity when ``real`` is None.
     """
     zero = (Fraction(0), Fraction(0))
-    inv = _c_inverse(t)
+    inv = frac_inverse_qi(t)
     out = {}
     for i in range(n):
         for j in range(i + 1, n):

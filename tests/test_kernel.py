@@ -1,14 +1,16 @@
 """The elimination kernel against the independent Fraction oracles."""
 
 from fractions import Fraction
+from math import lcm
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilqp import kernel
-from nilqp.exact import RowReducer
+from nilqp.exact import ExactMatrix, RowReducer
 from nilqp.scalars import Gaussian, Rational
-from oracles import frac_rank, frac_rref
+from oracles import frac_inverse_qi, frac_rank, frac_rref, frac_rref_qi
 
 small_q = st.tuples(
     st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=4)
@@ -39,9 +41,32 @@ def as_fractions(rows):
     return [[Fraction(n, d) for (n, d) in row] for row in rows]
 
 
-def rank_rows(rows, field):
-    """Tuple rows in the sparse integer form that `rank_q`/`rank_qi` take."""
-    return kernel.int_rows(kernel.decode(rows, field), field)
+def int_row(row):
+    """A row of Fractions as a sparse integer row over its common denominator."""
+    den = lcm(*(x.denominator for x in row))
+    return {j: int(x * den) for j, x in enumerate(row) if x}
+
+
+def zi_int_row(row):
+    """A row of (re, im) Fraction pairs as a sparse Z[i] row."""
+    den = lcm(*(x.denominator for pair in row for x in pair))
+    return {j: (int(x * den), int(y * den)) for j, (x, y) in enumerate(row) if x or y}
+
+
+def rank_rows(rows):
+    """Rows of (num, den) pairs in the sparse integer form the kernel takes."""
+    return [int_row(row) for row in as_fractions(rows)]
+
+
+def divided_by_pivots(out, piv, nrows, ncols):
+    """The kernel's RREF rows, each divided by its pivot entry, as Fraction rows.
+
+    Zero rows are appended up to ``nrows``, as `frac_rref` returns them.
+    """
+    rows = [
+        [Fraction(row.get(j, 0), row[p]) for j in range(ncols)] for row, p in zip(out, piv)
+    ]
+    return rows + [[Fraction(0)] * ncols] * (nrows - len(rows))
 
 
 big_q = st.tuples(
@@ -54,19 +79,21 @@ big_q = st.tuples(
 @given(q_matrices(big_q, max_dim=3))
 def test_dispatch_handles_arbitrary_precision(data):
     rows, ncols = data
-    out, piv = kernel.rref_q([r[:] for r in rows], ncols)
-    assert (as_fractions(out), piv) == frac_rref(as_fractions(rows), ncols)
-    assert kernel.rank_q(rank_rows(rows, "Q"), ncols) == frac_rank(as_fractions(rows))
+    out, piv = kernel.rref_q(rank_rows(rows), ncols)
+    assert (divided_by_pivots(out, piv, len(rows), ncols), piv) == frac_rref(
+        as_fractions(rows), ncols
+    )
+    assert kernel.rank_q(rank_rows(rows), ncols) == frac_rank(as_fractions(rows))
 
 
 @settings(max_examples=80, deadline=None)
 @given(q_matrices(small_q))
 def test_rref_idempotent_and_rank_consistent(data):
     rows, ncols = data
-    out, piv = kernel.rref_q([r[:] for r in rows], ncols)
-    again, piv2 = kernel.rref_q([r[:] for r in out], ncols)
+    out, piv = kernel.rref_q(rank_rows(rows), ncols)
+    again, piv2 = kernel.rref_q(out, ncols)
     assert again == out and piv2 == piv
-    assert kernel.rank_q(rank_rows(rows, "Q"), ncols) == len(piv)
+    assert kernel.rank_q(rank_rows(rows), ncols) == len(piv)
 
 
 def test_backend_name_reports():
@@ -117,11 +144,41 @@ def _realified_rank(rows):
 @given(qi_matrices_with_dependent_rows())
 def test_rank_qi_matches_realified_oracle(data):
     rows, ncols = data
-    encoded = [
-        [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in row]
-        for row in rows
+    zi = [zi_int_row(row) for row in rows]
+    assert kernel.rank_qi(zi, ncols) == _realified_rank(rows)
+
+
+def _pairs(m):
+    """An `ExactMatrix` over Q(i) as rows of (re, im) Fraction pairs."""
+    return [
+        [(Fraction(x.re.num, x.re.den), Fraction(x.im.num, x.im.den)) for x in row]
+        for row in m.entries
     ]
-    assert kernel.rank_qi(rank_rows(encoded, "Qi"), ncols) == _realified_rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4))
+def test_qi_rref_matches_fraction_oracle(data):
+    rows, ncols = data
+    red, piv = ExactMatrix([_gaussians(row) for row in rows]).rref()
+    assert red.field == "Qi"
+    assert all(type(x) is Gaussian for row in red.entries for x in row)
+    assert (_pairs(red), piv) == frac_rref_qi(rows, ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4))
+def test_qi_inverse_matches_fraction_oracle(data):
+    rows, ncols = data
+    square = rows[:ncols]
+    assume(len(square) == ncols)
+    want = frac_inverse_qi(square)
+    m = ExactMatrix([_gaussians(row) for row in square])
+    if want is None:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert _pairs(m.inverse()) == want
 
 
 def _gaussians(row):
