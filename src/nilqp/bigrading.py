@@ -14,17 +14,33 @@ The bounded search looks for a restricted-shape grading
 
     g = U + conj(U) + Z(g),   [U, U] = 0,  U + conj(U) a complement of Z
 
-by exact linear algebra: a symplectic pairing argument when the commutator
-ideal is a line, and a depth-first search over exactly solved commutation
-constraint spaces in general.  Every hit is re-verified before being
-returned; exhaustion yields NotFoundWithinBounds, never a nonexistence claim.
+by exact linear algebra on the rational form R and the quotient V = R / Z.
+The bracket of V is read once, as one alternating form on V per basis
+vector of the commutator ideal C^1 (`_TwoStepFrame`), and five
+constructions work on these forms, tried in this order:
+
+1. Darboux: when C^1 is a line, a symplectic basis of its form.
+2. Regular pencil: when dim C^1 = 2 and a member of the pencil of the two
+   forms is invertible, cyclic subspaces of the pencil operator.
+3. Singular-pencil DFS: when dim C^1 = 2 and every member is degenerate, a
+   depth-first search seeded with the members' kernels.
+4. J-space: when dim C^1 >= 2, a complex structure J on V compatible with
+   every form (Salamon, J. Pure Appl. Algebra 157 (2001) 311-333), which
+   gives U = {x - iJx}.
+5. Generic DFS: unless a DFS has run, a depth-first search over the
+   exactly solved commutation constraint spaces.
+
+Every hit is re-verified before being returned; exhaustion yields
+NotFoundWithinBounds, never a nonexistence claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd, isqrt
 
+from ._arith import solve_ternary
 from .cohomology import bigraded_cohomology
 from .errors import (
     GradingNotCompatible,
@@ -35,6 +51,7 @@ from . import kernel
 from .exact import ExactMatrix, RowReducer, Subspace, Vector, kernel_basis
 from .liealg import (
     LieAlgebra,
+    apply_basis_change,
     center,
     commutator_ideal,
     complexify,
@@ -508,8 +525,6 @@ def _real_form_basis(Lc: LieAlgebra) -> ExactMatrix:
 
 def _realified(L: LieAlgebra) -> tuple[LieAlgebra, LieAlgebra, ExactMatrix]:
     """(complex carrier, rational form, basis matrix of the rational form)."""
-    from .liealg import apply_basis_change
-
     Lc = _complex_carrier(L)
     if L.field == "Q":
         return Lc, L, ExactMatrix.identity(L.dim)
@@ -540,8 +555,6 @@ def _realified(L: LieAlgebra) -> tuple[LieAlgebra, LieAlgebra, ExactMatrix]:
 
 def _sqrt_rational(r: Rational):
     """Exact square root in Q, or None."""
-    from math import isqrt
-
     if r.num < 0:
         return None
     a = isqrt(r.num)
@@ -551,21 +564,40 @@ def _sqrt_rational(r: Rational):
     return None
 
 
+def _lead(row) -> int:
+    return next(j for j, x in enumerate(row) if x)
+
+
 class _TwoStepFrame:
-    """Quotient V = L / Z of a rational 2-step algebra, with lifts and pairing."""
+    """Quotient V = L / Z of a rational 2-step algebra and its bracket forms.
+
+    V has the coordinates of the columns f_0 < f_1 < ... that are not pivots
+    of the center's canonical basis, and `lift` puts a vector of V on them.
+    The bracket of two lifts lies in C^1 = [L, L], and its coordinate on the
+    t-th canonical basis row of C^1 is its entry at that row's pivot column,
+    since the other rows vanish there.  So ``forms[t][a][b]``, the constant
+    of [X_{f_a}, X_{f_b}] at the t-th pivot, is the t-th alternating form of
+    the bracket on V.  The forms are read off the structure constants once,
+    and every construction of the search works on them.
+    """
 
     def __init__(self, R: LieAlgebra):
-        self.R = R
         self.n = R.dim
         self.z = center(R)
-        pivots = set()
-        for row in self.z.basis.entries:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is not None:
-                pivots.add(lead)
+        pivots = {_lead(row) for row in self.z.basis.entries}
         self.free = [j for j in range(self.n) if j not in pivots]
         self.v = len(self.free)
         self.c1 = commutator_ideal(R)
+        slot = {f: a for a, f in enumerate(self.free)}
+        coord = {_lead(row): t for t, row in enumerate(self.c1.basis.entries)}
+        self.forms = [[[Q0] * self.v for _ in range(self.v)] for _ in coord]
+        for (i, j), coeffs in R.brackets:
+            if i in slot and j in slot:
+                a, b = slot[i], slot[j]
+                for k, c in coeffs:
+                    if k in coord:
+                        self.forms[coord[k]][a][b] = c
+                        self.forms[coord[k]][b][a] = -c
 
     def lift(self, u) -> Vector:
         """Section of the quotient: coordinates on the free columns."""
@@ -574,8 +606,30 @@ class _TwoStepFrame:
             vec[f] = vec[f] + coord
         return tuple(vec)
 
-    def beta(self, u, w) -> Vector:
-        return self.R.bracket(self.lift(u), self.lift(w))
+    def pair(self, t: int, u, w) -> Scalar:
+        """The t-th form on u and w: the t-th coordinate of [lift(u), lift(w)]."""
+        total = Q0
+        for x, row in zip(u, self.forms[t]):
+            if x:
+                for f, y in zip(row, w):
+                    if f and y:
+                        total = total + x * f * y
+        return total
+
+    def commutant(self, chosen) -> Subspace:
+        """The x in V whose bracket with every vector of ``chosen`` is zero."""
+        rows = []
+        for u in chosen:
+            for form in self.forms:
+                row = [
+                    sum((f * y for f, y in zip(frow, u) if f and y), Q0)
+                    for frow in form
+                ]
+                if any(row):
+                    rows.append(row)
+        if not rows:
+            return Subspace.full(self.v)
+        return kernel_basis(ExactMatrix(rows, cols=self.v))
 
     def std_basis(self):
         out = []
@@ -590,30 +644,24 @@ def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
     """U generators for a one-dimensional commutator ideal (symplectic case)."""
     if frame.c1.dim != 1:
         return None
-    w0 = frame.c1.basis.entries[0]
-    pivot_col = next(j for j, x in enumerate(w0) if x)
-
-    def pairing(x, y) -> Scalar:
-        return frame.beta(x, y)[pivot_col]
-
     remaining = frame.std_basis()
     pairs = []
     while remaining:
         x = remaining.pop(0)
         partner = None
         for idx, y in enumerate(remaining):
-            if pairing(x, y):
+            if frame.pair(0, x, y):
                 partner = idx
                 break
         if partner is None:
             return None  # degenerate; cannot happen for V = L/Z
         y = remaining.pop(partner)
-        lam = pairing(x, y)
+        lam = frame.pair(0, x, y)
         y = tuple(t / lam for t in y)
         reduced = []
         for vv in remaining:
-            a = pairing(x, vv)
-            b = pairing(y, vv)
+            a = frame.pair(0, x, vv)
+            b = frame.pair(0, y, vv)
             if a or b:
                 vv = tuple(t - a * yy + b * xx for t, yy, xx in zip(vv, y, x))
             reduced.append(vv)
@@ -625,25 +673,6 @@ def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
 
 def _g(x: Scalar) -> Gaussian:
     return x if isinstance(x, Gaussian) else Gaussian(x)
-
-
-def _pencil_components(frame: _TwoStepFrame) -> list[list[list[Scalar]]]:
-    """Per commutator coordinate, the v x v alternating form of the bracket."""
-    std = frame.std_basis()
-    piv = []
-    for row in frame.c1.basis.entries:
-        piv.append(next(j for j, x in enumerate(row) if x))
-    comps = []
-    for _ in range(frame.c1.dim):
-        comps.append([[Q0] * frame.v for _ in range(frame.v)])
-    for a in range(frame.v):
-        for b in range(a + 1, frame.v):
-            w = frame.beta(std[a], std[b])
-            coords = _solve_against(frame.c1.basis.entries, w, piv)
-            for t, val in enumerate(coords):
-                comps[t][a][b] = val
-                comps[t][b][a] = -val
-    return comps
 
 
 def _poly_mul(p, q):
@@ -688,8 +717,6 @@ def _pfaffian_poly(m1, m2, v: int):
 
 
 def _isqrt_exact(n: int):
-    from math import isqrt
-
     if n < 0:
         return None
     r = isqrt(n)
@@ -708,8 +735,6 @@ def _integer_roots_monic_cubic(b2: int, b1: int, b0: int) -> list[int]:
     bound = 1 + max(abs(b2), abs(b1), abs(b0))
     cut_points = [-bound, bound]
     if disc > 0:
-        from math import isqrt
-
         r = isqrt(disc)
         for sign in (-1, 1):
             num = -2 * b2 + sign * r
@@ -753,8 +778,6 @@ def _rational_roots(coeffs) -> list[Rational]:
             roots.append(Q0)
     if len(coeffs) <= 1:
         return roots
-    from math import gcd
-
     denom = 1
     for c in coeffs:
         denom = denom * c.den // gcd(denom, c.den)
@@ -796,8 +819,7 @@ def _pencil_structure(frame: _TwoStepFrame):
     orbit vectors make strong search candidates.
     """
     v = frame.v
-    comps = _pencil_components(frame)
-    m1, m2 = comps[0], comps[1]
+    m1, m2 = frame.forms[0], frame.forms[1]
     groups: list[list[Vector]] = []
     seen = set()
 
@@ -843,25 +865,10 @@ def _pencil_structure(frame: _TwoStepFrame):
     return groups, w_matrix
 
 
-def _solve_against(basis_rows, w, pivots) -> list:
-    """Coordinates of w against RREF rows with known pivot columns."""
-    vec = list(w)
-    coords = []
-    for row, p in zip(basis_rows, pivots):
-        coef = vec[p]
-        coords.append(coef)
-        if coef:
-            vec = [x - coef * y for x, y in zip(vec, row)]
-    if any(vec):
-        raise ValueError("vector outside commutator ideal")
-    return coords
-
-
 def _generic_seeds(frame: _TwoStepFrame) -> list[list[Vector]]:
     """Degenerate-combination kernel groups for commutator dimension >= 3."""
     c = frame.c1.dim
     v = frame.v
-    comps = _pencil_components(frame)
     groups: list[list[Vector]] = []
     seen = set()
     combos: list[tuple[int, ...]] = []
@@ -880,7 +887,7 @@ def _generic_seeds(frame: _TwoStepFrame) -> list[list[Vector]]:
         member = [
             [
                 sum(
-                    (Rational(kk) * comps[t][r][s2] for t, kk in enumerate(kappa)),
+                    (Rational(kk) * form[r][s2] for form, kk in zip(frame.forms, kappa)),
                     Q0,
                 )
                 for s2 in range(v)
@@ -906,10 +913,9 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     invariant under basis change, so rational solutions transport.
     """
     v = frame.v
-    comps = _pencil_components(frame)
     rows = []
     # Unknowns: A[r][s] flattened; equations: (A^T M + M A)[p][q] = 0, p < q.
-    for m in comps:
+    for m in frame.forms:
         for p in range(v):
             for q in range(p + 1, v):
                 row = [Q0] * (v * v)
@@ -934,63 +940,113 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     return out
 
 
-def _scaled_complex_structure(a: ExactMatrix):
-    """J = A / sqrt(-mu) when A^2 = mu I with -mu a rational square."""
-    v = a.rows
-    sq = a.matmul(a)
-    mu = sq.entries[0][0]
+class _ProductTable:
+    """Products of the basis A_0, ..., A_{k-1} of the compatible-structure space.
+
+    A J-space candidate is a combination sum c_a A_a and is handled as its
+    coefficient tuple c; the A_a are independent, so it is zero only when c
+    is.  Its square and its anticommutators are sums of the
+    products P_ab = A_aA_b + A_bA_a (a < b) and P_aa = A_a^2, each formed
+    once, when first needed.  A product is kept as ``(mu, residual)``: mu is
+    its (0, 0) entry and residual its other entries in row-major order, less
+    mu on the diagonal.  A combination of products is a multiple of I
+    exactly when the same combination of residuals is zero.
+    """
+
+    def __init__(self, basis: list[ExactMatrix]):
+        self.basis = basis
+        self.k = len(basis)
+        self.units = [
+            tuple(Q1 if b == a else Q0 for b in range(self.k)) for a in range(self.k)
+        ]
+        self._products: dict[tuple[int, int], tuple] = {}
+
+    def product(self, a: int, b: int) -> tuple:
+        """``(mu, residual)`` of P_ab, for a <= b."""
+        got = self._products.get((a, b))
+        if got is None:
+            x, y = self.basis[a], self.basis[b]
+            m = x.matmul(x) if a == b else x.matmul(y).add(y.matmul(x))
+            mu = m.entries[0][0]
+            residual = tuple(
+                e - mu if r == s else e
+                for r, row in enumerate(m.entries)
+                for s, e in enumerate(row)
+                if r or s
+            )
+            got = self._products[a, b] = (mu, residual)
+        return got
+
+    def anticommutator(self, c, d):
+        """beta with XY + YX = beta*I for X = sum c_a A_a, Y = sum d_a A_a, or None."""
+        support = [a for a in range(self.k) if c[a] or d[a]]
+        terms = []
+        for i, a in enumerate(support):
+            for b in support[i:]:
+                coef = 2 * c[a] * d[a] if a == b else c[a] * d[b] + c[b] * d[a]
+                if coef:
+                    terms.append((coef, self.product(a, b)))
+        return _scalar_multiple(terms)
+
+    def square(self, c):
+        """mu with X^2 = mu*I for X = sum c_a A_a, or None."""
+        beta = self.anticommutator(c, c)
+        return None if beta is None else beta / 2
+
+    def matrix(self, c) -> ExactMatrix:
+        """The matrix sum c_a A_a."""
+        terms = [(x, m.entries) for x, m in zip(c, self.basis) if x]
+        v = self.basis[0].rows
+        return ExactMatrix(
+            [
+                [sum((x * m[r][s] for x, m in terms), Q0) for s in range(v)]
+                for r in range(v)
+            ],
+            cols=v,
+        )
+
+
+def _scalar_multiple(terms):
+    """mu with sum c*P = mu*I over the ``(c, (mu_P, residual_P))`` terms, or None.
+
+    mu must be rational: a complex mu counts as no multiple.
+    """
+    for column in zip(*(residual for _, (_, residual) in terms)):
+        total = Q0
+        for (c, _), x in zip(terms, column):
+            if x:
+                total = total + c * x
+        if total:
+            return None
+    mu = Q0
+    for c, (m, _) in terms:
+        if m:
+            mu = mu + c * m
     if isinstance(mu, Gaussian):
         if mu.im:
             return None
         mu = mu.re
-    expected = ExactMatrix(
-        [[mu if r == s else Q0 for s in range(v)] for r in range(v)], cols=v
-    )
-    if sq != expected:
-        return None
-    if mu.num >= 0:
-        return None
-    root = _sqrt_rational(Rational(-mu.num, mu.den))
-    if root is None:
-        return None
-    inv = Rational(root.den, root.num)
-    return a.scale(inv)
+    return mu
 
 
-def _rays_with_square_condition(a1: ExactMatrix, a2: ExactMatrix):
-    """Rational rays x*A1 + y*A2 with (xA1+yA2)^2 scalar, found exactly.
+def _rays_with_square_condition(table: _ProductTable, a: int, b: int):
+    """Rational rays x*A_a + y*A_b with a scalar square, as coefficient tuples.
 
-    The entrywise conditions are homogeneous binary quadratics; the rational
-    roots of the first nontrivial one are checked against the rest.
+    Each residual entry of (x*A_a + y*A_b)^2 is a homogeneous binary
+    quadratic whose coefficients are that entry of P_aa, P_ab and P_bb; the
+    rational roots of the first nontrivial one are checked against the rest.
     """
-    v = a1.rows
-    sq11 = a1.matmul(a1)
-    sq22 = a2.matmul(a2)
-    mix = a1.matmul(a2).add(a2.matmul(a1))
-
-    def quad(entry_r, entry_s, diag_ref):
-        # coefficient triple (x^2, xy, y^2) of entry minus scalar reference
-        def pick(m):
-            val = m.entries[entry_r][entry_s]
-            if (entry_r == entry_s) and diag_ref:
-                val = val - m.entries[0][0]
-            return val
-
-        return (pick(sq11), pick(mix), pick(sq22))
-
-    quads = []
-    for r in range(v):
-        for s in range(v):
-            if r == 0 and s == 0:
-                continue
-            coeffs = quad(r, s, r == s)
-            if any(coeffs):
-                quads.append(coeffs)
+    ea, eb = table.units[a], table.units[b]
+    quads = [
+        q
+        for q in zip(
+            table.product(a, a)[1], table.product(a, b)[1], table.product(b, b)[1]
+        )
+        if any(q)
+    ]
     if not quads:
         # every combination already works; try the two axes
-        return [a1, a2]
-    qa, qb, qc = quads[0]
-    rays = []
+        return [ea, eb]
 
     def as_rat(x):
         if isinstance(x, Gaussian):
@@ -999,7 +1055,7 @@ def _rays_with_square_condition(a1: ExactMatrix, a2: ExactMatrix):
             return x.re
         return x
 
-    qa, qb, qc = as_rat(qa), as_rat(qb), as_rat(qc)
+    qa, qb, qc = (as_rat(x) for x in quads[0])
     candidates = []
     if not qa:
         candidates.append((Q1, Q0))
@@ -1007,8 +1063,6 @@ def _rays_with_square_condition(a1: ExactMatrix, a2: ExactMatrix):
         candidates.append((Q0, Q1))
     if qa:
         # roots of qa t^2 + qb t + qc for t = x/y
-        from math import gcd as _gcd
-
         den = qa.den * qb.den * qc.den
         ia = qa.num * (den // qa.den)
         ib = qb.num * (den // qb.den)
@@ -1018,78 +1072,35 @@ def _rays_with_square_condition(a1: ExactMatrix, a2: ExactMatrix):
         if root is not None:
             for sign in (1, -1):
                 candidates.append((Rational(-ib + sign * root, 2 * ia), Q1))
-    for x, y in candidates:
-        cand = a1.scale(x).add(a2.scale(y))
-        ok = True
-        for (ca, cb, cc) in quads:
-            value = ca * x * x + cb * x * y + cc * y * y
-            if value:
-                ok = False
-                break
-        if ok and not cand.is_zero():
-            rays.append(cand)
-    return rays
+    return [
+        tuple(x * p + y * q for p, q in zip(ea, eb))
+        for x, y in candidates
+        if all(not (ca * x * x + cb * x * y + cc * y * y) for ca, cb, cc in quads)
+    ]
 
 
-def _scalar_square(a: ExactMatrix):
-    """mu with A^2 = mu I, or None."""
-    v = a.rows
-    sq = a.matmul(a)
-    mu = sq.entries[0][0]
-    if isinstance(mu, Gaussian):
-        if mu.im:
-            return None
-        mu = mu.re
-    for r in range(v):
-        for s in range(v):
-            want = mu if r == s else Q0
-            if sq.entries[r][s] != want:
-                return None
-    return mu
-
-
-def _anticommutator_scalar(a: ExactMatrix, b: ExactMatrix):
-    """beta with AB + BA = beta*I, or None."""
-    v = a.rows
-    anti = a.matmul(b).add(b.matmul(a))
-    beta = anti.entries[0][0]
-    if isinstance(beta, Gaussian):
-        if beta.im:
-            return None
-        beta = beta.re
-    for r in range(v):
-        for s in range(v):
-            want = beta if r == s else Q0
-            if anti.entries[r][s] != want:
-                return None
-    return beta
-
-
-def _nilpotent_via_conic(space: list[ExactMatrix]):
-    """Nonzero nilpotent in a 3-dim quaternion-like space, found exactly.
+def _nilpotent_via_conic(table: _ProductTable):
+    """Coefficients of a nonzero nilpotent in a 3-dim quaternion-like space.
 
     The squares define a ternary quadratic form on the space; a rational
     isotropic vector (Legendre reduction in nilqp._arith) is a nilpotent.
     """
-    from ._arith import solve_ternary
-
-    if len(space) != 3:
+    if table.k != 3:
         return None
+    units = table.units
     gram = [[None] * 3 for _ in range(3)]
     for i in range(3):
-        mu = _scalar_square(space[i])
+        mu = table.square(units[i])
         if mu is None:
             return None
         gram[i][i] = mu
         for j in range(i + 1, 3):
-            beta = _anticommutator_scalar(space[i], space[j])
+            beta = table.anticommutator(units[i], units[j])
             if beta is None:
                 return None
             gram[i][j] = gram[j][i] = beta / 2
-    # Congruence diagonalization over Q, tracking the combination vectors.
-    basis = [space[0], space[1], space[2]]
-    combos = [gram[i][:] for i in range(3)]  # bilinear form rows
 
+    # Congruence diagonalization over Q, tracking the combination vectors.
     def form(x, y):  # B(sum x_i A_i, sum y_j A_j)
         total = Rational(0)
         for i in range(3):
@@ -1100,13 +1111,8 @@ def _nilpotent_via_conic(space: list[ExactMatrix]):
                     total = total + x[i] * gram[i][j] * y[j]
         return total
 
-    vecs = [
-        (Q1, Q0, Q0),
-        (Q0, Q1, Q0),
-        (Q0, Q0, Q1),
-    ]
     ortho = []
-    rest = list(vecs)
+    rest = list(units)
     for _ in range(3):
         pivot = None
         for idx, w in enumerate(rest):
@@ -1117,7 +1123,7 @@ def _nilpotent_via_conic(space: list[ExactMatrix]):
             # every remaining vector is isotropic
             for w in rest:
                 if any(w):
-                    return _combine(space, w)
+                    return w
             return None
         w = rest.pop(pivot)
         ortho.append(w)
@@ -1129,7 +1135,7 @@ def _nilpotent_via_conic(space: list[ExactMatrix]):
     ds = [form(w, w) for w in ortho]
     for idx, d in enumerate(ds):
         if not d:
-            return _combine(space, ortho[idx])
+            return ortho[idx]
     sol = solve_ternary(ds[0], ds[1], ds[2])
     if sol is None:
         return None
@@ -1137,52 +1143,32 @@ def _nilpotent_via_conic(space: list[ExactMatrix]):
         sum((Rational(sol[t]) * ortho[t][i] for t in range(3)), Rational(0))
         for i in range(3)
     )
-    return _combine(space, coords)
+    return coords if any(coords) else None
 
 
-def _combine(space, coords):
-    out = None
-    for a, c in zip(space, coords):
-        term = a.scale(c)
-        out = term if out is None else out.add(term)
-    if out is None or out.is_zero():
-        return None
-    return out
-
-
-def _split_structure_candidates(space: list[ExactMatrix]) -> list[ExactMatrix]:
+def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
     """Complex structures via nilpotents of a quaternion-like solution space.
 
     When every A in the space squares to a scalar, a nonzero nilpotent N and
     any B with NB + BN = beta*I (beta != 0), B^2 = b*I combine to
-    J = ((-1 - b)/beta) N + B, which squares to -I exactly.
+    J = ((-1 - b)/beta) N + B, which squares to -I exactly.  Candidates are
+    coefficient tuples on the table's basis.
     """
-    if not space:
-        return []
-    v = space[0].rows
-    mus = [_scalar_square(a) for a in space]
-    nilpotents = [a for a, mu in zip(space, mus) if mu is not None and not mu]
-    if not nilpotents and len(space) == 3:
-        conic = _nilpotent_via_conic(space)
-        if conic is not None and _scalar_square(conic) == Rational(0):
+    units = table.units
+    mus = [table.square(e) for e in units]
+    nilpotents = [e for e, mu in zip(units, mus) if mu is not None and not mu]
+    if not nilpotents and table.k == 3:
+        conic = _nilpotent_via_conic(table)
+        if conic is not None and table.square(conic) == Q0:
             nilpotents.append(conic)
     # Rational nilpotent rays inside pairs: mu(A_i + t A_j) = 0.
-    for i in range(len(space)):
-        for j in range(len(space)):
+    for i in range(table.k):
+        for j in range(table.k):
             if i == j or mus[i] is None or mus[j] is None or not mus[j]:
                 continue
-            anti = space[i].matmul(space[j]).add(space[j].matmul(space[i]))
-            beta = anti.entries[0][0]
-            if any(
-                anti.entries[r][s] != (beta if r == s else 0)
-                for r in range(v)
-                for s in range(v)
-            ):
+            beta = table.anticommutator(units[i], units[j])
+            if beta is None:
                 continue
-            if isinstance(beta, Gaussian):
-                if beta.im:
-                    continue
-                beta = beta.re
             # mu(A_i) + t*beta + t^2 mu(A_j) = 0
             mi, mj = mus[i], mus[j]
             den = mi.den * beta.den * mj.den
@@ -1195,32 +1181,34 @@ def _split_structure_candidates(space: list[ExactMatrix]) -> list[ExactMatrix]:
                 continue
             for sign in (1, -1):
                 t = Rational(-c1 + sign * root, 2 * c2)
-                cand = space[i].add(space[j].scale(t))
-                if not cand.is_zero():
-                    nilpotents.append(cand)
+                nilpotents.append(tuple(x + t * y for x, y in zip(units[i], units[j])))
     out = []
-    for n_mat in nilpotents[:8]:
-        for b_mat in space:
-            mu_b = _scalar_square(b_mat)
+    for n in nilpotents[:8]:
+        for e, mu_b in zip(units, mus):
             if mu_b is None:
                 continue
-            anti = n_mat.matmul(b_mat).add(b_mat.matmul(n_mat))
-            beta = anti.entries[0][0]
-            if isinstance(beta, Gaussian):
-                if beta.im:
-                    continue
-                beta = beta.re
+            beta = table.anticommutator(n, e)
             if not beta:
                 continue
-            if any(
-                anti.entries[r][s] != (beta if r == s else 0)
-                for r in range(v)
-                for s in range(v)
-            ):
-                continue
             x = (Rational(-1) - mu_b) / beta
-            out.append(n_mat.scale(x).add(b_mat))
+            out.append(tuple(x * p + q for p, q in zip(n, e)))
     return out
+
+
+def _jspace_candidates(table: _ProductTable):
+    """Coefficient tuples of the J-space candidates, in the order they are tried.
+
+    The basis itself, the split candidates, then for each pair of basis
+    elements four fixed combinations and the rays with a scalar square.
+    """
+    units = table.units
+    yield from units
+    yield from _split_structure_candidates(table)
+    for a in range(table.k):
+        for b in range(a + 1, table.k):
+            for c in (1, -1, 2, -2):
+                yield tuple(x + c * y for x, y in zip(units[a], units[b]))
+            yield from _rays_with_square_condition(table, a, b)
 
 
 def _jspace_u(frame: _TwoStepFrame, h: int):
@@ -1230,18 +1218,18 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
     space = _compatible_complex_structures(frame)
     if not space:
         return None
-    candidates: list[ExactMatrix] = list(space)
-    candidates.extend(_split_structure_candidates(space))
-    for a in range(len(space)):
-        for b in range(a + 1, len(space)):
-            for c in (1, -1, 2, -2):
-                candidates.append(space[a].add(space[b].scale(c)))
-            candidates.extend(_rays_with_square_condition(space[a], space[b]))
+    table = _ProductTable(space)
     iu = Gaussian(0, 1)
-    for a in candidates:
-        j = _scaled_complex_structure(a)
-        if j is None:
+    for coeffs in _jspace_candidates(table):
+        # J = A / sqrt(-mu) when A^2 = mu*I with -mu a rational square.
+        mu = table.square(coeffs)
+        if mu is None or mu.num >= 0:
             continue
+        root = _sqrt_rational(-mu)
+        if root is None:
+            continue
+        inv = Rational(root.den, root.num)
+        j = table.matrix(tuple(inv * x for x in coeffs))
         # U = {x - i J x}: automatically transverse to its conjugate.
         u_vecs = []
         span = Subspace.zero(frame.v)
@@ -1276,11 +1264,11 @@ def _krylov_span(w_matrix: ExactMatrix, u, h: int):
 
 
 def _bi_isotropic(frame: _TwoStepFrame, vectors) -> bool:
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if any(frame.beta(vectors[a], vectors[b])):
-                return False
-    return True
+    return not any(
+        frame.pair(t, x, y)
+        for x, y in combinations(vectors, 2)
+        for t in range(len(frame.forms))
+    )
 
 
 def _transversal(vectors, v: int) -> bool:
@@ -1341,8 +1329,6 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
                 x + Gaussian(0, s) * y for x, y in zip(grp[a], grp[b])
             )
 
-        from itertools import product
-
         pools = []
         for grp in gen_groups:
             per_group = []
@@ -1393,16 +1379,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
     for vecs in partials:
         # Complete with an eigenvector from the exact commutant of the
         # cyclic part (W fixes its line, so invariance is preserved).
-        rows = []
-        for u in vecs:
-            images = [frame.beta(e, u) for e in std]
-            for coord in range(frame.n):
-                row = [images[a][coord] for a in range(v)]
-                if any(row):
-                    rows.append(row)
-        commutant = (
-            kernel_basis(ExactMatrix(rows, cols=v)) if rows else Subspace.full(v)
-        )
+        commutant = frame.commutant(vecs)
         eigen_pool: list[Vector] = []
         for grp in groups:
             meet = Subspace.from_spanning(grp, ambient_dim=v).intersect(commutant)
@@ -1544,27 +1521,12 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
                                 yield kernel.zi_combine((one, x), iy, rw), den
                                 yield kernel.zi_combine((one, x), iy, iw), den
 
-    def constraint_space(chosen) -> Subspace:
-        """Vectors commuting (mod center) with every chosen generator."""
-        if not chosen:
-            return Subspace.full(v)
-        rows = []
-        for u in chosen:
-            images = [frame.beta(e, u) for e in std]
-            for coord in range(frame.n):
-                row = [images[a][coord] for a in range(v)]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return Subspace.full(v)
-        return kernel_basis(ExactMatrix(rows, cols=v))
-
     def rec(chosen, red: RowReducer):
         # ``red`` holds the chosen generators and their conjugates; a
         # candidate u is independent of them when a copy takes u and conj(u).
         if len(chosen) == h:
             return list(chosen)
-        space = constraint_space(chosen)
+        space = frame.commutant(chosen)
         if space.dim < h:
             return None
         for cand, den in complex_candidates(space, chosen):

@@ -144,12 +144,6 @@ class ExactMatrix:
             cols=self.cols + other.cols,
         )
 
-    def scale(self, c) -> "ExactMatrix":
-        c = as_scalar(c)
-        return ExactMatrix(
-            [[c * x for x in row] for row in self.entries], cols=self.cols
-        )
-
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise AmbientMismatch("shape mismatch in add")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import kernel
@@ -502,10 +503,11 @@ def apply_basis_change(
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    Past the inverse of T, the work is on Gaussian integers: T, T^-1 and
-    the real structure are each encoded once as rows of Z[i] pairs over a
-    common denominator, the rows of T are bracketed on `structure_table`,
-    and each new constant and real-structure entry is divided once.  The
+    The work is on Gaussian integers: T and the real structure are each
+    encoded once as rows of Z[i] pairs over a common denominator, T^-1 is
+    read off those rows of T by one reduction (`_zi_inverse`), the rows of
+    T are bracketed on `structure_table`, and each new constant and
+    real-structure entry is divided once.  The
     scalar types are those of scalar arithmetic: over Q(i) every constant
     is a `Gaussian`, and the real structure is over Q(i) exactly when T or
     the old real structure is.
@@ -515,16 +517,12 @@ def apply_basis_change(
         raise DimensionMismatch(
             f"transformation is {T.rows}x{T.cols}, algebra has dim {n}"
         )
-    try:
-        t_inv = T.inverse()
-    except ValueError as exc:
-        raise SingularTransformation(str(exc)) from exc
+    e, t_den = _zi_matrix(T)  # e_i in old coordinates, times t_den
+    inv, inv_den = _zi_inverse(e, t_den)
     new_field = "Qi" if (L.field == "Qi" or T.field == "Qi") else "Q"
     field, den, columns = structure_table(L)
     if field == "Q":
         columns = (*columns, tuple((0,) * len(ks) for ks in columns[2]))
-    e, t_den = _zi_matrix(T)  # e_i in old coordinates, times t_den
-    inv, inv_den = _zi_matrix(t_inv)
     d = t_den * t_den * den * inv_den
     new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i in range(n):
@@ -587,6 +585,35 @@ def _zi_matrix(m: ExactMatrix) -> tuple[list[list[tuple[int, int]]], int]:
     flat, den = kernel.zi_pairs([x for row in m.entries for x in row])
     c = m.cols
     return [flat[r * c : (r + 1) * c] for r in range(m.rows)], den
+
+
+def _zi_inverse(e: list[list], den: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The inverse of the matrix ``e / den``, as Z[i] rows over one denominator.
+
+    ``e`` holds Z[i] rows as `_zi_matrix` returns them.  `kernel.rref_qi`
+    reduces [e | I] to rows p_k * [unit_k | row k of e^-1], p_k a Gaussian
+    integer, and row k of the inverse is den * p_k^-1 times the right half.
+    Raises SingularTransformation when ``e`` is singular.
+    """
+    n = len(e)
+    rows = [
+        {**{j: x for j, x in enumerate(row) if x != (0, 0)}, n + k: (1, 0)}
+        for k, row in enumerate(e)
+    ]
+    red, pivots = kernel.rref_qi(rows, 2 * n)
+    if pivots != list(range(n)):
+        raise SingularTransformation("matrix is singular")
+    norms = [pr * pr + pi * pi for pr, pi in (row[k] for k, row in enumerate(red))]
+    d = lcm(*norms)
+    out = []
+    for k, row in enumerate(red):
+        pr, pi = row[k]
+        s = den * (d // norms[k])
+        right = [row.get(n + j, (0, 0)) for j in range(n)]
+        # (x + yi) * conj(p_k) * s
+        out.append([((x * pr + y * pi) * s, (y * pr - x * pi) * s) for x, y in right])
+    g = gcd(d, *(part for row in out for pair in row for part in pair))
+    return [[(x // g, y // g) for x, y in row] for row in out], d // g
 
 
 def _zi_matmul(a: list[list], b: list[list]) -> list[list[tuple[int, int]]]:

@@ -289,8 +289,9 @@ def test_search_deterministic():
 
 
 def test_search_respects_node_budget():
-    # With an absurdly small budget the DFS family cannot run; the scalar
-    # and exterior-square constructions do not apply to N5_82 transformed.
+    # With a budget of one node the depth-first searches cannot run; the
+    # Darboux, regular-pencil and J-space constructions spend no nodes, and
+    # N5_82's pencil is regular, so the regular-pencil construction finds it.
     bounds = SearchBounds(max_nodes=1)
     out = search_bigrading(get("N5_82").algebra, bounds)
     assert out.status in ("found", "not_found_within_bounds")
@@ -334,6 +335,15 @@ GOLDEN_SEARCH_SHA256 = (
 )
 
 
+def _outcome_text(out) -> str:
+    """The status and every generator of the grading found, byte for byte."""
+    return out.status + "".join(
+        f"\n{c.p},{c.q}:"
+        + ";".join(" ".join(format_scalar(x) for x in v) for v in c.generators)
+        for c in (out.bigrading.components if out.bigrading else ())
+    )
+
+
 def test_search_outputs_match_golden_digest():
     rng = random.Random(4)
     digest = hashlib.sha256()
@@ -344,10 +354,29 @@ def test_search_outputs_match_golden_digest():
         for _ in range(3):
             moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
             out = search_bigrading(moved, SearchBounds(max_nodes=2000))
-            text = out.status + "".join(
-                f"\n{c.p},{c.q}:"
-                + ";".join(" ".join(format_scalar(x) for x in v) for v in c.generators)
-                for c in (out.bigrading.components if out.bigrading else ())
-            )
-            digest.update(text.encode() + b"\n")
+            digest.update(_outcome_text(out).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_SEARCH_SHA256
+
+
+# Algebras whose search is settled by the J-space construction (a complex
+# structure compatible with every bracket component).  With these basis
+# changes n7_142 and 37D are won by split candidates (the second n7_142 with
+# a nilpotent from the conic), n7_143, N1_84_real and 37B by an element of
+# the solution space itself; 37B and 37D reach it through their rational
+# forms.  Any change of candidate order or of the chosen J changes the digest.
+GOLDEN_JSPACE_KEYS = ("n7_142", "n7_143", "N1_84_real", "37B", "37D")
+GOLDEN_JSPACE_SHA256 = (
+    "ae17205e5e2582a59c8b832c9a83b82aaa68b45ae160b033466c0dc7f8ceddde"
+)
+
+
+def test_jspace_outputs_match_golden_digest():
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for key in GOLDEN_JSPACE_KEYS:
+        alg = get(key).algebra
+        for _ in range(2):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+            digest.update(_outcome_text(out).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_JSPACE_SHA256
