@@ -32,17 +32,24 @@ constructions work on these forms, tried in this order:
 
 Every hit is re-verified before being returned; exhaustion yields
 NotFoundWithinBounds, never a nonexistence claim.
+
+Verification and the regular-pencil construction run on the kernel's Z[i]
+rows: each vector is encoded once, spans and memberships are read off
+echelons (`kernel.zi_insert`/`kernel.zi_reduce`), verification brackets on
+`liealg.structure_table`, and the pencil construction keeps the forms and
+W as integers.  Scalars appear only in the U it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import gcd, isqrt
 
 from ._arith import solve_ternary
 from .cohomology import bigraded_cohomology
 from .errors import (
+    AmbientMismatch,
     GradingNotCompatible,
     MissingRealStructure,
     NotAFiltration,
@@ -51,11 +58,13 @@ from . import kernel
 from .exact import ExactMatrix, RowReducer, Subspace, Vector, kernel_basis
 from .liealg import (
     LieAlgebra,
+    _bracket_qi,
     apply_basis_change,
     center,
     commutator_ideal,
     complexify,
     lower_central_series,
+    structure_table,
 )
 from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj
 
@@ -193,41 +202,76 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
 
 
 def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
-    """`verify_bigrading` on the grading's carrier ``Lc`` (see `_complex_carrier`)."""
+    """`verify_bigrading` on the grading's carrier ``Lc`` (see `_complex_carrier`).
+
+    Each generator is encoded once as a Z[i] row (`kernel.zi_row`).  Spans,
+    memberships and containments do not depend on scale and are read off
+    echelons (`kernel.zi_insert`/`kernel.zi_reduce`); brackets are formed
+    on `structure_table`, and conjugation is the conjugate row times the
+    real structure S, skipped when S is the identity.
+    """
     n = Lc.dim
     failures: list = []
 
-    all_gens = [v for c in g.components for v in c.generators]
-    count_ok = g.total_generators == n and all(len(v) == n for v in all_gens)
-    span = Subspace.from_spanning(all_gens, ambient_dim=n) if count_ok else None
-    spans = bool(count_ok and span is not None and span.dim == n)
+    for c in g.components:
+        for v in c.generators:
+            if len(v) != n:
+                raise AmbientMismatch(
+                    f"vector of length {len(v)} in ambient dimension {n}"
+                )
+    rows = {
+        (c.p, c.q): [kernel.zi_row(v) for v in c.generators] for c in g.components
+    }
+    echelons = {}
+    for key, comp_rows in rows.items():
+        echelon: list = []
+        for row in comp_rows:
+            kernel.zi_insert(echelon, row)
+        echelons[key] = echelon
+
+    rank = None
+    if g.total_generators == n:
+        span: list = []
+        rank = sum(
+            kernel.zi_insert(span, row) for comp_rows in rows.values() for row in comp_rows
+        )
+    spans = rank == n
     if not spans:
         failures.append(
             {
                 "check": "spans",
                 "detail": f"{g.total_generators} generators of rank "
-                f"{span.dim if span else 'n/a'} in dimension {n}",
+                f"{'n/a' if rank is None else rank} in dimension {n}",
             }
         )
 
-    comp_spaces = {(c.p, c.q): c.subspace(n) for c in g.components}
-
     bracket_ok = True
     if spans:
+        _, _, columns = structure_table(Lc)
+        zero = (0, 0)
+        dense = {
+            key: [[row.get(j, zero) for j in range(n)] for row in comp_rows]
+            for key, comp_rows in rows.items()
+        }
         comps = list(g.components)
         for a in range(len(comps)):
             for b in range(a, len(comps)):
                 ca, cb = comps[a], comps[b]
                 target = (ca.p + cb.p, ca.q + cb.q)
-                tspace = comp_spaces.get(target)
+                tspace = echelons.get(target)
+                ua, ub = dense[ca.p, ca.q], dense[cb.p, cb.q]
                 pairs = (
-                    combinations(ca.generators, 2)
+                    combinations(ua, 2)
                     if a == b
-                    else ((u, v) for u in ca.generators for v in cb.generators)
+                    else ((u, v) for u in ua for v in ub)
                 )
                 for u, v in pairs:
-                    w = Lc.bracket(u, v)
-                    if not any(w):
+                    w = {
+                        k: (x, y)
+                        for k, (x, y) in enumerate(zip(*_bracket_qi(columns, u, v, n)))
+                        if x or y
+                    }
+                    if not w:
                         continue
                     if tspace is None:
                         bracket_ok = False
@@ -238,7 +282,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport
                                 f"absent bidegree {target}",
                             }
                         )
-                    elif not tspace.contains(w):
+                    elif kernel.zi_reduce(w, tspace):
                         bracket_ok = False
                         failures.append(
                             {
@@ -251,25 +295,27 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport
 
     conjugation = "exact"
     if spans:
+        s_rows, _ = kernel.zi_rows(Lc.real_structure.entries)
+        identity = all(row == {j: (1, 0)} for j, row in enumerate(s_rows))
         exact_all = True
         lax_all = True
         for c in g.components:
-            img = Subspace.from_spanning(
-                [Lc.conj_vector(v) for v in c.generators], ambient_dim=n
-            )
-            mirror = comp_spaces.get((c.q, c.p), Subspace.zero(n))
-            if img != mirror:
+            img = [kernel.zi_conj(row) for row in rows[c.p, c.q]]
+            if not identity:
+                img = [kernel.zi_matvec(s_rows, row) for row in img]
+            mirror = echelons.get((c.q, c.p), [])
+            # conj maps the component's span onto the span of img, so
+            # img equals the mirror when it has the same rank and lies in it.
+            if len(echelons[c.p, c.q]) != len(mirror) or any(
+                kernel.zi_reduce(row, mirror) for row in img
+            ):
                 exact_all = False
-                lower = [
-                    v
-                    for (p, q), sp in comp_spaces.items()
-                    if p + q < c.p + c.q
-                    for v in sp.vectors()
-                ]
-                allowed = Subspace.from_spanning(
-                    list(mirror.vectors()) + lower, ambient_dim=n
-                )
-                if not img.is_subspace_of(allowed):
+                allowed = list(mirror)
+                for (p, q), comp_rows in rows.items():
+                    if p + q < c.p + c.q:
+                        for row in comp_rows:
+                            kernel.zi_insert(allowed, row)
+                if any(kernel.zi_reduce(row, allowed) for row in img):
                     lax_all = False
                     failures.append(
                         {
@@ -524,14 +570,24 @@ def _real_form_basis(Lc: LieAlgebra) -> ExactMatrix:
 
 
 def _realified(L: LieAlgebra) -> tuple[LieAlgebra, LieAlgebra, ExactMatrix]:
-    """(complex carrier, rational form, basis matrix of the rational form)."""
+    """(complex carrier, rational form, basis matrix of the rational form).
+
+    The rational form holds only `Rational` constants: a `Gaussian` constant
+    of an algebra over Q is read as its real part, and a non-real one is
+    refused, as for the rational form of an algebra over Q(i).
+    """
     Lc = _complex_carrier(L)
     if L.field == "Q":
-        return Lc, L, ExactMatrix.identity(L.dim)
-    t_real = _real_form_basis(Lc)
-    moved = apply_basis_change(Lc, t_real, name=f"{L.name}.real")
+        t_real = ExactMatrix.identity(L.dim)
+        if not any(isinstance(c, Gaussian) for _, coeffs in L.brackets for _, c in coeffs):
+            return Lc, L, t_real
+        form, name = L, L.name
+    else:
+        t_real = _real_form_basis(Lc)
+        name = f"{L.name}.real"
+        form = apply_basis_change(Lc, t_real, name=name)
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j), coeffs in moved.brackets:
+    for (i, j), coeffs in form.brackets:
         row = {}
         for k, c in coeffs:
             if isinstance(c, Gaussian):
@@ -543,11 +599,11 @@ def _realified(L: LieAlgebra) -> tuple[LieAlgebra, LieAlgebra, ExactMatrix]:
             row[k] = c
         brackets[(i, j)] = row
     real_alg = LieAlgebra.from_brackets(
-        name=f"{L.name}.real",
+        name=name,
         dim=L.dim,
         brackets=brackets,
         field="Q",
-        basis_names=moved.basis_names,
+        basis_names=form.basis_names,
         check=False,
     )
     return Lc, real_alg, t_real
@@ -578,7 +634,13 @@ class _TwoStepFrame:
     since the other rows vanish there.  So ``forms[t][a][b]``, the constant
     of [X_{f_a}, X_{f_b}] at the t-th pivot, is the t-th alternating form of
     the bracket on V.  The forms are read off the structure constants once,
-    and every construction of the search works on them.
+    and every construction of the search works on them.  ``form_rows`` holds
+    them once more as integers over one denominator, each form a list of
+    Z[i] rows ``{b: (x, 0)}``, for the constructions that work on Z[i] rows:
+    the t-th form pairs x with u as the dot product of x and the row
+    F_t u = ``kernel.zi_matvec(form_rows[t], u)`` (`commutant_rows`).
+
+    ``R`` is over Q with `Rational` constants, as `_realified` returns it.
     """
 
     def __init__(self, R: LieAlgebra):
@@ -598,6 +660,20 @@ class _TwoStepFrame:
                     if k in coord:
                         self.forms[coord[k]][a][b] = c
                         self.forms[coord[k]][b][a] = -c
+        flat, _ = kernel.q_ints([x for form in self.forms for row in form for x in row])
+        it = iter(flat)
+        self.form_rows = [
+            [kernel.zi_int_row(islice(it, self.v)) for _ in form] for form in self.forms
+        ]
+
+    def commutant_rows(self, rows) -> list[kernel.ZiRow]:
+        """The nonzero rows F_t u for the Z[i] rows u in ``rows``.
+
+        x commutes with every u exactly when x . F_t u = 0 for all of them.
+        """
+        return [
+            fu for u in rows for form in self.form_rows if (fu := kernel.zi_matvec(form, u))
+        ]
 
     def lift(self, u) -> Vector:
         """Section of the quotient: coordinates on the free columns."""
@@ -1232,53 +1308,108 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
         j = table.matrix(tuple(inv * x for x in coeffs))
         # U = {x - i J x}: automatically transverse to its conjugate.
         u_vecs = []
-        span = Subspace.zero(frame.v)
+        u_rows: list[kernel.ZiRow] = []
+        echelon: list = []
         for x in frame.std_basis():
             jx = j.matvec(x)
             u = tuple(xx - iu * yy for xx, yy in zip(x, jx))
-            if not span.contains(u):
+            row = kernel.zi_row(u)
+            if kernel.zi_insert(echelon, row):
                 u_vecs.append(u)
-                span = Subspace.from_spanning(u_vecs, ambient_dim=frame.v)
+                u_rows.append(row)
             if len(u_vecs) == h:
                 break
-        if len(u_vecs) == h and _bi_isotropic(frame, u_vecs) and _transversal(
-            u_vecs, frame.v
-        ):
+        if len(u_vecs) == h and _bi_isotropic(frame, u_rows) and _transversal(u_rows):
             return u_vecs
     return None
 
 
-def _krylov_span(w_matrix: ExactMatrix, u, h: int):
-    """Basis of span{u, Wu, W^2 u, ...} truncated at h vectors."""
-    vecs = []
-    span = RowReducer(len(u))
-    vec = u
+# The regular-pencil construction and the checks on its U work on the
+# kernel's Z[i] rows and exact vectors ``(row, den)``.
+
+
+def _krylov_span(w_rows, u: kernel.ZiRow, h: int) -> list[kernel.ZiRow]:
+    """The Z[i] rows u, Wu, W^2 u, ... while they are independent.
+
+    ``w_rows`` are the rows of W times a denominator d, so the k-th row is
+    W^k u times d^k.  It stops after h + 1 rows, so that a span longer than
+    h shows as h + 1 rows.
+    """
+    rows: list[kernel.ZiRow] = []
+    echelon: list = []
     for _ in range(h + 1):
-        if not any(vec) or not span.add(vec):
+        if not u or not kernel.zi_insert(echelon, u):
             break
-        vecs.append(vec)
-        if len(vecs) > h:
+        rows.append(u)
+        if len(rows) > h:
             break
-        vec = w_matrix.matvec(vec)
-    return vecs
+        u = kernel.zi_matvec(w_rows, u)
+    return rows
 
 
-def _bi_isotropic(frame: _TwoStepFrame, vectors) -> bool:
+def _bi_isotropic(frame: _TwoStepFrame, rows) -> bool:
+    """Whether every bracket form vanishes on every two of the Z[i] rows."""
     return not any(
-        frame.pair(t, x, y)
-        for x, y in combinations(vectors, 2)
-        for t in range(len(frame.forms))
+        kernel.zi_matvec(rows[:k], fy)
+        for k in range(1, len(rows))
+        for fy in frame.commutant_rows([rows[k]])
     )
 
 
-def _transversal(vectors, v: int) -> bool:
-    red = RowReducer(v)
-    for w in vectors:
-        if not red.add(w):
-            return False
-        if not red.add(tuple(conj(x) for x in w)):
-            return False
-    return True
+def _transversal(rows) -> bool:
+    """Whether the Z[i] rows and their conjugates are independent."""
+    echelon: list = []
+    return all(
+        kernel.zi_insert(echelon, row) and kernel.zi_insert(echelon, kernel.zi_conj(row))
+        for row in rows
+    )
+
+
+def _group_terms(grp) -> list[kernel.ZiRow]:
+    """Transverse vectors from the basis ``grp`` (2+ rows) of a generalized eigenspace."""
+    one = (1, 0)
+    terms = []
+    if len(grp) > 2:
+        # generic vectors reaching the top of each Jordan chain
+        total = kernel.zi_combine(*((one, x) for x in grp))
+        terms.append(kernel.zi_combine((one, total), ((0, 1), grp[1])))
+        terms.append(kernel.zi_combine((one, grp[0]), ((0, 1), total)))
+    for a, b, s in ((0, 1, 1), (1, 0, 1), (0, 1, -1), (1, 0, -1)):
+        terms.append(kernel.zi_combine((one, grp[a]), ((0, s), grp[b])))
+    return terms
+
+
+def _pencil_candidates(gen_groups, pool):
+    """Candidate cyclic vectors as ``(row, den)``, in the order they are tried.
+
+    First, when there are two or more generalized eigenspaces and each has
+    two or more basis vectors, sums of one transverse vector from each (48
+    at most); then x + i*y for any two distinct vectors of ``pool``.  Both
+    are generated lazily.
+    """
+    one = (1, 0)
+    if len(gen_groups) >= 2 and all(len(g) >= 2 for g in gen_groups):
+        rows, den = kernel.zi_common([vec for grp in gen_groups for vec in grp])
+        it = iter(rows)
+        pools = [_group_terms([next(it) for _ in grp]) for grp in gen_groups]
+        for terms in islice(product(*pools), 48):
+            yield kernel.zi_combine(*((one, t) for t in terms)), den
+    rows, den = kernel.zi_common(pool)
+    for a, x in enumerate(rows):
+        for b, y in enumerate(rows):
+            if a != b:
+                yield kernel.zi_combine((one, x), ((0, 1), y)), den
+
+
+def _completions(pool):
+    """Completion vectors from the Z[i] rows ``pool``, in the order they are tried."""
+    mixers = ((0, 1), (0, -1), (0, 2), (1, 1), (1, -1))
+    for a, x in enumerate(pool):
+        for b, y in enumerate(pool):
+            if a != b:
+                for m in mixers:
+                    yield kernel.zi_combine(((1, 0), x), (m, y))
+        yield x
 
 
 def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
@@ -1289,128 +1420,83 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
     vector of minimal-polynomial degree h yields U directly; when the cyclic
     depth falls one short, the last generator is completed from the exact
     commutant intersected with the eigenvector seeds.
+
+    W is cleared to integers once and the seeds are encoded once; the
+    search runs on Z[i] rows, and only the U returned is decoded.
     """
     v = frame.v
-    std = frame.std_basis()
-    iu = Gaussian(0, 1)
-    candidates: list[Vector] = []
+    flat, d = kernel.q_ints([x for row in w_matrix.entries for x in row])
+    w_ints = [flat[r * v : (r + 1) * v] for r in range(v)]
+    w_rows = [kernel.zi_int_row(row) for row in w_ints]
+
+    def decoded(rows, den):
+        return [kernel.zi_decode(row, den * d**k, v) for k, row in enumerate(rows)]
+
+    seeds = []
+    for grp in groups:
+        encoded = []
+        for vec in grp:
+            (row,), den = kernel.zi_rows([vec])
+            encoded.append((row, den))
+        seeds.append(encoded)
     # One transverse component per root of the pencil, drawn from the full
     # generalized eigenspace: the Krylov span of such a sum reaches every
     # Jordan chain, and kernel vectors alone would miss nilpotent parts.
     gen_groups = []
-    for grp in groups:
-        k_vec = grp[0]
-        img = w_matrix.matvec(k_vec)
-        lead = next((j for j, x in enumerate(k_vec) if x), None)
-        t = img[lead] / k_vec[lead] if lead is not None else Q0
-        shifted = ExactMatrix(
-            [
-                [
-                    w_matrix.entries[r][s] - (t if r == s else Q0)
-                    for s in range(v)
-                ]
-                for r in range(v)
-            ],
-            cols=v,
-        )
+    for grp in seeds:
+        k_row = grp[0][0]
+        lead = min(k_row)
+        # W - t*I times d*k0, for the eigenvalue t = wk / (d*k0) of W on k
+        wk, k0 = kernel.zi_matvec(w_rows, k_row).get(lead, (0, 0))[0], k_row[lead][0]
+        shifted = [
+            [k0 * x - (wk if r == s else 0) for s, x in enumerate(row)]
+            for r, row in enumerate(w_ints)
+        ]
         power = shifted
         for _ in range(v // 2 - 1):
-            power = power.matmul(shifted)
-        gen = kernel_basis(power)
-        gen_groups.append(list(gen.vectors()) if gen.dim >= len(grp) else list(grp))
-    if len(gen_groups) >= 2 and all(len(g) >= 2 for g in gen_groups):
-        variants = ((0, 1, 1), (1, 0, 1), (0, 1, -1), (1, 0, -1))
-
-        def group_vec(grp, variant):
-            a, b, s = variant
-            a = min(a, len(grp) - 1)
-            b = min(b, len(grp) - 1)
-            return tuple(
-                x + Gaussian(0, s) * y for x, y in zip(grp[a], grp[b])
-            )
-
-        pools = []
-        for grp in gen_groups:
-            per_group = []
-            for variant in variants:
-                per_group.append(group_vec(grp, variant))
-            if len(grp) > 2:
-                # generic vectors reaching the top of each Jordan chain
-                total = grp[0]
-                for extra in grp[1:]:
-                    total = tuple(x + y for x, y in zip(total, extra))
-                per_group.insert(
-                    0, tuple(x + Gaussian(0, 1) * y for x, y in zip(total, grp[1]))
-                )
-                per_group.insert(1, tuple(
-                    x + Gaussian(0, 1) * y for x, y in zip(grp[0], total)
-                ))
-            pools.append(per_group)
-        for combo in list(product(*[range(len(p)) for p in pools]))[:48]:
-            u = None
-            for pool_vecs, vidx in zip(pools, combo):
-                term = pool_vecs[vidx]
-                u = term if u is None else tuple(
-                    x + y for x, y in zip(u, term)
-                )
-            candidates.append(u)
+            power = [
+                [sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)]
+                for row in power
+            ]
+        gen = kernel.zi_null_space([kernel.zi_int_row(row) for row in power], v)
+        gen_groups.append(gen if len(gen) >= len(grp) else grp)
     # Generic vectors next: they are cyclic whenever anything is.
-    pool: list[Vector] = list(std)
-    for grp in groups:
+    pool = [({a: (1, 0)}, 1) for a in range(v)]
+    for grp in seeds:
         for vec in grp:
             if vec not in pool:
                 pool.append(vec)
-    for a in range(len(pool)):
-        for b in range(len(pool)):
-            if a != b:
-                candidates.append(
-                    tuple(x + iu * y for x, y in zip(pool[a], pool[b]))
-                )
     partials = []
-    for u in candidates[:200]:
-        vecs = _krylov_span(w_matrix, u, h)
-        if len(vecs) == h:
-            if _transversal(vecs, v) and _bi_isotropic(frame, vecs):
-                return vecs
-        elif len(vecs) == h - 1 and len(partials) < 16:
-            if _bi_isotropic(frame, vecs):
-                partials.append(vecs)
-    null_w = kernel_basis(w_matrix)
-    for vecs in partials:
+    for u, den in islice(_pencil_candidates(gen_groups, pool), 200):
+        rows = _krylov_span(w_rows, u, h)
+        if len(rows) == h:
+            if _transversal(rows) and _bi_isotropic(frame, rows):
+                return decoded(rows, den)
+        elif len(rows) == h - 1 and len(partials) < 16:
+            if _bi_isotropic(frame, rows):
+                partials.append((rows, den))
+    # span(grp) is the null space of its annihilator's rows.
+    constraints = [
+        [row for row, _ in kernel.zi_null_space([row for row, _ in grp], v)]
+        for grp in seeds
+    ]
+    constraints.append(w_rows)
+    for rows, den in partials:
         # Complete with an eigenvector from the exact commutant of the
-        # cyclic part (W fixes its line, so invariance is preserved).
-        commutant = frame.commutant(vecs)
-        eigen_pool: list[Vector] = []
-        for grp in groups:
-            meet = Subspace.from_spanning(grp, ambient_dim=v).intersect(commutant)
-            for vec in meet.vectors():
+        # cyclic part (W fixes its line, so invariance is preserved): the
+        # commutant met with each seed group's span, then with ker W.
+        commutant = frame.commutant_rows(rows)
+        eigen_pool: list[tuple[kernel.ZiRow, int]] = []
+        for extra in constraints:
+            for vec in kernel.zi_null_space(commutant + extra, v):
                 if vec not in eigen_pool:
                     eigen_pool.append(vec)
-        for vec in null_w.intersect(commutant).vectors():
-            if vec not in eigen_pool:
-                eigen_pool.append(vec)
-        mixers = [iu, -iu, Gaussian(0, 2), Gaussian(1, 1), Gaussian(1, -1)]
-        finals: list[Vector] = []
-        for a in range(len(eigen_pool)):
-            for b in range(len(eigen_pool)):
-                if a != b:
-                    for m in mixers:
-                        finals.append(
-                            tuple(
-                                x + m * y
-                                for x, y in zip(eigen_pool[a], eigen_pool[b])
-                            )
-                        )
-            finals.append(eigen_pool[a])
-        for w in finals[:200]:
-            if not any(w):
-                continue
-            full = vecs + [w]
-            red = RowReducer(v)
-            if not all(red.add(x) for x in full):
-                continue
-            if _transversal(full, v) and _bi_isotropic(frame, full):
-                return full
+        pool_rows, pool_den = kernel.zi_common(eigen_pool)
+        for w in islice(_completions(pool_rows), 200):
+            if w:
+                full = rows + [w]
+                if _transversal(full) and _bi_isotropic(frame, full):
+                    return decoded(rows, den) + [kernel.zi_decode(w, pool_den, v)]
     return None
 
 
@@ -1603,7 +1689,9 @@ def search_bigrading(
             status="not_found_within_bounds", witness=necessary, bounds=bounds
         )
     t_back = t_real.transpose()
-    z_c = center(Lc)
+    # Over Q, R has the constants of L, and Z(L_c) has the canonical basis
+    # of the frame's Z(R).
+    z_c = frame.z if L.field == "Q" else center(Lc)
     u_orig = [t_back.matvec(frame.lift(u)) for u in u_gens]
     ubar_orig = [Lc.conj_vector(u) for u in u_orig]
     comps = []

@@ -22,8 +22,12 @@ holds zero entries, so the zero row is the empty, false dict.
   11-19).  Rank and reduced form run on one loop, `_echelon`; the reduced
   form back-substitutes with the same step and returns primitive rows,
   which the caller divides by their pivot entries to read off the unique
-  reduced row echelon form.  `zi_conj` and `zi_combine` form conjugates
-  and Z[i]-combinations.
+  reduced row echelon form.
+* On Z[i] rows, `zi_conj`, `zi_combine` and `zi_matvec` form conjugates,
+  Z[i]-combinations and matrix-vector products, and `zi_null_space` solves
+  a homogeneous system by one reduction.  It returns exact vectors
+  ``(row, den)`` in lowest terms (`zi_exact`), so that equal vectors are
+  equal pairs; `zi_common` puts them over one denominator again.
 """
 
 from __future__ import annotations
@@ -302,6 +306,76 @@ def zi_combine(*terms) -> ZiRow:
             a, b = out.get(j, (0, 0))
             out[j] = (a + cr * x - ci * y, b + cr * y + ci * x)
     return {j: e for j, e in out.items() if e[0] or e[1]}
+
+
+def zi_int_row(ints) -> ZiRow:
+    """Dense integers as a Z[i] row with zero imaginary parts."""
+    return {j: (x, 0) for j, x in enumerate(ints) if x}
+
+
+def zi_matvec(rows, x: ZiRow) -> ZiRow:
+    """The matrix with the Z[i] rows ``rows`` times the Z[i] row ``x``."""
+    out = {}
+    for i, row in enumerate(rows):
+        re = im = 0
+        for j, (a, b) in row.items():
+            e = x.get(j)
+            if e is not None:
+                c, d = e
+                re += a * c - b * d
+                im += a * d + b * c
+        if re or im:
+            out[i] = (re, im)
+    return out
+
+
+# An exact vector is a pair ``(row, den)``, the Z[i] row divided by the
+# integer den.  Spans and zero tests do not depend on scale, so a bare row
+# may carry any nonzero factor; where a vector's value matters it travels as
+# such a pair.
+
+
+def zi_exact(row: ZiRow, lead: int) -> tuple[ZiRow, int]:
+    """``row`` divided by its entry at ``lead``, as ``(row, den)`` in lowest terms.
+
+    In lowest terms (den > 0 and no common factor of den and every part)
+    equal vectors are equal pairs.
+    """
+    pr, pi = row[lead]
+    if pi:
+        row, den = zi_combine(((pr, -pi), row)), pr * pr + pi * pi
+    else:
+        den = pr
+    g = gcd(den, *chain.from_iterable(row.values()))
+    if den < 0:
+        g = -g
+    return {j: (x // g, y // g) for j, (x, y) in row.items()}, den // g
+
+
+def zi_common(vectors) -> tuple[list[ZiRow], int]:
+    """Exact vectors ``(row, den)`` as Z[i] rows over their least common denominator."""
+    den = lcm(*(d for _, d in vectors))
+    return [zi_combine(((den // d, 0), row)) for row, d in vectors], den
+
+
+def zi_null_space(rows: list[ZiRow], ncols: int) -> list[tuple[ZiRow, int]]:
+    """The reduced basis of {x : row . x = 0 for each Z[i] row}, as exact vectors.
+
+    Row j of the reduced matrix is column j of ``rows`` followed by the
+    j-th unit vector.  Its rows that vanish on the first part are the null
+    space's reduced row echelon basis, each times a scale.
+    """
+    m = len(rows)
+    cols = [{m + j: (1, 0)} for j in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            cols[j][i] = e
+    red, pivots = rref_qi(cols, m + ncols)
+    return [
+        zi_exact({j - m: e for j, e in row.items()}, p - m)
+        for row, p in zip(red, pivots)
+        if p >= m
+    ]
 
 
 def _zi_eliminate(row: ZiRow, pivot: ZiRow, col: int) -> ZiRow:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,16 +18,27 @@ from nilqp import (
     search_bigrading,
     verify_bigrading,
 )
-from nilqp.bigrading import FiltrationPair
+from nilqp import kernel
+from nilqp.bigrading import (
+    FiltrationPair,
+    _bi_isotropic,
+    _pencil_structure,
+    _regular_pencil_u,
+    _transversal,
+    _TwoStepFrame,
+)
 from nilqp.catalog import catalog_keys, get
 from nilqp.errors import (
+    AmbientMismatch,
     GradingNotCompatible,
     MissingRealStructure,
     NotAFiltration,
 )
+from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
 from nilqp.scalars import Gaussian, format_scalar
 
 from conftest import random_invertible_t
+from oracles import frac_rref_qi
 
 I = Gaussian(0, 1)
 
@@ -103,6 +115,9 @@ def test_verify_spans_failure_reported():
     g = Bigrading.build([(-1, -1, [(1, 0, 0), (0, 1, 0)])])
     report = verify_bigrading(complexify(get("n3").algebra), g)
     assert not report.valid and not report.spans
+    short = Bigrading.build([(-1, -1, [(1, 0, 0), (0, 1), (0, 0, 1)])])
+    with pytest.raises(AmbientMismatch):
+        verify_bigrading(complexify(get("n3").algebra), short)
 
 
 def test_strict_vs_lax_conjugation():
@@ -162,6 +177,51 @@ def test_restricted_shape_implies_two_step():
             if g.is_restricted_shape():
                 cls = lower_central_series(entry.algebra).nilpotency_class
                 assert cls <= 2, key
+
+
+def _report_variants(g):
+    """The grading, then broken copies whose reports carry failure strings.
+
+    Its first two components with their generators swapped (a bracket or
+    conjugation failure), the first generator moved from the first
+    component to the second (a conjugate image inside a larger mirror), one
+    generator dropped (too few to span) and one generator replaced by a
+    copy of another (too small a rank).
+    """
+    comps = [(c.p, c.q, c.generators) for c in g.components]
+    yield comps
+    if len(comps) >= 2:
+        (p0, q0, g0), (p1, q1, g1) = comps[:2]
+        yield [(p0, q0, g1), (p1, q1, g0)] + comps[2:]
+        yield [(p0, q0, g0[1:]), (p1, q1, g1 + g0[:1])] + comps[2:]
+    p, q, gens = comps[0]
+    yield [(p, q, gens[1:])] + comps[1:]
+    if g.total_generators >= 2:
+        copied = [(pp, qq, list(gg)) for pp, qq, gg in comps]
+        copied[-1][2][-1] = gens[0]
+        yield copied
+
+
+# Reports of `verify_bigrading` on every stored grading and on broken copies
+# of it (`_report_variants`), in both modes, as JSON.  It pins every failure
+# string, also the rank in the "spans" detail and the order of failures.
+GOLDEN_VERIFY_SHA256 = (
+    "1c2f279b97cc6a90cc52227eb4c7dd352e9b15aecb688ee2af2d31d111dc9e7a"
+)
+
+
+def test_verify_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    for key in catalog_keys():
+        entry = get(key)
+        for g in entry.known_bigradings:
+            for comps in _report_variants(g):
+                broken = Bigrading.build(comps)
+                for mode in ("strict", "lax"):
+                    report = verify_bigrading(entry.algebra, broken, mode=mode)
+                    text = dumps_json(grading_report_to_json(report))
+                    digest.update(f"{key} {mode} {text}\n".encode())
+    assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 
 
 # -- filtrations --------------------------------------------------------------
@@ -282,6 +342,33 @@ def test_search_finds_gradings_across_catalog(key):
     assert out.bigrading.is_restricted_shape()
 
 
+def _with_constants(alg, scalar):
+    """``alg`` with each structure constant c replaced by ``scalar(c)``."""
+    brackets = {ij: {k: scalar(c) for k, c in coeffs} for ij, coeffs in alg.brackets}
+    return LieAlgebra.from_brackets(
+        name=alg.name, dim=alg.dim, brackets=brackets, field=alg.field,
+        basis_names=alg.basis_names, check=False,
+    )
+
+
+@pytest.mark.parametrize("key", ["n3", "N3_82", "N5_82"])
+def test_search_reads_real_gaussian_constants_over_q_as_rationals(key):
+    # Constants written as c + 0*i: the same search as with rationals, on
+    # the Darboux (n3) and regular-pencil (N3_82, N5_82) constructions.
+    alg = get(key).algebra
+    gaussian = _with_constants(alg, lambda c: Gaussian(c, 0))
+    assert any(type(c) is Gaussian for _, coeffs in gaussian.brackets for _, c in coeffs)
+    want = search_outcome_to_json(search_bigrading(alg))
+    assert want["status"] == "found"
+    assert search_outcome_to_json(search_bigrading(gaussian)) == want
+
+
+def test_search_refuses_non_real_constants_over_q():
+    alg = _with_constants(get("n3").algebra, lambda c: Gaussian(0, c))
+    with pytest.raises(MissingRealStructure, match="non-real constants"):
+        search_bigrading(alg)
+
+
 def test_search_deterministic():
     a = search_bigrading(get("N5_82").algebra)
     b = search_bigrading(get("N5_82").algebra)
@@ -316,6 +403,62 @@ def test_search_found_gradings_reverify_strict():
         report = verify_bigrading(get(key).algebra, out.bigrading, mode="strict")
         assert report.valid
 
+
+def _random_zi_row(rng, v):
+    return {
+        j: e
+        for j in range(v)
+        if (e := (rng.randint(-2, 2), rng.randint(-2, 2))) != (0, 0)
+    }
+
+
+def test_bi_isotropic_agrees_with_brackets_of_lifts():
+    # A moved two-step algebra with a regular pencil; its U commutes, and so
+    # does every two combinations of U's rows.
+    rng = random.Random(3)
+    alg = get("N3_82").algebra
+    moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+    frame = _TwoStepFrame(moved)
+    v = frame.v
+    groups, w_matrix = _pencil_structure(frame)
+    u = _regular_pencil_u(frame, groups, w_matrix, v // 2)
+    u_rows = [kernel.zi_row(x) for x in u]
+
+    def combination():
+        terms = [((rng.randint(-2, 2), rng.randint(-2, 2)), row) for row in u_rows]
+        return kernel.zi_combine(*terms)
+
+    cases = [u_rows]
+    for _ in range(20):
+        cases.append([combination() for _ in range(rng.randint(2, 3))])
+        cases.append([_random_zi_row(rng, v) for _ in range(rng.randint(2, 3))])
+        cases.append(u_rows[:2] + [_random_zi_row(rng, v)])
+    seen = set()
+    for rows in cases:
+        vecs = [frame.lift(kernel.zi_decode(row, 1, v)) for row in rows]
+        want = not any(any(moved.bracket(x, y)) for x, y in combinations(vecs, 2))
+        assert _bi_isotropic(frame, rows) == want
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_transversal_agrees_with_fraction_rank():
+    rng = random.Random(5)
+    v = 6
+    seen = set()
+    for trial in range(60):
+        rows = [_random_zi_row(rng, v) for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 1:
+            rows.append(kernel.zi_conj(rows[0]))
+        elif trial % 3 == 2:
+            rows[-1] = {j: (x, 0) for j, (x, _) in rows[-1].items() if x}
+        both = rows + [kernel.zi_conj(row) for row in rows]
+        dense = [[row.get(j, (0, 0)) for j in range(v)] for row in both]
+        _, pivots = frac_rref_qi(dense, v)
+        want = len(pivots) == 2 * len(rows)
+        assert _transversal(rows) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 # Two-step sums whose search at max_nodes=2000 reaches the depth-first search
 # (L5_parity+L5_parity exhausts it, n3+n3+n3 and n3+n3+n3+C1 are settled by
@@ -380,3 +523,27 @@ def test_jspace_outputs_match_golden_digest():
             out = search_bigrading(moved, SearchBounds(max_nodes=2000))
             digest.update(_outcome_text(out).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_JSPACE_SHA256
+
+
+# Algebras whose search is settled by the regular-pencil construction: a
+# full Krylov span of the pencil operator wins for N1_82, N3_82, N5_82, n3+n3
+# and n3+n3+C1; for N4_82, with these basis changes, every search is won by
+# completing a span one vector short from the commutant.  Any change of
+# candidate order, of the completion vectors or of the returned U changes
+# the digest.
+GOLDEN_PENCIL_KEYS = ("N1_82", "N3_82", "N5_82", "n3+n3", "n3+n3+C1", "N4_82")
+GOLDEN_PENCIL_SHA256 = (
+    "ebb7756f63dd04147b6e02fb870c6bc00da77b0ea4cccb0e9115d129c6e4d4de"
+)
+
+
+def test_regular_pencil_outputs_match_golden_digest():
+    rng = random.Random(9)
+    digest = hashlib.sha256()
+    for key in GOLDEN_PENCIL_KEYS:
+        alg = get(key).algebra
+        for _ in range(3):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+            digest.update(_outcome_text(out).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_PENCIL_SHA256

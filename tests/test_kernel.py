@@ -239,3 +239,55 @@ def test_zi_rows_combine_and_decode_match_fractions(data):
         (a - d - 2 * a, b + c + 2 * b) for (a, b), (c, d) in zip(x, y)
     ]
     assert kernel.zi_decode(got, den, ncols) == _gaussians(want)
+
+
+def test_zi_exact_vectors_are_in_lowest_terms():
+    # -2 X1 + 4 X2 over its lead, and (1 + i) X1 + 2 X2 over its lead (1 + i):
+    # equal vectors give equal pairs, whatever scale the row carried.
+    assert kernel.zi_exact({0: (-2, 0), 1: (4, 0)}, 0) == ({0: (1, 0), 1: (-2, 0)}, 1)
+    assert kernel.zi_exact({0: (6, 0), 1: (-12, 0)}, 0) == ({0: (1, 0), 1: (-2, 0)}, 1)
+    assert kernel.zi_exact({0: (1, 1), 1: (2, 0)}, 0) == ({0: (1, 0), 1: (1, -1)}, 1)
+    assert kernel.zi_exact({0: (0, 3), 1: (1, 0)}, 0) == ({0: (3, 0), 1: (0, -1)}, 3)
+
+
+def _zi_ints(rows):
+    """Rows of (re, im) Fractions times one common denominator, as Z[i] rows."""
+    den = lcm(*(x.denominator for row in rows for e in row for x in e))
+    return [
+        {j: (int(x * den), int(y * den)) for j, (x, y) in enumerate(row) if x or y}
+        for row in rows
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4))
+def test_zi_null_space_matches_fraction_oracle(data):
+    rows, ncols = data
+    basis = kernel.zi_null_space(_zi_ints(rows), ncols)
+    pairs = [(0, 0)] * ncols
+    assert len(basis) == ncols - _realified_rank(rows)
+    vecs = [
+        [(Fraction(x, den), Fraction(y, den)) for x, y in map(r.get, range(ncols), pairs)]
+        for r, den in basis
+    ]
+    for vec in vecs:
+        for row in rows:
+            assert sum(a * x - b * y for (a, b), (x, y) in zip(row, vec)) == 0
+            assert sum(a * y + b * x for (a, b), (x, y) in zip(row, vec)) == 0
+    # The basis is in reduced row echelon form, so it is its own reduction.
+    if vecs:
+        want, _ = frac_rref_qi(vecs, ncols)
+        assert want == vecs
+    # zi_common puts the exact vectors back over one denominator.
+    common, den = kernel.zi_common(basis)
+    assert [kernel.zi_decode(r, den, ncols) for r in common] == [
+        kernel.zi_decode(r, d, ncols) for r, d in basis
+    ]
+
+
+def test_zi_matvec_matches_fractions():
+    rows = [{0: (1, 2), 2: (-3, 0)}, {}, {1: (0, 1)}]
+    x = {0: (2, -1), 1: (1, 1), 2: (0, 4)}
+    # (1 + 2i)(2 - i) - 3 * 4i = 4 + 3i - 12i; i * (1 + i) = -1 + i
+    assert kernel.zi_matvec(rows, x) == {0: (4, -9), 2: (-1, 1)}
+    assert kernel.zi_int_row([0, 3, -1]) == {1: (3, 0), 2: (-1, 0)}
