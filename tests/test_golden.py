@@ -1,0 +1,90 @@
+"""Byte-identity of the command-line output and of moved verdicts.
+
+Every digest below was recorded before the engine's null spaces moved onto
+one kernel routine; a change that alters any output byte, on any exported
+catalog entry or any seeded change of basis, changes a digest.  Record a
+digest again only when an output is meant to change.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+
+import pytest
+
+from nilqp.catalog import catalog_keys, export_entry, get
+from nilqp.checker import check
+from nilqp.cli import run
+from nilqp.jsonio import dumps_json, verdict_to_json
+from nilqp.liealg import apply_basis_change
+
+from conftest import random_invertible_t
+
+GOLDEN_CLI_SHA256 = {
+    "validate": (
+        "ae6d14b3fc4841f75ce2d6d06e3a4241dc0bf68ec2c5a4c83ea483c0465e2127"
+    ),
+    "check": (
+        "fbcc7f50cabcdc5d771c8124268112e3a4a3e1e7ea9e352a827ad5f25841befc"
+    ),
+    "bigrading-search": (
+        "4d01dc2e3e1a808b602ae15569a61b4fb72169d2127124e6487b865ea1208d01"
+    ),
+    "cohomology": (
+        "ae7689c2528e42ba057a8fb46d1a626ab9e0e87458e04e1c06862017bcfc7607"
+    ),
+    "cohomology --representatives": (
+        "3ab332ddcdc6c8c8647ee3cdbd7b4dbf73da6d96f189650f9ce0c77d360d06a3"
+    ),
+    "cohomology --bigrading": (
+        "4a54fea262f5a73442b4745beb05550b59e64109ec4d2bc40f6f596aec44fd4b"
+    ),
+}
+GOLDEN_MOVED_CHECK_SHA256 = (
+    "ba69297f6c8af79699697f67613f64cf86b83f56ff08afe9d78e101774f5f8b1"
+)
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """Every catalog entry exported with its sidecars: key -> written paths."""
+    directory = tmp_path_factory.mktemp("catalog")
+    return {key: export_entry(key, str(directory)) for key in catalog_keys()}
+
+
+def _json_run(*argv) -> str:
+    """Exit code and stdout of one in-process ``nilqp --format json`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["--format", "json", *argv])
+    return f"{code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI_SHA256))
+def test_cli_json_output_matches_golden_digest(exported, command):
+    digest = hashlib.sha256()
+    name, *flags = command.split()
+    for key, paths in exported.items():
+        algebra = paths[0]
+        if flags == ["--bigrading"]:
+            runs = [(*flags, p) for p in paths if ".bigrading." in p]
+        else:
+            runs = [tuple(flags)]
+        for extra in runs:
+            digest.update(f"{key} {command}\n".encode())
+            digest.update(_json_run(name, algebra, *extra).encode())
+    assert digest.hexdigest() == GOLDEN_CLI_SHA256[command]
+
+
+def test_moved_check_verdicts_match_golden_digest():
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.field != "Q":
+            continue
+        for _ in range(3):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            digest.update(f"{key}\n{dumps_json(verdict_to_json(check(moved)))}".encode())
+    assert digest.hexdigest() == GOLDEN_MOVED_CHECK_SHA256
