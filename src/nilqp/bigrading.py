@@ -692,21 +692,6 @@ class _TwoStepFrame:
                         total = total + x * f * y
         return total
 
-    def commutant(self, chosen) -> Subspace:
-        """The x in V whose bracket with every vector of ``chosen`` is zero."""
-        rows = []
-        for u in chosen:
-            for form in self.forms:
-                row = [
-                    sum((f * y for f, y in zip(frow, u) if f and y), Q0)
-                    for frow in form
-                ]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            return Subspace.full(self.v)
-        return kernel_basis(ExactMatrix(rows, cols=self.v))
-
     def std_basis(self):
         out = []
         for a in range(self.v):
@@ -1458,7 +1443,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
                 [sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)]
                 for row in power
             ]
-        gen = kernel.zi_null_space([kernel.zi_int_row(row) for row in power], v)
+        gen = kernel.null_space([kernel.zi_int_row(row) for row in power], v, "Qi")
         gen_groups.append(gen if len(gen) >= len(grp) else grp)
     # Generic vectors next: they are cyclic whenever anything is.
     pool = [({a: (1, 0)}, 1) for a in range(v)]
@@ -1477,7 +1462,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
                 partials.append((rows, den))
     # span(grp) is the null space of its annihilator's rows.
     constraints = [
-        [row for row, _ in kernel.zi_null_space([row for row, _ in grp], v)]
+        [row for row, _ in kernel.null_space([row for row, _ in grp], v, "Qi")]
         for grp in seeds
     ]
     constraints.append(w_rows)
@@ -1488,7 +1473,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
         commutant = frame.commutant_rows(rows)
         eigen_pool: list[tuple[kernel.ZiRow, int]] = []
         for extra in constraints:
-            for vec in kernel.zi_null_space(commutant + extra, v):
+            for vec in kernel.null_space(commutant + extra, v, "Qi"):
                 if vec not in eigen_pool:
                     eigen_pool.append(vec)
         pool_rows, pool_den = kernel.zi_common(eigen_pool)
@@ -1607,12 +1592,14 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
                                 yield kernel.zi_combine((one, x), iy, rw), den
                                 yield kernel.zi_combine((one, x), iy, iw), den
 
-    def rec(chosen, red: RowReducer):
-        # ``red`` holds the chosen generators and their conjugates; a
-        # candidate u is independent of them when a copy takes u and conj(u).
+    def rec(chosen, rows, red: RowReducer):
+        # ``rows`` are the chosen generators as Z[i] rows, and ``red`` holds
+        # them and their conjugates; a candidate u is independent of them
+        # when a copy takes u and conj(u).
         if len(chosen) == h:
             return list(chosen)
-        space = frame.commutant(chosen)
+        constraints = frame.commutant_rows(rows)
+        space = Subspace.null_space(constraints, v, "Qi") if constraints else Subspace.full(v)
         if space.dim < h:
             return None
         for cand, den in complex_candidates(space, chosen):
@@ -1624,12 +1611,12 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
             grown = red.copy()
             if not (grown.add(cand) and grown.add(kernel.zi_conj(cand))):
                 continue
-            result = rec(chosen + [kernel.zi_decode(cand, den, v)], grown)
+            result = rec(chosen + [kernel.zi_decode(cand, den, v)], rows + [cand], grown)
             if result is not None:
                 return result
         return None
 
-    return rec([], RowReducer(v))
+    return rec([], [], RowReducer(v))
 
 
 def search_bigrading(

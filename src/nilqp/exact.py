@@ -250,22 +250,7 @@ def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:
 
 def kernel_basis(m: ExactMatrix) -> "Subspace":
     """Null space of ``m`` acting on column vectors, as a canonical subspace."""
-    n = m.cols
-    red, pivots = m.rref()
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    zero = Q0 if m.field == "Q" else Gaussian(0)
-    one = Q1 if m.field == "Q" else Gaussian(1)
-    vecs = []
-    for f in free:
-        v = [zero] * n
-        v[f] = one
-        for r, p in enumerate(pivots):
-            coeff = red.entries[r][f]
-            if coeff:
-                v[p] = -coeff
-        vecs.append(v)
-    return Subspace.from_spanning(vecs, ambient_dim=n)
+    return Subspace.null_space(kernel.int_rows(m.entries, m.field), m.cols, m.field)
 
 
 class Subspace:
@@ -294,6 +279,19 @@ class Subspace:
         red, pivots = m.rref()
         basis = ExactMatrix(red.entries[: len(pivots)], cols=ambient_dim)
         return cls(ambient_dim, basis)
+
+    @classmethod
+    def null_space(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
+        """{x : row . x = 0 for each row}, the kernel's integer rows over ``field``.
+
+        `kernel.null_space` gives the reduced basis, decoded as it is: over
+        Q(i) as `Gaussian` rows, and the zero space over Q, as from
+        `from_spanning`.
+        """
+        null = kernel.null_space(rows, ambient_dim, field)
+        decode = kernel.q_decode if field == "Q" else kernel.zi_decode
+        vecs = [decode(row, den, ambient_dim) for row, den in null]
+        return cls(ambient_dim, ExactMatrix(vecs, cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -344,10 +342,26 @@ class Subspace:
         return tuple(vec)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return subspace_sum_intersect(self, other)[0]
+        _same_ambient(self, other)
+        return Subspace.from_spanning(self.vectors() + other.vectors(), self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        return subspace_sum_intersect(self, other)[1]
+        """The meet, as the null space of both annihilators stacked.
+
+        It is over Q(i) when either space is and the meet is not zero.
+        """
+        _same_ambient(self, other)
+        if not (self.dim and other.dim):
+            return Subspace.zero(self.ambient_dim)
+        field = "Qi" if "Qi" in (self.basis.field, other.basis.field) else "Q"
+        rows = self._annihilator(field) + other._annihilator(field)
+        return Subspace.null_space(rows, self.ambient_dim, field)
+
+    def _annihilator(self, field: str) -> list[dict]:
+        """Kernel rows over ``field`` spanning {y : y . x = 0 for each x in self}."""
+        vecs = self.vectors()
+        rows = kernel.int_rows(vecs, "Q") if field == "Q" else kernel.zi_rows(vecs)[0]
+        return [row for row, _ in kernel.null_space(rows, self.ambient_dim, field)]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(v) for v in self.vectors())
@@ -397,29 +411,16 @@ def _zi(vec):
     return vec if isinstance(vec, dict) else kernel.zi_row(vec)
 
 
-def subspace_sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
-    """Sum and intersection; dim(sum) + dim(intersection) = dim a + dim b."""
+def _same_ambient(a: Subspace, b: Subspace) -> None:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
         )
-    n = a.ambient_dim
-    total = Subspace.from_spanning(a.vectors() + b.vectors(), ambient_dim=n)
-    if a.dim == 0 or b.dim == 0:
-        return total, Subspace.zero(n)
-    # Null space of [A^T | B^T]: alpha*A = -beta*B gives the intersection.
-    stacked = a.basis.stack(b.basis).transpose()
-    null = kernel_basis(stacked)
-    vecs = []
-    for w in null.vectors():
-        alpha = w[: a.dim]
-        vec = [Q0] * n
-        for c, row in zip(alpha, a.basis.entries):
-            if c:
-                vec = [acc + c * x for acc, x in zip(vec, row)]
-        vecs.append(vec)
-    inter = Subspace.from_spanning(vecs, ambient_dim=n)
-    return total, inter
+
+
+def subspace_sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
+    """Sum and intersection; dim(sum) + dim(intersection) = dim a + dim b."""
+    return a.sum(b), a.intersect(b)
 
 
 def check_real_structure(s: ExactMatrix) -> None:

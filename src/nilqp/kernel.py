@@ -23,11 +23,12 @@ holds zero entries, so the zero row is the empty, false dict.
   form back-substitutes with the same step and returns primitive rows,
   which the caller divides by their pivot entries to read off the unique
   reduced row echelon form.
+* `null_space` is the one null-space routine, over either field: one
+  `rref_q`/`rref_qi` of [M^T | I].  It returns exact vectors ``(row, den)``
+  in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are equal
+  pairs; `zi_common` puts Z[i] ones over one denominator again.
 * On Z[i] rows, `zi_conj`, `zi_combine` and `zi_matvec` form conjugates,
-  Z[i]-combinations and matrix-vector products, and `zi_null_space` solves
-  a homogeneous system by one reduction.  It returns exact vectors
-  ``(row, den)`` in lowest terms (`zi_exact`), so that equal vectors are
-  equal pairs; `zi_common` puts them over one denominator again.
+  Z[i]-combinations and matrix-vector products.
 """
 
 from __future__ import annotations
@@ -137,6 +138,37 @@ def rref_q(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
 def rref_qi(rows: list[ZiRow], ncols: int) -> tuple[list[ZiRow], list[int]]:
     """Reduced row echelon form over Q(i) of sparse Z[i] rows; as `rref_q`."""
     return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate)
+
+
+def null_space(rows: list[dict], ncols: int, field: str) -> list[tuple[dict, int]]:
+    """The reduced basis of {x : row . x = 0 for each row}, as exact vectors.
+
+    ``rows`` are sparse integer rows ``{column: int}`` over "Q" or Z[i] rows
+    over "Qi", columns below ``ncols``.  Row j of the matrix reduced,
+    [M^T | I], is column j of ``rows`` followed by the j-th unit vector; its
+    reduced rows that vanish on the first part are the null space's reduced
+    row echelon basis, each times a scale.  Each comes back divided by its
+    pivot entry, as an exact vector ``(row, den)`` in lowest terms
+    (`q_exact`, `zi_exact`), in pivot order.
+    """
+    m = len(rows)
+    one, rref, exact = (1, rref_q, q_exact) if field == "Q" else ((1, 0), rref_qi, zi_exact)
+    aug = [{m + j: one} for j in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            aug[j][i] = e
+    red, pivots = rref(aug, m + ncols)
+    return [
+        exact({j - m: e for j, e in row.items()}, p - m)
+        for row, p in zip(red, pivots)
+        if p >= m
+    ]
+
+
+def q_exact(row: dict, lead: int) -> tuple[dict, int]:
+    """``row`` divided by its entry at ``lead``, as ``(row, den)`` in lowest terms."""
+    g = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+    return {j: x // g for j, x in row.items()}, row[lead] // g
 
 
 def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
@@ -356,26 +388,6 @@ def zi_common(vectors) -> tuple[list[ZiRow], int]:
     """Exact vectors ``(row, den)`` as Z[i] rows over their least common denominator."""
     den = lcm(*(d for _, d in vectors))
     return [zi_combine(((den // d, 0), row)) for row, d in vectors], den
-
-
-def zi_null_space(rows: list[ZiRow], ncols: int) -> list[tuple[ZiRow, int]]:
-    """The reduced basis of {x : row . x = 0 for each Z[i] row}, as exact vectors.
-
-    Row j of the reduced matrix is column j of ``rows`` followed by the
-    j-th unit vector.  Its rows that vanish on the first part are the null
-    space's reduced row echelon basis, each times a scale.
-    """
-    m = len(rows)
-    cols = [{m + j: (1, 0)} for j in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, e in row.items():
-            cols[j][i] = e
-    red, pivots = rref_qi(cols, m + ncols)
-    return [
-        zi_exact({j - m: e for j, e in row.items()}, p - m)
-        for row, p in zip(red, pivots)
-        if p >= m
-    ]
 
 
 def _zi_eliminate(row: ZiRow, pivot: ZiRow, col: int) -> ZiRow:

@@ -34,7 +34,7 @@ from .errors import (
     NotNilpotent,
     SingularTransformation,
 )
-from .exact import ExactMatrix, Subspace, Vector, _scalar_row, kernel_basis
+from .exact import ExactMatrix, Subspace, Vector, _scalar_row
 from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj
 
 __all__ = [
@@ -442,28 +442,26 @@ def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """{v : [v, X_i] = 0 for all i} via one exact kernel computation."""
+    """{v : [X_i, v] = 0 for all i}: one null space of the stacked ad matrices.
+
+    Row (i, k) of the stack M holds, at column j, the X_k-coefficient of
+    [X_j, X_i], read off `structure_table`; `kernel.null_space` reduces
+    [M^T | I], whose row j is ad(X_j) flattened, then e_j.
+    """
     z = L._facts.get("center")
     if z is not None:
         return z
     n = L.dim
     if n == 0:
         return Subspace.zero(0)
-    # Rational constants (also those of a complexification) have a rational
-    # kernel, whose canonical basis is the same over Q(i).
-    rational = all(
-        isinstance(c, Rational) for _, coeffs in L.brackets for _, c in coeffs
-    )
-    # Stacked matrices of ad(.)X_i acting on v-coordinates: row i*n + k,
-    # column j holds the X_k-coefficient of [X_j, X_i].
-    rows = [[Q0 if rational else L._zero()] * n for _ in range(n * n)]
-    for (i, j), coeffs in L.brackets:
-        for k, c in coeffs:
-            rows[j * n + k][i] = c  # [X_i, X_j]
-            rows[i * n + k][j] = -c  # [X_j, X_i]
-    z = kernel_basis(ExactMatrix(rows, cols=n))
-    if rational and L.field == "Qi" and z.dim:
-        z = Subspace(n, ExactMatrix([[Gaussian(x) for x in v] for v in z.vectors()]))
+    field, _, columns = structure_table(L)
+    stacked: dict[tuple[int, int], dict] = {}
+    for i, j, ks, *parts in zip(*columns):
+        for k, *c in zip(ks, *parts):
+            # [X_i, X_j] = -[X_j, X_i]: an int over Q, a Z[i] pair over Q(i)
+            stacked.setdefault((j, k), {})[i] = c[0] if field == "Q" else tuple(c)
+            stacked.setdefault((i, k), {})[j] = -c[0] if field == "Q" else (-c[0], -c[1])
+    z = Subspace.null_space(list(stacked.values()), n, field)
     L._facts["center"] = z
     return z
 

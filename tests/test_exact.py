@@ -5,14 +5,19 @@ from hypothesis import strategies as st
 from nilqp import (
     ExactMatrix,
     Subspace,
+    apply_basis_change,
+    center,
+    complexify,
     conjugate_vector,
     kernel_basis,
     rref_rank,
     subspace_sum_intersect,
 )
+from nilqp.catalog import get
 from nilqp.errors import AmbientMismatch, NotInvolution
 from nilqp.scalars import Gaussian, Rational
 
+from conftest import random_invertible_t
 from oracles import frac_rank
 
 
@@ -74,17 +79,32 @@ def test_sum_intersect_skew_lines():
     assert i.dim == 0
 
 
+def _random_vectors(rng, n, gaussian):
+    """Up to n vectors of length n with small integer or Gaussian integer entries."""
+    count = rng.randrange(0, n + 1)
+    if not gaussian:
+        return [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(count)]
+    return [
+        [Gaussian(rng.randrange(-3, 4), rng.randrange(-2, 3)) for _ in range(n)]
+        for _ in range(count)
+    ]
+
+
 def test_sum_intersect_dimension_formula(rng):
-    for _ in range(25):
+    # 25 pairs of spaces over Q, then 27 where one or both are over Q(i).
+    for over_qi in [(False, False)] * 25 + [(True, True), (True, False), (False, True)] * 9:
         n = rng.randrange(1, 6)
-        va = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(0, n + 1))]
-        vb = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(rng.randrange(0, n + 1))]
-        a = Subspace.from_spanning(va, ambient_dim=n)
-        b = Subspace.from_spanning(vb, ambient_dim=n)
+        a = Subspace.from_spanning(_random_vectors(rng, n, over_qi[0]), ambient_dim=n)
+        b = Subspace.from_spanning(_random_vectors(rng, n, over_qi[1]), ambient_dim=n)
         s, i = subspace_sum_intersect(a, b)
         assert s.dim + i.dim == a.dim + b.dim
         assert i.is_subspace_of(a) and i.is_subspace_of(b)
         assert a.is_subspace_of(s) and b.is_subspace_of(s)
+        assert a.intersect(b) == i and a.sum(b) == s
+        # The meet is over Q(i) exactly when an input is and it is not zero.
+        qi = "Qi" in (a.basis.field, b.basis.field)
+        assert i.basis.field == ("Qi" if qi and i.dim else "Q")
+        assert all(type(x) is (Gaussian if qi else Rational) for v in i.vectors() for x in v)
 
 
 def test_sum_intersect_ambient_mismatch():
@@ -172,3 +192,38 @@ def test_mixed_field_promotion():
     m = M([[1, Gaussian(0, 1)]])
     assert m.field == "Qi"
     assert all(isinstance(x, Gaussian) for x in m.entries[0])
+
+
+_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def test_null_spaces_make_no_scalar_arithmetic(rng, monkeypatch):
+    # Null spaces are solved on kernel integer rows: scalars are only read
+    # (numerators, denominators) and built for the result, never combined.
+    moved = apply_basis_change(get("N1_82").algebra, random_invertible_t(8, rng))
+    moved_c = complexify(moved)
+    m = M([[1, 2, 3, 4], [2, 4, 6, 8], [Rational(1, 2), 0, 1, Rational(-1, 3)]])
+    m_qi = M([[1, Gaussian(1, 2), 3, 0], [Gaussian(0, 1), Gaussian(-2, 1), 3, Rational(1, 2)]])
+    a = Subspace.from_spanning([[1, 0, 1, 2], [0, 1, 1, Rational(1, 2)]], ambient_dim=4)
+    shared = [1, 1, 2, Rational(5, 2)]
+    b = Subspace.from_spanning([shared, [0, 0, 1, 1]], ambient_dim=4)
+    b_qi = Subspace.from_spanning([shared, [0, Gaussian(0, 1), 1, 1]], ambient_dim=4)
+    calls = []
+    for cls in (Rational, Gaussian):
+        for name in _ARITHMETIC:
+            method = getattr(cls, name)
+
+            def counted(*args, _method=method, _name=f"{cls.__name__}.{name}"):
+                calls.append(_name)
+                return _method(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+    z, z_c = center(moved), center(moved_c)
+    k, k_qi = kernel_basis(m), kernel_basis(m_qi)
+    meet, meet_qi = a.intersect(b), a.intersect(b_qi)
+    monkeypatch.undo()
+    assert calls == []
+    assert (z.dim, z_c.dim, k.dim, k_qi.dim, meet.dim, meet_qi.dim) == (2, 2, 2, 2, 1, 1)

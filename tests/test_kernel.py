@@ -1,7 +1,7 @@
 """The elimination kernel against the independent Fraction oracles."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +18,6 @@ small_q = st.tuples(
 
 
 def norm_q(t):
-    from math import gcd
-
     n, d = t
     if n == 0:
         return (0, 1)
@@ -259,11 +257,29 @@ def _zi_ints(rows):
     ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(qi_matrices_with_dependent_rows(max_dim=4))
-def test_zi_null_space_matches_fraction_oracle(data):
+@settings(max_examples=80, deadline=None)
+@given(qi_matrices_with_dependent_rows(max_dim=4), st.sampled_from(("Q", "Qi")))
+def test_null_space_matches_fraction_oracle(data, field):
     rows, ncols = data
-    basis = kernel.zi_null_space(_zi_ints(rows), ncols)
+    if field == "Q":
+        # The real parts, and the sum of the first and the last of them, so
+        # that the rank can fall short over Q too.
+        real = [[x for x, _ in row] for row in rows]
+        real.append([x + y for x, y in zip(real[0], real[-1])])
+        basis = kernel.null_space([int_row(row) for row in real], ncols, "Q")
+        assert len(basis) == ncols - frac_rank(real)
+        vecs = [[Fraction(r.get(j, 0), den) for j in range(ncols)] for r, den in basis]
+        for vec in vecs:
+            for row in real:
+                assert sum(a * x for a, x in zip(row, vec)) == 0
+        # The basis is in reduced row echelon form, so it is its own reduction.
+        if vecs:
+            want, _ = frac_rref(vecs, ncols)
+            assert want == vecs
+        # Exact vectors are in lowest terms.
+        assert all(den > 0 and gcd(den, *r.values()) == 1 for r, den in basis)
+        return
+    basis = kernel.null_space(_zi_ints(rows), ncols, "Qi")
     pairs = [(0, 0)] * ncols
     assert len(basis) == ncols - _realified_rank(rows)
     vecs = [
@@ -274,10 +290,12 @@ def test_zi_null_space_matches_fraction_oracle(data):
         for row in rows:
             assert sum(a * x - b * y for (a, b), (x, y) in zip(row, vec)) == 0
             assert sum(a * y + b * x for (a, b), (x, y) in zip(row, vec)) == 0
-    # The basis is in reduced row echelon form, so it is its own reduction.
     if vecs:
         want, _ = frac_rref_qi(vecs, ncols)
         assert want == vecs
+    assert all(
+        den > 0 and gcd(den, *(x for e in r.values() for x in e)) == 1 for r, den in basis
+    )
     # zi_common puts the exact vectors back over one denominator.
     common, den = kernel.zi_common(basis)
     assert [kernel.zi_decode(r, den, ncols) for r in common] == [

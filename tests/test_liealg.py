@@ -20,7 +20,6 @@ from nilqp import (
     verify_isomorphism,
 )
 from nilqp.catalog import catalog_keys, get
-from nilqp.exact import kernel_basis
 from nilqp.errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -34,6 +33,8 @@ from nilqp.scalars import Gaussian, Rational
 
 from conftest import random_gaussian_t, random_invertible_t
 from oracles import (
+    frac_rref,
+    frac_rref_qi,
     oracle_basis_change,
     oracle_bracket,
     oracle_centralizer_dim,
@@ -452,25 +453,62 @@ def test_bracket_over_qi_returns_gaussians_including_zeros(rng):
         assert all(type(x) is Gaussian for x in lc.bracket(u, v)), key
 
 
-def test_center_of_complexification_equals_stacked_ad_kernel():
-    # The kernel of the n^2 x n stack of ad(.)X_i matrices, built from n^2
-    # brackets of basis vectors over Q(i).
+def _fractions(x):
+    """A scalar as a Fraction over Q, or as an (re, im) pair of Fractions."""
+    if type(x) is Gaussian:
+        return (Fraction(x.re.num, x.re.den), Fraction(x.im.num, x.im.den))
+    return Fraction(x.num, x.den)
+
+
+def _oracle_null_space(rows, ncols, over_qi):
+    """The reduced basis of {v : row . v = 0} by the Fraction oracles.
+
+    A free column f of the reduced rows gives the vector with 1 at f and
+    minus the column's entries at the pivots; their reduced form is the
+    canonical basis.  Over Q(i) entries are (re, im) pairs.
+    """
+    rref = frac_rref_qi if over_qi else frac_rref
+    zero, one = Fraction(0), Fraction(1)
+    if over_qi:
+        zero, one = (zero, zero), (one, zero)
+    red, pivots = rref(rows, ncols)
+    vecs = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        vec = [zero] * ncols
+        vec[f] = one
+        for row, p in zip(red, pivots):
+            vec[p] = (-row[f][0], -row[f][1]) if over_qi else -row[f]
+        vecs.append(vec)
+    return rref(vecs, ncols)[0] if vecs else []
+
+
+def test_center_of_complexification_equals_stacked_ad_kernel(rng):
+    # The null space of the n^2 x n stack of ad(.)X_i matrices, built from
+    # n^2 brackets of basis vectors and solved by the Fraction oracles, on
+    # every catalog algebra, two moved copies of each, and over Q(i) on
+    # the complexifications of the rational ones.
     for key in catalog_keys():
         alg = get(key).algebra
-        lc = alg if alg.field == "Qi" else complexify(alg)
-        n = lc.dim
+        n = alg.dim
         if not n:
             continue
+        algebras = [alg] + [
+            apply_basis_change(alg, random_invertible_t(n, rng)) for _ in range(2)
+        ]
+        algebras += [complexify(a) for a in algebras if a.field == "Q"]
         e = ExactMatrix.identity(n).entries
-        rows = []
-        for i in range(n):
-            cols = [lc.bracket(e[j], e[i]) for j in range(n)]
-            rows.extend([cols[j][k] for j in range(n)] for k in range(n))
-        want = kernel_basis(ExactMatrix(rows, cols=n))
-        got = center(lc)
-        assert got == want, key
-        assert got.basis.field == want.basis.field, key
-        assert all(type(x) is Gaussian for v in got.vectors() for x in v), key
+        for lc in algebras:
+            over_qi = lc.field == "Qi"
+            rows = []
+            for i in range(n):
+                cols = [lc.bracket(e[j], e[i]) for j in range(n)]
+                rows.extend([_fractions(cols[j][k]) for j in range(n)] for k in range(n))
+            got = center(lc)
+            want = _oracle_null_space(rows, n, over_qi)
+            assert [list(map(_fractions, v)) for v in got.vectors()] == want, lc.name
+            assert got.basis.field == ("Qi" if over_qi and got.dim else "Q"), lc.name
+            kind = Gaussian if over_qi else Rational
+            assert all(type(x) is kind for v in got.vectors() for x in v), lc.name
 
 
 def test_series_and_center_computed_once_per_instance():
