@@ -33,11 +33,14 @@ constructions work on these forms, tried in this order:
 Every hit is re-verified before being returned; exhaustion yields
 NotFoundWithinBounds, never a nonexistence claim.
 
-Verification and the regular-pencil construction run on the kernel's Z[i]
-rows: each vector is encoded once, spans and memberships are read off
-echelons (`kernel.zi_insert`/`kernel.zi_reduce`), verification brackets on
-`liealg.structure_table`, and the pencil construction keeps the forms and
-W as integers.  Scalars appear only in the U it returns.
+Verification, the regular pencil and both depth-first searches run on the
+kernel's Z[i] rows: the forms are read as integers off
+`liealg.structure_table`, a vector is an exact vector ``(row, den)``,
+spans and memberships are read off echelons (`kernel.zi_insert`/
+`kernel.zi_reduce`), subspaces and their meets are null spaces
+(`kernel.null_space`), and verification brackets on the same table.
+Scalars appear only in the U these constructions return.  Darboux and the
+J-space construction work on scalars.
 """
 
 from __future__ import annotations
@@ -631,14 +634,14 @@ class _TwoStepFrame:
     of the center's canonical basis, and `lift` puts a vector of V on them.
     The bracket of two lifts lies in C^1 = [L, L], and its coordinate on the
     t-th canonical basis row of C^1 is its entry at that row's pivot column,
-    since the other rows vanish there.  So ``forms[t][a][b]``, the constant
-    of [X_{f_a}, X_{f_b}] at the t-th pivot, is the t-th alternating form of
-    the bracket on V.  The forms are read off the structure constants once,
-    and every construction of the search works on them.  ``form_rows`` holds
-    them once more as integers over one denominator, each form a list of
-    Z[i] rows ``{b: (x, 0)}``, for the constructions that work on Z[i] rows:
-    the t-th form pairs x with u as the dot product of x and the row
-    F_t u = ``kernel.zi_matvec(form_rows[t], u)`` (`commutant_rows`).
+    since the other rows vanish there.  So the constant of [X_{f_a}, X_{f_b}]
+    at the t-th pivot is the t-th alternating form of the bracket on V.  The
+    forms are read once, as integers over one denominator, off the integer
+    table of `structure_table`: ``forms[t][a][b] / den`` is that constant.
+    ``form_rows`` holds the same integers as Z[i] rows ``{b: (x, 0)}``, on
+    which the search's constructions work: the t-th form pairs x with u as
+    the dot product of x and the row F_t u = ``kernel.zi_matvec(form_rows[t],
+    u)`` (`commutant_rows`), times ``den``.
 
     ``R`` is over Q with `Rational` constants, as `_realified` returns it.
     """
@@ -652,19 +655,17 @@ class _TwoStepFrame:
         self.c1 = commutator_ideal(R)
         slot = {f: a for a, f in enumerate(self.free)}
         coord = {_lead(row): t for t, row in enumerate(self.c1.basis.entries)}
-        self.forms = [[[Q0] * self.v for _ in range(self.v)] for _ in coord]
-        for (i, j), coeffs in R.brackets:
+        table = structure_table(R)
+        self.den = table.den
+        self.forms = [[[0] * self.v for _ in range(self.v)] for _ in coord]
+        for i, j, ks, xs in zip(*table.columns):
             if i in slot and j in slot:
                 a, b = slot[i], slot[j]
-                for k, c in coeffs:
+                for k, x in zip(ks, xs):
                     if k in coord:
-                        self.forms[coord[k]][a][b] = c
-                        self.forms[coord[k]][b][a] = -c
-        flat, _ = kernel.q_ints([x for form in self.forms for row in form for x in row])
-        it = iter(flat)
-        self.form_rows = [
-            [kernel.zi_int_row(islice(it, self.v)) for _ in form] for form in self.forms
-        ]
+                        self.forms[coord[k]][a][b] = x
+                        self.forms[coord[k]][b][a] = -x
+        self.form_rows = [[kernel.zi_int_row(row) for row in form] for form in self.forms]
 
     def commutant_rows(self, rows) -> list[kernel.ZiRow]:
         """The nonzero rows F_t u for the Z[i] rows u in ``rows``.
@@ -690,7 +691,7 @@ class _TwoStepFrame:
                 for f, y in zip(row, w):
                     if f and y:
                         total = total + x * f * y
-        return total
+        return total / self.den
 
     def std_basis(self):
         out = []
@@ -732,31 +733,27 @@ def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
     return [tuple(a - iu * b for a, b in zip(x, y)) for (x, y) in pairs]
 
 
-def _g(x: Scalar) -> Gaussian:
-    return x if isinstance(x, Gaussian) else Gaussian(x)
-
-
 def _poly_mul(p, q):
-    out = [Q0] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for a, x in enumerate(p):
         if not x:
             continue
         for b, y in enumerate(q):
             if y:
-                out[a + b] = out[a + b] + x * y
+                out[a + b] += x * y
     return out
 
 
 def _pfaffian_poly(m1, m2, v: int):
-    """Coefficients of Pf(lambda*M1 + M2) by perfect-matching expansion."""
+    """Integer coefficients of Pf(lambda*M1 + M2) by perfect-matching expansion."""
 
     def entry(i, j):
         return [m2[i][j], m1[i][j]]  # constant, then lambda coefficient
 
     def rec(indices):
         if not indices:
-            return [Q1]
-        out = [Q0]
+            return [1]
+        out = [0]
         first = indices[0]
         for pos in range(1, len(indices)):
             partner = indices[pos]
@@ -765,8 +762,8 @@ def _pfaffian_poly(m1, m2, v: int):
             sign = 1 if pos % 2 == 1 else -1
             width = max(len(out), len(term))
             out = [
-                (out[k] if k < len(out) else Q0)
-                + (term[k] if k < len(term) else Q0) * sign
+                (out[k] if k < len(out) else 0)
+                + (term[k] if k < len(term) else 0) * sign
                 for k in range(width)
             ]
         return out
@@ -825,44 +822,45 @@ def _integer_roots_monic_cubic(b2: int, b1: int, b0: int) -> list[int]:
     return sorted(set(roots))
 
 
-def _rational_roots(coeffs) -> list[Rational]:
-    """All rational roots of a polynomial of degree <= 3 over Q."""
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num / den as ``(num, den)`` in lowest terms with den > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _rational_roots(coeffs) -> list[tuple[int, int]]:
+    """All rational roots of an integer polynomial of degree <= 3, as `_ratio` pairs."""
     while coeffs and not coeffs[-1]:
         coeffs = coeffs[:-1]
     if not coeffs:
         return []
-    roots: list[Rational] = []
+    roots: list[tuple[int, int]] = []
     # Factor out powers of lambda.
     while coeffs and not coeffs[0]:
         coeffs = coeffs[1:]
-        if Q0 not in [r for r in roots]:
-            roots.append(Q0)
+        if (0, 1) not in roots:
+            roots.append((0, 1))
     if len(coeffs) <= 1:
         return roots
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.den // gcd(denom, c.den)
-    ints = [c.num * (denom // c.den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
+    g = gcd(*coeffs)
+    ints = [c // g for c in coeffs]
     deg = len(ints) - 1
     if deg == 1:
-        roots.append(Rational(-ints[0], ints[1]))
+        roots.append(_ratio(-ints[0], ints[1]))
     elif deg == 2:
         c0, c1, c2 = ints
         disc = c1 * c1 - 4 * c2 * c0
         r = _isqrt_exact(disc)
         if r is not None:
-            roots.append(Rational(-c1 + r, 2 * c2))
-            roots.append(Rational(-c1 - r, 2 * c2))
+            roots.append(_ratio(-c1 + r, 2 * c2))
+            roots.append(_ratio(-c1 - r, 2 * c2))
     elif deg == 3:
         c0, c1, c2, c3 = ints
         # y = c3 * lambda turns the cubic monic with integer coefficients.
         for y in _integer_roots_monic_cubic(c2, c1 * c3, c0 * c3 * c3):
-            roots.append(Rational(y, c3))
+            roots.append(_ratio(y, c3))
     out = []
     for r in roots:
         if r not in out:
@@ -870,68 +868,72 @@ def _rational_roots(coeffs) -> list[Rational]:
     return out
 
 
+# The pencil constructions and the depth-first search work on the kernel's
+# Z[i] rows and exact vectors ``(row, den)`` in lowest terms
+# (`kernel.zi_lowest`), so that equal vectors are equal pairs; a group of
+# seeds is a list of them.  The J-space construction works on scalars.
+
+
+def _member(frame: _TwoStepFrame, kappa) -> list[kernel.ZiRow]:
+    """The Z[i] rows of sum kappa_t F_t, for integer coefficients kappa of the forms."""
+    terms = [((k, 0), rows) for k, rows in zip(kappa, frame.form_rows) if k]
+    return [kernel.zi_combine(*((c, rows[r]) for c, rows in terms)) for r in range(frame.v)]
+
+
+def _kernel_groups(frame: _TwoStepFrame, members):
+    """The null spaces of the ``members`` (`_member`) that hold a new vector, in order.
+
+    A null space counts when it is neither zero nor all of V, and it is new
+    when some vector of its reduced basis is in no earlier one.
+    """
+    seen: list[tuple[kernel.ZiRow, int]] = []
+    for kappa in members:
+        null = kernel.null_space(_member(frame, kappa), frame.v, "Qi")
+        if 0 < len(null) < frame.v and any(vec not in seen for vec in null):
+            seen.extend(null)
+            yield null
+
+
 def _pencil_structure(frame: _TwoStepFrame):
-    """Covariant pencil data for a 2-dim commutator: (seeds, operator W).
+    """Covariant pencil data for a 2-dim commutator: (seed groups, operator W).
 
     Seeds are kernel bases of the degenerate pencil members, located exactly
     as rational roots of the Pfaffian polynomial (for a singular pencil every
     member contributes).  W = M_g^{-1} M_o for an invertible member M_g is
     self-adjoint for the member pairing, so W-cyclic subspaces commute; its
-    orbit vectors make strong search candidates.
+    orbit vectors make strong search candidates.  W is read off the reduced
+    form [I | W] of [M_g | M_o] and returned as ``(rows, d)``: the Z[i] rows
+    of W times the integer d.  It is None for a singular pencil.
     """
     v = frame.v
-    m1, m2 = frame.forms[0], frame.forms[1]
-    groups: list[list[Vector]] = []
-    seen = set()
-
-    def member(lam: Rational, mu: Rational):
-        return [
-            [lam * m1[r][s] + mu * m2[r][s] for s in range(v)] for r in range(v)
+    pf = _pfaffian_poly(frame.forms[0], frame.forms[1], v) if v % 2 == 0 and v <= 8 else [1]
+    tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))
+    if all(not c for c in pf):
+        return list(_kernel_groups(frame, tries)), None
+    # Degenerate members: finite rational roots mu with Pf(mu*M1+M2)=0
+    # read off the polynomial in the M1 direction, plus (1:0) itself.
+    members = _rational_roots(pf)
+    if not pf[-1] or len(pf) - 1 < v // 2:
+        members.append((1, 0))
+    groups = list(_kernel_groups(frame, members))
+    # Invertible member for the pencil operator.
+    for lam, mu in tries + ((1, -2),):
+        aug = [
+            {**g, **{v + j: e for j, e in o.items()}}
+            for g, o in zip(_member(frame, (lam, mu)), _member(frame, (mu, -lam)))
         ]
-
-    def add_kernel(lam, mu):
-        m = ExactMatrix(member(lam, mu), cols=v)
-        null = kernel_basis(m)
-        if 0 < null.dim < v:
-            fresh = [vec for vec in null.vectors() if vec not in seen]
-            if fresh:
-                seen.update(fresh)
-                groups.append(list(null.vectors()))
-        return null.dim
-
-    pf = _pfaffian_poly(m1, m2, v) if v % 2 == 0 and v <= 8 else [Q1]
-    singular = all(not c for c in pf)
-    w_matrix = None
-    if singular:
-        for lam, mu in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)):
-            add_kernel(Rational(lam), Rational(mu))
-    else:
-        # Degenerate members: finite rational roots mu with Pf(mu*M1+M2)=0
-        # read off the polynomial in the M1 direction, plus (1:0) itself.
-        for root in _rational_roots(list(pf)):
-            add_kernel(root, Q1)
-        if not pf[-1] or len(pf) - 1 < v // 2:
-            add_kernel(Q1, Q0)
-        # Invertible member for the pencil operator.
-        for lam, mu in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2)):
-            mg = ExactMatrix(member(Rational(lam), Rational(mu)), cols=v)
-            try:
-                mg_inv = mg.inverse()
-            except ValueError:
-                continue
-            other = (Rational(mu), Rational(-lam))
-            mo = ExactMatrix(member(other[0], other[1]), cols=v)
-            w_matrix = mg_inv.matmul(mo)
-            break
-    return groups, w_matrix
+        red, pivots = kernel.rref_qi(aug, 2 * v)
+        if pivots == list(range(v)):
+            exact = [kernel.zi_exact(row, r) for r, row in enumerate(red)]
+            w = [({j - v: e for j, e in row.items() if j >= v}, d) for row, d in exact]
+            return groups, kernel.zi_common(w)
+    return groups, None
 
 
-def _generic_seeds(frame: _TwoStepFrame) -> list[list[Vector]]:
+def _generic_seeds(frame: _TwoStepFrame) -> list[list[tuple[kernel.ZiRow, int]]]:
     """Degenerate-combination kernel groups for commutator dimension >= 3."""
     c = frame.c1.dim
     v = frame.v
-    groups: list[list[Vector]] = []
-    seen = set()
     combos: list[tuple[int, ...]] = []
     for t in range(c):
         kappa = [0] * c
@@ -944,23 +946,9 @@ def _generic_seeds(frame: _TwoStepFrame) -> list[list[Vector]]:
                 kappa[t1] = 1
                 kappa[t2] = s
                 combos.append(tuple(kappa))
-    for kappa in combos:
-        member = [
-            [
-                sum(
-                    (Rational(kk) * form[r][s2] for form, kk in zip(frame.forms, kappa)),
-                    Q0,
-                )
-                for s2 in range(v)
-            ]
-            for r in range(v)
-        ]
-        null = kernel_basis(ExactMatrix(member, cols=v))
-        if 0 < null.dim < v:
-            fresh = [vec for vec in null.vectors() if vec not in seen]
-            if fresh:
-                seen.update(fresh)
-                groups.append(list(null.vectors()))
+    groups = []
+    for null in _kernel_groups(frame, combos):
+        groups.append(null)
         if sum(len(g) for g in groups) >= 4 * v:
             break
     return groups
@@ -976,28 +964,21 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     v = frame.v
     rows = []
     # Unknowns: A[r][s] flattened; equations: (A^T M + M A)[p][q] = 0, p < q.
+    # (A^T M)[p][q] = sum_r A[r][p] M[r][q] and (M A)[p][q] = sum_s M[p][s]
+    # A[s][q]; as p < q the two sums share no unknown.
     for m in frame.forms:
         for p in range(v):
             for q in range(p + 1, v):
-                row = [Q0] * (v * v)
-                for r in range(v):
-                    # d/dA[r][p] of (A^T M)[p][q] = M[r][q]; transpose picks A[r][p]
-                    row[r * v + p] = row[r * v + p] + m[r][q]
-                    # d/dA[q][s]? (M A)[p][q] = sum_s M[p][s] A[s][q]
-                for s in range(v):
-                    row[s * v + q] = row[s * v + q] + m[p][s]
-                if any(row):
+                row = {r * v + p: m[r][q] for r in range(v) if m[r][q]}
+                row.update((s * v + q, m[p][s]) for s in range(v) if m[p][s])
+                if row:
                     rows.append(row)
     if not rows:
         return []
-    null = kernel_basis(ExactMatrix(rows, cols=v * v))
     out = []
-    for flat in null.vectors():
-        out.append(
-            ExactMatrix(
-                [[flat[r * v + s] for s in range(v)] for r in range(v)], cols=v
-            )
-        )
+    for vec, den in kernel.null_space(rows, v * v, "Q"):
+        flat = kernel.q_decode(vec, den, v * v)
+        out.append(ExactMatrix([flat[r * v : (r + 1) * v] for r in range(v)], cols=v))
     return out
 
 
@@ -1309,8 +1290,8 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
     return None
 
 
-# The regular-pencil construction and the checks on its U work on the
-# kernel's Z[i] rows and exact vectors ``(row, den)``.
+def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
+    return [({a: (1, 0)}, 1) for a in range(v)]
 
 
 def _krylov_span(w_rows, u: kernel.ZiRow, h: int) -> list[kernel.ZiRow]:
@@ -1397,7 +1378,7 @@ def _completions(pool):
         yield x
 
 
-def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
+def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
     """Direct construction of U for a regular two-form pencil.
 
     The operator W = M_g^{-1} M_o satisfies beta_g(u, Wv) = -beta_g(v, Wu),
@@ -1406,24 +1387,15 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
     depth falls one short, the last generator is completed from the exact
     commutant intersected with the eigenvector seeds.
 
-    W is cleared to integers once and the seeds are encoded once; the
-    search runs on Z[i] rows, and only the U returned is decoded.
+    ``seeds`` and ``w`` are as `_pencil_structure` returns them; only the U
+    returned is decoded.
     """
     v = frame.v
-    flat, d = kernel.q_ints([x for row in w_matrix.entries for x in row])
-    w_ints = [flat[r * v : (r + 1) * v] for r in range(v)]
-    w_rows = [kernel.zi_int_row(row) for row in w_ints]
+    w_rows, d = w
 
     def decoded(rows, den):
         return [kernel.zi_decode(row, den * d**k, v) for k, row in enumerate(rows)]
 
-    seeds = []
-    for grp in groups:
-        encoded = []
-        for vec in grp:
-            (row,), den = kernel.zi_rows([vec])
-            encoded.append((row, den))
-        seeds.append(encoded)
     # One transverse component per root of the pencil, drawn from the full
     # generalized eigenspace: the Krylov span of such a sum reaches every
     # Jordan chain, and kernel vectors alone would miss nilpotent parts.
@@ -1434,19 +1406,16 @@ def _regular_pencil_u(frame: _TwoStepFrame, groups, w_matrix, h: int):
         # W - t*I times d*k0, for the eigenvalue t = wk / (d*k0) of W on k
         wk, k0 = kernel.zi_matvec(w_rows, k_row).get(lead, (0, 0))[0], k_row[lead][0]
         shifted = [
-            [k0 * x - (wk if r == s else 0) for s, x in enumerate(row)]
-            for r, row in enumerate(w_ints)
+            kernel.zi_combine(((k0, 0), row), ((-wk, 0), {r: (1, 0)}))
+            for r, row in enumerate(w_rows)
         ]
         power = shifted
         for _ in range(v // 2 - 1):
-            power = [
-                [sum(x * y for x, y in zip(row, col)) for col in zip(*shifted)]
-                for row in power
-            ]
-        gen = kernel.null_space([kernel.zi_int_row(row) for row in power], v, "Qi")
+            power = kernel.zi_matmul(power, shifted)
+        gen = kernel.null_space(power, v, "Qi")
         gen_groups.append(gen if len(gen) >= len(grp) else grp)
     # Generic vectors next: they are cyclic whenever anything is.
-    pool = [({a: (1, 0)}, 1) for a in range(v)]
+    pool = _unit_vectors(v)
     for grp in seeds:
         for vec in grp:
             if vec not in pool:
@@ -1497,78 +1466,80 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
     generator must commute with every earlier one, the whole subspace U lies
     inside each constraint space, so branches whose constraint space drops
     below dimension h are pruned.
+
+    ``structure`` is `_pencil_structure`'s result.  Every vector is an exact
+    vector; an invariant subspace is kept as its annihilator's rows, so its
+    meet with a constraint space is one null space.  Only the U returned is
+    decoded.
     """
     v = frame.v
-    std = frame.std_basis()
-    groups: list[list[Vector]] = []
-    w_matrix = None
+    groups: list = []
+    w = None
     if structure is not None:
-        groups, w_matrix = structure
+        groups, w = structure
     elif frame.c1.dim >= 3:
         groups = _generic_seeds(frame)
     seeds = [vec for grp in groups for vec in grp]
-    invariant: list[Subspace] = []
-    for grp in groups:
-        if 0 < len(grp) < v:
-            invariant.append(Subspace.from_spanning(grp, ambient_dim=v))
-    if w_matrix is not None:
-        power = w_matrix
+    spans = [[row for row, _ in grp] for grp in groups]
+    if w is not None:
+        w_rows, d = w
+        power = w_rows
         for _ in range(h):
-            null = kernel_basis(power)
-            if 0 < null.dim < v:
-                invariant.append(null)
-            image = Subspace.from_spanning(
-                power.transpose().entries, ambient_dim=v
-            )
-            if 0 < image.dim < v:
-                invariant.append(image)
-            power = power.matmul(w_matrix)
-        orbit: list[Vector] = []
-        for base in seeds + std:
-            vec = base
+            # The kernel of W^k, and its image, spanned by its columns.
+            columns = [
+                {r: row[j] for r, row in enumerate(power) if j in row} for j in range(v)
+            ]
+            spans += [[row for row, _ in kernel.null_space(power, v, "Qi")], columns]
+            power = kernel.zi_matmul(power, w_rows)
+        orbit: list[tuple[kernel.ZiRow, int]] = []
+        for row, den in seeds + _unit_vectors(v):
             for _ in range(h - 1):
-                vec = w_matrix.matvec(vec)
-                if not any(vec):
+                row = kernel.zi_matvec(w_rows, row)
+                if not row:
                     break
+                row, den = vec = kernel.zi_lowest(row, den * d)
                 if vec not in orbit and vec not in seeds:
                     orbit.append(vec)
         seeds = seeds + orbit[: 4 * v]
-    dedup_invariant: list[Subspace] = []
-    for s in invariant:
-        if s not in dedup_invariant:
-            dedup_invariant.append(s)
-    # Small invariant subspaces are the strongest anchors: any commuting
-    # family is forced to meet the pencil radical, so explore those first.
-    invariant = sorted(dedup_invariant, key=lambda s: s.dim)[:8]
+    # Each invariant subspace S with 0 < dim S < v, once, as the rows of its
+    # annihilator's reduced basis: equal subspaces have equal such rows (each
+    # row holds its vector's denominator at its pivot).
+    annihilators: list[list[kernel.ZiRow]] = []
+    for rows in spans:
+        ann = [row for row, _ in kernel.null_space(rows, v, "Qi")]
+        if 0 < len(ann) < v and ann not in annihilators:
+            annihilators.append(ann)
+    # Small invariant subspaces (long annihilators) are the strongest anchors:
+    # any commuting family is forced to meet the pencil radical, so explore
+    # those first.
+    annihilators = sorted(annihilators, key=len, reverse=True)[:8]
     budget = [bounds.max_nodes]
     coeffs = [c for c in bounds.coefficients if c]
 
-    def complex_candidates(space: Subspace, chosen):
+    def complex_candidates(constraints, space, chosen):
         """Candidates as (Z[i] row, denominator) pairs, in the search order."""
-        pool: list[Vector] = []
+        pool: list[tuple[kernel.ZiRow, int]] = []
 
         def push(vec):
-            if any(vec):
-                g = tuple(_g(x) for x in vec)
-                if g not in pool:
-                    pool.append(g)
+            if vec not in pool:
+                pool.append(vec)
 
-        if w_matrix is not None:
-            for u in chosen:
-                img = w_matrix.matvec(u)
-                if any(img) and space.contains(img):
-                    push(img)
-        for inv in invariant:
-            meet = inv.intersect(space)
-            if 0 < meet.dim < space.dim:
-                for vec in meet.vectors():
+        if w is not None:
+            for row, den in chosen:
+                img = kernel.zi_matvec(w_rows, row)
+                if img and not kernel.zi_matvec(constraints, img):
+                    push(kernel.zi_lowest(img, den * d))
+        for ann in annihilators:
+            meet = kernel.null_space(ann + constraints, v, "Qi")
+            if 0 < len(meet) < len(space):
+                for vec in meet:
                     push(vec)
-        for s in seeds:
-            if space.contains(s):
-                push(s)
-        for b in space.vectors():
-            push(b)
-        rows, den = kernel.zi_rows(pool)
+        for vec in seeds:
+            if not kernel.zi_matvec(constraints, vec[0]):
+                push(vec)
+        for vec in space:
+            push(vec)
+        rows, den = kernel.zi_common(pool)
         for row in rows:
             yield row, den
         one = (1, 0)
@@ -1584,25 +1555,25 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
             for a, x in enumerate(rows):
                 for b in range(a + 1, len(rows)):
                     y = rows[b]
-                    for w in rows[b + 1 :]:
+                    for z in rows[b + 1 :]:
                         for c_b in coeffs:
                             iy = ((0, c_b), y)
                             for c_c in coeffs:
-                                rw, iw = ((c_c, 0), w), ((0, c_c), w)
+                                rw, iw = ((c_c, 0), z), ((0, c_c), z)
                                 yield kernel.zi_combine((one, x), iy, rw), den
                                 yield kernel.zi_combine((one, x), iy, iw), den
 
-    def rec(chosen, rows, red: RowReducer):
-        # ``rows`` are the chosen generators as Z[i] rows, and ``red`` holds
-        # them and their conjugates; a candidate u is independent of them
-        # when a copy takes u and conj(u).
+    def rec(chosen, red: RowReducer):
+        # ``chosen`` holds the generators as ``(row, den)``, and ``red`` them
+        # and their conjugates; a candidate u is independent of them when a
+        # copy takes u and conj(u).
         if len(chosen) == h:
-            return list(chosen)
-        constraints = frame.commutant_rows(rows)
-        space = Subspace.null_space(constraints, v, "Qi") if constraints else Subspace.full(v)
-        if space.dim < h:
+            return [kernel.zi_decode(row, den, v) for row, den in chosen]
+        constraints = frame.commutant_rows([row for row, _ in chosen])
+        space = kernel.null_space(constraints, v, "Qi")
+        if len(space) < h:
             return None
-        for cand, den in complex_candidates(space, chosen):
+        for cand, den in complex_candidates(constraints, space, chosen):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
@@ -1611,12 +1582,12 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
             grown = red.copy()
             if not (grown.add(cand) and grown.add(kernel.zi_conj(cand))):
                 continue
-            result = rec(chosen + [kernel.zi_decode(cand, den, v)], rows + [cand], grown)
+            result = rec(chosen + [(cand, den)], grown)
             if result is not None:
                 return result
         return None
 
-    return rec([], [], RowReducer(v))
+    return rec([], RowReducer(v))
 
 
 def search_bigrading(
@@ -1661,7 +1632,7 @@ def search_bigrading(
     if u_gens is None and frame.c1.dim == 2:
         structure = _pencil_structure(frame)
         if structure[1] is not None:
-            u_gens = _regular_pencil_u(frame, structure[0], structure[1], h)
+            u_gens = _regular_pencil_u(frame, *structure, h)
         else:
             # Singular pencil: every member is degenerate and the seeded
             # depth-first search over the kernel strips is cheap and robust.

@@ -26,9 +26,10 @@ holds zero entries, so the zero row is the empty, false dict.
 * `null_space` is the one null-space routine, over either field: one
   `rref_q`/`rref_qi` of [M^T | I].  It returns exact vectors ``(row, den)``
   in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are equal
-  pairs; `zi_common` puts Z[i] ones over one denominator again.
-* On Z[i] rows, `zi_conj`, `zi_combine` and `zi_matvec` form conjugates,
-  Z[i]-combinations and matrix-vector products.
+  pairs; `zi_lowest` puts any Z[i] one in lowest terms, and `zi_common`
+  puts several over one denominator again.
+* On Z[i] rows, `zi_conj`, `zi_combine`, `zi_matvec` and `zi_matmul` form
+  conjugates, Z[i]-combinations, matrix-vector and matrix products.
 """
 
 from __future__ import annotations
@@ -361,6 +362,11 @@ def zi_matvec(rows, x: ZiRow) -> ZiRow:
     return out
 
 
+def zi_matmul(a, b) -> list[ZiRow]:
+    """The matrix with the Z[i] rows ``a`` times the matrix with the Z[i] rows ``b``."""
+    return [zi_combine(*((e, b[k]) for k, e in row.items())) for row in a]
+
+
 # An exact vector is a pair ``(row, den)``, the Z[i] row divided by the
 # integer den.  Spans and zero tests do not depend on scale, so a bare row
 # may carry any nonzero factor; where a vector's value matters it travels as
@@ -378,6 +384,11 @@ def zi_exact(row: ZiRow, lead: int) -> tuple[ZiRow, int]:
         row, den = zi_combine(((pr, -pi), row)), pr * pr + pi * pi
     else:
         den = pr
+    return zi_lowest(row, den)
+
+
+def zi_lowest(row: ZiRow, den: int) -> tuple[ZiRow, int]:
+    """The exact vector ``row / den`` in lowest terms, for a nonzero ``den``."""
     g = gcd(den, *chain.from_iterable(row.values()))
     if den < 0:
         g = -g

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from nilqp import kernel
 from nilqp.bigrading import (
     FiltrationPair,
     _bi_isotropic,
+    _dfs_u,
     _pencil_structure,
     _regular_pencil_u,
     _transversal,
@@ -35,10 +37,10 @@ from nilqp.errors import (
     NotAFiltration,
 )
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
-from nilqp.scalars import Gaussian, format_scalar
+from nilqp.scalars import Gaussian, Rational, format_scalar
 
 from conftest import random_invertible_t
-from oracles import frac_rref_qi
+from oracles import frac_rank, frac_rref_qi
 
 I = Gaussian(0, 1)
 
@@ -380,10 +382,14 @@ def test_search_respects_node_budget():
     # Darboux, regular-pencil and J-space constructions spend no nodes, and
     # N5_82's pencil is regular, so the regular-pencil construction finds it.
     bounds = SearchBounds(max_nodes=1)
-    out = search_bigrading(get("N5_82").algebra, bounds)
-    assert out.status in ("found", "not_found_within_bounds")
-    if out.status == "not_found_within_bounds":
-        assert out.bounds == bounds
+    assert search_bigrading(get("N5_82").algebra, bounds).status == "found"
+    # Only the generic depth-first search settles L5_parity+L5_parity, and
+    # one node cannot.
+    alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
+    moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(1)))
+    out = search_bigrading(moved, bounds)
+    assert out.status == "not_found_within_bounds"
+    assert out.bounds == bounds
 
 
 def test_search_robust_under_basis_change(rng):
@@ -420,8 +426,8 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
     frame = _TwoStepFrame(moved)
     v = frame.v
-    groups, w_matrix = _pencil_structure(frame)
-    u = _regular_pencil_u(frame, groups, w_matrix, v // 2)
+    seeds, w = _pencil_structure(frame)
+    u = _regular_pencil_u(frame, seeds, w, v // 2)
     u_rows = [kernel.zi_row(x) for x in u]
 
     def combination():
@@ -440,6 +446,108 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
         assert _bi_isotropic(frame, rows) == want
         seen.add(want)
     assert seen == {True, False}
+
+
+def _moved_frame(keys, seed):
+    """The `_TwoStepFrame` of the direct sum of ``keys``, moved by a seeded basis change."""
+    alg = get(keys[0]).algebra
+    for key in keys[1:]:
+        alg = direct_sum(alg, get(key).algebra)
+    rng = random.Random(seed)
+    moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+    return moved, _TwoStepFrame(moved)
+
+
+def _frac_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _frac_apply(m, x):
+    return [sum(a * y for a, y in zip(row, x)) for row in m]
+
+
+def _frac_real(row, den, v):
+    """The exact vector ``(row, den)`` as Fractions; it must be real."""
+    assert all(not y for _, y in row.values())
+    return [Fraction(row[j][0], den) if j in row else Fraction(0) for j in range(v)]
+
+
+@pytest.mark.parametrize("key", ["N3_82", "N4_82"])
+def test_pencil_structure_matches_fraction_oracle(key):
+    moved, frame = _moved_frame([key], 3)
+    v = frame.v
+    # The two bracket forms on V, read off brackets of lifts at the pivots
+    # of C^1's canonical basis.
+    pivots = [next(j for j, x in enumerate(row) if x) for row in frame.c1.basis.entries]
+    units = [frame.lift([Rational(int(a == b)) for b in range(v)]) for a in range(v)]
+    brackets = [[moved.bracket(x, y) for y in units] for x in units]
+    forms = [
+        [[Fraction(c[p].num, c[p].den) for c in row] for row in brackets] for p in pivots
+    ]
+
+    def member(lam, mu):
+        return [[lam * a + mu * b for a, b in zip(r1, r2)] for r1, r2 in zip(*forms)]
+
+    seeds, (w_rows, d) = _pencil_structure(frame)
+    # W = M_g^-1 M_o for the first invertible member M_g = lam*M1 + mu*M2
+    # tried, and M_o = mu*M1 - lam*M2.
+    tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2))
+    lam, mu = next((a, b) for a, b in tries if frac_rank(member(a, b)) == v)
+    w = [_frac_real(row, d, v) for row in w_rows]
+    assert _frac_matmul(member(lam, mu), w) == member(mu, -lam)
+    assert seeds
+    for grp in seeds:
+        vecs = [_frac_real(row, den, v) for row, den in grp]
+        assert frac_rank(vecs) == len(vecs)
+        # One member lam*M1 + mu*M2 kills the group: M1 x and M2 x are
+        # parallel over all of it, and the group spans that member's kernel.
+        m1x, m2x = ([y for x in vecs for y in _frac_apply(m, x)] for m in forms)
+        assert frac_rank([m1x, m2x]) == 1
+        k = next(i for i, (a, b) in enumerate(zip(m1x, m2x)) if a or b)
+        m = member(m2x[k], -m1x[k])
+        assert all(not any(_frac_apply(m, x)) for x in vecs)
+        assert v - frac_rank(m) == len(vecs)
+
+
+_SCALAR_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
+    # The regular pencil (N4_82), the depth-first search with the pencil
+    # operator (n5+n5), with a singular pencil (N2_82) and with generic
+    # seeds (L5_parity+L5_parity) run on integers; decoding the U found may
+    # construct scalars, but no scalar arithmetic runs.
+    regular, w_dfs, singular, generic = (
+        _moved_frame(keys, 1)[1]
+        for keys in (["N4_82"], ["n5", "n5"], ["N2_82"], ["L5_parity", "L5_parity"])
+    )
+    calls = []
+    for cls in (Rational, Gaussian):
+        for name in _SCALAR_ARITHMETIC:
+            if name in vars(cls):
+
+                def counted(*args, _method=vars(cls)[name], _name=f"{cls.__name__}.{name}"):
+                    calls.append(_name)
+                    return _method(*args)
+
+                monkeypatch.setattr(cls, name, counted)
+    bounds = SearchBounds(max_nodes=2000)
+    seeds, w = _pencil_structure(regular)
+    assert _regular_pencil_u(regular, seeds, w, regular.v // 2) is not None
+    structure = _pencil_structure(w_dfs)
+    assert structure[1] is not None
+    _dfs_u(w_dfs, w_dfs.v // 2, bounds, structure)
+    structure = _pencil_structure(singular)
+    assert structure[1] is None
+    assert _dfs_u(singular, singular.v // 2, bounds, structure) is not None
+    assert generic.c1.dim >= 3
+    _dfs_u(generic, generic.v // 2, bounds)
+    assert calls == []
+    Rational(1, 2) + Rational(1, 3)
+    assert calls == ["Rational.__add__"]
 
 
 def test_transversal_agrees_with_fraction_rank():
@@ -547,3 +655,28 @@ def test_regular_pencil_outputs_match_golden_digest():
             out = search_bigrading(moved, SearchBounds(max_nodes=2000))
             digest.update(_outcome_text(out).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_PENCIL_SHA256
+
+
+# Two-step sums whose pencil is regular but whose search neither the
+# regular-pencil nor the J-space construction settles, so the depth-first
+# search runs with the pencil operator W: its powers' kernels and images,
+# the W-orbits of the seeds and W-images of the chosen generators.  With
+# these basis changes the first n5+n5 exhausts the budget and the other
+# three are found.  Any change of candidate order or node count changes the
+# digest.
+GOLDEN_W_DFS_SUMS = (("n5", "n5"), ("n7", "n3"))
+GOLDEN_W_DFS_SHA256 = (
+    "5eb17eda3e3fce0d3f16426abf234438622542abf5f90297bb9ed19356b902ea"
+)
+
+
+def test_w_dfs_outputs_match_golden_digest():
+    digest = hashlib.sha256()
+    for a, b in GOLDEN_W_DFS_SUMS:
+        alg = direct_sum(get(a).algebra, get(b).algebra)
+        rng = random.Random(1)
+        for _ in range(2):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+            digest.update(_outcome_text(out).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_W_DFS_SHA256

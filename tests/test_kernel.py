@@ -248,6 +248,39 @@ def test_zi_exact_vectors_are_in_lowest_terms():
     assert kernel.zi_exact({0: (0, 3), 1: (1, 0)}, 0) == ({0: (3, 0), 1: (0, -1)}, 3)
 
 
+zi_entries = st.tuples(
+    st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)
+)
+nonzero = st.integers(min_value=-12, max_value=12).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(zi_entries, min_size=1, max_size=4),
+    st.lists(zi_entries, min_size=1, max_size=4),
+    nonzero,
+    nonzero,
+    nonzero,
+)
+def test_zi_lowest_gives_equal_pairs_for_equal_vectors(x, y, dx, dy, k):
+    def row(dense):
+        return {j: e for j, e in enumerate(dense) if e != (0, 0)}
+
+    def value(r, den):
+        zero = [(0, 0)] * 4
+        return [(Fraction(a, den), Fraction(b, den)) for a, b in map(r.get, range(4), zero)]
+
+    lowest = kernel.zi_lowest(row(x), dx)
+    r, den = lowest
+    assert value(r, den) == value(row(x), dx)
+    assert den > 0 and gcd(den, *(p for e in r.values() for p in e)) == 1
+    # The same vector at another scale, and another vector.
+    scaled = {j: (k * a, k * b) for j, (a, b) in row(x).items()}
+    assert kernel.zi_lowest(scaled, k * dx) == lowest
+    other = kernel.zi_lowest(row(y), dy)
+    assert (other == lowest) == (value(row(y), dy) == value(row(x), dx))
+
+
 def _zi_ints(rows):
     """Rows of (re, im) Fractions times one common denominator, as Z[i] rows."""
     den = lcm(*(x.denominator for row in rows for e in row for x in e))
@@ -308,4 +341,7 @@ def test_zi_matvec_matches_fractions():
     x = {0: (2, -1), 1: (1, 1), 2: (0, 4)}
     # (1 + 2i)(2 - i) - 3 * 4i = 4 + 3i - 12i; i * (1 + i) = -1 + i
     assert kernel.zi_matvec(rows, x) == {0: (4, -9), 2: (-1, 1)}
+    # Row 0 of the product: (1 + 2i) x - 3 * (i X2); rows 1 and 2 meet zero rows.
+    product = kernel.zi_matmul(rows, [x, {}, {1: (0, 1)}])
+    assert product == [{0: (4, 3), 1: (-1, 0), 2: (-8, 4)}, {}, {}]
     assert kernel.zi_int_row([0, 3, -1]) == {1: (3, 0), 2: (-1, 0)}
