@@ -58,7 +58,7 @@ from .errors import (
     NotAFiltration,
 )
 from . import kernel
-from .exact import ExactMatrix, RowReducer, Subspace, Vector, kernel_basis
+from .exact import ExactMatrix, RowReducer, Subspace, Vector
 from .liealg import (
     LieAlgebra,
     _bracket_qi,
@@ -539,31 +539,22 @@ def _real_form_basis(Lc: LieAlgebra) -> ExactMatrix:
     s = Lc.real_structure
     if s is None:
         raise MissingRealStructure(f"{Lc.name}: no real structure")
-    # Rows of the 2n x 2n realified system (S_re + i S_im)(a - i b) = a + i b.
+    # Over the common denominator D of S, D S = A + iB with integer A, B, and
+    # the real and imaginary parts of (A + iB)(a - ib) = D (a + ib) give the
+    # rows of the 2n x 2n realified system on (a, b).
+    s_rows, den = kernel.zi_rows(s.entries)
     rows = []
-    for out in range(n):
-        row_re = [Q0] * (2 * n)
-        row_im = [Q0] * (2 * n)
-        for j in range(n):
-            e = s.entries[out][j]
-            re = e.re if isinstance(e, Gaussian) else e
-            im = e.im if isinstance(e, Gaussian) else Q0
-            row_re[j] = row_re[j] + re
-            row_re[n + j] = row_re[n + j] + im
-            row_im[j] = row_im[j] + im
-            row_im[n + j] = row_im[n + j] - re
-        row_re[out] = row_re[out] - Q1
-        row_im[n + out] = row_im[n + out] - Q1
-        rows.append(row_re)
-        rows.append(row_im)
-    fixed = kernel_basis(ExactMatrix(rows, cols=2 * n))
-    vectors = []
-    for w in fixed.vectors():
-        vec = tuple(
-            Gaussian(w[j], w[n + j]) if isinstance(w[j], Rational) else w[j]
-            for j in range(n)
-        )
-        vectors.append(vec)
+    for out, row in enumerate(s_rows):
+        a, b = zip(*(row.get(j, (0, 0)) for j in range(n)))
+        row_re, row_im = [*a, *b], [*b, *(-x for x in a)]
+        row_re[out] -= den
+        row_im[n + out] -= den
+        rows += [{c: x for c, x in enumerate(r) if x} for r in (row_re, row_im)]
+    fixed = kernel.null_space(rows, 2 * n, "Q")
+    vectors = [
+        kernel.zi_decode({j: (row.get(j, 0), row.get(n + j, 0)) for j in range(n)}, d, n)
+        for row, d in fixed
+    ]
     if len(vectors) != n:
         raise MissingRealStructure(
             f"{Lc.name}: fixed space of conjugation has dimension "

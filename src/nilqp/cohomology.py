@@ -25,9 +25,13 @@ C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There the
 n - dim C^1 dual generators of the unit vectors are closed, and each d_k
 has fewer and shorter rows than in a basis where every d x^m is nonzero.
 `bigraded_cohomology` ranks its blocks in the basis of the grading.
-`ce_differential` and the representatives of `betti_numbers` stay in L's
-own basis: `ce_differential` divides by D again to return the dense matrix
-that representatives (RREF, kernels) need.
+
+The representatives of `betti_numbers` are read off the same rows in L's
+own basis.  For each cocycle v of the reduced basis of ker d_k, in pivot
+order, the residual modulo the image of d_{k-1} plus the representatives
+kept before it is the unique vector of v + span that is zero at the span's
+pivot columns; a nonzero one, divided by its first nonzero entry, is kept.
+The public `ce_differential` divides by D again to return a dense d_k.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from math import lcm
 
 from . import kernel
 from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
-from .exact import ExactMatrix, Subspace, kernel_basis
+from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
     StructureTable,
@@ -253,8 +257,12 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
 def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
     """Betti numbers b_0..b_n, optionally with canonical cocycle representatives.
 
-    The ranks are taken in the basis of `_commutator_adapted_table`;
-    representatives are cocycles of `ce_differential`, in L's basis.
+    The ranks are taken in the basis of `_commutator_adapted_table`.  The
+    representatives, ``{k: vectors}`` in L's basis, are canonical: each is
+    the residual of a cocycle modulo the image of d_{k-1} plus the
+    representatives before it, zero at that span's pivot columns, with
+    first nonzero entry 1.  Their entries are `Gaussian` exactly when
+    ``structure_table(L).field == "Qi"``, and `Rational` otherwise.
     """
     n = L.dim
     ranks = [0] * (n + 1)
@@ -266,33 +274,40 @@ def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTab
         dim_k = len(exterior_basis(n, k))
         rank_prev = ranks[k - 1] if k > 0 else 0
         betti.append(dim_k - ranks[k] - rank_prev)
-    reps = None
-    if representatives:
-        reps = {}
-        diffs = [ce_differential(L, k) for k in range(n + 1)]
-        for k in range(n + 1):
-            cocycles = kernel_basis(diffs[k])
-            if k == 0:
-                image = Subspace.zero(cocycles.ambient_dim)
-            else:
-                image = Subspace.from_spanning(
-                    diffs[k - 1].transpose().entries,
-                    ambient_dim=len(exterior_basis(n, k)),
-                )
-            chosen = []
-            span = image
-            for v in cocycles.vectors():
-                reduced = span.reduce(v)
-                if any(reduced):
-                    lead = next(x for x in reduced if x)
-                    normalized = tuple(x / lead for x in reduced)
-                    chosen.append(normalized)
-                    span = Subspace.from_spanning(
-                        list(span.vectors()) + [normalized],
-                        ambient_dim=span.ambient_dim,
-                    )
-            reps[k] = tuple(chosen)
+    reps = _representatives(n, structure_table(L)) if representatives else None
     return CohomologyTable(betti=tuple(betti), representatives=reps)
+
+
+def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
+    """The representatives of `betti_numbers`, in the basis of ``table``.
+
+    One echelon takes the columns of d_{k-1}, then each cocycle; the row it
+    adds for a cocycle that enlarges the span is its residual, scaled.
+    """
+    field = table.field
+    _, diffs = _sparse_differentials(n, table)
+
+    def as_zi(row: dict) -> kernel.ZiRow:
+        return row if field == "Qi" else {j: (x, 0) for j, x in row.items()}
+
+    reps = {}
+    for k in range(n + 1):
+        ncols = len(exterior_basis(n, k))
+        image: dict[int, dict] = {}
+        for r, row in diffs.get(k - 1, {}).items():
+            for c, x in row.items():
+                image.setdefault(c, {})[r] = x
+        echelon: list = []
+        for col in image.values():
+            kernel.zi_insert(echelon, as_zi(col))
+        chosen = []
+        for row, _ in kernel.null_space(list(diffs.get(k, {}).values()), ncols, field):
+            if kernel.zi_insert(echelon, as_zi(row)):
+                lead, kept = echelon[-1]
+                vec = kernel.zi_decode(*kernel.zi_exact(kept, lead), ncols)
+                chosen.append(vec if field == "Qi" else tuple(x.re for x in vec))
+        reps[k] = tuple(chosen)
+    return reps
 
 
 def _grading_transformation(L: LieAlgebra, grading) -> tuple[ExactMatrix, list]:

@@ -205,7 +205,7 @@ class ExactMatrix:
             zero = Q0
         else:
             out, pivots = kernel.rref_qi(rows, n)
-            red = [_zi_divided(row, row[p], n) for row, p in zip(out, pivots)]
+            red = [kernel.zi_decode(*kernel.zi_exact(row, p), n) for row, p in zip(out, pivots)]
             zero = Gaussian(0)
         red += [(zero,) * n] * (self.rows - len(red))
         return ExactMatrix(red, cols=n), pivots
@@ -232,14 +232,6 @@ class ExactMatrix:
         return ExactMatrix(
             [row[n:] for row in red.entries], cols=n
         )
-
-
-def _zi_divided(row: dict, p: tuple[int, int], ncols: int) -> Vector:
-    """The Z[i] row divided by the Gaussian integer ``p``: row * conj(p) / |p|^2."""
-    pr, pi = p
-    if not pi:
-        return kernel.zi_decode(row, pr, ncols)
-    return kernel.zi_decode(kernel.zi_combine(((pr, -pi), row)), pr * pr + pi * pi, ncols)
 
 
 def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:

@@ -13,7 +13,8 @@ holds zero entries, so the zero row is the empty, false dict.
   denominators into sparse rows, `zi_rows`/`zi_row` do so for vectors, and
   `q_decode`/`zi_decode` divide a denominator out again.
 * Rank (`rank_q`/`rank_qi`), reduced row echelon form (`rref_q`/`rref_qi`)
-  and the echelon of ``exact.RowReducer`` (`zi_reduce`/`zi_insert`) share
+  and the incremental echelon (`zi_reduce`/`zi_insert`) of
+  ``exact.RowReducer`` and of the cohomology representatives share
   one elimination step per field, `_q_eliminate` and `_zi_eliminate`:
   a * v - b * pivot with a / b = pivot[col] / v[col], then the row's content
   (over Q(i), a gcd in Z[i]) divided out.  No row is ever divided by a

@@ -636,17 +636,15 @@ def verify_isomorphism(L1: LieAlgebra, L2: LieAlgebra, T: ExactMatrix) -> bool:
     return apply_basis_change(L1, T).same_brackets(L2)
 
 
-def _extend_greedy(base: list[Vector], candidates, ambient: int) -> list[Vector]:
-    """Greedily pick candidates that enlarge the span, in the given order."""
-    chosen: list[Vector] = []
-    span = Subspace.from_spanning(base, ambient_dim=ambient)
-    for v in candidates:
-        if not span.contains(v):
-            chosen.append(tuple(v))
-            span = Subspace.from_spanning(
-                list(span.vectors()) + [v], ambient_dim=ambient
-            )
-    return chosen
+def _extend_greedy(base: list[Vector], candidates) -> list[Vector]:
+    """Greedily pick candidates that enlarge the span, in the given order.
+
+    One echelon of the kernel's Z[i] rows holds the span as it grows.
+    """
+    echelon: list = []
+    for v in base:
+        kernel.zi_insert(echelon, kernel.zi_row(v))
+    return [tuple(v) for v in candidates if kernel.zi_insert(echelon, kernel.zi_row(v))]
 
 
 def _abelian_split(L: LieAlgebra):
@@ -657,17 +655,13 @@ def _abelian_split(L: LieAlgebra):
     c1 = commutator_ideal(L)
     zc = z.intersect(c1)
     # Extend a basis of Z n C1 to Z using Z's canonical basis rows.
-    central_part = _extend_greedy(list(zc.vectors()), z.vectors(), n)
+    central_part = _extend_greedy(list(zc.vectors()), z.vectors())
     if not central_part:
         return None, []
     # Extend C1 + central part to a full complement using standard basis vectors.
-    std = []
-    for i in range(n):
-        e = [Q0] * n
-        e[i] = Q1
-        std.append(tuple(e))
+    std = [tuple(Q1 if j == i else Q0 for j in range(n)) for i in range(n)]
     base = list(c1.vectors()) + central_part
-    complement = _extend_greedy(base, std, n)
+    complement = _extend_greedy(base, std)
     core_vectors = list(c1.vectors()) + complement
     core_space = Subspace.from_spanning(core_vectors, ambient_dim=n)
     assert core_space.dim == n - len(central_part)

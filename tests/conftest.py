@@ -50,6 +50,31 @@ def random_gaussian_t(n: int, rng: random.Random) -> ExactMatrix:
     return ExactMatrix(m, cols=n)
 
 
+_SCALAR_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__",
+)
+
+
+def count_scalar_arithmetic(monkeypatch) -> list[str]:
+    """Wrap every arithmetic method of `Rational` and `Gaussian` to log its calls.
+
+    Returns the list each call appends its name to, e.g. "Rational.__add__".
+    Constructing a scalar is not arithmetic, and is not logged.
+    """
+    calls = []
+    for cls in (Rational, Gaussian):
+        for name in _SCALAR_ARITHMETIC:
+            if name in vars(cls):
+
+                def counted(*args, _method=vars(cls)[name], _name=f"{cls.__name__}.{name}"):
+                    calls.append(_name)
+                    return _method(*args)
+
+                monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240611)

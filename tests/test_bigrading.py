@@ -39,7 +39,7 @@ from nilqp.errors import (
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
 from nilqp.scalars import Gaussian, Rational, format_scalar
 
-from conftest import random_invertible_t
+from conftest import count_scalar_arithmetic, random_invertible_t
 from oracles import frac_rank, frac_rref_qi
 
 I = Gaussian(0, 1)
@@ -509,12 +509,6 @@ def test_pencil_structure_matches_fraction_oracle(key):
         assert v - frac_rank(m) == len(vecs)
 
 
-_SCALAR_ARITHMETIC = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__neg__",
-)
-
-
 def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     # The regular pencil (N4_82), the depth-first search with the pencil
     # operator (n5+n5), with a singular pencil (N2_82) and with generic
@@ -524,16 +518,7 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
         _moved_frame(keys, 1)[1]
         for keys in (["N4_82"], ["n5", "n5"], ["N2_82"], ["L5_parity", "L5_parity"])
     )
-    calls = []
-    for cls in (Rational, Gaussian):
-        for name in _SCALAR_ARITHMETIC:
-            if name in vars(cls):
-
-                def counted(*args, _method=vars(cls)[name], _name=f"{cls.__name__}.{name}"):
-                    calls.append(_name)
-                    return _method(*args)
-
-                monkeypatch.setattr(cls, name, counted)
+    calls = count_scalar_arithmetic(monkeypatch)
     bounds = SearchBounds(max_nodes=2000)
     seeds, w = _pencil_structure(regular)
     assert _regular_pencil_u(regular, seeds, w, regular.v // 2) is not None

@@ -22,11 +22,12 @@ from nilqp import (
 )
 from nilqp.catalog import catalog_keys, get
 from nilqp.cohomology import _commutator_adapted_table
+from nilqp.liealg import structure_table
 from nilqp.errors import DegreeOutOfRange, GradingNotCompatible
 from nilqp.scalars import Q0, Q1, Gaussian, Rational
 
-from conftest import random_gaussian_t, random_invertible_t
-from oracles import oracle_betti, oracle_differential
+from conftest import count_scalar_arithmetic, random_gaussian_t, random_invertible_t
+from oracles import frac_rref, oracle_betti, oracle_differential
 
 # Golden Betti numbers, produced by the independent Fraction oracle
 # (tests/oracles.py) before the implementation was finished.
@@ -365,13 +366,17 @@ def test_betti_of_complexifications_moved_by_gaussian_t_match_oracle(rng):
         assert list(betti_numbers(moved).betti) == want, alg.name
 
 
-def test_betti_of_q_algebra_with_gaussian_constant(rng):
+def _q_algebra_with_gaussian_constant():
     # Over Q(i), X2' = g X2, X3' = g X3, X4' = g X4 gives the rational
     # constants [X0, X1] = X2', [X0, X2'] = X3', [X1, X2'] = 3/2 X4'.
     g = Gaussian(Rational(1, 2), Rational(1, 3))
-    alg = LieAlgebra.from_brackets(
+    return LieAlgebra.from_brackets(
         "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}
     )
+
+
+def test_betti_of_q_algebra_with_gaussian_constant(rng):
+    alg = _q_algebra_with_gaussian_constant()
     assert alg.field == "Q"
     want = oracle_betti(
         {(0, 1): {2: Fraction(1)}, (0, 2): {3: Fraction(1)}, (1, 2): {4: Fraction(3, 2)}}, 5
@@ -419,6 +424,85 @@ def test_betti_with_and_without_representatives_agree(rng):
         assert [len(full.representatives[k]) for k in range(alg.dim + 1)] == list(
             plain.betti
         ), alg.name
+
+
+def _fraction_representatives(alg):
+    """The canonical representatives from oracle differentials and Fraction RREFs.
+
+    Each cocycle of the RREF basis of ker d_k is reduced against the RREF
+    of the span of im d_{k-1} and the representatives kept before it.
+    """
+    n = alg.dim
+    brackets = _fraction_brackets(alg)
+    reps = {}
+    for k in range(n + 1):
+        ncols = comb(n, k)
+        red, pivots = frac_rref(oracle_differential(brackets, n, k), ncols)
+        null = []
+        for f in sorted(set(range(ncols)) - set(pivots)):
+            v = [Fraction(int(j == f)) for j in range(ncols)]
+            for row, p in zip(red, pivots):
+                v[p] = -row[f]
+            null.append(v)
+        cocycles, dim = frac_rref(null, ncols)
+        image = [list(col) for col in zip(*oracle_differential(brackets, n, k - 1))] if k else []
+        kept = []
+        span = frac_rref(image, ncols)
+        for v in cocycles[: len(dim)]:
+            for row, p in zip(*span):
+                v = [x - v[p] * y for x, y in zip(v, row)]
+            if any(v):
+                lead = next(x for x in v if x)
+                kept.append([x / lead for x in v])
+                span = frac_rref(image + kept, ncols)
+        reps[k] = kept
+    return reps
+
+
+def test_representatives_match_fraction_reference(rng):
+    # Up to dim 6: the Fraction reference takes seconds per algebra of dim 7.
+    checked = 0
+    for alg in _rational_bases():
+        if not 0 < alg.dim <= 6:
+            continue
+        moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+        reps = betti_numbers(moved, representatives=True).representatives
+        got = {
+            k: [[Fraction(x.num, x.den) for x in v] for v in vecs] for k, vecs in reps.items()
+        }
+        assert got == _fraction_representatives(moved), alg.name
+        checked += 1
+    assert checked >= 15
+
+
+def test_representatives_make_no_scalar_arithmetic(monkeypatch, rng):
+    # Cocycles, coboundaries and residuals stay integer rows until each
+    # representative is decoded, over Q and over Q(i).
+    algebras = []
+    for key in ("n5", "filiform_5", "L5_parity", "N1_84", "37D"):
+        alg = get(key).algebra
+        algebras.append(apply_basis_change(alg, random_invertible_t(alg.dim, rng)))
+    algebras.append(apply_basis_change(complexify(get("n5").algebra), random_gaussian_t(5, rng)))
+    calls = count_scalar_arithmetic(monkeypatch)
+    for alg in algebras:
+        table = betti_numbers(alg, representatives=True)
+        assert [len(vecs) for vecs in table.representatives.values()] == list(table.betti)
+    assert calls == []
+    Rational(1, 2) + Rational(1, 3)
+    assert calls == ["Rational.__add__"]
+
+
+def test_representative_scalar_type_follows_structure_table_field():
+    # A Q algebra holding a Gaussian constant has its structure table over
+    # Q(i), so all its representatives are Gaussian, in every degree.
+    qg = _q_algebra_with_gaussian_constant()
+    n3 = get("n3").algebra
+    for alg, kind in ((qg, Gaussian), (n3, Rational), (complexify(n3), Gaussian)):
+        assert (structure_table(alg).field == "Qi") == (kind is Gaussian)
+        reps = betti_numbers(alg, representatives=True).representatives
+        assert [len(reps[k]) for k in range(alg.dim + 1)] == list(betti_numbers(alg).betti)
+        assert {type(x) for vecs in reps.values() for v in vecs for x in v} == {kind}, alg.name
+        assert all(next(x for x in v if x) == 1 for vecs in reps.values() for v in vecs)
 
 
 def test_euler_characteristic():
