@@ -1460,8 +1460,11 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
 
     ``structure`` is `_pencil_structure`'s result.  Every vector is an exact
     vector; an invariant subspace is kept as its annihilator's rows, so its
-    meet with a constraint space is one null space.  Only the U returned is
-    decoded.
+    meet with a constraint space is one null space.  A candidate is a
+    bounded combination of a node's pool rows, tested on the combination of
+    their residuals modulo the generators chosen and their conjugates,
+    computed once per node; only a candidate that passes is formed.  Only
+    the U returned is decoded.
     """
     v = frame.v
     groups: list = []
@@ -1507,8 +1510,8 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
     budget = [bounds.max_nodes]
     coeffs = [c for c in bounds.coefficients if c]
 
-    def complex_candidates(constraints, space, chosen):
-        """Candidates as (Z[i] row, denominator) pairs, in the search order."""
+    def complex_pool(constraints, space, chosen):
+        """The pool of a node as Z[i] rows over one denominator ``(rows, den)``."""
         pool: list[tuple[kernel.ZiRow, int]] = []
 
         def push(vec):
@@ -1530,49 +1533,68 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
                 push(vec)
         for vec in space:
             push(vec)
-        rows, den = kernel.zi_common(pool)
-        for row in rows:
-            yield row, den
+        return kernel.zi_common(pool)
+
+    def complex_candidates(n):
+        """Candidates over a pool of ``n`` rows, in the search order.
+
+        Each is its terms ``(c, index)``, the sum of ``c`` times pool row
+        ``index`` with ``c = (re, im)`` in Z[i].
+        """
         one = (1, 0)
+        for a in range(n):
+            yield ((one, a),)
         if bounds.depth >= 2:
-            for a, x in enumerate(rows):
-                for b, y in enumerate(rows):
+            for a in range(n):
+                for b in range(n):
                     if a == b:
                         continue
                     for cc in coeffs:
-                        yield kernel.zi_combine((one, x), ((cc, 0), y)), den
-                        yield kernel.zi_combine((one, x), ((0, cc), y)), den
+                        yield (one, a), ((cc, 0), b)
+                        yield (one, a), ((0, cc), b)
         if bounds.depth >= 3:
-            for a, x in enumerate(rows):
-                for b in range(a + 1, len(rows)):
-                    y = rows[b]
-                    for z in rows[b + 1 :]:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    for c in range(b + 1, n):
                         for c_b in coeffs:
-                            iy = ((0, c_b), y)
+                            iy = ((0, c_b), b)
                             for c_c in coeffs:
-                                rw, iw = ((c_c, 0), z), ((0, c_c), z)
-                                yield kernel.zi_combine((one, x), iy, rw), den
-                                yield kernel.zi_combine((one, x), iy, iw), den
+                                yield (one, a), iy, ((c_c, 0), c)
+                                yield (one, a), iy, ((0, c_c), c)
 
     def rec(chosen, red: RowReducer):
         # ``chosen`` holds the generators as ``(row, den)``, and ``red`` them
-        # and their conjugates; a candidate u is independent of them when a
-        # copy takes u and conj(u).
+        # and their conjugates, spanning S.  A candidate u is independent of
+        # them when rho(u) and rho(conj u) span a plane, for the linear
+        # reduction rho modulo S (`kernel.zi_residual`), so the residuals of
+        # the pool rows and their conjugates are all it needs.  Only a
+        # candidate that passes is formed.  Every candidate makes one
+        # `RowReducer.add`: perfbench counts those calls as nodes.
         if len(chosen) == h:
             return [kernel.zi_decode(row, den, v) for row, den in chosen]
         constraints = frame.commutant_rows([row for row, _ in chosen])
         space = kernel.null_space(constraints, v, "Qi")
         if len(space) < h:
             return None
-        for cand, den in complex_candidates(constraints, space, chosen):
+        rows, den = complex_pool(constraints, space, chosen)
+        res = [kernel.zi_residual(row, red.rows) for row in rows]
+        res_conj = [kernel.zi_residual(kernel.zi_conj(row), red.rows) for row in rows]
+        for terms in complex_candidates(len(rows)):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
-            if not cand:
+            quot = RowReducer(v)
+            if not (
+                quot.add(kernel.zi_combine(*((c, res[i]) for c, i in terms)))
+                and quot.add(
+                    kernel.zi_combine(*(((cr, -ci), res_conj[i]) for (cr, ci), i in terms))
+                )
+            ):
                 continue
+            cand = kernel.zi_combine(*((c, rows[i]) for c, i in terms))
             grown = red.copy()
-            if not (grown.add(cand) and grown.add(kernel.zi_conj(cand))):
-                continue
+            grown.add(cand)
+            grown.add(kernel.zi_conj(cand))
             result = rec(chosen + [(cand, den)], grown)
             if result is not None:
                 return result

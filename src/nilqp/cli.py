@@ -112,7 +112,12 @@ def _add_bounds(sp) -> None:
         default="-1,0,1",
         help="search coefficient set, comma separated (default: -1,0,1)",
     )
-    sp.add_argument("--depth", type=int, default=2, help="combination depth")
+    sp.add_argument(
+        "--depth",
+        type=int,
+        default=2,
+        help="terms per search combination, 1 to 3 (default: 2)",
+    )
     sp.add_argument(
         "--max-nodes", type=int, default=20000, help="search node budget"
     )
@@ -123,8 +128,9 @@ def _bounds_from_args(args) -> SearchBounds:
         coeffs = tuple(int(c) for c in str(args.coeffs).split(",") if c.strip() != "")
     except ValueError:
         raise InputError(f"--coeffs must be integers, got {args.coeffs!r}")
-    if args.depth < 1:
-        raise InputError("--depth must be >= 1")
+    if not 1 <= args.depth <= 3:
+        # The depth-first search combines at most three pool vectors.
+        raise InputError(f"--depth must be 1, 2 or 3, got {args.depth}")
     if args.max_nodes < 1:
         raise InputError("--max-nodes must be >= 1")
     return SearchBounds(coefficients=coeffs, depth=args.depth, max_nodes=args.max_nodes)

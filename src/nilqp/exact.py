@@ -370,8 +370,10 @@ class RowReducer:
     of scalars or a row already encoded by the kernel (`kernel.zi_row`);
     any nonzero multiple of a vector spans the same line, so the scale of
     an encoded row does not matter.  `copy` is cheap: rows are never
-    changed in place, so a copy shares them, and the bigrading search keeps
-    one reducer per level and tests each candidate on a copy.
+    changed in place, so a copy shares them.  The bigrading search keeps one
+    reducer per level, tests each candidate on a fresh reducer of its
+    residuals modulo those rows (`kernel.zi_residual`), and copies only for
+    a candidate that passes.
     """
 
     __slots__ = ("ncols", "rows")

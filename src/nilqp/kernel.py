@@ -23,7 +23,8 @@ holds zero entries, so the zero row is the empty, false dict.
   11-19).  Rank and reduced form run on one loop, `_echelon`; the reduced
   form back-substitutes with the same step and returns primitive rows,
   which the caller divides by their pivot entries to read off the unique
-  reduced row echelon form.
+  reduced row echelon form.  `zi_residual` reduces modulo such an echelon
+  without dividing, so that it stays linear.
 * `null_space` is the one null-space routine, over either field: one
   `rref_q`/`rref_qi` of [M^T | I].  It returns exact vectors ``(row, den)``
   in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are equal
@@ -436,6 +437,33 @@ def zi_reduce(row: ZiRow, echelon: list[tuple[int, ZiRow]]) -> ZiRow:
             row = _zi_eliminate(row, pivot, lead)
             if not row:
                 break
+    return row
+
+
+def zi_residual(row: ZiRow, echelon: list[tuple[int, ZiRow]]) -> ZiRow:
+    """A Z[i]-linear reduction of ``row`` modulo the span of echelon rows.
+
+    ``echelon`` is as for `zi_reduce`.  Each ``(lead, pivot)`` in turn sets
+    row <- pivot[lead] * row - row[lead] * pivot, also when row[lead] is zero,
+    and no content is divided out, so the residual of a Z[i]-combination of
+    rows is the same combination of their residuals.  The result is row
+    times the product of the lead entries plus a vector of the span, and is
+    zero at every lead: it is empty exactly when ``row`` lies in the span.
+    """
+    for lead, pivot in echelon:
+        pr, pi = pivot[lead]
+        fr, fi = row.get(lead, (0, 0))
+        out = {j: (pr * x - pi * y, pr * y + pi * x) for j, (x, y) in row.items()}
+        if fr or fi:
+            for j, (u, v) in pivot.items():
+                x, y = out.get(j, (0, 0))
+                x -= fr * u - fi * v
+                y -= fr * v + fi * u
+                if x or y:
+                    out[j] = (x, y)
+                else:
+                    del out[j]
+        row = out
     return row
 
 

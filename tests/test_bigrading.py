@@ -36,6 +36,7 @@ from nilqp.errors import (
     MissingRealStructure,
     NotAFiltration,
 )
+from nilqp.exact import RowReducer
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
 from nilqp.scalars import Gaussian, Rational, format_scalar
 
@@ -553,6 +554,71 @@ def test_transversal_agrees_with_fraction_rank():
         seen.add(want)
     assert seen == {True, False}
 
+
+def test_residuals_decide_as_the_reducer_does():
+    # Echelons of 0-4 rows, half of them closed under conjugation, as the
+    # depth-first search holds its generators and their conjugates.
+    rng = random.Random(8)
+    v = 5
+    one = (1, 0)
+    seen = set()
+    for trial in range(120):
+        red = RowReducer(v)
+        gens = [_random_zi_row(rng, v) for _ in range(rng.randint(0, 2))]
+        for row in gens:
+            red.add(row)
+            if trial % 2:
+                red.add(kernel.zi_conj(row))
+        span = [row for _, row in red.rows]
+
+        def rho(row):
+            return kernel.zi_residual(row, red.rows)
+
+        def gauss():
+            return rng.randint(-2, 2), rng.randint(-2, 2)
+
+        x, y = _random_zi_row(rng, v), _random_zi_row(rng, v)
+        if span and trial % 3 == 0:
+            # In the span, or off it only by a multiple of y.
+            x = kernel.zi_combine(*((gauss(), row) for row in span))
+            if trial % 4 == 0:
+                x = kernel.zi_combine((one, x), (gauss(), y))
+        elif trial % 3 == 1:
+            x = {j: (a, 0) for j, (a, _) in x.items() if a}
+        c = gauss()
+        assert rho(kernel.zi_combine((one, x), (c, y))) == kernel.zi_combine(
+            (one, rho(x)), (c, rho(y))
+        )
+        dense = [[row.get(j, (0, 0)) for j in range(v)] for row in span + [x]]
+        in_span = len(frac_rref_qi(dense, v)[1]) == len(span)
+        assert (not rho(x)) == in_span
+        quot = RowReducer(v)
+        got = quot.add(rho(x)) and quot.add(rho(kernel.zi_conj(x)))
+        grown = red.copy()
+        want = grown.add(x) and grown.add(kernel.zi_conj(x))
+        assert got == want
+        seen.add((in_span, want))
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+def test_dfs_copies_the_reducer_only_for_candidates_that_pass(monkeypatch):
+    # L5_parity+L5_parity exhausts 2,000 nodes in the generic depth-first
+    # search, and only a few candidates pass; testing each on a copy of the
+    # reducer made one copy per node.
+    alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
+    moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(1)))
+    copies = []
+    original = RowReducer.copy
+
+    def counted(self):
+        copies.append(1)
+        return original(self)
+
+    monkeypatch.setattr(RowReducer, "copy", counted)
+    out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+    assert out.status == "not_found_within_bounds"
+    assert 0 < len(copies) < 50
+
 # Two-step sums whose search at max_nodes=2000 reaches the depth-first search
 # (L5_parity+L5_parity exhausts it, n3+n3+n3 and n3+n3+n3+C1 are settled by
 # it, the last not on every basis change) or a structured construction (the
@@ -665,3 +731,36 @@ def test_w_dfs_outputs_match_golden_digest():
             out = search_bigrading(moved, SearchBounds(max_nodes=2000))
             digest.update(_outcome_text(out).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_W_DFS_SHA256
+
+
+# The depth-first search under bounds other than the default: depth 1 (pool
+# rows only), depth 3 (triples, reached on the second basis change of
+# L5_parity+L5_parity and of n3+n3+n3) and coefficients ±1, ±2.  Every search
+# reaches the depth-first search; L5_parity+L5_parity exhausts its budget
+# at depths 2 and 3.  The digest was recorded before the candidates were
+# tested on residuals; any change of candidate order, node count or
+# independence test changes it.
+GOLDEN_BOUNDS_SUMS = (("L5_parity", "L5_parity"), ("n3", "n3", "n3"), ("N2_82",))
+GOLDEN_BOUNDS = (
+    SearchBounds(depth=1, max_nodes=2000),
+    SearchBounds(depth=3, max_nodes=2000),
+    SearchBounds(coefficients=(-2, -1, 1, 2), max_nodes=2000),
+)
+GOLDEN_BOUNDS_SHA256 = (
+    "8a6ef8c7a750a8b71825d55955ec49d62e1a66b51c81f91b1024c7b7b55fe5d2"
+)
+
+
+def test_non_default_bounds_outputs_match_golden_digest():
+    rng = random.Random(6)
+    digest = hashlib.sha256()
+    for keys in GOLDEN_BOUNDS_SUMS:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        for _ in range(2):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            for bounds in GOLDEN_BOUNDS:
+                out = search_bigrading(moved, bounds)
+                digest.update(_outcome_text(out).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_BOUNDS_SHA256

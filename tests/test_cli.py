@@ -181,6 +181,18 @@ def test_bigrading_search_bounds_flags(capsys, n3_file):
     assert json.loads(out)["bounds"]["depth"] == 3
 
 
+@pytest.mark.parametrize("depth", ["0", "4"])
+def test_bigrading_search_depth_out_of_range_exit_1(capsys, n3_file, depth):
+    code, out, err = invoke(capsys, "bigrading-search", n3_file, "--depth", depth)
+    assert code == 1
+    assert not out and "--depth must be 1, 2 or 3" in err
+    code, out, _ = invoke(
+        capsys, "--format", "json", "bigrading-search", n3_file, "--depth", depth
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
 def test_catalog_list_show_export(capsys, tmp_path):
     code, out, _ = invoke(capsys, "catalog", "list")
     assert code == 0
