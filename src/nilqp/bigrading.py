@@ -45,7 +45,7 @@ J-space construction work on scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice, product
 from math import gcd, isqrt
 
@@ -54,6 +54,7 @@ from .cohomology import bigraded_cohomology
 from .errors import (
     AmbientMismatch,
     GradingNotCompatible,
+    InputError,
     MissingRealStructure,
     NotAFiltration,
 )
@@ -515,6 +516,13 @@ class SearchBounds:
     depth: int = 2
     max_nodes: int = 20000
 
+    def __post_init__(self):
+        if not 1 <= self.depth <= 3:
+            # The depth-first search combines at most three pool vectors.
+            raise InputError(f"search depth must be 1, 2 or 3, got {self.depth}")
+        if self.max_nodes < 1:
+            raise InputError(f"search node budget must be >= 1, got {self.max_nodes}")
+
 
 @dataclass
 class SearchOutcome:
@@ -614,10 +622,6 @@ def _sqrt_rational(r: Rational):
     return None
 
 
-def _lead(row) -> int:
-    return next(j for j, x in enumerate(row) if x)
-
-
 class _TwoStepFrame:
     """Quotient V = L / Z of a rational 2-step algebra and its bracket forms.
 
@@ -640,12 +644,12 @@ class _TwoStepFrame:
     def __init__(self, R: LieAlgebra):
         self.n = R.dim
         self.z = center(R)
-        pivots = {_lead(row) for row in self.z.basis.entries}
+        pivots = {min(row) for row, _ in self.z.rows}
         self.free = [j for j in range(self.n) if j not in pivots]
         self.v = len(self.free)
         self.c1 = commutator_ideal(R)
         slot = {f: a for a, f in enumerate(self.free)}
-        coord = {_lead(row): t for t, row in enumerate(self.c1.basis.entries)}
+        coord = {min(row): t for t, (row, _) in enumerate(self.c1.rows)}
         table = structure_table(R)
         self.den = table.den
         self.forms = [[[0] * self.v for _ in range(self.v)] for _ in coord]
@@ -1674,7 +1678,8 @@ def search_bigrading(
     grading = Bigrading.build(comps)
     report = _verify_on_carrier(Lc, grading, "strict")
     if not report.valid:
-        report = _verify_on_carrier(Lc, grading, "lax")
+        # The mode only changes how `GradingReport.valid` reads conjugation.
+        report = replace(report, mode="lax")
         if not report.valid:
             return SearchOutcome(
                 status="not_found_within_bounds", witness=necessary, bounds=bounds

@@ -210,31 +210,25 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
 
     The basis is the unit vectors e_j for the columns j that are not pivots
     of C^1's RREF basis, then the RREF rows r_a (pivot p_a) cleared of their
-    denominators: R_a = d_a r_a.  Every bracket w lies in C^1, so
-    w = sum_a w[p_a] r_a, and the new constants are the pivot entries of
-    the old-basis brackets of the new basis vectors: no inverse is needed.
-    The brackets are formed on `structure_table` over its field; the dual
-    generators of the n - dim C^1 unit vectors are closed.
+    denominators: R_a = d_a r_a, C^1's stored exact vector ``(R_a, d_a)``.
+    Every bracket w lies in C^1, so w = sum_a w[p_a] r_a, and the new
+    constants are the pivot entries of the old-basis brackets of the new
+    basis vectors: no inverse is needed.  The brackets are formed on
+    `structure_table` over its field; the dual generators of the n - dim C^1
+    unit vectors are closed.
     """
     n = L.dim
     field, den, columns = structure_table(L)
-    rows = commutator_ideal(L).vectors()
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    c1 = commutator_ideal(L)
+    pivots = [min(row) for row, _ in c1.rows]
+    dens = [d for _, d in c1.rows]
     free = sorted(set(range(n)) - set(pivots))
     if field == "Q":
-        zero, one, encode, bracket = 0, 1, kernel.q_ints, _bracket_q
+        zero, one, bracket = 0, 1, _bracket_q
     else:
-        zero, one, encode, bracket = (0, 0), (1, 0), kernel.zi_pairs, _bracket_qi
-    basis = []
-    for j in free:
-        e = [zero] * n
-        e[j] = one
-        basis.append(e)
-    dens = []
-    for r in rows:
-        vec, d = encode(r)
-        basis.append(vec)
-        dens.append(d)
+        zero, one, bracket = (0, 0), (1, 0), _bracket_qi
+    basis = [[one if k == j else zero for k in range(n)] for j in free]
+    basis += [[row.get(k, zero) for k in range(n)] for row in c1.kernel_rows(field)]
     # R_a carries d_a at its pivot, so w = sum_a (w[p_a] / d_a) R_a; over
     # the common multiple m of the d_a the coefficient is w[p_a] (m / d_a).
     m = lcm(*dens)

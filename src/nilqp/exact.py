@@ -2,8 +2,10 @@
 
 Matrices are dense and immutable; every entry is an exact scalar and all
 entries of one matrix live in one field ("Q" or "Qi" - mixed input is
-promoted to "Qi").  Subspaces are represented by their reduced-row-echelon
-basis, which is unique, so equal subspaces are structurally equal objects.
+promoted to "Qi").  A subspace holds its reduced-row-echelon basis, which
+is unique, as the kernel's exact integer vectors, so equal subspaces are
+structurally equal objects; sums, meets and containments run on those
+vectors, and scalars are made only when a caller reads the basis.
 """
 
 from __future__ import annotations
@@ -197,18 +199,10 @@ class ExactMatrix:
         """Unique reduced row echelon form and its pivot columns."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        n = self.cols
-        rows = kernel.int_rows(self.entries, self.field)
-        if self.field == "Q":
-            out, pivots = kernel.rref_q(rows, n)
-            red = [kernel.q_decode(row, row[p], n) for row, p in zip(out, pivots)]
-            zero = Q0
-        else:
-            out, pivots = kernel.rref_qi(rows, n)
-            red = [kernel.zi_decode(*kernel.zi_exact(row, p), n) for row, p in zip(out, pivots)]
-            zero = Gaussian(0)
-        red += [(zero,) * n] * (self.rows - len(red))
-        return ExactMatrix(red, cols=n), pivots
+        space = Subspace._span(kernel.int_rows(self.entries, self.field), self.cols, self.field)
+        zero = Gaussian(0) if self.field == "Qi" else Q0
+        red = space.vectors() + ((zero,) * self.cols,) * (self.rows - space.dim)
+        return ExactMatrix(red, cols=self.cols), [min(row) for row, _ in space.rows]
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
@@ -246,13 +240,21 @@ def kernel_basis(m: ExactMatrix) -> "Subspace":
 
 
 class Subspace:
-    """Row space with a canonical (RREF) basis; equality is structural."""
+    """Row space with a canonical basis; equality is structural.
 
-    __slots__ = ("ambient_dim", "basis")
+    ``rows`` is the reduced row echelon basis as the kernel's exact vectors
+    ``(row, den)`` over ``field`` (`kernel.q_exact`, `kernel.zi_exact`): in
+    lowest terms and in pivot order, each row's pivot its smallest column.
+    The zero space is over "Q".  `basis` and `vectors` decode the rows into
+    scalars, `Rational` over "Q" and `Gaussian` over "Qi", only when asked.
+    """
 
-    def __init__(self, ambient_dim: int, basis: ExactMatrix):
+    __slots__ = ("ambient_dim", "field", "rows")
+
+    def __init__(self, ambient_dim: int, field: str, rows: list[tuple[dict, int]]):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "field", field if rows else "Q")
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -265,98 +267,104 @@ class Subspace:
                 raise AmbientMismatch(
                     f"vector of length {len(r)} in ambient dimension {ambient_dim}"
                 )
-        if not rows:
-            return cls(ambient_dim, ExactMatrix([], cols=ambient_dim))
-        m = ExactMatrix(rows, cols=ambient_dim)
-        red, pivots = m.rref()
-        basis = ExactMatrix(red.entries[: len(pivots)], cols=ambient_dim)
-        return cls(ambient_dim, basis)
+        field = "Qi" if any(Gaussian in map(type, r) for r in rows) else "Q"
+        return cls._span(kernel.int_rows(rows, field), ambient_dim, field)
+
+    @classmethod
+    def _span(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
+        """The span of the kernel's integer rows over ``field``."""
+        if field == "Q":
+            red, pivots = kernel.rref_q(rows, ambient_dim)
+            exact = kernel.q_exact
+        else:
+            red, pivots = kernel.rref_qi(rows, ambient_dim)
+            exact = kernel.zi_exact
+        return cls(ambient_dim, field, [exact(row, p) for row, p in zip(red, pivots)])
 
     @classmethod
     def null_space(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
-        """{x : row . x = 0 for each row}, the kernel's integer rows over ``field``.
-
-        `kernel.null_space` gives the reduced basis, decoded as it is: over
-        Q(i) as `Gaussian` rows, and the zero space over Q, as from
-        `from_spanning`.
-        """
-        null = kernel.null_space(rows, ambient_dim, field)
-        decode = kernel.q_decode if field == "Q" else kernel.zi_decode
-        vecs = [decode(row, den, ambient_dim) for row, den in null]
-        return cls(ambient_dim, ExactMatrix(vecs, cols=ambient_dim))
+        """{x : row . x = 0 for each row}, the kernel's integer rows over ``field``."""
+        return cls(ambient_dim, field, kernel.null_space(rows, ambient_dim, field))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix([], cols=ambient_dim))
+        return cls(ambient_dim, "Q", [])
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ExactMatrix.identity(ambient_dim))
+        return cls(ambient_dim, "Q", [({j: 1}, 1) for j in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
+
+    @property
+    def basis(self) -> ExactMatrix:
+        return ExactMatrix(self.vectors(), cols=self.ambient_dim)
 
     def vectors(self) -> tuple[Vector, ...]:
-        return self.basis.entries
+        decode = kernel.q_decode if self.field == "Q" else kernel.zi_decode
+        return tuple(decode(row, den, self.ambient_dim) for row, den in self.rows)
+
+    def kernel_rows(self, field: str) -> list[dict]:
+        """The basis rows, scaled to integers, as kernel rows over ``field`` (its own or "Qi")."""
+        if field == self.field:
+            return [row for row, _ in self.rows]
+        return [{j: (x, 0) for j, x in row.items()} for row, _ in self.rows]
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        """The rows over "Qi": a rational vector is the same pair with zero imaginary parts."""
+        rows = zip(self.kernel_rows("Qi"), (den for _, den in self.rows))
+        return self.ambient_dim, tuple((frozenset(r.items()), d) for r, d in rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} in ambient {self.ambient_dim})"
 
     def contains(self, v: Sequence) -> bool:
-        vec = tuple(as_scalar(x) for x in v)
+        vec = [as_scalar(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length mismatch")
-        residual = self.reduce(vec)
-        return all(not x for x in residual)
+        return not kernel.zi_reduce(kernel.zi_row(vec), self.echelon())
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Reduce a vector against the canonical basis (residual coordinates)."""
-        vec = [as_scalar(x) for x in v]
-        # basis is already RREF; its pivots are the leading columns of each row
-        for row in self.basis.entries:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if lead is None:
-                continue
-            c = vec[lead]
-            if c:
-                for j in range(lead, self.ambient_dim):
-                    if row[j]:
-                        vec[j] = vec[j] - c * row[j]
-        return tuple(vec)
+    def echelon(self) -> list[tuple[int, kernel.ZiRow]]:
+        """The basis as a new ``(lead, row)`` echelon for `kernel.zi_reduce`/`zi_insert`."""
+        return [(min(row), row) for row in self.kernel_rows("Qi")]
 
     def sum(self, other: "Subspace") -> "Subspace":
         _same_ambient(self, other)
-        return Subspace.from_spanning(self.vectors() + other.vectors(), self.ambient_dim)
+        field = "Qi" if "Qi" in (self.field, other.field) else "Q"
+        rows = self.kernel_rows(field) + other.kernel_rows(field)
+        return Subspace._span(rows, self.ambient_dim, field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """The meet, as the null space of both annihilators stacked.
 
-        It is over Q(i) when either space is and the meet is not zero.
+        The annihilator of a space, {y : y . x = 0 for each x in it}, is the
+        null space of its rows.  The meet is over Q(i) when either space is
+        and the meet is not zero.
         """
         _same_ambient(self, other)
+        n = self.ambient_dim
         if not (self.dim and other.dim):
-            return Subspace.zero(self.ambient_dim)
-        field = "Qi" if "Qi" in (self.basis.field, other.basis.field) else "Q"
-        rows = self._annihilator(field) + other._annihilator(field)
-        return Subspace.null_space(rows, self.ambient_dim, field)
-
-    def _annihilator(self, field: str) -> list[dict]:
-        """Kernel rows over ``field`` spanning {y : y . x = 0 for each x in self}."""
-        vecs = self.vectors()
-        rows = kernel.int_rows(vecs, "Q") if field == "Q" else kernel.zi_rows(vecs)[0]
-        return [row for row, _ in kernel.null_space(rows, self.ambient_dim, field)]
+            return Subspace.zero(n)
+        field = "Qi" if "Qi" in (self.field, other.field) else "Q"
+        rows = []
+        for s in (self, other):
+            rows += [row for row, _ in kernel.null_space(s.kernel_rows(field), n, field)]
+        return Subspace.null_space(rows, n, field)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.vectors())
+        _same_ambient(self, other)
+        echelon = other.echelon()
+        return not any(kernel.zi_reduce(row, echelon) for row in self.kernel_rows("Qi"))
 
 
 class RowReducer:

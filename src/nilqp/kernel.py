@@ -29,7 +29,8 @@ holds zero entries, so the zero row is the empty, false dict.
   `rref_q`/`rref_qi` of [M^T | I].  It returns exact vectors ``(row, den)``
   in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are equal
   pairs; `zi_lowest` puts any Z[i] one in lowest terms, and `zi_common`
-  puts several over one denominator again.
+  puts several over one denominator again.  ``exact.Subspace`` keeps its
+  reduced basis in this form, so it stores a null space as it comes.
 * On Z[i] rows, `zi_conj`, `zi_combine`, `zi_matvec` and `zi_matmul` form
   conjugates, Z[i]-combinations, matrix-vector and matrix products.
 """
@@ -89,20 +90,10 @@ def int_rows(rows, field: str) -> list[dict]:
     The rows are multiplied by the least common denominator of all their
     entries, which changes neither their spans nor which entries are
     nonzero: over "Q" each becomes ``{column: int}`` (every entry a
-    `Rational`), over "Qi" a Z[i] row ``{column: (re, im)}`` (every entry a
-    `Gaussian`).
+    `Rational`), over "Qi" a Z[i] row ``{column: (re, im)}`` (`zi_rows`).
     """
     if field == "Qi":
-        den = lcm(*{x.re.den for row in rows for x in row})
-        den = lcm(den, *{x.im.den for row in rows for x in row})
-        return [
-            {
-                j: (x.re.num * (den // x.re.den), x.im.num * (den // x.im.den))
-                for j, x in enumerate(row)
-                if x.re.num or x.im.num
-            }
-            for row in rows
-        ]
+        return zi_rows(rows)[0]
     den = lcm(*{x.den for row in rows for x in row})
     return [{j: x.num * (den // x.den) for j, x in enumerate(row) if x.num} for row in rows]
 

@@ -349,48 +349,44 @@ _GAUSSIAN_ZERO = Gaussian(0)
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
 
-    The n brackets [X_i, w] of one w are read off `structure_table` in one
-    pass: a constant column [X_i, X_j] adds w_j [X_i, X_j] to [X_i, w] and
-    -w_i [X_i, X_j] to [X_j, w].  The span is over Q(i) exactly when one of
-    the nonzero brackets holds a `Gaussian` as `LieAlgebra.bracket` types
-    it: over Q(i), for Gaussian w, or where a term times a `Gaussian`
-    constant of an algebra over Q reached it.
+    The n brackets [X_i, w] of one basis row w of ``sub`` are read off
+    `structure_table` in one pass: a constant column [X_i, X_j] adds
+    w_j [X_i, X_j] to [X_i, w] and -w_i [X_i, X_j] to [X_j, w].  The span is
+    over Q(i) exactly when one of the nonzero brackets holds a `Gaussian` as
+    `LieAlgebra.bracket` types it: over Q(i), for Gaussian w, or where a
+    term times a `Gaussian` constant of an algebra over Q reached it.
     """
     n = L.dim
-    field, den, columns = structure_table(L)
+    field, _, columns = structure_table(L)
     if field == "Q":
-        vecs = []
-        for w in sub.vectors():
-            ws, dw = kernel.q_ints(w)
-            d = dw * den
-            vecs.extend(
-                [Rational(x, d) if x else Q0 for x in row]
-                for row in _ad_q(columns, ws, n)
-                if any(row)
-            )
-        return Subspace.from_spanning(vecs, ambient_dim=n)
-    gaussian = L.field == "Qi" or sub.basis.field == "Qi"
+        rows = [
+            {k: x for k, x in enumerate(ad) if x}
+            for w, _ in sub.rows
+            for ad in _ad_q(columns, w, n)
+            if any(ad)
+        ]
+        return Subspace._span(rows, n, "Q")
+    gaussian = L.field == "Qi" or sub.field == "Qi"
     marked = [any(type(c) is Gaussian for _, c in coeffs) for _, coeffs in L.brackets]
-    found = []
-    for w in sub.vectors():
-        ws, dw = kernel.zi_pairs(w)
-        rows, hit = _ad_qi(columns, ws, n, marked)
-        for i, row in enumerate(rows):
-            if any(x or y for x, y in row):
-                found.append((row, dw * den))
+    rows = []
+    for w in sub.kernel_rows("Qi"):
+        ads, hit = _ad_qi(columns, w, n, marked)
+        for i, ad in enumerate(ads):
+            row = {k: e for k, e in enumerate(ad) if e[0] or e[1]}
+            if row:
+                rows.append(row)
                 gaussian = gaussian or i in hit
     if gaussian:
-        vecs = [_gaussians(row, d) for row, d in found]
-    else:
-        vecs = [[Rational(x, d) if x else Q0 for x, _ in row] for row, d in found]
-    return Subspace.from_spanning(vecs, ambient_dim=n)
+        return Subspace._span(rows, n, "Qi")
+    # No Gaussian reached these brackets, so their imaginary parts are zero.
+    return Subspace._span([{k: x for k, (x, _) in row.items()} for row in rows], n, "Q")
 
 
-def _ad_q(columns, w: list[int], n: int) -> list[list[int]]:
+def _ad_q(columns, w: dict, n: int) -> list[list[int]]:
     """The integer brackets [X_i, w], i < n, on the columns of a table over Q."""
     out = [[0] * n for _ in range(n)]
     for i, j, ks, xs in zip(*columns):
-        a, b = w[j], w[i]
+        a, b = w.get(j, 0), w.get(i, 0)
         if a:
             row = out[i]
             for k, x in zip(ks, xs):
@@ -402,7 +398,7 @@ def _ad_q(columns, w: list[int], n: int) -> list[list[int]]:
     return out
 
 
-def _ad_qi(columns, w: list, n: int, marked) -> tuple[list[list], set[int]]:
+def _ad_qi(columns, w: dict, n: int, marked) -> tuple[list[list], set[int]]:
     """The Z[i] brackets [X_i, w] on a table over Q(i), as rows of pairs.
 
     Also returns the i whose bracket took a term from a column flagged in
@@ -412,7 +408,7 @@ def _ad_qi(columns, w: list, n: int, marked) -> tuple[list[list], set[int]]:
     im = [[0] * n for _ in range(n)]
     hit = set()
     for (i, j, ks, ps, qs), flag in zip(zip(*columns), marked):
-        for t, (a, b), sign in ((i, w[j], 1), (j, w[i], -1)):
+        for t, (a, b), sign in ((i, w.get(j, (0, 0)), 1), (j, w.get(i, (0, 0)), -1)):
             if a or b:
                 a, b = sign * a, sign * b
                 rr, ri = re[t], im[t]
@@ -451,9 +447,6 @@ def center(L: LieAlgebra) -> Subspace:
     z = L._facts.get("center")
     if z is not None:
         return z
-    n = L.dim
-    if n == 0:
-        return Subspace.zero(0)
     field, _, columns = structure_table(L)
     stacked: dict[tuple[int, int], dict] = {}
     for i, j, ks, *parts in zip(*columns):
@@ -461,21 +454,27 @@ def center(L: LieAlgebra) -> Subspace:
             # [X_i, X_j] = -[X_j, X_i]: an int over Q, a Z[i] pair over Q(i)
             stacked.setdefault((j, k), {})[i] = c[0] if field == "Q" else tuple(c)
             stacked.setdefault((i, k), {})[j] = -c[0] if field == "Q" else (-c[0], -c[1])
-    z = Subspace.null_space(list(stacked.values()), n, field)
+    z = Subspace.null_space(list(stacked.values()), L.dim, field)
     L._facts["center"] = z
     return z
 
 
 def commutator_ideal(L: LieAlgebra) -> Subspace:
-    """C^1 L = span of all [X_i, X_j], read off the constants of each bracket."""
-    zero = L._zero()
-    vecs = []
-    for _, coeffs in L.brackets:
-        v = [zero] * L.dim
-        for k, c in coeffs:
-            v[k] = c
-        vecs.append(v)
-    return Subspace.from_spanning(vecs, ambient_dim=L.dim)
+    """C^1 L = span of all [X_i, X_j], read off the rows of `structure_table`.
+
+    It is over Q(i) when a constant is `Gaussian`, or when L is over Q(i)
+    and some [X_i, X_j] has a zero coordinate, which `bracket_basis` pads
+    with `Gaussian(0)`.
+    """
+    _, _, columns = structure_table(L)
+    ks, *parts = columns[2:]
+    if any(type(c) is Gaussian for _, coeffs in L.brackets for _, c in coeffs) or (
+        L.field == "Qi" and any(len(k) < L.dim for k in ks)
+    ):
+        rows = [dict(zip(k, zip(*p))) for k, *p in zip(ks, *parts)]
+        return Subspace._span(rows, L.dim, "Qi")
+    # Over Q, or over Q(i) with rational constants: the real parts.
+    return Subspace._span([dict(zip(k, xs)) for k, xs in zip(ks, parts[0])], L.dim, "Q")
 
 
 def complexify(L: LieAlgebra) -> LieAlgebra:
@@ -636,36 +635,30 @@ def verify_isomorphism(L1: LieAlgebra, L2: LieAlgebra, T: ExactMatrix) -> bool:
     return apply_basis_change(L1, T).same_brackets(L2)
 
 
-def _extend_greedy(base: list[Vector], candidates) -> list[Vector]:
-    """Greedily pick candidates that enlarge the span, in the given order.
-
-    One echelon of the kernel's Z[i] rows holds the span as it grows.
-    """
-    echelon: list = []
-    for v in base:
-        kernel.zi_insert(echelon, kernel.zi_row(v))
-    return [tuple(v) for v in candidates if kernel.zi_insert(echelon, kernel.zi_row(v))]
-
-
 def _abelian_split(L: LieAlgebra):
-    """Deterministic split data: (core basis vectors, central complement)."""
+    """Deterministic split data: (core basis vectors, central complement).
+
+    Each extension is greedy, in order, on an echelon of the kernel's Z[i] rows.
+    """
     n = L.dim
     lower_central_series(L)  # raises NotNilpotent early
-    z = center(L)
-    c1 = commutator_ideal(L)
-    zc = z.intersect(c1)
+    z, c1 = center(L), commutator_ideal(L)
     # Extend a basis of Z n C1 to Z using Z's canonical basis rows.
-    central_part = _extend_greedy(list(zc.vectors()), z.vectors())
-    if not central_part:
+    echelon = z.intersect(c1).echelon()
+    z_rows = z.kernel_rows("Qi")
+    central = [i for i, row in enumerate(z_rows) if kernel.zi_insert(echelon, row)]
+    if not central:
         return None, []
     # Extend C1 + central part to a full complement using standard basis vectors.
-    std = [tuple(Q1 if j == i else Q0 for j in range(n)) for i in range(n)]
-    base = list(c1.vectors()) + central_part
-    complement = _extend_greedy(base, std)
-    core_vectors = list(c1.vectors()) + complement
-    core_space = Subspace.from_spanning(core_vectors, ambient_dim=n)
-    assert core_space.dim == n - len(central_part)
-    return list(core_space.vectors()), central_part
+    echelon = c1.echelon()
+    for i in central:
+        kernel.zi_insert(echelon, z_rows[i])
+    complement = [j for j in range(n) if kernel.zi_insert(echelon, {j: (1, 0)})]
+    one = 1 if c1.field == "Q" else (1, 0)
+    core = Subspace._span(c1.kernel_rows(c1.field) + [{j: one} for j in complement], n, c1.field)
+    assert core.dim == n - len(central)
+    z_vectors = z.vectors()
+    return list(core.vectors()), [z_vectors[i] for i in central]
 
 
 def abelian_split_transformation(L: LieAlgebra) -> ExactMatrix:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -33,6 +34,7 @@ from nilqp.catalog import catalog_keys, get
 from nilqp.errors import (
     AmbientMismatch,
     GradingNotCompatible,
+    InputError,
     MissingRealStructure,
     NotAFiltration,
 )
@@ -220,10 +222,13 @@ def test_verify_reports_match_golden_digest():
         for g in entry.known_bigradings:
             for comps in _report_variants(g):
                 broken = Bigrading.build(comps)
+                reports = {}
                 for mode in ("strict", "lax"):
-                    report = verify_bigrading(entry.algebra, broken, mode=mode)
-                    text = dumps_json(grading_report_to_json(report))
+                    reports[mode] = verify_bigrading(entry.algebra, broken, mode=mode)
+                    text = dumps_json(grading_report_to_json(reports[mode]))
                     digest.update(f"{key} {mode} {text}\n".encode())
+                # The mode changes only how `valid` reads the conjugation check.
+                assert reports["lax"] == replace(reports["strict"], mode="lax")
     assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 
 
@@ -391,6 +396,17 @@ def test_search_respects_node_budget():
     out = search_bigrading(moved, bounds)
     assert out.status == "not_found_within_bounds"
     assert out.bounds == bounds
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"depth": 0}, {"depth": 4}, {"max_nodes": 0}, {"max_nodes": -5}]
+)
+def test_search_bounds_out_of_range_are_refused(kwargs):
+    # The depth-first search combines at most three pool vectors, so a
+    # deeper bound would run as depth 3 while reporting itself.
+    with pytest.raises(InputError):
+        SearchBounds(**kwargs)
+    assert SearchBounds(depth=3, max_nodes=1).depth == 3
 
 
 def test_search_robust_under_basis_change(rng):

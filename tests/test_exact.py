@@ -7,17 +7,20 @@ from nilqp import (
     Subspace,
     apply_basis_change,
     center,
+    commutator_ideal,
     complexify,
     conjugate_vector,
     kernel_basis,
+    lower_central_series,
     rref_rank,
     subspace_sum_intersect,
 )
 from nilqp.catalog import get
+from nilqp.cohomology import _commutator_adapted_table
 from nilqp.errors import AmbientMismatch, NotInvolution
 from nilqp.scalars import Gaussian, Rational
 
-from conftest import random_invertible_t
+from conftest import count_scalar_arithmetic, random_invertible_t
 from oracles import frac_rank
 
 
@@ -122,6 +125,26 @@ def test_subspace_canonical_equality():
     assert a.basis == b.basis
 
 
+def test_equality_across_fields_and_zero_spaces_over_q():
+    # A space over Q(i) with the same vectors as one over Q is the same space.
+    vecs = [[1, 0, Rational(1, 2), 3], [0, 2, 1, Rational(-1, 3)]]
+    q = Subspace.from_spanning(vecs, ambient_dim=4)
+    qi = Subspace.from_spanning([[Gaussian(x) for x in v] for v in vecs], ambient_dim=4)
+    assert (q.basis.field, qi.basis.field) == ("Q", "Qi")
+    assert q == qi and qi == q
+    assert hash(q) == hash(qi)
+    assert len({q, qi}) == 1
+    assert q != Subspace.from_spanning([[Gaussian(1, 1), 0, 0, 0]], ambient_dim=4)
+    # A zero meet or sum is over Q, whatever the fields of its inputs.
+    a = Subspace.from_spanning([[1, Gaussian(0, 1), 0]], ambient_dim=3)
+    b = Subspace.from_spanning([[1, 0, Gaussian(2, 1)]], ambient_dim=3)
+    zero = Subspace.zero(3)
+    for space in (a.intersect(b), zero.sum(zero), a.intersect(zero), zero.intersect(b)):
+        assert space.dim == 0 and space.basis.field == "Q"
+        assert space == zero and hash(space) == hash(zero)
+    assert a.sum(b).basis.field == "Qi"
+
+
 def test_conjugate_vector_identity_structure():
     s = ExactMatrix.identity(2)
     i = Gaussian(0, 1)
@@ -198,6 +221,35 @@ _ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "__neg__",
 )
+
+
+def test_pipeline_facts_build_no_matrix_and_make_no_scalar_arithmetic(rng, monkeypatch):
+    # Subspaces keep their bases as the kernel's exact vectors, so the
+    # series, center, commutator ideal, the adapted table of the Betti
+    # numbers and the meets, sums and containments of those spaces neither
+    # build an `ExactMatrix` nor combine scalars.
+    moved = apply_basis_change(get("N1_82").algebra, random_invertible_t(8, rng))
+    algebras = [moved, complexify(moved)]
+    calls = count_scalar_arithmetic(monkeypatch)
+    init = ExactMatrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("ExactMatrix.__init__")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
+    dims = []
+    for alg in algebras:
+        terms = lower_central_series(alg).terms
+        z, c1 = center(alg), commutator_ideal(alg)
+        _commutator_adapted_table(alg)
+        meet, total = z.intersect(c1), z.sum(c1)
+        nested = [c1.is_subspace_of(z), terms[2].is_subspace_of(terms[1]), meet.is_subspace_of(c1)]
+        dims.append(([t.dim for t in terms], z.dim, c1.dim, meet.dim, total.dim, nested))
+    monkeypatch.undo()
+    assert calls == []
+    assert dims[0] == dims[1]
+    assert dims[0][1:] == (2, 2, 2, 2, [True, True, True])
 
 
 def test_null_spaces_make_no_scalar_arithmetic(rng, monkeypatch):
