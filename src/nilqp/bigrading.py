@@ -33,21 +33,22 @@ constructions work on these forms, tried in this order:
 Every hit is re-verified before being returned; exhaustion yields
 NotFoundWithinBounds, never a nonexistence claim.
 
-Verification, the regular pencil and both depth-first searches run on the
-kernel's Z[i] rows: the forms are read as integers off
-`liealg.structure_table`, a vector is an exact vector ``(row, den)``,
-spans and memberships are read off echelons (`kernel.zi_insert`/
-`kernel.zi_reduce`), subspaces and their meets are null spaces
-(`kernel.null_space`), and verification brackets on the same table.
-Scalars appear only in the U these constructions return.  Darboux and the
-J-space construction work on scalars.
+Verification and all five constructions run on integers: the forms are
+read as integers off `liealg.structure_table`, a vector is an exact vector
+``(row, den)`` on the kernel's Z[i] rows, spans and memberships are read
+off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
+meets are null spaces (`kernel.null_space`), and verification brackets on
+the same table.  The J-space construction keeps its solution space as
+integer matrices over one denominator and its candidates as integer
+coefficient tuples.  Scalars appear only in the U these constructions
+return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from ._arith import solve_ternary
 from .cohomology import bigraded_cohomology
@@ -70,7 +71,7 @@ from .liealg import (
     lower_central_series,
     structure_table,
 )
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj
+from .scalars import Gaussian, Q0, Scalar, as_scalar, conj
 
 __all__ = [
     "Bigrading",
@@ -611,17 +612,6 @@ def _realified(L: LieAlgebra) -> tuple[LieAlgebra, LieAlgebra, ExactMatrix]:
     return Lc, real_alg, t_real
 
 
-def _sqrt_rational(r: Rational):
-    """Exact square root in Q, or None."""
-    if r.num < 0:
-        return None
-    a = isqrt(r.num)
-    b = isqrt(r.den)
-    if a * a == r.num and b * b == r.den:
-        return Rational(a, b)
-    return None
-
-
 class _TwoStepFrame:
     """Quotient V = L / Z of a rational 2-step algebra and its bracket forms.
 
@@ -678,54 +668,57 @@ class _TwoStepFrame:
             vec[f] = vec[f] + coord
         return tuple(vec)
 
-    def pair(self, t: int, u, w) -> Scalar:
-        """The t-th form on u and w: the t-th coordinate of [lift(u), lift(w)]."""
-        total = Q0
-        for x, row in zip(u, self.forms[t]):
-            if x:
-                for f, y in zip(row, w):
-                    if f and y:
-                        total = total + x * f * y
-        return total / self.den
 
-    def std_basis(self):
-        out = []
-        for a in range(self.v):
-            e = [Q0] * self.v
-            e[a] = Q1
-            out.append(tuple(e))
-        return out
+def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
+    return [({a: (1, 0)}, 1) for a in range(v)]
 
 
 def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
-    """U generators for a one-dimensional commutator ideal (symplectic case)."""
+    """U generators for a one-dimensional commutator ideal (symplectic case).
+
+    Symplectic reduction of the one form, from the unit vectors of V, on
+    exact vectors ``(row, den)`` whose Z[i] rows are real: each pair (x, y)
+    has form value 1 on it and is split off the vectors left.  Only the U
+    returned, the rows x - iy, is decoded.
+    """
     if frame.c1.dim != 1:
         return None
-    remaining = frame.std_basis()
+    form, fden = frame.forms[0], frame.den
+
+    def pair(x, y):
+        """The form on the rows x and y, times ``fden``."""
+        return sum(a * form[j][k] * b for j, (a, _) in x.items() for k, (b, _) in y.items())
+
+    remaining = _unit_vectors(frame.v)
     pairs = []
     while remaining:
-        x = remaining.pop(0)
-        partner = None
-        for idx, y in enumerate(remaining):
-            if frame.pair(0, x, y):
-                partner = idx
-                break
+        x, xd = remaining.pop(0)
+        partner = next((idx for idx, (y, _) in enumerate(remaining) if pair(x, y)), None)
         if partner is None:
             return None  # degenerate; cannot happen for V = L/Z
-        y = remaining.pop(partner)
-        lam = frame.pair(0, x, y)
-        y = tuple(t / lam for t in y)
+        y, yd = remaining.pop(partner)
+        # y divided by the form's value on x and y, pair(x, y) / (xd yd fden)
+        y, yd = kernel.zi_lowest(kernel.zi_combine(((xd * fden, 0), y)), pair(x, y))
         reduced = []
-        for vv in remaining:
-            a = frame.pair(0, x, vv)
-            b = frame.pair(0, y, vv)
+        for vec, vd in remaining:
+            a, b = pair(x, vec), pair(y, vec)
             if a or b:
-                vv = tuple(t - a * yy + b * xx for t, yy, xx in zip(vv, y, x))
-            reduced.append(vv)
+                # vec - a' y + b' x for the form's values a' on (x, vec), b' on (y, vec)
+                scale = xd * yd * fden
+                vec, vd = kernel.zi_lowest(
+                    kernel.zi_combine(((scale, 0), vec), ((-a, 0), y), ((b, 0), x)),
+                    vd * scale,
+                )
+            reduced.append((vec, vd))
         remaining = reduced
-        pairs.append((x, y))
-    iu = Gaussian(0, 1)
-    return [tuple(a - iu * b for a, b in zip(x, y)) for (x, y) in pairs]
+        pairs.append((x, xd, y, yd))
+    return [
+        kernel.zi_decode(
+            *kernel.zi_lowest(kernel.zi_combine(((yd, 0), x), ((0, -xd), y)), xd * yd),
+            frame.v,
+        )
+        for x, xd, y, yd in pairs
+    ]
 
 
 def _poly_mul(p, q):
@@ -866,7 +859,7 @@ def _rational_roots(coeffs) -> list[tuple[int, int]]:
 # The pencil constructions and the depth-first search work on the kernel's
 # Z[i] rows and exact vectors ``(row, den)`` in lowest terms
 # (`kernel.zi_lowest`), so that equal vectors are equal pairs; a group of
-# seeds is a list of them.  The J-space construction works on scalars.
+# seeds is a list of them.
 
 
 def _member(frame: _TwoStepFrame, kappa) -> list[kernel.ZiRow]:
@@ -954,7 +947,10 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
 
     A solution with A^2 = -I is exactly a complex structure J whose graph
     U = {x - iJx} commutes for every bracket component; mu in A^2 = mu I is
-    invariant under basis change, so rational solutions transport.
+    invariant under basis change, so rational solutions transport.  Returns
+    ``(basis, den)``: the null space's exact vectors over one denominator,
+    A_a = basis[a] / den with each basis[a] an integer matrix as sparse
+    rows ``{column: int}``.
     """
     v = frame.v
     rows = []
@@ -969,33 +965,39 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
                 if row:
                     rows.append(row)
     if not rows:
-        return []
-    out = []
-    for vec, den in kernel.null_space(rows, v * v, "Q"):
-        flat = kernel.q_decode(vec, den, v * v)
-        out.append(ExactMatrix([flat[r * v : (r + 1) * v] for r in range(v)], cols=v))
-    return out
+        return [], 1
+    null = kernel.null_space(rows, v * v, "Q")
+    den = lcm(*(d for _, d in null))
+    basis = []
+    for vec, d in null:
+        mat: list[dict[int, int]] = [{} for _ in range(v)]
+        for j, x in vec.items():
+            mat[j // v][j % v] = x * (den // d)
+        basis.append(mat)
+    return basis, den
 
 
 class _ProductTable:
-    """Products of the basis A_0, ..., A_{k-1} of the compatible-structure space.
+    """Products of the basis A_a = M_a / D of the compatible-structure space.
 
-    A J-space candidate is a combination sum c_a A_a and is handled as its
-    coefficient tuple c; the A_a are independent, so it is zero only when c
-    is.  Its square and its anticommutators are sums of the
-    products P_ab = A_aA_b + A_bA_a (a < b) and P_aa = A_a^2, each formed
-    once, when first needed.  A product is kept as ``(mu, residual)``: mu is
-    its (0, 0) entry and residual its other entries in row-major order, less
-    mu on the diagonal.  A combination of products is a multiple of I
-    exactly when the same combination of residuals is zero.
+    A J-space candidate is a combination X = sum c_a A_a, handled as its
+    integer coefficient tuple c; the A_a are independent, so X is zero only
+    when c is.  Only its ray matters: a positive multiple of X gives the
+    same J = X / sqrt(-mu), while -X gives -J and so conj(U).  The square
+    and the anticommutators of combinations are sums of the integer
+    products P_ab = M_aM_b + M_bM_a (a < b) and P_aa = M_a^2, over D^2,
+    each formed once, when first needed.  A product P is kept as
+    ``(mu, residual)``: mu is its (0, 0) entry and residual the nonzero
+    entries of P - mu I as ``{r * v + s: entry}``.  A combination of
+    products is a multiple of I exactly when the same combination of
+    residuals is zero.
     """
 
-    def __init__(self, basis: list[ExactMatrix]):
+    def __init__(self, basis, den: int):
         self.basis = basis
+        self.den = den
         self.k = len(basis)
-        self.units = [
-            tuple(Q1 if b == a else Q0 for b in range(self.k)) for a in range(self.k)
-        ]
+        self.units = [tuple(int(b == a) for b in range(self.k)) for a in range(self.k)]
         self._products: dict[tuple[int, int], tuple] = {}
 
     def product(self, a: int, b: int) -> tuple:
@@ -1003,67 +1005,50 @@ class _ProductTable:
         got = self._products.get((a, b))
         if got is None:
             x, y = self.basis[a], self.basis[b]
-            m = x.matmul(x) if a == b else x.matmul(y).add(y.matmul(x))
-            mu = m.entries[0][0]
-            residual = tuple(
-                e - mu if r == s else e
-                for r, row in enumerate(m.entries)
-                for s, e in enumerate(row)
-                if r or s
-            )
+            v = len(x)
+            m: list[dict[int, int]] = [{} for _ in range(v)]
+            for p, q in ((x, x),) if a == b else ((x, y), (y, x)):
+                for out, row in zip(m, p):
+                    for t, e in row.items():
+                        for s, f in q[t].items():
+                            out[s] = out.get(s, 0) + e * f
+            mu = m[0].get(0, 0)
+            for r, row in enumerate(m):
+                row[r] = row.get(r, 0) - mu
+            residual = {r * v + s: e for r, row in enumerate(m) for s, e in row.items() if e}
             got = self._products[a, b] = (mu, residual)
         return got
 
-    def anticommutator(self, c, d):
-        """beta with XY + YX = beta*I for X = sum c_a A_a, Y = sum d_a A_a, or None."""
+    def anticommutator(self, c, d) -> int | None:
+        """beta with XY + YX = (beta / D^2) I for X = sum c_a A_a, Y = sum d_a A_a, or None."""
         support = [a for a in range(self.k) if c[a] or d[a]]
-        terms = []
+        beta = 0
+        total: dict[int, int] = {}
         for i, a in enumerate(support):
             for b in support[i:]:
                 coef = 2 * c[a] * d[a] if a == b else c[a] * d[b] + c[b] * d[a]
                 if coef:
-                    terms.append((coef, self.product(a, b)))
-        return _scalar_multiple(terms)
+                    mu, residual = self.product(a, b)
+                    beta += coef * mu
+                    for j, x in residual.items():
+                        total[j] = total.get(j, 0) + coef * x
+        return None if any(total.values()) else beta
 
-    def square(self, c):
-        """mu with X^2 = mu*I for X = sum c_a A_a, or None."""
+    def square(self, c) -> int | None:
+        """mu with X^2 = (mu / D^2) I for X = sum c_a A_a, or None."""
         beta = self.anticommutator(c, c)
-        return None if beta is None else beta / 2
+        # The anticommutator of X with itself has even coefficients.
+        return None if beta is None else beta // 2
 
-    def matrix(self, c) -> ExactMatrix:
-        """The matrix sum c_a A_a."""
-        terms = [(x, m.entries) for x, m in zip(c, self.basis) if x]
-        v = self.basis[0].rows
-        return ExactMatrix(
-            [
-                [sum((x * m[r][s] for x, m in terms), Q0) for s in range(v)]
-                for r in range(v)
-            ],
-            cols=v,
-        )
-
-
-def _scalar_multiple(terms):
-    """mu with sum c*P = mu*I over the ``(c, (mu_P, residual_P))`` terms, or None.
-
-    mu must be rational: a complex mu counts as no multiple.
-    """
-    for column in zip(*(residual for _, (_, residual) in terms)):
-        total = Q0
-        for (c, _), x in zip(terms, column):
+    def matrix(self, c) -> list[dict[int, int]]:
+        """The sparse rows of the integer matrix sum c_a M_a, which is D times sum c_a A_a."""
+        out: list[dict[int, int]] = [{} for _ in self.basis[0]]
+        for x, m in zip(c, self.basis):
             if x:
-                total = total + c * x
-        if total:
-            return None
-    mu = Q0
-    for c, (m, _) in terms:
-        if m:
-            mu = mu + c * m
-    if isinstance(mu, Gaussian):
-        if mu.im:
-            return None
-        mu = mu.re
-    return mu
+                for acc, row in zip(out, m):
+                    for s, e in row.items():
+                        acc[s] = acc.get(s, 0) + x * e
+        return out
 
 
 def _rays_with_square_condition(table: _ProductTable, a: int, b: int):
@@ -1074,44 +1059,31 @@ def _rays_with_square_condition(table: _ProductTable, a: int, b: int):
     rational roots of the first nontrivial one are checked against the rest.
     """
     ea, eb = table.units[a], table.units[b]
+    residuals = [table.product(*pair)[1] for pair in ((a, a), (a, b), (b, b))]
     quads = [
         q
-        for q in zip(
-            table.product(a, a)[1], table.product(a, b)[1], table.product(b, b)[1]
-        )
-        if any(q)
+        for j in sorted(set().union(*residuals))
+        if any(q := tuple(res.get(j, 0) for res in residuals))
     ]
     if not quads:
         # every combination already works; try the two axes
         return [ea, eb]
-
-    def as_rat(x):
-        if isinstance(x, Gaussian):
-            if x.im:
-                raise ValueError("complex coefficient in a real pencil")
-            return x.re
-        return x
-
-    qa, qb, qc = (as_rat(x) for x in quads[0])
-    candidates = []
+    qa, qb, qc = quads[0]
+    rays = []
     if not qa:
-        candidates.append((Q1, Q0))
+        rays.append((1, 0))
     if not qc:
-        candidates.append((Q0, Q1))
+        rays.append((0, 1))
     if qa:
-        # roots of qa t^2 + qb t + qc for t = x/y
-        den = qa.den * qb.den * qc.den
-        ia = qa.num * (den // qa.den)
-        ib = qb.num * (den // qb.den)
-        ic = qc.num * (den // qc.den)
-        disc = ib * ib - 4 * ia * ic
-        root = _isqrt_exact(disc)
+        # roots t = x/y of qa t^2 + qb t + qc, each as the ray (t, 1) times |2 qa|
+        root = _isqrt_exact(qb * qb - 4 * qa * qc)
         if root is not None:
+            sign_a = 1 if qa > 0 else -1
             for sign in (1, -1):
-                candidates.append((Rational(-ib + sign * root, 2 * ia), Q1))
+                rays.append((sign_a * (-qb + sign * root), 2 * abs(qa)))
     return [
         tuple(x * p + y * q for p, q in zip(ea, eb))
-        for x, y in candidates
+        for x, y in rays
         if all(not (ca * x * x + cb * x * y + cc * y * y) for ca, cb, cc in quads)
     ]
 
@@ -1121,66 +1093,65 @@ def _nilpotent_via_conic(table: _ProductTable):
 
     The squares define a ternary quadratic form on the space; a rational
     isotropic vector (Legendre reduction in nilqp._arith) is a nilpotent.
+    The form is kept as the integer Gram matrix of the anticommutators, 2D^2
+    times the symmetric form (XY + YX) / 2.
     """
     if table.k != 3:
         return None
     units = table.units
-    gram = [[None] * 3 for _ in range(3)]
+    gram = [[0] * 3 for _ in range(3)]
     for i in range(3):
-        mu = table.square(units[i])
-        if mu is None:
-            return None
-        gram[i][i] = mu
-        for j in range(i + 1, 3):
+        for j in range(i, 3):
             beta = table.anticommutator(units[i], units[j])
             if beta is None:
                 return None
-            gram[i][j] = gram[j][i] = beta / 2
+            gram[i][j] = gram[j][i] = beta
 
-    # Congruence diagonalization over Q, tracking the combination vectors.
-    def form(x, y):  # B(sum x_i A_i, sum y_j A_j)
-        total = Rational(0)
-        for i in range(3):
-            if not x[i]:
-                continue
-            for j in range(3):
-                if y[j]:
-                    total = total + x[i] * gram[i][j] * y[j]
-        return total
+    def form(x, y):
+        return sum(a * g * b for a, row in zip(x, gram) if a for g, b in zip(row, y) if b)
 
+    # Congruence diagonalization over Q, tracking the combination vectors as
+    # integer tuples over positive denominators ``(nums, den)``.
     ortho = []
-    rest = list(units)
+    rest = [(u, 1) for u in units]
     for _ in range(3):
-        pivot = None
-        for idx, w in enumerate(rest):
-            if form(w, w):
-                pivot = idx
-                break
+        pivot = next((idx for idx, (w, _) in enumerate(rest) if form(w, w)), None)
         if pivot is None:
             # every remaining vector is isotropic
-            for w in rest:
+            for w, _ in rest:
                 if any(w):
                     return w
             return None
-        w = rest.pop(pivot)
-        ortho.append(w)
+        w, wd = rest.pop(pivot)
+        ortho.append((w, wd))
         d = form(w, w)
+        # x - (B(x, w) / B(w, w)) w, whose denominator is xd * d
         rest = [
-            tuple(x - (form(xv, w) / d) * y for x, y in zip(xv, w))
-            for xv in rest
+            _ratio_tuple(tuple(d * a - form(x, w) * b for a, b in zip(x, w)), xd * d)
+            for x, xd in rest
         ]
-    ds = [form(w, w) for w in ortho]
+    # The diagonal B(w, w) of the rational vectors, times 2D^2 lcm^2.
+    top = lcm(*(wd for _, wd in ortho))
+    ds = [form(w, w) * (top // wd) ** 2 for w, wd in ortho]
     for idx, d in enumerate(ds):
         if not d:
-            return ortho[idx]
+            return ortho[idx][0]
     sol = solve_ternary(ds[0], ds[1], ds[2])
     if sol is None:
         return None
     coords = tuple(
-        sum((Rational(sol[t]) * ortho[t][i] for t in range(3)), Rational(0))
+        sum(sol[t] * w[i] * (top // wd) for t, (w, wd) in enumerate(ortho))
         for i in range(3)
     )
     return coords if any(coords) else None
+
+
+def _ratio_tuple(nums, den: int):
+    """The rational vector nums / den as ``(nums, den)`` in lowest terms with den > 0."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return tuple(x // g for x in nums), den // g
 
 
 def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
@@ -1189,14 +1160,15 @@ def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
     When every A in the space squares to a scalar, a nonzero nilpotent N and
     any B with NB + BN = beta*I (beta != 0), B^2 = b*I combine to
     J = ((-1 - b)/beta) N + B, which squares to -I exactly.  Candidates are
-    coefficient tuples on the table's basis.
+    coefficient tuples on the table's basis.  A nilpotent is kept up to
+    any nonzero factor, which (-1 - b)/beta divides out again.
     """
     units = table.units
     mus = [table.square(e) for e in units]
-    nilpotents = [e for e, mu in zip(units, mus) if mu is not None and not mu]
+    nilpotents = [e for e, mu in zip(units, mus) if mu == 0]
     if not nilpotents and table.k == 3:
         conic = _nilpotent_via_conic(table)
-        if conic is not None and table.square(conic) == Q0:
+        if conic is not None and table.square(conic) == 0:
             nilpotents.append(conic)
     # Rational nilpotent rays inside pairs: mu(A_i + t A_j) = 0.
     for i in range(table.k):
@@ -1206,20 +1178,17 @@ def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
             beta = table.anticommutator(units[i], units[j])
             if beta is None:
                 continue
-            # mu(A_i) + t*beta + t^2 mu(A_j) = 0
+            # mu(A_i) + t*beta + t^2 mu(A_j) = 0, each over D^2
             mi, mj = mus[i], mus[j]
-            den = mi.den * beta.den * mj.den
-            c0 = mi.num * (den // mi.den)
-            c1 = beta.num * (den // beta.den)
-            c2 = mj.num * (den // mj.den)
-            disc = c1 * c1 - 4 * c2 * c0
-            root = _isqrt_exact(disc)
+            root = _isqrt_exact(beta * beta - 4 * mj * mi)
             if root is None:
                 continue
             for sign in (1, -1):
-                t = Rational(-c1 + sign * root, 2 * c2)
-                nilpotents.append(tuple(x + t * y for x, y in zip(units[i], units[j])))
+                # A_i + t A_j for t = (-beta + sign*root) / (2 mj), times 2 mj
+                t = -beta + sign * root
+                nilpotents.append(tuple(2 * mj * x + t * y for x, y in zip(units[i], units[j])))
     out = []
+    d2 = table.den * table.den
     for n in nilpotents[:8]:
         for e, mu_b in zip(units, mus):
             if mu_b is None:
@@ -1227,8 +1196,11 @@ def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
             beta = table.anticommutator(n, e)
             if not beta:
                 continue
-            x = (Rational(-1) - mu_b) / beta
-            out.append(tuple(x * p + q for p, q in zip(n, e)))
+            # ((-1 - b)/beta) N + B with b = mu_b / D^2 and beta over D^2,
+            # times |beta|
+            x = -(d2 + mu_b)
+            sign = 1 if beta > 0 else -1
+            out.append(tuple(sign * (x * p + beta * q) for p, q in zip(n, e)))
     return out
 
 
@@ -1249,44 +1221,44 @@ def _jspace_candidates(table: _ProductTable):
 
 
 def _jspace_u(frame: _TwoStepFrame, h: int):
-    """U from a bracket-compatible complex structure (any commutator size)."""
-    if frame.v != 2 * h or frame.v == 0:
+    """U from a bracket-compatible complex structure (any commutator size).
+
+    A candidate X = N / D with X^2 = (mu / D^2) I and -mu = r^2 a square
+    gives J = X / sqrt(-mu) = N / r, and U is spanned by the Z[i] rows
+    r (x - iJx) = r x - i N x for unit vectors x.  Only the U returned is
+    decoded.
+    """
+    v = frame.v
+    if v != 2 * h or v == 0:
         return None
-    space = _compatible_complex_structures(frame)
-    if not space:
+    basis, den = _compatible_complex_structures(frame)
+    if not basis:
         return None
-    table = _ProductTable(space)
-    iu = Gaussian(0, 1)
+    table = _ProductTable(basis, den)
     for coeffs in _jspace_candidates(table):
-        # J = A / sqrt(-mu) when A^2 = mu*I with -mu a rational square.
         mu = table.square(coeffs)
-        if mu is None or mu.num >= 0:
+        if mu is None or mu >= 0:
             continue
-        root = _sqrt_rational(-mu)
-        if root is None:
+        r = _isqrt_exact(-mu)
+        if r is None:
             continue
-        inv = Rational(root.den, root.num)
-        j = table.matrix(tuple(inv * x for x in coeffs))
+        n = table.matrix(coeffs)
         # U = {x - i J x}: automatically transverse to its conjugate.
-        u_vecs = []
-        u_rows: list[kernel.ZiRow] = []
+        rows: list[kernel.ZiRow] = []
         echelon: list = []
-        for x in frame.std_basis():
-            jx = j.matvec(x)
-            u = tuple(xx - iu * yy for xx, yy in zip(x, jx))
-            row = kernel.zi_row(u)
+        for x in range(v):
+            row = {
+                j: (r if j == x else 0, -nrow.get(x, 0))
+                for j, nrow in enumerate(n)
+                if j == x or nrow.get(x)
+            }
             if kernel.zi_insert(echelon, row):
-                u_vecs.append(u)
-                u_rows.append(row)
-            if len(u_vecs) == h:
+                rows.append(row)
+            if len(rows) == h:
                 break
-        if len(u_vecs) == h and _bi_isotropic(frame, u_rows) and _transversal(u_rows):
-            return u_vecs
+        if len(rows) == h and _bi_isotropic(frame, rows) and _transversal(rows):
+            return [kernel.zi_decode(row, r, v) for row in rows]
     return None
-
-
-def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
-    return [({a: (1, 0)}, 1) for a in range(v)]
 
 
 def _krylov_span(w_rows, u: kernel.ZiRow, h: int) -> list[kernel.ZiRow]:

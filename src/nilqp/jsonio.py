@@ -107,7 +107,8 @@ def _require(data, key, types, path):
     if key not in data:
         raise ParseError(f"missing field {key!r}", path)
     value = data[key]
-    if not isinstance(value, types):
+    # A JSON boolean is a Python int, but never a count or an index.
+    if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         raise ParseError(
             f"field {key!r} has type {type(value).__name__}", f"{path}.{key}"
         )

@@ -24,8 +24,16 @@ from nilqp import kernel
 from nilqp.bigrading import (
     FiltrationPair,
     _bi_isotropic,
+    _compatible_complex_structures,
+    _darboux_u,
     _dfs_u,
+    _jspace_candidates,
+    _jspace_u,
+    _nilpotent_via_conic,
     _pencil_structure,
+    _ProductTable,
+    _rays_with_square_condition,
+    _realified,
     _regular_pencil_u,
     _transversal,
     _TwoStepFrame,
@@ -466,13 +474,16 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
 
 
 def _moved_frame(keys, seed):
-    """The `_TwoStepFrame` of the direct sum of ``keys``, moved by a seeded basis change."""
+    """The direct sum of ``keys`` moved by a seeded basis change, and its `_TwoStepFrame`.
+
+    The frame is that of the rational form, as the search builds it.
+    """
     alg = get(keys[0]).algebra
     for key in keys[1:]:
         alg = direct_sum(alg, get(key).algebra)
     rng = random.Random(seed)
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-    return moved, _TwoStepFrame(moved)
+    return moved, _TwoStepFrame(_realified(moved)[1])
 
 
 def _frac_matmul(a, b):
@@ -526,14 +537,102 @@ def test_pencil_structure_matches_fraction_oracle(key):
         assert v - frac_rank(m) == len(vecs)
 
 
+def _frac_scalar(m):
+    """The scalar lam with m == lam * I, or None."""
+    lam = m[0][0]
+    ok = all(x == (lam if r == s else 0) for r, row in enumerate(m) for s, x in enumerate(row))
+    return lam if ok else None
+
+
+def test_product_table_matches_fraction_products():
+    # The J-space frames of the golden digest and L5_parity+L5_parity.
+    # The integer basis spans the compatible-structure space, found again
+    # with Fractions, and the table's squares and anticommutators on the
+    # units and on small integer combinations are the dense products'.
+    rng = random.Random(7)
+    seen = set()
+    for keys in [[key] for key in GOLDEN_JSPACE_KEYS] + [["L5_parity", "L5_parity"]]:
+        _, frame = _moved_frame(keys, 2)
+        v = frame.v
+        sparse, den = _compatible_complex_structures(frame)
+        table = _ProductTable(sparse, den)
+        basis = [[[row.get(s, 0) for s in range(v)] for row in m] for m in sparse]
+        mats = [[[Fraction(x, den) for x in row] for row in m] for m in basis]
+
+        def defect(a):
+            """A^T F + F A for every integer form F, flattened, for an integer A."""
+            at = [list(col) for col in zip(*a)]
+            return [
+                x + y
+                for f in frame.forms
+                for r1, r2 in zip(_frac_matmul(at, f), _frac_matmul(f, a))
+                for x, y in zip(r1, r2)
+            ]
+
+        units = [
+            [[int((r, s) == (p, q)) for s in range(v)] for r in range(v)]
+            for p in range(v)
+            for q in range(v)
+        ]
+        rank = frac_rank([list(col) for col in zip(*(defect(e) for e in units))])
+        assert len(basis) == v * v - rank
+        assert frac_rank([[x for row in m for x in row] for m in basis]) == len(basis)
+        assert all(not any(defect(m)) for m in basis)
+
+        def combo(c):
+            return [
+                [sum(x * m[r][s] for x, m in zip(c, mats)) for s in range(v)] for r in range(v)
+            ]
+
+        def as_fraction(x, d):
+            return None if x is None else Fraction(x, d)
+
+        k = table.k
+        combos = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(6)]
+        pairs = [(c, d) for c in table.units for d in table.units]
+        pairs += [(rng.choice(combos), rng.choice(combos + table.units)) for _ in range(8)]
+        for c, d in pairs:
+            x, y = combo(c), combo(d)
+            xy, yx = _frac_matmul(x, y), _frac_matmul(y, x)
+            want = _frac_scalar([[p + q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)])
+            assert as_fraction(table.anticommutator(c, d), den * den) == want
+            seen.add(want is None)
+        for c in table.units + combos:
+            x = combo(c)
+            assert as_fraction(table.square(c), den * den) == _frac_scalar(_frac_matmul(x, x))
+            n = table.matrix(c)
+            assert [[row.get(s, 0) for s in range(v)] for row in n] == [
+                [e * den for e in row] for row in x
+            ]
+        # A ray x*A_a + y*A_b squares to a scalar, and is kept with the
+        # sign of (1, 0), (0, 1) or (t, 1): -X would give -J.
+        for a, b in combinations(range(k), 2):
+            for ray in _rays_with_square_condition(table, a, b):
+                assert not any(c for i, c in enumerate(ray) if i not in (a, b))
+                assert ray[b] > 0 or (ray[b] == 0 and ray[a] > 0)
+                x = combo(ray)
+                assert _frac_scalar(_frac_matmul(x, x)) is not None
+    assert seen == {True, False}
+
+
 def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     # The regular pencil (N4_82), the depth-first search with the pencil
     # operator (n5+n5), with a singular pencil (N2_82) and with generic
-    # seeds (L5_parity+L5_parity) run on integers; decoding the U found may
-    # construct scalars, but no scalar arithmetic runs.
-    regular, w_dfs, singular, generic = (
-        _moved_frame(keys, 1)[1]
-        for keys in (["N4_82"], ["n5", "n5"], ["N2_82"], ["L5_parity", "L5_parity"])
+    # seeds (L5_parity+L5_parity), the J-space construction (all 97
+    # candidates of L5_parity+L5_parity, and on n7_142 the split candidates
+    # with a nilpotent from the conic) and Darboux (n7) run on integers;
+    # decoding the U found may construct scalars, but no scalar arithmetic
+    # runs.
+    regular, w_dfs, singular, generic, conic, symplectic = (
+        _moved_frame(keys, seed)[1]
+        for keys, seed in (
+            (["N4_82"], 1),
+            (["n5", "n5"], 1),
+            (["N2_82"], 1),
+            (["L5_parity", "L5_parity"], 1),
+            (["n7_142"], 6),
+            (["n7"], 1),
+        )
     )
     calls = count_scalar_arithmetic(monkeypatch)
     bounds = SearchBounds(max_nodes=2000)
@@ -547,6 +646,15 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     assert _dfs_u(singular, singular.v // 2, bounds, structure) is not None
     assert generic.c1.dim >= 3
     _dfs_u(generic, generic.v // 2, bounds)
+    table = _ProductTable(*_compatible_complex_structures(generic))
+    assert len(list(_jspace_candidates(table))) == 97
+    assert _jspace_u(generic, generic.v // 2) is None
+    table = _ProductTable(*_compatible_complex_structures(conic))
+    assert not any(table.square(e) == 0 for e in table.units)
+    assert _nilpotent_via_conic(table) is not None
+    assert _jspace_u(conic, conic.v // 2) is not None
+    assert symplectic.c1.dim == 1
+    assert _darboux_u(symplectic) is not None
     assert calls == []
     Rational(1, 2) + Rational(1, 3)
     assert calls == ["Rational.__add__"]

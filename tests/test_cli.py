@@ -55,6 +55,25 @@ def test_parse_error_json_on_stdout(capsys, bad_file):
     assert doc["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_boolean_bracket_indices_exit_code_1(capsys, tmp_path, fmt):
+    # Read as the bracket [X1, X2], this file used to validate.
+    doc = lie_algebra_to_json(get("n3").algebra)
+    doc["brackets"][0].update(i=False, j=True)
+    path = tmp_path / "bool_indices.json"
+    dump_json(path, doc)
+    code, out, err = invoke(capsys, "--format", fmt, "validate", str(path))
+    assert code == 1
+    if fmt == "json":
+        error = json.loads(out)["error"]
+        assert error["kind"] == "input"
+        message = error["message"]
+    else:
+        message = err
+    # The position is the file's path followed by the JSON path.
+    assert "bool_indices.json.brackets[0].i: field 'i' has type bool" in message
+
+
 def _n3_with_constant(tmp_path, text):
     """n3's file with its one constant, [X1, X2] = c X3, written as ``text``."""
     doc = lie_algebra_to_json(get("n3").algebra)

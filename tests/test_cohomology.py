@@ -136,6 +136,19 @@ def test_poincare_duality_and_euler_catalog_wide():
             assert sum((-1) ** k * x for k, x in enumerate(b)) == 0, key
 
 
+def test_dixmier_bound_catalog_wide():
+    # Dixmier, Acta Sci. Math. Szeged 16 (1955) 246-250: a nilpotent Lie
+    # algebra of dimension n >= 2 has b_k >= 2 for 0 < k < n.
+    checked = 0
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.dim >= 2:
+            b = betti_numbers(alg).betti
+            assert all(x >= 2 for x in b[1:-1]), (key, b)
+            checked += 1
+    assert checked >= 30
+
+
 def test_bigraded_eg3_table():
     entry = get("n3")
     table = bigraded_cohomology(

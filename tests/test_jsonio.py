@@ -94,6 +94,44 @@ def test_reject_bad_field_tag():
     assert ".field" in str(exc.value)
 
 
+def test_reject_booleans_as_bracket_indices():
+    # {"i": false, "j": true} was read as the bracket [X1, X2].
+    doc = base_doc()
+    doc["brackets"][0].update(i=False, j=True)
+    with pytest.raises(ParseError) as exc:
+        lie_algebra_from_json(doc)
+    assert exc.value.path == "$.brackets[0].i"
+    assert "bool" in str(exc.value)
+    doc = base_doc()
+    doc["brackets"][0]["j"] = True
+    with pytest.raises(ParseError) as exc:
+        lie_algebra_from_json(doc)
+    assert exc.value.path == "$.brackets[0].j"
+
+
+def test_reject_boolean_dim():
+    doc = {
+        "name": "a1",
+        "dim": True,
+        "field": "Q",
+        "basis": ["X"],
+        "brackets": [],
+        "real_structure": None,
+    }
+    with pytest.raises(ParseError) as exc:
+        lie_algebra_from_json(doc)
+    assert exc.value.path == "$.dim"
+
+
+@pytest.mark.parametrize("key", ["p", "q"])
+def test_reject_boolean_bidegree(key):
+    doc = json.loads(dumps_json(bigrading_to_json(get("n3").known_bigradings[0])))
+    doc["components"][0][key] = False
+    with pytest.raises(ParseError) as exc:
+        bigrading_from_json(doc)
+    assert exc.value.path == f"$.components[0].{key}"
+
+
 def test_unlisted_pairs_are_zero():
     doc = {
         "name": "a2",
