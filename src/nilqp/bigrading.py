@@ -40,8 +40,9 @@ off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
 meets are null spaces (`kernel.null_space`), and verification brackets on
 the same table.  The J-space construction keeps its solution space as
 integer matrices over one denominator and its candidates as integer
-coefficient tuples.  Scalars appear only in the U these constructions
-return.
+coefficient tuples.  Each construction returns U as exact vectors; the
+search lifts them, conjugates them on the real structure's rows and
+verifies those rows, and decodes scalars once, for the `Bigrading` found.
 """
 
 from __future__ import annotations
@@ -60,18 +61,19 @@ from .errors import (
     NotAFiltration,
 )
 from . import kernel
-from .exact import ExactMatrix, RowReducer, Subspace, Vector
+from .exact import ExactMatrix, RowReducer, Subspace, Vector, _conjugate_row
 from .liealg import (
     LieAlgebra,
-    _bracket_qi,
-    apply_basis_change,
+    _basis_change,
+    _zi_bracket,
     center,
     commutator_ideal,
     complexify,
     lower_central_series,
+    real_structure_rows,
     structure_table,
 )
-from .scalars import Gaussian, Q0, Scalar, as_scalar, conj
+from .scalars import Gaussian, Scalar, as_scalar
 
 __all__ = [
     "Bigrading",
@@ -152,6 +154,17 @@ class Bigrading:
     def is_diagonal(self) -> bool:
         return all(c.p == c.q for c in self.components)
 
+    def kernel_rows(self, ambient: int) -> tuple[dict[tuple[int, int], list[kernel.ZiRow]], int]:
+        """The generators as Z[i] rows by bidegree, over one denominator (`kernel.zi_rows`).
+
+        Raises AmbientMismatch for a generator whose length is not ``ambient``.
+        """
+        for v in (v for c in self.components for v in c.generators if len(v) != ambient):
+            raise AmbientMismatch(f"vector of length {len(v)} in ambient dimension {ambient}")
+        rows, den = kernel.zi_rows([v for c in self.components for v in c.generators])
+        it = iter(rows)
+        return {(c.p, c.q): [next(it) for _ in c.generators] for c in self.components}, den
+
 
 @dataclass
 class GradingReport:
@@ -203,30 +216,22 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
     """Check all bigrading axioms; failures are reported, not raised."""
     if mode not in ("strict", "lax"):
         raise ValueError(f"mode must be 'strict' or 'lax', not {mode!r}")
-    return _verify_on_carrier(_complex_carrier(L), g, mode)
+    Lc = _complex_carrier(L)
+    return _verify_on_carrier(Lc, g, g.kernel_rows(Lc.dim)[0], mode)
 
 
-def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
+def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingReport:
     """`verify_bigrading` on the grading's carrier ``Lc`` (see `_complex_carrier`).
 
-    Each generator is encoded once as a Z[i] row (`kernel.zi_row`).  Spans,
+    ``rows`` holds each component's generators as Z[i] rows keyed by
+    bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
     memberships and containments do not depend on scale and are read off
     echelons (`kernel.zi_insert`/`kernel.zi_reduce`); brackets are formed
-    on `structure_table`, and conjugation is the conjugate row times the
-    real structure S, skipped when S is the identity.
+    on `structure_table`, and conjugation on the real structure's rows
+    (`liealg.real_structure_rows`).
     """
     n = Lc.dim
     failures: list = []
-
-    for c in g.components:
-        for v in c.generators:
-            if len(v) != n:
-                raise AmbientMismatch(
-                    f"vector of length {len(v)} in ambient dimension {n}"
-                )
-    rows = {
-        (c.p, c.q): [kernel.zi_row(v) for v in c.generators] for c in g.components
-    }
     echelons = {}
     for key, comp_rows in rows.items():
         echelon: list = []
@@ -271,11 +276,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport
                     else ((u, v) for u in ua for v in ub)
                 )
                 for u, v in pairs:
-                    w = {
-                        k: (x, y)
-                        for k, (x, y) in enumerate(zip(*_bracket_qi(columns, u, v, n)))
-                        if x or y
-                    }
+                    w = _zi_bracket(columns, u, v, n)
                     if not w:
                         continue
                     if tspace is None:
@@ -300,14 +301,11 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, mode: str) -> GradingReport
 
     conjugation = "exact"
     if spans:
-        s_rows, _ = kernel.zi_rows(Lc.real_structure.entries)
-        identity = all(row == {j: (1, 0)} for j, row in enumerate(s_rows))
+        s_rows, _ = real_structure_rows(Lc)
         exact_all = True
         lax_all = True
         for c in g.components:
-            img = [kernel.zi_conj(row) for row in rows[c.p, c.q]]
-            if not identity:
-                img = [kernel.zi_matvec(s_rows, row) for row in img]
+            img = [_conjugate_row(s_rows, row) for row in rows[c.p, c.q]]
             mirror = echelons.get((c.q, c.p), [])
             # conj maps the component's span onto the span of img, so
             # img equals the mirror when it has the same rank and lies in it.
@@ -463,10 +461,10 @@ def filtrations_from_bigrading(g: Bigrading) -> FiltrationPair:
     return FiltrationPair.build(n, weight, hodge)
 
 
-def _conj_subspace(s: Subspace, conj_vec) -> Subspace:
-    return Subspace.from_spanning(
-        [conj_vec(v) for v in s.vectors()], ambient_dim=s.ambient_dim
-    )
+def _conj_subspace(s: Subspace, s_rows) -> Subspace:
+    """{S conj(x) : x in s} for the real structure S with the Z[i] rows ``s_rows``."""
+    rows = [_conjugate_row(s_rows, row) for row in s.kernel_rows("Qi")]
+    return Subspace._span(rows, s.ambient_dim, "Qi")
 
 
 def bigrading_from_filtrations(
@@ -478,10 +476,9 @@ def bigrading_from_filtrations(
                                 + sum_{i>=2} conj(F^{q-i+1}) n W_{p+q-i} ).
     """
     n = fp.ambient_dim
-
-    def conj_vec(v):
-        return real_structure.matvec([conj(as_scalar(x)) for x in v])
-
+    if (real_structure.rows, real_structure.cols) != (n, n):
+        raise AmbientMismatch(f"real structure is not {n}x{n}")
+    s_rows, _ = kernel.zi_rows(real_structure.entries)
     comps = []
     for p in range(-n, 1):
         for q in range(-n, 1):
@@ -493,11 +490,11 @@ def bigrading_from_filtrations(
             first = fp.f(p).intersect(w_pq)
             if first.dim == 0:
                 continue
-            second = _conj_subspace(fp.f(q), conj_vec).intersect(w_pq)
+            second = _conj_subspace(fp.f(q), s_rows).intersect(w_pq)
             lowest = fp.weight[0][0] if fp.weight else p + q
             i = 2
             while p + q - i >= lowest:
-                term = _conj_subspace(fp.f(q - i + 1), conj_vec).intersect(
+                term = _conj_subspace(fp.f(q - i + 1), s_rows).intersect(
                     fp.w(p + q - i)
                 )
                 second = second.sum(term)
@@ -539,19 +536,19 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _real_form_basis(Lc: LieAlgebra) -> ExactMatrix:
+def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
     """Basis of the conjugation-fixed rational form of a Q(i) algebra.
 
-    Solves S * conj(x) = x as a rational linear system on (Re x, Im x).
+    Solves S * conj(x) = x as a rational linear system on (Re x, Im x), and
+    returns the basis as Z[i] rows over one denominator.
     """
     n = Lc.dim
-    s = Lc.real_structure
-    if s is None:
+    if Lc.real_structure is None:
         raise MissingRealStructure(f"{Lc.name}: no real structure")
     # Over the common denominator D of S, D S = A + iB with integer A, B, and
     # the real and imaginary parts of (A + iB)(a - ib) = D (a + ib) give the
     # rows of the 2n x 2n realified system on (a, b).
-    s_rows, den = kernel.zi_rows(s.entries)
+    s_rows, den = real_structure_rows(Lc)
     rows = []
     for out, row in enumerate(s_rows):
         a, b = zip(*(row.get(j, (0, 0)) for j in range(n)))
@@ -560,35 +557,36 @@ def _real_form_basis(Lc: LieAlgebra) -> ExactMatrix:
         row_im[n + out] -= den
         rows += [{c: x for c, x in enumerate(r) if x} for r in (row_re, row_im)]
     fixed = kernel.null_space(rows, 2 * n, "Q")
-    vectors = [
-        kernel.zi_decode({j: (row.get(j, 0), row.get(n + j, 0)) for j in range(n)}, d, n)
-        for row, d in fixed
-    ]
-    if len(vectors) != n:
+    if len(fixed) != n:
         raise MissingRealStructure(
             f"{Lc.name}: fixed space of conjugation has dimension "
-            f"{len(vectors)}, expected {n}"
+            f"{len(fixed)}, expected {n}"
         )
-    return ExactMatrix(vectors, cols=n)
+    return kernel.zi_common([
+        ({j: (row.get(j, 0), row.get(n + j, 0)) for j in range(n) if j in row or n + j in row}, d)
+        for row, d in fixed
+    ])
 
 
-def _realified(L: LieAlgebra) -> tuple[LieAlgebra, LieAlgebra, ExactMatrix]:
-    """(complex carrier, rational form, basis matrix of the rational form).
+def _realified(L: LieAlgebra):
+    """(complex carrier, rational form, basis T_real of the rational form).
 
-    The rational form holds only `Rational` constants: a `Gaussian` constant
-    of an algebra over Q is read as its real part, and a non-real one is
-    refused, as for the rational form of an algebra over Q(i).
+    T_real is Z[i] rows over one denominator, or None over Q, where the
+    rational form keeps L's basis.  The rational form holds only `Rational`
+    constants: a `Gaussian` constant of an algebra over Q is read as its
+    real part, and a non-real one is refused, as for the rational form of
+    an algebra over Q(i).
     """
     Lc = _complex_carrier(L)
     if L.field == "Q":
-        t_real = ExactMatrix.identity(L.dim)
+        t_real = None
         if not any(isinstance(c, Gaussian) for _, coeffs in L.brackets for _, c in coeffs):
             return Lc, L, t_real
         form, name = L, L.name
     else:
         t_real = _real_form_basis(Lc)
         name = f"{L.name}.real"
-        form = apply_basis_change(Lc, t_real, name=name)
+        form = _basis_change(Lc, *t_real, "Qi", name=name)
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for (i, j), coeffs in form.brackets:
         row = {}
@@ -616,7 +614,8 @@ class _TwoStepFrame:
     """Quotient V = L / Z of a rational 2-step algebra and its bracket forms.
 
     V has the coordinates of the columns f_0 < f_1 < ... that are not pivots
-    of the center's canonical basis, and `lift` puts a vector of V on them.
+    of the center's canonical basis, listed in ``free``: a vector of V lifts
+    to L with its coordinate a on column ``free[a]``.
     The bracket of two lifts lies in C^1 = [L, L], and its coordinate on the
     t-th canonical basis row of C^1 is its entry at that row's pivot column,
     since the other rows vanish there.  So the constant of [X_{f_a}, X_{f_b}]
@@ -661,25 +660,18 @@ class _TwoStepFrame:
             fu for u in rows for form in self.form_rows if (fu := kernel.zi_matvec(form, u))
         ]
 
-    def lift(self, u) -> Vector:
-        """Section of the quotient: coordinates on the free columns."""
-        vec = [Q0] * self.n
-        for coord, f in zip(u, self.free):
-            vec[f] = vec[f] + coord
-        return tuple(vec)
-
 
 def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
     return [({a: (1, 0)}, 1) for a in range(v)]
 
 
-def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
+def _darboux_u(frame: _TwoStepFrame) -> list[tuple[kernel.ZiRow, int]] | None:
     """U generators for a one-dimensional commutator ideal (symplectic case).
 
     Symplectic reduction of the one form, from the unit vectors of V, on
     exact vectors ``(row, den)`` whose Z[i] rows are real: each pair (x, y)
-    has form value 1 on it and is split off the vectors left.  Only the U
-    returned, the rows x - iy, is decoded.
+    has form value 1 on it and is split off the vectors left.  U is returned
+    as the exact vectors x - iy.
     """
     if frame.c1.dim != 1:
         return None
@@ -713,10 +705,7 @@ def _darboux_u(frame: _TwoStepFrame) -> list[Vector] | None:
         remaining = reduced
         pairs.append((x, xd, y, yd))
     return [
-        kernel.zi_decode(
-            *kernel.zi_lowest(kernel.zi_combine(((yd, 0), x), ((0, -xd), y)), xd * yd),
-            frame.v,
-        )
+        kernel.zi_lowest(kernel.zi_combine(((yd, 0), x), ((0, -xd), y)), xd * yd)
         for x, xd, y, yd in pairs
     ]
 
@@ -889,9 +878,9 @@ def _pencil_structure(frame: _TwoStepFrame):
     as rational roots of the Pfaffian polynomial (for a singular pencil every
     member contributes).  W = M_g^{-1} M_o for an invertible member M_g is
     self-adjoint for the member pairing, so W-cyclic subspaces commute; its
-    orbit vectors make strong search candidates.  W is read off the reduced
-    form [I | W] of [M_g | M_o] and returned as ``(rows, d)``: the Z[i] rows
-    of W times the integer d.  It is None for a singular pencil.
+    orbit vectors make strong search candidates.  W is read off [M_g | M_o]
+    by `kernel.zi_solve` and returned as ``(rows, d)``: the Z[i] rows of W
+    times the integer d.  It is None for a singular pencil.
     """
     v = frame.v
     pf = _pfaffian_poly(frame.forms[0], frame.forms[1], v) if v % 2 == 0 and v <= 8 else [1]
@@ -906,15 +895,9 @@ def _pencil_structure(frame: _TwoStepFrame):
     groups = list(_kernel_groups(frame, members))
     # Invertible member for the pencil operator.
     for lam, mu in tries + ((1, -2),):
-        aug = [
-            {**g, **{v + j: e for j, e in o.items()}}
-            for g, o in zip(_member(frame, (lam, mu)), _member(frame, (mu, -lam)))
-        ]
-        red, pivots = kernel.rref_qi(aug, 2 * v)
-        if pivots == list(range(v)):
-            exact = [kernel.zi_exact(row, r) for r, row in enumerate(red)]
-            w = [({j - v: e for j, e in row.items() if j >= v}, d) for row, d in exact]
-            return groups, kernel.zi_common(w)
+        w = kernel.zi_solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam)))
+        if w is not None:
+            return groups, w
     return groups, None
 
 
@@ -1225,8 +1208,8 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
 
     A candidate X = N / D with X^2 = (mu / D^2) I and -mu = r^2 a square
     gives J = X / sqrt(-mu) = N / r, and U is spanned by the Z[i] rows
-    r (x - iJx) = r x - i N x for unit vectors x.  Only the U returned is
-    decoded.
+    r (x - iJx) = r x - i N x for unit vectors x, returned as the exact
+    vectors ``(row, r)``.
     """
     v = frame.v
     if v != 2 * h or v == 0:
@@ -1257,7 +1240,7 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
             if len(rows) == h:
                 break
         if len(rows) == h and _bi_isotropic(frame, rows) and _transversal(rows):
-            return [kernel.zi_decode(row, r, v) for row in rows]
+            return [(row, r) for row in rows]
     return None
 
 
@@ -1354,14 +1337,15 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
     depth falls one short, the last generator is completed from the exact
     commutant intersected with the eigenvector seeds.
 
-    ``seeds`` and ``w`` are as `_pencil_structure` returns them; only the U
-    returned is decoded.
+    ``seeds`` and ``w`` are as `_pencil_structure` returns them.  U is
+    returned as exact vectors ``(row, den)``: the k-th Krylov row of u / den
+    is W^k u times d^k, so its denominator is den * d^k.
     """
     v = frame.v
     w_rows, d = w
 
-    def decoded(rows, den):
-        return [kernel.zi_decode(row, den * d**k, v) for k, row in enumerate(rows)]
+    def exact(rows, den):
+        return [(row, den * d**k) for k, row in enumerate(rows)]
 
     # One transverse component per root of the pencil, drawn from the full
     # generalized eigenspace: the Krylov span of such a sum reaches every
@@ -1392,7 +1376,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
         rows = _krylov_span(w_rows, u, h)
         if len(rows) == h:
             if _transversal(rows) and _bi_isotropic(frame, rows):
-                return decoded(rows, den)
+                return exact(rows, den)
         elif len(rows) == h - 1 and len(partials) < 16:
             if _bi_isotropic(frame, rows):
                 partials.append((rows, den))
@@ -1417,7 +1401,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
             if w:
                 full = rows + [w]
                 if _transversal(full) and _bi_isotropic(frame, full):
-                    return decoded(rows, den) + [kernel.zi_decode(w, pool_den, v)]
+                    return exact(rows, den) + [(w, pool_den)]
     return None
 
 
@@ -1439,8 +1423,8 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
     meet with a constraint space is one null space.  A candidate is a
     bounded combination of a node's pool rows, tested on the combination of
     their residuals modulo the generators chosen and their conjugates,
-    computed once per node; only a candidate that passes is formed.  Only
-    the U returned is decoded.
+    computed once per node; only a candidate that passes is formed.  U is
+    returned as the exact vectors chosen.
     """
     v = frame.v
     groups: list = []
@@ -1547,7 +1531,7 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
         # candidate that passes is formed.  Every candidate makes one
         # `RowReducer.add`: perfbench counts those calls as nodes.
         if len(chosen) == h:
-            return [kernel.zi_decode(row, den, v) for row, den in chosen]
+            return chosen
         constraints = frame.commutant_rows([row for row, _ in chosen])
         space = kernel.null_space(constraints, v, "Qi")
         if len(space) < h:
@@ -1635,20 +1619,29 @@ def search_bigrading(
         return SearchOutcome(
             status="not_found_within_bounds", witness=necessary, bounds=bounds
         )
-    t_back = t_real.transpose()
-    # Over Q, R has the constants of L, and Z(L_c) has the canonical basis
-    # of the frame's Z(R).
+    # U's exact vectors lifted from V to R and, over Q(i), to L_c as the
+    # combination of T_real's rows with their entries.  Over Q, R has the
+    # constants of L, and Z(L_c) the canonical basis of the frame's Z(R).
+    u = [({frame.free[a]: e for a, e in row.items()}, den) for row, den in u_gens]
     z_c = frame.z if L.field == "Q" else center(Lc)
-    u_orig = [t_back.matvec(frame.lift(u)) for u in u_gens]
-    ubar_orig = [Lc.conj_vector(u) for u in u_orig]
-    comps = []
-    if u_orig:
-        comps.append((-1, 0, u_orig))
-        comps.append((0, -1, ubar_orig))
+    if t_real is not None:
+        t_rows, t_den = t_real
+        u = [
+            (kernel.zi_combine(*((e, t_rows[k]) for k, e in row.items())), den * t_den)
+            for row, den in u
+        ]
+    s_rows, s_den = real_structure_rows(Lc)
+    ubar = [(_conjugate_row(s_rows, row), den * s_den) for row, den in u]
+    comps, rows = [], {}
+    for key, vecs in (((-1, 0), u), ((0, -1), ubar)):
+        if vecs:
+            comps.append((*key, [kernel.zi_decode(row, den, L.dim) for row, den in vecs]))
+            rows[key] = [row for row, _ in vecs]
     if z_c.dim:
         comps.append((-1, -1, z_c.vectors()))
+        rows[-1, -1] = z_c.kernel_rows("Qi")
     grading = Bigrading.build(comps)
-    report = _verify_on_carrier(Lc, grading, "strict")
+    report = _verify_on_carrier(Lc, grading, rows, "strict")
     if not report.valid:
         # The mode only changes how `GradingReport.valid` reads conjugation.
         report = replace(report, mode="lax")

@@ -47,9 +47,9 @@ from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
     StructureTable,
+    _basis_change,
     _bracket_q,
     _bracket_qi,
-    apply_basis_change,
     commutator_ideal,
     structure_table,
 )
@@ -304,18 +304,6 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
     return reps
 
 
-def _grading_transformation(L: LieAlgebra, grading) -> tuple[ExactMatrix, list]:
-    """Rows = grading generators (the adapted basis); parallel bidegree list."""
-    rows = []
-    bidegrees = []
-    for comp in grading.components:
-        for g in comp.generators:
-            rows.append(g)
-            bidegrees.append((comp.p, comp.q))
-    t = ExactMatrix(rows, cols=L.dim)
-    return t, bidegrees
-
-
 def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     """Cohomology refined by bidegree blocks under a bracket-compatible grading.
 
@@ -324,12 +312,15 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     to the Betti numbers.
     """
     n = L.dim
-    t, bidegrees = _grading_transformation(L, grading)
-    if t.rows != n:
+    generators, den = grading.kernel_rows(n)
+    rows = [row for comp_rows in generators.values() for row in comp_rows]
+    bidegrees = [key for key, comp_rows in generators.items() for _ in comp_rows]
+    if len(rows) != n:
         raise GradingNotCompatible(
-            f"grading has {t.rows} generators for dimension {n}"
+            f"grading has {len(rows)} generators for dimension {n}"
         )
-    adapted = apply_basis_change(L, t, name=f"{L.name}.adapted")
+    field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
+    adapted = _basis_change(L, rows, den, field, name=f"{L.name}.adapted")
     dual = [(-p, -q) for (p, q) in bidegrees]
     # bideg[k][c]: the bidegree of the c-th k-monomial; pos[k][c]: its index
     # within its block; dims[k][b]: the size of the block of bidegree b.

@@ -6,6 +6,9 @@ promoted to "Qi").  A subspace holds its reduced-row-echelon basis, which
 is unique, as the kernel's exact integer vectors, so equal subspaces are
 structurally equal objects; sums, meets and containments run on those
 vectors, and scalars are made only when a caller reads the basis.
+
+On a real structure's Z[i] rows, `_conjugate_row` is the one S * conj(x),
+and `_involutive` the one test of S * conj(S) = I.
 """
 
 from __future__ import annotations
@@ -425,15 +428,39 @@ def subspace_sum_intersect(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace
     return a.sum(b), a.intersect(b)
 
 
-def check_real_structure(s: ExactMatrix) -> None:
-    """Require S * conj(S) = identity (an antilinear involution)."""
+def _conjugate_row(s_rows: list[kernel.ZiRow], row: kernel.ZiRow) -> kernel.ZiRow:
+    """S * conj(x) for the matrix S with the Z[i] rows ``s_rows`` and the Z[i] row x."""
+    return kernel.zi_matvec(s_rows, kernel.zi_conj(row))
+
+
+def _involutive(s_rows: list[kernel.ZiRow], den: int) -> bool:
+    """Whether S * conj(S) = I for the square matrix S = ``s_rows`` / ``den``."""
+    square = kernel.zi_matmul(s_rows, [kernel.zi_conj(row) for row in s_rows])
+    return square == [{j: (den * den, 0)} for j in range(len(s_rows))]
+
+
+def _conjugate(s_rows: list[kernel.ZiRow], s_den: int, v: Sequence, field: str) -> Vector:
+    """S * conj(v) for S = ``s_rows`` / ``s_den`` over ``field``; `Gaussian` if S or v is."""
+    vec = _scalar_row(v)
+    if len(vec) != len(s_rows):
+        raise AmbientMismatch("vector length mismatch in matvec")
+    (row,), den = kernel.zi_rows([vec])
+    img = _conjugate_row(s_rows, row)
+    if field == "Qi" or Gaussian in map(type, vec):
+        return kernel.zi_decode(img, den * s_den, len(vec))
+    return kernel.q_decode({j: x for j, (x, _) in img.items()}, den * s_den, len(vec))
+
+
+def check_real_structure(s: ExactMatrix) -> tuple[list[kernel.ZiRow], int]:
+    """Require S * conj(S) = identity (an antilinear involution); returns S's `zi_rows`."""
     if s.rows != s.cols:
         raise NotInvolution("real structure must be square")
-    if not s.matmul(s.conj_entrywise()) == ExactMatrix.identity(s.rows):
+    rows, den = kernel.zi_rows(s.entries)
+    if not _involutive(rows, den):
         raise NotInvolution("S * conj(S) is not the identity")
+    return rows, den
 
 
 def conjugate_vector(v: Sequence, real_structure: ExactMatrix) -> Vector:
     """Apply the antilinear involution v -> S * conj(v)."""
-    check_real_structure(real_structure)
-    return real_structure.matvec([conj(as_scalar(x)) for x in v])
+    return _conjugate(*check_real_structure(real_structure), v, real_structure.field)

@@ -69,14 +69,15 @@ def matrix_to_json(m: ExactMatrix) -> list[list[str]]:
 def matrix_from_json(data, path: str, cols: int | None = None) -> ExactMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ParseError("matrix must be a list of rows", path)
+    width = len(data[0]) if cols is None and data else cols
+    if width is None:
+        raise ParseError("empty matrix needs a column count", path)
     rows = []
     for r, row in enumerate(data):
-        rows.append(
-            [parse_scalar(x, path=f"{path}[{r}][{c}]") for c, x in enumerate(row)]
-        )
-    if not rows and cols is None:
-        raise ParseError("empty matrix needs a column count", path)
-    return ExactMatrix(rows, cols=cols if not rows else len(rows[0]))
+        if len(row) != width:
+            raise ParseError(f"row has {len(row)} entries, expected {width}", f"{path}[{r}]")
+        rows.append([parse_scalar(x, path=f"{path}[{r}][{c}]") for c, x in enumerate(row)])
+    return ExactMatrix(rows, cols=width)
 
 
 def lie_algebra_to_json(L: LieAlgebra) -> dict:

@@ -8,10 +8,10 @@ holds zero entries, so the zero row is the empty, false dict.
 * `q_ints` and `zi_pairs` clear a vector of scalars of its denominators into
   dense integers, or dense Z[i] pairs, over one least common denominator;
   ``liealg`` encodes its integer table of structure constants
-  (`liealg.structure_table`), the vectors it brackets and the matrices of a
-  change of basis with them.  `int_rows` clears a matrix of its
-  denominators into sparse rows, `zi_rows`/`zi_row` do so for vectors, and
-  `q_decode`/`zi_decode` divide a denominator out again.
+  (`liealg.structure_table`) and the vectors it brackets with them.
+  `int_rows` clears a matrix of its denominators into sparse rows, and
+  `zi_rows`/`zi_row` do so for vectors, for a change of basis and a real
+  structure; `q_decode`/`zi_decode` divide a denominator out of results.
 * Rank (`rank_q`/`rank_qi`), reduced row echelon form (`rref_q`/`rref_qi`)
   and the incremental echelon (`zi_reduce`/`zi_insert`) of
   ``exact.RowReducer`` and of the cohomology representatives share
@@ -32,7 +32,8 @@ holds zero entries, so the zero row is the empty, false dict.
   puts several over one denominator again.  ``exact.Subspace`` keeps its
   reduced basis in this form, so it stores a null space as it comes.
 * On Z[i] rows, `zi_conj`, `zi_combine`, `zi_matvec` and `zi_matmul` form
-  conjugates, Z[i]-combinations, matrix-vector and matrix products.
+  conjugates, Z[i]-combinations, matrix-vector and matrix products, and
+  `zi_solve` reads A^-1 B off one `rref_qi` of [A | B].
 """
 
 from __future__ import annotations
@@ -358,6 +359,21 @@ def zi_matvec(rows, x: ZiRow) -> ZiRow:
 def zi_matmul(a, b) -> list[ZiRow]:
     """The matrix with the Z[i] rows ``a`` times the matrix with the Z[i] rows ``b``."""
     return [zi_combine(*((e, b[k]) for k, e in row.items())) for row in a]
+
+
+def zi_solve(a: list[ZiRow], b: list[ZiRow]) -> tuple[list[ZiRow], int] | None:
+    """A^-1 B for square A and B with the Z[i] rows ``a`` and ``b``; None when A is singular.
+
+    `rref_qi` reduces [A | B] to rows p_k [unit_k | row k of A^-1 B], p_k in
+    Z[i]; their right halves over p_k are put over one denominator.
+    """
+    n = len(a)
+    aug = [{**x, **{n + j: e for j, e in y.items()}} for x, y in zip(a, b)]
+    red, pivots = rref_qi(aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    exact = (zi_exact(row, k) for k, row in enumerate(red))
+    return zi_common([({j - n: e for j, e in row.items() if j >= n}, den) for row, den in exact])
 
 
 # An exact vector is a pair ``(row, den)``, the Z[i] row divided by the

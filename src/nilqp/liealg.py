@@ -6,22 +6,24 @@ identity is enforced by ``validate``, which every public constructor calls.
 Algebras over Q(i) may carry a real structure: an antilinear involution that
 is also a bracket automorphism, used for all conjugation-dependent checks.
 
-Brackets and changes of basis run on integers.  `structure_table` holds the
-constants once per instance as integers over one common denominator
-(Gaussian-integer pairs over Q(i)); `LieAlgebra.bracket` and
+Brackets, validation, conjugation and changes of basis run on integers.
+`structure_table` holds the constants once per instance as integers over
+one common denominator (Gaussian-integer pairs over Q(i)), and
+`real_structure_rows` the real structure as Z[i] rows.  `validate` checks
+on them; `LieAlgebra.bracket`, `LieAlgebra.conj_vector` and
 `apply_basis_change` clear the denominators of their input, form every
-product on integers and divide once per result entry, and the
+product on integers and divide once per result entry; and the
 Chevalley-Eilenberg differentials of ``cohomology`` are assembled from the
 same table, or from one in a basis adapted to the commutator ideal or to a
 grading.  Scalars are made only for the results, with the types that
-`LieAlgebra.bracket` and `apply_basis_change` document.
+`LieAlgebra.bracket`, `LieAlgebra.conj_vector` and `apply_basis_change`
+document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from math import gcd, lcm
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from . import kernel
@@ -35,7 +37,8 @@ from .errors import (
     SingularTransformation,
 )
 from .exact import ExactMatrix, Subspace, Vector, _scalar_row
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj
+from .exact import _conjugate, _conjugate_row, _involutive
+from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar
 
 __all__ = [
     "LieAlgebra",
@@ -141,10 +144,9 @@ class LieAlgebra:
 
         Over Q(i) every entry of the result is a `Gaussian`, zeros included.
         Over Q, entries are `Rational` unless the input holds `Gaussian`
-        entries (the two-step frame's lifts mix both types): then an entry is
-        a `Gaussian` exactly where a nonzero term u_i v_j - u_j v_i with a
-        Gaussian factor, even a zero one, was added into it, and stays
-        `Rational` elsewhere.  Likewise, a `Gaussian` constant of an algebra
+        entries: then an entry is a `Gaussian` exactly where a nonzero term
+        u_i v_j - u_j v_i with a Gaussian factor, even a zero one, was added
+        into it, and stays `Rational` elsewhere.  Likewise, a `Gaussian` constant of an algebra
         over Q makes an entry a `Gaussian` wherever a nonzero term times it
         was added into that entry.
 
@@ -175,12 +177,15 @@ class LieAlgebra:
         return _gaussians(zip(*_bracket_qi(columns, us, vs, self.dim)), du * dv * den)
 
     def conj_vector(self, v) -> Vector:
-        """Antilinear conjugation v -> S * conj(v); identity matrix over Q."""
+        """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`.
+
+        The entries are `Gaussian` when S or v is over Q(i), else `Rational`.
+        """
         if self.field == "Q":
-            return tuple(conj(as_scalar(x)) for x in v)
+            return _conjugate(*_identity_rows(self.dim), v, "Q")
         if self.real_structure is None:
             raise InvalidRealStructure(f"{self.name}: no real structure available")
-        return self.real_structure.matvec([conj(as_scalar(x)) for x in v])
+        return _conjugate(*real_structure_rows(self), v, self.real_structure.field)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -215,44 +220,50 @@ def validate(L: LieAlgebra) -> ValidationReport:
 
     Raises JacobiViolation or InvalidRealStructure; on success reports lattice
     admissibility (true over Q: rational structure constants admit a lattice).
+    Jacobi runs on `_constant_rows`, and S * conj(S) = I and S conj[X_i, X_j]
+    = [S X_i, S X_j] on `real_structure_rows` (the latter with S = I over Q).
     """
     n = L.dim
-    basis_vectors = [
-        tuple(Q1 if t == s else Q0 for t in range(n)) for s in range(n)
-    ]
-    brk = {ij: coeffs for ij, coeffs in L.brackets}
-    for (i, j) in brk:
+    for (i, j), _ in L.brackets:
         if not (0 <= i < j < n):
             raise ValueError(f"{L.name}: bad bracket key ({i}, {j})")
-    # Jacobi: [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            vij = L.bracket_basis(i, j)
-            for k in range(j + 1, n):
-                t1 = L.bracket(vij, basis_vectors[k])
-                t2 = L.bracket(L.bracket_basis(j, k), basis_vectors[i])
-                t3 = L.bracket(L.bracket_basis(k, i), basis_vectors[j])
-                residual = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
-                if any(residual):
-                    raise JacobiViolation(i, j, k, residual)
+    # Jacobi: [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0, where
+    # [[Xa,Xb],Xc] = sum_m C_ab^m [Xm,Xc].
+    consts = _constant_rows(L)
+    for i, j, k in combinations(range(n), 3):
+        cycle = ((i, j, k), (j, k, i), (k, i, j))
+        terms = [
+            (c, consts[m, z])
+            for x, y, z in cycle
+            for m, c in consts.get((x, y), {}).items()
+            if (m, z) in consts
+        ]
+        if kernel.zi_combine(*terms):
+            # The residual as the scalars `LieAlgebra.bracket` types.
+            e = [tuple(Q1 if s == t else Q0 for s in range(n)) for t in range(n)]
+            brackets = (L.bracket(L.bracket_basis(x, y), e[z]) for x, y, z in cycle)
+            raise JacobiViolation(i, j, k, tuple(map(sum, zip(*brackets))))
     if L.real_structure is not None:
         s = L.real_structure
         if s.rows != n or s.cols != n:
             raise InvalidRealStructure(f"{L.name}: real structure has wrong shape")
-        if s.matmul(s.conj_entrywise()) != ExactMatrix.identity(n):
+        s_rows, s_den = real_structure_rows(L)
+        if not _involutive(s_rows, s_den):
             raise InvalidRealStructure(
                 f"{L.name}: real structure is not an antilinear involution"
             )
-        for i in range(n):
-            ci = L.conj_vector(basis_vectors[i])
-            for j in range(i + 1, n):
-                lhs = L.conj_vector(L.bracket_basis(i, j))
-                rhs = L.bracket(ci, L.conj_vector(basis_vectors[j]))
-                if lhs != rhs:
-                    raise InvalidRealStructure(
-                        f"{L.name}: conjugation is not a bracket automorphism "
-                        f"on pair ({i}, {j})"
-                    )
+        if L.field == "Q":
+            s_rows, s_den = _identity_rows(n)
+        columns = _qi_columns(structure_table(L))
+        s_cols = [[row.get(j, (0, 0)) for row in s_rows] for j in range(n)]
+        for i, j in combinations(range(n), 2):
+            # Both sides over the table's denominator times s_den^2.
+            lhs = kernel.zi_combine(((s_den, 0), _conjugate_row(s_rows, consts.get((i, j), {}))))
+            if lhs != _zi_bracket(columns, s_cols[i], s_cols[j], n):
+                raise InvalidRealStructure(
+                    f"{L.name}: conjugation is not a bracket automorphism "
+                    f"on pair ({i}, {j})"
+                )
     return ValidationReport(
         valid=True,
         lattice_admissible=(L.field == "Q"),
@@ -304,6 +315,42 @@ def structure_table(L: LieAlgebra) -> StructureTable:
     table = StructureTable(field, den, columns)
     L._facts["structure_table"] = table
     return table
+
+
+def real_structure_rows(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
+    """L's real structure S (the identity if none) as `kernel.zi_rows`, computed once."""
+    if "real_structure_rows" not in L._facts:
+        s = L.real_structure
+        rows = _identity_rows(L.dim) if s is None else kernel.zi_rows(s.entries)
+        L._facts["real_structure_rows"] = rows
+    return L._facts["real_structure_rows"]
+
+
+def _identity_rows(n: int) -> tuple[list[kernel.ZiRow], int]:
+    return [{j: (1, 0)} for j in range(n)], 1
+
+
+def _constant_rows(L: LieAlgebra) -> dict[tuple[int, int], kernel.ZiRow]:
+    """[X_a, X_b] for every nonzero bracket, both orders, as Z[i] rows over the table's den."""
+    field, _, columns = structure_table(L)
+    rows = {}
+    for i, j, ks, *parts in zip(*columns):
+        pairs = zip(*parts) if field == "Qi" else ((x, 0) for x in parts[0])
+        rows[i, j] = dict(zip(ks, pairs))
+        rows[j, i] = {k: (-x, -y) for k, (x, y) in rows[i, j].items()}
+    return rows
+
+
+def _qi_columns(table: StructureTable) -> tuple:
+    """The columns of a table as over Q(i): one over Q gains zero imaginary parts."""
+    if table.field == "Qi":
+        return table.columns
+    return (*table.columns, tuple((0,) * len(ks) for ks in table.columns[2]))
+
+
+def _zi_bracket(columns, u: list, v: list, n: int) -> kernel.ZiRow:
+    """`_bracket_qi` of Z[i] pair vectors as a sparse Z[i] row."""
+    return {k: (x, y) for k, (x, y) in enumerate(zip(*_bracket_qi(columns, u, v, n))) if x or y}
 
 
 def _bracket_q(columns, u: list[int], v: list[int], n: int) -> list[int]:
@@ -500,11 +547,10 @@ def apply_basis_change(
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    The work is on Gaussian integers: T and the real structure are each
-    encoded once as rows of Z[i] pairs over a common denominator, T^-1 is
-    read off those rows of T by one reduction (`_zi_inverse`), the rows of
-    T are bracketed on `structure_table`, and each new constant and
-    real-structure entry is divided once.  The
+    The work is on the kernel's Z[i] rows: T is encoded once
+    (`kernel.zi_rows`), T^-1 is read off those rows by one
+    `kernel.zi_solve`, the rows of T are bracketed on `structure_table`,
+    and each new constant and real-structure entry is divided once.  The
     scalar types are those of scalar arithmetic: over Q(i) every constant
     is a `Gaussian`, and the real structure is over Q(i) exactly when T or
     the old real structure is.
@@ -514,58 +560,64 @@ def apply_basis_change(
         raise DimensionMismatch(
             f"transformation is {T.rows}x{T.cols}, algebra has dim {n}"
         )
-    e, t_den = _zi_matrix(T)  # e_i in old coordinates, times t_den
-    inv, inv_den = _zi_inverse(e, t_den)
-    new_field = "Qi" if (L.field == "Qi" or T.field == "Qi") else "Q"
-    field, den, columns = structure_table(L)
-    if field == "Q":
-        columns = (*columns, tuple((0,) * len(ks) for ks in columns[2]))
-    d = t_den * t_den * den * inv_den
+    return _basis_change(L, *kernel.zi_rows(T.entries), T.field, name)
+
+
+def _basis_change(L: LieAlgebra, e: list, t_den: int, t_field: str, name=None) -> LieAlgebra:
+    """`apply_basis_change` for T = ``e`` / ``t_den`` given as Z[i] rows over ``t_field``."""
+    n = L.dim
+    solved = kernel.zi_solve(e, _identity_rows(n)[0])
+    if solved is None:
+        raise SingularTransformation("matrix is singular")
+    inv, inv_den = solved  # e^-1 = inv / inv_den, so T^-1 = t_den * inv / inv_den
+
+    def coords(w: kernel.ZiRow) -> kernel.ZiRow:
+        # Column-vector convention: old coords w = T^t x, so x = (T^t)^{-1} w,
+        # the row vector w times T^-1.
+        return kernel.zi_combine(*((c, inv[l]) for l, c in w.items()))
+
+    new_field = "Qi" if "Qi" in (L.field, t_field) else "Q"
+    table = structure_table(L)
+    columns = _qi_columns(table)
+    dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
+    d = t_den * table.den * inv_den
     new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = list(zip(*_bracket_qi(columns, e[i], e[j], n)))
-            # Column-vector convention: old coords w = T^t x, so x = (T^t)^{-1} w,
-            # the row vector w times T^-1.
-            x = _zi_matmul([w], inv)[0]
-            hit = ()
-            if new_field == "Q" and field == "Qi":
-                # L is over Q with `Gaussian` constants and T is rational: as
-                # in `LieAlgebra.bracket`, a new constant is a Gaussian exactly
-                # where a nonzero term times such a constant reached it.
-                hit = {
-                    k
-                    for (a, b), consts in L.brackets
-                    if e[i][a][0] * e[j][b][0] != e[i][b][0] * e[j][a][0]
-                    for l, c in consts
-                    if type(c) is Gaussian and w[l] != (0, 0)
-                    for k, y in enumerate(inv[l])
-                    if y != (0, 0)
-                }
-            coeffs = {
-                k: Gaussian(Rational(a, d), Rational(b, d))
-                if new_field == "Qi" or k in hit
-                else Rational(a, d)
-                for k, (a, b) in enumerate(x)
-                if a or b
+    for i, j in combinations(range(n), 2):
+        w = _zi_bracket(columns, dense[i], dense[j], n)
+        hit = ()
+        if new_field == "Q" and table.field == "Qi":
+            # L is over Q with `Gaussian` constants and T is rational: as
+            # in `LieAlgebra.bracket`, a new constant is a Gaussian exactly
+            # where a nonzero term times such a constant reached it.
+            hit = {
+                k
+                for (a, b), consts in L.brackets
+                if dense[i][a][0] * dense[j][b][0] != dense[i][b][0] * dense[j][a][0]
+                for l, c in consts
+                if type(c) is Gaussian and l in w
+                for k in inv[l]
             }
-            if coeffs:
-                new_brackets[(i, j)] = coeffs
+        coeffs = {
+            k: Gaussian(Rational(a, d), Rational(b, d))
+            if new_field == "Qi" or k in hit
+            else Rational(a, d)
+            for k, (a, b) in coords(w).items()
+        }
+        if coeffs:
+            new_brackets[(i, j)] = coeffs
     new_real = None
     s = L.real_structure
     if s is not None or new_field != L.field:
-        # (T^t)^-1 S conj(T)^t, S the identity when L is over Q.
-        m = [list(col) for col in zip(*inv)]
-        d = inv_den * t_den
-        if s is not None:
-            s_rows, s_den = _zi_matrix(s)
-            m = _zi_matmul(m, s_rows)
-            d *= s_den
-        m = _zi_matmul(m, [[(a, -b) for a, b in col] for col in zip(*e)])
-        if T.field == "Qi" or (s is not None and s.field == "Qi"):
-            new_real = ExactMatrix([_gaussians(row, d) for row in m], cols=n)
+        # (T^t)^-1 S conj(T)^t, S the identity when L has none: its column
+        # j is the new coordinates of S conj(e_j), over s_den * inv_den.
+        s_rows, s_den = real_structure_rows(L)
+        cols = [coords(_conjugate_row(s_rows, row)) for row in e]
+        d = s_den * inv_den
+        grid = [[col.get(r, (0, 0)) for col in cols] for r in range(n)]
+        if t_field == "Qi" or (s is not None and s.field == "Qi"):
+            new_real = ExactMatrix([_gaussians(row, d) for row in grid], cols=n)
         else:
-            new_real = ExactMatrix([[Rational(a, d) for a, _ in row] for row in m], cols=n)
+            new_real = ExactMatrix([[Rational(a, d) for a, _ in row] for row in grid], cols=n)
     return LieAlgebra.from_brackets(
         name=name or f"{L.name}~",
         dim=n,
@@ -575,57 +627,6 @@ def apply_basis_change(
         real_structure=new_real,
         check=False,  # Jacobi and involution properties are conjugation-invariant
     )
-
-
-def _zi_matrix(m: ExactMatrix) -> tuple[list[list[tuple[int, int]]], int]:
-    """``m`` as rows of Z[i] pairs over one common denominator (`kernel.zi_pairs`)."""
-    flat, den = kernel.zi_pairs([x for row in m.entries for x in row])
-    c = m.cols
-    return [flat[r * c : (r + 1) * c] for r in range(m.rows)], den
-
-
-def _zi_inverse(e: list[list], den: int) -> tuple[list[list[tuple[int, int]]], int]:
-    """The inverse of the matrix ``e / den``, as Z[i] rows over one denominator.
-
-    ``e`` holds Z[i] rows as `_zi_matrix` returns them.  `kernel.rref_qi`
-    reduces [e | I] to rows p_k * [unit_k | row k of e^-1], p_k a Gaussian
-    integer, and row k of the inverse is den * p_k^-1 times the right half.
-    Raises SingularTransformation when ``e`` is singular.
-    """
-    n = len(e)
-    rows = [
-        {**{j: x for j, x in enumerate(row) if x != (0, 0)}, n + k: (1, 0)}
-        for k, row in enumerate(e)
-    ]
-    red, pivots = kernel.rref_qi(rows, 2 * n)
-    if pivots != list(range(n)):
-        raise SingularTransformation("matrix is singular")
-    norms = [pr * pr + pi * pi for pr, pi in (row[k] for k, row in enumerate(red))]
-    d = lcm(*norms)
-    out = []
-    for k, row in enumerate(red):
-        pr, pi = row[k]
-        s = den * (d // norms[k])
-        right = [row.get(n + j, (0, 0)) for j in range(n)]
-        # (x + yi) * conj(p_k) * s
-        out.append([((x * pr + y * pi) * s, (y * pr - x * pi) * s) for x, y in right])
-    g = gcd(d, *(part for row in out for pair in row for part in pair))
-    return [[(x // g, y // g) for x, y in row] for row in out], d // g
-
-
-def _zi_matmul(a: list[list], b: list[list]) -> list[list[tuple[int, int]]]:
-    """The product of two matrices of Z[i] pairs, each a list of rows."""
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        re, im = [0] * cols, [0] * cols
-        for (p, q), brow in zip(row, b):
-            if p or q:
-                for c, (u, v) in enumerate(brow):
-                    re[c] += p * u - q * v
-                    im[c] += p * v + q * u
-        out.append(list(zip(re, im)))
-    return out
 
 
 def verify_isomorphism(L1: LieAlgebra, L2: LieAlgebra, T: ExactMatrix) -> bool:
@@ -678,61 +679,30 @@ def strip_abelian_factor(L: LieAlgebra) -> tuple[LieAlgebra, int]:
 
     k = dim Z - dim(Z n C1); the core is the restriction of L to a
     deterministically chosen complement and satisfies Z(core) <= C1(core).
+    It is read off L in the basis of `abelian_split_transformation`: the
+    first m vectors span the core, which holds their brackets, and the last
+    k are central.  The real structure is kept when it maps the core into
+    itself, as the core's block of the transported one.
     """
-    n = L.dim
     core_basis, central_part = _abelian_split(L)
     if core_basis is None:
         return L, 0
-    k = len(central_part)
-    # Express brackets of the core basis in terms of itself.
-    m = len(core_basis)
-    basis_mat = ExactMatrix(core_basis, cols=n)
-    new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = L.bracket(core_basis[i], core_basis[j])
-            if not any(w):
-                continue
-            coords = _solve_in_rows(basis_mat, w)
-            coeffs = {t: c for t, c in enumerate(coords) if c}
-            if coeffs:
-                new_brackets[(i, j)] = coeffs
+    n, m = L.dim, len(core_basis)
+    moved = apply_basis_change(L, ExactMatrix(core_basis + central_part, cols=n))
+    s = moved.real_structure if L.real_structure is not None else None
     core_real = None
-    if L.real_structure is not None:
-        # The canonical complement need not be conjugation stable in general;
-        # transport only when it is.
-        try:
-            imgs = [L.conj_vector(v) for v in core_basis]
-            rows = [_solve_in_rows(basis_mat, w) for w in imgs]
-            core_real = ExactMatrix(rows, cols=m)
-        except ValueError:
-            core_real = None
+    if s is not None and not any(s[r, j] for r in range(m, n) for j in range(m)):
+        core_real = ExactMatrix([s.row(r)[:m] for r in range(m)], cols=m)
     core = LieAlgebra.from_brackets(
         name=f"{L.name}.core",
         dim=m,
-        brackets=new_brackets,
+        brackets={ij: dict(coeffs) for ij, coeffs in moved.brackets},
         field=L.field,
         basis_names=tuple(f"c{i + 1}" for i in range(m)),
         real_structure=core_real,
         check=False,
     )
-    return core, k
-
-
-def _solve_in_rows(basis_mat: ExactMatrix, w) -> Vector:
-    """Coordinates of w in the row space of basis_mat (raises if outside)."""
-    m = basis_mat.rows
-    n = basis_mat.cols
-    aug = basis_mat.transpose().augment(
-        ExactMatrix([[x] for x in w], cols=1)
-    )
-    red, pivots = aug.rref()
-    if m in pivots:
-        raise ValueError("vector outside the subspace")
-    coords = [Q0] * m
-    for r, p in enumerate(pivots):
-        coords[p] = red.entries[r][m]
-    return tuple(coords)
+    return core, len(central_part)
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:

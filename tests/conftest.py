@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -56,23 +58,44 @@ _SCALAR_ARITHMETIC = (
 )
 
 
-def count_scalar_arithmetic(monkeypatch) -> list[str]:
+class ScalarCalls(list):
+    """The names of logged scalar arithmetic calls, e.g. "Rational.__add__".
+
+    ``callers`` holds, call by call, the first frame outside scalars.py, as
+    "file:line function": the code that asked for the arithmetic.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.callers = []
+
+
+def count_scalar_arithmetic(monkeypatch) -> ScalarCalls:
     """Wrap every arithmetic method of `Rational` and `Gaussian` to log its calls.
 
-    Returns the list each call appends its name to, e.g. "Rational.__add__".
-    Constructing a scalar is not arithmetic, and is not logged.
+    Returns the list each call appends its name to, e.g. "Rational.__add__",
+    and its caller to ``callers``.  Constructing a scalar is not arithmetic,
+    and is not logged.
     """
-    calls = []
+    calls = ScalarCalls()
     for cls in (Rational, Gaussian):
         for name in _SCALAR_ARITHMETIC:
             if name in vars(cls):
 
                 def counted(*args, _method=vars(cls)[name], _name=f"{cls.__name__}.{name}"):
                     calls.append(_name)
+                    calls.callers.append(_caller(sys._getframe(1)))
                     return _method(*args)
 
                 monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def _caller(frame) -> str:
+    """The first frame from ``frame`` out that is neither in scalars.py nor a wrapper."""
+    while frame.f_code.co_filename.endswith("scalars.py") or frame.f_code.co_name == "counted":
+        frame = frame.f_back
+    return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno} {frame.f_code.co_name}"
 
 
 @pytest.fixture

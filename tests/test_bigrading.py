@@ -13,11 +13,14 @@ from nilqp import (
     Subspace,
     apply_basis_change,
     bigrading_from_filtrations,
+    check,
     complexify,
+    conjugate_vector,
     direct_sum,
     filtrations_from_bigrading,
     lower_central_series,
     search_bigrading,
+    validate,
     verify_bigrading,
 )
 from nilqp import kernel
@@ -39,6 +42,7 @@ from nilqp.bigrading import (
     _TwoStepFrame,
 )
 from nilqp.catalog import catalog_keys, get
+from nilqp.checker import EXHIBITED
 from nilqp.errors import (
     AmbientMismatch,
     GradingNotCompatible,
@@ -50,7 +54,7 @@ from nilqp.exact import RowReducer
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
 from nilqp.scalars import Gaussian, Rational, format_scalar
 
-from conftest import count_scalar_arithmetic, random_invertible_t
+from conftest import count_scalar_arithmetic, random_gaussian_t, random_invertible_t
 from oracles import frac_rank, frac_rref_qi
 
 I = Gaussian(0, 1)
@@ -429,10 +433,23 @@ def test_search_robust_under_basis_change(rng):
 
 
 def test_search_found_gradings_reverify_strict():
-    for key in ("n5", "N1_82", "N1_84_real"):
-        out = search_bigrading(get(key).algebra)
-        report = verify_bigrading(get(key).algebra, out.bigrading, mode="strict")
-        assert report.valid
+    # The search verifies the Z[i] rows it built and decodes the grading
+    # only afterwards; the public verification, which encodes the grading
+    # again from its scalars, must give the same report.  The entries over
+    # Q(i) go through `_realified`, the last through a Gaussian basis change.
+    algebras = []
+    for key in ("n5", "N1_82", "N1_84_real", "37B", "37D", "N1_84"):
+        alg = get(key).algebra
+        algebras += [alg, apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(4)))]
+    alg = complexify(get("N1_82").algebra)
+    algebras.append(apply_basis_change(alg, random_gaussian_t(alg.dim, random.Random(2))))
+    for alg in algebras:
+        out = search_bigrading(alg)
+        assert out.found, alg.name
+        report = verify_bigrading(alg, out.bigrading, mode="strict")
+        assert report == replace(out.report, mode="strict"), alg.name
+        if alg.name in ("n5", "N1_82", "N1_84_real"):
+            assert report.valid
 
 
 def _random_zi_row(rng, v):
@@ -441,6 +458,14 @@ def _random_zi_row(rng, v):
         for j in range(v)
         if (e := (rng.randint(-2, 2), rng.randint(-2, 2))) != (0, 0)
     }
+
+
+def _lift(frame, vec):
+    """A vector of V on the frame's algebra: its coordinate a on column ``frame.free[a]``."""
+    out = [Rational(0)] * frame.n
+    for f, x in zip(frame.free, vec):
+        out[f] = x
+    return tuple(out)
 
 
 def test_bi_isotropic_agrees_with_brackets_of_lifts():
@@ -453,7 +478,7 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
     v = frame.v
     seeds, w = _pencil_structure(frame)
     u = _regular_pencil_u(frame, seeds, w, v // 2)
-    u_rows = [kernel.zi_row(x) for x in u]
+    u_rows = [row for row, _ in u]
 
     def combination():
         terms = [((rng.randint(-2, 2), rng.randint(-2, 2)), row) for row in u_rows]
@@ -466,7 +491,7 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
         cases.append(u_rows[:2] + [_random_zi_row(rng, v)])
     seen = set()
     for rows in cases:
-        vecs = [frame.lift(kernel.zi_decode(row, 1, v)) for row in rows]
+        vecs = [_lift(frame, kernel.zi_decode(row, 1, v)) for row in rows]
         want = not any(any(moved.bracket(x, y)) for x, y in combinations(vecs, 2))
         assert _bi_isotropic(frame, rows) == want
         seen.add(want)
@@ -507,7 +532,7 @@ def test_pencil_structure_matches_fraction_oracle(key):
     # The two bracket forms on V, read off brackets of lifts at the pivots
     # of C^1's canonical basis.
     pivots = [next(j for j, x in enumerate(row) if x) for row in frame.c1.basis.entries]
-    units = [frame.lift([Rational(int(a == b)) for b in range(v)]) for a in range(v)]
+    units = [_lift(frame, [Rational(int(a == b)) for b in range(v)]) for a in range(v)]
     brackets = [[moved.bracket(x, y) for y in units] for x in units]
     forms = [
         [[Fraction(c[p].num, c[p].den) for c in row] for row in brackets] for p in pivots
@@ -658,6 +683,31 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     assert calls == []
     Rational(1, 2) + Rational(1, 3)
     assert calls == ["Rational.__add__"]
+
+
+def test_pipeline_makes_no_scalar_arithmetic(monkeypatch):
+    # Scalars are decoded only for results: `check` (Darboux on moved n7,
+    # the regular pencil on moved N4_82), the search on moved 37B through
+    # its rational form, a Gaussian change of basis of an algebra with a
+    # real structure, `validate` on every catalog entry, and conjugation
+    # combine no two scalars.
+    n7, n4, b37_moved = (_moved_frame([key], 1)[0] for key in ("n7", "N4_82", "37B"))
+    b37 = get("37B").algebra
+    t = random_gaussian_t(b37.dim, random.Random(1))
+    catalog = [get(key).algebra for key in catalog_keys()]
+    v = (Gaussian(Rational(1, 2), Rational(-1, 3)), Rational(2), Gaussian(0, 1)) + (Rational(0),) * 4
+    calls = count_scalar_arithmetic(monkeypatch)
+    verdicts = [check(n7).status, check(n4).status, search_bigrading(b37_moved).status]
+    moved = apply_basis_change(b37, t)
+    for alg in catalog:
+        validate(alg)
+    conjugated = [conjugate_vector(v, b37.real_structure), moved.conj_vector(v)]
+    monkeypatch.undo()
+    assert calls == [], sorted(set(calls.callers))
+    assert verdicts == [EXHIBITED, EXHIBITED, "found"]
+    assert moved.real_structure.field == "Qi"
+    assert conjugate_vector(conjugated[0], b37.real_structure) == v != conjugated[0]
+    assert moved.conj_vector(conjugated[1]) == v
 
 
 def test_transversal_agrees_with_fraction_rank():

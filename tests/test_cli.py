@@ -107,6 +107,19 @@ def test_real_constant_written_as_gaussian_is_accepted_over_q(capsys, tmp_path, 
     assert out == want
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "bigrading-search", "cohomology"])
+def test_short_real_structure_row_exit_code_1(capsys, tmp_path, command):
+    doc = lie_algebra_to_json(get("37B").algebra)
+    doc["real_structure"][0].pop()
+    path = tmp_path / "37b_short.json"
+    dump_json(path, doc)
+    code, out, _ = invoke(capsys, "--format", "json", command, str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert f"{path}.real_structure[0]: row has 6 entries, expected 7" in error["message"]
+
+
 def test_missing_file_exit_code_1(capsys, tmp_path):
     code, _, err = invoke(capsys, "validate", str(tmp_path / "none.json"))
     assert code == 1
@@ -140,6 +153,29 @@ def test_cohomology_with_bigrading(capsys, tmp_path, n3_file):
     assert code == 0
     doc = json.loads(out)
     assert {"j": 2, "p": 2, "q": 1, "dim": 1} in doc["by_bidegree"]
+
+
+@pytest.mark.parametrize("command", ["cohomology", "bigrading-verify"])
+def test_short_grading_generator_exit_code_1(capsys, tmp_path, command):
+    # A generator one entry short: both commands refuse it as verification
+    # does, with AmbientMismatch, where cohomology used to exit 2.
+    from nilqp import complexify
+    from nilqp.jsonio import bigrading_to_json
+
+    cpath = tmp_path / "n3c.json"
+    dump_json(cpath, lie_algebra_to_json(complexify(get("n3").algebra)))
+    doc = bigrading_to_json(get("n3").known_bigradings[0])
+    doc["components"][0]["generators"][0].pop()
+    gpath = tmp_path / "g.json"
+    dump_json(gpath, doc)
+    argv = ["cohomology", str(cpath), "--bigrading", str(gpath)]
+    if command == "bigrading-verify":
+        argv = [command, str(cpath), str(gpath)]
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == "vector of length 2 in ambient dimension 3"
 
 
 def test_check_verdict_exit_zero_even_when_obstructed(capsys, tmp_path):

@@ -132,6 +132,22 @@ def test_reject_boolean_bidegree(key):
     assert exc.value.path == f"$.components[0].{key}"
 
 
+def test_reject_short_real_structure_row():
+    # A short row used to reach `ExactMatrix`, which refused it as ragged,
+    # an internal error.  Each row must hold dim entries.
+    doc = json.loads(dumps_json(lie_algebra_to_json(get("37B").algebra)))
+    doc["real_structure"][0].pop()
+    with pytest.raises(ParseError) as exc:
+        lie_algebra_from_json(doc)
+    assert exc.value.path == "$.real_structure[0]"
+    assert "row has 6 entries, expected 7" in str(exc.value)
+    doc = json.loads(dumps_json(lie_algebra_to_json(get("37B").algebra)))
+    doc["real_structure"][3].append("0")
+    with pytest.raises(ParseError) as exc:
+        lie_algebra_from_json(doc)
+    assert exc.value.path == "$.real_structure[3]"
+
+
 def test_unlisted_pairs_are_zero():
     doc = {
         "name": "a2",

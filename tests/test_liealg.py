@@ -1,4 +1,7 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,12 +23,14 @@ from nilqp import (
     verify_isomorphism,
 )
 from nilqp.catalog import catalog_keys, get
+from nilqp.exact import check_real_structure
 from nilqp.errors import (
     AlreadyComplex,
     DimensionMismatch,
     FieldMismatch,
     InvalidRealStructure,
     JacobiViolation,
+    NotInvolution,
     NotNilpotent,
     SingularTransformation,
 )
@@ -33,6 +38,8 @@ from nilqp.scalars import Gaussian, Rational
 
 from conftest import random_gaussian_t, random_invertible_t
 from oracles import (
+    _c_matmul,
+    frac_inverse_qi,
     frac_rref,
     frac_rref_qi,
     oracle_basis_change,
@@ -74,6 +81,114 @@ def test_extra_bracket_making_algebra_solvable_is_caught_downstream():
     alg = LieAlgebra.from_brackets("solvable", 3, brackets)
     with pytest.raises(NotNilpotent):
         lower_central_series(alg)
+
+
+def _realification(brackets, n):
+    """The table over Q of the realification, basis X_a then i X_a, of (re, im) constants.
+
+    With [X_a, X_b] = A + iB: [X_a, iX_b] = -B + iA, [X_b, iX_a] = B - iA
+    and [iX_a, iX_b] = -A - iB, so its Jacobi residual on X_i, X_j, X_k is
+    the complex one's real parts, then its imaginary parts.
+    """
+    out = {}
+    for (a, b), cs in brackets.items():
+        re = {k: x for k, (x, _) in cs.items()}
+        im = {k: y for k, (_, y) in cs.items()}
+        out[a, b] = {**re, **{n + k: y for k, y in im.items()}}
+        out[a, n + b] = {**{k: -y for k, y in im.items()}, **{n + k: x for k, x in re.items()}}
+        out[b, n + a] = {**im, **{n + k: -x for k, x in re.items()}}
+        out[n + a, n + b] = {**{k: -x for k, x in re.items()}, **{n + k: -y for k, y in im.items()}}
+    return out
+
+
+@pytest.mark.parametrize("kind", ["Q", "Q with a Gaussian constant", "Qi"])
+def test_validate_agrees_with_jacobi_oracle(kind):
+    # Valid tables (catalog algebras moved by a seeded T) and the same with
+    # one constant perturbed; `validate` fails exactly at the first triple
+    # whose oracle residual is nonzero, and reports that residual.
+    rng = random.Random(11)
+    extra = [Rational(1), Rational(-1, 2), Rational(3)]
+    if kind != "Q":
+        extra += [Gaussian(0, 1), Gaussian(Rational(1, 3), -2)]
+    seen = set()
+    for key in ("n3", "n5", "L5_parity", "g_sec6"):
+        base = get(key).algebra
+        n = base.dim
+        for trial in range(4):
+            if kind == "Qi":
+                alg = apply_basis_change(complexify(base), random_gaussian_t(n, rng))
+            else:
+                alg = apply_basis_change(base, random_invertible_t(n, rng))
+            brackets = alg.bracket_map()
+            if kind == "Q with a Gaussian constant":
+                (ij, cs), = rng.sample(sorted(brackets.items()), 1)
+                k = rng.choice(sorted(cs))
+                cs[k] = Gaussian(cs[k])
+            if trial % 2:
+                i, j = sorted(rng.sample(range(n), 2))
+                cs = brackets.setdefault((i, j), {})
+                k = rng.randrange(n)
+                cs[k] = cs.get(k, Rational(0)) + rng.choice(extra)
+            cand = LieAlgebra.from_brackets("t", n, brackets, field=alg.field, check=False)
+            real = _realification(_pair_brackets(cand), n)
+            triples = combinations(range(n), 3)
+            want = next((t for t in triples if any(oracle_jacobi_residual(real, 2 * n, *t))), None)
+            seen.add(want is None)
+            if want is None:
+                assert validate(cand).valid, key
+                continue
+            with pytest.raises(JacobiViolation) as exc:
+                validate(cand)
+            residual = exc.value.residual
+            assert exc.value.triple == want, key
+            r = oracle_jacobi_residual(real, 2 * n, *want)
+            assert [_pair(x) for x in residual] == list(zip(r[:n], r[n:])), key
+            assert str(exc.value) == (
+                f"Jacobi identity fails on basis triple {want}; residual {residual}"
+            )
+            if kind != "Q with a Gaussian constant":
+                scalar = Gaussian if kind == "Qi" else Rational
+                assert {type(x) for x in residual} == {scalar}, key
+    assert seen == {True, False}
+
+
+def _c_matrix(pairs):
+    """(re, im) Fraction rows as an `ExactMatrix` of Gaussian scalars."""
+
+    def scalar(x, y):
+        return Gaussian(Rational(x.numerator, x.denominator), Rational(y.numerator, y.denominator))
+
+    return ExactMatrix([[scalar(x, y) for x, y in row] for row in pairs])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_involution_test_agrees_with_fraction_product(n):
+    # S = T conj(T)^-1 is an antilinear involution for every invertible T;
+    # S with one entry changed, most often, is not.  Both `validate` and
+    # `check_real_structure` accept S exactly when S conj(S) = I in Fractions.
+    rng = random.Random(n)
+    seen = set()
+    for trial in range(12):
+        t = [[_pair(x) for x in row] for row in random_gaussian_t(n, rng).entries]
+        conj_t = [[(x, -y) for x, y in row] for row in t]
+        s = _c_matmul(t, frac_inverse_qi(conj_t))
+        if trial % 2:
+            r, c = rng.randrange(n), rng.randrange(n)
+            s[r][c] = (s[r][c][0] + rng.choice([1, -1]), s[r][c][1] + Fraction(rng.randint(-1, 1), 2))
+        square = _c_matmul(s, [[(x, -y) for x, y in row] for row in s])
+        want = square == [[(Fraction(int(r == c)), Fraction(0)) for c in range(n)] for r in range(n)]
+        seen.add(want)
+        m = _c_matrix(s)
+        alg = LieAlgebra.from_brackets("a", n, {}, field="Qi", real_structure=m, check=False)
+        if want:
+            assert validate(alg).valid
+            check_real_structure(m)
+        else:
+            with pytest.raises(InvalidRealStructure, match="not an antilinear involution"):
+                validate(alg)
+            with pytest.raises(NotInvolution, match="is not the identity"):
+                check_real_structure(m)
+    assert seen == {True, False}
 
 
 def test_invalid_real_structure_rejected():
@@ -367,6 +482,21 @@ def test_strip_core_has_no_abelian_factor_catalog_wide():
         assert z.is_subspace_of(c1) or core.dim == 0
         again, k2 = strip_abelian_factor(core)
         assert k2 == 0
+
+
+def test_strip_abelian_factor_transports_the_real_structure():
+    # The core's real structure is the core's block of S transported to the
+    # split basis, so conjugation stays a bracket automorphism of the core;
+    # these cores' S is not symmetric, and its transpose would fail.
+    for key in ("37B", "37D", "N1_84"):
+        base = get(key).algebra
+        moved = apply_basis_change(base, random_invertible_t(base.dim, random.Random(0)))
+        core, k = strip_abelian_factor(direct_sum(moved, abelian(1, "Qi")))
+        s = core.real_structure
+        assert k == 1 and s is not None and s != s.transpose(), key
+        assert validate(core).valid, key
+        with pytest.raises(InvalidRealStructure):
+            validate(replace(core, real_structure=s.transpose()))
 
 
 def test_strip_explicit_isomorphism():
