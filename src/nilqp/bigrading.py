@@ -64,7 +64,8 @@ from . import kernel
 from .exact import ExactMatrix, RowReducer, Subspace, Vector, _conjugate_row
 from .liealg import (
     LieAlgebra,
-    _basis_change,
+    _moved_table,
+    _real_form,
     _zi_bracket,
     center,
     commutator_ideal,
@@ -73,7 +74,7 @@ from .liealg import (
     real_structure_rows,
     structure_table,
 )
-from .scalars import Gaussian, Scalar, as_scalar
+from .scalars import as_scalar
 
 __all__ = [
     "Bigrading",
@@ -573,41 +574,23 @@ def _realified(L: LieAlgebra):
 
     T_real is Z[i] rows over one denominator, or None over Q, where the
     rational form keeps L's basis.  The rational form holds only `Rational`
-    constants: a `Gaussian` constant of an algebra over Q is read as its
-    real part, and a non-real one is refused, as for the rational form of
-    an algebra over Q(i).
+    constants, the real parts of one integer table: that of L in the basis
+    T_real over Q(i) (`liealg._moved_table`), or L's own `structure_table`
+    when L is over Q and holds a `Gaussian` constant.  A nonzero imaginary
+    part is refused in both cases.
     """
-    Lc = _complex_carrier(L)
-    if L.field == "Q":
-        t_real = None
-        if not any(isinstance(c, Gaussian) for _, coeffs in L.brackets for _, c in coeffs):
-            return Lc, L, t_real
-        form, name = L, L.name
-    else:
+    Lc, t_real = _complex_carrier(L), None
+    table, name, basis_names = structure_table(L), L.name, L.basis_names
+    if L.field == "Qi":
         t_real = _real_form_basis(Lc)
-        name = f"{L.name}.real"
-        form = _basis_change(Lc, *t_real, "Qi", name=name)
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j), coeffs in form.brackets:
-        row = {}
-        for k, c in coeffs:
-            if isinstance(c, Gaussian):
-                if c.im:
-                    raise MissingRealStructure(
-                        f"{L.name}: rational form has non-real constants"
-                    )
-                c = c.re
-            row[k] = c
-        brackets[(i, j)] = row
-    real_alg = LieAlgebra.from_brackets(
-        name=name,
-        dim=L.dim,
-        brackets=brackets,
-        field="Q",
-        basis_names=form.basis_names,
-        check=False,
-    )
-    return Lc, real_alg, t_real
+        table, _, _ = _moved_table(Lc, *t_real, "Qi")
+        name, basis_names = f"{L.name}.real", tuple(f"e{i + 1}" for i in range(L.dim))
+    elif table.field == "Q":
+        return Lc, L, None
+    R = _real_form(name, table, basis_names)
+    if R is None:
+        raise MissingRealStructure(f"{L.name}: rational form has non-real constants")
+    return Lc, R, t_real
 
 
 class _TwoStepFrame:

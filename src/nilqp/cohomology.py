@@ -24,7 +24,7 @@ differentials in a basis adapted to C^1 = [g, g]: unit vectors completing
 C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There the
 n - dim C^1 dual generators of the unit vectors are closed, and each d_k
 has fewer and shorter rows than in a basis where every d x^m is nonzero.
-`bigraded_cohomology` ranks its blocks in the basis of the grading.
+`bigraded_cohomology` ranks its blocks on the table in the grading's basis.
 
 The representatives of `betti_numbers` are read off the same rows in L's
 own basis.  For each cocycle v of the reduced basis of ker d_k, in pivot
@@ -47,9 +47,9 @@ from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
     StructureTable,
-    _basis_change,
     _bracket_q,
     _bracket_qi,
+    _moved_table,
     commutator_ideal,
     structure_table,
 )
@@ -309,19 +309,19 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
 
     Dual bidegrees are (-p, -q) >= 0 and add over monomials; the differential
     must preserve them (GradingNotCompatible otherwise).  Block dimensions sum
-    to the Betti numbers.
+    to the Betti numbers.  The differentials are assembled from L's integer
+    table in the basis of the grading's generators (`liealg._moved_table`).
     """
     n = L.dim
     generators, den = grading.kernel_rows(n)
     rows = [row for comp_rows in generators.values() for row in comp_rows]
-    bidegrees = [key for key, comp_rows in generators.items() for _ in comp_rows]
     if len(rows) != n:
         raise GradingNotCompatible(
             f"grading has {len(rows)} generators for dimension {n}"
         )
     field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
-    adapted = _basis_change(L, rows, den, field, name=f"{L.name}.adapted")
-    dual = [(-p, -q) for (p, q) in bidegrees]
+    adapted, _, _ = _moved_table(L, rows, den, field)
+    dual = [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
     # bideg[k][c]: the bidegree of the c-th k-monomial; pos[k][c]: its index
     # within its block; dims[k][b]: the size of the block of bidegree b.
     bideg, pos, dims = [], [], []
@@ -339,7 +339,7 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     # d_k maps each block into the block of the same bidegree, so that is the
     # rank of the rows whose destination monomial has bidegree b.
     block_rank: list[dict] = [{} for _ in range(n + 1)]
-    rank, diffs = _sparse_differentials(n, structure_table(adapted))
+    rank, diffs = _sparse_differentials(n, adapted)
     for k, rows in diffs.items():
         src, dst = bideg[k], bideg[k + 1]
         bad = min(

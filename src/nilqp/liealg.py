@@ -10,12 +10,12 @@ Brackets, validation, conjugation and changes of basis run on integers.
 `structure_table` holds the constants once per instance as integers over
 one common denominator (Gaussian-integer pairs over Q(i)), and
 `real_structure_rows` the real structure as Z[i] rows.  `validate` checks
-on them; `LieAlgebra.bracket`, `LieAlgebra.conj_vector` and
-`apply_basis_change` clear the denominators of their input, form every
-product on integers and divide once per result entry; and the
-Chevalley-Eilenberg differentials of ``cohomology`` are assembled from the
-same table, or from one in a basis adapted to the commutator ideal or to a
-grading.  Scalars are made only for the results, with the types that
+on them; `LieAlgebra.bracket` and `LieAlgebra.conj_vector` clear the
+denominators of their input, form every product on integers and divide
+once per result entry.  `_moved_table` gives the table in a new basis, in
+lowest terms; `apply_basis_change` decodes it, while the bigraded
+cohomology of ``cohomology`` and the rational form of ``bigrading`` read
+it as it is.  Scalars are made only for the results, with the types that
 `LieAlgebra.bracket`, `LieAlgebra.conj_vector` and `apply_basis_change`
 document.
 """
@@ -23,7 +23,8 @@ document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import combinations
+from math import gcd
 from typing import NamedTuple
 
 from . import kernel
@@ -221,7 +222,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
     Raises JacobiViolation or InvalidRealStructure; on success reports lattice
     admissibility (true over Q: rational structure constants admit a lattice).
     Jacobi runs on `_constant_rows`, and S * conj(S) = I and S conj[X_i, X_j]
-    = [S X_i, S X_j] on `real_structure_rows` (the latter with S = I over Q).
+    = [S X_i, S X_j] on `real_structure_rows`, whenever S is given.
     """
     n = L.dim
     for (i, j), _ in L.brackets:
@@ -252,8 +253,6 @@ def validate(L: LieAlgebra) -> ValidationReport:
             raise InvalidRealStructure(
                 f"{L.name}: real structure is not an antilinear involution"
             )
-        if L.field == "Q":
-            s_rows, s_den = _identity_rows(n)
         columns = _qi_columns(structure_table(L))
         s_cols = [[row.get(j, (0, 0)) for row in s_rows] for j in range(n)]
         for i, j in combinations(range(n), 2):
@@ -296,25 +295,27 @@ def structure_table(L: LieAlgebra) -> StructureTable:
     if table is not None:
         return table
     consts = [w for _, coeffs in L.brackets for _, w in coeffs]
-    if L.field == "Qi" or Gaussian in map(type, consts):
-        field = "Qi"
-        pairs, den = kernel.zi_pairs(consts)
-        parts = [[x for x, _ in pairs], [y for _, y in pairs]]
-    else:
-        field = "Q"
-        ints, den = kernel.q_ints(consts)
-        parts = [ints]
-    supports: dict[tuple, tuple] = {}
-    ks = [tuple(k for k, _ in coeffs) for _, coeffs in L.brackets]
-    columns = (
-        tuple(i for (i, _), _ in L.brackets),
-        tuple(j for (_, j), _ in L.brackets),
-        tuple(supports.setdefault(k, k) for k in ks),
-        *(tuple(tuple(islice(it, len(k))) for k in ks) for it in map(iter, parts)),
-    )
-    table = StructureTable(field, den, columns)
+    field = "Qi" if L.field == "Qi" or Gaussian in map(type, consts) else "Q"
+    pairs, den = kernel.zi_pairs(consts)
+    it = iter(pairs)
+    table = _table(field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
     L._facts["structure_table"] = table
     return table
+
+
+def _table(field: str, den: int, rows: dict) -> StructureTable:
+    """The table of [X_i, X_j] = sum (re + im*i) / den X_k, (k, (re, im)) in rows[i, j]."""
+    supports: dict[tuple, tuple] = {}
+    ks = [tuple(k for k, _ in row) for row in rows.values()]
+    return StructureTable(field, den, (
+        tuple(i for i, _ in rows),
+        tuple(j for _, j in rows),
+        tuple(supports.setdefault(k, k) for k in ks),
+        *(
+            tuple(tuple(pair[part] for _, pair in row) for row in rows.values())
+            for part in ((0, 1) if field == "Qi" else (0,))
+        ),
+    ))
 
 
 def real_structure_rows(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
@@ -547,74 +548,42 @@ def apply_basis_change(
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    The work is on the kernel's Z[i] rows: T is encoded once
-    (`kernel.zi_rows`), T^-1 is read off those rows by one
-    `kernel.zi_solve`, the rows of T are bracketed on `structure_table`,
-    and each new constant and real-structure entry is divided once.  The
-    scalar types are those of scalar arithmetic: over Q(i) every constant
-    is a `Gaussian`, and the real structure is over Q(i) exactly when T or
-    the old real structure is.
+    The constants are those of `_moved_table`, each decoded once: over Q(i)
+    every one is a `Gaussian`, and so is one of an algebra over Q that a
+    `Gaussian` constant reached, as `LieAlgebra.bracket` types it.  The real
+    structure is formed on the rows of T and T^-1, and is over Q(i) exactly
+    when T or the old real structure is.
     """
     n = L.dim
     if T.rows != n or T.cols != n:
         raise DimensionMismatch(
             f"transformation is {T.rows}x{T.cols}, algebra has dim {n}"
         )
-    return _basis_change(L, *kernel.zi_rows(T.entries), T.field, name)
-
-
-def _basis_change(L: LieAlgebra, e: list, t_den: int, t_field: str, name=None) -> LieAlgebra:
-    """`apply_basis_change` for T = ``e`` / ``t_den`` given as Z[i] rows over ``t_field``."""
-    n = L.dim
-    solved = kernel.zi_solve(e, _identity_rows(n)[0])
-    if solved is None:
-        raise SingularTransformation("matrix is singular")
-    inv, inv_den = solved  # e^-1 = inv / inv_den, so T^-1 = t_den * inv / inv_den
-
-    def coords(w: kernel.ZiRow) -> kernel.ZiRow:
-        # Column-vector convention: old coords w = T^t x, so x = (T^t)^{-1} w,
-        # the row vector w times T^-1.
-        return kernel.zi_combine(*((c, inv[l]) for l, c in w.items()))
-
-    new_field = "Qi" if "Qi" in (L.field, t_field) else "Q"
-    table = structure_table(L)
-    columns = _qi_columns(table)
-    dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
-    d = t_den * table.den * inv_den
+    e, t_den = kernel.zi_rows(T.entries)
+    table, inv, inv_den = _moved_table(L, e, t_den, T.field)
+    new_field = "Qi" if "Qi" in (L.field, T.field) else "Q"
     new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i, j in combinations(range(n), 2):
-        w = _zi_bracket(columns, dense[i], dense[j], n)
-        hit = ()
-        if new_field == "Q" and table.field == "Qi":
-            # L is over Q with `Gaussian` constants and T is rational: as
-            # in `LieAlgebra.bracket`, a new constant is a Gaussian exactly
-            # where a nonzero term times such a constant reached it.
-            hit = {
-                k
-                for (a, b), consts in L.brackets
-                if dense[i][a][0] * dense[j][b][0] != dense[i][b][0] * dense[j][a][0]
-                for l, c in consts
-                if type(c) is Gaussian and l in w
-                for k in inv[l]
-            }
-        coeffs = {
-            k: Gaussian(Rational(a, d), Rational(b, d))
+    for i, j, ks, res, ims in zip(*_qi_columns(table)):
+        # L over Q with a `Gaussian` constant, T rational: a new constant is a
+        # Gaussian where a nonzero Gaussian entry of [T_i, T_j] reached it.
+        w = L.bracket(T.row(i), T.row(j)) if table.field != new_field else ()
+        hit = {k for l, x in enumerate(w) if x and type(x) is Gaussian for k in inv[l]}
+        new_brackets[i, j] = {
+            k: Gaussian(Rational(a, table.den), Rational(b, table.den))
             if new_field == "Qi" or k in hit
-            else Rational(a, d)
-            for k, (a, b) in coords(w).items()
+            else Rational(a, table.den)
+            for k, a, b in zip(ks, res, ims)
         }
-        if coeffs:
-            new_brackets[(i, j)] = coeffs
     new_real = None
     s = L.real_structure
     if s is not None or new_field != L.field:
         # (T^t)^-1 S conj(T)^t, S the identity when L has none: its column
         # j is the new coordinates of S conj(e_j), over s_den * inv_den.
         s_rows, s_den = real_structure_rows(L)
-        cols = [coords(_conjugate_row(s_rows, row)) for row in e]
+        cols = [_coords(inv, _conjugate_row(s_rows, row)) for row in e]
         d = s_den * inv_den
         grid = [[col.get(r, (0, 0)) for col in cols] for r in range(n)]
-        if t_field == "Qi" or (s is not None and s.field == "Qi"):
+        if T.field == "Qi" or (s is not None and s.field == "Qi"):
             new_real = ExactMatrix([_gaussians(row, d) for row in grid], cols=n)
         else:
             new_real = ExactMatrix([[Rational(a, d) for a, _ in row] for row in grid], cols=n)
@@ -626,6 +595,53 @@ def _basis_change(L: LieAlgebra, e: list, t_den: int, t_field: str, name=None) -
         basis_names=tuple(f"e{i + 1}" for i in range(n)),
         real_structure=new_real,
         check=False,  # Jacobi and involution properties are conjugation-invariant
+    )
+
+
+def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
+    """L's `StructureTable` in the basis T = ``e`` / ``t_den``, Z[i] rows over ``t_field``.
+
+    Returns ``(table, inv, inv_den)``, T^-1 = t_den * inv / inv_den, or raises
+    SingularTransformation.  The rows of T are bracketed on `structure_table`
+    and mapped by ``inv``.  In lowest terms and over Q(i) when L's table or T
+    is, the table is `structure_table` of `apply_basis_change`'s algebra,
+    except for an algebra over Q with a `Gaussian` constant.
+    """
+    n = L.dim
+    solved = kernel.zi_solve(e, _identity_rows(n)[0])
+    if solved is None:
+        raise SingularTransformation("matrix is singular")
+    inv, inv_den = solved  # e^-1 = inv / inv_den
+    old = structure_table(L)
+    columns = _qi_columns(old)
+    dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
+    rows = {}  # by pair (i, j), each new constant times t_den * old.den * inv_den
+    for i, j in combinations(range(n), 2):
+        w = _coords(inv, _zi_bracket(columns, dense[i], dense[j], n))
+        if w:
+            rows[i, j] = sorted(w.items())
+    d = t_den * old.den * inv_den
+    g = gcd(d, *(x for row in rows.values() for _, pair in row for x in pair))
+    rows = {ij: [(k, (x // g, y // g)) for k, (x, y) in row] for ij, row in rows.items()}
+    field = "Qi" if "Qi" in (old.field, t_field) else "Q"
+    return _table(field, d // g, rows), inv, inv_den
+
+
+def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:
+    """inv_den times the new coordinates (T^t)^-1 w = w e^-1, e^-1 = ``inv`` / inv_den."""
+    return kernel.zi_combine(*((c, inv[l]) for l, c in w.items()))
+
+
+def _real_form(name: str, table: StructureTable, basis_names) -> LieAlgebra | None:
+    """The algebra over Q with ``table``'s constants, None if one is not real."""
+    if table.field == "Qi" and any(map(any, table.columns[4])):
+        return None
+    brackets = {
+        (i, j): {k: Rational(x, table.den) for k, x in zip(ks, xs)}
+        for i, j, ks, xs in zip(*table.columns[:4])
+    }
+    return LieAlgebra.from_brackets(
+        name, len(basis_names), brackets, basis_names=basis_names, check=False
     )
 
 

@@ -3,9 +3,15 @@ import random
 import sys
 
 import pytest
+from hypothesis import settings
 
 from nilqp import ExactMatrix
 from nilqp.scalars import Gaussian, Q0, Q1, Rational
+
+# One fixed sequence of examples per test, and no example database: every
+# run tries the same inputs, and no failing example is saved for the next.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _COEFFS = (
     Rational(1),

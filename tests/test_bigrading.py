@@ -12,6 +12,7 @@ from nilqp import (
     SearchBounds,
     Subspace,
     apply_basis_change,
+    bigraded_cohomology,
     bigrading_from_filtrations,
     check,
     complexify,
@@ -689,11 +690,18 @@ def test_pipeline_makes_no_scalar_arithmetic(monkeypatch):
     # Scalars are decoded only for results: `check` (Darboux on moved n7,
     # the regular pencil on moved N4_82), the search on moved 37B through
     # its rational form, a Gaussian change of basis of an algebra with a
-    # real structure, `validate` on every catalog entry, and conjugation
-    # combine no two scalars.
+    # real structure, `validate` on every catalog entry, conjugation, and
+    # the bigraded cohomology of that moved algebra under its carried
+    # grading combine no two scalars; that cohomology builds no algebra.
     n7, n4, b37_moved = (_moved_frame([key], 1)[0] for key in ("n7", "N4_82", "37B"))
-    b37 = get("37B").algebra
+    entry = get("37B")
+    b37, grading = entry.algebra, entry.known_bigradings[0]
     t = random_gaussian_t(b37.dim, random.Random(1))
+    u = t.transpose().inverse()
+    carried = Bigrading.build(
+        [(c.p, c.q, [u.matvec(x) for x in c.generators]) for c in grading.components]
+    )
+    want = bigraded_cohomology(b37, grading)
     catalog = [get(key).algebra for key in catalog_keys()]
     v = (Gaussian(Rational(1, 2), Rational(-1, 3)), Rational(2), Gaussian(0, 1)) + (Rational(0),) * 4
     calls = count_scalar_arithmetic(monkeypatch)
@@ -702,8 +710,16 @@ def test_pipeline_makes_no_scalar_arithmetic(monkeypatch):
     for alg in catalog:
         validate(alg)
     conjugated = [conjugate_vector(v, b37.real_structure), moved.conj_vector(v)]
+    built = []
+    from_brackets = LieAlgebra.from_brackets
+    monkeypatch.setattr(
+        LieAlgebra, "from_brackets", lambda *a, **k: built.append(a) or from_brackets(*a, **k)
+    )
+    table = bigraded_cohomology(moved, carried)
     monkeypatch.undo()
     assert calls == [], sorted(set(calls.callers))
+    assert built == []
+    assert table == want
     assert verdicts == [EXHIBITED, EXHIBITED, "found"]
     assert moved.real_structure.field == "Qi"
     assert conjugate_vector(conjugated[0], b37.real_structure) == v != conjugated[0]

@@ -1,9 +1,13 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilqp.cli import run
-from nilqp.catalog import get
+from nilqp.catalog import catalog_keys, get
 from nilqp.jsonio import dump_json, lie_algebra_to_json
 
 
@@ -118,6 +122,19 @@ def test_short_real_structure_row_exit_code_1(capsys, tmp_path, command):
     error = json.loads(out)["error"]
     assert error["kind"] == "input"
     assert f"{path}.real_structure[0]: row has 6 entries, expected 7" in error["message"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_automorphism_real_structure_over_q_exit_code_1(capsys, tmp_path, fmt):
+    # S swaps X1 and X2 but keeps X3, so S[X1, X2] != [S X1, S X2].
+    doc = lie_algebra_to_json(get("n3").algebra)
+    doc["real_structure"] = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    path = tmp_path / "n3_swap.json"
+    dump_json(path, doc)
+    code, out, err = invoke(capsys, "--format", fmt, "validate", str(path))
+    assert code == 1
+    message = json.loads(out)["error"]["message"] if fmt == "json" else err
+    assert "conjugation is not a bracket automorphism on pair (0, 1)" in message
 
 
 def test_missing_file_exit_code_1(capsys, tmp_path):
@@ -330,3 +347,92 @@ def test_unexpected_exception_exit_code_2(capsys, monkeypatch, n3_file, fmt):
     else:
         assert out == ""
         assert err == "error (RuntimeError): unexpected failure\n"
+
+
+# -- mutated catalog files --------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    ["validate"],
+    ["check", "--max-nodes", "500"],
+    ["cohomology"],
+    ["bigrading-search", "--max-nodes", "500"],
+)
+# Values of other JSON types; none is an int above any file's own dim.
+OTHER_TYPES = (None, True, False, -1, 1.5, "x", [], {})
+SCALARS = ("0", "2", "-1/2", "1+i", "2*i", "1/3-2*i")
+
+
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """The algebra file that `catalog export` writes for every catalog entry."""
+    directory = tmp_path_factory.mktemp("exported")
+    with redirect_stdout(io.StringIO()):
+        for key in catalog_keys():
+            assert run(["--format", "json", "catalog", "export", key, str(directory)]) == 0
+    return directory
+
+
+def _slots(value):
+    """Every (container, key) of a JSON document, the document's own keys first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    slots = []
+    for key, child in items:
+        slots.append((value, key))
+        if isinstance(child, (dict, list)):
+            slots += _slots(child)
+    return slots
+
+
+def _drop_key(doc, data):
+    target = data.draw(st.sampled_from([doc, *doc["brackets"]]))
+    del target[data.draw(st.sampled_from(sorted(target)))]
+
+
+def _swap_type(doc, data):
+    container, key = data.draw(st.sampled_from(_slots(doc)))
+    container[key] = data.draw(st.sampled_from(OTHER_TYPES))
+
+
+def _bad_index(doc, data):
+    if not doc["brackets"]:
+        return
+    entry = data.draw(st.sampled_from(doc["brackets"]))
+    index = data.draw(st.sampled_from((True, False, -1, doc["dim"], doc["dim"] + 1)))
+    slot = data.draw(st.sampled_from(("i", "j", "k")))
+    if slot != "k":
+        entry[slot] = index
+    else:
+        old = data.draw(st.sampled_from(sorted(entry["coeffs"])))
+        entry["coeffs"][str(index)] = entry["coeffs"].pop(old)
+
+
+def _short_row(doc, data):
+    if doc["real_structure"]:
+        data.draw(st.sampled_from(doc["real_structure"])).pop()
+
+
+def _perturb_constant(doc, data):
+    if not doc["brackets"]:
+        return
+    entry = data.draw(st.sampled_from(doc["brackets"]))
+    k = data.draw(st.integers(0, doc["dim"] - 1))
+    entry["coeffs"][str(k)] = data.draw(st.sampled_from(SCALARS))
+
+
+MUTATIONS = (_drop_key, _swap_type, _bad_index, _short_row, _perturb_constant)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_catalog_files_exit_0_or_1_with_one_json_document(exported, data):
+    key = data.draw(st.sampled_from(catalog_keys()))
+    doc = json.loads((exported / f"{key}.algebra.json").read_text())
+    data.draw(st.sampled_from(MUTATIONS))(doc, data)
+    path = exported / "mutated.json"
+    dump_json(path, doc)
+    for command in FUZZ_COMMANDS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run(["--format", "json", command[0], str(path), *command[1:]])
+        assert code in (0, 1), (command, out.getvalue())
+        json.loads(out.getvalue())  # exactly one document: trailing text is an error

@@ -22,8 +22,10 @@ from nilqp import (
     validate,
     verify_isomorphism,
 )
+from nilqp import kernel
 from nilqp.catalog import catalog_keys, get
 from nilqp.exact import check_real_structure
+from nilqp.liealg import _moved_table, structure_table
 from nilqp.errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -201,17 +203,18 @@ def test_invalid_real_structure_rejected():
 
 def test_real_structure_must_be_bracket_automorphism():
     # Swapping X1 <-> Y1 sends [X1, Y1] to [Y1, X1] = -Z, so S must also
-    # negate Z; without that twist validation fails.
+    # negate Z; without that twist validation fails, over Q as over Q(i).
     s_bad = ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    with pytest.raises(InvalidRealStructure):
-        LieAlgebra.from_brackets(
-            "swap_bad", 3, {(0, 1): {2: 1}}, field="Qi", real_structure=s_bad
-        )
     s_ok = ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
-    alg = LieAlgebra.from_brackets(
-        "swap_ok", 3, {(0, 1): {2: 1}}, field="Qi", real_structure=s_ok
-    )
-    assert validate(alg).valid
+    for field in ("Qi", "Q"):
+        with pytest.raises(InvalidRealStructure, match=r"automorphism on pair \(0, 1\)"):
+            LieAlgebra.from_brackets(
+                "swap_bad", 3, {(0, 1): {2: 1}}, field=field, real_structure=s_bad
+            )
+        alg = LieAlgebra.from_brackets(
+            "swap_ok", 3, {(0, 1): {2: 1}}, field=field, real_structure=s_ok
+        )
+        assert validate(alg).valid
 
 
 def test_lower_central_series_abelian():
@@ -296,6 +299,26 @@ def test_invariants_under_random_basis_change(rng):
             assert center(moved).dim == ref_center
             assert commutator_ideal(moved).dim == ref_comm
             assert betti_numbers(moved).betti == ref_betti
+
+
+def test_moved_table_is_the_structure_table_of_the_moved_algebra(rng):
+    # Every catalog entry and a moved copy, each over Q and complexified,
+    # moved by a rational T and, over Q(i), by a Gaussian one.
+    seen = set()
+    for key in catalog_keys():
+        alg = get(key).algebra
+        for base in (alg, apply_basis_change(alg, random_invertible_t(alg.dim, rng))):
+            for L in (base, complexify(base)) if base.field == "Q" else (base,):
+                ts = [random_invertible_t(L.dim, rng)]
+                if L.field == "Qi":
+                    ts.append(random_gaussian_t(L.dim, rng))
+                for t in ts:
+                    table, _, _ = _moved_table(L, *kernel.zi_rows(t.entries), t.field)
+                    want = structure_table(apply_basis_change(L, t))
+                    assert table == want, (key, L.field, t.field)
+                    seen.add((table.field, t.field, table.den > 1))
+    # Denominators over both fields, for rational and Gaussian T.
+    assert {("Q", "Q", True), ("Qi", "Q", True), ("Qi", "Qi", True)} <= seen
 
 
 def _pair(x):
