@@ -26,6 +26,16 @@ n - dim C^1 dual generators of the unit vectors are closed, and each d_k
 has fewer and shorter rows than in a basis where every d x^m is nonzero.
 `bigraded_cohomology` ranks its blocks on the table in the grading's basis.
 
+On a unimodular algebra (tr ad X = 0 for every X, as on every nilpotent
+one) half of those ranks are known (Koszul's Poincare duality): d_{n-1} =
+0, so for a in Lambda^k, b in Lambda^{n-1-k} the form d(a ^ b) = da ^ b +
+(-1)^k a ^ db is zero, and under the perfect pairing Lambda^j x Lambda^{n-j}
+-> Lambda^n d_k is the transpose of d_{n-1-k} up to sign: rank d_k = rank
+d_{n-1-k}.  `betti_numbers` tests tr ad = 0 exactly on the adapted table
+(`_unimodular`); when it holds it ranks d_k only for (n-1)/2 <= k <= n-2
+and mirrors each rank, and otherwise it ranks every degree.  Every rank
+is still an exact elimination over Q or Q(i).
+
 The representatives of `betti_numbers` are read off the same rows in L's
 own basis.  For each cocycle v of the reduced basis of ker d_k, in pivot
 order, the residual modulo the image of d_{k-1} plus the representatives
@@ -189,20 +199,41 @@ def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, d
     return rows
 
 
-def _sparse_differentials(n: int, table: StructureTable):
-    """``(rank, {k: rows})``: D times d_k as `_assemble` rows for 0 < k < n.
+def _sparse_differentials(n: int, table: StructureTable, degrees=None):
+    """``(rank, {k: rows})``: D times d_k as `_assemble` rows for k in ``degrees``.
 
     The differentials are those of the dimension-``n`` algebra whose
     constants ``table`` holds, and ``rank`` is the kernel's rank for the
-    rows' field.  d_0 and d_n are zero and are not assembled, nor is any
-    d_k of an abelian algebra.
+    rows' field.  ``degrees`` defaults to every 0 < k < n: d_0 and d_n are
+    zero and are not assembled, nor is any d_k of an abelian algebra.
     """
     field, _, columns = table
     rank = kernel.rank_q if field == "Q" else kernel.rank_qi
     if n < 2 or not columns[0]:
         return rank, {}
     terms = _dual_terms(table)
-    return rank, {k: _assemble(n, k, field, terms) for k in range(1, n)}
+    if degrees is None:
+        degrees = range(1, n)
+    return rank, {k: _assemble(n, k, field, terms) for k in degrees}
+
+
+def _unimodular(table: StructureTable) -> bool:
+    """Whether tr ad X_t = sum_j C_tj^j is zero for every t, read off ``table``.
+
+    Exact, on the table's integers: D times the trace sums the constants
+    C_ij^j (to X_i's) and -C_ij^i (to X_j's) of each stored i < j, part by
+    part, so over Q(i) the real and the imaginary parts must both vanish.
+    """
+    _, _, columns = table
+    trace: dict[tuple[int, int], int] = {}  # (t, part) -> D tr ad X_t
+    for i, j, ks, *parts in zip(*columns):
+        for part, xs in enumerate(parts):
+            for k, x in zip(ks, xs):
+                if k == j:
+                    trace[i, part] = trace.get((i, part), 0) + x
+                elif k == i:
+                    trace[j, part] = trace.get((j, part), 0) - x
+    return not any(trace.values())
 
 
 def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
@@ -251,18 +282,27 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
 def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
     """Betti numbers b_0..b_n, optionally with canonical cocycle representatives.
 
-    The ranks are taken in the basis of `_commutator_adapted_table`.  The
-    representatives, ``{k: vectors}`` in L's basis, are canonical: each is
-    the residual of a cocycle modulo the image of d_{k-1} plus the
-    representatives before it, zero at that span's pivot columns, with
-    first nonzero entry 1.  Their entries are `Gaussian` exactly when
+    The ranks are taken in the basis of `_commutator_adapted_table`: of
+    every d_k, or, when that table is unimodular, of d_k for (n-1)/2 <= k
+    <= n-2 only, with rank d_{n-1-k} = rank d_k and rank d_{n-1} = 0
+    (module docstring).  The representatives, ``{k: vectors}`` in L's
+    basis, are canonical: each is the residual of a cocycle modulo the
+    image of d_{k-1} plus the representatives before it, zero at that
+    span's pivot columns, with first nonzero entry 1.  Their entries are `Gaussian` exactly when
     ``structure_table(L).field == "Qi"``, and `Rational` otherwise.
     """
     n = L.dim
     ranks = [0] * (n + 1)
-    rank, diffs = _sparse_differentials(n, _commutator_adapted_table(L))
+    table = _commutator_adapted_table(L)
+    # On a unimodular algebra d_{n-1} = 0 and d_k is, up to sign, the
+    # transpose of d_{n-1-k}: rank the upper half and mirror it.
+    unimodular = _unimodular(table)
+    degrees = range(n // 2, n - 1) if unimodular else range(1, n)
+    rank, diffs = _sparse_differentials(n, table, degrees)
     for k, rows in diffs.items():
         ranks[k] = rank(list(rows.values()), len(exterior_basis(n, k)))
+        if unimodular:
+            ranks[n - 1 - k] = ranks[k]
     betti = []
     for k in range(n + 1):
         dim_k = len(exterior_basis(n, k))

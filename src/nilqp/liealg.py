@@ -222,7 +222,8 @@ def validate(L: LieAlgebra) -> ValidationReport:
     Raises JacobiViolation or InvalidRealStructure; on success reports lattice
     admissibility (true over Q: rational structure constants admit a lattice).
     Jacobi runs on `_constant_rows`, and S * conj(S) = I and S conj[X_i, X_j]
-    = [S X_i, S X_j] on `real_structure_rows`, whenever S is given.
+    = [S X_i, S X_j] on `real_structure_rows`, whenever S is given.  Over Q,
+    S must then also be the identity, the only real structure read there.
     """
     n = L.dim
     for (i, j), _ in L.brackets:
@@ -263,6 +264,12 @@ def validate(L: LieAlgebra) -> ValidationReport:
                     f"{L.name}: conjugation is not a bracket automorphism "
                     f"on pair ({i}, {j})"
                 )
+        # Over Q the complexification and the search conjugate by the
+        # identity, so any other S would be accepted and never read.
+        if L.field == "Q" and (s_rows, s_den) != _identity_rows(n):
+            raise InvalidRealStructure(
+                f"{L.name}: a real structure over Q must be the identity"
+            )
     return ValidationReport(
         valid=True,
         lattice_admissible=(L.field == "Q"),

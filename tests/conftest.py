@@ -5,7 +5,8 @@ import sys
 import pytest
 from hypothesis import settings
 
-from nilqp import ExactMatrix
+from nilqp import ExactMatrix, LieAlgebra
+from nilqp.errors import JacobiViolation
 from nilqp.scalars import Gaussian, Q0, Q1, Rational
 
 # One fixed sequence of examples per test, and no example database: every
@@ -34,6 +35,28 @@ def random_invertible_t(n: int, rng: random.Random) -> ExactMatrix:
         for t in range(n):
             m[i][t] = m[i][t] + c * m[j][t]
     return ExactMatrix(m, cols=n)
+
+
+def random_nilpotent(n: int, rng: random.Random) -> LieAlgebra:
+    """A nilpotent algebra over Q with random strictly upper-triangular constants.
+
+    The pairs i < j are visited in random order; each draws [X_i, X_j] in
+    span{X_k : k > j}, one or two coefficients from ``_COEFFS``, kept only
+    if Jacobi still holds.  Each ad X_i raises indices, so the algebra is
+    nilpotent.
+    """
+    brackets: dict = {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n - 1)]
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        ks = rng.sample(range(j + 1, n), min(n - 1 - j, rng.randint(1, 2)))
+        trial = {**brackets, (i, j): {k: _COEFFS[rng.randrange(len(_COEFFS))] for k in ks}}
+        try:
+            LieAlgebra.from_brackets("trial", n, trial)
+        except JacobiViolation:
+            continue
+        brackets = trial
+    return LieAlgebra.from_brackets(f"random_{n}", n, brackets)
 
 
 # Real and imaginary parts with different denominators, so that clearing

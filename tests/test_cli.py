@@ -137,6 +137,24 @@ def test_non_automorphism_real_structure_over_q_exit_code_1(capsys, tmp_path, fm
     assert "conjugation is not a bracket automorphism on pair (0, 1)" in message
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_non_identity_real_structure_over_q_exit_code_1(capsys, tmp_path, fmt):
+    # S = (X1 <-> X2, X3 -> -X3) is a bracket automorphism of n3, but over Q
+    # nothing conjugates by it, so it is refused rather than ignored.
+    doc = lie_algebra_to_json(get("n3").algebra)
+    doc["real_structure"] = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]
+    path = tmp_path / "n3_twisted.json"
+    dump_json(path, doc)
+    for command in ("validate", "check"):
+        code, out, err = invoke(capsys, "--format", fmt, command, str(path))
+        assert code == 1, command
+        if fmt == "json":
+            error = json.loads(out)["error"]
+            assert error["type"] == "InvalidRealStructure", command
+            err = error["message"]
+        assert "n3: a real structure over Q must be the identity" in err, command
+
+
 def test_missing_file_exit_code_1(capsys, tmp_path):
     code, _, err = invoke(capsys, "validate", str(tmp_path / "none.json"))
     assert code == 1

@@ -20,13 +20,19 @@ from nilqp import (
     exterior_basis,
     top_class_bidegree,
 )
+from nilqp import kernel
 from nilqp.catalog import catalog_keys, get
 from nilqp.cohomology import _commutator_adapted_table
-from nilqp.liealg import structure_table
-from nilqp.errors import DegreeOutOfRange, GradingNotCompatible
+from nilqp.liealg import lower_central_series, structure_table
+from nilqp.errors import DegreeOutOfRange, GradingNotCompatible, NotNilpotent
 from nilqp.scalars import Q0, Q1, Gaussian, Rational
 
-from conftest import count_scalar_arithmetic, random_gaussian_t, random_invertible_t
+from conftest import (
+    count_scalar_arithmetic,
+    random_gaussian_t,
+    random_invertible_t,
+    random_nilpotent,
+)
 from oracles import frac_rref, oracle_betti, oracle_differential
 
 # Golden Betti numbers, produced by the independent Fraction oracle
@@ -126,7 +132,20 @@ def test_oracle_self_check_on_n5():
     assert oracle_betti({(0, 2): {4: 1}, (1, 3): {4: 1}}, 5) == ORACLE_BETTI["n5"]
 
 
-def test_poincare_duality_and_euler_catalog_wide():
+def _dual_ranks(alg, label):
+    """rank d_k for k = 0..n, each d_k assembled and ranked on its own.
+
+    Asserts rank d_k = rank d_{n-1-k}: betti_numbers mirrors the ranks of
+    a unimodular algebra, so b_k = b_{n-k} holds by construction, and this
+    identity is what the mirroring rests on.
+    """
+    n = alg.dim
+    ranks = [ce_differential(alg, k).rank() for k in range(n + 1)]
+    assert all(ranks[k] == ranks[n - 1 - k] for k in range(n)), (label, ranks)
+    return ranks
+
+
+def test_poincare_duality_and_euler_catalog_wide(rng):
     for key in catalog_keys():
         alg = get(key).algebra
         b = betti_numbers(alg).betti
@@ -134,6 +153,13 @@ def test_poincare_duality_and_euler_catalog_wide():
         assert b == tuple(reversed(b)), key
         if alg.dim >= 1:
             assert sum((-1) ** k * x for k, x in enumerate(b)) == 0, key
+        _dual_ranks(alg, key)
+        if alg.dim:
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            _dual_ranks(moved, (key, "moved"))
+            carrier = alg if alg.field == "Qi" else complexify(alg)
+            moved = apply_basis_change(carrier, random_gaussian_t(alg.dim, rng))
+            _dual_ranks(moved, (key, "Gaussian"))
 
 
 def test_dixmier_bound_catalog_wide():
@@ -307,7 +333,8 @@ def test_qi_moved_by_gaussian_denominators(key, rng):
 
 
 # Solvable, not nilpotent and not unimodular: b_n = 0 and Poincare duality
-# fails, so Betti numbers cannot be read off half of the complex.
+# fails.  Some tr ad X_t is nonzero, so betti_numbers ranks every degree:
+# its half-complex shortcut is gated on tr ad = 0.
 SOLVABLE = {
     "r2": (2, {(0, 1): {1: 1}}),
     "r3_diag": (3, {(0, 1): {1: 1}, (0, 2): {2: 1}}),
@@ -326,6 +353,107 @@ def test_betti_of_solvable_non_unimodular_matches_oracle(key, rng):
     assert list(betti_numbers(alg).betti) == want
     moved = apply_basis_change(alg, random_invertible_t(dim, rng))
     assert list(betti_numbers(moved).betti) == want
+
+
+# Unimodular (tr ad = 0) but not nilpotent: Poincare duality holds all the
+# same, so betti_numbers ranks only half of the complex.
+UNIMODULAR = {
+    # sl_2 in the basis H, E, F.
+    "sl2": (3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+    # r_3 with ad X_0 = diag(1, -1) on span{X_1, X_2}.
+    "r3_hyperbolic": (3, {(0, 1): {1: 1}, (0, 2): {2: -1}}),
+    # e(2): X_0 rotates the plane span{X_1, X_2}.
+    "e2": (3, {(0, 1): {2: 1}, (0, 2): {1: -1}}),
+    "sl2+r3_hyperbolic": (6, {
+        (0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1},
+        (3, 4): {4: 1}, (3, 5): {5: -1},
+    }),
+}
+
+
+def count_rank_calls(monkeypatch) -> list:
+    """Wrap `kernel.rank_q` and `rank_qi` to log the number of columns of each call."""
+    calls = []
+    for name in ("rank_q", "rank_qi"):
+
+        def counted(rows, ncols, _rank=getattr(kernel, name)):
+            calls.append(ncols)
+            return _rank(rows, ncols)
+
+        monkeypatch.setattr(kernel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted(UNIMODULAR))
+def test_betti_of_unimodular_non_nilpotent_matches_oracle(key, rng, monkeypatch):
+    dim, brackets = UNIMODULAR[key]
+    alg = LieAlgebra.from_brackets(key, dim, brackets)
+    with pytest.raises(NotNilpotent):
+        lower_central_series(alg)
+    want = oracle_betti(_fraction_brackets(alg), dim)
+    assert want == list(reversed(want))
+    moved = apply_basis_change(alg, random_invertible_t(dim, rng))
+    gaussian = apply_basis_change(complexify(alg), random_gaussian_t(dim, rng))
+    calls = count_rank_calls(monkeypatch)
+    for copy in (alg, moved, gaussian):
+        calls.clear()
+        assert list(betti_numbers(copy).betti) == want, copy.name
+        assert len(calls) <= (dim - 1) // 2, copy.name
+        _dual_ranks(copy, copy.name)
+
+
+def test_rank_calls_follow_unimodularity(monkeypatch, rng):
+    # A moved dim-8 nilpotent algebra ranks d_4, d_5, d_6 only; each
+    # solvable non-unimodular algebra ranks d_1 .. d_{n-1}, as does r_2
+    # complexified and moved by a Gaussian T.
+    calls = count_rank_calls(monkeypatch)
+    for key in ("N1_82", "g_sec6", "N1_84"):
+        alg = get(key).algebra
+        moved = apply_basis_change(alg, random_invertible_t(8, rng))
+        calls.clear()
+        betti_numbers(moved)
+        assert calls == [comb(8, k) for k in (4, 5, 6)], key
+    for key, (dim, brackets) in sorted(SOLVABLE.items()):
+        alg = LieAlgebra.from_brackets(key, dim, brackets)
+        want = oracle_betti(_fraction_brackets(alg), dim)
+        copies = [alg, apply_basis_change(alg, random_invertible_t(dim, rng))]
+        if key == "r2":
+            copies.append(apply_basis_change(complexify(alg), random_gaussian_t(dim, rng)))
+        for copy in copies:
+            calls.clear()
+            assert list(betti_numbers(copy).betti) == want, copy.name
+            assert calls == [comb(dim, k) for k in range(1, dim)], copy.name
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_betti_of_random_nilpotent_algebras_match_oracle(n):
+    rng = random.Random(n)
+    for _ in range(4):
+        alg = random_nilpotent(n, rng)
+        want = oracle_betti(_fraction_brackets(alg), n)
+        assert list(betti_numbers(alg).betti) == want, alg.bracket_map()
+        moved = apply_basis_change(complexify(alg), random_gaussian_t(n, rng))
+        assert list(betti_numbers(moved).betti) == want, alg.bracket_map()
+
+
+@pytest.mark.parametrize("n", range(7, 10))
+def test_random_nilpotent_algebras_beyond_the_oracle(n):
+    # Past the Fraction oracle's reach: b_1 = n - dim C^1, Euler
+    # characteristic 0, Dixmier's bound, and Betti numbers from half the
+    # complex equal to those from every rank d_k, which satisfy rank d_k =
+    # rank d_{n-1-k}.
+    rng = random.Random(n)
+    for _ in range(2):
+        alg = random_nilpotent(n, rng)
+        b = betti_numbers(alg).betti
+        assert b[1] == n - commutator_ideal(alg).dim, alg.bracket_map()
+        assert sum((-1) ** k * x for k, x in enumerate(b)) == 0, alg.bracket_map()
+        assert all(x >= 2 for x in b[1:-1]), alg.bracket_map()
+        ranks = _dual_ranks(alg, alg.bracket_map())
+        full = [comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(n + 1)]
+        assert list(b) == full, alg.bracket_map()
+        moved = apply_basis_change(alg, random_invertible_t(n, rng))
+        assert betti_numbers(moved).betti == b, alg.bracket_map()
 
 
 # -- Betti numbers ranked in a basis adapted to C^1 = [g, g] -------------------

@@ -204,6 +204,7 @@ def test_invalid_real_structure_rejected():
 def test_real_structure_must_be_bracket_automorphism():
     # Swapping X1 <-> Y1 sends [X1, Y1] to [Y1, X1] = -Z, so S must also
     # negate Z; without that twist validation fails, over Q as over Q(i).
+    # Over Q the twisted S is refused as well: there S must be the identity.
     s_bad = ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     s_ok = ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     for field in ("Qi", "Q"):
@@ -211,10 +212,18 @@ def test_real_structure_must_be_bracket_automorphism():
             LieAlgebra.from_brackets(
                 "swap_bad", 3, {(0, 1): {2: 1}}, field=field, real_structure=s_bad
             )
-        alg = LieAlgebra.from_brackets(
-            "swap_ok", 3, {(0, 1): {2: 1}}, field=field, real_structure=s_ok
+    alg = LieAlgebra.from_brackets(
+        "swap_ok", 3, {(0, 1): {2: 1}}, field="Qi", real_structure=s_ok
+    )
+    assert validate(alg).valid
+    with pytest.raises(InvalidRealStructure, match="over Q must be the identity"):
+        LieAlgebra.from_brackets(
+            "swap_ok", 3, {(0, 1): {2: 1}}, field="Q", real_structure=s_ok
         )
-        assert validate(alg).valid
+    alg = LieAlgebra.from_brackets(
+        "identity", 3, {(0, 1): {2: 1}}, real_structure=ExactMatrix.identity(3)
+    )
+    assert validate(alg).valid
 
 
 def test_lower_central_series_abelian():
