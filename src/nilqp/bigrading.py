@@ -15,6 +15,8 @@ The bounded search looks for a restricted-shape grading
     g = U + conj(U) + Z(g),   [U, U] = 0,  U + conj(U) a complement of Z
 
 by exact linear algebra on the rational form R and the quotient V = R / Z.
+Over Q, R is the algebra itself, whose constants are all `Rational`; over
+Q(i) it is read off the table in a basis of the fixed space of conjugation.
 The bracket of V is read once, as one alternating form on V per basis
 vector of the commutator ideal C^1 (`_TwoStepFrame`), and five
 constructions work on these forms, tried in this order:
@@ -428,10 +430,6 @@ class FiltrationPair:
 
     def f(self, p: int) -> Subspace:
         """F^p: the entry at the smallest stored index >= p (decreasing)."""
-        if not self.hodge:
-            return Subspace.zero(self.ambient_dim)
-        if p <= self.hodge[0][0]:
-            return self.hodge[0][1]
         for pp, s in self.hodge:
             if pp >= p:
                 return s
@@ -572,22 +570,17 @@ def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
 def _realified(L: LieAlgebra):
     """(complex carrier, rational form, basis T_real of the rational form).
 
-    T_real is Z[i] rows over one denominator, or None over Q, where the
-    rational form keeps L's basis.  The rational form holds only `Rational`
-    constants, the real parts of one integer table: that of L in the basis
-    T_real over Q(i) (`liealg._moved_table`), or L's own `structure_table`
-    when L is over Q and holds a `Gaussian` constant.  A nonzero imaginary
-    part is refused in both cases.
+    Over Q the rational form is L itself and T_real is None.  Over Q(i),
+    T_real is Z[i] rows over one denominator, and the rational form holds
+    the real parts of L's table in the basis T_real (`liealg._moved_table`);
+    a nonzero imaginary part is refused.
     """
-    Lc, t_real = _complex_carrier(L), None
-    table, name, basis_names = structure_table(L), L.name, L.basis_names
-    if L.field == "Qi":
-        t_real = _real_form_basis(Lc)
-        table, _, _ = _moved_table(Lc, *t_real, "Qi")
-        name, basis_names = f"{L.name}.real", tuple(f"e{i + 1}" for i in range(L.dim))
-    elif table.field == "Q":
+    Lc = _complex_carrier(L)
+    if L.field == "Q":
         return Lc, L, None
-    R = _real_form(name, table, basis_names)
+    t_real = _real_form_basis(Lc)
+    table, _, _ = _moved_table(Lc, *t_real, "Qi")
+    R = _real_form(f"{L.name}.real", table, tuple(f"e{i + 1}" for i in range(L.dim)))
     if R is None:
         raise MissingRealStructure(f"{L.name}: rational form has non-real constants")
     return Lc, R, t_real
@@ -651,13 +644,13 @@ def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
 def _darboux_u(frame: _TwoStepFrame) -> list[tuple[kernel.ZiRow, int]] | None:
     """U generators for a one-dimensional commutator ideal (symplectic case).
 
+    ``frame.c1`` must be a line: the search calls it only then.
+
     Symplectic reduction of the one form, from the unit vectors of V, on
     exact vectors ``(row, den)`` whose Z[i] rows are real: each pair (x, y)
     has form value 1 on it and is split off the vectors left.  U is returned
     as the exact vectors x - iy.
     """
-    if frame.c1.dim != 1:
-        return None
     form, fden = frame.forms[0], frame.den
 
     def pair(x, y):
@@ -1192,11 +1185,9 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
     A candidate X = N / D with X^2 = (mu / D^2) I and -mu = r^2 a square
     gives J = X / sqrt(-mu) = N / r, and U is spanned by the Z[i] rows
     r (x - iJx) = r x - i N x for unit vectors x, returned as the exact
-    vectors ``(row, r)``.
+    vectors ``(row, r)``.  ``frame.v`` = 2h > 0, as the search calls it.
     """
     v = frame.v
-    if v != 2 * h or v == 0:
-        return None
     basis, den = _compatible_complex_structures(frame)
     if not basis:
         return None

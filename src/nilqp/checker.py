@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bigrading import Bigrading, SearchBounds, search_bigrading
-from .errors import NotLatticeAdmissible
+from .errors import InputError, NotLatticeAdmissible
 from .liealg import LieAlgebra, lower_central_series
 
 __all__ = [
@@ -44,7 +44,7 @@ class NilmanifoldSpec:
 
     def __post_init__(self):
         if self.m < 0:
-            raise ValueError("Euclidean factor dimension must be >= 0")
+            raise InputError("Euclidean factor dimension must be >= 0")
         if self.algebra.field != "Q":
             raise NotLatticeAdmissible(
                 f"{self.algebra.name}: rational structure constants are required "

@@ -137,8 +137,7 @@ def _dual_terms(table: StructureTable) -> dict[int, list]:
     From a `StructureTable`: ``terms[m]`` lists (mask of {i, j}, mask of the
     indices strictly between i and j, (-D C_ij^m, D C_ij^m)), D the table's
     common denominator.  The scaled constants are ints over Q and (re, im)
-    Gaussian integers over Q(i), which is also the field of a Q algebra
-    holding a `Gaussian` constant.
+    Gaussian integers over Q(i).
     """
     field, _, columns = table
     terms: dict[int, list] = {}
@@ -288,8 +287,8 @@ def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTab
     (module docstring).  The representatives, ``{k: vectors}`` in L's
     basis, are canonical: each is the residual of a cocycle modulo the
     image of d_{k-1} plus the representatives before it, zero at that
-    span's pivot columns, with first nonzero entry 1.  Their entries are `Gaussian` exactly when
-    ``structure_table(L).field == "Qi"``, and `Rational` otherwise.
+    span's pivot columns, with first nonzero entry 1.  Their entries are
+    `Gaussian` exactly when L is over Q(i), and `Rational` otherwise.
     """
     n = L.dim
     ranks = [0] * (n + 1)

@@ -3,8 +3,11 @@
 Brackets are stored sparsely: for each pair i < j a map k -> coefficient of
 the k-th basis vector in [X_i, X_j].  Antisymmetry is implicit and the Jacobi
 identity is enforced by ``validate``, which every public constructor calls.
-Algebras over Q(i) may carry a real structure: an antilinear involution that
-is also a bracket automorphism, used for all conjugation-dependent checks.
+An algebra over Q holds only `Rational` constants, so it admits a lattice
+(Malcev): `LieAlgebra.from_brackets` reads a real `Gaussian` constant there
+as its real part and refuses any other.  Algebras over Q(i) may carry a real
+structure: an antilinear involution that is also a bracket automorphism,
+used for all conjugation-dependent checks.
 
 Brackets, validation, conjugation and changes of basis run on integers.
 `structure_table` holds the constants once per instance as integers over
@@ -61,8 +64,12 @@ __all__ = [
 BracketMap = dict[tuple[int, int], dict[int, Scalar]]
 
 
-def _freeze_brackets(brackets, dim: int) -> tuple:
-    """Canonical sparse form: sorted ((i, j), ((k, c), ...)) with zeros dropped."""
+def _freeze_brackets(brackets, dim: int, field: str) -> tuple:
+    """Canonical sparse form: sorted ((i, j), ((k, c), ...)) with zeros dropped.
+
+    Over Q every constant is a `Rational`: a `Gaussian` with zero imaginary
+    part becomes its real part, and any other raises FieldMismatch.
+    """
     out = []
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < dim):
@@ -72,6 +79,12 @@ def _freeze_brackets(brackets, dim: int) -> tuple:
             if not 0 <= k < dim:
                 raise ValueError(f"bracket ({i}, {j}) targets invalid index {k}")
             c = as_scalar(c)
+            if field == "Q" and type(c) is Gaussian:
+                if c.im:
+                    raise FieldMismatch(
+                        f"bracket ({i}, {j}): coefficient {c} is not rational over Q"
+                    )
+                c = c.re
             if c:
                 cleaned.append((k, c))
         if cleaned:
@@ -110,7 +123,7 @@ class LieAlgebra:
             dim=dim,
             field=field,
             basis_names=tuple(basis_names),
-            brackets=_freeze_brackets(brackets, dim),
+            brackets=_freeze_brackets(brackets, dim, field),
             real_structure=real_structure,
         )
         if check:
@@ -147,9 +160,7 @@ class LieAlgebra:
         Over Q, entries are `Rational` unless the input holds `Gaussian`
         entries: then an entry is a `Gaussian` exactly where a nonzero term
         u_i v_j - u_j v_i with a Gaussian factor, even a zero one, was added
-        into it, and stays `Rational` elsewhere.  Likewise, a `Gaussian` constant of an algebra
-        over Q makes an entry a `Gaussian` wherever a nonzero term times it
-        was added into that entry.
+        into it, and stays `Rational` elsewhere.
 
         The product is formed on `structure_table`: u and v are cleared of
         their denominators, every term is an integer (over Q(i) a Z[i] pair)
@@ -158,9 +169,7 @@ class LieAlgebra:
         """
         uu, vv = _scalar_row(u), _scalar_row(v)
         field, den, columns = structure_table(self)
-        if self.field == "Q" and (
-            field == "Qi" or Gaussian in map(type, uu) or Gaussian in map(type, vv)
-        ):
+        if field == "Q" and (Gaussian in map(type, uu) or Gaussian in map(type, vv)):
             out = [Q0] * self.dim
             for (i, j), coeffs in self.brackets:
                 c = uu[i] * vv[j] - uu[j] * vv[i]
@@ -285,10 +294,9 @@ class StructureTable(NamedTuple):
     ``columns`` holds one entry per nonzero [X_i, X_j], in the order of
     ``L.brackets``, as parallel tuples: over "Q" ``(is, js, ks, xs)`` with
     C_ij^k = x / den for k, x in zip(ks, xs); over "Qi" ``(is, js, ks, res,
-    ims)`` with C_ij^k = (re + im*i) / den.  "Qi" is also the field of an
-    algebra over Q that holds a `Gaussian` constant.  Columns rather than a
-    tuple per bracket, and one ``ks`` tuple per distinct support, keep the
-    table small next to the constants themselves.
+    ims)`` with C_ij^k = (re + im*i) / den.  The field is the algebra's.
+    Columns rather than a tuple per bracket, and one ``ks`` tuple per
+    distinct support, keep the table small next to the constants themselves.
     """
 
     field: str
@@ -301,11 +309,9 @@ def structure_table(L: LieAlgebra) -> StructureTable:
     table = L._facts.get("structure_table")
     if table is not None:
         return table
-    consts = [w for _, coeffs in L.brackets for _, w in coeffs]
-    field = "Qi" if L.field == "Qi" or Gaussian in map(type, consts) else "Q"
-    pairs, den = kernel.zi_pairs(consts)
+    pairs, den = kernel.zi_pairs([w for _, coeffs in L.brackets for _, w in coeffs])
     it = iter(pairs)
-    table = _table(field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
+    table = _table(L.field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
     L._facts["structure_table"] = table
     return table
 
@@ -407,9 +413,7 @@ def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
     The n brackets [X_i, w] of one basis row w of ``sub`` are read off
     `structure_table` in one pass: a constant column [X_i, X_j] adds
     w_j [X_i, X_j] to [X_i, w] and -w_i [X_i, X_j] to [X_j, w].  The span is
-    over Q(i) exactly when one of the nonzero brackets holds a `Gaussian` as
-    `LieAlgebra.bracket` types it: over Q(i), for Gaussian w, or where a
-    term times a `Gaussian` constant of an algebra over Q reached it.
+    over L's field.
     """
     n = L.dim
     field, _, columns = structure_table(L)
@@ -420,21 +424,14 @@ def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
             for ad in _ad_q(columns, w, n)
             if any(ad)
         ]
-        return Subspace._span(rows, n, "Q")
-    gaussian = L.field == "Qi" or sub.field == "Qi"
-    marked = [any(type(c) is Gaussian for _, c in coeffs) for _, coeffs in L.brackets]
-    rows = []
-    for w in sub.kernel_rows("Qi"):
-        ads, hit = _ad_qi(columns, w, n, marked)
-        for i, ad in enumerate(ads):
-            row = {k: e for k, e in enumerate(ad) if e[0] or e[1]}
-            if row:
-                rows.append(row)
-                gaussian = gaussian or i in hit
-    if gaussian:
-        return Subspace._span(rows, n, "Qi")
-    # No Gaussian reached these brackets, so their imaginary parts are zero.
-    return Subspace._span([{k: x for k, (x, _) in row.items()} for row in rows], n, "Q")
+    else:
+        rows = [
+            row
+            for w in sub.kernel_rows("Qi")
+            for ad in _ad_qi(columns, w, n)
+            if (row := {k: e for k, e in enumerate(ad) if e[0] or e[1]})
+        ]
+    return Subspace._span(rows, n, field)
 
 
 def _ad_q(columns, w: dict, n: int) -> list[list[int]]:
@@ -453,16 +450,11 @@ def _ad_q(columns, w: dict, n: int) -> list[list[int]]:
     return out
 
 
-def _ad_qi(columns, w: dict, n: int, marked) -> tuple[list[list], set[int]]:
-    """The Z[i] brackets [X_i, w] on a table over Q(i), as rows of pairs.
-
-    Also returns the i whose bracket took a term from a column flagged in
-    ``marked`` (one flag per column).
-    """
+def _ad_qi(columns, w: dict, n: int) -> list[list]:
+    """The Z[i] brackets [X_i, w] on a table over Q(i), as rows of pairs."""
     re = [[0] * n for _ in range(n)]
     im = [[0] * n for _ in range(n)]
-    hit = set()
-    for (i, j, ks, ps, qs), flag in zip(zip(*columns), marked):
+    for i, j, ks, ps, qs in zip(*columns):
         for t, (a, b), sign in ((i, w.get(j, (0, 0)), 1), (j, w.get(i, (0, 0)), -1)):
             if a or b:
                 a, b = sign * a, sign * b
@@ -470,9 +462,7 @@ def _ad_qi(columns, w: dict, n: int, marked) -> tuple[list[list], set[int]]:
                 for k, p, q in zip(ks, ps, qs):
                     rr[k] += a * p - b * q
                     ri[k] += a * q + b * p
-                if flag:
-                    hit.add(t)
-    return [list(zip(r, s)) for r, s in zip(re, im)], hit
+    return [list(zip(r, s)) for r, s in zip(re, im)]
 
 
 def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
@@ -517,14 +507,15 @@ def center(L: LieAlgebra) -> Subspace:
 def commutator_ideal(L: LieAlgebra) -> Subspace:
     """C^1 L = span of all [X_i, X_j], read off the rows of `structure_table`.
 
-    It is over Q(i) when a constant is `Gaussian`, or when L is over Q(i)
-    and some [X_i, X_j] has a zero coordinate, which `bracket_basis` pads
-    with `Gaussian(0)`.
+    It is over Q(i) when L is over Q(i) and a constant is `Gaussian` or
+    some [X_i, X_j] has a zero coordinate, which `bracket_basis` pads with
+    `Gaussian(0)`.
     """
     _, _, columns = structure_table(L)
     ks, *parts = columns[2:]
-    if any(type(c) is Gaussian for _, coeffs in L.brackets for _, c in coeffs) or (
-        L.field == "Qi" and any(len(k) < L.dim for k in ks)
+    if L.field == "Qi" and (
+        any(len(k) < L.dim for k in ks)
+        or any(type(c) is Gaussian for _, coeffs in L.brackets for _, c in coeffs)
     ):
         rows = [dict(zip(k, zip(*p))) for k, *p in zip(ks, *parts)]
         return Subspace._span(rows, L.dim, "Qi")
@@ -555,11 +546,10 @@ def apply_basis_change(
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    The constants are those of `_moved_table`, each decoded once: over Q(i)
-    every one is a `Gaussian`, and so is one of an algebra over Q that a
-    `Gaussian` constant reached, as `LieAlgebra.bracket` types it.  The real
-    structure is formed on the rows of T and T^-1, and is over Q(i) exactly
-    when T or the old real structure is.
+    The constants are those of `_moved_table`, each decoded once: a
+    `Gaussian` over Q(i), a `Rational` over Q.  The real structure is
+    formed on the rows of T and T^-1, and is over Q(i) exactly when T or
+    the old real structure is.
     """
     n = L.dim
     if T.rows != n or T.cols != n:
@@ -568,16 +558,12 @@ def apply_basis_change(
         )
     e, t_den = kernel.zi_rows(T.entries)
     table, inv, inv_den = _moved_table(L, e, t_den, T.field)
-    new_field = "Qi" if "Qi" in (L.field, T.field) else "Q"
+    new_field = table.field
     new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, j, ks, res, ims in zip(*_qi_columns(table)):
-        # L over Q with a `Gaussian` constant, T rational: a new constant is a
-        # Gaussian where a nonzero Gaussian entry of [T_i, T_j] reached it.
-        w = L.bracket(T.row(i), T.row(j)) if table.field != new_field else ()
-        hit = {k for l, x in enumerate(w) if x and type(x) is Gaussian for k in inv[l]}
         new_brackets[i, j] = {
             k: Gaussian(Rational(a, table.den), Rational(b, table.den))
-            if new_field == "Qi" or k in hit
+            if new_field == "Qi"
             else Rational(a, table.den)
             for k, a, b in zip(ks, res, ims)
         }
@@ -610,9 +596,8 @@ def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
 
     Returns ``(table, inv, inv_den)``, T^-1 = t_den * inv / inv_den, or raises
     SingularTransformation.  The rows of T are bracketed on `structure_table`
-    and mapped by ``inv``.  In lowest terms and over Q(i) when L's table or T
-    is, the table is `structure_table` of `apply_basis_change`'s algebra,
-    except for an algebra over Q with a `Gaussian` constant.
+    and mapped by ``inv``.  In lowest terms and over Q(i) when L or T is,
+    the table is `structure_table` of `apply_basis_change`'s algebra.
     """
     n = L.dim
     solved = kernel.zi_solve(e, _identity_rows(n)[0])
@@ -640,8 +625,8 @@ def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:
 
 
 def _real_form(name: str, table: StructureTable, basis_names) -> LieAlgebra | None:
-    """The algebra over Q with ``table``'s constants, None if one is not real."""
-    if table.field == "Qi" and any(map(any, table.columns[4])):
+    """The algebra over Q with the constants of a table over Q(i), None if one is not real."""
+    if any(map(any, table.columns[4])):
         return None
     brackets = {
         (i, j): {k: Rational(x, table.den) for k, x in zip(ks, xs)}

@@ -5,7 +5,8 @@ import sys
 import pytest
 from hypothesis import settings
 
-from nilqp import ExactMatrix, LieAlgebra
+from nilqp import ExactMatrix, LieAlgebra, apply_basis_change, direct_sum
+from nilqp.catalog import get
 from nilqp.errors import JacobiViolation
 from nilqp.scalars import Gaussian, Q0, Q1, Rational
 
@@ -57,6 +58,12 @@ def random_nilpotent(n: int, rng: random.Random) -> LieAlgebra:
             continue
         brackets = trial
     return LieAlgebra.from_brackets(f"random_{n}", n, brackets)
+
+
+def moved_parity_sum() -> LieAlgebra:
+    """L5_parity+L5_parity in a seeded basis, which only the generic DFS settles."""
+    alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
+    return apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(1)))
 
 
 # Real and imaginary parts with different denominators, so that clearing

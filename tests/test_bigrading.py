@@ -46,6 +46,7 @@ from nilqp.catalog import catalog_keys, get
 from nilqp.checker import EXHIBITED
 from nilqp.errors import (
     AmbientMismatch,
+    FieldMismatch,
     GradingNotCompatible,
     InputError,
     MissingRealStructure,
@@ -55,7 +56,12 @@ from nilqp.exact import RowReducer
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
 from nilqp.scalars import Gaussian, Rational, format_scalar
 
-from conftest import count_scalar_arithmetic, random_gaussian_t, random_invertible_t
+from conftest import (
+    count_scalar_arithmetic,
+    moved_parity_sum,
+    random_gaussian_t,
+    random_invertible_t,
+)
 from oracles import frac_rank, frac_rref_qi
 
 I = Gaussian(0, 1)
@@ -374,20 +380,23 @@ def _with_constants(alg, scalar):
 
 @pytest.mark.parametrize("key", ["n3", "N3_82", "N5_82"])
 def test_search_reads_real_gaussian_constants_over_q_as_rationals(key):
-    # Constants written as c + 0*i: the same search as with rationals, on
-    # the Darboux (n3) and regular-pencil (N3_82, N5_82) constructions.
+    # Constants written as c + 0*i are read as the rationals c: the same
+    # algebra and the same search, on the Darboux (n3) and regular-pencil
+    # (N3_82, N5_82) constructions.
     alg = get(key).algebra
     gaussian = _with_constants(alg, lambda c: Gaussian(c, 0))
-    assert any(type(c) is Gaussian for _, coeffs in gaussian.brackets for _, c in coeffs)
+    assert all(type(c) is Rational for _, coeffs in gaussian.brackets for _, c in coeffs)
+    assert gaussian.brackets == alg.brackets
     want = search_outcome_to_json(search_bigrading(alg))
     assert want["status"] == "found"
     assert search_outcome_to_json(search_bigrading(gaussian)) == want
 
 
 def test_search_refuses_non_real_constants_over_q():
-    alg = _with_constants(get("n3").algebra, lambda c: Gaussian(0, c))
-    with pytest.raises(MissingRealStructure, match="non-real constants"):
-        search_bigrading(alg)
+    # An algebra over Q with a non-real constant admits no lattice: the
+    # constructor refuses it before any search.
+    with pytest.raises(FieldMismatch, match="not rational over Q"):
+        _with_constants(get("n3").algebra, lambda c: Gaussian(0, c))
 
 
 def test_search_deterministic():
@@ -404,9 +413,7 @@ def test_search_respects_node_budget():
     assert search_bigrading(get("N5_82").algebra, bounds).status == "found"
     # Only the generic depth-first search settles L5_parity+L5_parity, and
     # one node cannot.
-    alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
-    moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(1)))
-    out = search_bigrading(moved, bounds)
+    out = search_bigrading(moved_parity_sum(), bounds)
     assert out.status == "not_found_within_bounds"
     assert out.bounds == bounds
 

@@ -8,23 +8,44 @@ from nilqp import (
     verify_bigrading,
 )
 from nilqp.catalog import catalog_keys, get
+from nilqp.bigrading import SearchBounds
 from nilqp.checker import (
     EXHIBITED,
     OBSTRUCTED,
+    PASSES_NECESSARY,
     NilmanifoldSpec,
     check,
     diagonal_h1_check,
     reproduce_classification,
 )
-from nilqp.errors import GradingNotDiagonal, NotLatticeAdmissible, NotNilpotent
+from nilqp.errors import GradingNotDiagonal, InputError, NotLatticeAdmissible, NotNilpotent
 from nilqp.liealg import LieAlgebra
 
-from conftest import random_invertible_t
+from conftest import moved_parity_sum, random_invertible_t
 
 
 def test_spec_requires_rational_field():
     with pytest.raises(NotLatticeAdmissible):
         NilmanifoldSpec(get("N1_84").algebra, m=1)
+
+
+def test_spec_refuses_negative_m_as_input_error():
+    with pytest.raises(InputError, match="Euclidean factor dimension must be >= 0"):
+        NilmanifoldSpec(get("n3").algebra, m=-1)
+
+
+def test_check_passes_necessary_when_the_search_budget_runs_out():
+    bounds = SearchBounds(max_nodes=1)
+    v = check(NilmanifoldSpec(moved_parity_sum(), m=1), bounds=bounds)
+    assert v.status == PASSES_NECESSARY
+    assert not v.obstructed and v.bigrading is None
+    assert v.reasons[-1].test == "bigrading_search"
+    assert v.reasons[-1].witness == {
+        "outcome": "not_found_within_bounds",
+        "coefficients": [-1, 0, 1],
+        "depth": 2,
+        "max_nodes": 1,
+    }
 
 
 def test_check_rejects_non_nilpotent():

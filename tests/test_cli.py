@@ -10,6 +10,8 @@ from nilqp.cli import run
 from nilqp.catalog import catalog_keys, get
 from nilqp.jsonio import dump_json, lie_algebra_to_json
 
+from conftest import moved_parity_sum
+
 
 @pytest.fixture
 def n3_file(tmp_path):
@@ -220,6 +222,47 @@ def test_check_verdict_exit_zero_even_when_obstructed(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["status"] == "Obstructed"
+
+
+def test_check_passes_necessary_json(capsys, tmp_path):
+    path = tmp_path / "parity_sum.json"
+    dump_json(path, lie_algebra_to_json(moved_parity_sum()))
+    code, out, _ = invoke(
+        capsys, "--format", "json", "check", str(path), "--max-nodes", "1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "PassesNecessaryConditions"
+    assert doc["bigrading"] is None
+    assert doc["reasons"][-1] == {
+        "test": "bigrading_search",
+        "witness": {
+            "outcome": "not_found_within_bounds",
+            "coefficients": [-1, 0, 1],
+            "depth": 2,
+            "max_nodes": 1,
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{file}", "--m", "-1"],
+        ["check", "{file}", "--max-nodes", "0"],
+        ["check", "{file}", "--coeffs", "1,x"],
+        ["check", "{file}", "--depth", "4"],
+        ["report", "--dim", "9"],
+    ],
+    ids=["m", "max-nodes", "coeffs", "depth", "dim"],
+)
+def test_bad_arguments_exit_1_with_one_input_error(capsys, n3_file, argv):
+    argv = [a.format(file=n3_file) for a in argv]
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
+    assert code == 1
+    doc, end = json.JSONDecoder().raw_decode(out)
+    assert not out[end:].strip()
+    assert doc["error"]["kind"] == "input"
 
 
 def test_check_n3(capsys, n3_file):

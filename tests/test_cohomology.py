@@ -520,18 +520,18 @@ def test_betti_of_complexifications_moved_by_gaussian_t_match_oracle(rng):
         assert list(betti_numbers(moved).betti) == want, alg.name
 
 
-def _q_algebra_with_gaussian_constant():
-    # Over Q(i), X2' = g X2, X3' = g X3, X4' = g X4 gives the rational
-    # constants [X0, X1] = X2', [X0, X2'] = X3', [X1, X2'] = 3/2 X4'.
+def _qi_algebra_with_gaussian_constant():
+    # X2' = g X2, X3' = g X3, X4' = g X4 gives the rational constants
+    # [X0, X1] = X2', [X0, X2'] = X3', [X1, X2'] = 3/2 X4'.
     g = Gaussian(Rational(1, 2), Rational(1, 3))
     return LieAlgebra.from_brackets(
-        "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}
+        "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}, field="Qi"
     )
 
 
-def test_betti_of_q_algebra_with_gaussian_constant(rng):
-    alg = _q_algebra_with_gaussian_constant()
-    assert alg.field == "Q"
+def test_betti_of_qi_algebra_with_gaussian_constant(rng):
+    alg = _qi_algebra_with_gaussian_constant()
+    assert alg.field == "Qi"
     want = oracle_betti(
         {(0, 1): {2: Fraction(1)}, (0, 2): {3: Fraction(1)}, (1, 2): {4: Fraction(3, 2)}}, 5
     )
@@ -647,12 +647,14 @@ def test_representatives_make_no_scalar_arithmetic(monkeypatch, rng):
 
 
 def test_representative_scalar_type_follows_structure_table_field():
-    # A Q algebra holding a Gaussian constant has its structure table over
-    # Q(i), so all its representatives are Gaussian, in every degree.
-    qg = _q_algebra_with_gaussian_constant()
+    # The representatives are Gaussian, in every degree, exactly when the
+    # algebra and so its structure table are over Q(i), whatever the types
+    # of its constants.
+    qg = _qi_algebra_with_gaussian_constant()
     n3 = get("n3").algebra
     for alg, kind in ((qg, Gaussian), (n3, Rational), (complexify(n3), Gaussian)):
-        assert (structure_table(alg).field == "Qi") == (kind is Gaussian)
+        assert structure_table(alg).field == alg.field
+        assert (alg.field == "Qi") == (kind is Gaussian)
         reps = betti_numbers(alg, representatives=True).representatives
         assert [len(reps[k]) for k in range(alg.dim + 1)] == list(betti_numbers(alg).betti)
         assert {type(x) for vecs in reps.values() for v in vecs for x in v} == {kind}, alg.name

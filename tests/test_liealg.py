@@ -64,6 +64,31 @@ def test_validate_abelian():
     assert validate(abelian(4)).valid
 
 
+def test_constants_over_q_are_rational(rng):
+    # A Gaussian with zero imaginary part is read as its rational value,
+    # and a non-real constant is refused: over Q the table is rational.
+    for c in (Rational(1), Rational(-3, 2), Rational(7, 5)):
+        alg = LieAlgebra.from_brackets("n3", 3, {(0, 1): {2: Gaussian(c, 0)}}, field="Q")
+        ((_, ((_, got),)),) = alg.brackets
+        assert type(got) is Rational and got == c
+        assert validate(alg).lattice_admissible
+    for c in (Gaussian(0, 1), Gaussian(Rational(1, 2), Rational(-1, 3))):
+        with pytest.raises(FieldMismatch, match="not rational over Q"):
+            LieAlgebra.from_brackets("x", 3, {(0, 1): {2: c}}, field="Q")
+    # The table's field is the algebra's, on every catalog entry, a moved
+    # copy and, over Q, its complexification.
+    for key in catalog_keys():
+        alg = get(key).algebra
+        algebras = [alg]
+        if alg.dim and alg.field == "Q":
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+            algebras += [moved, complexify(moved)]
+        elif alg.dim:
+            algebras.append(apply_basis_change(alg, random_gaussian_t(alg.dim, rng)))
+        for each in algebras:
+            assert structure_table(each).field == each.field, each.name
+
+
 def test_jacobi_violation_detected():
     # Adding [X1, Z] = X1 to n3 breaks Jacobi on (X1, Y1, Z); the residual
     # is -Z (checked by the independent oracle below).
@@ -103,14 +128,14 @@ def _realification(brackets, n):
     return out
 
 
-@pytest.mark.parametrize("kind", ["Q", "Q with a Gaussian constant", "Qi"])
+@pytest.mark.parametrize("kind", ["Q", "Qi"])
 def test_validate_agrees_with_jacobi_oracle(kind):
     # Valid tables (catalog algebras moved by a seeded T) and the same with
     # one constant perturbed; `validate` fails exactly at the first triple
     # whose oracle residual is nonzero, and reports that residual.
     rng = random.Random(11)
     extra = [Rational(1), Rational(-1, 2), Rational(3)]
-    if kind != "Q":
+    if kind == "Qi":
         extra += [Gaussian(0, 1), Gaussian(Rational(1, 3), -2)]
     seen = set()
     for key in ("n3", "n5", "L5_parity", "g_sec6"):
@@ -122,10 +147,6 @@ def test_validate_agrees_with_jacobi_oracle(kind):
             else:
                 alg = apply_basis_change(base, random_invertible_t(n, rng))
             brackets = alg.bracket_map()
-            if kind == "Q with a Gaussian constant":
-                (ij, cs), = rng.sample(sorted(brackets.items()), 1)
-                k = rng.choice(sorted(cs))
-                cs[k] = Gaussian(cs[k])
             if trial % 2:
                 i, j = sorted(rng.sample(range(n), 2))
                 cs = brackets.setdefault((i, j), {})
@@ -148,9 +169,8 @@ def test_validate_agrees_with_jacobi_oracle(kind):
             assert str(exc.value) == (
                 f"Jacobi identity fails on basis triple {want}; residual {residual}"
             )
-            if kind != "Q with a Gaussian constant":
-                scalar = Gaussian if kind == "Qi" else Rational
-                assert {type(x) for x in residual} == {scalar}, key
+            scalar = Gaussian if kind == "Qi" else Rational
+            assert {type(x) for x in residual} == {scalar}, key
     assert seen == {True, False}
 
 
@@ -396,10 +416,10 @@ def _complex_bracket(brackets, n, u, v):
 
 
 def test_bracket_mixed_types_over_q(rng):
-    # Over Q a vector may mix Rational and Gaussian entries (the two-step
-    # frame's lifts do).  An entry of the bracket is a Gaussian exactly where
-    # a nonzero u_i v_j - u_j v_i with a Gaussian factor, even a zero one,
-    # was added into it; its value is the bilinear bracket's.
+    # Over Q a vector may mix Rational and Gaussian entries.  An entry of
+    # the bracket is a Gaussian exactly where a nonzero u_i v_j - u_j v_i
+    # with a Gaussian factor, even a zero one, was added into it; its value
+    # is the bilinear bracket's.
     rationals = [Rational(0), Rational(1), Rational(-3, 2)]
     values = rationals + [
         Gaussian(0), Gaussian(1, -1), Gaussian(Rational(1, 2), Rational(2, 3)),
@@ -424,29 +444,6 @@ def test_bracket_mixed_types_over_q(rng):
             assert [type(x) is Gaussian for x in got] == [k in gaussian for k in range(n)], key
             want = _complex_bracket(fr, n, [_pair(x) for x in u], [_pair(x) for x in v])
             assert [_pair(x) for x in got] == want, key
-
-
-def test_basis_change_keeps_gaussian_constants_of_a_q_algebra():
-    # An algebra over Q may hold a Gaussian constant (a file may write 1 as
-    # "1+0*i").  A new constant is a Gaussian exactly where one reached it.
-    g, third = Gaussian(1), Gaussian(Rational(1, 3))
-    alg = LieAlgebra.from_brackets(
-        "g", 4, {(0, 1): {2: g, 3: Rational(2)}, (0, 2): {3: third}}, field="Q"
-    )
-    swap = ExactMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    for t, want in (
-        (ExactMatrix.identity(4), ((2, Gaussian, 1), (3, Rational, 2), (3, Gaussian, third))),
-        (swap, ((2, Rational, 2), (3, Gaussian, 1), (2, Gaussian, third))),
-    ):
-        moved = apply_basis_change(alg, t)
-        assert moved.field == "Q" and moved.real_structure is None
-        got = [(k, type(c), c) for _, coeffs in moved.brackets for k, c in coeffs]
-        assert [(k, tp) for k, tp, _ in got] == [(k, tp) for k, tp, _ in want]
-        assert [c for _, _, c in got] == [c for _, _, c in want]
-        u = [Rational(1), Rational(2), Rational(0), Rational(5)]
-        assert [type(x) for x in moved.bracket(u, t.row(1))] == [
-            Rational, Rational, want[0][1], want[1][1]
-        ]
 
 
 def test_verify_isomorphism_identity_and_mismatch():
@@ -705,7 +702,7 @@ def _series_by_bracket(alg):
 def _gaussian_constant_algebra():
     g = Gaussian(Rational(1, 2), Rational(1, 3))
     return LieAlgebra.from_brackets(
-        "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}
+        "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}, field="Qi"
     )
 
 
@@ -731,5 +728,5 @@ def test_series_and_commutator_keep_values_and_types(rng):
         )
         assert commutator_ideal(alg) == c1, alg.name
         assert _typed(commutator_ideal(alg)) == _typed(c1), alg.name
-    # Over Q, the Gaussian constant makes C^1 and C^2 spans over Q(i).
+    # Over Q(i) the nonzero proper terms C^1 and C^2 are spans over Q(i).
     assert [t.basis.field for t in lower_central_series(qg).terms] == ["Q", "Qi", "Qi", "Q"]
