@@ -18,24 +18,26 @@ by exact linear algebra on the rational form R and the quotient V = R / Z.
 Over Q, R is the algebra itself, whose constants are all `Rational`; over
 Q(i) it is read off the table in a basis of the fixed space of conjugation.
 The bracket of V is read once, as one alternating form on V per basis
-vector of the commutator ideal C^1 (`_TwoStepFrame`), and five
-constructions work on these forms, tried in this order:
+vector of the commutator ideal C^1 (`_TwoStepFrame`).  The constructions
+are one ordered table of named stages (`_STAGES`); each stage that applies
+runs in turn, and the first to return U wins:
 
-1. Darboux: when C^1 is a line, a symplectic basis of its form.
-2. Regular pencil: when dim C^1 = 2 and a member of the pencil of the two
+1. trivial: when v = dim V = 0, U = 0.
+2. darboux: when C^1 is a line, a symplectic basis of its form.
+3. regular_pencil: when dim C^1 = 2 and a member of the pencil of the two
    forms is invertible, cyclic subspaces of the pencil operator.
-3. Singular-pencil DFS: when dim C^1 = 2 and every member is degenerate, a
-   depth-first search seeded with the members' kernels.
-4. J-space: when dim C^1 >= 2, a complex structure J on V compatible with
+4. singular_pencil_dfs: when dim C^1 = 2 and every member is degenerate,
+   a depth-first search seeded with the members' kernels.
+5. jspace: when dim C^1 >= 2, a complex structure J on V compatible with
    every form (Salamon, J. Pure Appl. Algebra 157 (2001) 311-333), which
    gives U = {x - iJx}.
-5. Generic DFS: unless a DFS has run, a depth-first search over the
-   exactly solved commutation constraint spaces.
+6. dfs: when dim C^1 >= 3, or the pencil is regular, a depth-first search
+   over the exactly solved commutation constraint spaces.
 
 Every hit is re-verified before being returned; exhaustion yields
 NotFoundWithinBounds, never a nonexistence claim.
 
-Verification and all five constructions run on integers: the forms are
+Verification and every construction run on integers: the forms are
 read as integers off `liealg.structure_table`, a vector is an exact vector
 ``(row, den)`` on the kernel's Z[i] rows, spans and memberships are read
 off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
@@ -50,6 +52,7 @@ verifies those rows, and decodes scalars once, for the `Bigrading` found.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations, islice, product
 from math import gcd, isqrt, lcm
 
@@ -68,10 +71,10 @@ from .liealg import (
     LieAlgebra,
     _moved_table,
     _real_form,
+    _qi_columns,
     _zi_bracket,
     center,
     commutator_ideal,
-    complexify,
     lower_central_series,
     real_structure_rows,
     structure_table,
@@ -205,14 +208,15 @@ class GradingReport:
 
 
 def _complex_carrier(L: LieAlgebra) -> LieAlgebra:
-    """The algebra a grading lives on: L itself over Q(i), else complexified."""
-    if L.field == "Qi":
-        if L.real_structure is None:
-            raise MissingRealStructure(
-                f"{L.name}: conjugation checks need a real structure"
-            )
-        return L
-    return complexify(L)
+    """The algebra a grading lives on: L itself, which over Q(i) must have a real structure.
+
+    Over Q the grading's vectors are read in L's complexification without
+    building it: L's table as over Q(i) (`liealg._qi_columns`), and the
+    identity as conjugation (`liealg.real_structure_rows`).
+    """
+    if L.field == "Qi" and L.real_structure is None:
+        raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
+    return L
 
 
 def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> GradingReport:
@@ -224,14 +228,14 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
 
 
 def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingReport:
-    """`verify_bigrading` on the grading's carrier ``Lc`` (see `_complex_carrier`).
+    """`verify_bigrading` on the grading's carrier ``Lc``, L itself (`_complex_carrier`).
 
     ``rows`` holds each component's generators as Z[i] rows keyed by
     bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
     memberships and containments do not depend on scale and are read off
     echelons (`kernel.zi_insert`/`kernel.zi_reduce`); brackets are formed
-    on `structure_table`, and conjugation on the real structure's rows
-    (`liealg.real_structure_rows`).
+    on `structure_table`, read as over Q(i) (`liealg._qi_columns`), and
+    conjugation on the real structure's rows (`liealg.real_structure_rows`).
     """
     n = Lc.dim
     failures: list = []
@@ -260,7 +264,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> G
 
     bracket_ok = True
     if spans:
-        _, _, columns = structure_table(Lc)
+        columns = _qi_columns(structure_table(Lc))
         zero = (0, 0)
         dense = {
             key: [[row.get(j, zero) for j in range(n)] for row in comp_rows]
@@ -542,8 +546,6 @@ def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
     returns the basis as Z[i] rows over one denominator.
     """
     n = Lc.dim
-    if Lc.real_structure is None:
-        raise MissingRealStructure(f"{Lc.name}: no real structure")
     # Over the common denominator D of S, D S = A + iB with integer A, B, and
     # the real and imaginary parts of (A + iB)(a - ib) = D (a + ib) give the
     # rows of the 2n x 2n realified system on (a, b).
@@ -568,22 +570,21 @@ def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
 
 
 def _realified(L: LieAlgebra):
-    """(complex carrier, rational form, basis T_real of the rational form).
+    """(rational form, basis T_real of the rational form) of the carrier L.
 
     Over Q the rational form is L itself and T_real is None.  Over Q(i),
     T_real is Z[i] rows over one denominator, and the rational form holds
     the real parts of L's table in the basis T_real (`liealg._moved_table`);
     a nonzero imaginary part is refused.
     """
-    Lc = _complex_carrier(L)
-    if L.field == "Q":
-        return Lc, L, None
-    t_real = _real_form_basis(Lc)
-    table, _, _ = _moved_table(Lc, *t_real, "Qi")
+    if _complex_carrier(L).field == "Q":
+        return L, None
+    t_real = _real_form_basis(L)
+    table, _, _ = _moved_table(L, *t_real, "Qi")
     R = _real_form(f"{L.name}.real", table, tuple(f"e{i + 1}" for i in range(L.dim)))
     if R is None:
         raise MissingRealStructure(f"{L.name}: rational form has non-real constants")
-    return Lc, R, t_real
+    return R, t_real
 
 
 class _TwoStepFrame:
@@ -641,10 +642,13 @@ def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
     return [({a: (1, 0)}, 1) for a in range(v)]
 
 
-def _darboux_u(frame: _TwoStepFrame) -> list[tuple[kernel.ZiRow, int]] | None:
+def _darboux_u(frame: _TwoStepFrame) -> list[tuple[kernel.ZiRow, int]]:
     """U generators for a one-dimensional commutator ideal (symplectic case).
 
-    ``frame.c1`` must be a line: the search calls it only then.
+    ``frame.c1`` must be a line: the search calls it only then.  Its form
+    is then nondegenerate on V = R / Z: a vector pairing to zero with all of
+    V brackets to zero with all of R, so it lies in Z and is 0 in V.  So
+    every vector left finds a partner, and the reduction always succeeds.
 
     Symplectic reduction of the one form, from the unit vectors of V, on
     exact vectors ``(row, den)`` whose Z[i] rows are real: each pair (x, y)
@@ -661,9 +665,7 @@ def _darboux_u(frame: _TwoStepFrame) -> list[tuple[kernel.ZiRow, int]] | None:
     pairs = []
     while remaining:
         x, xd = remaining.pop(0)
-        partner = next((idx for idx, (y, _) in enumerate(remaining) if pair(x, y)), None)
-        if partner is None:
-            return None  # degenerate; cannot happen for V = L/Z
+        partner = next(idx for idx, (y, _) in enumerate(remaining) if pair(x, y))
         y, yd = remaining.pop(partner)
         # y divided by the form's value on x and y, pair(x, y) / (xd yd fden)
         y, yd = kernel.zi_lowest(kernel.zi_combine(((xd * fden, 0), y)), pair(x, y))
@@ -814,11 +816,7 @@ def _rational_roots(coeffs) -> list[tuple[int, int]]:
         # y = c3 * lambda turns the cubic monic with integer coefficients.
         for y in _integer_roots_monic_cubic(c2, c1 * c3, c0 * c3 * c3):
             roots.append(_ratio(y, c3))
-    out = []
-    for r in roots:
-        if r not in out:
-            out.append(r)
-    return out
+    return list(dict.fromkeys(roots))
 
 
 # The pencil constructions and the depth-first search work on the kernel's
@@ -852,9 +850,12 @@ def _pencil_structure(frame: _TwoStepFrame):
 
     Seeds are kernel bases of the degenerate pencil members, located exactly
     as rational roots of the Pfaffian polynomial (for a singular pencil every
-    member contributes).  W = M_g^{-1} M_o for an invertible member M_g is
-    self-adjoint for the member pairing, so W-cyclic subspaces commute; its
-    orbit vectors make strong search candidates.  W is read off [M_g | M_o]
+    member contributes).  The Pfaffian is expanded for v <= 8, so its degree
+    v/2 reaches 4, but `_rational_roots` solves degree <= 3 only: when a
+    quartic is left after factoring out lambda, its roots are missed and no
+    degenerate member is seeded.  W = M_g^{-1} M_o for an invertible member
+    M_g is self-adjoint for the member pairing, so W-cyclic subspaces
+    commute; its orbit vectors make strong search candidates.  W is read off [M_g | M_o]
     by `kernel.zi_solve` and returned as ``(rows, d)``: the Z[i] rows of W
     times the integer d.  It is None for a singular pencil.
     """
@@ -878,25 +879,20 @@ def _pencil_structure(frame: _TwoStepFrame):
 
 
 def _generic_seeds(frame: _TwoStepFrame) -> list[list[tuple[kernel.ZiRow, int]]]:
-    """Degenerate-combination kernel groups for commutator dimension >= 3."""
-    c = frame.c1.dim
-    v = frame.v
-    combos: list[tuple[int, ...]] = []
-    for t in range(c):
-        kappa = [0] * c
-        kappa[t] = 1
-        combos.append(tuple(kappa))
-    for t1 in range(c):
-        for t2 in range(t1 + 1, c):
-            for s in (1, -1):
-                kappa = [0] * c
-                kappa[t1] = 1
-                kappa[t2] = s
-                combos.append(tuple(kappa))
+    """Degenerate-combination kernel groups for commutator dimension >= 3.
+
+    The members tried are each form, then F_s + F_t and F_s - F_t for s < t.
+    """
+    units = [tuple(int(s == t) for s in range(frame.c1.dim)) for t in range(frame.c1.dim)]
+    combos = units + [
+        tuple(x + sign * y for x, y in zip(units[s], units[t]))
+        for s, t in combinations(range(frame.c1.dim), 2)
+        for sign in (1, -1)
+    ]
     groups = []
     for null in _kernel_groups(frame, combos):
         groups.append(null)
-        if sum(len(g) for g in groups) >= 4 * v:
+        if sum(len(g) for g in groups) >= 4 * frame.v:
             break
     return groups
 
@@ -1379,7 +1375,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
     return None
 
 
-def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
+def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, groups, w):
     """Depth-first search for h commuting generators transverse to conjugates.
 
     The commutation constraints against already-chosen generators are linear,
@@ -1392,21 +1388,16 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
     inside each constraint space, so branches whose constraint space drops
     below dimension h are pruned.
 
-    ``structure`` is `_pencil_structure`'s result.  Every vector is an exact
-    vector; an invariant subspace is kept as its annihilator's rows, so its
-    meet with a constraint space is one null space.  A candidate is a
-    bounded combination of a node's pool rows, tested on the combination of
-    their residuals modulo the generators chosen and their conjugates,
-    computed once per node; only a candidate that passes is formed.  U is
-    returned as the exact vectors chosen.
+    ``groups`` are groups of seeds and ``w`` the pencil operator or None, as
+    `_pencil_structure` returns them; with no pencil, `_generic_seeds` and
+    None.  Every vector is an exact vector; an invariant subspace is kept as
+    its annihilator's rows, so its meet with a constraint space is one null
+    space.  A candidate is a bounded combination of a node's pool rows,
+    tested on the combination of their residuals modulo the generators
+    chosen and their conjugates, computed once per node; only a candidate
+    that passes is formed.  U is returned as the exact vectors chosen.
     """
     v = frame.v
-    groups: list = []
-    w = None
-    if structure is not None:
-        groups, w = structure
-    elif frame.c1.dim >= 3:
-        groups = _generic_seeds(frame)
     seeds = [vec for grp in groups for vec in grp]
     spans = [[row for row, _ in grp] for grp in groups]
     if w is not None:
@@ -1537,12 +1528,52 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, structure=None):
     return rec([], RowReducer(v))
 
 
+class _SearchState:
+    """What the stages of one search read, each fact computed once.
+
+    The frame, h = v / 2, dim C^1 and the bounds; the pencil
+    (`_pencil_structure`) is computed when a stage first reads it.
+    """
+
+    def __init__(self, frame: _TwoStepFrame, bounds: SearchBounds):
+        self.frame, self.h, self.c1, self.bounds = frame, frame.v // 2, frame.c1.dim, bounds
+
+    @cached_property
+    def pencil(self):
+        return _pencil_structure(self.frame)
+
+    def regular(self) -> bool:
+        """Whether C^1 has two forms and a member of their pencil is invertible."""
+        return self.c1 == 2 and self.pencil[1] is not None
+
+    def dfs_seeds(self):
+        """The generic DFS's seed groups and W: the pencil's, or `_generic_seeds`'."""
+        return self.pencil if self.c1 == 2 else (_generic_seeds(self.frame), None)
+
+
+# The search's constructions as (name, applies, run) in the order they are
+# tried (see the module docstring); ``run`` returns U as exact vectors, or
+# None.  A singular pencil's seeded depth-first search over the members'
+# kernels is cheap and robust, and after it `dfs` does not run.
+_STAGES = (
+    ("trivial", lambda s: s.frame.v == 0, lambda s: []),
+    ("darboux", lambda s: s.c1 == 1, lambda s: _darboux_u(s.frame)),
+    ("regular_pencil", _SearchState.regular,
+     lambda s: _regular_pencil_u(s.frame, *s.pencil, s.h)),
+    ("singular_pencil_dfs", lambda s: s.c1 == 2 and not s.regular(),
+     lambda s: _dfs_u(s.frame, s.h, s.bounds, *s.pencil)),
+    ("jspace", lambda s: s.c1 >= 2, lambda s: _jspace_u(s.frame, s.h)),
+    ("dfs", lambda s: s.c1 >= 3 or s.regular(),
+     lambda s: _dfs_u(s.frame, s.h, s.bounds, *s.dfs_seeds())),
+)
+
+
 def search_bigrading(
     L: LieAlgebra, bounds: SearchBounds | None = None
 ) -> SearchOutcome:
     """Bounded search for a restricted-shape mixed-structure bigrading."""
     bounds = bounds or SearchBounds()
-    Lc, R, t_real = _realified(L)
+    R, t_real = _realified(L)
     series = lower_central_series(R)
     if series.nilpotency_class > 2:
         return SearchOutcome(
@@ -1568,54 +1599,38 @@ def search_bigrading(
             witness=necessary,
             bounds=bounds,
         )
-    h = frame.v // 2
-    u_gens = None
-    if frame.v == 0:
-        u_gens = []
-    structure = None
-    dfs_tried = False
-    if u_gens is None and frame.c1.dim == 1:
-        u_gens = _darboux_u(frame)
-    if u_gens is None and frame.c1.dim == 2:
-        structure = _pencil_structure(frame)
-        if structure[1] is not None:
-            u_gens = _regular_pencil_u(frame, *structure, h)
-        else:
-            # Singular pencil: every member is degenerate and the seeded
-            # depth-first search over the kernel strips is cheap and robust.
-            u_gens = _dfs_u(frame, h, bounds, structure=structure)
-            dfs_tried = True
-    if u_gens is None and frame.c1.dim >= 2:
-        u_gens = _jspace_u(frame, h)
-    if u_gens is None and not dfs_tried:
-        u_gens = _dfs_u(frame, h, bounds, structure=structure)
+    state = _SearchState(frame, bounds)
+    u_gens = next(
+        (u for _, applies, run in _STAGES if applies(state) and (u := run(state)) is not None),
+        None,
+    )
     if u_gens is None:
         return SearchOutcome(
             status="not_found_within_bounds", witness=necessary, bounds=bounds
         )
-    # U's exact vectors lifted from V to R and, over Q(i), to L_c as the
-    # combination of T_real's rows with their entries.  Over Q, R has the
-    # constants of L, and Z(L_c) the canonical basis of the frame's Z(R).
+    # U's exact vectors lifted from V to R and, over Q(i), to L as the
+    # combination of T_real's rows with their entries.  Over Q, R is L, and
+    # Z(L) the frame's Z(R).
     u = [({frame.free[a]: e for a, e in row.items()}, den) for row, den in u_gens]
-    z_c = frame.z if L.field == "Q" else center(Lc)
+    z = center(L)
     if t_real is not None:
         t_rows, t_den = t_real
         u = [
             (kernel.zi_combine(*((e, t_rows[k]) for k, e in row.items())), den * t_den)
             for row, den in u
         ]
-    s_rows, s_den = real_structure_rows(Lc)
+    s_rows, s_den = real_structure_rows(L)
     ubar = [(_conjugate_row(s_rows, row), den * s_den) for row, den in u]
     comps, rows = [], {}
     for key, vecs in (((-1, 0), u), ((0, -1), ubar)):
         if vecs:
             comps.append((*key, [kernel.zi_decode(row, den, L.dim) for row, den in vecs]))
             rows[key] = [row for row, _ in vecs]
-    if z_c.dim:
-        comps.append((-1, -1, z_c.vectors()))
-        rows[-1, -1] = z_c.kernel_rows("Qi")
+    if z.dim:
+        comps.append((-1, -1, z.vectors()))
+        rows[-1, -1] = z.kernel_rows("Qi")
     grading = Bigrading.build(comps)
-    report = _verify_on_carrier(Lc, grading, rows, "strict")
+    report = _verify_on_carrier(L, grading, rows, "strict")
     if not report.valid:
         # The mode only changes how `GradingReport.valid` reads conjugation.
         report = replace(report, mode="lax")

@@ -133,15 +133,14 @@ def check(
             )
         )
         return Verdict(EXHIBITED, b1, reasons, outcome.bigrading)
-    search_bounds = outcome.bounds or SearchBounds()
     reasons.append(
         Reason(
             "bigrading_search",
             {
                 "outcome": "not_found_within_bounds",
-                "coefficients": list(search_bounds.coefficients),
-                "depth": search_bounds.depth,
-                "max_nodes": search_bounds.max_nodes,
+                "coefficients": list(outcome.bounds.coefficients),
+                "depth": outcome.bounds.depth,
+                "max_nodes": outcome.bounds.max_nodes,
             },
         )
     )
@@ -243,14 +242,11 @@ def diagonal_h1_check(L: LieAlgebra, g: Bigrading) -> bool:
         raise GradingNotDiagonal(
             f"components at {g.bidegrees()} are not all diagonal"
         )
-    from .bigrading import _complex_carrier
-
-    Lc = _complex_carrier(L)
-    n = Lc.dim
+    n = L.dim
     if n == 0:
         return True
-    s, t = top_class_bidegree(Lc, g)
+    s, t = top_class_bidegree(L, g)
     deficit = s - n  # = sum over components of (-p - 1) * dim, each term >= 0
     forced_abelian = deficit == 0 and s <= n
-    actually_abelian = Lc.is_abelian()
+    actually_abelian = L.is_abelian()
     return forced_abelian and actually_abelian

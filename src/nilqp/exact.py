@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sequence
 
 from . import kernel
 from .errors import AmbientMismatch, NotInvolution
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, conj, format_scalar
+from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, format_scalar
 
 __all__ = [
     "ExactMatrix",
@@ -149,17 +149,6 @@ class ExactMatrix:
             cols=self.cols + other.cols,
         )
 
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise AmbientMismatch("shape mismatch in add")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise AmbientMismatch(
@@ -190,11 +179,6 @@ class ExactMatrix:
                     s = s + a * x
             out.append(s)
         return tuple(out)
-
-    def conj_entrywise(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[conj(x) for x in row] for row in self.entries], cols=self.cols
-        )
 
     # -- elimination ------------------------------------------------------------
 

@@ -24,13 +24,14 @@ from nilqp import (
     validate,
     verify_bigrading,
 )
-from nilqp import kernel
+from nilqp import bigrading, checker, kernel, liealg
 from nilqp.bigrading import (
     FiltrationPair,
     _bi_isotropic,
     _compatible_complex_structures,
     _darboux_u,
     _dfs_u,
+    _generic_seeds,
     _jspace_candidates,
     _jspace_u,
     _nilpotent_via_conic,
@@ -516,7 +517,7 @@ def _moved_frame(keys, seed):
         alg = direct_sum(alg, get(key).algebra)
     rng = random.Random(seed)
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-    return moved, _TwoStepFrame(_realified(moved)[1])
+    return moved, _TwoStepFrame(_realified(moved)[0])
 
 
 def _frac_matmul(a, b):
@@ -673,12 +674,12 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     assert _regular_pencil_u(regular, seeds, w, regular.v // 2) is not None
     structure = _pencil_structure(w_dfs)
     assert structure[1] is not None
-    _dfs_u(w_dfs, w_dfs.v // 2, bounds, structure)
+    _dfs_u(w_dfs, w_dfs.v // 2, bounds, *structure)
     structure = _pencil_structure(singular)
     assert structure[1] is None
-    assert _dfs_u(singular, singular.v // 2, bounds, structure) is not None
+    assert _dfs_u(singular, singular.v // 2, bounds, *structure) is not None
     assert generic.c1.dim >= 3
-    _dfs_u(generic, generic.v // 2, bounds)
+    _dfs_u(generic, generic.v // 2, bounds, _generic_seeds(generic), None)
     table = _ProductTable(*_compatible_complex_structures(generic))
     assert len(list(_jspace_candidates(table))) == 97
     assert _jspace_u(generic, generic.v // 2) is None
@@ -691,6 +692,102 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     assert calls == []
     Rational(1, 2) + Rational(1, 3)
     assert calls == ["Rational.__add__"]
+
+
+STAGE_NAMES = ["trivial", "darboux", "regular_pencil", "singular_pencil_dfs", "jspace", "dfs"]
+
+
+def _traced_search(monkeypatch, alg, *, decline: bool):
+    """The stages a search runs, in order, and its outcome.
+
+    With ``decline`` every stage is run and its U thrown away, so every
+    stage that applies runs.  `_pencil_structure` calls are counted too.
+    """
+    tried, pencils = [], []
+
+    def traced(name, run):
+        def wrapped(state):
+            tried.append(name)
+            u = run(state)
+            return None if decline else u
+
+        return wrapped
+
+    stages = tuple((name, applies, traced(name, run)) for name, applies, run in bigrading._STAGES)
+    monkeypatch.setattr(bigrading, "_STAGES", stages)
+    original = bigrading._pencil_structure
+    monkeypatch.setattr(
+        bigrading, "_pencil_structure", lambda frame: pencils.append(1) or original(frame)
+    )
+    out = search_bigrading(alg, SearchBounds(max_nodes=2000))
+    return tried, len(pencils), out.status
+
+
+@pytest.mark.parametrize(
+    "keys, seed, applicable, pencils, found",
+    [
+        (["abelian_4"], None, ["trivial"], 0, True),
+        (["n7"], 1, ["darboux"], 0, True),
+        (["N4_82"], None, ["regular_pencil", "jspace", "dfs"], 1, True),
+        (["N2_82"], None, ["singular_pencil_dfs", "jspace"], 1, True),
+        (["L5_parity", "L5_parity"], 1, ["jspace", "dfs"], 0, False),
+    ],
+)
+def test_search_tries_its_stages_in_table_order(
+    monkeypatch, keys, seed, applicable, pencils, found
+):
+    # When each stage declines, every stage that applies runs, in the
+    # table's order; otherwise the first that returns U wins.  The pencil
+    # is computed once per search, and only for dim C^1 = 2.
+    assert [name for name, _, _ in bigrading._STAGES] == STAGE_NAMES
+    alg = get(keys[0]).algebra if seed is None else _moved_frame(keys, seed)[0]
+    traced = _traced_search(monkeypatch, alg, decline=True)
+    assert traced == (applicable, pencils, "not_found_within_bounds")
+    monkeypatch.undo()
+    traced = _traced_search(monkeypatch, alg, decline=False)
+    if found:
+        assert traced == (applicable[:1], pencils, "found")
+    else:
+        assert traced == (applicable, pencils, "not_found_within_bounds")
+
+
+def test_darboux_pairs_every_vector_when_the_commutator_is_a_line():
+    # For dim C^1 = 1 the form is nondegenerate on V = R / Z, so Darboux
+    # always finds v/2 commuting vectors transverse to their conjugates.
+    keys = set()
+    for key in catalog_keys():
+        alg = get(key).algebra
+        for seed in (1, 2, 3):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+            frame = _TwoStepFrame(_realified(moved)[0])
+            if frame.c1.dim != 1:
+                continue
+            keys.add(key)
+            rows = [row for row, _ in _darboux_u(frame)]
+            assert len(rows) == frame.v // 2, (key, seed)
+            assert _bi_isotropic(frame, rows) and _transversal(rows), (key, seed)
+    assert {"n3", "n5", "n7"} <= keys
+
+
+def test_rational_algebras_are_graded_without_complexifying(monkeypatch):
+    # A grading of an algebra over Q is read in its complexification through
+    # L's own table and the identity conjugation: no second algebra is built.
+    def refuse(L):
+        raise AssertionError(f"complexify({L.name}) called")
+
+    for module in (liealg, bigrading, checker):
+        monkeypatch.setattr(module, "complexify", refuse, raising=False)
+    for key in ("abelian_4", "n3", "N4_82", "N2_82", "g_sec6"):
+        entry = get(key)
+        assert entry.algebra.field == "Q", key
+        status = "obstructed" if key == "g_sec6" else "found"
+        assert search_bigrading(entry.algebra).status == status, key
+        assert (check(entry.algebra).status == EXHIBITED) == (status == "found"), key
+        for grading in entry.known_bigradings:
+            for mode in ("strict", "lax"):
+                assert verify_bigrading(entry.algebra, grading, mode).valid, (key, mode)
+    entry = get("abelian_4")
+    assert checker.diagonal_h1_check(entry.algebra, entry.known_bigradings[0])
 
 
 def test_pipeline_makes_no_scalar_arithmetic(monkeypatch):

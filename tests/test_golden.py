@@ -40,6 +40,9 @@ GOLDEN_CLI_SHA256 = {
     "cohomology --bigrading": (
         "4a54fea262f5a73442b4745beb05550b59e64109ec4d2bc40f6f596aec44fd4b"
     ),
+    "bigrading-verify": (
+        "308493cd122786ccea97355309b2672dd6519d334e3df713c1f518aa945092ec"
+    ),
 }
 GOLDEN_MOVED_CHECK_SHA256 = (
     "ba69297f6c8af79699697f67613f64cf86b83f56ff08afe9d78e101774f5f8b1"
@@ -67,8 +70,11 @@ def test_cli_json_output_matches_golden_digest(exported, command):
     name, *flags = command.split()
     for key, paths in exported.items():
         algebra = paths[0]
+        gradings = [p for p in paths if ".bigrading." in p]
         if flags == ["--bigrading"]:
-            runs = [(*flags, p) for p in paths if ".bigrading." in p]
+            runs = [(*flags, p) for p in gradings]
+        elif name == "bigrading-verify":
+            runs = [(p, "--mode", mode) for p in gradings for mode in ("strict", "lax")]
         else:
             runs = [tuple(flags)]
         for extra in runs:
