@@ -57,7 +57,7 @@ from itertools import combinations, islice, product
 from math import gcd, isqrt, lcm
 
 from ._arith import solve_ternary
-from .cohomology import bigraded_cohomology
+from .cohomology import _graded_cohomology, _grading_table
 from .errors import (
     AmbientMismatch,
     GradingNotCompatible,
@@ -346,42 +346,34 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> G
     else:
         conjugation = "fails"
 
-    support_ok = False
-    box_ok = False
-    if spans and bracket_ok and g.is_restricted_shape():
-        # Dual generators carry bidegrees (1,0), (0,1), (1,1); a degree-j
-        # monomial with a + b + c = j of them sits at (a+c, b+c), which obeys
-        # j <= p+q <= 2j and 0 <= p,q <= j outright.  No computation needed.
-        support_ok = True
-        box_ok = True
-    elif spans and bracket_ok:
-        try:
-            table = bigraded_cohomology(Lc, g)
-        except GradingNotCompatible as exc:  # defensive; bracket check should catch
-            failures.append({"check": "support", "detail": str(exc)})
-        else:
-            support_ok = True
-            box_ok = True
-            for (j, p, q, d) in table.by_bidegree or ():
-                if not j <= p + q <= 2 * j:
-                    support_ok = False
-                    failures.append(
-                        {
-                            "check": "support",
-                            "detail": f"H^{j} has dimension {d} at ({p},{q}) "
-                            f"outside the weight band [{j}, {2 * j}]",
-                        }
-                    )
-                elif not (0 <= p <= j and 0 <= q <= j):
-                    box_ok = False
-                    failures.append(
-                        {
-                            "check": "support_box",
-                            "detail": f"H^{j} has dimension {d} at ({p},{q}) "
-                            f"outside the box 0 <= p, q <= {j}",
-                        }
-                    )
-    elif spans:
+    # In the restricted shape dual generators carry bidegrees (1,0), (0,1),
+    # (1,1); a degree-j monomial with a + b + c = j of them sits at (a+c,
+    # b+c), which obeys j <= p+q <= 2j and 0 <= p,q <= j outright.
+    support_ok = box_ok = spans and bracket_ok
+    if support_ok and not g.is_restricted_shape():
+        # The generators span and the brackets keep bidegrees, so the table
+        # in their basis is compatible; the scale of the rows does not matter.
+        table = _graded_cohomology(n, *_grading_table(Lc, rows, 1))
+        for (j, p, q, d) in table.by_bidegree:
+            if not j <= p + q <= 2 * j:
+                support_ok = False
+                failures.append(
+                    {
+                        "check": "support",
+                        "detail": f"H^{j} has dimension {d} at ({p},{q}) "
+                        f"outside the weight band [{j}, {2 * j}]",
+                    }
+                )
+            elif not (0 <= p <= j and 0 <= q <= j):
+                box_ok = False
+                failures.append(
+                    {
+                        "check": "support_box",
+                        "detail": f"H^{j} has dimension {d} at ({p},{q}) "
+                        f"outside the box 0 <= p, q <= {j}",
+                    }
+                )
+    elif spans and not bracket_ok:
         failures.append(
             {"check": "support", "detail": "skipped: bracket incompatible"}
         )

@@ -6,11 +6,6 @@ odd derivation with the Koszul sign rule.  Monomials x^{m_1} ^ ... ^ x^{m_k}
 are indexed by lexicographically ordered k-subsets of {0..n-1}; all matrices
 and representative cocycles use this order.
 
-Betti numbers b_k = dim ker d_k - rank d_{k-1}.  When a bigrading of the
-algebra is supplied, each basis vector of bidegree (p, q) (p, q <= 0) gives a
-dual generator of bidegree (-p, -q), monomial bidegrees add, and the
-differential preserves them, so cohomology splits into bidegree blocks.
-
 Each d_k is assembled once, sparsely, from bit masks of the monomials with
 Koszul signs in closed form, out of a table of structure constants
 (`liealg.StructureTable`).  Its entries are the constants times one common
@@ -19,22 +14,31 @@ over Q(i).  Scaling by D != 0 changes neither the rank nor which entries are
 nonzero, so ranks are taken on these rows directly (``kernel.rank_q``/
 ``rank_qi``); d_0 and d_n are zero and are not assembled.
 
-Betti numbers do not depend on the basis, so `betti_numbers` ranks the
-differentials in a basis adapted to C^1 = [g, g]: unit vectors completing
-C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There the
-n - dim C^1 dual generators of the unit vectors are closed, and each d_k
-has fewer and shorter rows than in a basis where every d x^m is nonzero.
-`bigraded_cohomology` ranks its blocks on the table in the grading's basis.
+One routine, `_graded_cohomology`, ranks the complex for both public
+functions.  Each dual generator x^m carries a bidegree, monomials add them,
+and a table that keeps bidegrees gives a d_k that maps the monomials of
+bidegree b into those of bidegree b.  Its block b is the rows whose
+destination monomial has bidegree b, and H^k_b has dimension dim
+Lambda^k_b - rank(block b of d_k) - rank(block b of d_{k-1}).
+`bigraded_cohomology` gives a generator of bidegree (p, q) (p, q <= 0) the
+dual bidegree (-p, -q), in the basis of the grading's generators.  Betti
+numbers do not depend on the basis, so `betti_numbers` puts every generator
+at (0, 0), one block, in a basis adapted to C^1 = [g, g]: unit vectors
+completing C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There
+the n - dim C^1 dual generators of the unit vectors are closed, and each
+d_k has fewer and shorter rows than in a basis where every d x^m is nonzero.
 
 On a unimodular algebra (tr ad X = 0 for every X, as on every nilpotent
 one) half of those ranks are known (Koszul's Poincare duality): d_{n-1} =
 0, so for a in Lambda^k, b in Lambda^{n-1-k} the form d(a ^ b) = da ^ b +
 (-1)^k a ^ db is zero, and under the perfect pairing Lambda^j x Lambda^{n-j}
 -> Lambda^n d_k is the transpose of d_{n-1-k} up to sign: rank d_k = rank
-d_{n-1-k}.  `betti_numbers` tests tr ad = 0 exactly on the adapted table
+d_{n-1-k}.  The pairing matches bidegree b with T - b, T the sum of every
+generator's bidegree, so block b of d_k and block T - b of d_{n-1-k} have
+one rank.  `_graded_cohomology` tests tr ad = 0 exactly on the table
 (`_unimodular`); when it holds it ranks d_k only for (n-1)/2 <= k <= n-2
-and mirrors each rank, and otherwise it ranks every degree.  Every rank
-is still an exact elimination over Q or Q(i).
+and mirrors each block's rank, and otherwise it ranks every degree.  Every
+rank is still an exact elimination over Q or Q(i).
 
 The representatives of `betti_numbers` are read off the same rows in L's
 own basis.  For each cocycle v of the reduced basis of ker d_k, in pivot
@@ -52,7 +56,12 @@ from itertools import combinations
 from math import lcm
 
 from . import kernel
-from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
+from .errors import (
+    DegreeOutOfRange,
+    GradingNotCompatible,
+    SingularTransformation,
+    TopClassMisplaced,
+)
 from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
@@ -198,21 +207,18 @@ def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, d
     return rows
 
 
-def _sparse_differentials(n: int, table: StructureTable, degrees=None):
+def _sparse_differentials(n: int, table: StructureTable, degrees):
     """``(rank, {k: rows})``: D times d_k as `_assemble` rows for k in ``degrees``.
 
     The differentials are those of the dimension-``n`` algebra whose
     constants ``table`` holds, and ``rank`` is the kernel's rank for the
-    rows' field.  ``degrees`` defaults to every 0 < k < n: d_0 and d_n are
-    zero and are not assembled, nor is any d_k of an abelian algebra.
+    rows' field.  No d_k of an abelian algebra is assembled.
     """
     field, _, columns = table
     rank = kernel.rank_q if field == "Q" else kernel.rank_qi
-    if n < 2 or not columns[0]:
+    if not columns[0]:
         return rank, {}
     terms = _dual_terms(table)
-    if degrees is None:
-        degrees = range(1, n)
     return rank, {k: _assemble(n, k, field, terms) for k in degrees}
 
 
@@ -278,37 +284,63 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
     return StructureTable(field, den * m, tuple(map(tuple, new)))
 
 
-def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
-    """Betti numbers b_0..b_n, optionally with canonical cocycle representatives.
+def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyTable:
+    """Betti numbers and bidegree blocks of the complex of ``table``, of dimension ``n``.
 
-    The ranks are taken in the basis of `_commutator_adapted_table`: of
-    every d_k, or, when that table is unimodular, of d_k for (n-1)/2 <= k
-    <= n-2 only, with rank d_{n-1-k} = rank d_k and rank d_{n-1} = 0
-    (module docstring).  The representatives, ``{k: vectors}`` in L's
-    basis, are canonical: each is the residual of a cocycle modulo the
-    image of d_{k-1} plus the representatives before it, zero at that
-    span's pivot columns, with first nonzero entry 1.  Their entries are
-    `Gaussian` exactly when L is over Q(i), and `Rational` otherwise.
+    ``dual[m]`` is the bidegree of x^m, which ``table`` must keep.  Block
+    sizes are the coefficients of t^k x^b in prod_m (1 + t x^dual[m]).  Each
+    block keeps its rows' columns, ranked against all C(n, k); on a
+    unimodular table only d_k for (n-1)/2 <= k <= n-2 is assembled, and
+    block b of d_k gives the rank of block T - b of d_{n-1-k} (module
+    docstring).
     """
-    n = L.dim
-    ranks = [0] * (n + 1)
-    table = _commutator_adapted_table(L)
-    # On a unimodular algebra d_{n-1} = 0 and d_k is, up to sign, the
-    # transpose of d_{n-1-k}: rank the upper half and mirror it.
+    dims: list[dict] = [{(0, 0): 1}] + [{} for _ in range(n)]
+    for p, q in dual:
+        for k in range(n, 0, -1):
+            for (a, b), size in dims[k - 1].items():
+                dims[k][a + p, b + q] = dims[k].get((a + p, b + q), 0) + size
+    ps, qs = [p for p, _ in dual], [q for _, q in dual]
+    top_p, top_q = sum(ps), sum(qs)
     unimodular = _unimodular(table)
     degrees = range(n // 2, n - 1) if unimodular else range(1, n)
     rank, diffs = _sparse_differentials(n, table, degrees)
+    ranks: list[dict] = [{} for _ in range(n + 1)]  # ranks[k][b]: block b of d_k
     for k, rows in diffs.items():
-        ranks[k] = rank(list(rows.values()), len(exterior_basis(n, k)))
-        if unimodular:
-            ranks[n - 1 - k] = ranks[k]
-    betti = []
+        blocks: dict[tuple[int, int], list] = {}
+        for r, row in rows.items():
+            mon = exterior_basis(n, k + 1)[r]
+            b = (sum(map(ps.__getitem__, mon)), sum(map(qs.__getitem__, mon)))
+            blocks.setdefault(b, []).append(row)
+        for (p, q), group in blocks.items():
+            ranks[k][p, q] = rank(group, len(exterior_basis(n, k)))
+            if unimodular:
+                ranks[n - 1 - k][top_p - p, top_q - q] = ranks[k][p, q]
+    betti, by_bidegree = [0] * (n + 1), []
     for k in range(n + 1):
-        dim_k = len(exterior_basis(n, k))
-        rank_prev = ranks[k - 1] if k > 0 else 0
-        betti.append(dim_k - ranks[k] - rank_prev)
+        for b, size in sorted(dims[k].items()):
+            # At k = 0, ranks[k - 1] is ranks[n], empty: d_n = 0.
+            h = size - ranks[k].get(b, 0) - ranks[k - 1].get(b, 0)
+            if h:
+                betti[k] += h
+                by_bidegree.append((k, *b, h))
+    return CohomologyTable(betti=tuple(betti), by_bidegree=tuple(by_bidegree))
+
+
+def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
+    """Betti numbers b_0..b_n, optionally with canonical cocycle representatives.
+
+    The ranks are those of `_graded_cohomology`, one block per d_k, on the
+    table of `_commutator_adapted_table`.  The representatives, ``{k:
+    vectors}`` in L's basis, are canonical: each is the residual of a
+    cocycle modulo the image of d_{k-1} plus the representatives before it,
+    zero at that span's pivot columns, with first nonzero entry 1.  Their
+    entries are `Gaussian` exactly when L is over Q(i), and `Rational`
+    otherwise.
+    """
+    n = L.dim
+    betti = _graded_cohomology(n, _commutator_adapted_table(L), [(0, 0)] * n).betti
     reps = _representatives(n, structure_table(L)) if representatives else None
-    return CohomologyTable(betti=tuple(betti), representatives=reps)
+    return CohomologyTable(betti=betti, representatives=reps)
 
 
 def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
@@ -318,7 +350,7 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
     adds for a cocycle that enlarges the span is its residual, scaled.
     """
     field = table.field
-    _, diffs = _sparse_differentials(n, table)
+    _, diffs = _sparse_differentials(n, table, range(1, n))
 
     def as_zi(row: dict) -> kernel.ZiRow:
         return row if field == "Qi" else {j: (x, 0) for j, x in row.items()}
@@ -346,76 +378,49 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
 def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     """Cohomology refined by bidegree blocks under a bracket-compatible grading.
 
-    Dual bidegrees are (-p, -q) >= 0 and add over monomials; the differential
-    must preserve them (GradingNotCompatible otherwise).  Block dimensions sum
-    to the Betti numbers.  The differentials are assembled from L's integer
-    table in the basis of the grading's generators (`liealg._moved_table`).
+    The grading's generators must be a basis (`_grading_table`), and L's
+    table in that basis must keep bidegrees: C_ij^k != 0 only where dual k
+    = dual i + dual j.  The least (k, (i, j)) that breaks this is the first
+    entry of d_1 to leave its block, and GradingNotCompatible names it.
+    Block dimensions sum to the Betti numbers.
     """
     n = L.dim
-    generators, den = grading.kernel_rows(n)
+    table, dual = _grading_table(L, *grading.kernel_rows(n))
+
+    def plus(i: int, j: int) -> tuple[int, int]:
+        return dual[i][0] + dual[j][0], dual[i][1] + dual[j][1]
+
+    _, _, columns = table
+    bad = [(m, i, j) for i, j, ms in zip(*columns[:3]) for m in ms if dual[m] != plus(i, j)]
+    if bad:
+        m, i, j = min(bad)
+        raise GradingNotCompatible(
+            f"d maps bidegree {dual[m]} monomial {(m,)} to {plus(i, j)} monomial "
+            f"{(i, j)} in degree 1"
+        )
+    return _graded_cohomology(n, table, dual)
+
+
+def _grading_table(L: LieAlgebra, generators: dict, den: int):
+    """``(table, dual)``: L's table in the basis of a grading's generators, and their bidegrees.
+
+    ``generators`` holds Z[i] rows over ``den`` keyed by bidegree (p, q)
+    (`Bigrading.kernel_rows`); ``dual`` lists (-p, -q) in their order.  The
+    table is over Q(i) when L or a generator is (`liealg._moved_table`).
+    Generators that are not a basis raise GradingNotCompatible.
+    """
+    n = L.dim
     rows = [row for comp_rows in generators.values() for row in comp_rows]
     if len(rows) != n:
-        raise GradingNotCompatible(
-            f"grading has {len(rows)} generators for dimension {n}"
-        )
+        raise GradingNotCompatible(f"grading has {len(rows)} generators for dimension {n}")
     field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
-    adapted, _, _ = _moved_table(L, rows, den, field)
-    dual = [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
-    # bideg[k][c]: the bidegree of the c-th k-monomial; pos[k][c]: its index
-    # within its block; dims[k][b]: the size of the block of bidegree b.
-    bideg, pos, dims = [], [], []
-    for k in range(n + 1):
-        bk, pk, dk = [], [], {}
-        for mon in exterior_basis(n, k):
-            b = (sum(dual[m][0] for m in mon), sum(dual[m][1] for m in mon))
-            bk.append(b)
-            pk.append(dk.get(b, 0))
-            dk[b] = pk[-1] + 1
-        bideg.append(bk)
-        pos.append(pk)
-        dims.append(dk)
-    # block_rank[k][b]: rank of d_k on the block of bidegree b.  A compatible
-    # d_k maps each block into the block of the same bidegree, so that is the
-    # rank of the rows whose destination monomial has bidegree b.
-    block_rank: list[dict] = [{} for _ in range(n + 1)]
-    rank, diffs = _sparse_differentials(n, adapted)
-    for k, rows in diffs.items():
-        src, dst = bideg[k], bideg[k + 1]
-        bad = min(
-            ((c, r) for r, row in rows.items() for c in row if src[c] != dst[r]),
-            default=None,
-        )
-        if bad is not None:
-            c, r = bad
-            raise GradingNotCompatible(
-                f"d maps bidegree {src[c]} monomial {exterior_basis(n, k)[c]} to "
-                f"{dst[r]} monomial {exterior_basis(n, k + 1)[r]} in degree {k}"
-            )
-        local = pos[k]
-        blocks: dict[tuple[int, int], list] = {}
-        for r, row in rows.items():
-            blocks.setdefault(dst[r], []).append(
-                {local[c]: x for c, x in row.items()}
-            )
-        block_rank[k] = {
-            b: rank(group, dims[k][b]) for b, group in blocks.items()
-        }
-    betti = []
-    by_bidegree: dict[tuple[int, int, int], int] = {}
-    for k in range(n + 1):
-        total = 0
-        for (p, q), dim_block in sorted(dims[k].items()):
-            h = dim_block - block_rank[k].get((p, q), 0)
-            if k > 0:
-                h -= block_rank[k - 1].get((p, q), 0)
-            if h:
-                by_bidegree[(k, p, q)] = h
-            total += h
-        betti.append(total)
-    table = tuple(
-        (j, p, q, d) for (j, p, q), d in sorted(by_bidegree.items())
-    )
-    return CohomologyTable(betti=tuple(betti), by_bidegree=table)
+    try:
+        table, _, _ = _moved_table(L, rows, den, field)
+    except SingularTransformation:
+        raise GradingNotCompatible(
+            f"grading has {n} generators of rank {kernel.rank_qi(rows, n)} in dimension {n}"
+        ) from None
+    return table, [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
 
 
 def top_class_bidegree(L: LieAlgebra, grading) -> tuple[int, int]:

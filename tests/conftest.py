@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from nilqp import ExactMatrix, LieAlgebra, apply_basis_change, direct_sum
+from nilqp import Bigrading, ExactMatrix, LieAlgebra, apply_basis_change, direct_sum
 from nilqp.catalog import get
 from nilqp.errors import JacobiViolation
 from nilqp.scalars import Gaussian, Q0, Q1, Rational
@@ -86,6 +86,14 @@ def random_gaussian_t(n: int, rng: random.Random) -> ExactMatrix:
         c = _GAUSSIAN_COEFFS[rng.randrange(len(_GAUSSIAN_COEFFS))]
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
     return ExactMatrix(m, cols=n)
+
+
+def carried_grading(grading: Bigrading, t: ExactMatrix) -> Bigrading:
+    """The grading in the basis moved by T: old coordinates map by (T^t)^-1."""
+    u = t.transpose().inverse()
+    return Bigrading.build(
+        [(c.p, c.q, [u.matvec(v) for v in c.generators]) for c in grading.components]
+    )
 
 
 _SCALAR_ARITHMETIC = (

@@ -215,6 +215,30 @@ def test_short_grading_generator_exit_code_1(capsys, tmp_path, command):
     assert error["message"] == "vector of length 2 in ambient dimension 3"
 
 
+def test_dependent_grading_generators_exit_code_1(capsys, tmp_path):
+    # The (0, -1) generator twice the (-1, 0) one: cohomology refuses the
+    # grading as bigrading-verify reports it, by the generators' rank.
+    from nilqp.jsonio import bigrading_to_json
+
+    apath = tmp_path / "n3.json"
+    dump_json(apath, lie_algebra_to_json(get("n3").algebra))
+    doc = bigrading_to_json(get("n3").known_bigradings[0])
+    assert doc["components"][0]["generators"] == [["1", "1*i", "0"]]
+    assert (doc["components"][1]["p"], doc["components"][1]["q"]) == (0, -1)
+    doc["components"][1]["generators"] = [["2", "2*i", "0"]]
+    gpath = tmp_path / "dep.json"
+    dump_json(gpath, doc)
+    code, out, _ = invoke(
+        capsys, "--format", "json", "cohomology", str(apath), "--bigrading", str(gpath)
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    assert error["message"] == "grading has 3 generators of rank 2 in dimension 3"
+    code, out, _ = invoke(capsys, "--format", "json", "bigrading-verify", str(apath), str(gpath))
+    assert json.loads(out)["failures"][0]["detail"] == "3 generators of rank 2 in dimension 3"
+
+
 def test_check_verdict_exit_zero_even_when_obstructed(capsys, tmp_path):
     path = tmp_path / "fil4.json"
     dump_json(path, lie_algebra_to_json(get("filiform_4").algebra))

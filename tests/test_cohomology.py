@@ -20,7 +20,7 @@ from nilqp import (
     exterior_basis,
     top_class_bidegree,
 )
-from nilqp import kernel
+from nilqp import cohomology, kernel
 from nilqp.catalog import catalog_keys, get
 from nilqp.cohomology import _commutator_adapted_table
 from nilqp.liealg import lower_central_series, structure_table
@@ -28,6 +28,7 @@ from nilqp.errors import DegreeOutOfRange, GradingNotCompatible, NotNilpotent
 from nilqp.scalars import Q0, Q1, Gaussian, Rational
 
 from conftest import (
+    carried_grading,
     count_scalar_arithmetic,
     random_gaussian_t,
     random_invertible_t,
@@ -191,7 +192,9 @@ def test_bigraded_eg3_table():
     }
 
 
-def test_bigraded_blocks_sum_to_betti_catalog_wide():
+def test_bigraded_blocks_sum_to_betti_catalog_wide(rng):
+    # Also on copies moved by a rational and a Gaussian T, under the grading
+    # carried along: the same table, whose blocks sum to the Betti numbers.
     for key in catalog_keys():
         entry = get(key)
         if not entry.known_bigradings:
@@ -199,11 +202,16 @@ def test_bigraded_blocks_sum_to_betti_catalog_wide():
         alg = entry.algebra
         carrier = alg if alg.field == "Qi" else complexify(alg)
         plain = betti_numbers(carrier).betti
-        table = bigraded_cohomology(carrier, entry.known_bigradings[0])
+        grading = entry.known_bigradings[0]
+        table = bigraded_cohomology(carrier, grading)
         assert table.betti == plain, key
         dims = table.bidegree_dims()
         for (j, p, q), d in dims.items():
             assert dims.get((j, q, p)) == d, (key, j, p, q)
+        for t in (random_invertible_t(alg.dim, rng), random_gaussian_t(alg.dim, rng)):
+            moved = apply_basis_change(carrier, t)
+            assert betti_numbers(moved).betti == plain, key
+            assert bigraded_cohomology(moved, carried_grading(grading, t)) == table, key
 
 
 def test_bigraded_abelian_diagonal():
@@ -221,6 +229,23 @@ def test_bigraded_37d_h1_support():
     table = bigraded_cohomology(entry.algebra, entry.known_bigradings[0])
     h1 = {(p, q): d for (j, p, q), d in table.bidegree_dims().items() if j == 1}
     assert h1 == {(1, 0): 2, (0, 1): 2}
+
+
+def test_bigraded_rejects_dependent_generators():
+    # Three generators of rank 2: the (0, -1) one is twice the (-1, 0) one.
+    n3c = complexify(get("n3").algebra)
+    g = get("n3").known_bigradings[0]
+    x = g.component(-1, 0).generators[0]
+    dep = Bigrading.build(
+        [
+            (-1, 0, [x]),
+            (0, -1, [tuple(2 * c for c in x)]),
+            (-1, -1, g.component(-1, -1).generators),
+        ]
+    )
+    with pytest.raises(GradingNotCompatible) as err:
+        bigraded_cohomology(n3c, dep)
+    assert str(err.value) == "grading has 3 generators of rank 2 in dimension 3"
 
 
 def test_bigraded_rejects_incompatible_grading():
@@ -315,12 +340,7 @@ def test_qi_moved_by_gaussian_denominators(key, rng):
     gaussian, rational = random_gaussian_t(alg.dim, rng), random_invertible_t(alg.dim, rng)
     for t in (gaussian, rational):
         moved = apply_basis_change(alg, t)
-        # Old coordinates map to the moved basis by (T^t)^-1.
-        u = t.transpose().inverse()
-        carried = Bigrading.build(
-            [(c.p, c.q, [u.matvec(v) for v in c.generators]) for c in grading.components]
-        )
-        assert bigraded_cohomology(moved, carried) == want
+        assert bigraded_cohomology(moved, carried_grading(grading, t)) == want
     if key not in REAL_FORMS:
         return
     moved = apply_basis_change(alg, gaussian)
@@ -423,6 +443,41 @@ def test_rank_calls_follow_unimodularity(monkeypatch, rng):
             calls.clear()
             assert list(betti_numbers(copy).betti) == want, copy.name
             assert calls == [comb(dim, k) for k in range(1, dim)], copy.name
+
+
+def test_bigraded_rank_calls_cover_the_upper_half(monkeypatch, rng):
+    # Every graded catalog entry of dimension n >= 4, and a moved copy under
+    # the grading carried along, assembles d_k for (n-1)/2 <= k <= n-2 only
+    # and ranks only its blocks; an abelian one assembles and ranks nothing.
+    degrees = []
+    assemble = cohomology._assemble
+
+    def logged(n, k, *args):
+        degrees.append(k)
+        return assemble(n, k, *args)
+
+    monkeypatch.setattr(cohomology, "_assemble", logged)
+    calls = count_rank_calls(monkeypatch)
+    checked = 0
+    for key in GRADED:
+        entry = get(key)
+        alg, grading = entry.algebra, entry.known_bigradings[0]
+        n = alg.dim
+        if n < 4:
+            continue
+        carrier = alg if alg.field == "Qi" else complexify(alg)
+        t = random_invertible_t(n, rng)
+        half = [] if not alg.brackets else list(range(n // 2, n - 1))
+        moved = apply_basis_change(carrier, t)
+        for target, g in ((carrier, grading), (moved, carried_grading(grading, t))):
+            degrees.clear()
+            calls.clear()
+            bigraded_cohomology(target, g)
+            assert degrees == half, key
+            assert set(calls) <= {comb(n, k) for k in half}, key
+            assert len(calls) >= len(half), key
+        checked += bool(half)
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("n", range(3, 7))
