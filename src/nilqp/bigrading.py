@@ -207,28 +207,23 @@ class GradingReport:
         )
 
 
-def _complex_carrier(L: LieAlgebra) -> LieAlgebra:
-    """The algebra a grading lives on: L itself, which over Q(i) must have a real structure.
-
-    Over Q the grading's vectors are read in L's complexification without
-    building it: L's table as over Q(i) (`liealg._qi_columns`), and the
-    identity as conjugation (`liealg.real_structure_rows`).
-    """
-    if L.field == "Qi" and L.real_structure is None:
-        raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
-    return L
-
-
 def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> GradingReport:
-    """Check all bigrading axioms; failures are reported, not raised."""
+    """Check all bigrading axioms; failures are reported, not raised.
+
+    The grading lives on L itself.  Over Q its vectors are read in L's
+    complexification without building it: L's table as over Q(i)
+    (`liealg._qi_columns`), and the identity as conjugation
+    (`liealg.real_structure_rows`).  Over Q(i), L needs a real structure.
+    """
     if mode not in ("strict", "lax"):
         raise ValueError(f"mode must be 'strict' or 'lax', not {mode!r}")
-    Lc = _complex_carrier(L)
-    return _verify_on_carrier(Lc, g, g.kernel_rows(Lc.dim)[0], mode)
+    if L.field == "Qi" and L.real_structure is None:
+        raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
+    return _verify_rows(L, g, g.kernel_rows(L.dim)[0], mode)
 
 
-def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingReport:
-    """`verify_bigrading` on the grading's carrier ``Lc``, L itself (`_complex_carrier`).
+def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingReport:
+    """`verify_bigrading` of ``g`` on L, from the generators' Z[i] rows.
 
     ``rows`` holds each component's generators as Z[i] rows keyed by
     bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
@@ -237,7 +232,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> G
     on `structure_table`, read as over Q(i) (`liealg._qi_columns`), and
     conjugation on the real structure's rows (`liealg.real_structure_rows`).
     """
-    n = Lc.dim
+    n = L.dim
     failures: list = []
     echelons = {}
     for key, comp_rows in rows.items():
@@ -264,7 +259,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> G
 
     bracket_ok = True
     if spans:
-        columns = _qi_columns(structure_table(Lc))
+        columns = _qi_columns(structure_table(L))
         zero = (0, 0)
         dense = {
             key: [[row.get(j, zero) for j in range(n)] for row in comp_rows]
@@ -308,7 +303,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> G
 
     conjugation = "exact"
     if spans:
-        s_rows, _ = real_structure_rows(Lc)
+        s_rows, _ = real_structure_rows(L)
         exact_all = True
         lax_all = True
         for c in g.components:
@@ -353,7 +348,7 @@ def _verify_on_carrier(Lc: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> G
     if support_ok and not g.is_restricted_shape():
         # The generators span and the brackets keep bidegrees, so the table
         # in their basis is compatible; the scale of the rows does not matter.
-        table = _graded_cohomology(n, *_grading_table(Lc, rows, 1))
+        table = _graded_cohomology(n, *_grading_table(L, rows, 1))
         for (j, p, q, d) in table.by_bidegree:
             if not j <= p + q <= 2 * j:
                 support_ok = False
@@ -531,17 +526,17 @@ class SearchOutcome:
         return self.status == "found"
 
 
-def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
+def _real_form_basis(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
     """Basis of the conjugation-fixed rational form of a Q(i) algebra.
 
     Solves S * conj(x) = x as a rational linear system on (Re x, Im x), and
     returns the basis as Z[i] rows over one denominator.
     """
-    n = Lc.dim
+    n = L.dim
     # Over the common denominator D of S, D S = A + iB with integer A, B, and
     # the real and imaginary parts of (A + iB)(a - ib) = D (a + ib) give the
     # rows of the 2n x 2n realified system on (a, b).
-    s_rows, den = real_structure_rows(Lc)
+    s_rows, den = real_structure_rows(L)
     rows = []
     for out, row in enumerate(s_rows):
         a, b = zip(*(row.get(j, (0, 0)) for j in range(n)))
@@ -552,7 +547,7 @@ def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
     fixed = kernel.null_space(rows, 2 * n, "Q")
     if len(fixed) != n:
         raise MissingRealStructure(
-            f"{Lc.name}: fixed space of conjugation has dimension "
+            f"{L.name}: fixed space of conjugation has dimension "
             f"{len(fixed)}, expected {n}"
         )
     return kernel.zi_common([
@@ -562,15 +557,17 @@ def _real_form_basis(Lc: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
 
 
 def _realified(L: LieAlgebra):
-    """(rational form, basis T_real of the rational form) of the carrier L.
+    """(rational form, basis T_real of the rational form) of L.
 
     Over Q the rational form is L itself and T_real is None.  Over Q(i),
-    T_real is Z[i] rows over one denominator, and the rational form holds
-    the real parts of L's table in the basis T_real (`liealg._moved_table`);
-    a nonzero imaginary part is refused.
+    L needs a real structure, T_real is Z[i] rows over one denominator, and
+    the rational form holds the real parts of L's table in the basis T_real
+    (`liealg._moved_table`); a nonzero imaginary part is refused.
     """
-    if _complex_carrier(L).field == "Q":
+    if L.field == "Q":
         return L, None
+    if L.real_structure is None:
+        raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
     t_real = _real_form_basis(L)
     table, _, _ = _moved_table(L, *t_real, "Qi")
     R = _real_form(f"{L.name}.real", table, tuple(f"e{i + 1}" for i in range(L.dim)))
@@ -597,14 +594,19 @@ class _TwoStepFrame:
     u)`` (`commutant_rows`), times ``den``.
 
     ``R`` is over Q with `Rational` constants, as `_realified` returns it.
+    The frame also holds what the search's stages read: h = v / 2, the
+    bounds, and the pencil (`_pencil_structure`), computed when a stage
+    first reads it.
     """
 
-    def __init__(self, R: LieAlgebra):
+    def __init__(self, R: LieAlgebra, bounds: SearchBounds):
         self.n = R.dim
         self.z = center(R)
         pivots = {min(row) for row, _ in self.z.rows}
         self.free = [j for j in range(self.n) if j not in pivots]
         self.v = len(self.free)
+        self.h = self.v // 2
+        self.bounds = bounds
         self.c1 = commutator_ideal(R)
         slot = {f: a for a, f in enumerate(self.free)}
         coord = {min(row): t for t, (row, _) in enumerate(self.c1.rows)}
@@ -619,6 +621,18 @@ class _TwoStepFrame:
                         self.forms[coord[k]][a][b] = x
                         self.forms[coord[k]][b][a] = -x
         self.form_rows = [[kernel.zi_int_row(row) for row in form] for form in self.forms]
+
+    @cached_property
+    def pencil(self):
+        return _pencil_structure(self)
+
+    def regular(self) -> bool:
+        """Whether C^1 has two forms and a member of their pencil is invertible."""
+        return self.c1.dim == 2 and self.pencil[1] is not None
+
+    def dfs_seeds(self):
+        """The generic DFS's seed groups and W: the pencil's, or `_generic_seeds`'."""
+        return self.pencil if self.c1.dim == 2 else (_generic_seeds(self), None)
 
     def commutant_rows(self, rows) -> list[kernel.ZiRow]:
         """The nonzero rows F_t u for the Z[i] rows u in ``rows``.
@@ -1167,7 +1181,7 @@ def _jspace_candidates(table: _ProductTable):
             yield from _rays_with_square_condition(table, a, b)
 
 
-def _jspace_u(frame: _TwoStepFrame, h: int):
+def _jspace_u(frame: _TwoStepFrame):
     """U from a bracket-compatible complex structure (any commutator size).
 
     A candidate X = N / D with X^2 = (mu / D^2) I and -mu = r^2 a square
@@ -1175,7 +1189,7 @@ def _jspace_u(frame: _TwoStepFrame, h: int):
     r (x - iJx) = r x - i N x for unit vectors x, returned as the exact
     vectors ``(row, r)``.  ``frame.v`` = 2h > 0, as the search calls it.
     """
-    v = frame.v
+    v, h = frame.v, frame.h
     basis, den = _compatible_complex_structures(frame)
     if not basis:
         return None
@@ -1290,7 +1304,7 @@ def _completions(pool):
         yield x
 
 
-def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
+def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     """Direct construction of U for a regular two-form pencil.
 
     The operator W = M_g^{-1} M_o satisfies beta_g(u, Wv) = -beta_g(v, Wu),
@@ -1303,7 +1317,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
     returned as exact vectors ``(row, den)``: the k-th Krylov row of u / den
     is W^k u times d^k, so its denominator is den * d^k.
     """
-    v = frame.v
+    v, h = frame.v, frame.h
     w_rows, d = w
 
     def exact(rows, den):
@@ -1367,7 +1381,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w, h: int):
     return None
 
 
-def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, groups, w):
+def _dfs_u(frame: _TwoStepFrame, groups, w):
     """Depth-first search for h commuting generators transverse to conjugates.
 
     The commutation constraints against already-chosen generators are linear,
@@ -1389,7 +1403,7 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, groups, w):
     chosen and their conjugates, computed once per node; only a candidate
     that passes is formed.  U is returned as the exact vectors chosen.
     """
-    v = frame.v
+    v, h, bounds = frame.v, frame.h, frame.bounds
     seeds = [vec for grp in groups for vec in grp]
     spans = [[row for row, _ in grp] for grp in groups]
     if w is not None:
@@ -1520,43 +1534,18 @@ def _dfs_u(frame: _TwoStepFrame, h: int, bounds: SearchBounds, groups, w):
     return rec([], RowReducer(v))
 
 
-class _SearchState:
-    """What the stages of one search read, each fact computed once.
-
-    The frame, h = v / 2, dim C^1 and the bounds; the pencil
-    (`_pencil_structure`) is computed when a stage first reads it.
-    """
-
-    def __init__(self, frame: _TwoStepFrame, bounds: SearchBounds):
-        self.frame, self.h, self.c1, self.bounds = frame, frame.v // 2, frame.c1.dim, bounds
-
-    @cached_property
-    def pencil(self):
-        return _pencil_structure(self.frame)
-
-    def regular(self) -> bool:
-        """Whether C^1 has two forms and a member of their pencil is invertible."""
-        return self.c1 == 2 and self.pencil[1] is not None
-
-    def dfs_seeds(self):
-        """The generic DFS's seed groups and W: the pencil's, or `_generic_seeds`'."""
-        return self.pencil if self.c1 == 2 else (_generic_seeds(self.frame), None)
-
-
 # The search's constructions as (name, applies, run) in the order they are
-# tried (see the module docstring); ``run`` returns U as exact vectors, or
-# None.  A singular pencil's seeded depth-first search over the members'
-# kernels is cheap and robust, and after it `dfs` does not run.
+# tried (see the module docstring), each reading the frame; ``run`` returns U
+# as exact vectors, or None.  A singular pencil's seeded depth-first search
+# over the members' kernels is cheap and robust, and after it `dfs` does not run.
 _STAGES = (
-    ("trivial", lambda s: s.frame.v == 0, lambda s: []),
-    ("darboux", lambda s: s.c1 == 1, lambda s: _darboux_u(s.frame)),
-    ("regular_pencil", _SearchState.regular,
-     lambda s: _regular_pencil_u(s.frame, *s.pencil, s.h)),
-    ("singular_pencil_dfs", lambda s: s.c1 == 2 and not s.regular(),
-     lambda s: _dfs_u(s.frame, s.h, s.bounds, *s.pencil)),
-    ("jspace", lambda s: s.c1 >= 2, lambda s: _jspace_u(s.frame, s.h)),
-    ("dfs", lambda s: s.c1 >= 3 or s.regular(),
-     lambda s: _dfs_u(s.frame, s.h, s.bounds, *s.dfs_seeds())),
+    ("trivial", lambda f: f.v == 0, lambda f: []),
+    ("darboux", lambda f: f.c1.dim == 1, _darboux_u),
+    ("regular_pencil", _TwoStepFrame.regular, lambda f: _regular_pencil_u(f, *f.pencil)),
+    ("singular_pencil_dfs", lambda f: f.c1.dim == 2 and not f.regular(),
+     lambda f: _dfs_u(f, *f.pencil)),
+    ("jspace", lambda f: f.c1.dim >= 2, _jspace_u),
+    ("dfs", lambda f: f.c1.dim >= 3 or f.regular(), lambda f: _dfs_u(f, *f.dfs_seeds())),
 )
 
 
@@ -1574,7 +1563,7 @@ def search_bigrading(
             witness={"nilpotency_class": series.nilpotency_class},
             bounds=bounds,
         )
-    frame = _TwoStepFrame(R)
+    frame = _TwoStepFrame(R, bounds)
     # For class <= 2 the commutator sits inside the center, so the canonical
     # core has b1 = dim - dim Z and the abelian factor has dim Z - dim C1.
     b1_core = frame.v
@@ -1591,9 +1580,8 @@ def search_bigrading(
             witness=necessary,
             bounds=bounds,
         )
-    state = _SearchState(frame, bounds)
     u_gens = next(
-        (u for _, applies, run in _STAGES if applies(state) and (u := run(state)) is not None),
+        (u for _, applies, run in _STAGES if applies(frame) and (u := run(frame)) is not None),
         None,
     )
     if u_gens is None:
@@ -1622,7 +1610,7 @@ def search_bigrading(
         comps.append((-1, -1, z.vectors()))
         rows[-1, -1] = z.kernel_rows("Qi")
     grading = Bigrading.build(comps)
-    report = _verify_on_carrier(L, grading, rows, "strict")
+    report = _verify_rows(L, grading, rows, "strict")
     if not report.valid:
         # The mode only changes how `GradingReport.valid` reads conjugation.
         report = replace(report, mode="lax")

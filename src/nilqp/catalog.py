@@ -82,6 +82,7 @@ def _filiform(n: int) -> LieAlgebra:
 
 
 def _diagonal_grading(n: int) -> Bigrading:
+    """The grading of an abelian algebra of dimension n with every unit vector at (-1, -1)."""
     return Bigrading.build([(-1, -1, [_unit(n, j) for j in range(n)])])
 
 

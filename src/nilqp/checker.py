@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bigrading import Bigrading, SearchBounds, search_bigrading
+from .catalog import _diagonal_grading, catalog_keys, get
 from .errors import InputError, NotLatticeAdmissible
 from .liealg import LieAlgebra, lower_central_series
 
@@ -90,7 +91,7 @@ def check(
             reasons.append(
                 Reason("compact_abelian_criterion", {"abelian": True, "m": 0})
             )
-            grading = _diagonal_grading(L)
+            grading = _diagonal_grading(L.dim) if L.dim else None
             return Verdict(EXHIBITED, b1, reasons, grading)
         reasons.append(
             Reason(
@@ -147,20 +148,6 @@ def check(
     return Verdict(PASSES_NECESSARY, b1, reasons)
 
 
-def _diagonal_grading(L: LieAlgebra) -> Bigrading | None:
-    """The everything-at-(-1,-1) grading of an abelian algebra."""
-    if L.dim == 0:
-        return None
-    from .scalars import Q0, Q1
-
-    gens = []
-    for i in range(L.dim):
-        v = [Q0] * L.dim
-        v[i] = Q1
-        gens.append(tuple(v))
-    return Bigrading.build([(-1, -1, gens)])
-
-
 @dataclass(frozen=True)
 class ClassificationRow:
     b1: int
@@ -181,8 +168,6 @@ CLASSIFICATION_DIMS = range(1, 9)
 
 def reproduce_classification(dim: int, bounds: SearchBounds | None = None) -> ClassificationTable:
     """Run `check` over all rational catalog entries of one dimension."""
-    from .catalog import catalog_keys, get
-
     if dim not in CLASSIFICATION_DIMS:
         raise ValueError(
             f"dimension must be between {CLASSIFICATION_DIMS[0]} "

@@ -72,7 +72,6 @@ from .liealg import (
     commutator_ideal,
     structure_table,
 )
-from .scalars import Gaussian, Q0, Rational
 
 __all__ = [
     "exterior_basis",
@@ -114,20 +113,10 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
     rows = len(exterior_basis(n, k + 1)) if k < n else 0
     if not rows:
         return ExactMatrix.empty(cols, L.field)
-    zero = Gaussian(0) if L.field == "Qi" else Q0
-    grid = [[zero] * cols for _ in range(rows)]
-    if k:
-        table = structure_table(L)
-        field, den = table.field, table.den
-        for r, row in _assemble(n, k, field, _dual_terms(table)).items():
-            line = grid[r]
-            for c, x in row.items():
-                line[c] = (
-                    Rational(x, den)
-                    if field == "Q"
-                    else Gaussian(Rational(x[0], den), Rational(x[1], den))
-                )
-    return ExactMatrix(grid, cols=cols)
+    table = structure_table(L)
+    d = _assemble(n, k, L.field, _dual_terms(table))
+    decode = kernel.q_decode if L.field == "Q" else kernel.zi_decode
+    return ExactMatrix([decode(d.get(r, {}), table.den, cols) for r in range(rows)], cols=cols)
 
 
 def _mask(mon: tuple[int, ...]) -> int:
@@ -307,10 +296,15 @@ def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyT
     ranks: list[dict] = [{} for _ in range(n + 1)]  # ranks[k][b]: block b of d_k
     for k, rows in diffs.items():
         blocks: dict[tuple[int, int], list] = {}
-        for r, row in rows.items():
-            mon = exterior_basis(n, k + 1)[r]
-            b = (sum(map(ps.__getitem__, mon)), sum(map(qs.__getitem__, mon)))
-            blocks.setdefault(b, []).append(row)
+        if len(dims[k + 1]) == 1:
+            # One block, as in betti_numbers: no row's bidegree needs summing.
+            if rows:
+                blocks[next(iter(dims[k + 1]))] = list(rows.values())
+        else:
+            for r, row in rows.items():
+                mon = exterior_basis(n, k + 1)[r]
+                b = (sum(map(ps.__getitem__, mon)), sum(map(qs.__getitem__, mon)))
+                blocks.setdefault(b, []).append(row)
         for (p, q), group in blocks.items():
             ranks[k][p, q] = rank(group, len(exterior_basis(n, k)))
             if unimodular:
@@ -369,8 +363,11 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
         for row, _ in kernel.null_space(list(diffs.get(k, {}).values()), ncols, field):
             if kernel.zi_insert(echelon, as_zi(row)):
                 lead, kept = echelon[-1]
-                vec = kernel.zi_decode(*kernel.zi_exact(kept, lead), ncols)
-                chosen.append(vec if field == "Qi" else tuple(x.re for x in vec))
+                rep, den = kernel.zi_exact(kept, lead)
+                if field == "Q":
+                    chosen.append(kernel.q_decode({j: x for j, (x, _) in rep.items()}, den, ncols))
+                else:
+                    chosen.append(kernel.zi_decode(rep, den, ncols))
         reps[k] = tuple(chosen)
     return reps
 

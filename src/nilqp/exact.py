@@ -187,8 +187,8 @@ class ExactMatrix:
         if self.rows == 0 or self.cols == 0:
             return self, []
         space = Subspace._span(kernel.int_rows(self.entries, self.field), self.cols, self.field)
-        zero = Gaussian(0) if self.field == "Qi" else Q0
-        red = space.vectors() + ((zero,) * self.cols,) * (self.rows - space.dim)
+        zero = (kernel.q_decode if self.field == "Q" else kernel.zi_decode)({}, 1, self.cols)
+        red = space.vectors() + (zero,) * (self.rows - space.dim)
         return ExactMatrix(red, cols=self.cols), [min(row) for row, _ in space.rows]
 
     def rank(self) -> int:

@@ -11,7 +11,8 @@ holds zero entries, so the zero row is the empty, false dict.
   (`liealg.structure_table`) and the vectors it brackets with them.
   `int_rows` clears a matrix of its denominators into sparse rows, and
   `zi_rows`/`zi_row` do so for vectors, for a change of basis and a real
-  structure; `q_decode`/`zi_decode` divide a denominator out of results.
+  structure; `q_decode`/`zi_decode` divide a denominator out of results,
+  and are the only code that makes scalars out of integers.
 * Rank (`rank_q`/`rank_qi`), reduced row echelon form (`rref_q`/`rref_qi`)
   and the incremental echelon (`zi_reduce`/`zi_insert`) of
   ``exact.RowReducer`` and of the cohomology representatives share

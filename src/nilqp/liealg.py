@@ -18,7 +18,8 @@ denominators of their input, form every product on integers and divide
 once per result entry.  `_moved_table` gives the table in a new basis, in
 lowest terms; `apply_basis_change` decodes it, while the bigraded
 cohomology of ``cohomology`` and the rational form of ``bigrading`` read
-it as it is.  Scalars are made only for the results, with the types that
+it as it is.  Scalars are made only for the results, by
+`kernel.q_decode`/`kernel.zi_decode`, with the types that
 `LieAlgebra.bracket`, `LieAlgebra.conj_vector` and `apply_basis_change`
 document.
 """
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .exact import ExactMatrix, Subspace, Vector, _scalar_row
 from .exact import _conjugate, _conjugate_row, _involutive
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar
+from .scalars import Gaussian, Q0, Q1, Scalar, as_scalar
 
 __all__ = [
     "LieAlgebra",
@@ -179,12 +180,10 @@ class LieAlgebra:
             return tuple(out)
         if field == "Q":
             (us, du), (vs, dv) = kernel.q_ints(uu), kernel.q_ints(vv)
-            d = du * dv * den
-            return tuple([
-                Rational(x, d) if x else Q0 for x in _bracket_q(columns, us, vs, self.dim)
-            ])
+            w = _bracket_q(columns, us, vs, self.dim)
+            return kernel.q_decode({k: x for k, x in enumerate(w) if x}, du * dv * den, self.dim)
         (us, du), (vs, dv) = kernel.zi_pairs(uu), kernel.zi_pairs(vv)
-        return _gaussians(zip(*_bracket_qi(columns, us, vs, self.dim)), du * dv * den)
+        return kernel.zi_decode(_zi_bracket(columns, us, vs, self.dim), du * dv * den, self.dim)
 
     def conj_vector(self, v) -> Vector:
         """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`.
@@ -394,19 +393,6 @@ def _bracket_qi(columns, u: list, v: list, n: int) -> tuple[list[int], list[int]
     return re, im
 
 
-def _gaussians(pairs, den: int) -> Vector:
-    """Z[i] pairs (re, im) as the `Gaussian` scalars (re + im*i) / den."""
-    return tuple([
-        Gaussian(Rational(x, den) if x else Q0, Rational(y, den) if y else Q0)
-        if x or y
-        else _GAUSSIAN_ZERO
-        for x, y in pairs
-    ])
-
-
-_GAUSSIAN_ZERO = Gaussian(0)
-
-
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
 
@@ -558,33 +544,25 @@ def apply_basis_change(
         )
     e, t_den = kernel.zi_rows(T.entries)
     table, inv, inv_den = _moved_table(L, e, t_den, T.field)
-    new_field = table.field
-    new_brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i, j, ks, res, ims in zip(*_qi_columns(table)):
-        new_brackets[i, j] = {
-            k: Gaussian(Rational(a, table.den), Rational(b, table.den))
-            if new_field == "Qi"
-            else Rational(a, table.den)
-            for k, a, b in zip(ks, res, ims)
-        }
     new_real = None
     s = L.real_structure
-    if s is not None or new_field != L.field:
+    if s is not None or table.field != L.field:
         # (T^t)^-1 S conj(T)^t, S the identity when L has none: its column
         # j is the new coordinates of S conj(e_j), over s_den * inv_den.
         s_rows, s_den = real_structure_rows(L)
         cols = [_coords(inv, _conjugate_row(s_rows, row)) for row in e]
-        d = s_den * inv_den
-        grid = [[col.get(r, (0, 0)) for col in cols] for r in range(n)]
-        if T.field == "Qi" or (s is not None and s.field == "Qi"):
-            new_real = ExactMatrix([_gaussians(row, d) for row in grid], cols=n)
+        rows = [{c: col[r] for c, col in enumerate(cols) if r in col} for r in range(n)]
+        if T.field == "Q" and (s is None or s.field == "Q"):
+            rows = [{c: x for c, (x, _) in row.items()} for row in rows]
+            decode = kernel.q_decode
         else:
-            new_real = ExactMatrix([[Rational(a, d) for a, _ in row] for row in grid], cols=n)
+            decode = kernel.zi_decode
+        new_real = ExactMatrix([decode(row, s_den * inv_den, n) for row in rows], cols=n)
     return LieAlgebra.from_brackets(
         name=name or f"{L.name}~",
         dim=n,
-        brackets=new_brackets,
-        field=new_field,
+        brackets=_decoded(table, table.field),
+        field=table.field,
         basis_names=tuple(f"e{i + 1}" for i in range(n)),
         real_structure=new_real,
         check=False,  # Jacobi and involution properties are conjugation-invariant
@@ -624,16 +602,25 @@ def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:
     return kernel.zi_combine(*((c, inv[l]) for l, c in w.items()))
 
 
+def _decoded(table: StructureTable, field: str) -> BracketMap:
+    """The constants of ``table`` as scalars, each decoded once by the kernel.
+
+    Over "Qi" they are `Gaussian`; over "Q" they are the real parts, as `Rational`.
+    """
+    decode = kernel.q_decode if field == "Q" else kernel.zi_decode
+    brackets = {}
+    for i, j, ks, res, ims in zip(*_qi_columns(table)):
+        entries = dict(enumerate(res if field == "Q" else zip(res, ims)))
+        brackets[i, j] = dict(zip(ks, decode(entries, table.den, len(ks))))
+    return brackets
+
+
 def _real_form(name: str, table: StructureTable, basis_names) -> LieAlgebra | None:
     """The algebra over Q with the constants of a table over Q(i), None if one is not real."""
     if any(map(any, table.columns[4])):
         return None
-    brackets = {
-        (i, j): {k: Rational(x, table.den) for k, x in zip(ks, xs)}
-        for i, j, ks, xs in zip(*table.columns[:4])
-    }
     return LieAlgebra.from_brackets(
-        name, len(basis_names), brackets, basis_names=basis_names, check=False
+        name, len(basis_names), _decoded(table, "Q"), basis_names=basis_names, check=False
     )
 
 

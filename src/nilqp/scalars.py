@@ -269,9 +269,6 @@ def conj(x: Scalar) -> Scalar:
 
 # -- text form ------------------------------------------------------------
 
-_RAT = re.compile(r"[+-]?\d+(?:/\d+)?")
-
-
 def _format_rational(x: Rational) -> str:
     if x.den == 1:
         return str(x.num)

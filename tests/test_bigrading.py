@@ -483,10 +483,10 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
     rng = random.Random(3)
     alg = get("N3_82").algebra
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-    frame = _TwoStepFrame(moved)
+    frame = _TwoStepFrame(moved, SearchBounds())
     v = frame.v
     seeds, w = _pencil_structure(frame)
-    u = _regular_pencil_u(frame, seeds, w, v // 2)
+    u = _regular_pencil_u(frame, seeds, w)
     u_rows = [row for row, _ in u]
 
     def combination():
@@ -510,14 +510,15 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
 def _moved_frame(keys, seed):
     """The direct sum of ``keys`` moved by a seeded basis change, and its `_TwoStepFrame`.
 
-    The frame is that of the rational form, as the search builds it.
+    The frame is that of the rational form, as the search builds it, with
+    a budget of 2,000 nodes.
     """
     alg = get(keys[0]).algebra
     for key in keys[1:]:
         alg = direct_sum(alg, get(key).algebra)
     rng = random.Random(seed)
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-    return moved, _TwoStepFrame(_realified(moved)[0])
+    return moved, _TwoStepFrame(_realified(moved)[0], SearchBounds(max_nodes=2000))
 
 
 def _frac_matmul(a, b):
@@ -669,24 +670,23 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
         )
     )
     calls = count_scalar_arithmetic(monkeypatch)
-    bounds = SearchBounds(max_nodes=2000)
     seeds, w = _pencil_structure(regular)
-    assert _regular_pencil_u(regular, seeds, w, regular.v // 2) is not None
+    assert _regular_pencil_u(regular, seeds, w) is not None
     structure = _pencil_structure(w_dfs)
     assert structure[1] is not None
-    _dfs_u(w_dfs, w_dfs.v // 2, bounds, *structure)
+    _dfs_u(w_dfs, *structure)
     structure = _pencil_structure(singular)
     assert structure[1] is None
-    assert _dfs_u(singular, singular.v // 2, bounds, *structure) is not None
+    assert _dfs_u(singular, *structure) is not None
     assert generic.c1.dim >= 3
-    _dfs_u(generic, generic.v // 2, bounds, _generic_seeds(generic), None)
+    _dfs_u(generic, _generic_seeds(generic), None)
     table = _ProductTable(*_compatible_complex_structures(generic))
     assert len(list(_jspace_candidates(table))) == 97
-    assert _jspace_u(generic, generic.v // 2) is None
+    assert _jspace_u(generic) is None
     table = _ProductTable(*_compatible_complex_structures(conic))
     assert not any(table.square(e) == 0 for e in table.units)
     assert _nilpotent_via_conic(table) is not None
-    assert _jspace_u(conic, conic.v // 2) is not None
+    assert _jspace_u(conic) is not None
     assert symplectic.c1.dim == 1
     assert _darboux_u(symplectic) is not None
     assert calls == []
@@ -706,9 +706,9 @@ def _traced_search(monkeypatch, alg, *, decline: bool):
     tried, pencils = [], []
 
     def traced(name, run):
-        def wrapped(state):
+        def wrapped(frame):
             tried.append(name)
-            u = run(state)
+            u = run(frame)
             return None if decline else u
 
         return wrapped
@@ -759,7 +759,7 @@ def test_darboux_pairs_every_vector_when_the_commutator_is_a_line():
         alg = get(key).algebra
         for seed in (1, 2, 3):
             moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
-            frame = _TwoStepFrame(_realified(moved)[0])
+            frame = _TwoStepFrame(_realified(moved)[0], SearchBounds())
             if frame.c1.dim != 1:
                 continue
             keys.add(key)

@@ -1,6 +1,7 @@
 import pytest
 
 from nilqp import (
+    ExactMatrix,
     abelian,
     apply_basis_change,
     complexify,
@@ -113,6 +114,10 @@ def test_check_m_zero_compact_cases():
     torus = check(NilmanifoldSpec(abelian(3), m=0))
     assert torus.status == EXHIBITED
     assert torus.reasons[0].test == "compact_abelian_criterion"
+    # Every unit vector at (-1, -1); a point has no grading.
+    assert torus.bigrading.components[0].generators == ExactMatrix.identity(3).entries
+    assert [(c.p, c.q) for c in torus.bigrading.components] == [(-1, -1)]
+    assert check(NilmanifoldSpec(abelian(0), m=0)).bigrading is None
     heis = check(NilmanifoldSpec(get("n3").algebra, m=0))
     assert heis.status == OBSTRUCTED
     assert heis.reasons[0].test == "compact_abelian_criterion"

@@ -315,6 +315,44 @@ def test_differential_of_complexification_stays_over_qi():
             assert d == ce_differential(alg, k), (key, k)
 
 
+def test_differential_over_qi_matches_oracle_by_parts():
+    # d is linear in the constants, so its real and imaginary parts are the
+    # oracle's differentials of the constants' real and imaginary parts.
+    # The catalog stores real constants over Q(i), with a real structure
+    # other than the identity; a Gaussian change of basis makes them complex.
+    stored = [get(key).algebra for key in ("37B", "37D", "N1_84")]
+    rng = random.Random(5)
+    moved = [
+        apply_basis_change(alg, random_gaussian_t(alg.dim, rng))
+        for alg in (complexify(get("N4_82").algebra), stored[0])
+    ]
+    imaginary = []
+    for alg in stored + moved:
+        consts = [
+            (ij, t, c if type(c) is Gaussian else Gaussian(c))
+            for ij, coeffs in alg.bracket_map().items()
+            for t, c in coeffs.items()
+        ]
+        imaginary.append(any(c.im for _, _, c in consts))
+        parts = []
+        for part in ("re", "im"):
+            brackets: dict = {}
+            for ij, t, c in consts:
+                x = getattr(c, part)
+                brackets.setdefault(ij, {})[t] = Fraction(x.num, x.den)
+            parts.append(brackets)
+        for k in range(alg.dim + 1):
+            d = ce_differential(alg, k)
+            re, im = (oracle_differential(b, alg.dim, k) for b in parts)
+            assert (d.rows, d.cols, d.field) == (len(re), comb(alg.dim, k), "Qi")
+            got = [
+                [(Fraction(x.re.num, x.re.den), Fraction(x.im.num, x.im.den)) for x in row]
+                for row in d.entries
+            ]
+            assert got == [list(zip(a, b)) for a, b in zip(re, im)], (alg.name, k)
+    assert imaginary == [False, False, False, True, True]
+
+
 def _fraction_brackets(alg):
     return {
         ij: {t: Fraction(c.num, c.den) for t, c in coeffs.items()}
