@@ -1188,6 +1188,9 @@ def _jspace_u(frame: _TwoStepFrame):
     gives J = X / sqrt(-mu) = N / r, and U is spanned by the Z[i] rows
     r (x - iJx) = r x - i N x for unit vectors x, returned as the exact
     vectors ``(row, r)``.  ``frame.v`` = 2h > 0, as the search calls it.
+    As J^2 = -I and J is compatible with every bracket form, U is J's +i
+    eigenspace: of dimension h, isotropic for every form and transverse to
+    its conjugate, so the first such candidate gives U.
     """
     v, h = frame.v, frame.h
     basis, den = _compatible_complex_structures(frame)
@@ -1202,7 +1205,6 @@ def _jspace_u(frame: _TwoStepFrame):
         if r is None:
             continue
         n = table.matrix(coeffs)
-        # U = {x - i J x}: automatically transverse to its conjugate.
         rows: list[kernel.ZiRow] = []
         echelon: list = []
         for x in range(v):
@@ -1215,8 +1217,7 @@ def _jspace_u(frame: _TwoStepFrame):
                 rows.append(row)
             if len(rows) == h:
                 break
-        if len(rows) == h and _bi_isotropic(frame, rows) and _transversal(rows):
-            return [(row, r) for row in rows]
+        return [(row, r) for row in rows]
     return None
 
 
@@ -1237,15 +1238,6 @@ def _krylov_span(w_rows, u: kernel.ZiRow, h: int) -> list[kernel.ZiRow]:
             break
         u = kernel.zi_matvec(w_rows, u)
     return rows
-
-
-def _bi_isotropic(frame: _TwoStepFrame, rows) -> bool:
-    """Whether every bracket form vanishes on every two of the Z[i] rows."""
-    return not any(
-        kernel.zi_matvec(rows[:k], fy)
-        for k in range(1, len(rows))
-        for fy in frame.commutant_rows([rows[k]])
-    )
 
 
 def _transversal(rows) -> bool:
@@ -1311,7 +1303,8 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     so W-cyclic subspaces commute for every member of the pencil.  A cyclic
     vector of minimal-polynomial degree h yields U directly; when the cyclic
     depth falls one short, the last generator is completed from the exact
-    commutant intersected with the eigenvector seeds.
+    commutant intersected with the eigenvector seeds.  Both are isotropic by
+    construction, so only transversality to the conjugate is tested.
 
     ``seeds`` and ``w`` are as `_pencil_structure` returns them.  U is
     returned as exact vectors ``(row, den)``: the k-th Krylov row of u / den
@@ -1351,11 +1344,10 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     for u, den in islice(_pencil_candidates(gen_groups, pool), 200):
         rows = _krylov_span(w_rows, u, h)
         if len(rows) == h:
-            if _transversal(rows) and _bi_isotropic(frame, rows):
+            if _transversal(rows):
                 return exact(rows, den)
         elif len(rows) == h - 1 and len(partials) < 16:
-            if _bi_isotropic(frame, rows):
-                partials.append((rows, den))
+            partials.append((rows, den))
     # span(grp) is the null space of its annihilator's rows.
     constraints = [
         [row for row, _ in kernel.null_space([row for row, _ in grp], v, "Qi")]
@@ -1376,7 +1368,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
         for w in islice(_completions(pool_rows), 200):
             if w:
                 full = rows + [w]
-                if _transversal(full) and _bi_isotropic(frame, full):
+                if _transversal(full):
                     return exact(rows, den) + [(w, pool_den)]
     return None
 

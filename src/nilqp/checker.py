@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .bigrading import Bigrading, SearchBounds, search_bigrading
 from .catalog import _diagonal_grading, catalog_keys, get
 from .errors import InputError, NotLatticeAdmissible
-from .liealg import LieAlgebra, lower_central_series
+from .liealg import LieAlgebra, commutator_ideal, lower_central_series
 
 __all__ = [
     "NilmanifoldSpec",
@@ -81,8 +81,7 @@ def check(
         spec = NilmanifoldSpec(algebra=spec, m=1 if m is None else m)
     L = spec.algebra
     series = lower_central_series(L)  # raises NotNilpotent
-    # C^1 is the series' second term; a dim-0 algebra has only C^0.
-    b1 = L.dim - series.terms[1].dim if L.dim else 0
+    b1 = L.dim - commutator_ideal(L).dim  # C^1, the series' second term
     reasons: list[Reason] = []
 
     if spec.m == 0:
@@ -116,10 +115,10 @@ def check(
         Reason("nilpotency_class", {"nilpotency_class": series.nilpotency_class})
     )
 
+    # Class <= 2 here, so the search's witness holds the abelian factor and b1 of the core.
     outcome = search_bigrading(L, bounds)
-    witness = outcome.witness or {}
-    k = witness.get("abelian_factor", 0)
-    b1_core = witness.get("b1_core", b1)
+    k = outcome.witness["abelian_factor"]
+    b1_core = outcome.witness["b1_core"]
     reasons.append(Reason("abelian_factor", {"k": k, "core_dim": L.dim - k}))
     if outcome.status == "obstructed" and outcome.reason == "b1_parity":
         reasons.append(Reason("b1_parity", {"b1_core": b1_core, "parity": "odd"}))

@@ -18,15 +18,24 @@ denominators of their input, form every product on integers and divide
 once per result entry.  `_moved_table` gives the table in a new basis, in
 lowest terms; `apply_basis_change` decodes it, while the bigraded
 cohomology of ``cohomology`` and the rational form of ``bigrading`` read
-it as it is.  Scalars are made only for the results, by
-`kernel.q_decode`/`kernel.zi_decode`, with the types that
-`LieAlgebra.bracket`, `LieAlgebra.conj_vector` and `apply_basis_change`
-document.
+it as it is.  The facts derived from the constants (`structure_table`,
+`real_structure_rows`, `commutator_ideal`, `lower_central_series`,
+`center`) are computed at most once per instance, and C^1 = [L, L] is the
+one `commutator_ideal` that the series starts from.
+
+Scalars are made only for the results, by `kernel.q_decode` and
+`kernel.zi_decode`, and every scalar derived here follows one rule: it is
+a `Gaussian` when the algebra is over Q(i) or an input entry is a
+`Gaussian`, and a `Rational` otherwise.  That covers `bracket_basis`,
+`bracket`, `conj_vector`, the subspaces' vectors and the constants and
+real structure of `apply_basis_change`, which are typed by the new
+algebra's field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -101,8 +110,8 @@ class LieAlgebra:
     basis_names: tuple[str, ...]
     brackets: tuple  # canonical sparse form, see _freeze_brackets
     real_structure: ExactMatrix | None = None
-    # Subspaces derived from the constants (lower central series, center),
-    # computed at most once per instance: the algebra is immutable.
+    # Facts derived from the constants, by function name (see `_fact`):
+    # computed at most once per instance, as the algebra is immutable.
     _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -133,68 +142,38 @@ class LieAlgebra:
 
     # -- bracket evaluation -------------------------------------------------
 
-    def _zero(self) -> Scalar:
-        return Gaussian(0) if self.field == "Qi" else Q0
-
     def bracket_map(self) -> BracketMap:
         return {ij: dict(coeffs) for ij, coeffs in self.brackets}
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        """[X_i, X_j] as a coordinate vector."""
-        v = [self._zero()] * self.dim
-        if i == j:
-            return tuple(v)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for (a, b), coeffs in self.brackets:
-            if (a, b) == (i, j):
-                for k, c in coeffs:
-                    v[k] = c * sign if sign > 0 else -c
-                break
-        return tuple(v)
+        """[X_i, X_j] as a coordinate vector: the `bracket` of two unit vectors."""
+        e = [[Q1 if k == t else Q0 for k in range(self.dim)] for t in (i, j)]
+        return self.bracket(*e)
 
     def bracket(self, u, v) -> Vector:
         """Bilinear extension of the bracket to coordinate vectors.
 
-        Over Q(i) every entry of the result is a `Gaussian`, zeros included.
-        Over Q, entries are `Rational` unless the input holds `Gaussian`
-        entries: then an entry is a `Gaussian` exactly where a nonzero term
-        u_i v_j - u_j v_i with a Gaussian factor, even a zero one, was added
-        into it, and stays `Rational` elsewhere.
-
         The product is formed on `structure_table`: u and v are cleared of
-        their denominators, every term is an integer (over Q(i) a Z[i] pair)
-        product, and each entry is divided once by the product of the three
-        denominators.  The mixed types over Q are made by scalar arithmetic.
+        their denominators, every term is an integer product, over Z[i] when
+        L is over Q(i) or u or v holds a `Gaussian`, and each entry is
+        divided once by the product of the three denominators.
         """
         uu, vv = _scalar_row(u), _scalar_row(v)
-        field, den, columns = structure_table(self)
-        if field == "Q" and (Gaussian in map(type, uu) or Gaussian in map(type, vv)):
-            out = [Q0] * self.dim
-            for (i, j), coeffs in self.brackets:
-                c = uu[i] * vv[j] - uu[j] * vv[i]
-                if c:
-                    for k, w in coeffs:
-                        out[k] = out[k] + c * w
-            return tuple(out)
-        if field == "Q":
+        table = structure_table(self)
+        if table.field == "Q" and Gaussian not in map(type, uu + vv):
             (us, du), (vs, dv) = kernel.q_ints(uu), kernel.q_ints(vv)
-            w = _bracket_q(columns, us, vs, self.dim)
-            return kernel.q_decode({k: x for k, x in enumerate(w) if x}, du * dv * den, self.dim)
+            w = _bracket_q(table.columns, us, vs, self.dim)
+            den = du * dv * table.den
+            return kernel.q_decode({k: x for k, x in enumerate(w) if x}, den, self.dim)
         (us, du), (vs, dv) = kernel.zi_pairs(uu), kernel.zi_pairs(vv)
-        return kernel.zi_decode(_zi_bracket(columns, us, vs, self.dim), du * dv * den, self.dim)
+        w = _zi_bracket(_qi_columns(table), us, vs, self.dim)
+        return kernel.zi_decode(w, du * dv * table.den, self.dim)
 
     def conj_vector(self, v) -> Vector:
-        """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`.
-
-        The entries are `Gaussian` when S or v is over Q(i), else `Rational`.
-        """
-        if self.field == "Q":
-            return _conjugate(*_identity_rows(self.dim), v, "Q")
-        if self.real_structure is None:
+        """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`."""
+        if self.field == "Qi" and self.real_structure is None:
             raise InvalidRealStructure(f"{self.name}: no real structure available")
-        return _conjugate(*real_structure_rows(self), v, self.real_structure.field)
+        return _conjugate(*real_structure_rows(self), v, self.field)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -303,16 +282,26 @@ class StructureTable(NamedTuple):
     columns: tuple
 
 
+def _fact(fn):
+    """``fn(L)`` computed at most once per algebra, kept in ``L._facts`` under fn's name."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def fact(L: LieAlgebra):
+        value = L._facts.get(name)
+        if value is None:
+            value = L._facts[name] = fn(L)
+        return value
+
+    return fact
+
+
+@_fact
 def structure_table(L: LieAlgebra) -> StructureTable:
-    """L's `StructureTable`, computed at most once per instance."""
-    table = L._facts.get("structure_table")
-    if table is not None:
-        return table
+    """L's `StructureTable`."""
     pairs, den = kernel.zi_pairs([w for _, coeffs in L.brackets for _, w in coeffs])
     it = iter(pairs)
-    table = _table(L.field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
-    L._facts["structure_table"] = table
-    return table
+    return _table(L.field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
 
 
 def _table(field: str, den: int, rows: dict) -> StructureTable:
@@ -330,13 +319,11 @@ def _table(field: str, den: int, rows: dict) -> StructureTable:
     ))
 
 
+@_fact
 def real_structure_rows(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
-    """L's real structure S (the identity if none) as `kernel.zi_rows`, computed once."""
-    if "real_structure_rows" not in L._facts:
-        s = L.real_structure
-        rows = _identity_rows(L.dim) if s is None else kernel.zi_rows(s.entries)
-        L._facts["real_structure_rows"] = rows
-    return L._facts["real_structure_rows"]
+    """L's real structure S (the identity if none) as `kernel.zi_rows`."""
+    s = L.real_structure
+    return _identity_rows(L.dim) if s is None else kernel.zi_rows(s.entries)
 
 
 def _identity_rows(n: int) -> tuple[list[kernel.ZiRow], int]:
@@ -451,23 +438,22 @@ def _ad_qi(columns, w: dict, n: int) -> list[list]:
     return [list(zip(r, s)) for r, s in zip(re, im)]
 
 
+@_fact
 def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
-    """C^0 = L, C^{k+1} = [L, C^k]; raises NotNilpotent if it stabilizes."""
-    series = L._facts.get("lower_central_series")
-    if series is not None:
-        return series
-    n = L.dim
-    terms = [Subspace.full(n)]
+    """C^0 = L, C^1 = `commutator_ideal`, C^{k+1} = [L, C^k].
+
+    Raises NotNilpotent if the series stabilizes above 0.
+    """
+    terms = [Subspace.full(L.dim)]
     while terms[-1].dim > 0:
-        nxt = _bracket_span(L, terms[-1])
+        nxt = _bracket_span(L, terms[-1]) if len(terms) > 1 else commutator_ideal(L)
         if nxt.dim == terms[-1].dim:
             raise NotNilpotent(nxt.dim)
         terms.append(nxt)
-    series = LowerCentralSeries(terms=tuple(terms), nilpotency_class=len(terms) - 1)
-    L._facts["lower_central_series"] = series
-    return series
+    return LowerCentralSeries(terms=tuple(terms), nilpotency_class=len(terms) - 1)
 
 
+@_fact
 def center(L: LieAlgebra) -> Subspace:
     """{v : [X_i, v] = 0 for all i}: one null space of the stacked ad matrices.
 
@@ -475,9 +461,6 @@ def center(L: LieAlgebra) -> Subspace:
     [X_j, X_i], read off `structure_table`; `kernel.null_space` reduces
     [M^T | I], whose row j is ad(X_j) flattened, then e_j.
     """
-    z = L._facts.get("center")
-    if z is not None:
-        return z
     field, _, columns = structure_table(L)
     stacked: dict[tuple[int, int], dict] = {}
     for i, j, ks, *parts in zip(*columns):
@@ -485,28 +468,15 @@ def center(L: LieAlgebra) -> Subspace:
             # [X_i, X_j] = -[X_j, X_i]: an int over Q, a Z[i] pair over Q(i)
             stacked.setdefault((j, k), {})[i] = c[0] if field == "Q" else tuple(c)
             stacked.setdefault((i, k), {})[j] = -c[0] if field == "Q" else (-c[0], -c[1])
-    z = Subspace.null_space(list(stacked.values()), L.dim, field)
-    L._facts["center"] = z
-    return z
+    return Subspace.null_space(list(stacked.values()), L.dim, field)
 
 
+@_fact
 def commutator_ideal(L: LieAlgebra) -> Subspace:
-    """C^1 L = span of all [X_i, X_j], read off the rows of `structure_table`.
-
-    It is over Q(i) when L is over Q(i) and a constant is `Gaussian` or
-    some [X_i, X_j] has a zero coordinate, which `bracket_basis` pads with
-    `Gaussian(0)`.
-    """
-    _, _, columns = structure_table(L)
-    ks, *parts = columns[2:]
-    if L.field == "Qi" and (
-        any(len(k) < L.dim for k in ks)
-        or any(type(c) is Gaussian for _, coeffs in L.brackets for _, c in coeffs)
-    ):
-        rows = [dict(zip(k, zip(*p))) for k, *p in zip(ks, *parts)]
-        return Subspace._span(rows, L.dim, "Qi")
-    # Over Q, or over Q(i) with rational constants: the real parts.
-    return Subspace._span([dict(zip(k, xs)) for k, xs in zip(ks, parts[0])], L.dim, "Q")
+    """C^1 L = span of all [X_i, X_j] over L's field, read off the rows of `structure_table`."""
+    field, _, (_, _, ks, *parts) = structure_table(L)
+    rows = [dict(zip(k, zip(*p) if field == "Qi" else p[0])) for k, *p in zip(ks, *parts)]
+    return Subspace._span(rows, L.dim, field)
 
 
 def complexify(L: LieAlgebra) -> LieAlgebra:
@@ -532,10 +502,9 @@ def apply_basis_change(
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    The constants are those of `_moved_table`, each decoded once: a
-    `Gaussian` over Q(i), a `Rational` over Q.  The real structure is
-    formed on the rows of T and T^-1, and is over Q(i) exactly when T or
-    the old real structure is.
+    The constants are those of `_moved_table`, each decoded once, and the
+    real structure is formed on the rows of T and T^-1; both are typed by
+    the new algebra's field, which is Q(i) when L or T is.
     """
     n = L.dim
     if T.rows != n or T.cols != n:
@@ -552,11 +521,10 @@ def apply_basis_change(
         s_rows, s_den = real_structure_rows(L)
         cols = [_coords(inv, _conjugate_row(s_rows, row)) for row in e]
         rows = [{c: col[r] for c, col in enumerate(cols) if r in col} for r in range(n)]
-        if T.field == "Q" and (s is None or s.field == "Q"):
+        decode = kernel.zi_decode
+        if table.field == "Q":  # S is then the identity, and real
             rows = [{c: x for c, (x, _) in row.items()} for row in rows]
             decode = kernel.q_decode
-        else:
-            decode = kernel.zi_decode
         new_real = ExactMatrix([decode(row, s_den * inv_den, n) for row in rows], cols=n)
     return LieAlgebra.from_brackets(
         name=name or f"{L.name}~",

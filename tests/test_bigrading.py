@@ -15,6 +15,7 @@ from nilqp import (
     bigraded_cohomology,
     bigrading_from_filtrations,
     check,
+    commutator_ideal,
     complexify,
     conjugate_vector,
     direct_sum,
@@ -27,7 +28,6 @@ from nilqp import (
 from nilqp import bigrading, checker, kernel, liealg
 from nilqp.bigrading import (
     FiltrationPair,
-    _bi_isotropic,
     _compatible_complex_structures,
     _darboux_u,
     _dfs_u,
@@ -477,6 +477,15 @@ def _lift(frame, vec):
     return tuple(out)
 
 
+def _bi_isotropic(frame, rows) -> bool:
+    """Whether every bracket form of the frame vanishes on every two of the Z[i] rows."""
+    return not any(
+        kernel.zi_matvec(rows[:k], fy)
+        for k in range(1, len(rows))
+        for fy in frame.commutant_rows([rows[k]])
+    )
+
+
 def test_bi_isotropic_agrees_with_brackets_of_lifts():
     # A moved two-step algebra with a regular pencil; its U commutes, and so
     # does every two combinations of U's rows.
@@ -763,10 +772,48 @@ def test_darboux_pairs_every_vector_when_the_commutator_is_a_line():
             if frame.c1.dim != 1:
                 continue
             keys.add(key)
-            rows = [row for row, _ in _darboux_u(frame)]
-            assert len(rows) == frame.v // 2, (key, seed)
-            assert _bi_isotropic(frame, rows) and _transversal(rows), (key, seed)
+            _assert_isotropic_and_transverse(frame, _darboux_u(frame), (key, seed))
     assert {"n3", "n5", "n7"} <= keys
+
+
+def _assert_isotropic_and_transverse(frame, u, where):
+    """U has h rows, every bracket form vanishes on it, and it meets its conjugate in 0."""
+    rows = [row for row, _ in u]
+    assert len(rows) == frame.h, where
+    assert _bi_isotropic(frame, rows) and _transversal(rows), where
+
+
+def test_pencil_and_jspace_u_are_isotropic_and_transverse():
+    # The stages return U without testing isotropy (both constructions
+    # guarantee it), and the J-space stage without testing transversality:
+    # every U they return on the two-step catalog entries, some two-step
+    # sums and moved copies of each is checked here.
+    found = {"regular_pencil": set(), "jspace": set()}
+    sums = [["n3", "n3"], ["n5", "n5"], ["n3", "n5"], ["N4_82", "n3"], ["n7", "n3"]]
+    for keys in [[key] for key in catalog_keys()] + sums:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        if lower_central_series(alg).nilpotency_class > 2:
+            continue
+        for seed in (None, 1, 2):
+            moved = alg
+            if seed is not None:
+                moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+            frame = _TwoStepFrame(_realified(moved)[0], SearchBounds(max_nodes=2000))
+            if frame.v % 2:
+                continue
+            stages = []
+            if frame.regular():
+                stages.append(("regular_pencil", _regular_pencil_u(frame, *frame.pencil)))
+            if frame.c1.dim >= 2:
+                stages.append(("jspace", _jspace_u(frame)))
+            for stage, u in stages:
+                if u is not None:
+                    found[stage].add("+".join(keys))
+                    _assert_isotropic_and_transverse(frame, u, (keys, seed, stage))
+    assert {"N1_82", "N3_82", "N4_82"} <= found["regular_pencil"]
+    assert {"37B", "37D", "N1_84", "n3+n3"} <= found["jspace"]
 
 
 def test_rational_algebras_are_graded_without_complexifying(monkeypatch):
@@ -828,6 +875,22 @@ def test_pipeline_makes_no_scalar_arithmetic(monkeypatch):
     assert moved.real_structure.field == "Qi"
     assert conjugate_vector(conjugated[0], b37.real_structure) == v != conjugated[0]
     assert moved.conj_vector(conjugated[1]) == v
+
+
+def test_commutator_ideal_is_computed_once_and_shared(rng):
+    # C^1 is one object per algebra, over the algebra's own field: the
+    # series' second term, the frame's c1 and the b1 that `check` reports.
+    for key in catalog_keys():
+        alg = get(key).algebra
+        for L in (alg, apply_basis_change(alg, random_invertible_t(alg.dim, rng))):
+            c1 = commutator_ideal(L)
+            assert lower_central_series(L).terms[1] is c1, (key, L.name)
+            assert c1.field == L.field, (key, L.name)
+            R = _realified(L)[0]  # L itself over Q
+            assert _TwoStepFrame(R, SearchBounds()).c1 is commutator_ideal(R), (key, L.name)
+            if L.field == "Q":
+                assert check(L).b1 == L.dim - c1.dim, (key, L.name)
+                assert commutator_ideal(L) is c1, (key, L.name)
 
 
 def test_transversal_agrees_with_fraction_rank():

@@ -1,11 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilqp
 from nilqp.cli import run
 from nilqp.catalog import catalog_keys, get
 from nilqp.jsonio import dump_json, lie_algebra_to_json
@@ -521,3 +526,32 @@ def test_mutated_catalog_files_exit_0_or_1_with_one_json_document(exported, data
             code = run(["--format", "json", command[0], str(path), *command[1:]])
         assert code in (0, 1), (command, out.getvalue())
         json.loads(out.getvalue())  # exactly one document: trailing text is an error
+
+
+# Entries that reach the J-space (n7_142) and regular-pencil (N4_82)
+# constructions, an algebra over Q(i) (37B) and one of class 3 (g_sec6).
+HASH_SEED_KEYS = ("37B", "N4_82", "n7_142", "g_sec6")
+HASH_SEED_COMMANDS = (["check"], ["bigrading-search"], ["cohomology", "--representatives"])
+
+
+def test_output_is_byte_identical_across_hash_seeds(exported):
+    # Each command runs in two interpreters with different string-hash
+    # seeds, which reorder sets and dicts keyed by strings; stdout and the
+    # exit code must not change.
+    src = str(Path(nilqp.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for key in HASH_SEED_KEYS:
+        for command in HASH_SEED_COMMANDS:
+            argv = [sys.executable, "-m", "nilqp", "--format", "json", *command,
+                    str(exported / f"{key}.algebra.json")]
+            runs = [
+                subprocess.Popen(
+                    argv,
+                    stdout=subprocess.PIPE,
+                    env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                )
+                for seed in ("0", "4242")
+            ]
+            (out0, code0), (out1, code1) = ((p.communicate()[0], p.returncode) for p in runs)
+            assert out0 and code0 in (0, 1), (key, command)
+            assert (out0, code0) == (out1, code1), (key, command)

@@ -400,11 +400,9 @@ def test_apply_basis_change_matches_fraction_oracle(rng):
                     continue
                 real = got.real_structure
                 assert _pair_rows(real) == want_real, where
-                # Over Q(i) exactly when T or the old real structure is.
-                qi = t.field == "Qi" or (s is not None and s.field == "Qi")
-                assert real.field == ("Qi" if qi else "Q"), where
-                scalar = Gaussian if qi else Rational
-                assert {type(x) for row in real.entries for x in row} == {scalar}, where
+                # Typed by the new algebra's field, whatever T and S hold.
+                assert real.field == "Qi", where
+                assert {type(x) for row in real.entries for x in row} == {Gaussian}, where
 
 
 def _complex_bracket(brackets, n, u, v):
@@ -416,10 +414,9 @@ def _complex_bracket(brackets, n, u, v):
 
 
 def test_bracket_mixed_types_over_q(rng):
-    # Over Q a vector may mix Rational and Gaussian entries.  An entry of
-    # the bracket is a Gaussian exactly where a nonzero u_i v_j - u_j v_i
-    # with a Gaussian factor, even a zero one, was added into it; its value
-    # is the bilinear bracket's.
+    # Over Q a vector may mix Rational and Gaussian entries.  Every entry
+    # of the bracket is then a Gaussian, zeros included, and its value is
+    # the bilinear bracket's.
     rationals = [Rational(0), Rational(1), Rational(-3, 2)]
     values = rationals + [
         Gaussian(0), Gaussian(1, -1), Gaussian(Rational(1, 2), Rational(2, 3)),
@@ -436,12 +433,7 @@ def test_bracket_mixed_types_over_q(rng):
             u[rng.randrange(n)] = Gaussian(0)
             v = [rng.choice(values if trial % 2 else rationals) for _ in range(n)]
             got = alg.bracket(u, v)
-            gaussian = set()
-            for (i, j), cs in brackets.items():
-                factors = (u[i], v[j], u[j], v[i])
-                if u[i] * v[j] - u[j] * v[i] and Gaussian in map(type, factors):
-                    gaussian.update(cs)
-            assert [type(x) is Gaussian for x in got] == [k in gaussian for k in range(n)], key
+            assert all(type(x) is Gaussian for x in got), key
             want = _complex_bracket(fr, n, [_pair(x) for x in u], [_pair(x) for x in v])
             assert [_pair(x) for x in got] == want, key
 
@@ -704,6 +696,42 @@ def _gaussian_constant_algebra():
     return LieAlgebra.from_brackets(
         "qg", 5, {(0, 1): {2: g}, (0, 2): {3: 1}, (1, 2): {4: Rational(3, 2)}}, field="Qi"
     )
+
+
+def _derived_types(alg, rng):
+    """The types of the scalars derived from ``alg`` for rational input.
+
+    [X_i, X_j], the bracket and the conjugate of rational vectors, C^1's
+    basis and, over Q(i), the real structure moved by a rational T.
+    """
+    n = alg.dim
+    values = [Rational(0), Rational(1), Rational(-2), Rational(3, 2)]
+    vectors = [[rng.choice(values) for _ in range(n)] for _ in range(6)]
+    derived = [alg.bracket_basis(i, j) for i in range(n) for j in range(n)]
+    derived += [alg.bracket(u, v) for u, v in zip(vectors, vectors[1:])]
+    derived += [alg.conj_vector(u) for u in vectors]
+    derived += list(commutator_ideal(alg).vectors())
+    if alg.field == "Qi":
+        derived += apply_basis_change(alg, random_invertible_t(n, rng)).real_structure.entries
+    return {type(x) for vec in derived for x in vec}
+
+
+def test_derived_scalars_are_typed_by_field(rng):
+    # One rule: Gaussian over Q(i), Rational over Q for rational input.
+    for key in catalog_keys():
+        alg = get(key).algebra
+        n = alg.dim
+        complex_copies = [alg] if alg.field == "Qi" else [complexify(alg)]
+        t = random_gaussian_t(n, rng)
+        if t.field == "Qi":  # at n = 1 it is the identity
+            complex_copies.append(apply_basis_change(alg, t))
+        if alg.field == "Q":
+            moved = apply_basis_change(alg, random_invertible_t(n, rng))
+            assert _derived_types(alg, rng) == {Rational}, key
+            assert _derived_types(moved, rng) == {Rational}, key
+        for lc in complex_copies:
+            assert lc.field == "Qi", (key, lc.name)
+            assert _derived_types(lc, rng) == {Gaussian}, (key, lc.name)
 
 
 def test_series_and_commutator_keep_values_and_types(rng):
