@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product, repeat
 from math import gcd, isqrt, lcm
 
 from ._arith import solve_ternary
@@ -856,28 +856,39 @@ def _pencil_structure(frame: _TwoStepFrame):
 
     Seeds are kernel bases of the degenerate pencil members, located exactly
     as rational roots of the Pfaffian polynomial (for a singular pencil every
-    member contributes).  The Pfaffian is expanded for v <= 8, so its degree
-    v/2 reaches 4, but `_rational_roots` solves degree <= 3 only: when a
+    member contributes).  The Pfaffian is expanded for even v <= 8, so its
+    degree v/2 reaches 4, but `_rational_roots` solves degree <= 3 only: when a
     quartic is left after factoring out lambda, its roots are missed and no
     degenerate member is seeded.  W = M_g^{-1} M_o for an invertible member
     M_g is self-adjoint for the member pairing, so W-cyclic subspaces
     commute; its orbit vectors make strong search candidates.  W is read off [M_g | M_o]
     by `kernel.zi_solve` and returned as ``(rows, d)``: the Z[i] rows of W
     times the integer d.  It is None for a singular pencil.
+
+    The members lam*M1 + mu*M2 are tried in a fixed order.  Where the
+    Pfaffian is expanded, Pf(lam*M1 + mu*M2) = sum pf[k] lam^k mu^(v/2-k)
+    is nonzero exactly when the member is invertible, that is, when its
+    solve succeeds; so only the first member with a nonzero value is
+    solved, and it is the member that solving each in turn would find.
+    For odd v or v > 8, ``pf`` is the placeholder [1] and every member is
+    solved in turn until one succeeds.
     """
-    v = frame.v
-    pf = _pfaffian_poly(frame.forms[0], frame.forms[1], v) if v % 2 == 0 and v <= 8 else [1]
+    v, h = frame.v, frame.h
+    expanded = v % 2 == 0 and v <= 8
+    pf = _pfaffian_poly(frame.forms[0], frame.forms[1], v) if expanded else [1]
     tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))
     if all(not c for c in pf):
         return list(_kernel_groups(frame, tries)), None
     # Degenerate members: finite rational roots mu with Pf(mu*M1+M2)=0
     # read off the polynomial in the M1 direction, plus (1:0) itself.
     members = _rational_roots(pf)
-    if not pf[-1] or len(pf) - 1 < v // 2:
+    if not pf[-1] or len(pf) - 1 < h:
         members.append((1, 0))
     groups = list(_kernel_groups(frame, members))
     # Invertible member for the pencil operator.
     for lam, mu in tries + ((1, -2),):
+        if expanded and not sum(c * lam**k * mu ** (h - k) for k, c in enumerate(pf)):
+            continue
         w = kernel.zi_solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam)))
         if w is not None:
             return groups, w
@@ -1240,13 +1251,40 @@ def _krylov_span(w_rows, u: kernel.ZiRow, h: int) -> list[kernel.ZiRow]:
     return rows
 
 
-def _transversal(rows) -> bool:
-    """Whether the Z[i] rows and their conjugates are independent."""
-    echelon: list = []
+def _transversal(rows, echelon=None) -> bool:
+    """Whether the Z[i] rows and their conjugates are independent, also of ``echelon``.
+
+    A given ``echelon`` (`kernel.zi_insert`) keeps the rows inserted, up to
+    the first that is dependent.
+    """
+    echelon = [] if echelon is None else echelon
     return all(
         kernel.zi_insert(echelon, row) and kernel.zi_insert(echelon, kernel.zi_conj(row))
         for row in rows
     )
+
+
+def _minimal_degree(w_rows, h: int) -> int:
+    """The degree of the minimal polynomial of W, capped at h.
+
+    It is the rank of I, W, W^2, ... flattened to rows of length v^2: the
+    first power in the span of the lower ones gives the degree, and every
+    higher power lies in that span too.  No Krylov span u, Wu, W^2 u, ...
+    is longer, as p(W) u = 0 for the minimal polynomial p.  The cap is all
+    that `_regular_pencil_u` asks for, and it loses nothing: W = M_g^{-1} M_o
+    is self-adjoint for the symplectic form M_g, so each of its Jordan
+    blocks occurs twice and the degree is at most h = v / 2.  ``w_rows``
+    are the Z[i] rows of W times a denominator, which leaves the rank alone.
+    """
+    v = len(w_rows)
+    identity = [{r: (1, 0)} for r in range(v)]
+    powers = islice(chain([identity], accumulate(repeat(w_rows), kernel.zi_matmul)), h)
+    echelon: list = []
+    for degree, power in enumerate(powers):
+        flat = {r * v + c: e for r, row in enumerate(power) for c, e in row.items()}
+        if not kernel.zi_insert(echelon, flat):
+            return degree
+    return h
 
 
 def _group_terms(grp) -> list[kernel.ZiRow]:
@@ -1263,21 +1301,47 @@ def _group_terms(grp) -> list[kernel.ZiRow]:
     return terms
 
 
-def _pencil_candidates(gen_groups, pool):
-    """Candidate cyclic vectors as ``(row, den)``, in the order they are tried.
+def _pencil_candidates(seeds, w_rows):
+    """Candidate cyclic vectors of W as ``(row, den)``, in the order they are tried.
 
-    First, when there are two or more generalized eigenspaces and each has
-    two or more basis vectors, sums of one transverse vector from each (48
-    at most); then x + i*y for any two distinct vectors of ``pool``.  Both
-    are generated lazily.
+    First, when there are two or more seed groups and the generalized
+    eigenspace of each has two or more basis vectors, sums of one transverse
+    vector from each (48 at most); then x + i*y for any two distinct vectors
+    of the pool: the unit vectors, then the seeds.  Both are generated
+    lazily.
     """
+    v = len(w_rows)
     one = (1, 0)
+    # One transverse component per root of the pencil, drawn from the full
+    # generalized eigenspace: the Krylov span of such a sum reaches every
+    # Jordan chain, and kernel vectors alone would miss nilpotent parts.
+    gen_groups = []
+    for grp in seeds:
+        k_row = grp[0][0]
+        lead = min(k_row)
+        # W - t*I times d*k0, for the eigenvalue t = wk / (d*k0) of W on k
+        wk, k0 = kernel.zi_matvec(w_rows, k_row).get(lead, (0, 0))[0], k_row[lead][0]
+        shifted = [
+            kernel.zi_combine(((k0, 0), row), ((-wk, 0), {r: (1, 0)}))
+            for r, row in enumerate(w_rows)
+        ]
+        power = shifted
+        for _ in range(v // 2 - 1):
+            power = kernel.zi_matmul(power, shifted)
+        gen = kernel.null_space(power, v, "Qi")
+        gen_groups.append(gen if len(gen) >= len(grp) else grp)
     if len(gen_groups) >= 2 and all(len(g) >= 2 for g in gen_groups):
         rows, den = kernel.zi_common([vec for grp in gen_groups for vec in grp])
         it = iter(rows)
         pools = [_group_terms([next(it) for _ in grp]) for grp in gen_groups]
         for terms in islice(product(*pools), 48):
             yield kernel.zi_combine(*((one, t) for t in terms)), den
+    # Generic vectors next: they are cyclic whenever anything is.
+    pool = _unit_vectors(v)
+    for grp in seeds:
+        for vec in grp:
+            if vec not in pool:
+                pool.append(vec)
     rows, den = kernel.zi_common(pool)
     for a, x in enumerate(rows):
         for b, y in enumerate(rows):
@@ -1306,48 +1370,49 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     commutant intersected with the eigenvector seeds.  Both are isotropic by
     construction, so only transversality to the conjugate is tested.
 
+    Up to 200 candidates (`_pencil_candidates`) are tried in order; the
+    first whose span has h rows and is transverse gives U, and the first 16
+    spans of h - 1 rows are completed in order, each by up to 200 vectors.
+    Work whose outcome is decided is skipped, so U is the same:
+
+    * No span is longer than the degree of W's minimal polynomial
+      (`_minimal_degree`).  Below h - 1 there is neither a span of h rows
+      nor one of h - 1, and the stage returns None at once.  At h - 1 no
+      span has h rows, so the spans are formed only as the completions ask
+      for them, the same first 16 of h - 1 rows.
+    * A span is completed by w when its rows, w and their conjugates are
+      independent.  Its rows and their conjugates are reduced once: when
+      they are dependent, no w can complete it and it is skipped before
+      its commutant is taken; otherwise each w is tested on a copy of
+      their echelon.
+
     ``seeds`` and ``w`` are as `_pencil_structure` returns them.  U is
     returned as exact vectors ``(row, den)``: the k-th Krylov row of u / den
     is W^k u times d^k, so its denominator is den * d^k.
     """
     v, h = frame.v, frame.h
     w_rows, d = w
+    degree = _minimal_degree(w_rows, h)
+    if degree < h - 1:
+        return None
 
     def exact(rows, den):
         return [(row, den * d**k) for k, row in enumerate(rows)]
 
-    # One transverse component per root of the pencil, drawn from the full
-    # generalized eigenspace: the Krylov span of such a sum reaches every
-    # Jordan chain, and kernel vectors alone would miss nilpotent parts.
-    gen_groups = []
-    for grp in seeds:
-        k_row = grp[0][0]
-        lead = min(k_row)
-        # W - t*I times d*k0, for the eigenvalue t = wk / (d*k0) of W on k
-        wk, k0 = kernel.zi_matvec(w_rows, k_row).get(lead, (0, 0))[0], k_row[lead][0]
-        shifted = [
-            kernel.zi_combine(((k0, 0), row), ((-wk, 0), {r: (1, 0)}))
-            for r, row in enumerate(w_rows)
-        ]
-        power = shifted
-        for _ in range(v // 2 - 1):
-            power = kernel.zi_matmul(power, shifted)
-        gen = kernel.null_space(power, v, "Qi")
-        gen_groups.append(gen if len(gen) >= len(grp) else grp)
-    # Generic vectors next: they are cyclic whenever anything is.
-    pool = _unit_vectors(v)
-    for grp in seeds:
-        for vec in grp:
-            if vec not in pool:
-                pool.append(vec)
-    partials = []
-    for u, den in islice(_pencil_candidates(gen_groups, pool), 200):
-        rows = _krylov_span(w_rows, u, h)
-        if len(rows) == h:
-            if _transversal(rows):
-                return exact(rows, den)
-        elif len(rows) == h - 1 and len(partials) < 16:
-            partials.append((rows, den))
+    spans = (
+        (_krylov_span(w_rows, u, h), den)
+        for u, den in islice(_pencil_candidates(seeds, w_rows), 200)
+    )
+    if degree < h:
+        partials = islice(((rows, den) for rows, den in spans if len(rows) == h - 1), 16)
+    else:
+        partials = []
+        for rows, den in spans:
+            if len(rows) == h:
+                if _transversal(rows):
+                    return exact(rows, den)
+            elif len(rows) == h - 1 and len(partials) < 16:
+                partials.append((rows, den))
     # span(grp) is the null space of its annihilator's rows.
     constraints = [
         [row for row, _ in kernel.null_space([row for row, _ in grp], v, "Qi")]
@@ -1355,6 +1420,9 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     ]
     constraints.append(w_rows)
     for rows, den in partials:
+        prefix: list = []
+        if not _transversal(rows, prefix):
+            continue
         # Complete with an eigenvector from the exact commutant of the
         # cyclic part (W fixes its line, so invariance is preserved): the
         # commutant met with each seed group's span, then with ker W.
@@ -1366,10 +1434,8 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
                     eigen_pool.append(vec)
         pool_rows, pool_den = kernel.zi_common(eigen_pool)
         for w in islice(_completions(pool_rows), 200):
-            if w:
-                full = rows + [w]
-                if _transversal(full):
-                    return exact(rows, den) + [(w, pool_den)]
+            if w and _transversal([w], list(prefix)):
+                return exact(rows, den) + [(w, pool_den)]
     return None
 
 

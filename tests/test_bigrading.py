@@ -2,7 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -34,7 +34,11 @@ from nilqp.bigrading import (
     _generic_seeds,
     _jspace_candidates,
     _jspace_u,
+    _krylov_span,
+    _member,
+    _minimal_degree,
     _nilpotent_via_conic,
+    _pencil_candidates,
     _pencil_structure,
     _ProductTable,
     _rays_with_square_condition,
@@ -581,6 +585,94 @@ def test_pencil_structure_matches_fraction_oracle(key):
         assert v - frac_rank(m) == len(vecs)
 
 
+def _regular_pencil_frames():
+    """``(label, frame)`` for every regular pencil that the search reaches.
+
+    Every catalog entry of class <= 2 with an even v and a regular pencil,
+    unmoved and moved once, and moved copies of n5+n3+C_k and n5+n5.
+    """
+    cases = [((key,), seed) for key in catalog_keys() for seed in (None, 1)]
+    cases += [(("n5", "n3", f"abelian_{k}"), seed) for k in (1, 2, 3) for seed in (1, 2, 3)]
+    cases += [(("n5", "n5"), 1)]
+    frames = []
+    for keys, seed in cases:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        if seed is not None:
+            alg = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+        R = _realified(alg)[0]
+        if lower_central_series(R).nilpotency_class > 2:
+            continue
+        frame = _TwoStepFrame(R, SearchBounds(max_nodes=2000))
+        if frame.v % 2 == 0 and frame.regular():
+            frames.append((("+".join(keys), seed), frame))
+    return frames
+
+
+def test_minimal_degree_matches_fraction_oracle():
+    # W is rational on the rational form, and the degree of its minimal
+    # polynomial is the rank of I, W, ..., W^v flattened.  It is at most h
+    # (each Jordan block of W occurs twice), so the helper's cap at h loses
+    # nothing.  No Krylov span of a candidate the stage tries is longer.
+    degrees = {}
+    for label, frame in _regular_pencil_frames():
+        v, h = frame.v, frame.h
+        seeds, (w_rows, d) = frame.pencil
+        w = [_frac_real(row, d, v) for row in w_rows]
+        power = [[Fraction(int(r == c)) for c in range(v)] for r in range(v)]
+        flat = []
+        for _ in range(v + 1):
+            flat.append([x for row in power for x in row])
+            power = _frac_matmul(power, w)
+        degree = _minimal_degree(w_rows, h)
+        assert degree == frac_rank(flat) <= h, label
+        degrees[label[0]] = (degree, h)
+        for u, _ in islice(_pencil_candidates(seeds, w_rows), 200):
+            assert len(_krylov_span(w_rows, u, h)) <= degree, label
+    # N4_82 and every n5+n3+C_k have no cyclic vector (degree h - 1), and
+    # n5+n5 not even a span of h - 1 rows.
+    assert degrees["N3_82"] == (3, 3)
+    assert degrees["N4_82"] == degrees["n5+n3+abelian_1"] == degrees["n5+n3+abelian_3"] == (2, 3)
+    assert degrees["n5+n5"] == (2, 4)
+
+
+def test_pencil_structure_solves_only_the_first_invertible_member(monkeypatch):
+    # Where the Pfaffian is expanded (even v <= 8), only the first member
+    # with a nonzero Pfaffian is solved; it is the first member whose solve
+    # succeeds when each is solved in turn.
+    tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2))
+    solve = kernel.zi_solve
+    frames = [(label, frame) for label, frame in _regular_pencil_frames() if frame.v <= 8]
+    assert len(frames) > 20
+    for label, frame in frames:
+        calls = []
+        monkeypatch.setattr(kernel, "zi_solve", lambda a, b: calls.append(1) or solve(a, b))
+        _, w = _pencil_structure(frame)
+        monkeypatch.undo()
+        assert len(calls) == 1, label
+        solved = (solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam))) for lam, mu in tries)
+        assert w == next(x for x in solved if x is not None), label
+
+
+def test_regular_pencil_forms_spans_only_as_completions_ask(monkeypatch):
+    # On n5+n3+C1 W's minimal polynomial has degree h - 1, so no span has h
+    # rows and the spans of h - 1 rows are formed only as the completions
+    # ask for them: the first completes, where 80-96 spans were formed when
+    # all 200 candidates were tried first.
+    krylov = bigrading._krylov_span
+    for seed in (1, 2, 3):
+        _, frame = _moved_frame(["n5", "n3", "abelian_1"], seed)
+        seeds, w = frame.pencil
+        assert _minimal_degree(w[0], frame.h) == frame.h - 1
+        spans = []
+        monkeypatch.setattr(bigrading, "_krylov_span", lambda *a: spans.append(1) or krylov(*a))
+        u = _regular_pencil_u(frame, seeds, w)
+        monkeypatch.undo()
+        assert u is not None and len(u) == frame.h
+        assert len(spans) < 16, seed
+
+
 def _frac_scalar(m):
     """The scalar lam with m == lam * I, or None."""
     lam = m[0][0]
@@ -909,6 +1001,28 @@ def test_transversal_agrees_with_fraction_rank():
         want = len(pivots) == 2 * len(rows)
         assert _transversal(rows) == want
         seen.add(want)
+    assert seen == {True, False}
+
+
+def test_transversal_on_a_prefix_echelon_decides_as_on_all_rows():
+    # The regular pencil reduces a span's rows and their conjugates once,
+    # and tests each completion w on a copy of that echelon.
+    rng = random.Random(6)
+    v = 6
+    seen = set()
+    for trial in range(60):
+        rows = [_random_zi_row(rng, v) for _ in range(rng.randint(1, 2))]
+        w = _random_zi_row(rng, v)
+        if trial % 4 == 1:
+            w = kernel.zi_conj(rows[0])
+        elif trial % 4 == 2:
+            w = {j: (x, 0) for j, (x, _) in w.items() if x}
+        elif trial % 4 == 3:
+            rows.append(kernel.zi_conj(rows[0]))
+        prefix: list = []
+        got = _transversal(rows, prefix) and _transversal([w], list(prefix))
+        assert got == _transversal(rows + [w])
+        seen.add(got)
     assert seen == {True, False}
 
 

@@ -13,14 +13,14 @@ import random
 
 import pytest
 
-from nilqp.bigrading import Bigrading
+from nilqp.bigrading import Bigrading, SearchBounds
 from nilqp.catalog import catalog_keys, export_entry, get
 from nilqp.checker import check
 from nilqp.cli import run
 from nilqp.cohomology import bigraded_cohomology
 from nilqp.errors import NilqpError
 from nilqp.jsonio import dumps_json, verdict_to_json
-from nilqp.liealg import apply_basis_change, complexify
+from nilqp.liealg import apply_basis_change, complexify, direct_sum
 
 from conftest import carried_grading, random_invertible_t
 
@@ -49,6 +49,9 @@ GOLDEN_CLI_SHA256 = {
 }
 GOLDEN_MOVED_CHECK_SHA256 = (
     "ba69297f6c8af79699697f67613f64cf86b83f56ff08afe9d78e101774f5f8b1"
+)
+GOLDEN_MOVED_SUMS_CHECK_SHA256 = (
+    "787249e7a32d271d52b6d5e7cacd476d508771cb6a3777815183f34e5735d001"
 )
 GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
     "bfd2c5c513b024efcf740928549e6445748e36a30f27ce73756009be5d6f6720"
@@ -100,6 +103,35 @@ def test_moved_check_verdicts_match_golden_digest():
             moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
             digest.update(f"{key}\n{dumps_json(verdict_to_json(check(moved)))}".encode())
     assert digest.hexdigest() == GOLDEN_MOVED_CHECK_SHA256
+
+
+# Two-step sums beyond the catalog.  On n5+n3+C1, n5+n3+C2 and n5+n3+C3 the
+# minimal polynomial of the pencil operator W has degree below h, so the
+# regular-pencil construction finds no cyclic vector and completes a partial
+# span; L5_parity+L5_parity exhausts the budget, n7+C2 and n3+n3+C3 are
+# settled by the pencil.  The digest was recorded before the regular-pencil
+# construction was pruned by W's minimal polynomial and the Pfaffian.
+MOVED_SUMS = (
+    ("n5", "n3", "abelian_1"),
+    ("n5", "n3", "abelian_2"),
+    ("n5", "n3", "abelian_3"),
+    ("L5_parity", "L5_parity"),
+    ("n7", "abelian_2"),
+    ("n3", "n3", "abelian_3"),
+)
+
+
+def test_moved_two_step_sum_verdicts_match_golden_digest():
+    digest = hashlib.sha256()
+    for keys in MOVED_SUMS:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        for seed in (1, 2, 3):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+            verdict = check(moved, bounds=SearchBounds(max_nodes=2000))
+            digest.update(f"{'+'.join(keys)} {seed}\n{dumps_json(verdict_to_json(verdict))}".encode())
+    assert digest.hexdigest() == GOLDEN_MOVED_SUMS_CHECK_SHA256
 
 
 def _reshuffled(grading, rng):

@@ -40,3 +40,53 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no module names.
+
+    ``sources`` maps a module's name to its text.  A definition counts as
+    referenced when its name is read as a name or an attribute anywhere
+    outside its own body, or imported by name.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    defined = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    inside = {
+        id(child): key for key, node in defined.items() for child in ast.walk(node)
+    }
+    referenced = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            owner = inside.get(id(node))
+            if owner is None or owner[1] != name:
+                referenced.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in referenced)
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _rec(n):\n    return _rec(n - 1)\n\n"
+        "class _Gone:\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "b": "from a import _used\n",
+    }
+    assert _unreferenced_private_definitions(sources) == ["a._Gone", "a._rec"]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _unreferenced_private_definitions(sources) == []
