@@ -51,7 +51,7 @@ verifies those rows, and decodes scalars once, for the `Bigrading` found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, combinations, islice, product, repeat
 from math import gcd, isqrt, lcm
@@ -792,14 +792,14 @@ def _ratio(num: int, den: int) -> tuple[int, int]:
 
 
 def _rational_roots(coeffs) -> list[tuple[int, int]]:
-    """All rational roots of an integer polynomial of degree <= 3, as `_ratio` pairs."""
-    while coeffs and not coeffs[-1]:
-        coeffs = coeffs[:-1]
-    if not coeffs:
-        return []
+    """All rational roots of an integer polynomial of degree <= 3, as `_ratio` pairs.
+
+    ``coeffs`` lists the coefficients from the constant term up, the last
+    one nonzero, as `_pfaffian_poly` trims them.
+    """
     roots: list[tuple[int, int]] = []
     # Factor out powers of lambda.
-    while coeffs and not coeffs[0]:
+    while not coeffs[0]:
         coeffs = coeffs[1:]
         if (0, 1) not in roots:
             roots.append((0, 1))
@@ -1066,10 +1066,8 @@ def _nilpotent_via_conic(table: _ProductTable):
     The squares define a ternary quadratic form on the space; a rational
     isotropic vector (Legendre reduction in nilqp._arith) is a nilpotent.
     The form is kept as the integer Gram matrix of the anticommutators, 2D^2
-    times the symmetric form (XY + YX) / 2.
+    times the symmetric form (XY + YX) / 2.  ``table`` spans a 3-dim space.
     """
-    if table.k != 3:
-        return None
     units = table.units
     gram = [[0] * 3 for _ in range(3)]
     for i in range(3):
@@ -1662,7 +1660,7 @@ def search_bigrading(
     comps, rows = [], {}
     for key, vecs in (((-1, 0), u), ((0, -1), ubar)):
         if vecs:
-            comps.append((*key, [kernel.zi_decode(row, den, L.dim) for row, den in vecs]))
+            comps.append((*key, [kernel.decode(row, den, L.dim, "Qi") for row, den in vecs]))
             rows[key] = [row for row, _ in vecs]
     if z.dim:
         comps.append((-1, -1, z.vectors()))
@@ -1670,12 +1668,9 @@ def search_bigrading(
     grading = Bigrading.build(comps)
     report = _verify_rows(L, grading, rows, "strict")
     if not report.valid:
-        # The mode only changes how `GradingReport.valid` reads conjugation.
-        report = replace(report, mode="lax")
-        if not report.valid:
-            return SearchOutcome(
-                status="not_found_within_bounds", witness=necessary, bounds=bounds
-            )
+        return SearchOutcome(
+            status="not_found_within_bounds", witness=necessary, bounds=bounds
+        )
     return SearchOutcome(
         status="found",
         witness=necessary,

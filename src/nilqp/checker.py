@@ -183,20 +183,8 @@ def reproduce_classification(dim: int, bounds: SearchBounds | None = None) -> Cl
         if verdict.status == EXHIBITED:
             exhibited.setdefault(verdict.b1, []).append(key)
         elif verdict.status == OBSTRUCTED:
-            first = next(
-                (
-                    r.test
-                    for r in verdict.reasons
-                    if r.test in ("nilpotency_class", "b1_parity")
-                    and (
-                        r.test != "nilpotency_class"
-                        or r.witness["nilpotency_class"] > 2
-                    )
-                    and (r.test != "b1_parity" or r.witness["parity"] == "odd")
-                ),
-                "unknown",
-            )
-            obstructed.append((key, first))
+            # `check` returns right after the reason that obstructs.
+            obstructed.append((key, verdict.reasons[-1].test))
         else:
             passes.append(key)
     rows = tuple(

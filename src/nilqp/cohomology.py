@@ -11,8 +11,8 @@ Koszul signs in closed form, out of a table of structure constants
 (`liealg.StructureTable`).  Its entries are the constants times one common
 denominator D of all of them: integers over Q, (re, im) Gaussian integers
 over Q(i).  Scaling by D != 0 changes neither the rank nor which entries are
-nonzero, so ranks are taken on these rows directly (``kernel.rank_q``/
-``rank_qi``); d_0 and d_n are zero and are not assembled.
+nonzero, so ranks are taken on these rows directly (``kernel.rank`` over
+the table's field); d_0 and d_n are zero and are not assembled.
 
 One routine, `_graded_cohomology`, ranks the complex for both public
 functions.  Each dual generator x^m carries a bidegree, monomials add them,
@@ -115,8 +115,9 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
         return ExactMatrix.empty(cols, L.field)
     table = structure_table(L)
     d = _assemble(n, k, L.field, _dual_terms(table))
-    decode = kernel.q_decode if L.field == "Q" else kernel.zi_decode
-    return ExactMatrix([decode(d.get(r, {}), table.den, cols) for r in range(rows)], cols=cols)
+    return ExactMatrix(
+        [kernel.decode(d.get(r, {}), table.den, cols, L.field) for r in range(rows)], cols=cols
+    )
 
 
 def _mask(mon: tuple[int, ...]) -> int:
@@ -197,18 +198,16 @@ def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, d
 
 
 def _sparse_differentials(n: int, table: StructureTable, degrees):
-    """``(rank, {k: rows})``: D times d_k as `_assemble` rows for k in ``degrees``.
+    """``{k: rows}``: D times d_k as `_assemble` rows for k in ``degrees``.
 
     The differentials are those of the dimension-``n`` algebra whose
-    constants ``table`` holds, and ``rank`` is the kernel's rank for the
-    rows' field.  No d_k of an abelian algebra is assembled.
+    constants ``table`` holds.  No d_k of an abelian algebra is assembled.
     """
     field, _, columns = table
-    rank = kernel.rank_q if field == "Q" else kernel.rank_qi
     if not columns[0]:
-        return rank, {}
+        return {}
     terms = _dual_terms(table)
-    return rank, {k: _assemble(n, k, field, terms) for k in degrees}
+    return {k: _assemble(n, k, field, terms) for k in degrees}
 
 
 def _unimodular(table: StructureTable) -> bool:
@@ -292,7 +291,7 @@ def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyT
     top_p, top_q = sum(ps), sum(qs)
     unimodular = _unimodular(table)
     degrees = range(n // 2, n - 1) if unimodular else range(1, n)
-    rank, diffs = _sparse_differentials(n, table, degrees)
+    diffs = _sparse_differentials(n, table, degrees)
     ranks: list[dict] = [{} for _ in range(n + 1)]  # ranks[k][b]: block b of d_k
     for k, rows in diffs.items():
         blocks: dict[tuple[int, int], list] = {}
@@ -306,7 +305,7 @@ def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyT
                 b = (sum(map(ps.__getitem__, mon)), sum(map(qs.__getitem__, mon)))
                 blocks.setdefault(b, []).append(row)
         for (p, q), group in blocks.items():
-            ranks[k][p, q] = rank(group, len(exterior_basis(n, k)))
+            ranks[k][p, q] = kernel.rank(group, len(exterior_basis(n, k)), table.field)
             if unimodular:
                 ranks[n - 1 - k][top_p - p, top_q - q] = ranks[k][p, q]
     betti, by_bidegree = [0] * (n + 1), []
@@ -344,7 +343,7 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
     adds for a cocycle that enlarges the span is its residual, scaled.
     """
     field = table.field
-    _, diffs = _sparse_differentials(n, table, range(1, n))
+    diffs = _sparse_differentials(n, table, range(1, n))
 
     def as_zi(row: dict) -> kernel.ZiRow:
         return row if field == "Qi" else {j: (x, 0) for j, x in row.items()}
@@ -363,11 +362,7 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
         for row, _ in kernel.null_space(list(diffs.get(k, {}).values()), ncols, field):
             if kernel.zi_insert(echelon, as_zi(row)):
                 lead, kept = echelon[-1]
-                rep, den = kernel.zi_exact(kept, lead)
-                if field == "Q":
-                    chosen.append(kernel.q_decode({j: x for j, (x, _) in rep.items()}, den, ncols))
-                else:
-                    chosen.append(kernel.zi_decode(rep, den, ncols))
+                chosen.append(kernel.decode(*kernel.zi_exact(kept, lead), ncols, field))
         reps[k] = tuple(chosen)
     return reps
 
@@ -415,7 +410,7 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int):
         table, _, _ = _moved_table(L, rows, den, field)
     except SingularTransformation:
         raise GradingNotCompatible(
-            f"grading has {n} generators of rank {kernel.rank_qi(rows, n)} in dimension {n}"
+            f"grading has {n} generators of rank {kernel.rank(rows, n, 'Qi')} in dimension {n}"
         ) from None
     return table, [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
 

@@ -187,17 +187,14 @@ class ExactMatrix:
         if self.rows == 0 or self.cols == 0:
             return self, []
         space = Subspace._span(kernel.int_rows(self.entries, self.field), self.cols, self.field)
-        zero = (kernel.q_decode if self.field == "Q" else kernel.zi_decode)({}, 1, self.cols)
+        zero = kernel.decode({}, 1, self.cols, self.field)
         red = space.vectors() + (zero,) * (self.rows - space.dim)
         return ExactMatrix(red, cols=self.cols), [min(row) for row, _ in space.rows]
 
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        rows = kernel.int_rows(self.entries, self.field)
-        if self.field == "Q":
-            return kernel.rank_q(rows, self.cols)
-        return kernel.rank_qi(rows, self.cols)
+        return kernel.rank(kernel.int_rows(self.entries, self.field), self.cols, self.field)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse of a square matrix; raises ValueError when singular."""
@@ -230,9 +227,9 @@ class Subspace:
     """Row space with a canonical basis; equality is structural.
 
     ``rows`` is the reduced row echelon basis as the kernel's exact vectors
-    ``(row, den)`` over ``field`` (`kernel.q_exact`, `kernel.zi_exact`): in
-    lowest terms and in pivot order, each row's pivot its smallest column.
-    The zero space is over "Q".  `basis` and `vectors` decode the rows into
+    ``(row, den)`` over ``field`` (`kernel.span`): in lowest terms and in
+    pivot order, each row's pivot its smallest column.  The zero space is
+    over "Q".  `basis` and `vectors` decode the rows (`kernel.decode`) into
     scalars, `Rational` over "Q" and `Gaussian` over "Qi", only when asked.
     """
 
@@ -260,13 +257,7 @@ class Subspace:
     @classmethod
     def _span(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
         """The span of the kernel's integer rows over ``field``."""
-        if field == "Q":
-            red, pivots = kernel.rref_q(rows, ambient_dim)
-            exact = kernel.q_exact
-        else:
-            red, pivots = kernel.rref_qi(rows, ambient_dim)
-            exact = kernel.zi_exact
-        return cls(ambient_dim, field, [exact(row, p) for row, p in zip(red, pivots)])
+        return cls(ambient_dim, field, kernel.span(rows, ambient_dim, field))
 
     @classmethod
     def null_space(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
@@ -290,8 +281,8 @@ class Subspace:
         return ExactMatrix(self.vectors(), cols=self.ambient_dim)
 
     def vectors(self) -> tuple[Vector, ...]:
-        decode = kernel.q_decode if self.field == "Q" else kernel.zi_decode
-        return tuple(decode(row, den, self.ambient_dim) for row, den in self.rows)
+        n, field = self.ambient_dim, self.field
+        return tuple(kernel.decode(row, den, n, field) for row, den in self.rows)
 
     def kernel_rows(self, field: str) -> list[dict]:
         """The basis rows, scaled to integers, as kernel rows over ``field`` (its own or "Qi")."""
@@ -319,7 +310,7 @@ class Subspace:
         vec = [as_scalar(x) for x in v]
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length mismatch")
-        return not kernel.zi_reduce(kernel.zi_row(vec), self.echelon())
+        return not kernel.zi_reduce(_zi(vec), self.echelon())
 
     def echelon(self) -> list[tuple[int, kernel.ZiRow]]:
         """The basis as a new ``(lead, row)`` echelon for `kernel.zi_reduce`/`zi_insert`."""
@@ -362,7 +353,7 @@ class RowReducer:
     echelon form, and a vector is reduced fraction-free against them
     (`kernel.zi_reduce`).  Only zero tests are asked of the result, so no
     row is ever divided by its lead.  `add` and `contains` take a sequence
-    of scalars or a row already encoded by the kernel (`kernel.zi_row`);
+    of scalars or a row already encoded by the kernel (`kernel.zi_rows`);
     any nonzero multiple of a vector spans the same line, so the scale of
     an encoded row does not matter.  `copy` is cheap: rows are never
     changed in place, so a copy shares them.  The bigrading search keeps one
@@ -397,7 +388,7 @@ class RowReducer:
 
 def _zi(vec):
     """``vec`` as a kernel Z[i] row, unless it already is one."""
-    return vec if isinstance(vec, dict) else kernel.zi_row(vec)
+    return vec if isinstance(vec, dict) else kernel.zi_rows([vec])[0][0]
 
 
 def _same_ambient(a: Subspace, b: Subspace) -> None:
@@ -429,10 +420,8 @@ def _conjugate(s_rows: list[kernel.ZiRow], s_den: int, v: Sequence, field: str) 
     if len(vec) != len(s_rows):
         raise AmbientMismatch("vector length mismatch in matvec")
     (row,), den = kernel.zi_rows([vec])
-    img = _conjugate_row(s_rows, row)
-    if field == "Qi" or Gaussian in map(type, vec):
-        return kernel.zi_decode(img, den * s_den, len(vec))
-    return kernel.q_decode({j: x for j, (x, _) in img.items()}, den * s_den, len(vec))
+    field = "Qi" if Gaussian in map(type, vec) else field
+    return kernel.decode(_conjugate_row(s_rows, row), den * s_den, len(vec), field)
 
 
 def check_real_structure(s: ExactMatrix) -> tuple[list[kernel.ZiRow], int]:

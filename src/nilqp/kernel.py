@@ -5,14 +5,13 @@ format per field: ``{column: int}`` over Q and the Z[i] row
 ``{column: (re, im)}`` (a Gaussian integer per entry) over Q(i).  Neither
 holds zero entries, so the zero row is the empty, false dict.
 
-* `q_ints` and `zi_pairs` clear a vector of scalars of its denominators into
-  dense integers, or dense Z[i] pairs, over one least common denominator;
-  ``liealg`` encodes its integer table of structure constants
-  (`liealg.structure_table`) and the vectors it brackets with them.
-  `int_rows` clears a matrix of its denominators into sparse rows, and
-  `zi_rows`/`zi_row` do so for vectors, for a change of basis and a real
-  structure; `q_decode`/`zi_decode` divide a denominator out of results,
-  and are the only code that makes scalars out of integers.
+* Conversion: `zi_rows` is the one encoder, which clears vectors of
+  `Rational`, `Gaussian` or int scalars of one common denominator into Z[i]
+  rows; `int_rows` projects them onto the row format of a field.  `decode`
+  is the one decoder, which divides a denominator out of a row of either
+  format and makes the scalars of a field.  Callers pass the field and do
+  not choose between functions for Q and for Q(i): `rank`, `span` and
+  `null_space` take it too, and pick the elimination of that field.
 * Rank (`rank_q`/`rank_qi`), reduced row echelon form (`rref_q`/`rref_qi`)
   and the incremental echelon (`zi_reduce`/`zi_insert`) of
   ``exact.RowReducer`` and of the cohomology representatives share
@@ -23,15 +22,16 @@ holds zero entries, so the zero row is the empty, false dict.
   565-578; Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3) (1997)
   11-19).  Rank and reduced form run on one loop, `_echelon`; the reduced
   form back-substitutes with the same step and returns primitive rows,
-  which the caller divides by their pivot entries to read off the unique
+  which `span` divides by their pivot entries to read off the unique
   reduced row echelon form.  `zi_residual` reduces modulo such an echelon
   without dividing, so that it stays linear.
-* `null_space` is the one null-space routine, over either field: one
-  `rref_q`/`rref_qi` of [M^T | I].  It returns exact vectors ``(row, den)``
-  in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are equal
-  pairs; `zi_lowest` puts any Z[i] one in lowest terms, and `zi_common`
-  puts several over one denominator again.  ``exact.Subspace`` keeps its
-  reduced basis in this form, so it stores a null space as it comes.
+* `span` returns the reduced basis of a span as exact vectors ``(row,
+  den)`` in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are
+  equal pairs, and `null_space` is the span of [M^T | I] with the first
+  part skipped; `zi_lowest` puts any Z[i] vector in lowest terms, and
+  `zi_common` puts several over one denominator again.  ``exact.Subspace``
+  keeps its reduced basis in this form, so it stores a null space as it
+  comes.
 * On Z[i] rows, `zi_conj`, `zi_combine`, `zi_matvec` and `zi_matmul` form
   conjugates, Z[i]-combinations, matrix-vector and matrix products, and
   `zi_solve` reads A^-1 B off one `rref_qi` of [A | B].
@@ -57,54 +57,54 @@ def backend_name() -> str:
 # -- conversion from and to scalars ---------------------------------------------
 
 
-def q_ints(vec) -> tuple[list[int], int]:
-    """`Rational` entries as ``(ints, den)`` with ``vec[j] == ints[j] / den``.
+def zi_rows(vectors) -> tuple[list[ZiRow], int]:
+    """Scalar vectors as Z[i] rows over one common denominator.
 
-    ``den`` is the least common denominator of the entries.
+    Returns ``(rows, den)`` with ``vec[j] == (re + im*i) / den`` for each
+    entry ``(re, im) = row[j]``, ``den`` the least common denominator of all
+    real and imaginary parts; `decode` inverts it.  Entries may be
+    `Gaussian`, `Rational` or int.
     """
-    den = lcm(*{x.den for x in vec})
-    if den == 1:
-        return [x.num for x in vec], 1
-    return [x.num * (den // x.den) for x in vec], den
-
-
-def zi_pairs(vec) -> tuple[list[tuple[int, int]], int]:
-    """`Gaussian`/`Rational` entries as dense Z[i] pairs over one denominator.
-
-    Returns ``(pairs, den)`` with ``vec[j] == (re + im*i) / den`` for
-    ``(re, im) = pairs[j]``, ``den`` the least common denominator of all
-    real and imaginary parts.
-    """
-    if Gaussian not in map(type, vec):
-        ints, den = q_ints(vec)
-        return [(x, 0) for x in ints], den
-    re = [x.re if type(x) is Gaussian else x for x in vec]
-    im = [x.im if type(x) is Gaussian else Q0 for x in vec]
-    den = lcm(*{x.den for x in re}, *{x.den for x in im})
-    if den == 1:
-        return [(a.num, b.num) for a, b in zip(re, im)], 1
-    return [(a.num * (den // a.den), b.num * (den // b.den)) for a, b in zip(re, im)], den
+    types = set(map(type, chain.from_iterable(vectors)))
+    if int in types:
+        vectors = [[Rational(x) if type(x) is int else x for x in vec] for vec in vectors]
+    if Gaussian not in types:  # no imaginary parts: the common case, kept fast
+        den = lcm(*{x.den for x in chain.from_iterable(vectors)})
+        return [
+            {j: (x.num * (den // x.den), 0) for j, x in enumerate(vec) if x.num} for vec in vectors
+        ], den
+    parts = [[(x.re, x.im) if type(x) is Gaussian else (x, Q0) for x in vec] for vec in vectors]
+    den = lcm(*{x.den for vec in parts for pair in vec for x in pair})
+    scaled = [[(a.num * (den // a.den), b.num * (den // b.den)) for a, b in vec] for vec in parts]
+    return [{j: p for j, p in enumerate(vec) if p[0] or p[1]} for vec in scaled], den
 
 
 def int_rows(rows, field: str) -> list[dict]:
-    """Rows of scalars as sparse integer rows for the elimination routines.
+    """Rows of scalars as the kernel's rows over ``field``: `zi_rows`, real parts over "Q".
 
-    The rows are multiplied by the least common denominator of all their
-    entries, which changes neither their spans nor which entries are
-    nonzero: over "Q" each becomes ``{column: int}`` (every entry a
-    `Rational`), over "Qi" a Z[i] row ``{column: (re, im)}`` (`zi_rows`).
+    The common denominator, which changes neither span nor support, is dropped.
     """
+    zi, _ = zi_rows(rows)
     if field == "Qi":
-        return zi_rows(rows)[0]
-    den = lcm(*{x.den for row in rows for x in row})
-    return [{j: x.num * (den // x.den) for j, x in enumerate(row) if x.num} for row in rows]
+        return zi
+    return [{j: x for j, (x, _) in row.items() if x} for row in zi]
 
 
-def q_decode(row: dict, den: int, ncols: int) -> tuple[Rational, ...]:
-    """The vector ``row / den`` as a tuple of ``ncols`` `Rational` scalars."""
-    out = [Q0] * ncols
-    for j, x in row.items():
-        out[j] = Rational(x, den)
+def decode(row: dict, den: int, ncols: int, field: str) -> tuple:
+    """The vector ``row / den`` as a tuple of ``ncols`` scalars over ``field``.
+
+    The scalars are `Gaussian` over "Qi", from a Z[i] row, and `Rational`
+    over "Q", from a row of either format: a Z[i] row's real parts are read.
+    """
+    if field == "Q":
+        out = [Q0] * ncols
+        pairs = type(next(iter(row.values()), None)) is tuple
+        for j, x in zip(row, (x for x, _ in row.values()) if pairs else row.values()):
+            out[j] = Rational(x, den)
+        return tuple(out)
+    out = [_GAUSSIAN_ZERO] * ncols
+    for j, (a, b) in row.items():
+        out[j] = Gaussian(Rational(a, den) if a else Q0, Rational(b, den) if b else Q0)
     return tuple(out)
 
 
@@ -136,29 +136,45 @@ def rref_qi(rows: list[ZiRow], ncols: int) -> tuple[list[ZiRow], list[int]]:
     return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate)
 
 
+def rank(rows: list[dict], ncols: int, field: str) -> int:
+    """Rank over ``field`` of the kernel's rows of its format (`rank_q`, `rank_qi`)."""
+    return (rank_q if field == "Q" else rank_qi)(rows, ncols)
+
+
+def span(rows: list[dict], ncols: int, field: str, skip: int = 0) -> list[tuple[dict, int]]:
+    """The reduced basis of the span of the kernel's rows over ``field``, as exact vectors.
+
+    Each row of the reduced form (`rref_q`, `rref_qi`) comes back divided by
+    its pivot entry, as an exact vector ``(row, den)`` in lowest terms
+    (`q_exact`, `zi_exact`), in pivot order.  With ``skip``, only the rows
+    that vanish on the first ``skip`` columns are kept, shifted left by
+    ``skip``.
+    """
+    red, pivots = (rref_q if field == "Q" else rref_qi)(rows, ncols)
+    exact = q_exact if field == "Q" else zi_exact
+    return [
+        exact({j - skip: e for j, e in row.items()} if skip else row, p - skip)
+        for row, p in zip(red, pivots)
+        if p >= skip
+    ]
+
+
 def null_space(rows: list[dict], ncols: int, field: str) -> list[tuple[dict, int]]:
     """The reduced basis of {x : row . x = 0 for each row}, as exact vectors.
 
-    ``rows`` are sparse integer rows ``{column: int}`` over "Q" or Z[i] rows
-    over "Qi", columns below ``ncols``.  Row j of the matrix reduced,
-    [M^T | I], is column j of ``rows`` followed by the j-th unit vector; its
-    reduced rows that vanish on the first part are the null space's reduced
-    row echelon basis, each times a scale.  Each comes back divided by its
-    pivot entry, as an exact vector ``(row, den)`` in lowest terms
-    (`q_exact`, `zi_exact`), in pivot order.
+    ``rows`` are the kernel's rows over ``field``, columns below ``ncols``.
+    Row j of the matrix reduced, [M^T | I], is column j of ``rows`` followed
+    by the j-th unit vector; its reduced rows that vanish on the first part
+    are the null space's reduced row echelon basis, each times a scale, and
+    `span` returns them with the first part skipped.
     """
     m = len(rows)
-    one, rref, exact = (1, rref_q, q_exact) if field == "Q" else ((1, 0), rref_qi, zi_exact)
+    one = 1 if field == "Q" else (1, 0)
     aug = [{m + j: one} for j in range(ncols)]
     for i, row in enumerate(rows):
         for j, e in row.items():
             aug[j][i] = e
-    red, pivots = rref(aug, m + ncols)
-    return [
-        exact({j - m: e for j, e in row.items()}, p - m)
-        for row, p in zip(red, pivots)
-        if p >= m
-    ]
+    return span(aug, m + ncols, field, m)
 
 
 def q_exact(row: dict, lead: int) -> tuple[dict, int]:
@@ -279,46 +295,6 @@ def _zi_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 # -- sparse rows over Z[i] ----------------------------------------------------------
-
-
-def zi_rows(vectors) -> tuple[list[ZiRow], int]:
-    """Scalar vectors as Z[i] rows over one common denominator.
-
-    Returns ``(rows, den)`` with ``vec[j] == (re + im*i) / den`` for each
-    entry ``(re, im) = row[j]``; `zi_decode` inverts it.  Entries may be
-    `Gaussian`, `Rational` or int.
-    """
-    flat, den = zi_pairs(_scalars([x for vec in vectors for x in vec]))
-    rows = []
-    start = 0
-    for vec in vectors:
-        rows.append(_zi_sparse(flat[start : start + len(vec)]))
-        start += len(vec)
-    return rows, den
-
-
-def zi_row(vec) -> ZiRow:
-    """One scalar vector as a Z[i] row: the vector times its common denominator."""
-    return _zi_sparse(zi_pairs(_scalars(vec))[0])
-
-
-def _scalars(vec):
-    """``vec`` with its int entries as `Rational` scalars."""
-    if int not in map(type, vec):
-        return vec
-    return [Rational(x) if type(x) is int else x for x in vec]
-
-
-def _zi_sparse(pairs) -> ZiRow:
-    return {j: p for j, p in enumerate(pairs) if p[0] or p[1]}
-
-
-def zi_decode(row: ZiRow, den: int, ncols: int) -> tuple[Gaussian, ...]:
-    """The vector ``row / den`` as a tuple of ``ncols`` `Gaussian` scalars."""
-    out = [_GAUSSIAN_ZERO] * ncols
-    for j, (a, b) in row.items():
-        out[j] = Gaussian(Rational(a, den) if a else Q0, Rational(b, den) if b else Q0)
-    return tuple(out)
 
 
 def zi_conj(row: ZiRow) -> ZiRow:

@@ -23,13 +23,13 @@ it as it is.  The facts derived from the constants (`structure_table`,
 `center`) are computed at most once per instance, and C^1 = [L, L] is the
 one `commutator_ideal` that the series starts from.
 
-Scalars are made only for the results, by `kernel.q_decode` and
-`kernel.zi_decode`, and every scalar derived here follows one rule: it is
-a `Gaussian` when the algebra is over Q(i) or an input entry is a
-`Gaussian`, and a `Rational` otherwise.  That covers `bracket_basis`,
-`bracket`, `conj_vector`, the subspaces' vectors and the constants and
-real structure of `apply_basis_change`, which are typed by the new
-algebra's field.
+Scalars become integers only by `kernel.zi_rows` and are made only for
+the results, by `kernel.decode` on the result's field, and every scalar
+derived here follows one rule: it is a `Gaussian` when the algebra is over
+Q(i) or an input entry is a `Gaussian`, and a `Rational` otherwise.  That
+covers `bracket_basis`, `bracket`, `conj_vector`, the subspaces' vectors
+and the constants and real structure of `apply_basis_change`, which are
+typed by the new algebra's field.
 """
 
 from __future__ import annotations
@@ -154,20 +154,19 @@ class LieAlgebra:
         """Bilinear extension of the bracket to coordinate vectors.
 
         The product is formed on `structure_table`: u and v are cleared of
-        their denominators, every term is an integer product, over Z[i] when
-        L is over Q(i) or u or v holds a `Gaussian`, and each entry is
-        divided once by the product of the three denominators.
+        one common denominator (`kernel.zi_rows`), every term is a Z[i]
+        product, and each entry is divided once by the product of the three
+        denominators (`kernel.decode`), over Q(i) when L is or u or v holds a
+        `Gaussian`.
         """
         uu, vv = _scalar_row(u), _scalar_row(v)
         table = structure_table(self)
-        if table.field == "Q" and Gaussian not in map(type, uu + vv):
-            (us, du), (vs, dv) = kernel.q_ints(uu), kernel.q_ints(vv)
-            w = _bracket_q(table.columns, us, vs, self.dim)
-            den = du * dv * table.den
-            return kernel.q_decode({k: x for k, x in enumerate(w) if x}, den, self.dim)
-        (us, du), (vs, dv) = kernel.zi_pairs(uu), kernel.zi_pairs(vv)
-        w = _zi_bracket(_qi_columns(table), us, vs, self.dim)
-        return kernel.zi_decode(w, du * dv * table.den, self.dim)
+        n = self.dim
+        (ru, rv), den = kernel.zi_rows([uu, vv])
+        us, vs = ([r.get(j, (0, 0)) for j in range(len(x))] for r, x in ((ru, uu), (rv, vv)))
+        w = _zi_bracket(_qi_columns(table), us, vs, n)
+        field = "Qi" if Gaussian in map(type, uu + vv) else table.field
+        return kernel.decode(w, den * den * table.den, n, field)
 
     def conj_vector(self, v) -> Vector:
         """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`."""
@@ -299,8 +298,9 @@ def _fact(fn):
 @_fact
 def structure_table(L: LieAlgebra) -> StructureTable:
     """L's `StructureTable`."""
-    pairs, den = kernel.zi_pairs([w for _, coeffs in L.brackets for _, w in coeffs])
-    it = iter(pairs)
+    # One row of every constant: none is zero, so the row holds each in order.
+    (row,), den = kernel.zi_rows([[w for _, coeffs in L.brackets for _, w in coeffs]])
+    it = iter(row.values())
     return _table(L.field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
 
 
@@ -520,12 +520,11 @@ def apply_basis_change(
         # j is the new coordinates of S conj(e_j), over s_den * inv_den.
         s_rows, s_den = real_structure_rows(L)
         cols = [_coords(inv, _conjugate_row(s_rows, row)) for row in e]
+        # Over Q, S is the identity and the rows are real.
         rows = [{c: col[r] for c, col in enumerate(cols) if r in col} for r in range(n)]
-        decode = kernel.zi_decode
-        if table.field == "Q":  # S is then the identity, and real
-            rows = [{c: x for c, (x, _) in row.items()} for row in rows]
-            decode = kernel.q_decode
-        new_real = ExactMatrix([decode(row, s_den * inv_den, n) for row in rows], cols=n)
+        new_real = ExactMatrix(
+            [kernel.decode(row, s_den * inv_den, n, table.field) for row in rows], cols=n
+        )
     return LieAlgebra.from_brackets(
         name=name or f"{L.name}~",
         dim=n,
@@ -575,11 +574,10 @@ def _decoded(table: StructureTable, field: str) -> BracketMap:
 
     Over "Qi" they are `Gaussian`; over "Q" they are the real parts, as `Rational`.
     """
-    decode = kernel.q_decode if field == "Q" else kernel.zi_decode
     brackets = {}
     for i, j, ks, res, ims in zip(*_qi_columns(table)):
-        entries = dict(enumerate(res if field == "Q" else zip(res, ims)))
-        brackets[i, j] = dict(zip(ks, decode(entries, table.den, len(ks))))
+        entries = kernel.decode(dict(enumerate(zip(res, ims))), table.den, len(ks), field)
+        brackets[i, j] = dict(zip(ks, entries))
     return brackets
 
 

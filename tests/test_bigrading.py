@@ -34,6 +34,7 @@ from nilqp.bigrading import (
     _generic_seeds,
     _jspace_candidates,
     _jspace_u,
+    _kernel_groups,
     _krylov_span,
     _member,
     _minimal_degree,
@@ -513,7 +514,7 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
         cases.append(u_rows[:2] + [_random_zi_row(rng, v)])
     seen = set()
     for rows in cases:
-        vecs = [_lift(frame, kernel.zi_decode(row, 1, v)) for row in rows]
+        vecs = [_lift(frame, kernel.decode(row, 1, v, "Qi")) for row in rows]
         want = not any(any(moved.bracket(x, y)) for x, y in combinations(vecs, 2))
         assert _bi_isotropic(frame, rows) == want
         seen.add(want)
@@ -653,6 +654,29 @@ def test_pencil_structure_solves_only_the_first_invertible_member(monkeypatch):
         assert len(calls) == 1, label
         solved = (solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam))) for lam, mu in tries)
         assert w == next(x for x in solved if x is not None), label
+
+
+def test_regular_pencil_past_the_expanded_pfaffian():
+    # n7+n5 has v = 10 > 8 and dim C^1 = 2: the Pfaffian is not expanded,
+    # so every member is solved in turn and only the member (1, 0) seeds.
+    tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2))
+    base = direct_sum(get("n7").algebra, get("n5").algebra)
+    for seed in (None, 1, 2, 3, 4):
+        alg = base
+        if seed is not None:
+            alg = apply_basis_change(base, random_invertible_t(base.dim, random.Random(seed)))
+        frame = _TwoStepFrame(_realified(alg)[0], SearchBounds())
+        assert (frame.v, frame.c1.dim, frame.regular()) == (10, 2, True), seed
+        groups, w = _pencil_structure(frame)
+        solved = (
+            kernel.zi_solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam)))
+            for lam, mu in tries
+        )
+        assert w == next(x for x in solved if x is not None), seed
+        assert groups == list(_kernel_groups(frame, [(1, 0)])), seed
+        out = search_bigrading(alg)
+        assert out.found, seed
+        assert verify_bigrading(alg, out.bigrading, mode="strict").valid, seed
 
 
 def test_regular_pencil_forms_spans_only_as_completions_ask(monkeypatch):

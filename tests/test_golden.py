@@ -53,6 +53,9 @@ GOLDEN_MOVED_CHECK_SHA256 = (
 GOLDEN_MOVED_SUMS_CHECK_SHA256 = (
     "787249e7a32d271d52b6d5e7cacd476d508771cb6a3777815183f34e5735d001"
 )
+GOLDEN_REPORT_SHA256 = (
+    "401aa1f84813964e7b14c72f59b84a2fc3aca48b97b71af4303ce27229bace77"
+)
 GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
     "bfd2c5c513b024efcf740928549e6445748e36a30f27ce73756009be5d6f6720"
 )
@@ -90,6 +93,16 @@ def test_cli_json_output_matches_golden_digest(exported, command):
             digest.update(f"{key} {command}\n".encode())
             digest.update(_json_run(name, algebra, *extra).encode())
     assert digest.hexdigest() == GOLDEN_CLI_SHA256[command]
+
+
+def test_report_json_output_matches_golden_digest():
+    # The classification report of every dimension 1-8, recorded before the
+    # obstructing test was read off the verdict's last reason.
+    digest = hashlib.sha256()
+    for k in range(1, 9):
+        digest.update(f"{k} ".encode())
+        digest.update(_json_run("report", "--dim", str(k)).encode())
+    assert digest.hexdigest() == GOLDEN_REPORT_SHA256
 
 
 def test_moved_check_verdicts_match_golden_digest():

@@ -225,7 +225,7 @@ def test_zi_rows_combine_and_decode_match_fractions(data):
     rows, ncols = data
     vecs = [_gaussians(row) for row in rows]
     encoded, den = kernel.zi_rows(vecs)
-    assert [kernel.zi_decode(r, den, ncols) for r in encoded] == vecs
+    assert [kernel.decode(r, den, ncols, "Qi") for r in encoded] == vecs
     x, y = rows[0], rows[-1]
     # x + i*y - 2*conj(x), on Z[i] rows and on Fractions
     got = kernel.zi_combine(
@@ -236,7 +236,7 @@ def test_zi_rows_combine_and_decode_match_fractions(data):
     want = [
         (a - d - 2 * a, b + c + 2 * b) for (a, b), (c, d) in zip(x, y)
     ]
-    assert kernel.zi_decode(got, den, ncols) == _gaussians(want)
+    assert kernel.decode(got, den, ncols, "Qi") == _gaussians(want)
 
 
 def test_zi_exact_vectors_are_in_lowest_terms():
@@ -331,8 +331,8 @@ def test_null_space_matches_fraction_oracle(data, field):
     )
     # zi_common puts the exact vectors back over one denominator.
     common, den = kernel.zi_common(basis)
-    assert [kernel.zi_decode(r, den, ncols) for r in common] == [
-        kernel.zi_decode(r, d, ncols) for r, d in basis
+    assert [kernel.decode(r, den, ncols, "Qi") for r in common] == [
+        kernel.decode(r, d, ncols, "Qi") for r, d in basis
     ]
 
 

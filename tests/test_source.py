@@ -42,8 +42,29 @@ def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and classes that no module names.
+def _has_all(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for node in tree.body
+    )
+
+
+def _checked(node, has_all: bool) -> bool:
+    """Whether a module-level definition must be referenced.
+
+    Private functions and classes must be, and so must the public functions
+    of a module without ``__all__`` (``has_all`` false): such a module
+    serves the package only.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    if not isinstance(node, (*functions, ast.ClassDef)) or node.name.startswith("__"):
+        return False
+    return node.name.startswith("_") or (not has_all and isinstance(node, functions))
+
+
+def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level definitions (`_checked`) that no module names.
 
     ``sources`` maps a module's name to its text.  A definition counts as
     referenced when its name is read as a name or an attribute anywhere
@@ -54,9 +75,7 @@ def _unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
         (module, node.name): node
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
+        if _checked(node, _has_all(tree))
     }
     inside = {
         id(child): key for key, node in defined.items() for child in ast.walk(node)
@@ -84,9 +103,19 @@ def test_the_check_sees_an_unreferenced_private_definition():
         "class _Gone:\n    pass\n\ndef __getattr__(name):\n    pass\n",
         "b": "from a import _used\n",
     }
-    assert _unreferenced_private_definitions(sources) == ["a._Gone", "a._rec"]
+    assert _unreferenced_definitions(sources) == ["a._Gone", "a._rec"]
+
+
+def test_the_check_sees_an_unreferenced_public_function_only_without_all():
+    # A module without ``__all__`` (like ``kernel``) exports nothing, so a
+    # public function there that no module calls is dead code.
+    sources = {
+        "a": "def used():\n    pass\n\ndef gone():\n    pass\n\nclass Kept:\n    pass\n",
+        "b": "__all__ = ['api']\nfrom a import used\n\ndef api():\n    return used()\n",
+    }
+    assert _unreferenced_definitions(sources) == ["a.gone"]
 
 
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert _unreferenced_private_definitions(sources) == []
+    assert _unreferenced_definitions(sources) == []
