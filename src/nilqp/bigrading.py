@@ -71,7 +71,6 @@ from .liealg import (
     LieAlgebra,
     _moved_table,
     _real_form,
-    _qi_columns,
     _zi_bracket,
     center,
     commutator_ideal,
@@ -211,8 +210,8 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
     """Check all bigrading axioms; failures are reported, not raised.
 
     The grading lives on L itself.  Over Q its vectors are read in L's
-    complexification without building it: L's table as over Q(i)
-    (`liealg._qi_columns`), and the identity as conjugation
+    complexification without building it: L's table, whose Z[i] constants
+    have zero imaginary parts, and the identity as conjugation
     (`liealg.real_structure_rows`).  Over Q(i), L needs a real structure.
     """
     if mode not in ("strict", "lax"):
@@ -229,7 +228,7 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
     memberships and containments do not depend on scale and are read off
     echelons (`kernel.zi_insert`/`kernel.zi_reduce`); brackets are formed
-    on `structure_table`, read as over Q(i) (`liealg._qi_columns`), and
+    on `structure_table` (`liealg._zi_bracket`), and
     conjugation on the real structure's rows (`liealg.real_structure_rows`).
     """
     n = L.dim
@@ -259,7 +258,7 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
 
     bracket_ok = True
     if spans:
-        columns = _qi_columns(structure_table(L))
+        columns = structure_table(L).columns
         zero = (0, 0)
         dense = {
             key: [[row.get(j, zero) for j in range(n)] for row in comp_rows]
@@ -453,7 +452,7 @@ def filtrations_from_bigrading(g: Bigrading) -> FiltrationPair:
 
 def _conj_subspace(s: Subspace, s_rows) -> Subspace:
     """{S conj(x) : x in s} for the real structure S with the Z[i] rows ``s_rows``."""
-    rows = [_conjugate_row(s_rows, row) for row in s.kernel_rows("Qi")]
+    rows = [_conjugate_row(s_rows, row) for row, _ in s.rows]
     return Subspace._span(rows, s.ambient_dim, "Qi")
 
 
@@ -543,15 +542,18 @@ def _real_form_basis(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
         row_re, row_im = [*a, *b], [*b, *(-x for x in a)]
         row_re[out] -= den
         row_im[n + out] -= den
-        rows += [{c: x for c, x in enumerate(r) if x} for r in (row_re, row_im)]
+        rows += [{c: (x, 0) for c, x in enumerate(r) if x} for r in (row_re, row_im)]
     fixed = kernel.null_space(rows, 2 * n, "Q")
     if len(fixed) != n:
         raise MissingRealStructure(
             f"{L.name}: fixed space of conjugation has dimension "
             f"{len(fixed)}, expected {n}"
         )
+    # x = a + ib from the real vector (a, b).
+    zero = (0, 0)
     return kernel.zi_common([
-        ({j: (row.get(j, 0), row.get(n + j, 0)) for j in range(n) if j in row or n + j in row}, d)
+        ({j: (row.get(j, zero)[0], row.get(n + j, zero)[0]) for j in range(n)
+          if j in row or n + j in row}, d)
         for row, d in fixed
     ])
 
@@ -613,7 +615,7 @@ class _TwoStepFrame:
         table = structure_table(R)
         self.den = table.den
         self.forms = [[[0] * self.v for _ in range(self.v)] for _ in coord]
-        for i, j, ks, xs in zip(*table.columns):
+        for i, j, ks, xs, _ in zip(*table.columns):
             if i in slot and j in slot:
                 a, b = slot[i], slot[j]
                 for k, x in zip(ks, xs):
@@ -880,9 +882,12 @@ def _pencil_structure(frame: _TwoStepFrame):
     if all(not c for c in pf):
         return list(_kernel_groups(frame, tries)), None
     # Degenerate members: finite rational roots mu with Pf(mu*M1+M2)=0
-    # read off the polynomial in the M1 direction, plus (1:0) itself.
+    # read off the polynomial in the M1 direction, plus (1:0) itself when
+    # Pf(M1), the coefficient of lam^h, is zero.  ``pf`` is trimmed to a
+    # nonzero last coefficient (the placeholder [1] included), so that is
+    # when its degree is below h.
     members = _rational_roots(pf)
-    if not pf[-1] or len(pf) - 1 < h:
+    if len(pf) - 1 < h:
         members.append((1, 0))
     groups = list(_kernel_groups(frame, members))
     # Invertible member for the pencil operator.
@@ -921,8 +926,8 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     U = {x - iJx} commutes for every bracket component; mu in A^2 = mu I is
     invariant under basis change, so rational solutions transport.  Returns
     ``(basis, den)``: the null space's exact vectors over one denominator,
-    A_a = basis[a] / den with each basis[a] an integer matrix as sparse
-    rows ``{column: int}``.
+    A_a = basis[a] / den with each basis[a] the integer matrix of their
+    real parts, as sparse rows ``{column: int}`` for `_ProductTable`.
     """
     v = frame.v
     rows = []
@@ -932,8 +937,8 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     for m in frame.forms:
         for p in range(v):
             for q in range(p + 1, v):
-                row = {r * v + p: m[r][q] for r in range(v) if m[r][q]}
-                row.update((s * v + q, m[p][s]) for s in range(v) if m[p][s])
+                row = {r * v + p: (m[r][q], 0) for r in range(v) if m[r][q]}
+                row.update((s * v + q, (m[p][s], 0)) for s in range(v) if m[p][s])
                 if row:
                     rows.append(row)
     if not rows:
@@ -943,7 +948,7 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     basis = []
     for vec, d in null:
         mat: list[dict[int, int]] = [{} for _ in range(v)]
-        for j, x in vec.items():
+        for j, (x, _) in vec.items():
             mat[j // v][j % v] = x * (den // d)
         basis.append(mat)
     return basis, den
@@ -1664,7 +1669,7 @@ def search_bigrading(
             rows[key] = [row for row, _ in vecs]
     if z.dim:
         comps.append((-1, -1, z.vectors()))
-        rows[-1, -1] = z.kernel_rows("Qi")
+        rows[-1, -1] = [row for row, _ in z.rows]
     grading = Bigrading.build(comps)
     report = _verify_rows(L, grading, rows, "strict")
     if not report.valid:

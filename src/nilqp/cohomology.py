@@ -9,8 +9,8 @@ and representative cocycles use this order.
 Each d_k is assembled once, sparsely, from bit masks of the monomials with
 Koszul signs in closed form, out of a table of structure constants
 (`liealg.StructureTable`).  Its entries are the constants times one common
-denominator D of all of them: integers over Q, (re, im) Gaussian integers
-over Q(i).  Scaling by D != 0 changes neither the rank nor which entries are
+denominator D of all of them, as (re, im) Gaussian integers over both
+fields.  Scaling by D != 0 changes neither the rank nor which entries are
 nonzero, so ranks are taken on these rows directly (``kernel.rank`` over
 the table's field); d_0 and d_n are zero and are not assembled.
 
@@ -66,9 +66,10 @@ from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
     StructureTable,
-    _bracket_q,
-    _bracket_qi,
+    _constant_rows,
     _moved_table,
+    _sparse_bracket,
+    _table,
     commutator_ideal,
     structure_table,
 )
@@ -114,7 +115,7 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
     if not rows:
         return ExactMatrix.empty(cols, L.field)
     table = structure_table(L)
-    d = _assemble(n, k, L.field, _dual_terms(table))
+    d = _assemble(n, k, _dual_terms(table))
     return ExactMatrix(
         [kernel.decode(d.get(r, {}), table.den, cols, L.field) for r in range(rows)], cols=cols
     )
@@ -135,27 +136,21 @@ def _dual_terms(table: StructureTable) -> dict[int, list]:
 
     From a `StructureTable`: ``terms[m]`` lists (mask of {i, j}, mask of the
     indices strictly between i and j, (-D C_ij^m, D C_ij^m)), D the table's
-    common denominator.  The scaled constants are ints over Q and (re, im)
-    Gaussian integers over Q(i).
+    common denominator, each scaled constant a Gaussian integer (re, im).
     """
-    field, _, columns = table
     terms: dict[int, list] = {}
-    for i, j, ms, *parts in zip(*columns):
+    for i, j, ms, res, ims in zip(*table.columns):
         pair = (1 << i) | (1 << j)
         between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
-        if field == "Q":
-            signed = [(-x, x) for x in parts[0]]
-        else:
-            signed = [((-x, -y), (x, y)) for x, y in zip(*parts)]
-        for m, pm in zip(ms, signed):
-            terms.setdefault(m, []).append((pair, between, pm))
+        for m, x, y in zip(ms, res, ims):
+            terms.setdefault(m, []).append((pair, between, ((-x, -y), (x, y))))
     return terms
 
 
-def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, dict]:
-    """D times d_k (0 < k < n) as sparse rows ``{dst monomial: {src monomial: entry}}``.
+def _assemble(n: int, k: int, terms: dict[int, list]) -> dict[int, dict]:
+    """D times d_k (0 < k < n) as sparse Z[i] rows ``{dst monomial: {src monomial: entry}}``.
 
-    Monomials are lexicographic indices, entries the integers of
+    Monomials are lexicographic indices, entries the Gaussian integers of
     `_dual_terms`; entries that cancel are left out, and so are zero rows.
     """
     dst_index = {mask: idx for idx, mask in enumerate(_masks(n, k + 1))}
@@ -184,12 +179,11 @@ def _assemble(n: int, k: int, field: str, terms: dict[int, list]) -> dict[int, d
                     row[c] = x
                 else:
                     y = row[c]
-                    row[c] = y + x if field == "Q" else (y[0] + x[0], y[1] + x[1])
+                    row[c] = (y[0] + x[0], y[1] + x[1])
                     summed = True
     if summed:
-        zero = 0 if field == "Q" else (0, 0)
         for r in list(rows):
-            row = {c: x for c, x in rows[r].items() if x != zero}
+            row = {c: x for c, x in rows[r].items() if x != (0, 0)}
             if row:
                 rows[r] = row
             else:
@@ -203,11 +197,10 @@ def _sparse_differentials(n: int, table: StructureTable, degrees):
     The differentials are those of the dimension-``n`` algebra whose
     constants ``table`` holds.  No d_k of an abelian algebra is assembled.
     """
-    field, _, columns = table
-    if not columns[0]:
+    if not table.columns[0]:
         return {}
     terms = _dual_terms(table)
-    return {k: _assemble(n, k, field, terms) for k in degrees}
+    return {k: _assemble(n, k, terms) for k in degrees}
 
 
 def _unimodular(table: StructureTable) -> bool:
@@ -237,39 +230,29 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
     denominators: R_a = d_a r_a, C^1's stored exact vector ``(R_a, d_a)``.
     Every bracket w lies in C^1, so w = sum_a w[p_a] r_a, and the new
     constants are the pivot entries of the old-basis brackets of the new
-    basis vectors: no inverse is needed.  The brackets are formed on
-    `structure_table` over its field; the dual generators of the n - dim C^1
-    unit vectors are closed.
+    basis vectors: no inverse is needed.  The brackets are sparse products
+    of `liealg._constant_rows` kept at the pivots alone, entry a at p_a;
+    the dual generators of the n - dim C^1 unit vectors are closed.
     """
     n = L.dim
-    field, den, columns = structure_table(L)
     c1 = commutator_ideal(L)
-    pivots = [min(row) for row, _ in c1.rows]
-    dens = [d for _, d in c1.rows]
-    free = sorted(set(range(n)) - set(pivots))
-    if field == "Q":
-        zero, one, bracket = 0, 1, _bracket_q
-    else:
-        zero, one, bracket = (0, 0), (1, 0), _bracket_qi
-    basis = [[one if k == j else zero for k in range(n)] for j in free]
-    basis += [[row.get(k, zero) for k in range(n)] for row in c1.kernel_rows(field)]
+    at_pivot = {min(row): a for a, (row, _) in enumerate(c1.rows)}
+    consts = _constant_rows(L, at_pivot)
+    free = [j for j in range(n) if j not in at_pivot]
+    basis = [{j: (1, 0)} for j in free] + [row for row, _ in c1.rows]
     # R_a carries d_a at its pivot, so w = sum_a (w[p_a] / d_a) R_a; over
     # the common multiple m of the d_a the coefficient is w[p_a] (m / d_a).
+    dens = [d for _, d in c1.rows]
     m = lcm(*dens)
     scale = [m // d for d in dens]
-    new = ([], [], [], *([] for _ in columns[3:]))
+    rows = {}
     for s in range(n):
         for t in range(s + 1, n):
-            w = bracket(columns, basis[s], basis[t], n)
-            parts = (w,) if field == "Q" else w  # (ints,) or (re, im)
-            hit = [a for a, p in enumerate(pivots) if any(part[p] for part in parts)]
-            if hit:
-                new[0].append(s)
-                new[1].append(t)
-                new[2].append(tuple(len(free) + a for a in hit))
-                for col, part in zip(new[3:], parts):
-                    col.append(tuple(part[pivots[a]] * scale[a] for a in hit))
-    return StructureTable(field, den * m, tuple(map(tuple, new)))
+            w = _sparse_bracket(consts, basis[s], basis[t])
+            if w:
+                hit = sorted(w.items())
+                rows[s, t] = [(len(free) + a, (x * scale[a], y * scale[a])) for a, (x, y) in hit]
+    return _table(L.field, structure_table(L).den * m, rows)
 
 
 def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyTable:
@@ -344,10 +327,6 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
     """
     field = table.field
     diffs = _sparse_differentials(n, table, range(1, n))
-
-    def as_zi(row: dict) -> kernel.ZiRow:
-        return row if field == "Qi" else {j: (x, 0) for j, x in row.items()}
-
     reps = {}
     for k in range(n + 1):
         ncols = len(exterior_basis(n, k))
@@ -357,10 +336,10 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
                 image.setdefault(c, {})[r] = x
         echelon: list = []
         for col in image.values():
-            kernel.zi_insert(echelon, as_zi(col))
+            kernel.zi_insert(echelon, col)
         chosen = []
         for row, _ in kernel.null_space(list(diffs.get(k, {}).values()), ncols, field):
-            if kernel.zi_insert(echelon, as_zi(row)):
+            if kernel.zi_insert(echelon, row):
                 lead, kept = echelon[-1]
                 chosen.append(kernel.decode(*kernel.zi_exact(kept, lead), ncols, field))
         reps[k] = tuple(chosen)

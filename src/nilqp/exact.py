@@ -186,7 +186,7 @@ class ExactMatrix:
         """Unique reduced row echelon form and its pivot columns."""
         if self.rows == 0 or self.cols == 0:
             return self, []
-        space = Subspace._span(kernel.int_rows(self.entries, self.field), self.cols, self.field)
+        space = Subspace._span(kernel.zi_rows(self.entries)[0], self.cols, self.field)
         zero = kernel.decode({}, 1, self.cols, self.field)
         red = space.vectors() + (zero,) * (self.rows - space.dim)
         return ExactMatrix(red, cols=self.cols), [min(row) for row, _ in space.rows]
@@ -194,7 +194,7 @@ class ExactMatrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        return kernel.rank(kernel.int_rows(self.entries, self.field), self.cols, self.field)
+        return kernel.rank(kernel.zi_rows(self.entries)[0], self.cols, self.field)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse of a square matrix; raises ValueError when singular."""
@@ -220,17 +220,18 @@ def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:
 
 def kernel_basis(m: ExactMatrix) -> "Subspace":
     """Null space of ``m`` acting on column vectors, as a canonical subspace."""
-    return Subspace.null_space(kernel.int_rows(m.entries, m.field), m.cols, m.field)
+    return Subspace.null_space(kernel.zi_rows(m.entries)[0], m.cols, m.field)
 
 
 class Subspace:
     """Row space with a canonical basis; equality is structural.
 
     ``rows`` is the reduced row echelon basis as the kernel's exact vectors
-    ``(row, den)`` over ``field`` (`kernel.span`): in lowest terms and in
-    pivot order, each row's pivot its smallest column.  The zero space is
-    over "Q".  `basis` and `vectors` decode the rows (`kernel.decode`) into
-    scalars, `Rational` over "Q" and `Gaussian` over "Qi", only when asked.
+    ``(row, den)`` (`kernel.span`): Z[i] rows over both fields, with zero
+    imaginary parts over "Q", in lowest terms and in pivot order, each row's
+    pivot its smallest column.  The zero space is over "Q".  `basis` and
+    `vectors` decode the rows (`kernel.decode`) into scalars, `Rational`
+    over "Q" and `Gaussian` over "Qi", only when asked.
     """
 
     __slots__ = ("ambient_dim", "field", "rows")
@@ -252,16 +253,16 @@ class Subspace:
                     f"vector of length {len(r)} in ambient dimension {ambient_dim}"
                 )
         field = "Qi" if any(Gaussian in map(type, r) for r in rows) else "Q"
-        return cls._span(kernel.int_rows(rows, field), ambient_dim, field)
+        return cls._span(kernel.zi_rows(rows)[0], ambient_dim, field)
 
     @classmethod
-    def _span(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
-        """The span of the kernel's integer rows over ``field``."""
+    def _span(cls, rows: list[kernel.ZiRow], ambient_dim: int, field: str) -> "Subspace":
+        """The span over ``field`` of Z[i] rows."""
         return cls(ambient_dim, field, kernel.span(rows, ambient_dim, field))
 
     @classmethod
-    def null_space(cls, rows: list[dict], ambient_dim: int, field: str) -> "Subspace":
-        """{x : row . x = 0 for each row}, the kernel's integer rows over ``field``."""
+    def null_space(cls, rows: list[kernel.ZiRow], ambient_dim: int, field: str) -> "Subspace":
+        """{x : row . x = 0 for each row} over ``field``, for Z[i] rows."""
         return cls(ambient_dim, field, kernel.null_space(rows, ambient_dim, field))
 
     @classmethod
@@ -270,7 +271,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, "Q", [({j: 1}, 1) for j in range(ambient_dim)])
+        return cls(ambient_dim, "Q", [({j: (1, 0)}, 1) for j in range(ambient_dim)])
 
     @property
     def dim(self) -> int:
@@ -284,12 +285,6 @@ class Subspace:
         n, field = self.ambient_dim, self.field
         return tuple(kernel.decode(row, den, n, field) for row, den in self.rows)
 
-    def kernel_rows(self, field: str) -> list[dict]:
-        """The basis rows, scaled to integers, as kernel rows over ``field`` (its own or "Qi")."""
-        if field == self.field:
-            return [row for row, _ in self.rows]
-        return [{j: (x, 0) for j, x in row.items()} for row, _ in self.rows]
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -299,9 +294,7 @@ class Subspace:
         return hash(self._key())
 
     def _key(self) -> tuple:
-        """The rows over "Qi": a rational vector is the same pair with zero imaginary parts."""
-        rows = zip(self.kernel_rows("Qi"), (den for _, den in self.rows))
-        return self.ambient_dim, tuple((frozenset(r.items()), d) for r, d in rows)
+        return self.ambient_dim, tuple((frozenset(r.items()), d) for r, d in self.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} in ambient {self.ambient_dim})"
@@ -314,12 +307,12 @@ class Subspace:
 
     def echelon(self) -> list[tuple[int, kernel.ZiRow]]:
         """The basis as a new ``(lead, row)`` echelon for `kernel.zi_reduce`/`zi_insert`."""
-        return [(min(row), row) for row in self.kernel_rows("Qi")]
+        return [(min(row), row) for row, _ in self.rows]
 
     def sum(self, other: "Subspace") -> "Subspace":
         _same_ambient(self, other)
         field = "Qi" if "Qi" in (self.field, other.field) else "Q"
-        rows = self.kernel_rows(field) + other.kernel_rows(field)
+        rows = [row for row, _ in self.rows + other.rows]
         return Subspace._span(rows, self.ambient_dim, field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -336,13 +329,13 @@ class Subspace:
         field = "Qi" if "Qi" in (self.field, other.field) else "Q"
         rows = []
         for s in (self, other):
-            rows += [row for row, _ in kernel.null_space(s.kernel_rows(field), n, field)]
+            rows += [row for row, _ in kernel.null_space([r for r, _ in s.rows], n, field)]
         return Subspace.null_space(rows, n, field)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         _same_ambient(self, other)
         echelon = other.echelon()
-        return not any(kernel.zi_reduce(row, echelon) for row in self.kernel_rows("Qi"))
+        return not any(kernel.zi_reduce(row, echelon) for row, _ in self.rows)
 
 
 class RowReducer:

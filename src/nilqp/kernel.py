@@ -1,17 +1,22 @@
 """The exact elimination kernel over Q and Q(i).
 
-Elimination runs on plain integers rather than scalar objects, on one row
-format per field: ``{column: int}`` over Q and the Z[i] row
-``{column: (re, im)}`` (a Gaussian integer per entry) over Q(i).  Neither
-holds zero entries, so the zero row is the empty, false dict.
+Elimination runs on plain integers rather than scalar objects.  Callers
+know one row format, over both fields: the sparse Z[i] row ``{column: (re,
+im)}``, a Gaussian integer per entry, with no zero entries, so the zero row
+is the empty, false dict.  A row over Q has zero imaginary parts.
 
 * Conversion: `zi_rows` is the one encoder, which clears vectors of
   `Rational`, `Gaussian` or int scalars of one common denominator into Z[i]
-  rows; `int_rows` projects them onto the row format of a field.  `decode`
-  is the one decoder, which divides a denominator out of a row of either
-  format and makes the scalars of a field.  Callers pass the field and do
-  not choose between functions for Q and for Q(i): `rank`, `span` and
+  rows.  `decode` is the one decoder, which divides a denominator out of a
+  row and makes the scalars of a field.  Callers pass the field and do not
+  choose between functions for Q and for Q(i): `rank`, `span` and
   `null_space` take it too, and pick the elimination of that field.
+* Over Q the elimination runs on the rows' real parts, ``{column: int}``,
+  a format that stays inside this module: `rank` and `span` read the real
+  parts into `rank_q`/`rref_q`, `null_space` reads them while it transposes,
+  and `q_exact` turns the reduced rows back into Z[i] rows.  Ranking
+  rational rows as Z[i] pairs would cost half as much again, so both loops
+  stay.
 * Rank (`rank_q`/`rank_qi`), reduced row echelon form (`rref_q`/`rref_qi`)
   and the incremental echelon (`zi_reduce`/`zi_insert`) of
   ``exact.RowReducer`` and of the cohomology representatives share
@@ -79,27 +84,15 @@ def zi_rows(vectors) -> tuple[list[ZiRow], int]:
     return [{j: p for j, p in enumerate(vec) if p[0] or p[1]} for vec in scaled], den
 
 
-def int_rows(rows, field: str) -> list[dict]:
-    """Rows of scalars as the kernel's rows over ``field``: `zi_rows`, real parts over "Q".
-
-    The common denominator, which changes neither span nor support, is dropped.
-    """
-    zi, _ = zi_rows(rows)
-    if field == "Qi":
-        return zi
-    return [{j: x for j, (x, _) in row.items() if x} for row in zi]
-
-
-def decode(row: dict, den: int, ncols: int, field: str) -> tuple:
+def decode(row: ZiRow, den: int, ncols: int, field: str) -> tuple:
     """The vector ``row / den`` as a tuple of ``ncols`` scalars over ``field``.
 
-    The scalars are `Gaussian` over "Qi", from a Z[i] row, and `Rational`
-    over "Q", from a row of either format: a Z[i] row's real parts are read.
+    The scalars are `Gaussian` over "Qi" and `Rational` over "Q", where the
+    real parts are read.
     """
     if field == "Q":
         out = [Q0] * ncols
-        pairs = type(next(iter(row.values()), None)) is tuple
-        for j, x in zip(row, (x for x, _ in row.values()) if pairs else row.values()):
+        for j, (x, _) in row.items():
             out[j] = Rational(x, den)
         return tuple(out)
     out = [_GAUSSIAN_ZERO] * ncols
@@ -136,22 +129,63 @@ def rref_qi(rows: list[ZiRow], ncols: int) -> tuple[list[ZiRow], list[int]]:
     return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate)
 
 
-def rank(rows: list[dict], ncols: int, field: str) -> int:
-    """Rank over ``field`` of the kernel's rows of its format (`rank_q`, `rank_qi`)."""
-    return (rank_q if field == "Q" else rank_qi)(rows, ncols)
+def rank(rows: list[ZiRow], ncols: int, field: str) -> int:
+    """Rank over ``field`` of Z[i] rows (`rank_q` on their real parts over "Q", `rank_qi`)."""
+    if field == "Q":
+        return rank_q(_reals(rows), ncols)
+    return rank_qi(rows, ncols)
 
 
-def span(rows: list[dict], ncols: int, field: str, skip: int = 0) -> list[tuple[dict, int]]:
-    """The reduced basis of the span of the kernel's rows over ``field``, as exact vectors.
+def span(rows: list[ZiRow], ncols: int, field: str) -> list[tuple[ZiRow, int]]:
+    """The reduced basis of the span of Z[i] rows over ``field``, as exact vectors.
 
-    Each row of the reduced form (`rref_q`, `rref_qi`) comes back divided by
-    its pivot entry, as an exact vector ``(row, den)`` in lowest terms
-    (`q_exact`, `zi_exact`), in pivot order.  With ``skip``, only the rows
-    that vanish on the first ``skip`` columns are kept, shifted left by
-    ``skip``.
+    Each row of the reduced form (`rref_q` on the real parts over "Q",
+    `rref_qi`) comes back divided by its pivot entry, as an exact vector
+    ``(row, den)`` in lowest terms (`q_exact`, `zi_exact`), in pivot order.
     """
-    red, pivots = (rref_q if field == "Q" else rref_qi)(rows, ncols)
-    exact = q_exact if field == "Q" else zi_exact
+    return _basis(_reals(rows) if field == "Q" else rows, ncols, field, 0)
+
+
+def null_space(rows: list[ZiRow], ncols: int, field: str) -> list[tuple[ZiRow, int]]:
+    """The reduced basis of {x : row . x = 0 for each row}, as exact vectors.
+
+    ``rows`` are Z[i] rows, columns below ``ncols``.  Row j of the matrix
+    reduced, [M^T | I], is column j of ``rows`` (over "Q", of their real
+    parts) followed by the j-th unit vector; its reduced rows that vanish
+    on the first part are the null space's reduced row echelon basis, each
+    times a scale, and `_basis` returns them with the first part skipped.
+    """
+    m = len(rows)
+    if field == "Q":
+        aug = [{m + j: 1} for j in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, (x, _) in row.items():
+                aug[j][i] = x
+    else:
+        aug = [{m + j: (1, 0)} for j in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, e in row.items():
+                aug[j][i] = e
+    return _basis(aug, m + ncols, field, m)
+
+
+def _reals(rows: list[ZiRow]) -> list[dict]:
+    """The real parts of Z[i] rows, as the integer rows that Q's elimination takes."""
+    return [{j: x for j, (x, _) in row.items()} for row in rows]
+
+
+def _basis(rows: list[dict], ncols: int, field: str, skip: int) -> list[tuple[ZiRow, int]]:
+    """`span` of rows already in the elimination format of ``field``.
+
+    Only the reduced rows that vanish on the first ``skip`` columns are
+    kept, shifted left by ``skip``.
+    """
+    if field == "Q":
+        red, pivots = rref_q(rows, ncols)
+        exact = q_exact
+    else:
+        red, pivots = rref_qi(rows, ncols)
+        exact = zi_exact
     return [
         exact({j - skip: e for j, e in row.items()} if skip else row, p - skip)
         for row, p in zip(red, pivots)
@@ -159,28 +193,10 @@ def span(rows: list[dict], ncols: int, field: str, skip: int = 0) -> list[tuple[
     ]
 
 
-def null_space(rows: list[dict], ncols: int, field: str) -> list[tuple[dict, int]]:
-    """The reduced basis of {x : row . x = 0 for each row}, as exact vectors.
-
-    ``rows`` are the kernel's rows over ``field``, columns below ``ncols``.
-    Row j of the matrix reduced, [M^T | I], is column j of ``rows`` followed
-    by the j-th unit vector; its reduced rows that vanish on the first part
-    are the null space's reduced row echelon basis, each times a scale, and
-    `span` returns them with the first part skipped.
-    """
-    m = len(rows)
-    one = 1 if field == "Q" else (1, 0)
-    aug = [{m + j: one} for j in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, e in row.items():
-            aug[j][i] = e
-    return span(aug, m + ncols, field, m)
-
-
-def q_exact(row: dict, lead: int) -> tuple[dict, int]:
-    """``row`` divided by its entry at ``lead``, as ``(row, den)`` in lowest terms."""
+def q_exact(row: dict, lead: int) -> tuple[ZiRow, int]:
+    """An integer row divided by its entry at ``lead``, as Z[i] ``(row, den)`` in lowest terms."""
     g = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
-    return {j: x // g for j, x in row.items()}, row[lead] // g
+    return {j: (x // g, 0) for j, x in row.items()}, row[lead] // g
 
 
 def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:

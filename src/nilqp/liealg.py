@@ -9,9 +9,10 @@ as its real part and refuses any other.  Algebras over Q(i) may carry a real
 structure: an antilinear involution that is also a bracket automorphism,
 used for all conjugation-dependent checks.
 
-Brackets, validation, conjugation and changes of basis run on integers.
-`structure_table` holds the constants once per instance as integers over
-one common denominator (Gaussian-integer pairs over Q(i)), and
+Brackets, validation, conjugation and changes of basis run on integers, in
+the kernel's one row format over both fields: Z[i] rows, whose imaginary
+parts are zero over Q.  `structure_table` holds the constants once per
+instance as Gaussian-integer pairs over one common denominator, and
 `real_structure_rows` the real structure as Z[i] rows.  `validate` checks
 on them; `LieAlgebra.bracket` and `LieAlgebra.conj_vector` clear the
 denominators of their input, form every product on integers and divide
@@ -164,7 +165,7 @@ class LieAlgebra:
         n = self.dim
         (ru, rv), den = kernel.zi_rows([uu, vv])
         us, vs = ([r.get(j, (0, 0)) for j in range(len(x))] for r, x in ((ru, uu), (rv, vv)))
-        w = _zi_bracket(_qi_columns(table), us, vs, n)
+        w = _zi_bracket(table.columns, us, vs, n)
         field = "Qi" if Gaussian in map(type, uu + vv) else table.field
         return kernel.decode(w, den * den * table.den, n, field)
 
@@ -221,10 +222,10 @@ def validate(L: LieAlgebra) -> ValidationReport:
     for i, j, k in combinations(range(n), 3):
         cycle = ((i, j, k), (j, k, i), (k, i, j))
         terms = [
-            (c, consts[m, z])
+            (c, consts[m][z])
             for x, y, z in cycle
-            for m, c in consts.get((x, y), {}).items()
-            if (m, z) in consts
+            for m, c in consts.get(x, {}).get(y, {}).items()
+            if z in consts.get(m, ())
         ]
         if kernel.zi_combine(*terms):
             # The residual as the scalars `LieAlgebra.bracket` types.
@@ -240,11 +241,12 @@ def validate(L: LieAlgebra) -> ValidationReport:
             raise InvalidRealStructure(
                 f"{L.name}: real structure is not an antilinear involution"
             )
-        columns = _qi_columns(structure_table(L))
+        columns = structure_table(L).columns
         s_cols = [[row.get(j, (0, 0)) for row in s_rows] for j in range(n)]
         for i, j in combinations(range(n), 2):
             # Both sides over the table's denominator times s_den^2.
-            lhs = kernel.zi_combine(((s_den, 0), _conjugate_row(s_rows, consts.get((i, j), {}))))
+            row = consts.get(i, {}).get(j, {})
+            lhs = kernel.zi_combine(((s_den, 0), _conjugate_row(s_rows, row)))
             if lhs != _zi_bracket(columns, s_cols[i], s_cols[j], n):
                 raise InvalidRealStructure(
                     f"{L.name}: conjugation is not a bracket automorphism "
@@ -266,14 +268,15 @@ def validate(L: LieAlgebra) -> ValidationReport:
 
 
 class StructureTable(NamedTuple):
-    """The structure constants as integers over one common denominator.
+    """The structure constants as Gaussian integers over one common denominator.
 
     ``columns`` holds one entry per nonzero [X_i, X_j], in the order of
-    ``L.brackets``, as parallel tuples: over "Q" ``(is, js, ks, xs)`` with
-    C_ij^k = x / den for k, x in zip(ks, xs); over "Qi" ``(is, js, ks, res,
-    ims)`` with C_ij^k = (re + im*i) / den.  The field is the algebra's.
-    Columns rather than a tuple per bracket, and one ``ks`` tuple per
-    distinct support, keep the table small next to the constants themselves.
+    ``L.brackets``, as the parallel tuples ``(is, js, ks, res, ims)`` with
+    C_ij^k = (re + im*i) / den for k, re, im in zip(ks, res, ims), over
+    both fields: over "Q" every ``ims`` entry is zero.  The field is the
+    algebra's.  Columns rather than a tuple per bracket, and each distinct
+    tuple of ``ks`` and ``ims`` stored once (so one tuple of zeros per
+    support size over "Q"), keep the table small next to the constants.
     """
 
     field: str
@@ -306,16 +309,15 @@ def structure_table(L: LieAlgebra) -> StructureTable:
 
 def _table(field: str, den: int, rows: dict) -> StructureTable:
     """The table of [X_i, X_j] = sum (re + im*i) / den X_k, (k, (re, im)) in rows[i, j]."""
-    supports: dict[tuple, tuple] = {}
-    ks = [tuple(k for k, _ in row) for row in rows.values()]
+    shared: dict[tuple, tuple] = {}
+    ks = (tuple(k for k, _ in row) for row in rows.values())
+    ims = (tuple(y for _, (_, y) in row) for row in rows.values())
     return StructureTable(field, den, (
         tuple(i for i, _ in rows),
         tuple(j for _, j in rows),
-        tuple(supports.setdefault(k, k) for k in ks),
-        *(
-            tuple(tuple(pair[part] for _, pair in row) for row in rows.values())
-            for part in ((0, 1) if field == "Qi" else (0,))
-        ),
+        tuple(shared.setdefault(t, t) for t in ks),
+        tuple(tuple(x for _, (x, _) in row) for row in rows.values()),
+        tuple(shared.setdefault(t, t) for t in ims),
     ))
 
 
@@ -330,42 +332,38 @@ def _identity_rows(n: int) -> tuple[list[kernel.ZiRow], int]:
     return [{j: (1, 0)} for j in range(n)], 1
 
 
-def _constant_rows(L: LieAlgebra) -> dict[tuple[int, int], kernel.ZiRow]:
-    """[X_a, X_b] for every nonzero bracket, both orders, as Z[i] rows over the table's den."""
-    field, _, columns = structure_table(L)
-    rows = {}
-    for i, j, ks, *parts in zip(*columns):
-        pairs = zip(*parts) if field == "Qi" else ((x, 0) for x in parts[0])
-        rows[i, j] = dict(zip(ks, pairs))
-        rows[j, i] = {k: (-x, -y) for k, (x, y) in rows[i, j].items()}
+def _constant_rows(L: LieAlgebra, coords: dict | None = None) -> dict[int, dict]:
+    """[X_a, X_b] as the Z[i] row ``rows[a][b]`` over the table's den, for every nonzero bracket.
+
+    Both orders are kept.  With ``coords``, a row keeps only its entries at
+    the columns that ``coords`` maps, under their new indices, and a row
+    left empty is dropped.
+    """
+    rows: dict[int, dict] = {}
+    for i, j, ks, res, ims in zip(*structure_table(L).columns):
+        entries = zip(ks, zip(res, ims))
+        row = dict(entries) if coords is None else {coords[k]: e for k, e in entries if k in coords}
+        if row:
+            rows.setdefault(i, {})[j] = row
+            rows.setdefault(j, {})[i] = {k: (-x, -y) for k, (x, y) in row.items()}
     return rows
 
 
-def _qi_columns(table: StructureTable) -> tuple:
-    """The columns of a table as over Q(i): one over Q gains zero imaginary parts."""
-    if table.field == "Qi":
-        return table.columns
-    return (*table.columns, tuple((0,) * len(ks) for ks in table.columns[2]))
+def _sparse_bracket(consts: dict, u: kernel.ZiRow, v: kernel.ZiRow) -> kernel.ZiRow:
+    """[u, v] = sum u_i v_j [X_i, X_j] of sparse Z[i] rows, on `_constant_rows` ``consts``."""
+    terms = []
+    for i, (a, b) in u.items():
+        near = consts.get(i)
+        if near:
+            for j, (c, d) in v.items():
+                row = near.get(j)
+                if row is not None:
+                    terms.append(((a * c - b * d, a * d + b * c), row))
+    return kernel.zi_combine(*terms)
 
 
 def _zi_bracket(columns, u: list, v: list, n: int) -> kernel.ZiRow:
-    """`_bracket_qi` of Z[i] pair vectors as a sparse Z[i] row."""
-    return {k: (x, y) for k, (x, y) in enumerate(zip(*_bracket_qi(columns, u, v, n))) if x or y}
-
-
-def _bracket_q(columns, u: list[int], v: list[int], n: int) -> list[int]:
-    """The integer bracket of integer vectors on the columns of a table over Q."""
-    out = [0] * n
-    for i, j, ks, xs in zip(*columns):
-        c = u[i] * v[j] - u[j] * v[i]
-        if c:
-            for k, w in zip(ks, xs):
-                out[k] += c * w
-    return out
-
-
-def _bracket_qi(columns, u: list, v: list, n: int) -> tuple[list[int], list[int]]:
-    """The bracket of Z[i] pair vectors on a table over Q(i), as (real, imaginary) parts."""
+    """The bracket of dense Z[i] pair vectors on the columns of a table, as a sparse Z[i] row."""
     re = [0] * n
     im = [0] * n
     for i, j, ks, ps, qs in zip(*columns):
@@ -377,65 +375,42 @@ def _bracket_qi(columns, u: list, v: list, n: int) -> tuple[list[int], list[int]
             for k, p, q in zip(ks, ps, qs):
                 re[k] += x * p - y * q
                 im[k] += x * q + y * p
-    return re, im
+    return {k: (x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y}
 
 
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
 
-    The n brackets [X_i, w] of one basis row w of ``sub`` are read off
-    `structure_table` in one pass: a constant column [X_i, X_j] adds
-    w_j [X_i, X_j] to [X_i, w] and -w_i [X_i, X_j] to [X_j, w].  The span is
-    over L's field.
+    The n brackets [X_i, w] of one basis row w of ``sub`` are read off the
+    columns of `structure_table`: a constant column [X_i, X_j], i < j, adds
+    w_j [X_i, X_j] to [X_i, w] and -w_i [X_i, X_j] to [X_j, w], each
+    bracket summed as its real and imaginary parts.  The rows go to the
+    span in the order of w, then of i.  The span is over L's field.
     """
     n = L.dim
-    field, _, columns = structure_table(L)
-    if field == "Q":
-        rows = [
-            {k: x for k, x in enumerate(ad) if x}
-            for w, _ in sub.rows
-            for ad in _ad_q(columns, w, n)
-            if any(ad)
-        ]
-    else:
-        rows = [
-            row
-            for w in sub.kernel_rows("Qi")
-            for ad in _ad_qi(columns, w, n)
-            if (row := {k: e for k, e in enumerate(ad) if e[0] or e[1]})
-        ]
-    return Subspace._span(rows, n, field)
-
-
-def _ad_q(columns, w: dict, n: int) -> list[list[int]]:
-    """The integer brackets [X_i, w], i < n, on the columns of a table over Q."""
-    out = [[0] * n for _ in range(n)]
-    for i, j, ks, xs in zip(*columns):
-        a, b = w.get(j, 0), w.get(i, 0)
-        if a:
-            row = out[i]
-            for k, x in zip(ks, xs):
-                row[k] += a * x
-        if b:
-            row = out[j]
-            for k, x in zip(ks, xs):
-                row[k] -= b * x
-    return out
-
-
-def _ad_qi(columns, w: dict, n: int) -> list[list]:
-    """The Z[i] brackets [X_i, w] on a table over Q(i), as rows of pairs."""
-    re = [[0] * n for _ in range(n)]
-    im = [[0] * n for _ in range(n)]
-    for i, j, ks, ps, qs in zip(*columns):
-        for t, (a, b), sign in ((i, w.get(j, (0, 0)), 1), (j, w.get(i, (0, 0)), -1)):
-            if a or b:
-                a, b = sign * a, sign * b
-                rr, ri = re[t], im[t]
+    # Each constant column by the basis vectors it meets: X_j with sign 1, X_i with -1.
+    meets: dict[int, list] = {}
+    for i, j, *parts in zip(*structure_table(L).columns):
+        meets.setdefault(j, []).append((i, 1, *parts))
+        meets.setdefault(i, []).append((j, -1, *parts))
+    rows = []
+    for w, _ in sub.rows:
+        re: dict[int, list[int]] = {}
+        im: dict[int, list[int]] = {}
+        for j, (a, b) in w.items():
+            for i, sign, ks, ps, qs in meets.get(j, ()):
+                if i not in re:
+                    re[i], im[i] = [0] * n, [0] * n
+                rr, ri = re[i], im[i]
+                a2, b2 = sign * a, sign * b
                 for k, p, q in zip(ks, ps, qs):
-                    rr[k] += a * p - b * q
-                    ri[k] += a * q + b * p
-    return [list(zip(r, s)) for r, s in zip(re, im)]
+                    rr[k] += a2 * p - b2 * q
+                    ri[k] += a2 * q + b2 * p
+        for i in sorted(re):
+            row = {k: (x, y) for k, (x, y) in enumerate(zip(re[i], im[i])) if x or y}
+            if row:
+                rows.append(row)
+    return Subspace._span(rows, n, L.field)
 
 
 @_fact
@@ -461,22 +436,21 @@ def center(L: LieAlgebra) -> Subspace:
     [X_j, X_i], read off `structure_table`; `kernel.null_space` reduces
     [M^T | I], whose row j is ad(X_j) flattened, then e_j.
     """
-    field, _, columns = structure_table(L)
     stacked: dict[tuple[int, int], dict] = {}
-    for i, j, ks, *parts in zip(*columns):
-        for k, *c in zip(ks, *parts):
-            # [X_i, X_j] = -[X_j, X_i]: an int over Q, a Z[i] pair over Q(i)
-            stacked.setdefault((j, k), {})[i] = c[0] if field == "Q" else tuple(c)
-            stacked.setdefault((i, k), {})[j] = -c[0] if field == "Q" else (-c[0], -c[1])
-    return Subspace.null_space(list(stacked.values()), L.dim, field)
+    for i, j, ks, res, ims in zip(*structure_table(L).columns):
+        for k, x, y in zip(ks, res, ims):
+            # [X_i, X_j] = -[X_j, X_i]
+            stacked.setdefault((j, k), {})[i] = (x, y)
+            stacked.setdefault((i, k), {})[j] = (-x, -y)
+    return Subspace.null_space(list(stacked.values()), L.dim, L.field)
 
 
 @_fact
 def commutator_ideal(L: LieAlgebra) -> Subspace:
     """C^1 L = span of all [X_i, X_j] over L's field, read off the rows of `structure_table`."""
-    field, _, (_, _, ks, *parts) = structure_table(L)
-    rows = [dict(zip(k, zip(*p) if field == "Qi" else p[0])) for k, *p in zip(ks, *parts)]
-    return Subspace._span(rows, L.dim, field)
+    _, _, ks, res, ims = structure_table(L).columns
+    rows = [dict(zip(k, zip(re, im))) for k, re, im in zip(ks, res, ims)]
+    return Subspace._span(rows, L.dim, L.field)
 
 
 def complexify(L: LieAlgebra) -> LieAlgebra:
@@ -550,11 +524,10 @@ def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
         raise SingularTransformation("matrix is singular")
     inv, inv_den = solved  # e^-1 = inv / inv_den
     old = structure_table(L)
-    columns = _qi_columns(old)
     dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
     rows = {}  # by pair (i, j), each new constant times t_den * old.den * inv_den
     for i, j in combinations(range(n), 2):
-        w = _coords(inv, _zi_bracket(columns, dense[i], dense[j], n))
+        w = _coords(inv, _zi_bracket(old.columns, dense[i], dense[j], n))
         if w:
             rows[i, j] = sorted(w.items())
     d = t_den * old.den * inv_den
@@ -575,7 +548,7 @@ def _decoded(table: StructureTable, field: str) -> BracketMap:
     Over "Qi" they are `Gaussian`; over "Q" they are the real parts, as `Rational`.
     """
     brackets = {}
-    for i, j, ks, res, ims in zip(*_qi_columns(table)):
+    for i, j, ks, res, ims in zip(*table.columns):
         entries = kernel.decode(dict(enumerate(zip(res, ims))), table.den, len(ks), field)
         brackets[i, j] = dict(zip(ks, entries))
     return brackets
@@ -607,7 +580,7 @@ def _abelian_split(L: LieAlgebra):
     z, c1 = center(L), commutator_ideal(L)
     # Extend a basis of Z n C1 to Z using Z's canonical basis rows.
     echelon = z.intersect(c1).echelon()
-    z_rows = z.kernel_rows("Qi")
+    z_rows = [row for row, _ in z.rows]
     central = [i for i, row in enumerate(z_rows) if kernel.zi_insert(echelon, row)]
     if not central:
         return None, []
@@ -616,8 +589,8 @@ def _abelian_split(L: LieAlgebra):
     for i in central:
         kernel.zi_insert(echelon, z_rows[i])
     complement = [j for j in range(n) if kernel.zi_insert(echelon, {j: (1, 0)})]
-    one = 1 if c1.field == "Q" else (1, 0)
-    core = Subspace._span(c1.kernel_rows(c1.field) + [{j: one} for j in complement], n, c1.field)
+    rows = [row for row, _ in c1.rows] + [{j: (1, 0)} for j in complement]
+    core = Subspace._span(rows, n, c1.field)
     assert core.dim == n - len(central)
     z_vectors = z.vectors()
     return list(core.vectors()), [z_vectors[i] for i in central]

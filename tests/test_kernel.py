@@ -299,9 +299,13 @@ def test_null_space_matches_fraction_oracle(data, field):
         # that the rank can fall short over Q too.
         real = [[x for x, _ in row] for row in rows]
         real.append([x + y for x, y in zip(real[0], real[-1])])
-        basis = kernel.null_space([int_row(row) for row in real], ncols, "Q")
+        # Callers pass Z[i] rows over both fields; over Q their imaginary
+        # parts are zero, and so are those of the basis returned.
+        zi = [{j: (x, 0) for j, x in int_row(row).items()} for row in real]
+        basis = kernel.null_space(zi, ncols, "Q")
         assert len(basis) == ncols - frac_rank(real)
-        vecs = [[Fraction(r.get(j, 0), den) for j in range(ncols)] for r, den in basis]
+        assert not any(y for r, _ in basis for _, y in r.values())
+        vecs = [[Fraction(r.get(j, (0, 0))[0], den) for j in range(ncols)] for r, den in basis]
         for vec in vecs:
             for row in real:
                 assert sum(a * x for a, x in zip(row, vec)) == 0
@@ -310,7 +314,7 @@ def test_null_space_matches_fraction_oracle(data, field):
             want, _ = frac_rref(vecs, ncols)
             assert want == vecs
         # Exact vectors are in lowest terms.
-        assert all(den > 0 and gcd(den, *r.values()) == 1 for r, den in basis)
+        assert all(den > 0 and gcd(den, *(x for x, _ in r.values())) == 1 for r, den in basis)
         return
     basis = kernel.null_space(_zi_ints(rows), ncols, "Qi")
     pairs = [(0, 0)] * ncols

@@ -42,6 +42,7 @@ from conftest import random_gaussian_t, random_invertible_t
 from oracles import (
     _c_matmul,
     frac_inverse_qi,
+    frac_rank,
     frac_rref,
     frac_rref_qi,
     oracle_basis_change,
@@ -660,6 +661,52 @@ def test_center_of_complexification_equals_stacked_ad_kernel(rng):
             assert got.basis.field == ("Qi" if over_qi and got.dim else "Q"), lc.name
             kind = Gaussian if over_qi else Rational
             assert all(type(x) is kind for v in got.vectors() for x in v), lc.name
+
+
+def _is_rational_zi_row(row) -> bool:
+    """Whether ``row`` is a Z[i] row over Q: ``{int: (int, 0)}`` with no zero entry."""
+    return all(
+        type(j) is int and type(e) is tuple and len(e) == 2
+        and type(e[0]) is int and e[0] and e[1] == 0
+        for j, e in row.items()
+    )
+
+
+def test_rational_algebras_hold_one_row_format(rng):
+    # Over Q, the structure table, the center, C^1, every term of the lower
+    # central series and a span of scalar vectors hold Z[i] rows with zero
+    # imaginary parts, on every catalog algebra over Q and a moved copy of
+    # each; and the kernel ranks, spans and solves such rows over Q as the
+    # Fraction oracles do.
+    for key in catalog_keys():
+        alg = get(key).algebra
+        n = alg.dim
+        if alg.field != "Q" or not n:
+            continue
+        for lc in (alg, apply_basis_change(alg, random_invertible_t(n, rng))):
+            is_, js, ks, res, ims = structure_table(lc).columns
+            assert all(type(x) is int and x for xs in res for x in xs), lc.name
+            assert not any(map(any, ims)), lc.name
+            assert [len(x) for x in ims] == [len(k) for k in ks], lc.name
+            spanned = Subspace.from_spanning([lc.bracket_basis(i, j) for i, j in zip(is_, js)], n)
+            spaces = [center(lc), commutator_ideal(lc), spanned]
+            spaces += lower_central_series(lc).terms
+            for space in spaces:
+                assert all(_is_rational_zi_row(row) for row, _ in space.rows), lc.name
+            assert spanned == commutator_ideal(lc), lc.name
+
+            rows = [dict(zip(k, zip(re, im))) for k, re, im in zip(ks, res, ims)]
+            dense = [[Fraction(row.get(j, (0, 0))[0]) for j in range(n)] for row in rows]
+            rank = kernel.rank(rows, n, "Q")
+            assert rank == frac_rank(dense), lc.name
+            for got, want in (
+                (kernel.span(rows, n, "Q"), frac_rref(dense, n)[0][:rank]),
+                (kernel.null_space(rows, n, "Q"), _oracle_null_space(dense, n, False)),
+            ):
+                assert all(_is_rational_zi_row(row) for row, _ in got), lc.name
+                assert [
+                    [_fractions(x) for x in kernel.decode(row, den, n, "Q")] for row, den in got
+                ] == want, lc.name
 
 
 def test_series_and_center_computed_once_per_instance():

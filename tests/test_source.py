@@ -63,6 +63,17 @@ def _checked(node, has_all: bool) -> bool:
     return node.name.startswith("_") or (not has_all and isinstance(node, functions))
 
 
+def _named(node) -> str | None:
+    """The name that ``node`` reads as a name or an attribute, or imports; None otherwise."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level definitions (`_checked`) that no module names.
 
@@ -83,13 +94,8 @@ def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
     referenced = set()
     for module, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            else:
+            name = _named(node)
+            if name is None:
                 continue
             owner = inside.get(id(node))
             if owner is None or owner[1] != name:
@@ -119,3 +125,41 @@ def test_the_check_sees_an_unreferenced_public_function_only_without_all():
 def test_every_private_definition_is_referenced():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _unreferenced_definitions(sources) == []
+
+
+# The kernel's per-field elimination: over Q it runs on the real parts of the
+# Z[i] rows that every other module passes, and only the kernel knows it.
+_PER_FIELD = frozenset(("rank_q", "rank_qi", "rref_q", "rref_qi", "q_exact", "_primitive_q"))
+
+
+def _per_field_names(sources: dict[str, str]) -> list[str]:
+    """Each place where a module other than ``kernel`` names a function of `_PER_FIELD`.
+
+    ``sources`` maps a module's name to its text.  A name read, an
+    attribute and an imported name all count.
+    """
+    found = []
+    for module, source in sources.items():
+        if module == "kernel":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            name = _named(node)
+            if name in _PER_FIELD:
+                found.append(f"{module}.{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_check_sees_a_per_field_kernel_function_outside_the_kernel():
+    sources = {
+        "kernel": "def rank_q(rows, ncols):\n    return 0\n\n"
+        "def rank(rows, ncols, field):\n    return rank_q(rows, ncols)\n",
+        "a": "from . import kernel\nfrom .kernel import rref_qi\n"
+        "kernel.rank_q([], 0)\nkernel.rank([], 0, 'Q')\nnote = 'rank_q in a string'\n",
+    }
+    assert _per_field_names(sources) == ["a.rank_q (line 3)", "a.rref_qi (line 2)"]
+
+
+def test_only_the_kernel_names_its_per_field_functions():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert "kernel" in sources
+    assert _per_field_names(sources) == []
