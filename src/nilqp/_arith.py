@@ -1,5 +1,10 @@
-"""Integer arithmetic helpers: factorization, modular square roots, and an
-exact solver for rational ternary quadratic equations a x^2 + b y^2 + c z^2 = 0.
+"""Integer number theory on plain ints.
+
+Ratios and rational vectors in lowest terms (`lowest_terms`), exact square
+roots (`isqrt_exact`), the rational roots of an integer polynomial of
+degree <= 3 (`rational_roots`), factorization, modular square roots, and
+an exact solver for ternary quadratic equations a x^2 + b y^2 + c z^2 = 0
+with integer coefficients (`solve_ternary`).
 
 The solver implements Legendre reduction: normalize to squarefree pairwise
 coprime coefficients, take a square root of -ab modulo the largest
@@ -14,9 +19,103 @@ found, which for solvable inputs does not happen.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt, lcm
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def lowest_terms(*terms: int) -> tuple[int, ...]:
+    """``terms[:-1] / terms[-1]`` in lowest terms with a positive denominator.
+
+    The result has the layout of ``terms``: ``lowest_terms(num, den)`` is a
+    ratio ``(num, den)``, and ``lowest_terms(*nums, den)`` a rational vector
+    ``(*nums, den)``.  The denominator is nonzero.
+    """
+    g = gcd(*terms)
+    if terms[-1] < 0:
+        g = -g
+    return tuple(t // g for t in terms)
+
+
+def isqrt_exact(n: int) -> int | None:
+    """The integer r >= 0 with r^2 = n, or None when n is not a square."""
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def _integer_roots_monic_cubic(b2: int, b1: int, b0: int) -> list[int]:
+    """Integer roots of y^3 + b2 y^2 + b1 y + b0 by exact sign bisection, in increasing order."""
+
+    def val(y: int) -> int:
+        return ((y + b2) * y + b1) * y + b0
+
+    # Stationary points of the cubic lie between integer brackets derived
+    # from the derivative 3y^2 + 2b2 y + b1.
+    disc = 4 * b2 * b2 - 12 * b1
+    bound = 1 + max(abs(b2), abs(b1), abs(b0))
+    cut_points = [-bound, bound]
+    if disc > 0:
+        r = isqrt(disc)
+        for sign in (-1, 1):
+            num = -2 * b2 + sign * r
+            cut_points.append(num // 6)
+            cut_points.append(num // 6 + 1)
+    cuts = sorted(set(max(-bound, min(bound, c)) for c in cut_points))
+    roots = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        flo, fhi = val(lo), val(hi)
+        if flo == 0:
+            roots.append(lo)
+        if fhi == 0:
+            roots.append(hi)
+        if (flo < 0 < fhi) or (fhi < 0 < flo):
+            a, b = lo, hi
+            fa = flo
+            while b - a > 1:
+                mid = (a + b) // 2
+                fm = val(mid)
+                if fm == 0:
+                    roots.append(mid)
+                    break
+                if (fa < 0) == (fm < 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+    return sorted(set(roots))
+
+
+def rational_roots(coeffs) -> list[tuple[int, int]]:
+    """All rational roots of an integer polynomial of degree <= 3, as `lowest_terms` ratios.
+
+    ``coeffs`` lists the coefficients from the constant term up, the last
+    one nonzero.  The roots come without repeats, in this order: 0 when
+    the constant term is zero; then, for what is left after factoring out
+    powers of the variable, with coefficients c_0, c_1, ..., the root of a
+    linear factor, (-c_1 + r) / 2c_2 before (-c_1 - r) / 2c_2 for a
+    quadratic (r the square root of its discriminant), and increasing
+    y = c_3 lambda for a cubic.
+    """
+    roots: list[tuple[int, int]] = []
+    while not coeffs[0]:
+        coeffs = coeffs[1:]
+        roots.append((0, 1))
+    g = gcd(*coeffs)
+    ints = [c // g for c in coeffs]
+    if len(ints) == 2:
+        roots.append(lowest_terms(-ints[0], ints[1]))
+    elif len(ints) == 3:
+        c0, c1, c2 = ints
+        r = isqrt_exact(c1 * c1 - 4 * c2 * c0)
+        if r is not None:
+            roots += [lowest_terms(-c1 + r, 2 * c2), lowest_terms(-c1 - r, 2 * c2)]
+    elif len(ints) == 4:
+        c0, c1, c2, c3 = ints
+        # y = c3 * lambda turns the cubic monic with integer coefficients.
+        for y in _integer_roots_monic_cubic(c2, c1 * c3, c0 * c3 * c3):
+            roots.append(lowest_terms(y, c3))
+    return list(dict.fromkeys(roots))
 
 
 def is_probable_prime(n: int) -> bool:
@@ -130,22 +229,9 @@ def _sqrt_mod_squarefree(a: int, m: int, factors: dict[int, int]) -> int | None:
         if rp is None:
             return None
         # CRT combine
-        g, inv = _modinv(modulus, p)
-        diff = (rp - residue) % p
-        residue = residue + modulus * ((diff * inv) % p)
+        residue += modulus * ((rp - residue) * pow(modulus, -1, p) % p)
         modulus *= p
     return residue % m
-
-
-def _modinv(a: int, p: int):
-    a %= p
-    t, new_t = 0, 1
-    r, new_r = p, a
-    while new_r:
-        q = r // new_r
-        t, new_t = new_t, t - q * new_t
-        r, new_r = new_r, r - q * new_r
-    return r, t % p
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -202,50 +288,29 @@ def _solve_normalized(a: int, b: int, c: int, depth: int = 0):
     return (x, y, z)
 
 
-def solve_ternary(a, b, c, depth: int = 0):
-    """Rational solution (x, y, z) != 0 of a x^2 + b y^2 + c z^2 = 0.
+def solve_ternary(a: int, b: int, c: int, depth: int = 0):
+    """Integer solution (x, y, z) != 0 of a x^2 + b y^2 + c z^2 = 0.
 
-    Accepts ints or objects with .num/.den; returns a primitive integer
-    triple or None.  The result is verified against the integer-cleared
-    equation before being returned.
+    Returns a primitive integer triple or None.  The result is verified
+    against the equation before being returned.
     """
-    from fractions import Fraction
-
     if depth > 200:
         return None
-    coeffs = []
-    scale = 1
-    for v in (a, b, c):
-        num = getattr(v, "num", None)
-        if num is not None:
-            den = v.den
-        else:
-            num, den = int(v), 1
-        coeffs.append((num, den))
-        scale *= den
-    ints = [num * (scale // den) for (num, den) in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(a, b, c)
     if g == 0:
         return None
-    ints = [v // g for v in ints]
-    if any(v == 0 for v in ints):
-        idx = next(i for i, v in enumerate(ints) if v == 0)
-        sol = [0, 0, 0]
-        sol[idx] = 1
-        return tuple(sol)
+    ints = [a // g, b // g, c // g]
+    if 0 in ints:
+        return tuple(int(i == ints.index(0)) for i in range(3))
     if all(v > 0 for v in ints) or all(v < 0 for v in ints):
         return None
-    # Normalize: squarefree coefficients, pairwise coprime; back[i] converts
-    # a solution of the normalized equation to the original variables.
+    # Normalize: squarefree coefficients, pairwise coprime; num[i] / den[i]
+    # converts a solution of the normalized equation to the original variables.
     work = list(ints)
-    back = [Fraction(1)] * 3
+    num, den = [1, 1, 1], [1, 1, 1]
     for i in range(3):
-        sf, s = _squarefree_split(work[i])
-        work[i] = sf
-        if s != 1:
-            back[i] /= s
+        work[i], s = _squarefree_split(work[i])
+        den[i] *= s
     guard = 0
     while True:
         guard += 1
@@ -253,41 +318,29 @@ def solve_ternary(a, b, c, depth: int = 0):
             return None
         changed = False
         for (i, j, k) in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            g2 = gcd(abs(work[i]), abs(work[j]))
+            g2 = gcd(work[i], work[j])
             if g2 > 1:
                 # p | a, p | b: substitute z -> z/p and divide through by p:
                 # (a/p) x^2 + (b/p) y^2 + (c p) z'^2 with z = p z'.
                 work[i] //= g2
                 work[j] //= g2
-                merged = work[k] * g2
-                sf, s = _squarefree_split(merged)
-                work[k] = sf
-                back[k] *= g2
-                if s != 1:
-                    back[k] /= s
+                work[k], s = _squarefree_split(work[k] * g2)
+                num[k] *= g2
+                den[k] *= s
                 changed = True
         if not changed:
             break
     order = sorted(range(3), key=lambda i: abs(work[i]))
-    trip = (work[order[0]], work[order[1]], work[order[2]])
-    sol = _solve_normalized(*trip, depth=depth + 1)
+    sol = _solve_normalized(*(work[i] for i in order), depth=depth + 1)
     if sol is None:
         return None
-    placed = [Fraction(0)] * 3
+    placed = [0, 0, 0]
     for pos, idx in enumerate(order):
-        placed[idx] = Fraction(sol[pos])
-    vals = [placed[i] * back[i] for i in range(3)]
-    if not any(vals):
+        placed[idx] = sol[pos]
+    top = lcm(*den)
+    vals = [x * n * (top // d) for x, n, d in zip(placed, num, den)]
+    g3 = gcd(*vals)
+    if g3 == 0:
         return None
-    lcm = 1
-    for v in vals:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    out = tuple(int(v * lcm) for v in vals)
-    g3 = 0
-    for v in out:
-        g3 = gcd(g3, v)
-    out = tuple(v // g3 for v in out)
-    check = ints[0] * out[0] ** 2 + ints[1] * out[1] ** 2 + ints[2] * out[2] ** 2
-    if check != 0:
-        return None
-    return out
+    out = tuple(v // g3 for v in vals)
+    return None if sum(v * x * x for v, x in zip(ints, out)) else out

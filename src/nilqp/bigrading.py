@@ -44,9 +44,12 @@ off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
 meets are null spaces (`kernel.null_space`), and verification brackets on
 the same table.  The J-space construction keeps its solution space as
 integer matrices over one denominator and its candidates as integer
-coefficient tuples.  Each construction returns U as exact vectors; the
-search lifts them, conjugates them on the real structure's rows and
-verifies those rows, and decodes scalars once, for the `Bigrading` found.
+coefficient tuples.  The constructions' number theory (lowest terms,
+exact square roots, rational roots, Legendre's conic solver) is
+`nilqp._arith`, on plain ints.  Each construction returns U as exact
+vectors; the search lifts them, conjugates them on the real structure's
+rows and verifies those rows, and decodes scalars once, for the
+`Bigrading` found.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, combinations, islice, product, repeat
-from math import gcd, isqrt, lcm
+from math import lcm
 
-from ._arith import solve_ternary
+from ._arith import isqrt_exact, lowest_terms, rational_roots, solve_ternary
 from .cohomology import _graded_cohomology, _grading_table
 from .errors import (
     AmbientMismatch,
@@ -737,96 +740,6 @@ def _pfaffian_poly(m1, m2, v: int):
     return coeffs
 
 
-def _isqrt_exact(n: int):
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
-def _integer_roots_monic_cubic(b2: int, b1: int, b0: int) -> list[int]:
-    """Integer roots of y^3 + b2 y^2 + b1 y + b0 by exact sign bisection."""
-
-    def val(y: int) -> int:
-        return ((y + b2) * y + b1) * y + b0
-
-    # Stationary points of the cubic lie between integer brackets derived
-    # from the derivative 3y^2 + 2b2 y + b1.
-    disc = 4 * b2 * b2 - 12 * b1
-    bound = 1 + max(abs(b2), abs(b1), abs(b0))
-    cut_points = [-bound, bound]
-    if disc > 0:
-        r = isqrt(disc)
-        for sign in (-1, 1):
-            num = -2 * b2 + sign * r
-            cut_points.append(num // 6)
-            cut_points.append(num // 6 + 1)
-    cuts = sorted(set(max(-bound, min(bound, c)) for c in cut_points))
-    roots = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        flo, fhi = val(lo), val(hi)
-        if flo == 0:
-            roots.append(lo)
-        if fhi == 0:
-            roots.append(hi)
-        if (flo < 0 < fhi) or (fhi < 0 < flo):
-            a, b = lo, hi
-            fa = flo
-            while b - a > 1:
-                mid = (a + b) // 2
-                fm = val(mid)
-                if fm == 0:
-                    roots.append(mid)
-                    break
-                if (fa < 0) == (fm < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-    return sorted(set(roots))
-
-
-def _ratio(num: int, den: int) -> tuple[int, int]:
-    """num / den as ``(num, den)`` in lowest terms with den > 0."""
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
-
-
-def _rational_roots(coeffs) -> list[tuple[int, int]]:
-    """All rational roots of an integer polynomial of degree <= 3, as `_ratio` pairs.
-
-    ``coeffs`` lists the coefficients from the constant term up, the last
-    one nonzero, as `_pfaffian_poly` trims them.
-    """
-    roots: list[tuple[int, int]] = []
-    # Factor out powers of lambda.
-    while not coeffs[0]:
-        coeffs = coeffs[1:]
-        if (0, 1) not in roots:
-            roots.append((0, 1))
-    if len(coeffs) <= 1:
-        return roots
-    g = gcd(*coeffs)
-    ints = [c // g for c in coeffs]
-    deg = len(ints) - 1
-    if deg == 1:
-        roots.append(_ratio(-ints[0], ints[1]))
-    elif deg == 2:
-        c0, c1, c2 = ints
-        disc = c1 * c1 - 4 * c2 * c0
-        r = _isqrt_exact(disc)
-        if r is not None:
-            roots.append(_ratio(-c1 + r, 2 * c2))
-            roots.append(_ratio(-c1 - r, 2 * c2))
-    elif deg == 3:
-        c0, c1, c2, c3 = ints
-        # y = c3 * lambda turns the cubic monic with integer coefficients.
-        for y in _integer_roots_monic_cubic(c2, c1 * c3, c0 * c3 * c3):
-            roots.append(_ratio(y, c3))
-    return list(dict.fromkeys(roots))
-
-
 # The pencil constructions and the depth-first search work on the kernel's
 # Z[i] rows and exact vectors ``(row, den)`` in lowest terms
 # (`kernel.zi_lowest`), so that equal vectors are equal pairs; a group of
@@ -859,7 +772,7 @@ def _pencil_structure(frame: _TwoStepFrame):
     Seeds are kernel bases of the degenerate pencil members, located exactly
     as rational roots of the Pfaffian polynomial (for a singular pencil every
     member contributes).  The Pfaffian is expanded for even v <= 8, so its
-    degree v/2 reaches 4, but `_rational_roots` solves degree <= 3 only: when a
+    degree v/2 reaches 4, but `_arith.rational_roots` solves degree <= 3 only: when a
     quartic is left after factoring out lambda, its roots are missed and no
     degenerate member is seeded.  W = M_g^{-1} M_o for an invertible member
     M_g is self-adjoint for the member pairing, so W-cyclic subspaces
@@ -886,7 +799,7 @@ def _pencil_structure(frame: _TwoStepFrame):
     # Pf(M1), the coefficient of lam^h, is zero.  ``pf`` is trimmed to a
     # nonzero last coefficient (the placeholder [1] included), so that is
     # when its degree is below h.
-    members = _rational_roots(pf)
+    members = rational_roots(pf)
     if len(pf) - 1 < h:
         members.append((1, 0))
     groups = list(_kernel_groups(frame, members))
@@ -1046,18 +959,13 @@ def _rays_with_square_condition(table: _ProductTable, a: int, b: int):
         # every combination already works; try the two axes
         return [ea, eb]
     qa, qb, qc = quads[0]
-    rays = []
-    if not qa:
-        rays.append((1, 0))
-    if not qc:
-        rays.append((0, 1))
     if qa:
-        # roots t = x/y of qa t^2 + qb t + qc, each as the ray (t, 1) times |2 qa|
-        root = _isqrt_exact(qb * qb - 4 * qa * qc)
-        if root is not None:
-            sign_a = 1 if qa > 0 else -1
-            for sign in (1, -1):
-                rays.append((sign_a * (-qb + sign * root), 2 * abs(qa)))
+        # the roots t = x/y of qa t^2 + qb t + qc, each as the ray (t, 1) times its denominator
+        rays = rational_roots([qc, qb, qa])
+    else:
+        # (1 : 0), and (0 : 1) when qc = 0.  The root (-qc : qb) of
+        # qb x + qc y is not tried when qc != 0.
+        rays = [(1, 0)] if qc else [(1, 0), (0, 1)]
     return [
         tuple(x * p + y * q for p, q in zip(ea, eb))
         for x, y in rays
@@ -1101,10 +1009,11 @@ def _nilpotent_via_conic(table: _ProductTable):
         ortho.append((w, wd))
         d = form(w, w)
         # x - (B(x, w) / B(w, w)) w, whose denominator is xd * d
-        rest = [
-            _ratio_tuple(tuple(d * a - form(x, w) * b for a, b in zip(x, w)), xd * d)
+        reduced = (
+            lowest_terms(*(d * a - form(x, w) * b for a, b in zip(x, w)), xd * d)
             for x, xd in rest
-        ]
+        )
+        rest = [(t[:-1], t[-1]) for t in reduced]
     # The diagonal B(w, w) of the rational vectors, times 2D^2 lcm^2.
     top = lcm(*(wd for _, wd in ortho))
     ds = [form(w, w) * (top // wd) ** 2 for w, wd in ortho]
@@ -1119,14 +1028,6 @@ def _nilpotent_via_conic(table: _ProductTable):
         for i in range(3)
     )
     return coords if any(coords) else None
-
-
-def _ratio_tuple(nums, den: int):
-    """The rational vector nums / den as ``(nums, den)`` in lowest terms with den > 0."""
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    return tuple(x // g for x in nums), den // g
 
 
 def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
@@ -1155,7 +1056,7 @@ def _split_structure_candidates(table: _ProductTable) -> list[tuple]:
                 continue
             # mu(A_i) + t*beta + t^2 mu(A_j) = 0, each over D^2
             mi, mj = mus[i], mus[j]
-            root = _isqrt_exact(beta * beta - 4 * mj * mi)
+            root = isqrt_exact(beta * beta - 4 * mj * mi)
             if root is None:
                 continue
             for sign in (1, -1):
@@ -1215,7 +1116,7 @@ def _jspace_u(frame: _TwoStepFrame):
         mu = table.square(coeffs)
         if mu is None or mu >= 0:
             continue
-        r = _isqrt_exact(-mu)
+        r = isqrt_exact(-mu)
         if r is None:
             continue
         n = table.matrix(coeffs)
@@ -1469,14 +1370,12 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     spans = [[row for row, _ in grp] for grp in groups]
     if w is not None:
         w_rows, d = w
-        power = w_rows
-        for _ in range(h):
-            # The kernel of W^k, and its image, spanned by its columns.
+        for power in accumulate(repeat(w_rows, h), kernel.zi_matmul):
+            # The kernel of W^k, and its image, spanned by its columns, k = 1 .. h.
             columns = [
                 {r: row[j] for r, row in enumerate(power) if j in row} for j in range(v)
             ]
             spans += [[row for row, _ in kernel.null_space(power, v, "Qi")], columns]
-            power = kernel.zi_matmul(power, w_rows)
         orbit: list[tuple[kernel.ZiRow, int]] = []
         for row, den in seeds + _unit_vectors(v):
             for _ in range(h - 1):

@@ -1,6 +1,8 @@
 import os
 import random
 import sys
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import settings
@@ -64,6 +66,32 @@ def moved_parity_sum() -> LieAlgebra:
     """L5_parity+L5_parity in a seeded basis, which only the generic DFS settles."""
     alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
     return apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(1)))
+
+
+def ternary_from_solution(a, b, x, y, z) -> tuple[int, int, int]:
+    """Integers (a', b', c') with a' x^2 + b' y^2 + c' z^2 = 0, proportional to (a, b, c).
+
+    ``a`` and ``b`` are ints or Fractions and c is chosen so that
+    a x^2 + b y^2 + c z^2 = 0; the equation is cleared of denominators by
+    the least common multiple of its coefficients' denominators.
+    """
+    coeffs = (Fraction(a), Fraction(b), -(a * x * x + b * y * y) / Fraction(z * z))
+    scale = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * scale) for c in coeffs)
+
+
+def seeded_ternary_equations():
+    """300 seeded integer ternary equations, each built from a known solution.
+
+    Larger coefficients, and rational a and b before clearing: the
+    squarefree split and the descent both have work to do.
+    """
+    rng = random.Random(20240611)
+    for _ in range(300):
+        a = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 2000), rng.randrange(1, 30))
+        b = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 2000), rng.randrange(1, 30))
+        x, y, z = (rng.randrange(1, 200) * rng.choice([-1, 1]) for _ in range(3))
+        yield ternary_from_solution(a, b, x, y, z)
 
 
 # Real and imaginary parts with different denominators, so that clearing

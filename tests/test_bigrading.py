@@ -778,7 +778,7 @@ def test_product_table_matches_fraction_products():
 def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     # The regular pencil (N4_82), the depth-first search with the pencil
     # operator (n5+n5), with a singular pencil (N2_82) and with generic
-    # seeds (L5_parity+L5_parity), the J-space construction (all 97
+    # seeds (L5_parity+L5_parity), the J-space construction (all 91
     # candidates of L5_parity+L5_parity, and on n7_142 the split candidates
     # with a nilpotent from the conic) and Darboux (n7) run on integers;
     # decoding the U found may construct scalars, but no scalar arithmetic
@@ -806,7 +806,7 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
     assert generic.c1.dim >= 3
     _dfs_u(generic, _generic_seeds(generic), None)
     table = _ProductTable(*_compatible_complex_structures(generic))
-    assert len(list(_jspace_candidates(table))) == 97
+    assert len(list(_jspace_candidates(table))) == 91
     assert _jspace_u(generic) is None
     table = _ProductTable(*_compatible_complex_structures(conic))
     assert not any(table.square(e) == 0 for e in table.units)

@@ -1,4 +1,4 @@
-"""Byte-identity of the command-line output and of moved verdicts.
+"""Byte-identity of the command-line output, of moved verdicts and of the conic solver.
 
 Every digest below was recorded before the engine's null spaces moved onto
 one kernel routine; a change that alters any output byte, on any exported
@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from nilqp._arith import solve_ternary
 from nilqp.bigrading import Bigrading, SearchBounds
 from nilqp.catalog import catalog_keys, export_entry, get
 from nilqp.checker import check
@@ -22,7 +23,7 @@ from nilqp.errors import NilqpError
 from nilqp.jsonio import dumps_json, verdict_to_json
 from nilqp.liealg import apply_basis_change, complexify, direct_sum
 
-from conftest import carried_grading, random_invertible_t
+from conftest import carried_grading, random_invertible_t, seeded_ternary_equations
 
 GOLDEN_CLI_SHA256 = {
     "validate": (
@@ -55,6 +56,9 @@ GOLDEN_MOVED_SUMS_CHECK_SHA256 = (
 )
 GOLDEN_REPORT_SHA256 = (
     "401aa1f84813964e7b14c72f59b84a2fc3aca48b97b71af4303ce27229bace77"
+)
+GOLDEN_SOLVE_TERNARY_SHA256 = (
+    "de7c1c5e57a8b5c9a7ec9117d6b964a88a3dee99c5b29d9a6819414c66af5fac"
 )
 GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
     "bfd2c5c513b024efcf740928549e6445748e36a30f27ce73756009be5d6f6720"
@@ -187,3 +191,17 @@ def test_reshuffled_and_moved_bigraded_cohomology_match_golden_digest():
                 digest.update(f"{key} {number} {case}\n".encode())
                 digest.update(_bigraded_outcome(target, g).encode())
     assert digest.hexdigest() == GOLDEN_RESHUFFLED_BIGRADED_SHA256
+
+
+def test_solve_ternary_matches_golden_digest():
+    # The solver's triple or None on the seeded equations of `test_arith`,
+    # cleared of denominators, and on 3,000 seeded integer triples with
+    # |coefficient| < 5,000.  The digest was recorded while the solver
+    # still did its back-substitution in `fractions.Fraction`.
+    rng = random.Random(5000)
+    equations = list(seeded_ternary_equations())
+    equations += [tuple(rng.randrange(-4999, 5000) for _ in range(3)) for _ in range(3000)]
+    digest = hashlib.sha256()
+    for coeffs in equations:
+        digest.update(f"{coeffs} {solve_ternary(*coeffs)}\n".encode())
+    assert digest.hexdigest() == GOLDEN_SOLVE_TERNARY_SHA256

@@ -163,3 +163,34 @@ def test_only_the_kernel_names_its_per_field_functions():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert "kernel" in sources
     assert _per_field_names(sources) == []
+
+
+def _fractions_imports(source: str) -> list[int]:
+    """The lines that import the `fractions` module, at module level or inside a definition."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "fractions" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_a_fractions_import_inside_a_function():
+    source = (
+        "import math, fractions\nfrom fractions import Fraction\n\n"
+        "def f(a):\n    from fractions import Fraction as F\n    return F(a)\n\n"
+        "note = 'fractions in a string'\nfrom . import fractions_like\n"
+    )
+    assert _fractions_imports(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_fractions(path):
+    # The program's exact numbers are `Rational`, `Gaussian` and plain ints;
+    # `fractions.Fraction` is the tests' independent oracle.
+    assert _fractions_imports(path.read_text()) == []
