@@ -261,7 +261,7 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
 
     bracket_ok = True
     if spans:
-        columns = structure_table(L).columns
+        table_rows = structure_table(L).rows
         zero = (0, 0)
         dense = {
             key: [[row.get(j, zero) for j in range(n)] for row in comp_rows]
@@ -280,7 +280,7 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
                     else ((u, v) for u in ua for v in ub)
                 )
                 for u, v in pairs:
-                    w = _zi_bracket(columns, u, v, n)
+                    w = _zi_bracket(table_rows, u, v, n)
                     if not w:
                         continue
                     if tspace is None:
@@ -618,10 +618,10 @@ class _TwoStepFrame:
         table = structure_table(R)
         self.den = table.den
         self.forms = [[[0] * self.v for _ in range(self.v)] for _ in coord]
-        for i, j, ks, xs, _ in zip(*table.columns):
+        for (i, j), row in table.rows.items():
             if i in slot and j in slot:
                 a, b = slot[i], slot[j]
-                for k, x in zip(ks, xs):
+                for k, (x, _) in row:
                     if k in coord:
                         self.forms[coord[k]][a][b] = x
                         self.forms[coord[k]][b][a] = -x
@@ -841,6 +841,8 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
     ``(basis, den)``: the null space's exact vectors over one denominator,
     A_a = basis[a] / den with each basis[a] the integer matrix of their
     real parts, as sparse rows ``{column: int}`` for `_ProductTable`.
+    The search calls it when dim C^1 >= 2: every form is then nonzero and
+    gives at least one equation.
     """
     v = frame.v
     rows = []
@@ -854,8 +856,6 @@ def _compatible_complex_structures(frame: _TwoStepFrame):
                 row.update((s * v + q, (m[p][s], 0)) for s in range(v) if m[p][s])
                 if row:
                     rows.append(row)
-    if not rows:
-        return [], 1
     null = kernel.null_space(rows, v * v, "Q")
     den = lcm(*(d for _, d in null))
     basis = []
@@ -1136,21 +1136,17 @@ def _jspace_u(frame: _TwoStepFrame):
     return None
 
 
-def _krylov_span(w_rows, u: kernel.ZiRow, h: int) -> list[kernel.ZiRow]:
+def _krylov_span(w_rows, u: kernel.ZiRow) -> list[kernel.ZiRow]:
     """The Z[i] rows u, Wu, W^2 u, ... while they are independent.
 
     ``w_rows`` are the rows of W times a denominator d, so the k-th row is
-    W^k u times d^k.  It stops after h + 1 rows, so that a span longer than
-    h shows as h + 1 rows.
+    W^k u times d^k.  No span is longer than the degree of W's minimal
+    polynomial, which is at most h (`_minimal_degree`).
     """
     rows: list[kernel.ZiRow] = []
     echelon: list = []
-    for _ in range(h + 1):
-        if not u or not kernel.zi_insert(echelon, u):
-            break
+    while u and kernel.zi_insert(echelon, u):
         rows.append(u)
-        if len(rows) > h:
-            break
         u = kernel.zi_matvec(w_rows, u)
     return rows
 
@@ -1304,7 +1300,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
         return [(row, den * d**k) for k, row in enumerate(rows)]
 
     spans = (
-        (_krylov_span(w_rows, u, h), den)
+        (_krylov_span(w_rows, u), den)
         for u, den in islice(_pencil_candidates(seeds, w_rows), 200)
     )
     if degree < h:

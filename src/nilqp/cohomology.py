@@ -7,12 +7,14 @@ are indexed by lexicographically ordered k-subsets of {0..n-1}; all matrices
 and representative cocycles use this order.
 
 Each d_k is assembled once, sparsely, from bit masks of the monomials with
-Koszul signs in closed form, out of a table of structure constants
-(`liealg.StructureTable`).  Its entries are the constants times one common
-denominator D of all of them, as (re, im) Gaussian integers over both
-fields.  Scaling by D != 0 changes neither the rank nor which entries are
-nonzero, so ranks are taken on these rows directly (``kernel.rank`` over
-the table's field); d_0 and d_n are zero and are not assembled.
+Koszul signs in closed form, out of the rows of a table of structure
+constants (`liealg.StructureTable`): one row of pairs (k, C_ij^k) per
+nonzero [X_i, X_j], i < j.  The entries of d_k are the constants times
+one common denominator D of all of them, as (re, im) Gaussian integers
+over both fields.  Scaling by D != 0 changes neither the rank nor which
+entries are nonzero, so ranks are taken on these rows directly
+(``kernel.rank`` over the table's field); d_0 and d_n are zero and are
+not assembled.
 
 One routine, `_graded_cohomology`, ranks the complex for both public
 functions.  Each dual generator x^m carries a bidegree, monomials add them,
@@ -69,7 +71,6 @@ from .liealg import (
     _constant_rows,
     _moved_table,
     _sparse_bracket,
-    _table,
     commutator_ideal,
     structure_table,
 )
@@ -139,10 +140,10 @@ def _dual_terms(table: StructureTable) -> dict[int, list]:
     common denominator, each scaled constant a Gaussian integer (re, im).
     """
     terms: dict[int, list] = {}
-    for i, j, ms, res, ims in zip(*table.columns):
+    for (i, j), row in table.rows.items():
         pair = (1 << i) | (1 << j)
         between = ((1 << j) - 1) ^ ((1 << (i + 1)) - 1)
-        for m, x, y in zip(ms, res, ims):
+        for m, (x, y) in row:
             terms.setdefault(m, []).append((pair, between, ((-x, -y), (x, y))))
     return terms
 
@@ -197,7 +198,7 @@ def _sparse_differentials(n: int, table: StructureTable, degrees):
     The differentials are those of the dimension-``n`` algebra whose
     constants ``table`` holds.  No d_k of an abelian algebra is assembled.
     """
-    if not table.columns[0]:
+    if not table.rows:
         return {}
     terms = _dual_terms(table)
     return {k: _assemble(n, k, terms) for k in degrees}
@@ -210,15 +211,13 @@ def _unimodular(table: StructureTable) -> bool:
     C_ij^j (to X_i's) and -C_ij^i (to X_j's) of each stored i < j, part by
     part, so over Q(i) the real and the imaginary parts must both vanish.
     """
-    _, _, columns = table
     trace: dict[tuple[int, int], int] = {}  # (t, part) -> D tr ad X_t
-    for i, j, ks, *parts in zip(*columns):
-        for part, xs in enumerate(parts):
-            for k, x in zip(ks, xs):
-                if k == j:
-                    trace[i, part] = trace.get((i, part), 0) + x
-                elif k == i:
-                    trace[j, part] = trace.get((j, part), 0) - x
+    for (i, j), row in table.rows.items():
+        for k, pair in row:
+            if k in (i, j):
+                t, sign = (i, 1) if k == j else (j, -1)
+                for part, x in enumerate(pair):
+                    trace[t, part] = trace.get((t, part), 0) + sign * x
     return not any(trace.values())
 
 
@@ -251,8 +250,10 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
             w = _sparse_bracket(consts, basis[s], basis[t])
             if w:
                 hit = sorted(w.items())
-                rows[s, t] = [(len(free) + a, (x * scale[a], y * scale[a])) for a, (x, y) in hit]
-    return _table(L.field, structure_table(L).den * m, rows)
+                rows[s, t] = tuple(
+                    (len(free) + a, (x * scale[a], y * scale[a])) for a, (x, y) in hit
+                )
+    return StructureTable(L.field, structure_table(L).den * m, rows)
 
 
 def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyTable:
@@ -361,8 +362,7 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     def plus(i: int, j: int) -> tuple[int, int]:
         return dual[i][0] + dual[j][0], dual[i][1] + dual[j][1]
 
-    _, _, columns = table
-    bad = [(m, i, j) for i, j, ms in zip(*columns[:3]) for m in ms if dual[m] != plus(i, j)]
+    bad = [(m, i, j) for (i, j), row in table.rows.items() for m, _ in row if dual[m] != plus(i, j)]
     if bad:
         m, i, j = min(bad)
         raise GradingNotCompatible(

@@ -153,6 +153,10 @@ def lie_algebra_from_json(data, path: str = "$", check: bool = True) -> LieAlgeb
                 k = int(k_str)
             except ValueError:
                 raise ParseError(f"coefficient key {k_str!r} is not an integer", cpath)
+            # Only the spelling `lie_algebra_to_json` writes: int() reads
+            # "02", " 2" or "+2" as 2 too, and one index must not be given twice.
+            if k_str != str(k):
+                raise ParseError(f"coefficient key {k_str!r} is not written as {str(k)!r}", cpath)
             if not 0 <= k < dim:
                 raise ParseError(f"target index {k} out of range 0..{dim - 1}", cpath)
             c = parse_scalar(val, path=cpath)

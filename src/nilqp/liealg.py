@@ -165,7 +165,7 @@ class LieAlgebra:
         n = self.dim
         (ru, rv), den = kernel.zi_rows([uu, vv])
         us, vs = ([r.get(j, (0, 0)) for j in range(len(x))] for r, x in ((ru, uu), (rv, vv)))
-        w = _zi_bracket(table.columns, us, vs, n)
+        w = _zi_bracket(table.rows, us, vs, n)
         field = "Qi" if Gaussian in map(type, uu + vv) else table.field
         return kernel.decode(w, den * den * table.den, n, field)
 
@@ -241,13 +241,13 @@ def validate(L: LieAlgebra) -> ValidationReport:
             raise InvalidRealStructure(
                 f"{L.name}: real structure is not an antilinear involution"
             )
-        columns = structure_table(L).columns
+        table_rows = structure_table(L).rows
         s_cols = [[row.get(j, (0, 0)) for row in s_rows] for j in range(n)]
         for i, j in combinations(range(n), 2):
             # Both sides over the table's denominator times s_den^2.
             row = consts.get(i, {}).get(j, {})
             lhs = kernel.zi_combine(((s_den, 0), _conjugate_row(s_rows, row)))
-            if lhs != _zi_bracket(columns, s_cols[i], s_cols[j], n):
+            if lhs != _zi_bracket(table_rows, s_cols[i], s_cols[j], n):
                 raise InvalidRealStructure(
                     f"{L.name}: conjugation is not a bracket automorphism "
                     f"on pair ({i}, {j})"
@@ -270,18 +270,16 @@ def validate(L: LieAlgebra) -> ValidationReport:
 class StructureTable(NamedTuple):
     """The structure constants as Gaussian integers over one common denominator.
 
-    ``columns`` holds one entry per nonzero [X_i, X_j], in the order of
-    ``L.brackets``, as the parallel tuples ``(is, js, ks, res, ims)`` with
-    C_ij^k = (re + im*i) / den for k, re, im in zip(ks, res, ims), over
-    both fields: over "Q" every ``ims`` entry is zero.  The field is the
-    algebra's.  Columns rather than a tuple per bracket, and each distinct
-    tuple of ``ks`` and ``ims`` stored once (so one tuple of zeros per
-    support size over "Q"), keep the table small next to the constants.
+    ``rows[i, j]`` holds [X_i, X_j] = sum (re + im*i) / den X_k as the
+    pairs ``((k, (re, im)), ...)``, k ascending and no pair zero, for each
+    nonzero bracket with i < j, in the order of ``L.brackets``.  Both
+    fields share it: over "Q" every ``im`` is zero.  The field is the
+    algebra's.
     """
 
     field: str
     den: int
-    columns: tuple
+    rows: dict
 
 
 def _fact(fn):
@@ -304,21 +302,9 @@ def structure_table(L: LieAlgebra) -> StructureTable:
     # One row of every constant: none is zero, so the row holds each in order.
     (row,), den = kernel.zi_rows([[w for _, coeffs in L.brackets for _, w in coeffs]])
     it = iter(row.values())
-    return _table(L.field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in L.brackets})
-
-
-def _table(field: str, den: int, rows: dict) -> StructureTable:
-    """The table of [X_i, X_j] = sum (re + im*i) / den X_k, (k, (re, im)) in rows[i, j]."""
-    shared: dict[tuple, tuple] = {}
-    ks = (tuple(k for k, _ in row) for row in rows.values())
-    ims = (tuple(y for _, (_, y) in row) for row in rows.values())
-    return StructureTable(field, den, (
-        tuple(i for i, _ in rows),
-        tuple(j for _, j in rows),
-        tuple(shared.setdefault(t, t) for t in ks),
-        tuple(tuple(x for _, (x, _) in row) for row in rows.values()),
-        tuple(shared.setdefault(t, t) for t in ims),
-    ))
+    return StructureTable(
+        L.field, den, {ij: tuple((k, next(it)) for k, _ in cs) for ij, cs in L.brackets}
+    )
 
 
 @_fact
@@ -340,8 +326,7 @@ def _constant_rows(L: LieAlgebra, coords: dict | None = None) -> dict[int, dict]
     left empty is dropped.
     """
     rows: dict[int, dict] = {}
-    for i, j, ks, res, ims in zip(*structure_table(L).columns):
-        entries = zip(ks, zip(res, ims))
+    for (i, j), entries in structure_table(L).rows.items():
         row = dict(entries) if coords is None else {coords[k]: e for k, e in entries if k in coords}
         if row:
             rows.setdefault(i, {})[j] = row
@@ -362,17 +347,20 @@ def _sparse_bracket(consts: dict, u: kernel.ZiRow, v: kernel.ZiRow) -> kernel.Zi
     return kernel.zi_combine(*terms)
 
 
-def _zi_bracket(columns, u: list, v: list, n: int) -> kernel.ZiRow:
-    """The bracket of dense Z[i] pair vectors on the columns of a table, as a sparse Z[i] row."""
+def _zi_bracket(rows: dict, u: list, v: list, n: int) -> kernel.ZiRow:
+    """The bracket of dense Z[i] pair vectors on the ``rows`` of a table, as a sparse Z[i] row.
+
+    Each row [X_i, X_j] is met once, scaled by u_i v_j - u_j v_i.
+    """
     re = [0] * n
     im = [0] * n
-    for i, j, ks, ps, qs in zip(*columns):
+    for (i, j), row in rows.items():
         (a, b), (c, d) = u[i], v[j]
         (e, f), (g, h) = u[j], v[i]
         x = a * c - b * d - e * g + f * h
         y = a * d + b * c - e * h - f * g
         if x or y:
-            for k, p, q in zip(ks, ps, qs):
+            for k, (p, q) in row:
                 re[k] += x * p - y * q
                 im[k] += x * q + y * p
     return {k: (x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y}
@@ -382,28 +370,28 @@ def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
 
     The n brackets [X_i, w] of one basis row w of ``sub`` are read off the
-    columns of `structure_table`: a constant column [X_i, X_j], i < j, adds
-    w_j [X_i, X_j] to [X_i, w] and -w_i [X_i, X_j] to [X_j, w], each
-    bracket summed as its real and imaginary parts.  The rows go to the
-    span in the order of w, then of i.  The span is over L's field.
+    rows of `structure_table`: a row [X_i, X_j], i < j, adds w_j [X_i, X_j]
+    to [X_i, w] and -w_i [X_i, X_j] to [X_j, w], each bracket summed as its
+    real and imaginary parts.  The rows go to the span in the order of w,
+    then of i.  The span is over L's field.
     """
     n = L.dim
-    # Each constant column by the basis vectors it meets: X_j with sign 1, X_i with -1.
+    # Each table row by the basis vectors it meets: X_j with sign 1, X_i with -1.
     meets: dict[int, list] = {}
-    for i, j, *parts in zip(*structure_table(L).columns):
-        meets.setdefault(j, []).append((i, 1, *parts))
-        meets.setdefault(i, []).append((j, -1, *parts))
+    for (i, j), row in structure_table(L).rows.items():
+        meets.setdefault(j, []).append((i, 1, row))
+        meets.setdefault(i, []).append((j, -1, row))
     rows = []
     for w, _ in sub.rows:
         re: dict[int, list[int]] = {}
         im: dict[int, list[int]] = {}
         for j, (a, b) in w.items():
-            for i, sign, ks, ps, qs in meets.get(j, ()):
+            for i, sign, row in meets.get(j, ()):
                 if i not in re:
                     re[i], im[i] = [0] * n, [0] * n
                 rr, ri = re[i], im[i]
                 a2, b2 = sign * a, sign * b
-                for k, p, q in zip(ks, ps, qs):
+                for k, (p, q) in row:
                     rr[k] += a2 * p - b2 * q
                     ri[k] += a2 * q + b2 * p
         for i in sorted(re):
@@ -437,8 +425,8 @@ def center(L: LieAlgebra) -> Subspace:
     [M^T | I], whose row j is ad(X_j) flattened, then e_j.
     """
     stacked: dict[tuple[int, int], dict] = {}
-    for i, j, ks, res, ims in zip(*structure_table(L).columns):
-        for k, x, y in zip(ks, res, ims):
+    for (i, j), row in structure_table(L).rows.items():
+        for k, (x, y) in row:
             # [X_i, X_j] = -[X_j, X_i]
             stacked.setdefault((j, k), {})[i] = (x, y)
             stacked.setdefault((i, k), {})[j] = (-x, -y)
@@ -448,8 +436,7 @@ def center(L: LieAlgebra) -> Subspace:
 @_fact
 def commutator_ideal(L: LieAlgebra) -> Subspace:
     """C^1 L = span of all [X_i, X_j] over L's field, read off the rows of `structure_table`."""
-    _, _, ks, res, ims = structure_table(L).columns
-    rows = [dict(zip(k, zip(re, im))) for k, re, im in zip(ks, res, ims)]
+    rows = [dict(row) for row in structure_table(L).rows.values()]
     return Subspace._span(rows, L.dim, L.field)
 
 
@@ -527,14 +514,14 @@ def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
     dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
     rows = {}  # by pair (i, j), each new constant times t_den * old.den * inv_den
     for i, j in combinations(range(n), 2):
-        w = _coords(inv, _zi_bracket(old.columns, dense[i], dense[j], n))
+        w = _coords(inv, _zi_bracket(old.rows, dense[i], dense[j], n))
         if w:
             rows[i, j] = sorted(w.items())
     d = t_den * old.den * inv_den
     g = gcd(d, *(x for row in rows.values() for _, pair in row for x in pair))
-    rows = {ij: [(k, (x // g, y // g)) for k, (x, y) in row] for ij, row in rows.items()}
+    rows = {ij: tuple((k, (x // g, y // g)) for k, (x, y) in row) for ij, row in rows.items()}
     field = "Qi" if "Qi" in (old.field, t_field) else "Q"
-    return _table(field, d // g, rows), inv, inv_den
+    return StructureTable(field, d // g, rows), inv, inv_den
 
 
 def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:
@@ -548,15 +535,16 @@ def _decoded(table: StructureTable, field: str) -> BracketMap:
     Over "Qi" they are `Gaussian`; over "Q" they are the real parts, as `Rational`.
     """
     brackets = {}
-    for i, j, ks, res, ims in zip(*table.columns):
-        entries = kernel.decode(dict(enumerate(zip(res, ims))), table.den, len(ks), field)
-        brackets[i, j] = dict(zip(ks, entries))
+    for ij, row in table.rows.items():
+        ks, pairs = zip(*row)
+        entries = kernel.decode(dict(enumerate(pairs)), table.den, len(ks), field)
+        brackets[ij] = dict(zip(ks, entries))
     return brackets
 
 
 def _real_form(name: str, table: StructureTable, basis_names) -> LieAlgebra | None:
     """The algebra over Q with the constants of a table over Q(i), None if one is not real."""
-    if any(map(any, table.columns[4])):
+    if any(y for row in table.rows.values() for _, (_, y) in row):
         return None
     return LieAlgebra.from_brackets(
         name, len(basis_names), _decoded(table, "Q"), basis_names=basis_names, check=False

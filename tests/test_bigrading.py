@@ -8,6 +8,7 @@ import pytest
 
 from nilqp import (
     Bigrading,
+    ExactMatrix,
     LieAlgebra,
     SearchBounds,
     Subspace,
@@ -139,6 +140,20 @@ def test_verify_requires_real_structure():
     )
     with pytest.raises(MissingRealStructure):
         verify_bigrading(stripped, get("N1_84").known_bigradings[0])
+
+
+def test_verify_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'strict' or 'lax', not 'loose'"):
+        verify_bigrading(complexify(get("n3").algebra), eg_grading_n3(), mode="loose")
+
+
+def test_search_over_qi_requires_real_structure():
+    alg = get("N1_84").algebra
+    stripped = LieAlgebra(
+        alg.name, alg.dim, alg.field, alg.basis_names, alg.brackets, None
+    )
+    with pytest.raises(MissingRealStructure, match="N1_84: conjugation checks"):
+        search_bigrading(stripped)
 
 
 def test_verify_spans_failure_reported():
@@ -285,6 +300,18 @@ def test_filtrations_single_component_jumps_once():
     fp = filtrations_from_bigrading(g)
     assert fp.w(-4).dim == 0 and fp.w(-3).dim == 2
     assert fp.f(-2).dim == 2 and fp.f(-1).dim == 0
+
+
+def test_filtrations_of_the_empty_grading_rejected():
+    with pytest.raises(GradingNotCompatible, match="empty bigrading has no ambient space"):
+        filtrations_from_bigrading(Bigrading.build([]))
+
+
+def test_splitting_rejects_a_real_structure_of_the_wrong_shape():
+    fp = filtrations_from_bigrading(eg_grading_n3())
+    for s in (ExactMatrix.identity(2), ExactMatrix([[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(AmbientMismatch, match="real structure is not 3x3"):
+            bigrading_from_filtrations(fp, s)
 
 
 def test_not_a_filtration_rejected():
@@ -630,7 +657,7 @@ def test_minimal_degree_matches_fraction_oracle():
         assert degree == frac_rank(flat) <= h, label
         degrees[label[0]] = (degree, h)
         for u, _ in islice(_pencil_candidates(seeds, w_rows), 200):
-            assert len(_krylov_span(w_rows, u, h)) <= degree, label
+            assert len(_krylov_span(w_rows, u)) <= degree, label
     # N4_82 and every n5+n3+C_k have no cyclic vector (degree h - 1), and
     # n5+n5 not even a span of h - 1 rows.
     assert degrees["N3_82"] == (3, 3)

@@ -162,9 +162,128 @@ def test_non_identity_real_structure_over_q_exit_code_1(capsys, tmp_path, fmt):
         assert "n3: a real structure over Q must be the identity" in err, command
 
 
+@pytest.mark.parametrize("key", ["2 ", " 2", "02", "+2", "\u0662"])
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_respelled_coefficient_key_exit_code_1(capsys, tmp_path, command, key):
+    # int() reads each spelling as index 2, so this file used to give
+    # [X1, X2] twice and keep the later value: [X1, X2] = -X3.
+    doc = lie_algebra_to_json(get("n3").algebra)
+    doc["brackets"][0]["coeffs"] = {"2": "1", key: "-1"}
+    path = tmp_path / "n3_respelled.json"
+    dump_json(path, doc)
+    code, out, _ = invoke(capsys, "--format", "json", command, str(path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert f"{path}.brackets[0].coeffs[{key!r}]: coefficient key {key!r}" in error["message"]
+    # Alone, the spelling is refused too.
+    doc["brackets"][0]["coeffs"] = {key: "1"}
+    dump_json(path, doc)
+    code, out, _ = invoke(capsys, "--format", "json", command, str(path))
+    assert code == 1 and json.loads(out)["error"]["type"] == "ParseError"
+
+
 def test_missing_file_exit_code_1(capsys, tmp_path):
     code, _, err = invoke(capsys, "validate", str(tmp_path / "none.json"))
     assert code == 1
+
+
+def _input_error(capsys, *argv):
+    """The message of the one input error that ``argv`` exits 1 with, in JSON."""
+    code, out, _ = invoke(capsys, "--format", "json", *argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "input"
+    return error["message"]
+
+
+@pytest.mark.parametrize("as_grading", [False, True], ids=["algebra", "grading"])
+def test_invalid_json_exit_code_1(capsys, tmp_path, n3_file, as_grading):
+    path = tmp_path / "broken.json"
+    path.write_text('{"name": "n3", "dim": 3,')
+    argv = [n3_file, "--bigrading", str(path)] if as_grading else [str(path)]
+    message = _input_error(capsys, "cohomology", *argv)
+    assert message.startswith(f"{path}: invalid JSON: ")
+
+
+def _algebra_doc():
+    return lie_algebra_to_json(get("n3").algebra)
+
+
+def _grading_doc():
+    from nilqp.jsonio import bigrading_to_json
+
+    return bigrading_to_json(get("n3").known_bigradings[0])
+
+
+def _no_object(doc):
+    return [doc]
+
+
+def _negative_dim(doc):
+    doc["dim"] = -1
+    return doc
+
+
+def _bracket_not_object(doc):
+    doc["brackets"][0] = [0, 1, {"2": "1"}]
+    return doc
+
+
+def _component_not_object(doc):
+    doc["components"][0] = [-1, 0]
+    return doc
+
+
+def _generator_not_list(doc):
+    doc["components"][0]["generators"][0] = "1, i, 0"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "target, mutate, want",
+    [
+        ("algebra", _no_object, "$: algebra file must be a JSON object"),
+        ("algebra", _negative_dim, ".dim: dim must be >= 0"),
+        ("algebra", _bracket_not_object, ".brackets[0]: bracket entry must be an object"),
+        ("grading", _no_object, "$: bigrading file must be a JSON object"),
+        ("grading", _component_not_object, ".components[0]: component must be an object"),
+        (
+            "grading",
+            _generator_not_list,
+            ".components[0].generators[0]: generator must be a list",
+        ),
+    ],
+    ids=["algebra-list", "negative-dim", "bracket", "grading-list", "component", "generator"],
+)
+def test_malformed_documents_exit_code_1(capsys, tmp_path, target, mutate, want):
+    apath, gpath = tmp_path / "algebra.json", tmp_path / "grading.json"
+    docs = {"algebra": _algebra_doc(), "grading": _grading_doc()}
+    docs[target] = mutate(docs[target])
+    dump_json(apath, docs["algebra"])
+    dump_json(gpath, docs["grading"])
+    bad = {"algebra": apath, "grading": gpath}[target]
+    message = _input_error(capsys, "cohomology", str(apath), "--bigrading", str(gpath))
+    assert message == f"{bad}{want.removeprefix('$')}"
+    if target == "algebra":
+        assert _input_error(capsys, "validate", str(apath)) == message
+    else:
+        assert _input_error(capsys, "bigrading-verify", str(apath), str(gpath)) == message
+
+
+def test_cohomology_with_too_few_grading_generators_exit_code_1(capsys, tmp_path):
+    # n3's grading without its (-1, -1) component: two generators in dimension 3.
+    from nilqp import complexify
+
+    apath = tmp_path / "n3c.json"
+    dump_json(apath, lie_algebra_to_json(complexify(get("n3").algebra)))
+    doc = _grading_doc()
+    doc["components"] = [c for c in doc["components"] if (c["p"], c["q"]) != (-1, -1)]
+    assert len(doc["components"]) == 2
+    gpath = tmp_path / "short.json"
+    dump_json(gpath, doc)
+    message = _input_error(capsys, "cohomology", str(apath), "--bigrading", str(gpath))
+    assert message == "grading has 2 generators for dimension 3"
 
 
 def test_cohomology_text_and_json_agree(capsys, n3_file):
@@ -509,7 +628,17 @@ def _perturb_constant(doc, data):
     entry["coeffs"][str(k)] = data.draw(st.sampled_from(SCALARS))
 
 
-MUTATIONS = (_drop_key, _swap_type, _bad_index, _short_row, _perturb_constant)
+def _respell_key(doc, data):
+    # Another spelling of a target index that int() reads as the same index.
+    if not doc["brackets"]:
+        return
+    entry = data.draw(st.sampled_from(doc["brackets"]))
+    old = data.draw(st.sampled_from(sorted(entry["coeffs"])))
+    new = data.draw(st.sampled_from((f"0{old}", f" {old}", f"{old} ", f"+{old}")))
+    entry["coeffs"][new] = entry["coeffs"].pop(old)
+
+
+MUTATIONS = (_drop_key, _swap_type, _bad_index, _short_row, _perturb_constant, _respell_key)
 
 
 @settings(max_examples=60, deadline=None)

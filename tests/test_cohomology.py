@@ -584,8 +584,9 @@ def test_adapted_table_closes_the_complement_generators():
         moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(3)))
         table = _commutator_adapted_table(moved)
         closed = moved.dim - commutator_ideal(moved).dim
-        assert all(k >= closed for ks in table.columns[2] for k in ks), alg.name
-        assert len(table.columns[0]) == len(set(zip(*table.columns[:2]))), alg.name
+        assert all(k >= closed for row in table.rows.values() for k, _ in row), alg.name
+        assert list(table.rows) == sorted(table.rows), alg.name
+        assert all(i < j for i, j in table.rows), alg.name
 
 
 def test_betti_of_moved_rational_algebras_match_oracle(rng):

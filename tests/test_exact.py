@@ -117,6 +117,16 @@ def test_sum_intersect_ambient_mismatch():
         subspace_sum_intersect(a, b)
 
 
+def test_subspace_contains():
+    s = Subspace.from_spanning([[1, 0, 0], [0, 1, 1]], ambient_dim=3)
+    assert s.contains([2, Rational(1, 3), Rational(1, 3)])
+    assert s.contains([0, 0, 0])
+    assert not s.contains([0, 0, 1])
+    assert not s.contains([1, Gaussian(0, 1), 0])
+    with pytest.raises(AmbientMismatch):
+        s.contains([1, 0])
+
+
 def test_subspace_canonical_equality():
     a = Subspace.from_spanning([[1, 1, 0], [0, 2, 2]], ambient_dim=3)
     b = Subspace.from_spanning([[2, 2, 0], [1, 3, 2], [1, -1, -2]], ambient_dim=3)

@@ -25,7 +25,7 @@ from nilqp import (
 from nilqp import kernel
 from nilqp.catalog import catalog_keys, get
 from nilqp.exact import check_real_structure
-from nilqp.liealg import _moved_table, structure_table
+from nilqp.liealg import _decoded, _moved_table, structure_table
 from nilqp.errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -314,6 +314,20 @@ def test_apply_basis_change_rejects_singular():
         apply_basis_change(n3(), t)
 
 
+def test_apply_basis_change_rejects_a_transformation_of_the_wrong_size():
+    for t in (ExactMatrix.identity(2), ExactMatrix([[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(DimensionMismatch, match="algebra has dim 3"):
+            apply_basis_change(n3(), t)
+
+
+def test_conj_vector_over_qi_needs_a_real_structure():
+    bare = LieAlgebra.from_brackets("bare", 3, {(0, 1): {2: 1}}, field="Qi")
+    with pytest.raises(InvalidRealStructure, match="bare: no real structure available"):
+        bare.conj_vector([1, 0, 0])
+    # Over Q the conjugation is the identity's, with or without S.
+    assert n3().conj_vector([1, Gaussian(0, 2), 0]) == (1, Gaussian(0, -2), 0)
+
+
 def test_invariants_under_random_basis_change(rng):
     for key in ("n3", "n5", "L5_parity", "filiform_4", "g_sec6"):
         alg = get(key).algebra
@@ -329,6 +343,28 @@ def test_invariants_under_random_basis_change(rng):
             assert center(moved).dim == ref_center
             assert commutator_ideal(moved).dim == ref_comm
             assert betti_numbers(moved).betti == ref_betti
+
+
+def test_structure_table_holds_one_row_per_bracket(rng):
+    # Every catalog entry and a moved copy, each over Q and complexified:
+    # the rows follow L.brackets, each lists its targets k in ascending
+    # order with no zero pair, is real over Q, and decodes to the constants.
+    fields = set()
+    for key in catalog_keys():
+        alg = get(key).algebra
+        for base in (alg, apply_basis_change(alg, random_invertible_t(alg.dim, rng))):
+            for L in (base, complexify(base)) if base.field == "Q" else (base,):
+                table = structure_table(L)
+                assert list(table.rows) == [ij for ij, _ in L.brackets], (key, L.field)
+                for row in table.rows.values():
+                    ks = [k for k, _ in row]
+                    assert ks == sorted(set(ks)), (key, L.field)
+                    assert all(pair != (0, 0) for _, pair in row), (key, L.field)
+                    if L.field == "Q":
+                        assert all(y == 0 for _, (_, y) in row), key
+                assert _decoded(table, L.field) == L.bracket_map(), (key, L.field)
+                fields.add(table.field)
+    assert fields == {"Q", "Qi"}
 
 
 def test_moved_table_is_the_structure_table_of_the_moved_algebra(rng):
@@ -684,18 +720,17 @@ def test_rational_algebras_hold_one_row_format(rng):
         if alg.field != "Q" or not n:
             continue
         for lc in (alg, apply_basis_change(alg, random_invertible_t(n, rng))):
-            is_, js, ks, res, ims = structure_table(lc).columns
-            assert all(type(x) is int and x for xs in res for x in xs), lc.name
-            assert not any(map(any, ims)), lc.name
-            assert [len(x) for x in ims] == [len(k) for k in ks], lc.name
-            spanned = Subspace.from_spanning([lc.bracket_basis(i, j) for i, j in zip(is_, js)], n)
+            table_rows = structure_table(lc).rows
+            pairs = [pair for row in table_rows.values() for _, pair in row]
+            assert all(type(x) is int and x and y == 0 for x, y in pairs), lc.name
+            spanned = Subspace.from_spanning([lc.bracket_basis(i, j) for i, j in table_rows], n)
             spaces = [center(lc), commutator_ideal(lc), spanned]
             spaces += lower_central_series(lc).terms
             for space in spaces:
                 assert all(_is_rational_zi_row(row) for row, _ in space.rows), lc.name
             assert spanned == commutator_ideal(lc), lc.name
 
-            rows = [dict(zip(k, zip(re, im))) for k, re, im in zip(ks, res, ims)]
+            rows = [dict(row) for row in table_rows.values()]
             dense = [[Fraction(row.get(j, (0, 0))[0]) for j in range(n)] for row in rows]
             rank = kernel.rank(rows, n, "Q")
             assert rank == frac_rank(dense), lc.name
