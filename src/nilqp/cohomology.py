@@ -30,6 +30,16 @@ completing C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There
 the n - dim C^1 dual generators of the unit vectors are closed, and each
 d_k has fewer and shorter rows than in a basis where every d x^m is nonzero.
 
+`betti_numbers` then ranks only the complex of the core: L = core + Q^k,
+k = dim Z - dim(Z n C^1), so H(L) = H(core) (x) Lambda(Q^k) (Kunneth;
+Chevalley and Eilenberg, Trans. AMS 63 (1948) 85-124) and the Poincare
+polynomial is the core's times (1 + t)^k.  The split is read off the
+adapted table (`_core_table`): the center's reduced rows with pivots among
+the unit vectors are k central vectors outside C^1, and dropping those
+pivot positions leaves the table of an ideal holding C^1 that meets them in
+0.  Any subspace holding C^1 is an ideal, so this holds on every Lie
+algebra, nilpotent or not.  k = 0 drops nothing.
+
 On a unimodular algebra (tr ad X = 0 for every X, as on every nilpotent
 one) half of those ranks are known (Koszul's Poincare duality): d_{n-1} =
 0, so for a in Lambda^k, b in Lambda^{n-1-k} the form d(a ^ b) = da ^ b +
@@ -55,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from . import kernel
 from .errors import (
@@ -68,6 +78,7 @@ from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
     StructureTable,
+    _center_rows,
     _constant_rows,
     _moved_table,
     _sparse_bracket,
@@ -306,18 +317,53 @@ def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyT
 def betti_numbers(L: LieAlgebra, representatives: bool = False) -> CohomologyTable:
     """Betti numbers b_0..b_n, optionally with canonical cocycle representatives.
 
-    The ranks are those of `_graded_cohomology`, one block per d_k, on the
-    table of `_commutator_adapted_table`.  The representatives, ``{k:
-    vectors}`` in L's basis, are canonical: each is the residual of a
+    L = core + Q^k (`_core_table`, on the table of
+    `_commutator_adapted_table`), so by Kunneth the Poincare polynomial is
+    the core's times (1 + t)^k: b_j = sum_i C(k, i) b_{j-i}(core).  The
+    core's ranks are those of `_graded_cohomology`, one block per d_k; k =
+    0 keeps the whole table and multiplies by 1.  The representatives,
+    ``{k: vectors}`` in L's basis, are canonical: each is the residual of a
     cocycle modulo the image of d_{k-1} plus the representatives before it,
     zero at that span's pivot columns, with first nonzero entry 1.  Their
     entries are `Gaussian` exactly when L is over Q(i), and `Rational`
     otherwise.
     """
     n = L.dim
-    betti = _graded_cohomology(n, _commutator_adapted_table(L), [(0, 0)] * n).betti
+    core, k = _core_table(_commutator_adapted_table(L), n)
+    betti = [0] * (n + 1)
+    for j, b in enumerate(_graded_cohomology(n - k, core, [(0, 0)] * (n - k)).betti):
+        for i in range(k + 1):
+            betti[i + j] += comb(k, i) * b
     reps = _representatives(n, structure_table(L)) if representatives else None
-    return CohomologyTable(betti=betti, representatives=reps)
+    return CohomologyTable(betti=tuple(betti), representatives=reps)
+
+
+def _core_table(table: StructureTable, n: int) -> tuple[StructureTable, int]:
+    """``(core, k)``: a `_commutator_adapted_table` split as core + Q^k, k maximal.
+
+    In the adapted basis the first f = n - dim C^1 vectors are unit vectors
+    and the rest span C^1, where every constant lands; the brackets span
+    C^1, so each of its positions holds a constant, and f is the least
+    position that does (n when there is none).  The center's reduced rows
+    (`liealg._center_rows`) whose pivots lie below f are a basis of a
+    complement of Z n C^1 in Z, so there are k = dim Z - dim(Z n C^1) of
+    them, and each is e_p plus vectors at no other such pivot p.  Those k
+    central vectors span an abelian ideal, and the other n - k basis
+    vectors span one holding C^1; the two ideals bracket to zero and
+    together span L, so L is the direct sum of the core and Q^k.  This
+    needs no nilpotency: any subspace holding C^1 is an ideal.  The core's
+    table is ``table`` without the pairs that meet a pivot p, its indices
+    renumbered; no constant sits at such a p.
+    """
+    free = min((m for row in table.rows.values() for m, _ in row), default=n)
+    dropped = {p for p in (min(row) for row, _ in _center_rows(table, n)) if p < free}
+    index = {s: t for t, s in enumerate(s for s in range(n) if s not in dropped)}
+    rows = {
+        (index[i], index[j]): tuple((index[m], e) for m, e in row)
+        for (i, j), row in table.rows.items()
+        if i in index and j in index
+    }
+    return StructureTable(table.field, table.den, rows), len(dropped)
 
 
 def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:

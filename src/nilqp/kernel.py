@@ -33,10 +33,11 @@ is the empty, false dict.  A row over Q has zero imaginary parts.
 * `span` returns the reduced basis of a span as exact vectors ``(row,
   den)`` in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are
   equal pairs, and `null_space` is the span of [M^T | I] with the first
-  part skipped; `zi_lowest` puts any Z[i] vector in lowest terms, and
-  `zi_common` puts several over one denominator again.  ``exact.Subspace``
-  keeps its reduced basis in this form, so it stores a null space as it
-  comes.
+  part skipped: only the reduced rows that vanish on it are
+  back-substituted and returned.  `zi_lowest` puts any Z[i] vector in
+  lowest terms, and `zi_common` puts several over one denominator again.
+  ``exact.Subspace`` keeps its reduced basis in this form, so it stores a
+  null space as it comes.
 * On Z[i] rows, `zi_conj`, `zi_combine`, `zi_matvec` and `zi_matmul` form
   conjugates, Z[i]-combinations, matrix-vector and matrix products, and
   `zi_solve` reads A^-1 B off one `rref_qi` of [A | B].
@@ -114,19 +115,20 @@ def rank_qi(rows: list[ZiRow], ncols: int) -> int:
     return len(_echelon([_primitive_qi(row) for row in rows if row], _zi_eliminate))
 
 
-def rref_q(rows: list[dict], ncols: int) -> tuple[list[dict], list[int]]:
+def rref_q(rows: list[dict], ncols: int, skip: int = 0) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form over Q of sparse integer rows ``{column: int}``.
 
-    Returns ``(rows, pivots)``: one primitive row per pivot column, in
-    order, each zero at every other pivot.  Dividing each row by its entry
-    at its pivot gives the nonzero rows of the unique reduced form.
+    Returns ``(rows, pivots)``: one primitive row per pivot column at or
+    after ``skip``, in order, each zero at every other pivot.  Dividing each
+    row by its entry at its pivot gives the nonzero rows of the unique
+    reduced form that vanish on the first ``skip`` columns.
     """
-    return _reduced([_primitive_q(row) for row in rows if row], _q_eliminate)
+    return _reduced([_primitive_q(row) for row in rows if row], _q_eliminate, skip)
 
 
-def rref_qi(rows: list[ZiRow], ncols: int) -> tuple[list[ZiRow], list[int]]:
+def rref_qi(rows: list[ZiRow], ncols: int, skip: int = 0) -> tuple[list[ZiRow], list[int]]:
     """Reduced row echelon form over Q(i) of sparse Z[i] rows; as `rref_q`."""
-    return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate)
+    return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate, skip)
 
 
 def rank(rows: list[ZiRow], ncols: int, field: str) -> int:
@@ -178,18 +180,17 @@ def _basis(rows: list[dict], ncols: int, field: str, skip: int) -> list[tuple[Zi
     """`span` of rows already in the elimination format of ``field``.
 
     Only the reduced rows that vanish on the first ``skip`` columns are
-    kept, shifted left by ``skip``.
+    formed, and they come back shifted left by ``skip``.
     """
     if field == "Q":
-        red, pivots = rref_q(rows, ncols)
+        red, pivots = rref_q(rows, ncols, skip)
         exact = q_exact
     else:
-        red, pivots = rref_qi(rows, ncols)
+        red, pivots = rref_qi(rows, ncols, skip)
         exact = zi_exact
     return [
         exact({j - skip: e for j, e in row.items()} if skip else row, p - skip)
         for row, p in zip(red, pivots)
-        if p >= skip
     ]
 
 
@@ -229,9 +230,14 @@ def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
     return pairs
 
 
-def _reduced(pool: list[dict], eliminate) -> tuple[list[dict], list[int]]:
-    """`_echelon`, then each pivot column cleared from the rows above it."""
-    pairs = _echelon(pool, eliminate)
+def _reduced(pool: list[dict], eliminate, skip: int) -> tuple[list[dict], list[int]]:
+    """`_echelon`'s rows with pivots at or after ``skip``, each later pivot cleared from them.
+
+    A row of the echelon is zero before its pivot, so the rows kept are
+    zero on the first ``skip`` columns, and back-substitution among them
+    alone gives the rows of the reduced form that vanish there.
+    """
+    pairs = [(col, row) for col, row in _echelon(pool, eliminate) if col >= skip]
     rows = [row for _, row in pairs]
     # Last pivot first: rows[k] is already zero at every later pivot, so
     # subtracting it keeps the rows above zero there too.

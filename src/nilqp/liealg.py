@@ -418,19 +418,26 @@ def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
 
 @_fact
 def center(L: LieAlgebra) -> Subspace:
-    """{v : [X_i, v] = 0 for all i}: one null space of the stacked ad matrices.
+    """{v : [X_i, v] = 0 for all i}, the `_center_rows` of `structure_table`."""
+    return Subspace(L.dim, L.field, _center_rows(structure_table(L), L.dim))
+
+
+def _center_rows(table: StructureTable, n: int) -> list[tuple[kernel.ZiRow, int]]:
+    """The center of the dimension-``n`` algebra of ``table``: one null space of stacked ad.
 
     Row (i, k) of the stack M holds, at column j, the X_k-coefficient of
-    [X_j, X_i], read off `structure_table`; `kernel.null_space` reduces
-    [M^T | I], whose row j is ad(X_j) flattened, then e_j.
+    [X_j, X_i], read off the table's rows; `kernel.null_space` reduces
+    [M^T | I], whose row j is ad(X_j) flattened, then e_j, and returns the
+    center's reduced basis as exact vectors in pivot order.  Only the
+    columns k that some constant reaches give rows.
     """
     stacked: dict[tuple[int, int], dict] = {}
-    for (i, j), row in structure_table(L).rows.items():
+    for (i, j), row in table.rows.items():
         for k, (x, y) in row:
             # [X_i, X_j] = -[X_j, X_i]
             stacked.setdefault((j, k), {})[i] = (x, y)
             stacked.setdefault((i, k), {})[j] = (-x, -y)
-    return Subspace.null_space(list(stacked.values()), L.dim, L.field)
+    return kernel.null_space(list(stacked.values()), n, table.field)
 
 
 @_fact
@@ -566,16 +573,15 @@ def _abelian_split(L: LieAlgebra):
     n = L.dim
     lower_central_series(L)  # raises NotNilpotent early
     z, c1 = center(L), commutator_ideal(L)
-    # Extend a basis of Z n C1 to Z using Z's canonical basis rows.
-    echelon = z.intersect(c1).echelon()
+    # Z's canonical basis rows that leave C1 + the rows before them: for z in
+    # Z and S in Z, z lies in C1 + S exactly when it lies in (Z n C1) + S,
+    # so they extend a basis of Z n C1 to one of Z.
+    echelon = c1.echelon()
     z_rows = [row for row, _ in z.rows]
     central = [i for i, row in enumerate(z_rows) if kernel.zi_insert(echelon, row)]
     if not central:
         return None, []
     # Extend C1 + central part to a full complement using standard basis vectors.
-    echelon = c1.echelon()
-    for i in central:
-        kernel.zi_insert(echelon, z_rows[i])
     complement = [j for j in range(n) if kernel.zi_insert(echelon, {j: (1, 0)})]
     rows = [row for row, _ in c1.rows] + [{j: (1, 0)} for j in complement]
     core = Subspace._span(rows, n, c1.field)

@@ -150,6 +150,28 @@ def oracle_centralizer_dim(brackets, n):
     return n - frac_rank(rows)
 
 
+def oracle_abelian_factor_dim(brackets, n):
+    """dim Z - dim(Z n C^1) = dim(Z + C^1) - dim C^1, the dimension of the abelian factor.
+
+    C^1 is spanned by the brackets of basis vectors; Z is the null space of
+    the stacked ad matrices, read off their Fraction RREF.
+    """
+    c1 = [[Fraction(coeffs.get(t, 0)) for t in range(n)] for coeffs in brackets.values()]
+    e = [[Fraction(int(s == t)) for s in range(n)] for t in range(n)]
+    stacked = []
+    for i in range(n):
+        cols = [oracle_bracket(brackets, n, e[j], e[i]) for j in range(n)]
+        stacked.extend([cols[j][k] for j in range(n)] for k in range(n))
+    red, pivots = frac_rref(stacked, n)
+    z = []
+    for f in (j for j in range(n) if j not in pivots):
+        vec = list(e[f])
+        for row, p in zip(red, pivots):
+            vec[p] = -row[f]
+        z.append(vec)
+    return frac_rank(c1 + z) - frac_rank(c1)
+
+
 # -- Q(i) as pairs (re, im) of Fractions ----------------------------------------
 
 

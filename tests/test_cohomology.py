@@ -22,7 +22,7 @@ from nilqp import (
 )
 from nilqp import cohomology, kernel
 from nilqp.catalog import catalog_keys, get
-from nilqp.cohomology import _commutator_adapted_table
+from nilqp.cohomology import _commutator_adapted_table, _core_table
 from nilqp.liealg import lower_central_series, structure_table
 from nilqp.errors import DegreeOutOfRange, GradingNotCompatible, NotNilpotent
 from nilqp.scalars import Q0, Q1, Gaussian, Rational
@@ -34,7 +34,7 @@ from conftest import (
     random_invertible_t,
     random_nilpotent,
 )
-from oracles import frac_rref, oracle_betti, oracle_differential
+from oracles import frac_rref, oracle_abelian_factor_dim, oracle_betti, oracle_differential
 
 # Golden Betti numbers, produced by the independent Fraction oracle
 # (tests/oracles.py) before the implementation was finished.
@@ -612,6 +612,87 @@ def test_betti_of_complexifications_moved_by_gaussian_t_match_oracle(rng):
         moved = apply_basis_change(complexify(alg), random_gaussian_t(alg.dim, rng))
         assert moved.field == "Qi"
         assert list(betti_numbers(moved).betti) == want, alg.name
+
+
+# -- Kunneth over the abelian factor: L = core + Q^k ---------------------------
+
+
+def _times_one_plus_t(betti, k):
+    """The coefficients of (sum_j b_j t^j) (1 + t)^k."""
+    for _ in range(k):
+        betti = [a + b for a, b in zip(betti + [0], [0] + betti)]
+    return betti
+
+
+def _moved_copies(alg, rng):
+    """``alg`` moved over Q, and its complexification moved by a Gaussian T."""
+    n = alg.dim
+    return (
+        apply_basis_change(alg, random_invertible_t(n, rng)),
+        apply_basis_change(complexify(alg), random_gaussian_t(n, rng)),
+    )
+
+
+def test_betti_of_moved_abelian_sums_match_oracle_or_kunneth(rng):
+    # L + Q^k for each non-abelian rational catalog entry L and k = 1..4,
+    # moved over Q and over Q(i): the Fraction oracle on the sum up to
+    # dim 8, and beyond it L's oracle Betti numbers times (1 + t)^k.  (The
+    # oracle costs about 0.1 s a sum at dim 9 and 0.45 s at dim 10; the
+    # sums of dims 9-10 in BETTI_SUMS meet it in the test above.)
+    checked = set()
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.field != "Q" or not alg.brackets:
+            continue
+        base = oracle_betti(_fraction_brackets(alg), alg.dim)
+        for k in range(1, 5):
+            total = direct_sum(alg, abelian(k))
+            n = total.dim
+            if n <= 8:
+                want = oracle_betti(_fraction_brackets(total), n)
+                assert want == _times_one_plus_t(base, k), total.name
+            else:
+                want = _times_one_plus_t(base, k)
+            for copy in _moved_copies(total, rng):
+                assert list(betti_numbers(copy).betti) == want, (copy.name, copy.field)
+            checked.add(n > 8)
+    assert checked == {False, True}
+
+
+def test_betti_of_a_solvable_algebra_plus_an_abelian_factor(rng):
+    # r_2 + Q^2 ([X0, X1] = X1) is not nilpotent, yet the core span(X0, X1)
+    # holds C^1 and is an ideal, so the Kunneth split still applies.
+    alg = LieAlgebra.from_brackets("r2+C2", 4, {(0, 1): {1: 1}})
+    want = [1, 3, 3, 1, 0]
+    assert oracle_betti(_fraction_brackets(alg), 4) == want
+    for copy in (alg, *_moved_copies(alg, rng)):
+        assert list(betti_numbers(copy).betti) == want, copy.name
+        core, k = _core_table(_commutator_adapted_table(copy), 4)
+        assert k == 2, copy.name
+        assert set(core.rows) == {(0, 1)}, copy.name
+
+
+def test_core_table_drops_the_abelian_factor(rng):
+    # The positions dropped are dim Z - dim(Z n C^1) by a Fraction oracle,
+    # on every rational catalog entry plus Q^0..Q^3, unmoved, moved, and
+    # complexified and moved; the core's table splits off nothing more and
+    # keeps every constant on C^1's positions.
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.field != "Q":
+            continue
+        for extra in range(4):
+            total = direct_sum(alg, abelian(extra)) if extra else alg
+            n = total.dim
+            want = oracle_abelian_factor_dim(_fraction_brackets(total), n)
+            copies = (total, *_moved_copies(total, rng)) if n <= 9 else (total,)
+            for copy in copies:
+                c1_dim = commutator_ideal(copy).dim
+                core, k = _core_table(_commutator_adapted_table(copy), n)
+                assert k == want, (copy.name, copy.field)
+                assert _core_table(core, n - k)[1] == 0, copy.name
+                constants = {m for row in core.rows.values() for m, _ in row}
+                assert constants <= set(range(n - k - c1_dim, n - k)), copy.name
 
 
 def _qi_algebra_with_gaussian_constant():
