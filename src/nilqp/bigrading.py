@@ -41,7 +41,8 @@ Verification and every construction run on integers: the forms are
 read as integers off `liealg.structure_table`, a vector is an exact vector
 ``(row, den)`` on the kernel's Z[i] rows, spans and memberships are read
 off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
-meets are null spaces (`kernel.null_space`), and verification brackets on
+meets are null spaces (`kernel.null_space`, or `kernel.null_space_within`
+where a subspace is cut by more rows), and verification brackets on
 the same table.  The J-space construction keeps its solution space as
 integer matrices over one denominator and its candidates as integer
 coefficient tuples.  The constructions' number theory (lowest terms,
@@ -1354,12 +1355,21 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
 
     ``groups`` are groups of seeds and ``w`` the pencil operator or None, as
     `_pencil_structure` returns them; with no pencil, `_generic_seeds` and
-    None.  Every vector is an exact vector; an invariant subspace is kept as
-    its annihilator's rows, so its meet with a constraint space is one null
-    space.  A candidate is a bounded combination of a node's pool rows,
-    tested on the combination of their residuals modulo the generators
-    chosen and their conjugates, computed once per node; only a candidate
-    that passes is formed.  U is returned as the exact vectors chosen.
+    None.  Every vector is an exact vector, and every subspace is kept as
+    its reduced basis.  A child's constraints are its parent's and those of
+    its last generator.  So a node inherits its parent's constraint space
+    and the meets of that space with each invariant subspace, and cuts each
+    with the new rows only (`kernel.null_space_within`, which gives the
+    same reduced basis as the null space of all the rows); the root's
+    spaces are V and the invariant subspaces.  A candidate is a bounded
+    combination of a node's pool rows, tested on the combination of their
+    residuals modulo the generators chosen and their conjugates, computed
+    once per node.  That combination is not formed when every residual it
+    names is zero, and only a candidate that passes is formed.  Each
+    candidate still makes one `RowReducer.add` on its combined residual,
+    zero or not, so the count of those calls, which perfbench reads as the
+    nodes searched, is the same as when every sum was formed.  U is
+    returned as the exact vectors chosen.
     """
     v, h, bounds = frame.v, frame.h, frame.bounds
     seeds = [vec for grp in groups for vec in grp]
@@ -1382,22 +1392,20 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
                 if vec not in orbit and vec not in seeds:
                     orbit.append(vec)
         seeds = seeds + orbit[: 4 * v]
-    # Each invariant subspace S with 0 < dim S < v, once, as the rows of its
-    # annihilator's reduced basis: equal subspaces have equal such rows (each
-    # row holds its vector's denominator at its pivot).
-    annihilators: list[list[kernel.ZiRow]] = []
+    # Each invariant subspace S with 0 < dim S < v, once, as its reduced
+    # basis: equal subspaces have equal reduced bases.
+    invariants: list[list[tuple[kernel.ZiRow, int]]] = []
     for rows in spans:
-        ann = [row for row, _ in kernel.null_space(rows, v, "Qi")]
-        if 0 < len(ann) < v and ann not in annihilators:
-            annihilators.append(ann)
-    # Small invariant subspaces (long annihilators) are the strongest anchors:
-    # any commuting family is forced to meet the pencil radical, so explore
-    # those first.
-    annihilators = sorted(annihilators, key=len, reverse=True)[:8]
+        basis = kernel.span(rows, v, "Qi")
+        if 0 < len(basis) < v and basis not in invariants:
+            invariants.append(basis)
+    # Small invariant subspaces are the strongest anchors: any commuting
+    # family is forced to meet the pencil radical, so explore those first.
+    invariants = sorted(invariants, key=len)[:8]
     budget = [bounds.max_nodes]
     coeffs = [c for c in bounds.coefficients if c]
 
-    def complex_pool(constraints, space, chosen):
+    def complex_pool(constraints, space, meets, chosen):
         """The pool of a node as Z[i] rows over one denominator ``(rows, den)``."""
         pool: list[tuple[kernel.ZiRow, int]] = []
 
@@ -1410,8 +1418,7 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
                 img = kernel.zi_matvec(w_rows, row)
                 if img and not kernel.zi_matvec(constraints, img):
                     push(kernel.zi_lowest(img, den * d))
-        for ann in annihilators:
-            meet = kernel.null_space(ann + constraints, v, "Qi")
+        for meet in meets:
             if 0 < len(meet) < len(space):
                 for vec in meet:
                     push(vec)
@@ -1449,28 +1456,40 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
                                 yield (one, a), iy, ((c_c, 0), c)
                                 yield (one, a), iy, ((0, c_c), c)
 
-    def rec(chosen, red: RowReducer):
+    def rec(chosen, red: RowReducer, constraints, spaces, new):
         # ``chosen`` holds the generators as ``(row, den)``, and ``red`` them
-        # and their conjugates, spanning S.  A candidate u is independent of
-        # them when rho(u) and rho(conj u) span a plane, for the linear
-        # reduction rho modulo S (`kernel.zi_residual`), so the residuals of
-        # the pool rows and their conjugates are all it needs.  Only a
-        # candidate that passes is formed.  Every candidate makes one
-        # `RowReducer.add`: perfbench counts those calls as nodes.
+        # and their conjugates, spanning S.  The node inherits its parent's
+        # commutation ``constraints`` and ``spaces``: their null space, then
+        # its meets with each invariant subspace.  The rows ``new`` of the
+        # last generator cut each space (`kernel.null_space_within`) to the
+        # reduced basis that the null space of all the node's rows gives.
+        # A candidate u is independent of the generators when rho(u) and
+        # rho(conj u) span a plane, for the linear reduction rho modulo S
+        # (`kernel.zi_residual`), so the residuals of the pool rows and their
+        # conjugates are all it needs.  When every residual its terms name
+        # is zero, so is rho(u), and the sum is not formed.  Either way the
+        # candidate's first `RowReducer.add` is on rho(u), one per
+        # candidate: perfbench counts those calls as nodes.  Only a
+        # candidate that passes is formed.
         if len(chosen) == h:
             return chosen
-        constraints = frame.commutant_rows([row for row, _ in chosen])
-        space = kernel.null_space(constraints, v, "Qi")
+        space = kernel.null_space_within(spaces[0], new, "Qi")
         if len(space) < h:
             return None
-        rows, den = complex_pool(constraints, space, chosen)
+        meets = [kernel.null_space_within(meet, new, "Qi") for meet in spaces[1:]]
+        constraints = constraints + new
+        rows, den = complex_pool(constraints, space, meets, chosen)
         res = [kernel.zi_residual(row, red.rows) for row in rows]
         res_conj = [kernel.zi_residual(kernel.zi_conj(row), red.rows) for row in rows]
+        spaces = [space] + meets
         for terms in complex_candidates(len(rows)):
             if budget[0] <= 0:
                 return None
             budget[0] -= 1
             quot = RowReducer(v)
+            if not any(res[i] for _, i in terms):
+                quot.add({})
+                continue
             if not (
                 quot.add(kernel.zi_combine(*((c, res[i]) for c, i in terms)))
                 and quot.add(
@@ -1482,12 +1501,16 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
             grown = red.copy()
             grown.add(cand)
             grown.add(kernel.zi_conj(cand))
-            result = rec(chosen + [(cand, den)], grown)
+            result = rec(
+                chosen + [(cand, den)], grown, constraints, spaces, frame.commutant_rows([cand])
+            )
             if result is not None:
                 return result
         return None
 
-    return rec([], RowReducer(v))
+    # The root's constraint space is all of V, and its meets the invariant
+    # subspaces themselves.
+    return rec([], RowReducer(v), [], [_unit_vectors(v)] + invariants, [])
 
 
 # The search's constructions as (name, applies, run) in the order they are

@@ -58,7 +58,9 @@ def load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, bytes that are not UTF-8, or a number past the
+        # interpreter's limit on int digits (sys.get_int_max_str_digits()).
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from exc
 
 

@@ -34,8 +34,11 @@ is the empty, false dict.  A row over Q has zero imaginary parts.
   den)`` in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are
   equal pairs, and `null_space` is the span of [M^T | I] with the first
   part skipped: only the reduced rows that vanish on it are
-  back-substituted and returned.  `zi_lowest` puts any Z[i] vector in
-  lowest terms, and `zi_common` puts several over one denominator again.
+  back-substituted and returned.  `null_space_within` cuts a subspace
+  given by such a basis with more rows, eliminating only in the
+  coordinates of that basis, and returns the same vectors as `null_space`
+  of all the rows.  `zi_lowest` puts any Z[i] vector in lowest terms, and
+  `zi_common` puts several over one denominator again.
   ``exact.Subspace`` keeps its reduced basis in this form, so it stores a
   null space as it comes.
 * On Z[i] rows, `zi_conj`, `zi_combine`, `zi_matvec` and `zi_matmul` form
@@ -169,6 +172,37 @@ def null_space(rows: list[ZiRow], ncols: int, field: str) -> list[tuple[ZiRow, i
             for j, e in row.items():
                 aug[j][i] = e
     return _basis(aug, m + ncols, field, m)
+
+
+def null_space_within(
+    basis: list[tuple[ZiRow, int]], rows: list[ZiRow], field: str
+) -> list[tuple[ZiRow, int]]:
+    """`null_space` of ``rows`` inside the subspace S with the reduced basis ``basis``.
+
+    ``basis`` holds S's reduced basis as `null_space` and `span` return it,
+    exact vectors in pivot order.  Returns the reduced basis of {x in S :
+    row . x = 0 for each row}, the very exact vectors that `null_space`
+    returns for S's annihilator rows followed by ``rows``, and ``basis``
+    itself when every row vanishes on S.
+
+    x = sum_k y_k b_k, for the rows b_k of the basis, is zero before the
+    pivot of the first b_k with y_k != 0 and equals y_k times b_k's entry
+    there, as each b_k is zero at every other pivot.  So the meet's reduced
+    basis is the image of the reduced null space of the small matrix
+    M[i][k] = row_i . b_k, each image divided by its first entry
+    (`zi_exact`).
+    """
+    small: list[ZiRow] = [{} for _ in rows]
+    for k, (b, _) in enumerate(basis):
+        for i, e in zi_matvec(rows, b).items():
+            small[i][k] = e
+    if not any(small):
+        return basis
+    out = []
+    for y, _ in null_space(small, len(basis), field):
+        x = zi_combine(*((c, basis[k][0]) for k, c in y.items()))
+        out.append(zi_exact(x, min(x)))
+    return out
 
 
 def _reals(rows: list[ZiRow]) -> list[dict]:

@@ -269,10 +269,42 @@ def conj(x: Scalar) -> Scalar:
 
 # -- text form ------------------------------------------------------------
 
+# Since 3.10.7 CPython refuses int <-> str conversions of more decimal digits
+# than sys.get_int_max_str_digits() (4,300 by default).  Longer numbers are
+# converted in halves, divide and conquer, down to pieces below the limit;
+# the process-wide setting is left alone, and short numbers take int() and
+# str() directly.
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` for an int of any length."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_text(-n)
+    # 1233 / 4096 < log10(2), so n has at least 2 * half digits: hi > 0.
+    half = (n.bit_length() * 1233 >> 12) // 2
+    hi, lo = divmod(n, 10**half)
+    return _int_text(hi) + _int_text(lo).zfill(half)
+
+
+def _text_int(digits: str) -> int:
+    """``int(digits)`` for a string of decimal digits of any length."""
+    try:
+        return int(digits)
+    except ValueError:
+        pass
+    # Only the limit refuses a string of digits, and it is at least 640.
+    half = len(digits) // 2
+    return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
+
+
 def _format_rational(x: Rational) -> str:
     if x.den == 1:
-        return str(x.num)
-    return f"{x.num}/{x.den}"
+        return _int_text(x.num)
+    return f"{_int_text(x.num)}/{_int_text(x.den)}"
 
 
 def format_scalar(x: Scalar) -> str:
@@ -292,11 +324,11 @@ def format_scalar(x: Scalar) -> str:
 def _parse_rational_token(tok: str, text: str, path: str | None) -> Rational:
     if "/" in tok:
         a, b = tok.split("/", 1)
-        den = int(b)
+        den = _text_int(b)
         if den == 0:
             raise ParseError(f"zero denominator in scalar {text!r}", path)
-        return Rational(int(a), den)
-    return Rational(int(tok))
+        return Rational(_text_int(a), den)
+    return Rational(_text_int(tok))
 
 
 _NUM = re.compile(r"\d+(?:/\d+)?")

@@ -13,7 +13,9 @@ from itertools import combinations
 
 def frac_rank(rows):
     """Gaussian elimination over Fraction (or complex Fractions as tuples)."""
-    m = [list(map(Fraction, r)) for r in rows]
+    # Entries that already are Fractions are taken as they are: wrapping
+    # each again cost most of the time of `oracle_betti`.
+    m = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     if not m or not m[0]:
         return 0
     nrows, ncols = len(m), len(m[0])

@@ -1182,6 +1182,51 @@ def test_search_outputs_match_golden_digest():
     assert digest.hexdigest() == GOLDEN_SEARCH_SHA256
 
 
+# RowReducer.add calls and the outcome of search_bigrading at max_nodes=2000,
+# recorded while every depth-first search node still took the null spaces
+# of all its constraint rows.  A node now inherits its parent's spaces and
+# cuts them with its new rows only, and skips forming zero residual sums;
+# candidates, their order and the add per candidate are unchanged, so are
+# the counts and every generator.  The L5_parity sums exhaust the budget,
+# N2_82 is graded by the singular-pencil search, n3+n3+n3 and n5+n5 (from
+# its second basis change on, with W) by the generic one.
+DFS_ADDS = {
+    ("L5_parity", "L5_parity"): (2153, 2194, 2164),
+    ("L5_parity", "L5_parity", "abelian_1"): (2165, 2177, 2147),
+    ("N2_82",): (71, 65, 67),
+    ("n3", "n3", "n3"): (194, 1256, 166),
+    ("n5", "n5"): (2203, 282, 280),
+}
+DFS_OUTCOMES_SHA256 = "c1c08fa4ec72b06500cc0e99df6f780ec8417d8cc6cfca7e97dae6cfd240cb36"
+
+
+def test_dfs_adds_and_outcomes_match_the_recorded_ones(monkeypatch):
+    original = RowReducer.add
+    calls = [0]
+
+    def counted(self, vec):
+        calls[0] += 1
+        return original(self, vec)
+
+    monkeypatch.setattr(RowReducer, "add", counted)
+    digest = hashlib.sha256()
+    adds = {}
+    for keys in DFS_ADDS:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        counts = []
+        for seed in (1, 2, 3):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+            calls[0] = 0
+            out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+            counts.append(calls[0])
+            digest.update(_outcome_text(out).encode() + b"\n")
+        adds[keys] = tuple(counts)
+    assert adds == DFS_ADDS
+    assert digest.hexdigest() == DFS_OUTCOMES_SHA256
+
+
 # Algebras whose search is settled by the J-space construction (a complex
 # structure compatible with every bracket component).  With these basis
 # changes n7_142 and 37D are won by split candidates (the second n7_142 with

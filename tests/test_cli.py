@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 import nilqp
 from nilqp.cli import run
 from nilqp.catalog import catalog_keys, get
-from nilqp.jsonio import dump_json, lie_algebra_to_json
+from nilqp.cohomology import betti_numbers
+from nilqp.errors import ParseError
+from nilqp.jsonio import dump_json, lie_algebra_from_json, lie_algebra_to_json, load_json
+from nilqp.scalars import Rational, format_scalar, parse_scalar
 
 from conftest import moved_parity_sum
 
@@ -205,6 +208,19 @@ def test_invalid_json_exit_code_1(capsys, tmp_path, n3_file, as_grading):
     message = _input_error(capsys, "cohomology", *argv)
     assert message.startswith(f"{path}: invalid JSON: ")
 
+
+
+# json.load refuses these with a ValueError that is not a JSONDecodeError.
+@pytest.mark.parametrize(
+    "content",
+    [b'{"name": "n3", "dim": 3' + b"0" * 5000 + b"}", b'{"name": "n3\xff"}'],
+    ids=["number-past-the-digit-limit", "not-utf-8"],
+)
+def test_unreadable_json_exit_code_1(capsys, tmp_path, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    message = _input_error(capsys, "validate", str(path))
+    assert message.startswith(f"{path}: invalid JSON: ")
 
 def _algebra_doc():
     return lie_algebra_to_json(get("n3").algebra)
@@ -411,6 +427,73 @@ def test_bad_arguments_exit_1_with_one_input_error(capsys, n3_file, argv):
     doc, end = json.JSONDecoder().raw_decode(out)
     assert not out[end:].strip()
     assert doc["error"]["kind"] == "input"
+
+
+# Since 3.10.7 CPython refuses int <-> str conversions past 4,300 digits by
+# default.  A 5,001-digit constant in a file, and a 7,398-character
+# representative of h5 with 2,500-digit constants, are read and written in
+# full.
+BIG = "1" + "0" * 4999 + "1"  # 10**5000 + 1
+H5_CONSTANTS = ("7" * 2500, "3" + "1" * 2499 + "/" + "9" * 2400)
+
+
+def _algebra_file(tmp_path, name, basis, brackets) -> str:
+    path = tmp_path / f"{name}.json"
+    doc = {
+        "basis": basis,
+        "brackets": [{"coeffs": {str(k): c}, "i": i, "j": j} for i, j, k, c in brackets],
+        "dim": len(basis),
+        "field": "Q",
+        "name": name,
+        "real_structure": None,
+    }
+    dump_json(path, doc)
+    return str(path)
+
+
+def _scalar_texts(doc):
+    """Every string of a JSON document that reads as a scalar."""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [t for item in doc for t in _scalar_texts(item)]
+    if isinstance(doc, str):
+        try:
+            parse_scalar(doc)
+        except ParseError:
+            return []
+        return [doc]
+    return []
+
+
+def test_constant_past_the_digit_limit_exit_0_and_round_trips(capsys, tmp_path):
+    path = _algebra_file(tmp_path, "n3_big", ["X", "Y", "Z"], [(0, 1, 2, BIG)])
+    for command in (["validate"], ["cohomology"], ["check"]):
+        code, out, _ = invoke(capsys, "--format", "json", *command, path)
+        assert code == 0, command
+    texts = _scalar_texts(json.loads(out)["bigrading"])
+    assert max(map(len, texts)) > 5000
+    assert [format_scalar(parse_scalar(t)) for t in texts] == texts
+    alg = lie_algebra_from_json(load_json(path))
+    assert dict(alg.brackets[0][1]) == {2: Rational(10**5000 + 1)}
+    assert lie_algebra_to_json(alg)["brackets"][0]["coeffs"] == {"2": BIG}
+
+
+def test_representatives_past_the_digit_limit_exit_0_and_round_trip(capsys, tmp_path):
+    a, b = H5_CONSTANTS
+    path = _algebra_file(
+        tmp_path, "h5_big", ["X1", "X2", "Y1", "Y2", "Z"], [(0, 2, 4, a), (1, 3, 4, b)]
+    )
+    code, out, _ = invoke(capsys, "--format", "json", "cohomology", "--representatives", path)
+    assert code == 0
+    reps = json.loads(out)["representatives"]
+    want = betti_numbers(lie_algebra_from_json(load_json(path)), representatives=True)
+    assert sorted(reps) == [str(k) for k in sorted(want.representatives)]
+    for k, vecs in want.representatives.items():
+        assert [[parse_scalar(t) for t in v] for v in reps[str(k)]] == [list(v) for v in vecs]
+    texts = _scalar_texts(reps)
+    assert max(map(len, texts)) > 4300
+    assert [format_scalar(parse_scalar(t)) for t in texts] == texts
 
 
 def test_check_n3(capsys, n3_file):

@@ -1,6 +1,7 @@
 """The elimination kernel against the independent Fraction oracles."""
 
 from fractions import Fraction
+import random
 from math import gcd, lcm
 
 import pytest
@@ -338,6 +339,46 @@ def test_null_space_matches_fraction_oracle(data, field):
     assert [kernel.decode(r, den, ncols, "Qi") for r in common] == [
         kernel.decode(r, d, ncols, "Qi") for r, d in basis
     ]
+
+
+def test_null_space_within_returns_the_null_space_of_all_rows():
+    # The depth-first search cuts a node's spaces with its new constraint
+    # rows only; the basis must be the very exact vectors that the null
+    # space of the annihilator and the new rows together gives, over V of
+    # every size, on subspaces from 0 to v vectors, and with no new rows,
+    # rows that vanish on the subspace and rows that repeat one another.
+    rng = random.Random(31)
+    seen = set()
+
+    def row(v, field):
+        return {
+            j: e
+            for j in range(v)
+            if rng.random() < 0.6
+            and (e := (rng.randint(-3, 3), rng.randint(-3, 3) if field == "Qi" else 0)) != (0, 0)
+        }
+
+    for trial in range(600):
+        field = ("Q", "Qi")[trial % 2]
+        v = rng.randint(1, 7)
+        ann = [row(v, field) for _ in range(rng.randint(0, v + 1))]
+        basis = kernel.null_space(ann, v, field)
+        rows = [row(v, field) for _ in range(rng.randint(0, 3))]
+        if rows and trial % 3 == 0:
+            c = (rng.randint(1, 3), rng.randint(-2, 2) if field == "Qi" else 0)
+            rows.append(kernel.zi_combine((c, rows[0])))
+        if ann and trial % 5 == 0:
+            rows.append(ann[0])
+        got = kernel.null_space_within(basis, rows, field)
+        assert got == kernel.null_space(ann + rows, v, field)
+        seen.add((len(basis), not rows, got is basis, len(got) < len(basis)))
+    sizes = {size for size, *_ in seen}
+    assert sizes == set(range(8))
+    assert {tuple(flags) for _, *flags in seen} == {
+        (True, True, False),  # no new rows
+        (False, True, False),  # rows that vanish on the subspace
+        (False, False, True),  # rows that cut it
+    }
 
 
 def test_zi_matvec_matches_fractions():

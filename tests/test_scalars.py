@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,3 +125,33 @@ def test_canonical_format():
 def test_as_scalar_rejects_floats_and_strings(bad):
     with pytest.raises(TypeError, match="not a scalar"):
         as_scalar(bad)
+
+
+def _value(digits: str) -> int:
+    """The value of a string of decimal digits, read 50 digits at a time."""
+    n = 0
+    for k in range(0, len(digits), 50):
+        chunk = digits[k : k + 50]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_scalars_past_the_interpreters_digit_limit_keep_every_digit():
+    # Since 3.10.7 CPython refuses int <-> str conversions of more than
+    # 4,300 digits by default; format_scalar and parse_scalar convert longer
+    # numbers exactly, on either side of the limit.
+    rng = random.Random(12)
+    den = 10**5000
+    for length in (4299, 4300, 4301, 5001, 12345):
+        digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=length - 1))
+        x = parse_scalar(digits)
+        assert x == Rational(_value(digits))
+        assert format_scalar(x) == digits
+        y = parse_scalar(f"-{digits}/1{'0' * 5000}")
+        assert y == Rational(-_value(digits), den)
+        assert parse_scalar(format_scalar(y)) == y
+        z = Gaussian(y, x)
+        assert format_scalar(z) == f"{format_scalar(y)}+{digits}*i"
+        assert parse_scalar(format_scalar(z)) == z
+    assert parse_scalar("0" * 5000 + "12") == Rational(12)
+    assert format_scalar(Rational(-(10**6000) - 7)) == "-1" + "0" * 5999 + "7"
