@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, combinations, islice, product, repeat
+from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from math import lcm
 
 from ._arith import isqrt_exact, lowest_terms, rational_roots, solve_ternary
@@ -1357,19 +1357,30 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     `_pencil_structure` returns them; with no pencil, `_generic_seeds` and
     None.  Every vector is an exact vector, and every subspace is kept as
     its reduced basis.  A child's constraints are its parent's and those of
-    its last generator.  So a node inherits its parent's constraint space
-    and the meets of that space with each invariant subspace, and cuts each
-    with the new rows only (`kernel.null_space_within`, which gives the
-    same reduced basis as the null space of all the rows); the root's
-    spaces are V and the invariant subspaces.  A candidate is a bounded
-    combination of a node's pool rows, tested on the combination of their
-    residuals modulo the generators chosen and their conjugates, computed
-    once per node.  That combination is not formed when every residual it
-    names is zero, and only a candidate that passes is formed.  Each
-    candidate still makes one `RowReducer.add` on its combined residual,
-    zero or not, so the count of those calls, which perfbench reads as the
-    nodes searched, is the same as when every sum was formed.  U is
-    returned as the exact vectors chosen.
+    its last generator.  So a node inherits its parent's constraint space,
+    the meets of that space with each invariant subspace and the seeds that
+    satisfy its parent's constraints, and cuts each with the new rows only
+    (`kernel.null_space_within`, which gives the same reduced basis as the
+    null space of all the rows); the root's spaces are V and the invariant
+    subspaces, and every seed is alive there.  New rows that vanish on the
+    constraint space vanish on each meet and seed too, so such a node keeps
+    all it inherits.
+
+    A candidate is a bounded combination of a node's pool rows, tested on
+    the combination of their residuals modulo the generators chosen and
+    their conjugates.  The residuals of the pool rows are computed once per
+    node, and those of their conjugates only when a candidate that could
+    pass first names the row.  The candidates come in blocks, one per pool
+    row, pair and triple (`_candidate_blocks`); every candidate of a block
+    names the same rows.  When all of them have zero residuals, the block
+    spends its size off the budget, stopping where the budget does, with one
+    `RowReducer.add` on the empty row per candidate on one shared empty
+    reducer, and no candidate of it is listed.  The others are listed
+    (`_block_terms`), each tested on a fresh reducer, and only one that
+    passes is formed.  So every candidate makes one `add` on its combined
+    residual, zero or not, and the count of those calls, which perfbench
+    reads as the nodes searched, is the same as when every candidate was
+    tested on its own.  U is returned as the exact vectors chosen.
     """
     v, h, bounds = frame.v, frame.h, frame.bounds
     seeds = [vec for grp in groups for vec in grp]
@@ -1405,112 +1416,149 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     budget = [bounds.max_nodes]
     coeffs = [c for c in bounds.coefficients if c]
 
-    def complex_pool(constraints, space, meets, chosen):
-        """The pool of a node as Z[i] rows over one denominator ``(rows, den)``."""
-        pool: list[tuple[kernel.ZiRow, int]] = []
+    # Every candidate with zero residuals makes its one `add` on the empty
+    # row, which leaves this reducer empty.
+    add_empty = RowReducer(v).add
+    no_row: kernel.ZiRow = {}
 
-        def push(vec):
-            if vec not in pool:
-                pool.append(vec)
-
-        if w is not None:
-            for row, den in chosen:
-                img = kernel.zi_matvec(w_rows, row)
-                if img and not kernel.zi_matvec(constraints, img):
-                    push(kernel.zi_lowest(img, den * d))
-        for meet in meets:
-            if 0 < len(meet) < len(space):
-                for vec in meet:
-                    push(vec)
-        for vec in seeds:
-            if not kernel.zi_matvec(constraints, vec[0]):
-                push(vec)
-        for vec in space:
-            push(vec)
-        return kernel.zi_common(pool)
-
-    def complex_candidates(n):
-        """Candidates over a pool of ``n`` rows, in the search order.
-
-        Each is its terms ``(c, index)``, the sum of ``c`` times pool row
-        ``index`` with ``c = (re, im)`` in Z[i].
-        """
-        one = (1, 0)
-        for a in range(n):
-            yield ((one, a),)
-        if bounds.depth >= 2:
-            for a in range(n):
-                for b in range(n):
-                    if a == b:
-                        continue
-                    for cc in coeffs:
-                        yield (one, a), ((cc, 0), b)
-                        yield (one, a), ((0, cc), b)
-        if bounds.depth >= 3:
-            for a in range(n):
-                for b in range(a + 1, n):
-                    for c in range(b + 1, n):
-                        for c_b in coeffs:
-                            iy = ((0, c_b), b)
-                            for c_c in coeffs:
-                                yield (one, a), iy, ((c_c, 0), c)
-                                yield (one, a), iy, ((0, c_c), c)
-
-    def rec(chosen, red: RowReducer, constraints, spaces, new):
+    def rec(chosen, red: RowReducer, constraints, spaces, alive, new):
         # ``chosen`` holds the generators as ``(row, den)``, and ``red`` them
         # and their conjugates, spanning S.  The node inherits its parent's
-        # commutation ``constraints`` and ``spaces``: their null space, then
-        # its meets with each invariant subspace.  The rows ``new`` of the
-        # last generator cut each space (`kernel.null_space_within`) to the
-        # reduced basis that the null space of all the node's rows gives.
+        # commutation ``constraints``, ``spaces`` (their null space, then its
+        # meets with each invariant subspace) and the seeds ``alive`` that
+        # satisfy them; the rows ``new`` of the last generator cut all three.
         # A candidate u is independent of the generators when rho(u) and
         # rho(conj u) span a plane, for the linear reduction rho modulo S
-        # (`kernel.zi_residual`), so the residuals of the pool rows and their
-        # conjugates are all it needs.  When every residual its terms name
-        # is zero, so is rho(u), and the sum is not formed.  Either way the
-        # candidate's first `RowReducer.add` is on rho(u), one per
-        # candidate: perfbench counts those calls as nodes.  Only a
-        # candidate that passes is formed.
+        # (`kernel.zi_residual`).  A block whose pool rows all have rho = 0
+        # makes only its `add`s on the empty row: perfbench counts one
+        # `add` per candidate as a node.
         if len(chosen) == h:
             return chosen
         space = kernel.null_space_within(spaces[0], new, "Qi")
         if len(space) < h:
             return None
-        meets = [kernel.null_space_within(meet, new, "Qi") for meet in spaces[1:]]
+        if space is not spaces[0]:
+            # Every meet and every seed alive lies in the parent's space,
+            # so new rows that vanish on it keep them all.
+            spaces = [space] + [kernel.null_space_within(meet, new, "Qi") for meet in spaces[1:]]
+            alive = [vec for vec in alive if not kernel.zi_matvec(new, vec[0])]
         constraints = constraints + new
-        rows, den = complex_pool(constraints, space, meets, chosen)
+        rows, den = _complex_pool(w, constraints, space, spaces[1:], chosen, alive)
         res = [kernel.zi_residual(row, red.rows) for row in rows]
-        res_conj = [kernel.zi_residual(kernel.zi_conj(row), red.rows) for row in rows]
-        spaces = [space] + meets
-        for terms in complex_candidates(len(rows)):
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
-            quot = RowReducer(v)
-            if not any(res[i] for _, i in terms):
-                quot.add({})
+        res_conj: list = [None] * len(rows)
+        for block, size in _candidate_blocks(len(rows), bounds.depth, len(coeffs)):
+            if not any(res[i] for i in block):
+                taken = min(size, budget[0])
+                budget[0] -= taken
+                for _ in repeat(None, taken):
+                    add_empty(no_row)
+                if taken < size:
+                    return None
                 continue
-            if not (
-                quot.add(kernel.zi_combine(*((c, res[i]) for c, i in terms)))
-                and quot.add(
-                    kernel.zi_combine(*(((cr, -ci), res_conj[i]) for (cr, ci), i in terms))
+            for i in block:
+                if res_conj[i] is None:
+                    res_conj[i] = kernel.zi_residual(kernel.zi_conj(rows[i]), red.rows)
+            for terms in _block_terms(block, coeffs):
+                if budget[0] <= 0:
+                    return None
+                budget[0] -= 1
+                quot = RowReducer(v)
+                if not (
+                    quot.add(kernel.zi_combine(*((c, res[i]) for c, i in terms)))
+                    and quot.add(
+                        kernel.zi_combine(*(((cr, -ci), res_conj[i]) for (cr, ci), i in terms))
+                    )
+                ):
+                    continue
+                cand = kernel.zi_combine(*((c, rows[i]) for c, i in terms))
+                grown = red.copy()
+                grown.add(cand)
+                grown.add(kernel.zi_conj(cand))
+                result = rec(
+                    chosen + [(cand, den)], grown, constraints, spaces, alive,
+                    frame.commutant_rows([cand]),
                 )
-            ):
-                continue
-            cand = kernel.zi_combine(*((c, rows[i]) for c, i in terms))
-            grown = red.copy()
-            grown.add(cand)
-            grown.add(kernel.zi_conj(cand))
-            result = rec(
-                chosen + [(cand, den)], grown, constraints, spaces, frame.commutant_rows([cand])
-            )
-            if result is not None:
-                return result
+                if result is not None:
+                    return result
         return None
 
-    # The root's constraint space is all of V, and its meets the invariant
-    # subspaces themselves.
-    return rec([], RowReducer(v), [], [_unit_vectors(v)] + invariants, [])
+    # The root's constraint space is all of V, its meets the invariant
+    # subspaces themselves, and every seed satisfies its (no) constraints.
+    return rec([], RowReducer(v), [], [_unit_vectors(v)] + invariants, seeds, [])
+
+
+def _complex_pool(w, constraints, space, meets, chosen, alive):
+    """The pool of a depth-first search node as Z[i] rows over one denominator ``(rows, den)``.
+
+    In order, without repeats: the images under the pencil operator ``w``
+    (``(rows, den)`` or None) of the generators ``chosen`` that satisfy the
+    node's ``constraints``, the vectors of each meet that is neither 0 nor
+    the whole ``space``, the seeds ``alive`` that satisfy the constraints,
+    and the reduced basis of ``space``.
+    """
+    pool: list[tuple[kernel.ZiRow, int]] = []
+
+    def push(vec):
+        if vec not in pool:
+            pool.append(vec)
+
+    if w is not None:
+        w_rows, d = w
+        for row, den in chosen:
+            img = kernel.zi_matvec(w_rows, row)
+            if img and not kernel.zi_matvec(constraints, img):
+                push(kernel.zi_lowest(img, den * d))
+    for meet in meets:
+        if 0 < len(meet) < len(space):
+            for vec in meet:
+                push(vec)
+    for vec in alive:
+        push(vec)
+    for vec in space:
+        push(vec)
+    return kernel.zi_common(pool)
+
+
+def _candidate_blocks(n: int, depth: int, k: int):
+    """The blocks of the search's candidates over a pool of ``n`` rows, in the search order.
+
+    Yields each block as the tuple of pool indices that its candidates
+    combine and its size, for ``k`` nonzero coefficients: each index alone
+    (one candidate), then at depth >= 2 each ordered pair of distinct
+    indices (2k), then at depth >= 3 each increasing triple (2k^2).
+    `_block_terms` lists the candidates of a block, and the blocks'
+    candidates in turn are every candidate of the search, in its order.
+    """
+    for a in range(n):
+        yield (a,), 1
+    if depth >= 2:
+        for block in permutations(range(n), 2):
+            yield block, 2 * k
+    if depth >= 3:
+        for block in combinations(range(n), 3):
+            yield block, 2 * k * k
+
+
+def _block_terms(block: tuple[int, ...], coeffs) -> list[tuple]:
+    """The candidates of one block, in the search order, for the nonzero integers ``coeffs``.
+
+    Each is its terms ``(c, index)``, the sum of ``c`` times pool row
+    ``index`` with ``c = (re, im)`` in Z[i]: row a alone; a plus c or ic
+    times b; a plus ic_b times b plus c_c or ic_c times c.
+    """
+    one = (1, 0)
+    if len(block) == 1:
+        return [((one, block[0]),)]
+    if len(block) == 2:
+        a, b = block
+        return [((one, a), (c, b)) for cc in coeffs for c in ((cc, 0), (0, cc))]
+    a, b, c = block
+    return [
+        ((one, a), ((0, c_b), b), (cc, c))
+        for c_b in coeffs
+        for c_c in coeffs
+        for cc in ((c_c, 0), (0, c_c))
+    ]
 
 
 # The search's constructions as (name, applies, run) in the order they are

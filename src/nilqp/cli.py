@@ -24,7 +24,7 @@ from .checker import (
     reproduce_classification,
 )
 from .cohomology import betti_numbers, bigraded_cohomology
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, excerpt
 from .jsonio import (
     bigrading_from_json,
     cohomology_table_to_json,
@@ -38,6 +38,7 @@ from .jsonio import (
 )
 from .kernel import backend_name
 from .liealg import validate
+from .scalars import past_digit_limit
 
 __all__ = ["main", "run"]
 
@@ -124,10 +125,17 @@ def _add_bounds(sp) -> None:
 
 
 def _bounds_from_args(args) -> SearchBounds:
+    texts = [c for c in str(args.coeffs).split(",") if c.strip() != ""]
     try:
-        coeffs = tuple(int(c) for c in str(args.coeffs).split(",") if c.strip() != "")
+        coeffs = tuple(map(int, texts))
     except ValueError:
-        raise InputError(f"--coeffs must be integers, got {args.coeffs!r}")
+        for c in map(str.strip, texts):
+            if past_digit_limit(c):
+                raise InputError(
+                    f"--coeffs entry of {len(c)} characters is out of range: "
+                    f"at most {sys.get_int_max_str_digits()} digits"
+                )
+        raise InputError(f"--coeffs must be integers, got {excerpt(str(args.coeffs))}")
     if not 1 <= args.depth <= 3:
         # The depth-first search combines at most three pool vectors.
         raise InputError(f"--depth must be 1, 2 or 3, got {args.depth}")

@@ -21,6 +21,13 @@ class InternalError(NilqpError):
     """Broken internal invariant (CLI exit code 2)."""
 
 
+def excerpt(text: str) -> str:
+    """``repr(text)`` for a message; past 40 characters, of its first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 class ParseError(InputError):
     """Malformed file content, with a JSON-path-like position."""
 

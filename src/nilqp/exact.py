@@ -349,10 +349,12 @@ class RowReducer:
     of scalars or a row already encoded by the kernel (`kernel.zi_rows`);
     any nonzero multiple of a vector spans the same line, so the scale of
     an encoded row does not matter.  `copy` is cheap: rows are never
-    changed in place, so a copy shares them.  The bigrading search keeps one
-    reducer per level, tests each candidate on a fresh reducer of its
-    residuals modulo those rows (`kernel.zi_residual`), and copies only for
-    a candidate that passes.
+    changed in place, so a copy shares them.  `add` returns False at once
+    on the empty row.  The bigrading search keeps one reducer per level,
+    tests each candidate on a fresh reducer of its residuals modulo those
+    rows (`kernel.zi_residual`), and copies only for a candidate that
+    passes; a candidate whose residuals are all zero makes its one `add` on
+    the empty row, on one empty reducer that the whole search shares.
     """
 
     __slots__ = ("ncols", "rows")
@@ -372,7 +374,9 @@ class RowReducer:
         return other
 
     def add(self, vec) -> bool:
-        """Reduce and insert; True when the span grew."""
+        """Reduce and insert; True when the span grew.  An empty row returns False at once."""
+        if not vec:
+            return False
         return kernel.zi_insert(self.rows, _zi(vec))
 
     def contains(self, vec) -> bool:

@@ -23,10 +23,10 @@ from .bigrading import (
 )
 from .checker import Verdict
 from .cohomology import CohomologyTable
-from .errors import ParseError
+from .errors import ParseError, excerpt
 from .exact import ExactMatrix
 from .liealg import LieAlgebra, validate
-from .scalars import Gaussian, Scalar, format_scalar, parse_scalar
+from .scalars import Gaussian, Scalar, format_scalar, parse_scalar, past_digit_limit
 
 __all__ = [
     "lie_algebra_to_json",
@@ -150,17 +150,23 @@ def lie_algebra_from_json(data, path: str = "$", check: bool = True) -> LieAlgeb
         coeffs_raw = _require(item, "coeffs", dict, bpath)
         coeffs: dict[int, Scalar] = {}
         for k_str, val in coeffs_raw.items():
-            cpath = f"{bpath}.coeffs[{k_str!r}]"
+            shown = excerpt(k_str)
+            cpath = f"{bpath}.coeffs[{shown}]"
             try:
                 k = int(k_str)
             except ValueError:
-                raise ParseError(f"coefficient key {k_str!r} is not an integer", cpath)
+                if past_digit_limit(k_str):
+                    raise ParseError(
+                        f"coefficient key of {len(k_str)} characters is out of range 0..{dim - 1}",
+                        cpath,
+                    )
+                raise ParseError(f"coefficient key {shown} is not an integer", cpath)
             # Only the spelling `lie_algebra_to_json` writes: int() reads
             # "02", " 2" or "+2" as 2 too, and one index must not be given twice.
             if k_str != str(k):
-                raise ParseError(f"coefficient key {k_str!r} is not written as {str(k)!r}", cpath)
+                raise ParseError(f"coefficient key {shown} is not written as {excerpt(str(k))}", cpath)
             if not 0 <= k < dim:
-                raise ParseError(f"target index {k} out of range 0..{dim - 1}", cpath)
+                raise ParseError(f"target index {shown} out of range 0..{dim - 1}", cpath)
             c = parse_scalar(val, path=cpath)
             if fielded == "Q" and isinstance(c, Gaussian) and c.im:
                 raise ParseError(

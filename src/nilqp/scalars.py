@@ -301,6 +301,19 @@ def _text_int(digits: str) -> int:
     return _text_int(digits[:-half]) * 10**half + _text_int(digits[-half:])
 
 
+# A plain decimal integer: int() refuses such a text only for its length.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def past_digit_limit(text: str) -> bool:
+    """Whether ``text`` is an integer that int() refuses only for its number of digits."""
+    try:
+        int(text)
+    except ValueError:
+        return _INTEGER.fullmatch(text) is not None
+    return False
+
+
 def _format_rational(x: Rational) -> str:
     if x.den == 1:
         return _int_text(x.num)

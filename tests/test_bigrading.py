@@ -1141,6 +1141,163 @@ def test_dfs_copies_the_reducer_only_for_candidates_that_pass(monkeypatch):
     assert out.status == "not_found_within_bounds"
     assert 0 < len(copies) < 50
 
+def _reference_candidates(bounds, coeffs):
+    """The depth-first search's candidate generator from before the blocks.
+
+    ``complex_candidates`` is copied verbatim from `_dfs_u`, where it read
+    the search's ``bounds`` and nonzero ``coeffs``; its order is the one
+    that `_candidate_blocks` and `_block_terms` must keep.
+    """
+
+    def complex_candidates(n):
+        """Candidates over a pool of ``n`` rows, in the search order.
+
+        Each is its terms ``(c, index)``, the sum of ``c`` times pool row
+        ``index`` with ``c = (re, im)`` in Z[i].
+        """
+        one = (1, 0)
+        for a in range(n):
+            yield ((one, a),)
+        if bounds.depth >= 2:
+            for a in range(n):
+                for b in range(n):
+                    if a == b:
+                        continue
+                    for cc in coeffs:
+                        yield (one, a), ((cc, 0), b)
+                        yield (one, a), ((0, cc), b)
+        if bounds.depth >= 3:
+            for a in range(n):
+                for b in range(a + 1, n):
+                    for c in range(b + 1, n):
+                        for c_b in coeffs:
+                            iy = ((0, c_b), b)
+                            for c_c in coeffs:
+                                yield (one, a), iy, ((c_c, 0), c)
+                                yield (one, a), iy, ((0, c_c), c)
+
+    return complex_candidates
+
+
+def test_candidate_blocks_expand_to_the_reference_order():
+    # A zero candidate (every pool row it names has a zero residual) stands
+    # as None: the search makes its `add` on the empty row and lists no terms.
+    rng = random.Random(32)
+    for coefficients in ((-1, 0, 1), (), (0,), (3,), (-2, -1, 1, 2)):
+        coeffs = [c for c in coefficients if c]
+        for depth in (1, 2, 3):
+            complex_candidates = _reference_candidates(SearchBounds(depth=depth), coeffs)
+            for n in range(8):
+                for density in (0.0, 0.1, 0.5, 1.0):
+                    nonzero = [rng.random() < density for _ in range(n)]
+                    want = [
+                        terms if any(nonzero[i] for _, i in terms) else None
+                        for terms in complex_candidates(n)
+                    ]
+                    got = []
+                    for block, size in bigrading._candidate_blocks(n, depth, len(coeffs)):
+                        terms = bigrading._block_terms(block, coeffs)
+                        assert len(terms) == size
+                        assert all(sorted(i for _, i in t) == sorted(block) for t in terms)
+                        got += terms if any(nonzero[i] for i in block) else [None] * size
+                    assert got == want, (coefficients, depth, n, nonzero)
+
+
+def test_empty_row_is_refused_at_once():
+    red = RowReducer(3)
+    assert red.add({}) is False
+    assert red.rows == []
+    red.add([Rational(1), Rational(2), Rational(0)])
+    rows = list(red.rows)
+    assert red.add({}) is False
+    assert red.rows == rows
+
+
+def test_budget_ending_inside_a_zero_block_stops_as_one_candidate_at_a_time(monkeypatch):
+    # The search at small budgets on moved L5_parity+L5_parity, as it runs
+    # and with every candidate made a block of its own, which is the loop
+    # over single candidates that blocks replaced: the same `add` calls
+    # and outcomes.  Some budgets end inside a block of zero candidates.
+    moved = moved_parity_sum()
+    budgets = [*range(1, 41), *range(160, 200), 500, 1000, 2000]
+    bounds = [SearchBounds(max_nodes=m) for m in budgets]
+    coeffs = [c for c in SearchBounds().coefficients if c]
+    original_add, original_blocks = RowReducer.add, bigrading._candidate_blocks
+    calls = []  # per `add`, whether its row was empty
+    starts = []  # per block, the `add`s made before it and its size
+
+    def counted(self, vec):
+        calls.append(not vec)
+        return original_add(self, vec)
+
+    def tracked(n, depth, k):
+        for block, size in original_blocks(n, depth, k):
+            starts.append((len(calls), size))
+            yield block, size
+
+    def run(b):
+        calls.clear()
+        starts.clear()
+        out = search_bigrading(moved, b)
+        return len(calls), _outcome_text(out)
+
+    def ended_inside_a_zero_block():
+        # The last block that made an `add` is the one the budget ran out in.
+        start, size = [st for st in starts if st[0] < len(calls)][-1]
+        tail = calls[start:]
+        return 0 < len(tail) < size and all(tail)
+
+    monkeypatch.setattr(RowReducer, "add", counted)
+    monkeypatch.setattr(bigrading, "_candidate_blocks", tracked)
+    blocked, inside = [], 0
+    for b in bounds:
+        blocked.append(run(b))
+        inside += ended_inside_a_zero_block()
+
+    class Single(tuple):
+        """The pool indices of one candidate, carrying its terms."""
+
+    def singles(n, depth, k):
+        for terms in _reference_candidates(SearchBounds(depth=depth), coeffs)(n):
+            block = Single(i for _, i in terms)
+            block.terms = terms
+            yield block, 1
+
+    monkeypatch.setattr(bigrading, "_candidate_blocks", singles)
+    monkeypatch.setattr(bigrading, "_block_terms", lambda block, coeffs: [block.terms])
+    assert blocked == [run(b) for b in bounds]
+    assert inside >= 20
+
+
+def test_inherited_seeds_are_those_that_meet_every_constraint(monkeypatch):
+    # A node filters its parent's surviving seeds by its new rows only; at
+    # every node of searches that exhaust their budget they are the seeds
+    # that satisfy all the node's constraints, in the same order.
+    nodes = []
+    original = bigrading._complex_pool
+
+    def recorded(w, constraints, space, meets, chosen, alive):
+        nodes.append((bool(chosen), list(constraints), list(alive)))
+        return original(w, constraints, space, meets, chosen, alive)
+
+    monkeypatch.setattr(bigrading, "_complex_pool", recorded)
+    alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
+    dropped = 0
+    for seed in (1, 2, 3):
+        moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+        nodes.clear()
+        out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+        assert out.status == "not_found_within_bounds"
+        (below_root, constraints, seeds), *rest = nodes
+        assert not below_root and not constraints
+        assert rest
+        for below_root, constraints, alive in rest:
+            assert below_root
+            assert alive == [vec for vec in seeds if not kernel.zi_matvec(constraints, vec[0])]
+            dropped += len(seeds) - len(alive)
+    assert dropped
+
+
 # Two-step sums whose search at max_nodes=2000 reaches the depth-first search
 # (L5_parity+L5_parity exhausts it, n3+n3+n3 and n3+n3+n3+C1 are settled by
 # it, the last not on every basis change) or a structured construction (the

@@ -496,6 +496,41 @@ def test_representatives_past_the_digit_limit_exit_0_and_round_trip(capsys, tmp_
     assert [format_scalar(parse_scalar(t)) for t in texts] == texts
 
 
+# An integer that int() refuses for its digits is out of range, not "not an
+# integer"; no message echoes more than the start of a long input.
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coeffs_past_the_digit_limit_exit_1_out_of_range(capsys, n3_file, fmt):
+    cases = [
+        ("1," + "1" * 5000, "--coeffs entry of 5000 characters is out of range"),
+        ("1,-" + "1" * 5000, "--coeffs entry of 5001 characters is out of range"),
+        ("1," + "x" * 5000, "--coeffs must be integers, got '1,xxxx"),
+    ]
+    for coeffs, want in cases:
+        argv = ["check", n3_file, "--coeffs", coeffs]
+        if fmt == "json":
+            message = _input_error(capsys, "--format", "json", *argv)
+        else:
+            code, out, message = invoke(capsys, *argv)
+            assert code == 1 and not out
+        assert want in message
+        assert len(message) < 200
+
+
+def test_coefficient_key_past_the_digit_limit_exit_1_out_of_range(capsys, tmp_path):
+    doc = lie_algebra_to_json(get("n3").algebra)
+    path = tmp_path / "n3_long_key.json"
+    for key, want in (("1" * 5001, "out of range 0..2"), ("x" * 5001, "is not an integer")):
+        doc["brackets"][0]["coeffs"] = {key: "1"}
+        dump_json(path, doc)
+        for command in ("validate", "check"):
+            message = _input_error(capsys, command, str(path))
+            assert message.endswith(want), command
+            assert f"{path}.brackets[0].coeffs[{key[:40]!r}... (5001 characters)]" in message
+            assert len(message) < len(str(path)) + 200
+            code, out, err = invoke(capsys, command, str(path))
+            assert code == 1 and not out and len(err) < len(str(path)) + 250
+
+
 def test_check_n3(capsys, n3_file):
     code, out, _ = invoke(capsys, "--format", "json", "check", n3_file, "--m", "1")
     assert code == 0

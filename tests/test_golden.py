@@ -1,207 +1,51 @@
 """Byte-identity of the command-line output, of moved verdicts and of the conic solver.
 
-Every digest below was recorded before the engine's null spaces moved onto
-one kernel routine; a change that alters any output byte, on any exported
-catalog entry or any seeded change of basis, changes a digest.  Record a
-digest again only when an output is meant to change.
+The digests and the functions that compute them are in `golden.py`, which
+also runs as a plain script; see its docstring.
 """
 
-import contextlib
-import hashlib
-import io
-import random
+import tempfile
 
 import pytest
 
-from nilqp._arith import solve_ternary
-from nilqp.bigrading import Bigrading, SearchBounds
-from nilqp.catalog import catalog_keys, export_entry, get
-from nilqp.checker import check
-from nilqp.cli import run
-from nilqp.cohomology import bigraded_cohomology
-from nilqp.errors import NilqpError
-from nilqp.jsonio import dumps_json, verdict_to_json
-from nilqp.liealg import apply_basis_change, complexify, direct_sum
-
-from conftest import carried_grading, random_invertible_t, seeded_ternary_equations
-
-GOLDEN_CLI_SHA256 = {
-    "validate": (
-        "ae6d14b3fc4841f75ce2d6d06e3a4241dc0bf68ec2c5a4c83ea483c0465e2127"
-    ),
-    "check": (
-        "fbcc7f50cabcdc5d771c8124268112e3a4a3e1e7ea9e352a827ad5f25841befc"
-    ),
-    "bigrading-search": (
-        "4d01dc2e3e1a808b602ae15569a61b4fb72169d2127124e6487b865ea1208d01"
-    ),
-    "cohomology": (
-        "ae7689c2528e42ba057a8fb46d1a626ab9e0e87458e04e1c06862017bcfc7607"
-    ),
-    "cohomology --representatives": (
-        "3ab332ddcdc6c8c8647ee3cdbd7b4dbf73da6d96f189650f9ce0c77d360d06a3"
-    ),
-    "cohomology --bigrading": (
-        "4a54fea262f5a73442b4745beb05550b59e64109ec4d2bc40f6f596aec44fd4b"
-    ),
-    "bigrading-verify": (
-        "308493cd122786ccea97355309b2672dd6519d334e3df713c1f518aa945092ec"
-    ),
-}
-GOLDEN_MOVED_CHECK_SHA256 = (
-    "ba69297f6c8af79699697f67613f64cf86b83f56ff08afe9d78e101774f5f8b1"
-)
-GOLDEN_MOVED_SUMS_CHECK_SHA256 = (
-    "787249e7a32d271d52b6d5e7cacd476d508771cb6a3777815183f34e5735d001"
-)
-GOLDEN_REPORT_SHA256 = (
-    "401aa1f84813964e7b14c72f59b84a2fc3aca48b97b71af4303ce27229bace77"
-)
-GOLDEN_SOLVE_TERNARY_SHA256 = (
-    "de7c1c5e57a8b5c9a7ec9117d6b964a88a3dee99c5b29d9a6819414c66af5fac"
-)
-GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
-    "bfd2c5c513b024efcf740928549e6445748e36a30f27ce73756009be5d6f6720"
+import golden
+from golden import (
+    GOLDEN_CLI_SHA256,
+    GOLDEN_MOVED_CHECK_SHA256,
+    GOLDEN_MOVED_SUMS_CHECK_SHA256,
+    GOLDEN_REPORT_SHA256,
+    GOLDEN_RESHUFFLED_BIGRADED_SHA256,
+    GOLDEN_SOLVE_TERNARY_SHA256,
 )
 
 
 @pytest.fixture(scope="module")
-def exported(tmp_path_factory):
+def exported():
     """Every catalog entry exported with its sidecars: key -> written paths."""
-    directory = tmp_path_factory.mktemp("catalog")
-    return {key: export_entry(key, str(directory)) for key in catalog_keys()}
-
-
-def _json_run(*argv) -> str:
-    """Exit code and stdout of one in-process ``nilqp --format json`` run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = run(["--format", "json", *argv])
-    return f"{code}\n{out.getvalue()}"
+    with tempfile.TemporaryDirectory() as directory:
+        yield golden.export_catalog(directory)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI_SHA256))
 def test_cli_json_output_matches_golden_digest(exported, command):
-    digest = hashlib.sha256()
-    name, *flags = command.split()
-    for key, paths in exported.items():
-        algebra = paths[0]
-        gradings = [p for p in paths if ".bigrading." in p]
-        if flags == ["--bigrading"]:
-            runs = [(*flags, p) for p in gradings]
-        elif name == "bigrading-verify":
-            runs = [(p, "--mode", mode) for p in gradings for mode in ("strict", "lax")]
-        else:
-            runs = [tuple(flags)]
-        for extra in runs:
-            digest.update(f"{key} {command}\n".encode())
-            digest.update(_json_run(name, algebra, *extra).encode())
-    assert digest.hexdigest() == GOLDEN_CLI_SHA256[command]
+    assert golden.cli_digest(exported, command) == GOLDEN_CLI_SHA256[command]
 
 
 def test_report_json_output_matches_golden_digest():
-    # The classification report of every dimension 1-8, recorded before the
-    # obstructing test was read off the verdict's last reason.
-    digest = hashlib.sha256()
-    for k in range(1, 9):
-        digest.update(f"{k} ".encode())
-        digest.update(_json_run("report", "--dim", str(k)).encode())
-    assert digest.hexdigest() == GOLDEN_REPORT_SHA256
+    assert golden.report_digest() == GOLDEN_REPORT_SHA256
 
 
 def test_moved_check_verdicts_match_golden_digest():
-    rng = random.Random(11)
-    digest = hashlib.sha256()
-    for key in catalog_keys():
-        alg = get(key).algebra
-        if alg.field != "Q":
-            continue
-        for _ in range(3):
-            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-            digest.update(f"{key}\n{dumps_json(verdict_to_json(check(moved)))}".encode())
-    assert digest.hexdigest() == GOLDEN_MOVED_CHECK_SHA256
-
-
-# Two-step sums beyond the catalog.  On n5+n3+C1, n5+n3+C2 and n5+n3+C3 the
-# minimal polynomial of the pencil operator W has degree below h, so the
-# regular-pencil construction finds no cyclic vector and completes a partial
-# span; L5_parity+L5_parity exhausts the budget, n7+C2 and n3+n3+C3 are
-# settled by the pencil.  The digest was recorded before the regular-pencil
-# construction was pruned by W's minimal polynomial and the Pfaffian.
-MOVED_SUMS = (
-    ("n5", "n3", "abelian_1"),
-    ("n5", "n3", "abelian_2"),
-    ("n5", "n3", "abelian_3"),
-    ("L5_parity", "L5_parity"),
-    ("n7", "abelian_2"),
-    ("n3", "n3", "abelian_3"),
-)
+    assert golden.moved_check_digest() == GOLDEN_MOVED_CHECK_SHA256
 
 
 def test_moved_two_step_sum_verdicts_match_golden_digest():
-    digest = hashlib.sha256()
-    for keys in MOVED_SUMS:
-        alg = get(keys[0]).algebra
-        for key in keys[1:]:
-            alg = direct_sum(alg, get(key).algebra)
-        for seed in (1, 2, 3):
-            moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
-            verdict = check(moved, bounds=SearchBounds(max_nodes=2000))
-            digest.update(f"{'+'.join(keys)} {seed}\n{dumps_json(verdict_to_json(verdict))}".encode())
-    assert digest.hexdigest() == GOLDEN_MOVED_SUMS_CHECK_SHA256
-
-
-def _reshuffled(grading, rng):
-    """The grading's generators shuffled among its bidegrees, sizes kept."""
-    gens = [v for c in grading.components for v in c.generators]
-    rng.shuffle(gens)
-    it = iter(gens)
-    return Bigrading.build(
-        [(c.p, c.q, [next(it) for _ in c.generators]) for c in grading.components]
-    )
-
-
-def _bigraded_outcome(alg, grading) -> str:
-    try:
-        table = bigraded_cohomology(alg, grading)
-    except NilqpError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return repr((table.betti, table.by_bidegree))
+    assert golden.moved_sums_check_digest() == GOLDEN_MOVED_SUMS_CHECK_SHA256
 
 
 def test_reshuffled_and_moved_bigraded_cohomology_match_golden_digest():
-    # Every catalog grading, three seeded reshuffles of its generators
-    # (mostly incompatible: the digest holds the exception's message), and
-    # a rationally moved copy under the grading carried along, then
-    # reshuffled.  The digest was recorded before the bidegree blocks and
-    # the Betti numbers were ranked by one routine.
-    rng = random.Random(22)
-    digest = hashlib.sha256()
-    for key in catalog_keys():
-        entry = get(key)
-        alg = entry.algebra if entry.algebra.field == "Qi" else complexify(entry.algebra)
-        for number, grading in enumerate(entry.known_bigradings):
-            t = random_invertible_t(alg.dim, rng)
-            carried = carried_grading(grading, t)
-            moved = apply_basis_change(alg, t)
-            runs = [(alg, grading)]
-            runs += [(alg, _reshuffled(grading, rng)) for _ in range(3)]
-            runs += [(moved, carried), (moved, _reshuffled(carried, rng))]
-            for case, (target, g) in enumerate(runs):
-                digest.update(f"{key} {number} {case}\n".encode())
-                digest.update(_bigraded_outcome(target, g).encode())
-    assert digest.hexdigest() == GOLDEN_RESHUFFLED_BIGRADED_SHA256
+    assert golden.reshuffled_bigraded_digest() == GOLDEN_RESHUFFLED_BIGRADED_SHA256
 
 
 def test_solve_ternary_matches_golden_digest():
-    # The solver's triple or None on the seeded equations of `test_arith`,
-    # cleared of denominators, and on 3,000 seeded integer triples with
-    # |coefficient| < 5,000.  The digest was recorded while the solver
-    # still did its back-substitution in `fractions.Fraction`.
-    rng = random.Random(5000)
-    equations = list(seeded_ternary_equations())
-    equations += [tuple(rng.randrange(-4999, 5000) for _ in range(3)) for _ in range(3000)]
-    digest = hashlib.sha256()
-    for coeffs in equations:
-        digest.update(f"{coeffs} {solve_ternary(*coeffs)}\n".encode())
-    assert digest.hexdigest() == GOLDEN_SOLVE_TERNARY_SHA256
+    assert golden.solve_ternary_digest() == GOLDEN_SOLVE_TERNARY_SHA256

@@ -63,6 +63,28 @@ def test_reject_bad_target_index():
     assert "coeffs['7']" in str(exc.value) or '"7"' in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "key, want",
+    [("1" * 5001, "out of range 0..2"), ("-" + "1" * 5001, "out of range 0..2"),
+     ("x" * 5001, "is not an integer"), ("1" * 4000, "out of range 0..2"),
+     (" " + "2" * 4000, "is not written as '2222222222222222222222222222222222222222'... "
+      "(4000 characters)")],
+    ids=["digits", "negative", "letters", "below-the-limit", "respelled"],
+)
+def test_reject_long_coefficient_key_with_a_short_message(key, want):
+    # int() refuses a key past the interpreter's digit limit like one that
+    # is no integer at all; the message tells them apart.  Every message
+    # shows only the start of a long key.
+    doc = base_doc()
+    doc["brackets"][0]["coeffs"] = {key: "1"}
+    with pytest.raises(ParseError) as exc:
+        lie_algebra_from_json(doc)
+    message = str(exc.value)
+    assert message.endswith(want)
+    assert f"coeffs[{key[:40]!r}... ({len(key)} characters)]" in message
+    assert len(message) < 300
+
+
 def test_reject_malformed_scalar_with_position():
     doc = base_doc()
     doc["brackets"][0]["coeffs"] = {"2": "1..2"}
