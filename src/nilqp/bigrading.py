@@ -43,25 +43,26 @@ read as integers off `liealg.structure_table`, a vector is an exact vector
 off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
 meets are null spaces (`kernel.null_space`, or `kernel.null_space_within`
 where a subspace is cut by more rows), and verification brackets on
-the same table.  The J-space construction keeps its solution space as
-integer matrices over one denominator and its candidates as integer
-coefficient tuples.  The constructions' number theory (lowest terms,
-exact square roots, rational roots, Legendre's conic solver) is
-`nilqp._arith`, on plain ints.  Each construction returns U as exact
-vectors; the search lifts them, conjugates them on the real structure's
-rows and verifies those rows, and decodes scalars once, for the
-`Bigrading` found.
+the same table, testing each generator that must be central once
+(`liealg._is_central`) instead of pair by pair.  The J-space
+construction keeps its solution space as integer matrices over one
+denominator and its candidates as integer coefficient tuples.  The
+constructions' number theory (lowest terms, exact square roots, rational
+roots, Legendre's conic solver) is `nilqp._arith`, on plain ints.  Each
+construction returns U as exact vectors; the search lifts them,
+conjugates them (`_conjugation`) and verifies those rows, and decodes
+scalars once, for the `Bigrading` found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from math import lcm
 
 from ._arith import isqrt_exact, lowest_terms, rational_roots, solve_ternary
-from .cohomology import _graded_cohomology, _grading_table
+from .cohomology import _central_generators, _graded_cohomology, _grading_table
 from .errors import (
     AmbientMismatch,
     GradingNotCompatible,
@@ -215,8 +216,8 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
 
     The grading lives on L itself.  Over Q its vectors are read in L's
     complexification without building it: L's table, whose Z[i] constants
-    have zero imaginary parts, and the identity as conjugation
-    (`liealg.real_structure_rows`).  Over Q(i), L needs a real structure.
+    have zero imaginary parts, and entrywise conjugation (`_conjugation`).
+    Over Q(i), L needs a real structure.
     """
     if mode not in ("strict", "lax"):
         raise ValueError(f"mode must be 'strict' or 'lax', not {mode!r}")
@@ -231,9 +232,19 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     ``rows`` holds each component's generators as Z[i] rows keyed by
     bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
     memberships and containments do not depend on scale and are read off
-    echelons (`kernel.zi_insert`/`kernel.zi_reduce`); brackets are formed
-    on `structure_table` (`liealg._zi_bracket`), and
-    conjugation on the real structure's rows (`liealg.real_structure_rows`).
+    echelons (`kernel.zi_insert`/`kernel.zi_reduce`), the spans off the
+    components' own; brackets are formed on `structure_table`
+    (`liealg._zi_bracket`), and conjugation by `_conjugation`.
+
+    Each generator of a component whose every pairing targets a bidegree
+    absent from the grading, such as the (-1, -1) component of the
+    restricted shape, is first tested once on the table
+    (`cohomology._central_generators`).  Every pair that involves one that
+    passes is skipped: its bracket is zero, so it adds no failure.  A
+    generator that fails is bracketed pair by pair, so the failures, their
+    order and the report are those of bracketing every pair.  The test
+    reads the table alone, never the center or C^1 computed from it, which
+    verification must not lean on.
     """
     n = L.dim
     failures: list = []
@@ -246,9 +257,10 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
 
     rank = None
     if g.total_generators == n:
+        # The components' echelon rows span what their generators span.
         span: list = []
         rank = sum(
-            kernel.zi_insert(span, row) for comp_rows in rows.values() for row in comp_rows
+            kernel.zi_insert(span, row) for echelon in echelons.values() for _, row in echelon
         )
     spans = rank == n
     if not spans:
@@ -261,13 +273,20 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
         )
 
     bracket_ok = True
+    central = None
     if spans:
         table_rows = structure_table(L).rows
         zero = (0, 0)
-        dense = {
-            key: [[row.get(j, zero) for j in range(n)] for row in comp_rows]
-            for key, comp_rows in rows.items()
-        }
+        # A generator that passes brackets to zero with every other: skip its pairs.
+        central = _central_generators(L, rows)
+        dense, start = {}, 0
+        for key, comp_rows in rows.items():
+            dense[key] = [
+                [row.get(j, zero) for j in range(n)]
+                for t, row in enumerate(comp_rows, start)
+                if t not in central
+            ]
+            start += len(comp_rows)
         comps = list(g.components)
         for a in range(len(comps)):
             for b in range(a, len(comps)):
@@ -306,11 +325,11 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
 
     conjugation = "exact"
     if spans:
-        s_rows, _ = real_structure_rows(L)
+        conj, _ = _conjugation(L)
         exact_all = True
         lax_all = True
         for c in g.components:
-            img = [_conjugate_row(s_rows, row) for row in rows[c.p, c.q]]
+            img = [conj(row) for row in rows[c.p, c.q]]
             mirror = echelons.get((c.q, c.p), [])
             # conj maps the component's span onto the span of img, so
             # img equals the mirror when it has the same rank and lies in it.
@@ -351,7 +370,7 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     if support_ok and not g.is_restricted_shape():
         # The generators span and the brackets keep bidegrees, so the table
         # in their basis is compatible; the scale of the rows does not matter.
-        table = _graded_cohomology(n, *_grading_table(L, rows, 1))
+        table = _graded_cohomology(n, *_grading_table(L, rows, 1, central))
         for (j, p, q, d) in table.by_bidegree:
             if not j <= p + q <= 2 * j:
                 support_ok = False
@@ -387,6 +406,19 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
         support_box_ok=box_ok,
         failures=failures,
     )
+
+
+def _conjugation(L: LieAlgebra):
+    """``(conj, den)``: x -> den * S conj(x) on Z[i] rows, S = L's real structure.
+
+    Without a real structure, as over Q, S is the identity and conjugation
+    is entrywise (`kernel.zi_conj`, ``den`` 1); otherwise it runs on
+    `liealg.real_structure_rows`.
+    """
+    if L.real_structure is None:
+        return kernel.zi_conj, 1
+    s_rows, s_den = real_structure_rows(L)
+    return partial(_conjugate_row, s_rows), s_den
 
 
 # -- filtrations -------------------------------------------------------------
@@ -1626,8 +1658,8 @@ def search_bigrading(
             (kernel.zi_combine(*((e, t_rows[k]) for k, e in row.items())), den * t_den)
             for row, den in u
         ]
-    s_rows, s_den = real_structure_rows(L)
-    ubar = [(_conjugate_row(s_rows, row), den * s_den) for row, den in u]
+    conj, s_den = _conjugation(L)
+    ubar = [(conj(row), den * s_den) for row, den in u]
     comps, rows = [], {}
     for key, vecs in (((-1, 0), u), ((0, -1), ubar)):
         if vecs:

@@ -80,6 +80,7 @@ from .liealg import (
     StructureTable,
     _center_rows,
     _constant_rows,
+    _is_central,
     _moved_table,
     _sparse_bracket,
     commutator_ideal,
@@ -345,7 +346,8 @@ def _core_table(table: StructureTable, n: int) -> tuple[StructureTable, int]:
     and the rest span C^1, where every constant lands; the brackets span
     C^1, so each of its positions holds a constant, and f is the least
     position that does (n when there is none).  The center's reduced rows
-    (`liealg._center_rows`) whose pivots lie below f are a basis of a
+    (`liealg._center_rows`, with its equations at the positions f to n - 1,
+    which are C^1's pivots here) whose pivots lie below f are a basis of a
     complement of Z n C^1 in Z, so there are k = dim Z - dim(Z n C^1) of
     them, and each is e_p plus vectors at no other such pivot p.  Those k
     central vectors span an abelian ideal, and the other n - k basis
@@ -356,7 +358,8 @@ def _core_table(table: StructureTable, n: int) -> tuple[StructureTable, int]:
     renumbered; no constant sits at such a p.
     """
     free = min((m for row in table.rows.values() for m, _ in row), default=n)
-    dropped = {p for p in (min(row) for row, _ in _center_rows(table, n)) if p < free}
+    center = _center_rows(table, n, range(free, n))
+    dropped = {p for p in (min(row) for row, _ in center) if p < free}
     index = {s: t for t, s in enumerate(s for s in range(n) if s not in dropped)}
     rows = {
         (index[i], index[j]): tuple((index[m], e) for m, e in row)
@@ -418,26 +421,53 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     return _graded_cohomology(n, table, dual)
 
 
-def _grading_table(L: LieAlgebra, generators: dict, den: int):
+def _grading_table(L: LieAlgebra, generators: dict, den: int, central=None):
     """``(table, dual)``: L's table in the basis of a grading's generators, and their bidegrees.
 
     ``generators`` holds Z[i] rows over ``den`` keyed by bidegree (p, q)
     (`Bigrading.kernel_rows`); ``dual`` lists (-p, -q) in their order.  The
     table is over Q(i) when L or a generator is (`liealg._moved_table`).
-    Generators that are not a basis raise GradingNotCompatible.
+    Generators that are not a basis raise GradingNotCompatible.  The pairs
+    of a generator that passes `_central_generators` (or is in ``central``,
+    its result when the caller has it) are zero and are not formed.
     """
     n = L.dim
     rows = [row for comp_rows in generators.values() for row in comp_rows]
     if len(rows) != n:
         raise GradingNotCompatible(f"grading has {len(rows)} generators for dimension {n}")
     field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
+    if central is None:
+        central = _central_generators(L, generators)
     try:
-        table, _, _ = _moved_table(L, rows, den, field)
+        table, _, _ = _moved_table(L, rows, den, field, central)
     except SingularTransformation:
         raise GradingNotCompatible(
             f"grading has {n} generators of rank {kernel.rank(rows, n, 'Qi')} in dimension {n}"
         ) from None
     return table, [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
+
+
+def _central_generators(L: LieAlgebra, generators: dict) -> set[int]:
+    """The positions, in ``generators``' order, of the generators that `liealg._is_central` passes.
+
+    ``generators`` holds Z[i] rows keyed by bidegree.  Only the absent-only
+    components are tested: those whose every pairing, with themselves
+    included, targets a bidegree absent from ``generators``, as the
+    (-1, -1) component of a restricted shape does.  Every bracket of their
+    generators must vanish.  Each test is one pass over the table, and a
+    generator that passes brackets to zero with every vector, so none of
+    its pairs need be formed.
+    """
+    table_rows = structure_table(L).rows
+    keys = generators.keys()
+    central, start = set(), 0
+    for (p, q), comp_rows in generators.items():
+        if all((p + a, q + b) not in keys for a, b in keys):
+            central.update(
+                start + t for t, row in enumerate(comp_rows) if _is_central(table_rows, row)
+            )
+        start += len(comp_rows)
+    return central
 
 
 def top_class_bidegree(L: LieAlgebra, grading) -> tuple[int, int]:

@@ -418,26 +418,62 @@ def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
 
 @_fact
 def center(L: LieAlgebra) -> Subspace:
-    """{v : [X_i, v] = 0 for all i}, the `_center_rows` of `structure_table`."""
-    return Subspace(L.dim, L.field, _center_rows(structure_table(L), L.dim))
+    """{v : [X_i, v] = 0 for all i}: the `_center_rows` of `structure_table` at C^1's pivots.
+
+    Every [X_i, v] lies in C^1 = `commutator_ideal`, and a vector of C^1 is
+    zero exactly when its entries at the pivot columns of C^1's reduced
+    basis are, since each basis row is zero at the other rows' pivots.  So
+    the equations at those columns alone have the same null space.
+    """
+    pivots = {min(row) for row, _ in commutator_ideal(L).rows}
+    return Subspace(L.dim, L.field, _center_rows(structure_table(L), L.dim, pivots))
 
 
-def _center_rows(table: StructureTable, n: int) -> list[tuple[kernel.ZiRow, int]]:
+def _center_rows(table: StructureTable, n: int, pivots) -> list[tuple[kernel.ZiRow, int]]:
     """The center of the dimension-``n`` algebra of ``table``: one null space of stacked ad.
 
     Row (i, k) of the stack M holds, at column j, the X_k-coefficient of
     [X_j, X_i], read off the table's rows; `kernel.null_space` reduces
     [M^T | I], whose row j is ad(X_j) flattened, then e_j, and returns the
     center's reduced basis as exact vectors in pivot order.  Only the
-    columns k that some constant reaches give rows.
+    columns k in ``pivots`` give rows: they must be columns at which a
+    vector of the span of the constants is zero only when it is zero, such
+    as the pivot columns of C^1's reduced basis, or every column that some
+    constant reaches.
     """
     stacked: dict[tuple[int, int], dict] = {}
     for (i, j), row in table.rows.items():
         for k, (x, y) in row:
-            # [X_i, X_j] = -[X_j, X_i]
-            stacked.setdefault((j, k), {})[i] = (x, y)
-            stacked.setdefault((i, k), {})[j] = (-x, -y)
+            if k in pivots:
+                # [X_i, X_j] = -[X_j, X_i]
+                stacked.setdefault((j, k), {})[i] = (x, y)
+                stacked.setdefault((i, k), {})[j] = (-x, -y)
     return kernel.null_space(list(stacked.values()), n, table.field)
+
+
+def _is_central(table_rows: dict, x: kernel.ZiRow) -> bool:
+    """Whether [X_s, x] = 0 for every basis vector X_s, on the ``rows`` of a table.
+
+    One pass over the rows: a row [X_i, X_j], i < j, adds x_j [X_i, X_j] to
+    [X_i, x] and -x_i [X_i, X_j] to [X_j, x], and every sum must vanish at
+    every column.  It reads the table alone, none of the subspaces derived
+    from it.
+    """
+    sums: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, j), row in table_rows.items():
+        e = x.get(j)
+        if e is not None:
+            a, b = e
+            for k, (p, q) in row:
+                re, im = sums.get((i, k), (0, 0))
+                sums[i, k] = (re + a * p - b * q, im + a * q + b * p)
+        e = x.get(i)
+        if e is not None:
+            a, b = e
+            for k, (p, q) in row:
+                re, im = sums.get((j, k), (0, 0))
+                sums[j, k] = (re - a * p + b * q, im - a * q - b * p)
+    return not any(re or im for re, im in sums.values())
 
 
 @_fact
@@ -504,13 +540,15 @@ def apply_basis_change(
     )
 
 
-def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
+def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str, _central=frozenset()):
     """L's `StructureTable` in the basis T = ``e`` / ``t_den``, Z[i] rows over ``t_field``.
 
     Returns ``(table, inv, inv_den)``, T^-1 = t_den * inv / inv_den, or raises
     SingularTransformation.  The rows of T are bracketed on `structure_table`
     and mapped by ``inv``.  In lowest terms and over Q(i) when L or T is,
     the table is `structure_table` of `apply_basis_change`'s algebra.
+    ``_central`` holds indices of rows of T known to be central (tested by
+    `_is_central`): each of their pairs brackets to zero, so none is formed.
     """
     n = L.dim
     solved = kernel.zi_solve(e, _identity_rows(n)[0])
@@ -518,9 +556,10 @@ def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
         raise SingularTransformation("matrix is singular")
     inv, inv_den = solved  # e^-1 = inv / inv_den
     old = structure_table(L)
-    dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
+    live = [i for i in range(n) if i not in _central]
+    dense = {i: [e[i].get(j, (0, 0)) for j in range(n)] for i in live}
     rows = {}  # by pair (i, j), each new constant times t_den * old.den * inv_den
-    for i, j in combinations(range(n), 2):
+    for i, j in combinations(live, 2):
         w = _coords(inv, _zi_bracket(old.rows, dense[i], dense[j], n))
         if w:
             rows[i, j] = sorted(w.items())

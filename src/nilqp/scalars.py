@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from math import gcd
 
-from .errors import ParseError
+from .errors import ParseError, excerpt
 
 __all__ = [
     "Rational",
@@ -339,7 +339,7 @@ def _parse_rational_token(tok: str, text: str, path: str | None) -> Rational:
         a, b = tok.split("/", 1)
         den = _text_int(b)
         if den == 0:
-            raise ParseError(f"zero denominator in scalar {text!r}", path)
+            raise ParseError(f"zero denominator in scalar {excerpt(text)}", path)
         return Rational(_text_int(a), den)
     return Rational(_text_int(tok))
 
@@ -364,10 +364,10 @@ def parse_scalar(text: str, path: str | None = None) -> Scalar:
                 sign = -1
             pos += 1
             if pos >= len(s):
-                raise ParseError(f"dangling sign in {text!r}", path)
+                raise ParseError(f"dangling sign in {excerpt(text)}", path)
         elif terms:
             raise ParseError(
-                f"expected '+' or '-' at position {pos} in {text!r}", path
+                f"expected '+' or '-' at position {pos} in {excerpt(text)}", path
             )
         if s[pos] == "i":
             terms.append((Rational(sign), True))
@@ -376,32 +376,32 @@ def parse_scalar(text: str, path: str | None = None) -> Scalar:
         m = _NUM.match(s, pos)
         if not m:
             raise ParseError(
-                f"unexpected character {s[pos]!r} at position {pos} in {text!r}", path
+                f"unexpected character {s[pos]!r} at position {pos} in {excerpt(text)}", path
             )
         value = _parse_rational_token(m.group(0), text, path) * sign
         pos = m.end()
         if pos < len(s) and s[pos] == "*":
             if pos + 1 >= len(s) or s[pos + 1] != "i":
                 raise ParseError(
-                    f"expected 'i' after '*' at position {pos + 1} in {text!r}", path
+                    f"expected 'i' after '*' at position {pos + 1} in {excerpt(text)}", path
                 )
             pos += 2
             terms.append((value, True))
         else:
             terms.append((value, False))
     if len(terms) > 2:
-        raise ParseError(f"too many terms in scalar {text!r}", path)
+        raise ParseError(f"too many terms in scalar {excerpt(text)}", path)
     re_part = Q0
     im_part = Q0
     seen_re = seen_im = False
     for value, is_imag in terms:
         if is_imag:
             if seen_im:
-                raise ParseError(f"two imaginary terms in scalar {text!r}", path)
+                raise ParseError(f"two imaginary terms in scalar {excerpt(text)}", path)
             im_part, seen_im = value, True
         else:
             if seen_re:
-                raise ParseError(f"two real terms in scalar {text!r}", path)
+                raise ParseError(f"two real terms in scalar {excerpt(text)}", path)
             re_part, seen_re = value, True
     if seen_im:
         return Gaussian(re_part, im_part)

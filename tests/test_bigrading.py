@@ -26,9 +26,10 @@ from nilqp import (
     validate,
     verify_bigrading,
 )
-from nilqp import bigrading, checker, kernel, liealg
+from nilqp import bigrading, checker, cohomology, exact, kernel, liealg
 from nilqp.bigrading import (
     FiltrationPair,
+    GradingReport,
     _compatible_complex_structures,
     _darboux_u,
     _dfs_u,
@@ -1488,3 +1489,233 @@ def test_non_default_bounds_outputs_match_golden_digest():
                 out = search_bigrading(moved, bounds)
                 digest.update(_outcome_text(out).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_BOUNDS_SHA256
+
+
+# -- central generators ------------------------------------------------------
+
+# Two-step sums with abelian factors, of the kind that the search's gradings
+# give 3-7 central generators in their (-1, -1) component.
+CENTRAL_SUMS = (
+    ("n5", "n3", "abelian_1"),
+    ("n3", "n3", "abelian_3"),
+    ("n7", "abelian_2"),
+    ("n5", "abelian_4"),
+    ("n3", "n3", "abelian_5"),
+)
+
+
+def _perturbed(g: Bigrading) -> Bigrading | None:
+    """``g`` with its first (-1, -1) generator z replaced by z + u, u its first (-1, 0) one.
+
+    None when ``g`` lacks either component.  The generators still span, but
+    z + u is central only when u is.
+    """
+    z, u = g.component(-1, -1), g.component(-1, 0)
+    if z is None or u is None:
+        return None
+    first = tuple(a + b for a, b in zip(z.generators[0], u.generators[0]))
+    return Bigrading.build(
+        (c.p, c.q, (first, *c.generators[1:]) if c is z else c.generators)
+        for c in g.components
+    )
+
+
+@pytest.fixture(scope="module")
+def central_gradings():
+    """``(label, L, grading)`` for every catalog known grading and the search's
+    gradings of `CENTRAL_SUMS` moved at seeds 1 and 2, each followed by its
+    `_perturbed` copy where there is one."""
+    found = [
+        (f"{key}.{t}", get(key).algebra, g)
+        for key in catalog_keys()
+        for t, g in enumerate(get(key).known_bigradings)
+    ]
+    for keys in CENTRAL_SUMS:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        for seed in (1, 2):
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+            out = search_bigrading(moved, SearchBounds(max_nodes=2000))
+            assert out.found, (keys, seed)
+            found.append((f"{'+'.join(keys)}@{seed}", moved, out.bigrading))
+    gradings = []
+    for label, alg, g in found:
+        gradings.append((label, alg, g))
+        if (moved_g := _perturbed(g)) is not None:
+            gradings.append((f"{label}+u", alg, moved_g))
+    return gradings
+
+
+def _reference_report(L: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
+    """`verify_bigrading` with every pair of generators bracketed, none tested for centrality.
+
+    Spans on all generators, conjugation on `liealg.real_structure_rows`
+    and the support on a grading table formed with every pair.
+    """
+    n = L.dim
+    rows = g.kernel_rows(n)[0]
+    failures = []
+    echelons = {key: [] for key in rows}
+    for key, comp_rows in rows.items():
+        for row in comp_rows:
+            kernel.zi_insert(echelons[key], row)
+    rank = None
+    if g.total_generators == n:
+        span = []
+        rank = sum(kernel.zi_insert(span, row) for comp_rows in rows.values() for row in comp_rows)
+    spans = rank == n
+    if not spans:
+        shown = "n/a" if rank is None else rank
+        detail = f"{g.total_generators} generators of rank {shown} in dimension {n}"
+        failures.append({"check": "spans", "detail": detail})
+    bracket_ok = True
+    if spans:
+        table_rows = liealg.structure_table(L).rows
+        dense = {
+            key: [[row.get(j, (0, 0)) for j in range(n)] for row in comp_rows]
+            for key, comp_rows in rows.items()
+        }
+        comps = g.components
+        for a, b in ((a, b) for a in range(len(comps)) for b in range(a, len(comps))):
+            ca, cb = comps[a], comps[b]
+            target = (ca.p + cb.p, ca.q + cb.q)
+            ua, ub = dense[ca.p, ca.q], dense[cb.p, cb.q]
+            for u, v in combinations(ua, 2) if a == b else ((u, v) for u in ua for v in ub):
+                w = liealg._zi_bracket(table_rows, u, v, n)
+                if not w:
+                    continue
+                if target not in echelons:
+                    detail = f"[{ca.p},{ca.q}] x [{cb.p},{cb.q}] hits absent bidegree {target}"
+                elif kernel.zi_reduce(w, echelons[target]):
+                    detail = (
+                        f"bracket of ({ca.p},{ca.q}) and ({cb.p},{cb.q}) generators "
+                        f"leaves the {target} component"
+                    )
+                else:
+                    continue
+                bracket_ok = False
+                failures.append({"check": "bracket", "detail": detail})
+    conjugation = "fails"
+    if spans:
+        s_rows, _ = liealg.real_structure_rows(L)
+        exact_all = lax_all = True
+        for c in g.components:
+            img = [exact._conjugate_row(s_rows, row) for row in rows[c.p, c.q]]
+            mirror = echelons.get((c.q, c.p), [])
+            if len(echelons[c.p, c.q]) == len(mirror) and not any(
+                kernel.zi_reduce(row, mirror) for row in img
+            ):
+                continue
+            exact_all = False
+            allowed = list(mirror)
+            for (p, q), comp_rows in rows.items():
+                if p + q < c.p + c.q:
+                    for row in comp_rows:
+                        kernel.zi_insert(allowed, row)
+            if any(kernel.zi_reduce(row, allowed) for row in img):
+                lax_all = False
+                detail = f"conj of ({c.p},{c.q}) not inside ({c.q},{c.p}) + lower weight"
+            else:
+                detail = f"conj of ({c.p},{c.q}) equals ({c.q},{c.p}) only modulo lower weight"
+            failures.append({"check": "conjugation", "detail": detail})
+        conjugation = "exact" if exact_all else ("mod_lower_weight" if lax_all else "fails")
+    support_ok = box_ok = spans and bracket_ok
+    if support_ok and not g.is_restricted_shape():
+        table = cohomology._graded_cohomology(n, *cohomology._grading_table(L, rows, 1, set()))
+        for j, p, q, d in table.by_bidegree:
+            if not j <= p + q <= 2 * j:
+                support_ok = False
+                failures.append(
+                    {
+                        "check": "support",
+                        "detail": f"H^{j} has dimension {d} at ({p},{q}) "
+                        f"outside the weight band [{j}, {2 * j}]",
+                    }
+                )
+            elif not (0 <= p <= j and 0 <= q <= j):
+                box_ok = False
+                failures.append(
+                    {
+                        "check": "support_box",
+                        "detail": f"H^{j} has dimension {d} at ({p},{q}) "
+                        f"outside the box 0 <= p, q <= {j}",
+                    }
+                )
+    elif spans and not bracket_ok:
+        failures.append({"check": "support", "detail": "skipped: bracket incompatible"})
+    return GradingReport(
+        mode=mode,
+        spans=spans,
+        bracket_compatible=bracket_ok,
+        conjugation=conjugation,
+        shape="restricted" if g.is_restricted_shape() else "general",
+        cohomology_support_ok=support_ok,
+        support_box_ok=box_ok,
+        failures=failures,
+    )
+
+
+def test_verification_matches_a_reference_that_brackets_every_pair(central_gradings):
+    # Every field of the report, the failures in order, in both modes.  The
+    # perturbed gradings put a generator that fails the centrality test in
+    # the (-1, -1) component, so its pairs must still be bracketed.
+    bracket_failures = 0
+    for label, alg, g in central_gradings:
+        for mode in ("strict", "lax"):
+            report = verify_bigrading(alg, g, mode)
+            assert report == _reference_report(alg, g, mode), (label, mode)
+        bracket_failures += not report.bracket_compatible
+    assert bracket_failures >= 20
+    # The searched gradings hold 3-7 generators that pass the test.
+    counts = [
+        len(cohomology._central_generators(alg, g.kernel_rows(alg.dim)[0]))
+        for label, alg, g in central_gradings
+        if "@" in label and not label.endswith("+u")
+    ]
+    assert min(counts) >= 3 and max(counts) == 7
+
+
+# `bigraded_cohomology` on `central_gradings`, one line "label | outcome" per
+# grading: the Betti numbers, or the GradingNotCompatible text that names
+# the first offending constant (30 of the 68, every perturbed one).
+# Recorded while every pair of generators was bracketed into the table.
+CENTRAL_COHOMOLOGY_SHA256 = "251af1412b9ebfef51e44f734b5d9ab0287289d15f790e4ca526c197b392705f"
+
+
+def test_bigraded_cohomology_names_the_recorded_first_offender(central_gradings):
+    lines = []
+    for label, alg, g in central_gradings:
+        try:
+            outcome = f"ok {bigraded_cohomology(alg, g).betti}"
+        except GradingNotCompatible as exc:
+            outcome = f"raise {exc}"
+        lines.append(f"{label} | {outcome}\n")
+    assert len(lines) == 68
+    assert sum(" | raise " in line for line in lines) == 30
+    assert all(" | raise " in line for line in lines if "+u |" in line)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == CENTRAL_COHOMOLOGY_SHA256
+
+
+def test_no_pair_of_a_central_generator_is_bracketed(monkeypatch, central_gradings):
+    # On the searched gradings every (-1, -1) generator passes the test, so
+    # verification and the grading table bracket only the pairs of the m
+    # generators of U and conj U.
+    calls = [0]
+    original = liealg._zi_bracket
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for module in (bigrading, liealg):
+        monkeypatch.setattr(module, "_zi_bracket", counted)
+    for label, alg, g in central_gradings:
+        if "@" not in label or label.endswith("+u"):
+            continue
+        m = alg.dim - len(g.component(-1, -1).generators)
+        for run in (verify_bigrading, bigraded_cohomology):
+            calls[0] = 0
+            run(alg, g)
+            assert calls[0] == m * (m - 1) // 2, (label, run.__name__)

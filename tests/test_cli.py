@@ -531,6 +531,17 @@ def test_coefficient_key_past_the_digit_limit_exit_1_out_of_range(capsys, tmp_pa
             assert code == 1 and not out and len(err) < len(str(path)) + 250
 
 
+def test_long_malformed_constant_exit_1_with_a_short_message(capsys, tmp_path):
+    cases = (("1/" + "0" * 5001, "zero denominator"), ("1" * 5000 + "x", "expected '+' or '-'"))
+    for constant, want in cases:
+        path = _algebra_file(tmp_path, "n3_bad", ["X", "Y", "Z"], [(0, 1, 2, constant)])
+        message = _input_error(capsys, "validate", path)
+        assert want in message and f"... ({len(constant)} characters)" in message
+        assert len(message) < len(path) + 150
+        code, out, err = invoke(capsys, "validate", path)
+        assert code == 1 and not out and len(err) < len(path) + 200
+
+
 def test_check_n3(capsys, n3_file):
     code, out, _ = invoke(capsys, "--format", "json", "check", n3_file, "--m", "1")
     assert code == 0

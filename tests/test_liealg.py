@@ -25,7 +25,7 @@ from nilqp import (
 from nilqp import kernel
 from nilqp.catalog import catalog_keys, get
 from nilqp.exact import check_real_structure
-from nilqp.liealg import _decoded, _moved_table, structure_table
+from nilqp.liealg import _decoded, _is_central, _moved_table, structure_table
 from nilqp.errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -670,20 +670,33 @@ def _oracle_null_space(rows, ncols, over_qi):
     return rref(vecs, ncols)[0] if vecs else []
 
 
+SOLVABLE = {
+    "r2": (2, {(0, 1): {1: 1}}),
+    "r3_diag": (3, {(0, 1): {1: 1}, (0, 2): {2: 1}}),
+    "r3_jordan": (3, {(0, 1): {1: 1, 2: 1}, (0, 2): {2: 1}}),
+}
+
+
 def test_center_of_complexification_equals_stacked_ad_kernel(rng):
     # The null space of the n^2 x n stack of ad(.)X_i matrices, built from
     # n^2 brackets of basis vectors and solved by the Fraction oracles, on
-    # every catalog algebra, two moved copies of each, and over Q(i) on
-    # the complexifications of the rational ones.
-    for key in catalog_keys():
-        alg = get(key).algebra
+    # every catalog algebra, two moved copies of each and a copy moved by
+    # a Gaussian T, abelian algebras of dims 0-3, solvable ones, and over
+    # Q(i) on the complexifications of the rational ones.  `center` keeps
+    # only the equations at C^1's pivot columns; the whole stack must give
+    # the same rows.
+    assert center(abelian(0)).rows == []
+    base = [abelian(n) for n in range(1, 4)]
+    base += [LieAlgebra.from_brackets(name, n, b) for name, (n, b) in SOLVABLE.items()]
+    base += [get(key).algebra for key in catalog_keys() if get(key).algebra.dim]
+    proper = 0
+    for alg in base:
         n = alg.dim
-        if not n:
-            continue
         algebras = [alg] + [
             apply_basis_change(alg, random_invertible_t(n, rng)) for _ in range(2)
         ]
         algebras += [complexify(a) for a in algebras if a.field == "Q"]
+        algebras.append(apply_basis_change(alg, random_gaussian_t(n, rng)))
         e = ExactMatrix.identity(n).entries
         for lc in algebras:
             over_qi = lc.field == "Qi"
@@ -697,6 +710,8 @@ def test_center_of_complexification_equals_stacked_ad_kernel(rng):
             assert got.basis.field == ("Qi" if over_qi and got.dim else "Q"), lc.name
             kind = Gaussian if over_qi else Rational
             assert all(type(x) is kind for v in got.vectors() for x in v), lc.name
+            proper += 0 < got.dim < n
+    assert proper >= 150
 
 
 def _is_rational_zi_row(row) -> bool:
@@ -840,3 +855,46 @@ def test_series_and_commutator_keep_values_and_types(rng):
         assert _typed(commutator_ideal(alg)) == _typed(c1), alg.name
     # Over Q(i) the nonzero proper terms C^1 and C^2 are spans over Q(i).
     assert [t.basis.field for t in lower_central_series(qg).terms] == ["Q", "Qi", "Qi", "Q"]
+
+
+def _fraction_brackets(L: LieAlgebra) -> dict:
+    return {ij: {k: Fraction(c.num, c.den) for k, c in cs} for ij, cs in L.brackets}
+
+
+def test_is_central_agrees_with_the_fraction_bracket(rng):
+    # x is central exactly when the oracle brackets it to zero with every
+    # unit vector; x = a + ib is tested as its real and imaginary parts.
+    # The vectors: unit vectors, the center's basis, each center vector plus
+    # a unit vector, and the generators of the known gradings.
+    tested = central = 0
+    for key in catalog_keys():
+        base = get(key).algebra
+        n = base.dim
+        if base.field != "Q" or not n:
+            continue
+        for alg in (base, apply_basis_change(base, random_invertible_t(n, rng))):
+            rows = structure_table(alg).rows
+            brackets = _fraction_brackets(alg)
+            units = ExactMatrix.identity(n).entries
+            z = center(alg).vectors()
+            vectors = list(units) + list(z)
+            vectors += [tuple(a + b for a, b in zip(v, u)) for v in z for u in units[:3]]
+            if alg is base:
+                gradings = get(key).known_bigradings
+                vectors += [v for g in gradings for c in g.components for v in c.generators]
+            e = [[Fraction(int(s == t)) for t in range(n)] for s in range(n)]
+            for v in vectors:
+                pairs = [
+                    _fractions(x) if type(x) is Gaussian else (_fractions(x), Fraction(0))
+                    for x in v
+                ]
+                want = not any(
+                    any(oracle_bracket(brackets, n, e[s], list(part)))
+                    for part in zip(*pairs)
+                    for s in range(n)
+                )
+                (row,), _ = kernel.zi_rows([v])
+                assert _is_central(rows, row) == want, (alg.name, v)
+                tested += 1
+                central += want
+    assert central >= 100 and tested - central >= 100

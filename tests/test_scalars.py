@@ -113,6 +113,40 @@ def test_parse_error_carries_path():
     assert "brackets[0].coeffs['2']" in str(exc.value)
 
 
+# A message quotes at most the first 40 characters of the scalar and its
+# length (`errors.excerpt`); a scalar of 40 characters or fewer is quoted whole.
+_SHORT_ERRORS = [
+    ("1/0", "zero denominator in scalar '1/0'"),
+    ("1x", "expected '+' or '-' at position 1 in '1x'"),
+    ("1+", "dangling sign in '1+'"),
+    ("1+2+3", "too many terms in scalar '1+2+3'"),
+    ("1*j", "expected 'i' after '*' at position 2 in '1*j'"),
+    ("#", "unexpected character '#' at position 0 in '#'"),
+    ("2*i+3*i", "two imaginary terms in scalar '2*i+3*i'"),
+    ("1/" + "0" * 38, f"zero denominator in scalar {'1/' + '0' * 38!r}"),
+]
+_LONG_ERRORS = [
+    ("1/" + "0" * 5001, f"zero denominator in scalar {'1/' + '0' * 38!r}... (5003 characters)"),
+    (
+        "1" * 5000 + "x",
+        f"expected '+' or '-' at position 5000 in {'1' * 40!r}... (5001 characters)",
+    ),
+    ("1+2+3" + "4" * 5000, f"too many terms in scalar {'1+2+3' + '4' * 35!r}... (5005 characters)"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param(*case, id=f"short-{i}") for i, case in enumerate(_SHORT_ERRORS)]
+    + [pytest.param(*case, id=f"long-{i}") for i, case in enumerate(_LONG_ERRORS)],
+)
+def test_parse_error_quotes_an_excerpt_of_long_scalars(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_scalar(text, path="p")
+    assert str(exc.value) == f"p: {message}"
+    assert len(str(exc.value)) < 120
+
+
 def test_canonical_format():
     assert format_scalar(Rational(-3, 2)) == "-3/2"
     assert format_scalar(Gaussian(0, Rational(1, 2))) == "1/2*i"

@@ -194,3 +194,55 @@ def test_no_module_imports_fractions(path):
     # The program's exact numbers are `Rational`, `Gaussian` and plain ints;
     # `fractions.Fraction` is the tests' independent oracle.
     assert _fractions_imports(path.read_text()) == []
+
+
+# Verification must not lean on the eliminations it checks: a grading's
+# (-1, -1) generators are tested for centrality on the structure table
+# itself, never against the center or C^1 computed from it.
+_DERIVED_SUBSPACES = frozenset(
+    ("center", "_center_rows", "commutator_ideal", "lower_central_series")
+)
+_VERIFICATION = (
+    ("bigrading", "verify_bigrading"),
+    ("bigrading", "_verify_rows"),
+    ("bigrading", "_conjugation"),
+    ("cohomology", "_central_generators"),
+    ("liealg", "_is_central"),
+)
+
+
+def _derived_subspace_names(sources: dict[str, str], functions) -> list[str]:
+    """Each place where one of ``functions`` names an entry of `_DERIVED_SUBSPACES`.
+
+    ``functions`` holds ``(module, name)`` pairs, and ``sources`` maps a
+    module's name to its text; a function that is not defined at its
+    module's top level is reported as missing.
+    """
+    found = []
+    for module, name in functions:
+        tree = ast.parse(sources[module])
+        defs = [node for node in tree.body if getattr(node, "name", None) == name]
+        if not defs:
+            found.append(f"{module}.{name} missing")
+        for node in (n for d in defs for n in ast.walk(d)):
+            if _named(node) in _DERIVED_SUBSPACES:
+                found.append(f"{module}.{name}: {_named(node)} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_check_sees_a_derived_subspace_inside_verification():
+    sources = {
+        "a": "from .liealg import center\n\n"
+        "def verify(L):\n    return center(L), L.commutator_ideal\n\n"
+        "def other(L):\n    return center(L)\n",
+    }
+    assert _derived_subspace_names(sources, [("a", "verify"), ("a", "gone")]) == [
+        "a.gone missing",
+        "a.verify: center (line 4)",
+        "a.verify: commutator_ideal (line 4)",
+    ]
+
+
+def test_verification_names_no_derived_subspace():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _derived_subspace_names(sources, _VERIFICATION) == []
