@@ -44,7 +44,13 @@ off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
 meets are null spaces (`kernel.null_space`, or `kernel.null_space_within`
 where a subspace is cut by more rows), and verification brackets on
 the same table, testing each generator that must be central once
-(`liealg._is_central`) instead of pair by pair.  The J-space
+(`liealg._is_central`) instead of pair by pair.  On a real table, a pair
+of generators whose rows are the conjugates of a pair bracketed before
+takes that bracket's conjugate (`liealg._pair_brackets`), so the search's
+U and conj U cost h^2 brackets, not h(2h - 1); a component whose
+conjugated rows are its mirror's rows passes the conjugation check without
+elimination, and a component's echelon is built only where a check reads
+it.  The J-space
 construction keeps its solution space as integer matrices over one
 denominator and its candidates as integer coefficient tuples.  The
 constructions' number theory (lowest terms, exact square roots, rational
@@ -75,8 +81,8 @@ from .exact import ExactMatrix, RowReducer, Subspace, Vector, _conjugate_row
 from .liealg import (
     LieAlgebra,
     _moved_table,
+    _pair_brackets,
     _real_form,
-    _zi_bracket,
     center,
     commutator_ideal,
     lower_central_series,
@@ -125,7 +131,7 @@ class Bigrading:
             if (p, q) in seen:
                 raise GradingNotCompatible(f"duplicate bidegree ({p}, {q})")
             seen.add((p, q))
-            gen_vecs = tuple(tuple(as_scalar(x) for x in g) for g in gens)
+            gen_vecs = tuple(tuple(map(as_scalar, g)) for g in gens)
             if not gen_vecs:
                 continue
             comps.append(BigradingComponent(p=p, q=q, generators=gen_vecs))
@@ -232,35 +238,44 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     ``rows`` holds each component's generators as Z[i] rows keyed by
     bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
     memberships and containments do not depend on scale and are read off
-    echelons (`kernel.zi_insert`/`kernel.zi_reduce`), the spans off the
-    components' own; brackets are formed on `structure_table`
-    (`liealg._zi_bracket`), and conjugation by `_conjugation`.
+    echelons (`kernel.zi_insert`/`kernel.zi_reduce`): the spans off one
+    echelon that takes the lowest weight first, and a component's own
+    echelon is built only where a check reads it.  Brackets are formed on
+    `structure_table` (`liealg._pair_brackets`), and conjugation by
+    `_conjugation`.
 
     Each generator of a component whose every pairing targets a bidegree
     absent from the grading, such as the (-1, -1) component of the
     restricted shape, is first tested once on the table
     (`cohomology._central_generators`).  Every pair that involves one that
-    passes is skipped: its bracket is zero, so it adds no failure.  A
-    generator that fails is bracketed pair by pair, so the failures, their
-    order and the report are those of bracketing every pair.  The test
-    reads the table alone, never the center or C^1 computed from it, which
-    verification must not lean on.
+    passes is skipped: its bracket is zero, so it adds no failure.  On a
+    real table, a pair of generators whose rows are the conjugates of a
+    pair bracketed before takes the conjugate of that bracket.  Every other
+    pair is bracketed, so the failures, their order and the report are
+    those of bracketing every pair.  A component whose rows, conjugated,
+    are its mirror's rows passes the conjugation check without
+    elimination.  The tests read the table alone, never the center or C^1
+    computed from it, which verification must not lean on.
     """
     n = L.dim
     failures: list = []
-    echelons = {}
-    for key, comp_rows in rows.items():
-        echelon: list = []
-        for row in comp_rows:
-            kernel.zi_insert(echelon, row)
-        echelons[key] = echelon
+    echelons: dict = {}
+
+    def echelon(key):
+        if key not in echelons:
+            echelons[key] = []
+            for row in rows[key]:
+                kernel.zi_insert(echelons[key], row)
+        return echelons[key]
 
     rank = None
     if g.total_generators == n:
-        # The components' echelon rows span what their generators span.
+        # Lowest weight first: the search's (-1, -1) rows are the center's
+        # reduced basis, and its U vanishes at their pivots, so U and conj U
+        # are reduced only against each other.
         span: list = []
         rank = sum(
-            kernel.zi_insert(span, row) for echelon in echelons.values() for _, row in echelon
+            kernel.zi_insert(span, row) for key in sorted(rows, key=sum) for row in rows[key]
         )
     spans = rank == n
     if not spans:
@@ -275,35 +290,27 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     bracket_ok = True
     central = None
     if spans:
-        table_rows = structure_table(L).rows
-        zero = (0, 0)
+        bracket = _pair_brackets(
+            structure_table(L), [row for comp_rows in rows.values() for row in comp_rows], n
+        )
         # A generator that passes brackets to zero with every other: skip its pairs.
         central = _central_generators(L, rows)
-        dense, start = {}, 0
+        live, start = {}, 0
         for key, comp_rows in rows.items():
-            dense[key] = [
-                [row.get(j, zero) for j in range(n)]
-                for t, row in enumerate(comp_rows, start)
-                if t not in central
-            ]
+            live[key] = [t for t in range(start, start + len(comp_rows)) if t not in central]
             start += len(comp_rows)
         comps = list(g.components)
         for a in range(len(comps)):
             for b in range(a, len(comps)):
                 ca, cb = comps[a], comps[b]
                 target = (ca.p + cb.p, ca.q + cb.q)
-                tspace = echelons.get(target)
-                ua, ub = dense[ca.p, ca.q], dense[cb.p, cb.q]
-                pairs = (
-                    combinations(ua, 2)
-                    if a == b
-                    else ((u, v) for u in ua for v in ub)
-                )
-                for u, v in pairs:
-                    w = _zi_bracket(table_rows, u, v, n)
+                ua, ub = live[ca.p, ca.q], live[cb.p, cb.q]
+                pairs = combinations(ua, 2) if a == b else product(ua, ub)
+                for s, t in pairs:
+                    w = bracket(s, t)
                     if not w:
                         continue
-                    if tspace is None:
+                    if target not in rows:
                         bracket_ok = False
                         failures.append(
                             {
@@ -312,7 +319,7 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
                                 f"absent bidegree {target}",
                             }
                         )
-                    elif kernel.zi_reduce(w, tspace):
+                    elif kernel.zi_reduce(w, echelon(target)):
                         bracket_ok = False
                         failures.append(
                             {
@@ -330,10 +337,12 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
         lax_all = True
         for c in g.components:
             img = [conj(row) for row in rows[c.p, c.q]]
-            mirror = echelons.get((c.q, c.p), [])
+            if img == rows.get((c.q, c.p)):
+                continue
+            mirror = echelon((c.q, c.p)) if (c.q, c.p) in rows else []
             # conj maps the component's span onto the span of img, so
             # img equals the mirror when it has the same rank and lies in it.
-            if len(echelons[c.p, c.q]) != len(mirror) or any(
+            if len(echelon((c.p, c.q))) != len(mirror) or any(
                 kernel.zi_reduce(row, mirror) for row in img
             ):
                 exact_all = False
@@ -1308,11 +1317,12 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     spans of h - 1 rows are completed in order, each by up to 200 vectors.
     Work whose outcome is decided is skipped, so U is the same:
 
-    * No span is longer than the degree of W's minimal polynomial
-      (`_minimal_degree`).  Below h - 1 there is neither a span of h rows
-      nor one of h - 1, and the stage returns None at once.  At h - 1 no
-      span has h rows, so the spans are formed only as the completions ask
-      for them, the same first 16 of h - 1 rows.
+    * No span is longer than the degree of W's minimal polynomial, which is
+      at most h.  A first span of h rows proves the degree h; otherwise it
+      is computed (`_minimal_degree`).  Below h - 1 there is neither a span
+      of h rows nor one of h - 1, and the stage returns None at once.  At
+      h - 1 no span has h rows, so the later spans are formed only as the
+      completions ask for them, the same first 16 of h - 1 rows.
     * A span is completed by w when its rows, w and their conjugates are
       independent.  Its rows and their conjugates are reduced once: when
       they are dependent, no w can complete it and it is skipped before
@@ -1325,9 +1335,6 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     """
     v, h = frame.v, frame.h
     w_rows, d = w
-    degree = _minimal_degree(w_rows, h)
-    if degree < h - 1:
-        return None
 
     def exact(rows, den):
         return [(row, den * d**k) for k, row in enumerate(rows)]
@@ -1336,6 +1343,11 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
         (_krylov_span(w_rows, u), den)
         for u, den in islice(_pencil_candidates(seeds, w_rows), 200)
     )
+    first = list(islice(spans, 1))
+    degree = h if first and len(first[0][0]) == h else _minimal_degree(w_rows, h)
+    if degree < h - 1:
+        return None
+    spans = chain(first, spans)
     if degree < h:
         partials = islice(((rows, den) for rows, den in spans if len(rows) == h - 1), 16)
     else:

@@ -23,7 +23,17 @@ bidegree b into those of bidegree b.  Its block b is the rows whose
 destination monomial has bidegree b, and H^k_b has dimension dim
 Lambda^k_b - rank(block b of d_k) - rank(block b of d_{k-1}).
 `bigraded_cohomology` gives a generator of bidegree (p, q) (p, q <= 0) the
-dual bidegree (-p, -q), in the basis of the grading's generators.  Betti
+dual bidegree (-p, -q), in the basis of the grading's generators.  That
+table is formed without inverting the basis (`_grading_table`): a
+compatible grading brackets two generators into the component of the sum
+of their bidegrees, so each bracket is solved in that component's
+generators alone, by one reduction of [T | I] per target component T.
+Only a bracket that hits an absent bidegree or leaves its target sends the
+table to `liealg._moved_table`, whose inverse gives the constants that
+GradingNotCompatible names.  On a real table the bracket of two generators
+whose rows are the conjugates of a pair already bracketed is that bracket's
+conjugate (`liealg._pair_brackets`), and the pairs of generators that must
+be central and are (`_central_generators`) are not formed.  Betti
 numbers do not depend on the basis, so `betti_numbers` puts every generator
 at (0, 0), one block, in a basis adapted to C^1 = [g, g]: unit vectors
 completing C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There
@@ -68,12 +78,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from . import kernel
-from .errors import (
-    DegreeOutOfRange,
-    GradingNotCompatible,
-    SingularTransformation,
-    TopClassMisplaced,
-)
+from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
 from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
@@ -81,7 +86,9 @@ from .liealg import (
     _center_rows,
     _constant_rows,
     _is_central,
+    _lowest_table,
     _moved_table,
+    _pair_brackets,
     _sparse_bracket,
     commutator_ideal,
     structure_table,
@@ -426,25 +433,101 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int, central=None):
 
     ``generators`` holds Z[i] rows over ``den`` keyed by bidegree (p, q)
     (`Bigrading.kernel_rows`); ``dual`` lists (-p, -q) in their order.  The
-    table is over Q(i) when L or a generator is (`liealg._moved_table`).
-    Generators that are not a basis raise GradingNotCompatible.  The pairs
-    of a generator that passes `_central_generators` (or is in ``central``,
-    its result when the caller has it) are zero and are not formed.
+    table is over Q(i) when L or a generator is, and it is
+    `liealg._moved_table`'s, in lowest terms.  Generators that are not a
+    basis, by one echelon that takes the lowest weight first, raise
+    GradingNotCompatible.
+
+    No inverse of the basis is formed: each bracket of two generators is
+    written in the generators of its target component, the sum of their
+    bidegrees (`_target_table`).  Only when a bracket hits an absent
+    bidegree or leaves its target does the table come from
+    `liealg._moved_table`, whose constants then name the first offender.
+    The pairs of a generator that passes `_central_generators` (or is in
+    ``central``, its result when the caller has it) are zero and are not
+    formed, and on a real table the bracket of two generators whose rows
+    are the conjugates of a pair already bracketed is read off that one
+    (`liealg._pair_brackets`).
     """
     n = L.dim
     rows = [row for comp_rows in generators.values() for row in comp_rows]
     if len(rows) != n:
         raise GradingNotCompatible(f"grading has {len(rows)} generators for dimension {n}")
+    echelon: list = []
+    rank = sum(
+        kernel.zi_insert(echelon, row)
+        for key in sorted(generators, key=sum)
+        for row in generators[key]
+    )
+    if rank < n:
+        raise GradingNotCompatible(f"grading has {n} generators of rank {rank} in dimension {n}")
     field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
     if central is None:
         central = _central_generators(L, generators)
-    try:
-        table, _, _ = _moved_table(L, rows, den, field, central)
-    except SingularTransformation:
-        raise GradingNotCompatible(
-            f"grading has {n} generators of rank {kernel.rank(rows, n, 'Qi')} in dimension {n}"
-        ) from None
+    table = _target_table(L, generators, den, field, central)
+    if table is None:
+        table, _, _ = _moved_table(L, rows, den, field)
     return table, [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
+
+
+def _target_table(L: LieAlgebra, generators: dict, den: int, field: str, central):
+    """`_grading_table`'s table with each bracket solved in its target component, or None.
+
+    A component with the Z[i] rows T, k of them, is reduced once, as [T |
+    I] (`kernel.span`), into rows D [r_a | c_a] with r_a = c_a T, r_a being
+    1 at its pivot p_a and zero at the other pivots.  A bracket w lies in
+    span(T) exactly when D w = sum_a w[p_a] D r_a, and then its
+    coordinates in T are sum_a w[p_a] c_a.  None as soon as a bracket is
+    nonzero and its target is absent or does not hold it.
+    """
+    n = L.dim
+    old = structure_table(L)
+    keys, rows, starts = [], [], {}
+    for key, comp_rows in generators.items():
+        starts[key] = len(rows)
+        keys += [key] * len(comp_rows)
+        rows += comp_rows
+    bracket = _pair_brackets(old, rows, n)
+    solvers: dict = {}
+    solved = {}  # by pair (i, j): (coordinates times D, D)
+    for i, j in combinations([s for s in range(n) if s not in central], 2):
+        w = bracket(i, j)
+        if not w:
+            continue
+        (p, q), (a, b) = keys[i], keys[j]
+        target = (p + a, q + b)
+        if target not in generators:
+            return None
+        if target not in solvers:
+            solvers[target] = _component_solver(generators[target], starts[target], n)
+        pivots, d = solvers[target]
+        hit = [(w[c], r, x) for c, r, x in pivots if c in w]
+        if kernel.zi_combine(((d, 0), w), *(((-e, -f), r) for (e, f), r, _ in hit)):
+            return None
+        solved[i, j] = kernel.zi_combine(*((e, x) for e, _, x in hit)), d
+    m = lcm(*(d for _, d in solvers.values()))
+    table = {
+        ij: sorted((k, (x * (m // d), y * (m // d))) for k, (x, y) in coords.items())
+        for ij, (coords, d) in solved.items()
+    }
+    return _lowest_table("Qi" if "Qi" in (old.field, field) else "Q", den * old.den * m, table)
+
+
+def _component_solver(comp: list, offset: int, n: int):
+    """``(pivots, D)`` of `_target_table` for a component with the Z[i] rows ``comp``.
+
+    ``pivots`` lists (p_a, D r_a, D c_a), c_a indexed by the generators'
+    positions: ``comp`` starts at position ``offset``.
+    """
+    field = "Qi" if any(y for row in comp for _, y in row.values()) else "Q"
+    aug = [{**row, n + a: (1, 0)} for a, row in enumerate(comp)]
+    basis, d = kernel.zi_common(kernel.span(aug, n + len(comp), field))
+    pivots = []
+    for row in basis:
+        r = {c: e for c, e in row.items() if c < n}
+        x = {offset + c - n: e for c, e in row.items() if c >= n}
+        pivots.append((min(r), r, x))
+    return pivots, d
 
 
 def _central_generators(L: LieAlgebra, generators: dict) -> set[int]:
@@ -458,13 +541,14 @@ def _central_generators(L: LieAlgebra, generators: dict) -> set[int]:
     generator that passes brackets to zero with every vector, so none of
     its pairs need be formed.
     """
+    n = L.dim
     table_rows = structure_table(L).rows
     keys = generators.keys()
     central, start = set(), 0
     for (p, q), comp_rows in generators.items():
         if all((p + a, q + b) not in keys for a, b in keys):
             central.update(
-                start + t for t, row in enumerate(comp_rows) if _is_central(table_rows, row)
+                start + t for t, row in enumerate(comp_rows) if _is_central(table_rows, row, n)
             )
         start += len(comp_rows)
     return central

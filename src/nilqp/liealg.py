@@ -366,6 +366,44 @@ def _zi_bracket(rows: dict, u: list, v: list, n: int) -> kernel.ZiRow:
     return {k: (x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y}
 
 
+def _pair_brackets(table: StructureTable, rows: list, n: int):
+    """``bracket(s, t)``: [rows[s], rows[t]] as `_zi_bracket` forms it, each conjugate pair once.
+
+    ``rows`` are Z[i] rows of length ``n``.  On a real table, one whose
+    every imaginary part is zero, the constants are their own conjugates,
+    so when rows[s'] and rows[t'] are the entrywise conjugates of rows[s]
+    and rows[t], [rows[s'], rows[t']] = conj [rows[s], rows[t]].  A pair
+    whose conjugate pair was bracketed before is read off that bracket by
+    `kernel.zi_conj`, negated when the conjugate pair came in the other
+    order; every other pair is formed on the table.
+    """
+    mirror: dict[int, int] = {}
+    if table.field == "Q" or not any(y for row in table.rows.values() for _, (_, y) in row):
+        position = {frozenset(row.items()): s for s, row in enumerate(rows)}
+        for s, row in enumerate(rows):
+            t = position.get(frozenset(kernel.zi_conj(row).items()))
+            if t is not None:
+                mirror[s] = t
+    dense: dict[int, list] = {}
+    formed: dict[tuple[int, int], kernel.ZiRow] = {}
+
+    def bracket(s: int, t: int) -> kernel.ZiRow:
+        ms, mt = mirror.get(s), mirror.get(t)
+        if (ms, mt) in formed:
+            w = kernel.zi_conj(formed[ms, mt])
+        elif (mt, ms) in formed:
+            w = {k: (-x, y) for k, (x, y) in formed[mt, ms].items()}
+        else:
+            for r in (s, t):
+                if r not in dense:
+                    dense[r] = [rows[r].get(j, (0, 0)) for j in range(n)]
+            w = _zi_bracket(table.rows, dense[s], dense[t], n)
+        formed[s, t] = w
+        return w
+
+    return bracket
+
+
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
     """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
 
@@ -451,29 +489,37 @@ def _center_rows(table: StructureTable, n: int, pivots) -> list[tuple[kernel.ZiR
     return kernel.null_space(list(stacked.values()), n, table.field)
 
 
-def _is_central(table_rows: dict, x: kernel.ZiRow) -> bool:
+def _is_central(table_rows: dict, x: kernel.ZiRow, n: int) -> bool:
     """Whether [X_s, x] = 0 for every basis vector X_s, on the ``rows`` of a table.
 
-    One pass over the rows: a row [X_i, X_j], i < j, adds x_j [X_i, X_j] to
-    [X_i, x] and -x_i [X_i, X_j] to [X_j, x], and every sum must vanish at
-    every column.  It reads the table alone, none of the subspaces derived
-    from it.
+    One pass over the rows, summed on dense lists as `_bracket_span` sums:
+    a row [X_i, X_j], i < j, adds x_j [X_i, X_j] to [X_i, x] and -x_i
+    [X_i, X_j] to [X_j, x], and every sum must vanish at each of the ``n``
+    columns.  It reads the table alone, none of the subspaces derived from
+    it.
     """
-    sums: dict[tuple[int, int], tuple[int, int]] = {}
+    re: dict[int, list[int]] = {}
+    im: dict[int, list[int]] = {}
     for (i, j), row in table_rows.items():
         e = x.get(j)
         if e is not None:
+            if i not in re:
+                re[i], im[i] = [0] * n, [0] * n
+            rr, ri = re[i], im[i]
             a, b = e
             for k, (p, q) in row:
-                re, im = sums.get((i, k), (0, 0))
-                sums[i, k] = (re + a * p - b * q, im + a * q + b * p)
+                rr[k] += a * p - b * q
+                ri[k] += a * q + b * p
         e = x.get(i)
         if e is not None:
+            if j not in re:
+                re[j], im[j] = [0] * n, [0] * n
+            rr, ri = re[j], im[j]
             a, b = e
             for k, (p, q) in row:
-                re, im = sums.get((j, k), (0, 0))
-                sums[j, k] = (re - a * p + b * q, im - a * q - b * p)
-    return not any(re or im for re, im in sums.values())
+                rr[k] -= a * p - b * q
+                ri[k] -= a * q + b * p
+    return not any(any(rr) or any(im[s]) for s, rr in re.items())
 
 
 @_fact
@@ -484,17 +530,21 @@ def commutator_ideal(L: LieAlgebra) -> Subspace:
 
 
 def complexify(L: LieAlgebra) -> LieAlgebra:
-    """Same structure constants over Q(i), with entrywise conjugation."""
+    """Same structure constants over Q(i), with entrywise conjugation.
+
+    L's canonical brackets are kept as they are: its `Rational` constants
+    are canonical over Q(i) too.
+    """
     if L.field == "Qi":
         raise AlreadyComplex(f"{L.name} is already over Q(i)")
-    return LieAlgebra.from_brackets(
+    # Jacobi is field-independent and conjugation is entrywise: nothing to validate.
+    return LieAlgebra(
         name=f"{L.name}(C)",
         dim=L.dim,
-        brackets={ij: dict(c) for ij, c in L.brackets},
         field="Qi",
         basis_names=L.basis_names,
+        brackets=L.brackets,
         real_structure=ExactMatrix.identity(L.dim),
-        check=False,  # Jacobi is field-independent; conjugation is entrywise
     )
 
 
@@ -540,15 +590,13 @@ def apply_basis_change(
     )
 
 
-def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str, _central=frozenset()):
+def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
     """L's `StructureTable` in the basis T = ``e`` / ``t_den``, Z[i] rows over ``t_field``.
 
     Returns ``(table, inv, inv_den)``, T^-1 = t_den * inv / inv_den, or raises
     SingularTransformation.  The rows of T are bracketed on `structure_table`
     and mapped by ``inv``.  In lowest terms and over Q(i) when L or T is,
     the table is `structure_table` of `apply_basis_change`'s algebra.
-    ``_central`` holds indices of rows of T known to be central (tested by
-    `_is_central`): each of their pairs brackets to zero, so none is formed.
     """
     n = L.dim
     solved = kernel.zi_solve(e, _identity_rows(n)[0])
@@ -556,18 +604,26 @@ def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str, _central=froz
         raise SingularTransformation("matrix is singular")
     inv, inv_den = solved  # e^-1 = inv / inv_den
     old = structure_table(L)
-    live = [i for i in range(n) if i not in _central]
-    dense = {i: [e[i].get(j, (0, 0)) for j in range(n)] for i in live}
+    dense = [[row.get(j, (0, 0)) for j in range(n)] for row in e]
     rows = {}  # by pair (i, j), each new constant times t_den * old.den * inv_den
-    for i, j in combinations(live, 2):
+    for i, j in combinations(range(n), 2):
         w = _coords(inv, _zi_bracket(old.rows, dense[i], dense[j], n))
         if w:
             rows[i, j] = sorted(w.items())
-    d = t_den * old.den * inv_den
+    field = "Qi" if "Qi" in (old.field, t_field) else "Q"
+    return _lowest_table(field, t_den * old.den * inv_den, rows), inv, inv_den
+
+
+def _lowest_table(field: str, d: int, rows: dict) -> StructureTable:
+    """The `StructureTable` of the constants ``rows`` over ``d``, in lowest terms.
+
+    ``rows[i, j]`` lists [X_i, X_j] times ``d`` as pairs (k, (re, im)), k
+    ascending and none zero.  The denominator becomes the least one of all
+    constants (1 when there is none), so equal constants give equal tables.
+    """
     g = gcd(d, *(x for row in rows.values() for _, pair in row for x in pair))
     rows = {ij: tuple((k, (x // g, y // g)) for k, (x, y) in row) for ij, row in rows.items()}
-    field = "Qi" if "Qi" in (old.field, t_field) else "Q"
-    return StructureTable(field, d // g, rows), inv, inv_den
+    return StructureTable(field, d // g, rows)
 
 
 def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:

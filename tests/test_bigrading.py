@@ -2,7 +2,7 @@ import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -70,7 +70,7 @@ from conftest import (
     random_gaussian_t,
     random_invertible_t,
 )
-from oracles import frac_rank, frac_rref_qi
+from oracles import frac_rank, frac_rref_qi, oracle_bracket
 
 I = Gaussian(0, 1)
 
@@ -1699,9 +1699,11 @@ def test_bigraded_cohomology_names_the_recorded_first_offender(central_gradings)
 
 
 def test_no_pair_of_a_central_generator_is_bracketed(monkeypatch, central_gradings):
-    # On the searched gradings every (-1, -1) generator passes the test, so
-    # verification and the grading table bracket only the pairs of the m
-    # generators of U and conj U.
+    # On the searched gradings every (-1, -1) generator passes the test, and
+    # conj U is U's entrywise conjugate row by row on a rational table, so
+    # verification and the grading table bracket only (m/2)^2 pairs of the m
+    # generators of U and conj U: the pairs within U, and [u_a, conj u_b]
+    # for a <= b; the others are conjugates of these.
     calls = [0]
     original = liealg._zi_bracket
 
@@ -1709,8 +1711,10 @@ def test_no_pair_of_a_central_generator_is_bracketed(monkeypatch, central_gradin
         calls[0] += 1
         return original(*args)
 
-    for module in (bigrading, liealg):
-        monkeypatch.setattr(module, "_zi_bracket", counted)
+    # Every module that names the bracket, so that no caller goes uncounted.
+    for module in (bigrading, cohomology, liealg):
+        if hasattr(module, "_zi_bracket"):
+            monkeypatch.setattr(module, "_zi_bracket", counted)
     for label, alg, g in central_gradings:
         if "@" not in label or label.endswith("+u"):
             continue
@@ -1718,4 +1722,170 @@ def test_no_pair_of_a_central_generator_is_bracketed(monkeypatch, central_gradin
         for run in (verify_bigrading, bigraded_cohomology):
             calls[0] = 0
             run(alg, g)
-            assert calls[0] == m * (m - 1) // 2, (label, run.__name__)
+            assert calls[0] == (m // 2) ** 2, (label, run.__name__)
+
+
+def _fraction_pair(x) -> tuple[Fraction, Fraction]:
+    if type(x) is Gaussian:
+        return Fraction(x.re.num, x.re.den), Fraction(x.im.num, x.im.den)
+    return Fraction(x.num, x.den), Fraction(0)
+
+
+def _fraction_oracle(L: LieAlgebra):
+    """``report(g)``: `verify_bigrading`'s strict report of a restricted-shape grading g, in Fractions.
+
+    L is over Q.  Spans by the rank of all generators; then every pair of
+    generators in the documented order (components a <= b in the grading's
+    order, the pairs within a component, then across), each bracket formed
+    over Q(i) from `oracle_bracket` and reduced against the reduced row
+    echelon form of its target; then each component's conjugate, entrywise,
+    against its mirror and, failing that, against the mirror plus every
+    component of lower weight.  Brackets and echelon forms are kept by
+    their vectors, so the gradings of one algebra share them.
+    """
+    n = L.dim
+    brackets = {ij: {k: Fraction(c.num, c.den) for k, c in cs} for ij, cs in L.brackets}
+    formed, reduced = {}, {}
+    zero = (Fraction(0), Fraction(0))
+
+    def rref(vecs):
+        key = tuple(vecs)
+        if key not in reduced:
+            rows, pivots = frac_rref_qi(vecs, n) if vecs else ([], [])
+            reduced[key] = list(zip(rows, pivots))
+        return reduced[key]
+
+    def inside(vecs, span):
+        for w in vecs:
+            for row, p in rref(span):
+                f = w[p]
+                if f != zero:
+                    w = tuple((a - (f[0] * x - f[1] * y), b - (f[0] * y + f[1] * x))
+                              for (a, b), (x, y) in zip(w, row))
+            if any(x or y for x, y in w):
+                return False
+        return True
+
+    def bracket(u, v):
+        if (u, v) not in formed:
+            (ur, ui), (vr, vi) = (list(zip(*x)) for x in (u, v))
+            re = map(Fraction.__sub__, oracle_bracket(brackets, n, ur, vr),
+                     oracle_bracket(brackets, n, ui, vi))
+            im = map(Fraction.__add__, oracle_bracket(brackets, n, ur, vi),
+                     oracle_bracket(brackets, n, ui, vr))
+            formed[u, v] = tuple(zip(re, im))
+        return formed[u, v]
+
+    def report(g: Bigrading) -> GradingReport:
+        gens = {
+            (c.p, c.q): [tuple(map(_fraction_pair, v)) for v in c.generators]
+            for c in g.components
+        }
+        failures = []
+        total = sum(map(len, gens.values()))
+        shown = len(rref([v for vecs in gens.values() for v in vecs])) if total == n else None
+        spans = shown == n
+        if not spans:
+            detail = f"{total} generators of rank {'n/a' if shown is None else shown} in dimension {n}"
+            failures.append({"check": "spans", "detail": detail})
+        bracket_ok = True
+        conjugation = "fails"
+        if spans:
+            comps = g.components
+            for a, b in ((a, b) for a in range(len(comps)) for b in range(a, len(comps))):
+                ca, cb = comps[a], comps[b]
+                target = (ca.p + cb.p, ca.q + cb.q)
+                ua, ub = gens[ca.p, ca.q], gens[cb.p, cb.q]
+                for u, v in combinations(ua, 2) if a == b else product(ua, ub):
+                    w = bracket(u, v)
+                    if not any(x or y for x, y in w):
+                        continue
+                    if target not in gens:
+                        detail = f"[{ca.p},{ca.q}] x [{cb.p},{cb.q}] hits absent bidegree {target}"
+                    elif not inside([w], gens[target]):
+                        detail = (
+                            f"bracket of ({ca.p},{ca.q}) and ({cb.p},{cb.q}) generators "
+                            f"leaves the {target} component"
+                        )
+                    else:
+                        continue
+                    bracket_ok = False
+                    failures.append({"check": "bracket", "detail": detail})
+            exact_all = lax_all = True
+            for c in comps:
+                img = [tuple((x, -y) for x, y in v) for v in gens[c.p, c.q]]
+                mirror = gens.get((c.q, c.p), [])
+                if len(rref(gens[c.p, c.q])) == len(rref(mirror)) and inside(img, mirror):
+                    continue
+                exact_all = False
+                lower = [v for (p, q), vecs in gens.items() if p + q < c.p + c.q for v in vecs]
+                if inside(img, mirror + lower):
+                    detail = f"conj of ({c.p},{c.q}) equals ({c.q},{c.p}) only modulo lower weight"
+                else:
+                    lax_all = False
+                    detail = f"conj of ({c.p},{c.q}) not inside ({c.q},{c.p}) + lower weight"
+                failures.append({"check": "conjugation", "detail": detail})
+            conjugation = "exact" if exact_all else ("mod_lower_weight" if lax_all else "fails")
+        if spans and not bracket_ok:
+            failures.append({"check": "support", "detail": "skipped: bracket incompatible"})
+        assert g.is_restricted_shape()
+        return GradingReport(
+            mode="strict",
+            spans=spans,
+            bracket_compatible=bracket_ok,
+            conjugation=conjugation,
+            shape="restricted",
+            cohomology_support_ok=spans and bracket_ok,
+            support_box_ok=spans and bracket_ok,
+            failures=failures,
+        )
+
+    return report
+
+
+def _broken_gradings(g: Bigrading):
+    """``(label, grading)``: ``g`` and copies of it that break it in the ways verification tells apart.
+
+    U's first row u becomes u + z (z the first (-1, -1) generator) or u +
+    conj u; conj U's rows stop being the conjugates of U's rows, with the
+    same span (its first row becomes the sum of its first two) or not (its
+    first row plus z).
+    """
+    u, ubar, z = (g.component(*key).generators for key in ((-1, 0), (0, -1), (-1, -1)))
+
+    def plus(x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    def with_rows(new_u=u, new_ubar=ubar):
+        return Bigrading.build([(-1, 0, new_u), (0, -1, new_ubar), (-1, -1, z)])
+
+    yield "as found", g
+    yield "u + z", with_rows(new_u=(plus(u[0], z[0]), *u[1:]))
+    yield "u + conj u", with_rows(new_u=(plus(u[0], ubar[0]), *u[1:]))
+    yield "conj u + z", with_rows(new_ubar=(plus(ubar[0], z[0]), *ubar[1:]))
+    if len(ubar) >= 2:
+        yield "conj U rebased", with_rows(new_ubar=(plus(ubar[0], ubar[1]), *ubar[1:]))
+
+
+def test_verification_matches_a_fraction_oracle_on_broken_gradings(central_gradings):
+    # The search's gradings of `CENTRAL_SUMS`, whose conj U is U's entrywise
+    # conjugate row by row, so verification reads conjugate brackets off
+    # others and passes the conjugation check of such components without
+    # elimination; each broken copy must still give the oracle's report,
+    # every failure in order.
+    seen = {}
+    for label, alg, g in central_gradings:
+        if "@" not in label or label.endswith("+u"):
+            continue
+        oracle = _fraction_oracle(alg)
+        for kind, broken in _broken_gradings(g):
+            want = oracle(broken)
+            for mode in ("strict", "lax"):
+                report = verify_bigrading(alg, broken, mode)
+                assert report == replace(want, mode=mode), (label, kind, mode)
+            seen.setdefault(kind, set()).add((report.bracket_compatible, report.conjugation))
+    assert seen["as found"] == {(True, "exact")}
+    assert seen["u + z"] == {(True, "mod_lower_weight")}
+    assert (False, "fails") in seen["u + conj u"]
+    assert seen["conj u + z"] == {(True, "mod_lower_weight")}
+    assert seen["conj U rebased"] == {(True, "exact")}

@@ -20,7 +20,7 @@ from nilqp import (
     exterior_basis,
     top_class_bidegree,
 )
-from nilqp import cohomology, kernel
+from nilqp import cohomology, kernel, liealg
 from nilqp.catalog import catalog_keys, get
 from nilqp.cohomology import _commutator_adapted_table, _core_table
 from nilqp.liealg import lower_central_series, structure_table
@@ -259,6 +259,102 @@ def test_bigraded_rejects_incompatible_grading():
     )
     with pytest.raises(GradingNotCompatible):
         bigraded_cohomology(n3c, g)
+
+
+def _graded_cases(rng):
+    """``(label, L, grading)``: every catalog known grading on its algebra over Q(i),
+    then carried into bases moved by a rational and by a Gaussian T."""
+    for key in catalog_keys():
+        entry = get(key)
+        alg = entry.algebra if entry.algebra.field == "Qi" else complexify(entry.algebra)
+        for t, g in enumerate(entry.known_bigradings):
+            yield f"{key}.{t}", alg, g
+            for move in (random_invertible_t, random_gaussian_t):
+                m = move(alg.dim, rng)
+                yield f"{key}.{t} {move.__name__}", apply_basis_change(alg, m), carried_grading(g, m)
+
+
+def test_grading_table_is_the_moved_table(monkeypatch, rng):
+    # Solving each bracket in its target component gives the constants that
+    # inverting the whole basis gives, in the same lowest terms and order,
+    # and no compatible grading falls back to the inverse.
+    moved_table = cohomology._moved_table
+    fallbacks = []
+
+    def logged(*args):
+        fallbacks.append(args)
+        return moved_table(*args)
+
+    monkeypatch.setattr(cohomology, "_moved_table", logged)
+    checked = 0
+    for label, alg, g in _graded_cases(rng):
+        gens, den = g.kernel_rows(alg.dim)
+        rows = [row for comp_rows in gens.values() for row in comp_rows]
+        field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
+        want = moved_table(alg, rows, den, field)[0]
+        got = cohomology._grading_table(alg, gens, den)[0]
+        assert got == want and list(got.rows) == list(want.rows), label
+        checked += 1
+    assert not fallbacks
+    assert checked >= 80  # 28 known gradings, in three bases each
+
+
+def test_grading_not_compatible_keeps_its_text(rng):
+    # The first offending constant is read off the inverse, so a grading
+    # whose bracket leaves its target names the same entry in any basis,
+    # and generators that are not a basis report their rank.
+    n3c = complexify(get("n3").algebra)
+    g = Bigrading.build([(-1, 0, [(1, 0, 0), (0, 0, 1)]), (0, -1, [(0, 1, 0)])])
+    leaves = "d maps bidegree (1, 0) monomial (1,) to (1, 1) monomial (0, 2) in degree 1"
+    cases = [(n3c, g, leaves)]
+    for move in (random_invertible_t, random_gaussian_t):
+        t = move(3, rng)
+        cases.append((apply_basis_change(n3c, t), carried_grading(g, t), leaves))
+    # N3_82's last generator replaced by the sum of its first two: rank 7.
+    entry = get("N3_82")
+    alg, known = complexify(entry.algebra), entry.known_bigradings[0]
+    first = [v for c in known.components for v in c.generators][:2]
+    last = known.components[-1]
+    dep = Bigrading.build(
+        (c.p, c.q, c.generators[:-1] + (tuple(map(sum, zip(*first))),) if c is last else c.generators)
+        for c in known.components
+    )
+    rank7 = "grading has 8 generators of rank 7 in dimension 8"
+    cases.append((alg, dep, rank7))
+    t = random_gaussian_t(8, rng)
+    cases.append((apply_basis_change(alg, t), carried_grading(dep, t), rank7))
+    for target, grading, text in cases:
+        with pytest.raises(GradingNotCompatible) as err:
+            bigraded_cohomology(target, grading)
+        assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    "key, brackets",
+    [("N1_82", 9), ("N3_82", 9), ("N5_82", 9), ("n7", 9), ("g_sec6", 13), ("N1_84", 6), ("37B", 6)],
+)
+def test_grading_table_brackets_each_conjugate_pair_once(monkeypatch, key, brackets):
+    # Every table here is real.  The 6 generators that are not tested central
+    # give 15 pairs, and a pair whose rows are the conjugates of a pair
+    # bracketed before is read off it: 9 are formed where conj U is U's
+    # conjugate row by row, 13 on g_sec6, whose (-1, -1) rows are not
+    # conjugates of grading rows.  N1_84 and 37B are graded by real unit
+    # vectors, each its own conjugate, so all 6 pairs of their 4 generators
+    # outside the (-1, -1) component are formed.
+    calls = [0]
+    original = liealg._zi_bracket
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for module in (cohomology, liealg):
+        if hasattr(module, "_zi_bracket"):
+            monkeypatch.setattr(module, "_zi_bracket", counted)
+    entry = get(key)
+    alg = entry.algebra if entry.algebra.field == "Qi" else complexify(entry.algebra)
+    bigraded_cohomology(alg, entry.known_bigradings[0])
+    assert calls[0] == brackets
 
 
 def test_top_class_bidegrees():

@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,10 +22,16 @@ from nilqp import (
     validate,
     verify_isomorphism,
 )
-from nilqp import kernel
+from nilqp import kernel, liealg
 from nilqp.catalog import catalog_keys, get
 from nilqp.exact import check_real_structure
-from nilqp.liealg import _decoded, _is_central, _moved_table, structure_table
+from nilqp.liealg import (
+    _decoded,
+    _is_central,
+    _moved_table,
+    _zi_bracket,
+    structure_table,
+)
 from nilqp.errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -894,7 +900,41 @@ def test_is_central_agrees_with_the_fraction_bracket(rng):
                     for s in range(n)
                 )
                 (row,), _ = kernel.zi_rows([v])
-                assert _is_central(rows, row) == want, (alg.name, v)
+                assert _is_central(rows, row, n) == want, (alg.name, v)
                 tested += 1
                 central += want
     assert central >= 100 and tested - central >= 100
+
+
+def test_pair_brackets_equal_the_brackets_they_replace(monkeypatch, rng):
+    # Rows closed under entrywise conjugation (three complex rows, their
+    # conjugates and a real row), bracketed in every order: on real tables
+    # (rational algebras and their complexifications) conjugate pairs are
+    # read off earlier brackets, and on complex ones (moved by a Gaussian
+    # T) every pair is formed; each must equal the bracket formed directly.
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _zi_bracket(*args)
+
+    monkeypatch.setattr(liealg, "_zi_bracket", counted)
+    for key in ("n5", "N3_82", "g_sec6", "L5_parity"):
+        base = get(key).algebra
+        n = base.dim
+        moved = apply_basis_change(base, random_gaussian_t(n, rng))
+        for alg, real in ((base, True), (complexify(base), True), (moved, False)):
+            rows = [
+                {j: e for j in range(n) if (e := (rng.randint(-2, 2), rng.randint(-2, 2))) != (0, 0)}
+                for _ in range(3)
+            ]
+            rows += [kernel.zi_conj(row) for row in rows] + [{0: (1, 0), n - 1: (2, 0)}]
+            dense = [[row.get(j, (0, 0)) for j in range(n)] for row in rows]
+            table = structure_table(alg)
+            assert real == (not any(y for row in table.rows.values() for _, (_, y) in row))
+            calls[0] = 0
+            bracket = liealg._pair_brackets(table, rows, n)
+            pairs = list(permutations(range(len(rows)), 2))
+            for s, t in pairs:
+                assert bracket(s, t) == _zi_bracket(table.rows, dense[s], dense[t], n), (alg.name, s, t)
+            assert calls[0] < len(pairs) // 2 if real else calls[0] == len(pairs), alg.name

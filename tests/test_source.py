@@ -208,6 +208,7 @@ _VERIFICATION = (
     ("bigrading", "_conjugation"),
     ("cohomology", "_central_generators"),
     ("liealg", "_is_central"),
+    ("liealg", "_pair_brackets"),
 )
 
 
