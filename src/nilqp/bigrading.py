@@ -45,9 +45,10 @@ meets are null spaces (`kernel.null_space`, or `kernel.null_space_within`
 where a subspace is cut by more rows), and verification brackets on
 the same table, testing each generator that must be central once
 (`liealg._is_central`) instead of pair by pair.  On a real table, a pair
-of generators whose rows are the conjugates of a pair bracketed before
-takes that bracket's conjugate (`liealg._pair_brackets`), so the search's
-U and conj U cost h^2 brackets, not h(2h - 1); a component whose
+of generators whose rows are the conjugates of a pair bracketed before,
+up to sign, takes that bracket's conjugate up to sign
+(`liealg._pair_brackets`), so the search's U and conj U cost h^2
+brackets, not h(2h - 1); a component whose
 conjugated rows are its mirror's rows passes the conjugation check without
 elimination, and a component's echelon is built only where a check reads
 it.  The J-space

@@ -9,9 +9,11 @@ and representative cocycles use this order.
 Each d_k is assembled once, sparsely, from bit masks of the monomials with
 Koszul signs in closed form, out of the rows of a table of structure
 constants (`liealg.StructureTable`): one row of pairs (k, C_ij^k) per
-nonzero [X_i, X_j], i < j.  The entries of d_k are the constants times
-one common denominator D of all of them, as (re, im) Gaussian integers
-over both fields.  Scaling by D != 0 changes neither the rank nor which
+nonzero [X_i, X_j], i < j.  The assembly walks the terms of the d x^m and,
+for each, only the monomials it meets, so its work follows the entries it
+writes.  The entries of d_k are the constants times one common
+denominator D of all of them, as (re, im) Gaussian integers over both
+fields.  Scaling by D != 0 changes neither the rank nor which
 entries are nonzero, so ranks are taken on these rows directly
 (``kernel.rank`` over the table's field); d_0 and d_n are zero and are
 not assembled.
@@ -31,9 +33,10 @@ generators alone, by one reduction of [T | I] per target component T.
 Only a bracket that hits an absent bidegree or leaves its target sends the
 table to `liealg._moved_table`, whose inverse gives the constants that
 GradingNotCompatible names.  On a real table the bracket of two generators
-whose rows are the conjugates of a pair already bracketed is that bracket's
-conjugate (`liealg._pair_brackets`), and the pairs of generators that must
-be central and are (`_central_generators`) are not formed.  Betti
+whose rows are the conjugates of a pair already bracketed, up to sign, is
+that bracket's conjugate up to sign (`liealg._pair_brackets`), and the
+pairs of generators that must be central and are (`_central_generators`)
+are not formed.  Betti
 numbers do not depend on the basis, so `betti_numbers` puts every generator
 at (0, 0), one block, in a basis adapted to C^1 = [g, g]: unit vectors
 completing C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There
@@ -146,9 +149,9 @@ def _mask(mon: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _masks(n: int, k: int) -> tuple[int, ...]:
-    """Bit masks of the k-monomials in lexicographic order (bit t: x^t is a factor)."""
-    return tuple(_mask(mon) for mon in exterior_basis(n, k))
+def _index(n: int, k: int) -> dict[int, int]:
+    """Lexicographic index of each k-monomial, by its bit mask (bit t: x^t is a factor)."""
+    return {_mask(mon): idx for idx, mon in enumerate(exterior_basis(n, k))}
 
 
 def _dual_terms(table: StructureTable) -> dict[int, list]:
@@ -167,30 +170,40 @@ def _dual_terms(table: StructureTable) -> dict[int, list]:
     return terms
 
 
+@lru_cache(maxsize=None)
+def _avoiding(n: int, k: int, forbidden: int) -> tuple[int, ...]:
+    """Bit masks of the k-subsets of {0..n-1} that miss every bit of ``forbidden``."""
+    allowed = [t for t in range(n) if not forbidden >> t & 1]
+    return tuple(_mask(mon) for mon in combinations(allowed, k))
+
+
 def _assemble(n: int, k: int, terms: dict[int, list]) -> dict[int, dict]:
-    """D times d_k (0 < k < n) as sparse Z[i] rows ``{dst monomial: {src monomial: entry}}``.
+    """D times d_k as sparse Z[i] rows ``{dst monomial: {src monomial: entry}}``.
 
     Monomials are lexicographic indices, entries the Gaussian integers of
     `_dual_terms`; entries that cancel are left out, and so are zero rows.
+    The loop runs over the terms: a term C_ij^m of d x^m meets exactly the
+    k-monomials x^m ^ rest whose (k-1)-subset rest misses i, j and m
+    (`_avoiding`), and sends each to rest + {i, j}.  k = 0 gives no rows.
     """
-    dst_index = {mask: idx for idx, mask in enumerate(_masks(n, k + 1))}
+    if k == 0:
+        return {}
+    src_index, dst_index = _index(n, k), _index(n, k + 1)
     rows: dict[int, dict] = {}
     summed = False
-    for c, (mon, full) in enumerate(zip(exterior_basis(n, k), _masks(n, k))):
-        for m in mon:
-            mterms = terms.get(m)
-            if mterms is None:
-                continue
-            rest = full ^ (1 << m)
-            # x^m sits in slot r_pos, which gives the Koszul sign (-1)^{r_pos}.
-            r_pos = (full & ((1 << m) - 1)).bit_count()
-            for pair, between, signed in mterms:
-                if rest & pair:
-                    continue
-                # Sorting (i, j, *rest) takes one transposition per element of
-                # rest below i and one per element below j; mod 2, that is
-                # the number of elements between i and j.
-                x = signed[(r_pos + (rest & between).bit_count()) & 1]
+    for m, mterms in terms.items():
+        bit = 1 << m
+        for pair, between, signed in mterms:
+            # x^m sits in the slot numbered by the factors of rest below m,
+            # which gives the Koszul sign.  Sorting (i, j, *rest) takes one
+            # transposition per element of rest below i and one per element
+            # below j; mod 2, that is the number of elements between i and
+            # j.  The sum of the two counts is odd exactly when the count
+            # in the symmetric difference of both sets is.
+            odd = (bit - 1) ^ between
+            for rest in _avoiding(n, k - 1, pair | bit):
+                x = signed[(rest & odd).bit_count() & 1]
+                c = src_index[rest | bit]
                 r = dst_index[rest | pair]
                 row = rows.get(r)
                 if row is None:
@@ -446,8 +459,8 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int, central=None):
     The pairs of a generator that passes `_central_generators` (or is in
     ``central``, its result when the caller has it) are zero and are not
     formed, and on a real table the bracket of two generators whose rows
-    are the conjugates of a pair already bracketed is read off that one
-    (`liealg._pair_brackets`).
+    are the conjugates of a pair already bracketed, up to sign, is read off
+    that one (`liealg._pair_brackets`).
     """
     n = L.dim
     rows = [row for comp_rows in generators.values() for row in comp_rows]

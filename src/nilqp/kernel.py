@@ -25,11 +25,16 @@ is the empty, false dict.  A row over Q has zero imaginary parts.
   (over Q(i), a gcd in Z[i]) divided out.  No row is ever divided by a
   pivot: this is fraction-free elimination (Bareiss, Math. Comp. 22 (1968)
   565-578; Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3) (1997)
-  11-19).  Rank and reduced form run on one loop, `_echelon`; the reduced
-  form back-substitutes with the same step and returns primitive rows,
-  which `span` divides by their pivot entries to read off the unique
-  reduced row echelon form.  `zi_residual` reduces modulo such an echelon
-  without dividing, so that it stays linear.
+  11-19).  Rank and reduced form run on one loop, `_echelon`, which
+  inserts the rows shortest first, each eliminated by the pivot of its
+  lowest column until it is empty or holds a free lowest column: its work
+  follows the nonzeros of the rows it combines.  Rank takes the rows as
+  they come, since each elimination divides out the content.  The reduced
+  form makes its rows primitive first (a row that is never eliminated is
+  returned as it came), back-substitutes with the same step and returns
+  primitive rows, which `span` divides by their pivot entries to read off
+  the unique reduced row echelon form.  `zi_residual` reduces modulo such
+  an echelon without dividing, so that it stays linear.
 * `span` returns the reduced basis of a span as exact vectors ``(row,
   den)`` in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are
   equal pairs, and `null_space` is the span of [M^T | I] with the first
@@ -110,12 +115,12 @@ def decode(row: ZiRow, den: int, ncols: int, field: str) -> tuple:
 
 def rank_q(rows: list[dict], ncols: int) -> int:
     """Rank over Q of sparse integer rows ``{column: int}``, columns below ``ncols``."""
-    return len(_echelon([_primitive_q(row) for row in rows if row], _q_eliminate))
+    return len(_echelon(rows, _q_eliminate))
 
 
 def rank_qi(rows: list[ZiRow], ncols: int) -> int:
     """Rank over Q(i) of sparse Z[i] rows ``{column: (re, im)}``, columns below ``ncols``."""
-    return len(_echelon([_primitive_qi(row) for row in rows if row], _zi_eliminate))
+    return len(_echelon(rows, _zi_eliminate))
 
 
 def rref_q(rows: list[dict], ncols: int, skip: int = 0) -> tuple[list[dict], list[int]]:
@@ -235,33 +240,27 @@ def q_exact(row: dict, lead: int) -> tuple[ZiRow, int]:
 
 
 def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
-    """Echelon form of nonzero rows, as ``(pivot column, row)`` pairs in column order.
+    """Echelon form of rows, as ``(pivot column, row)`` pairs in column order.
 
-    Each column that some row holds is visited in turn; its pivot is the
-    shortest row holding it, to limit fill-in, and ``eliminate`` clears the
-    column from every other row.  A new row only holds columns of the rows
-    it came from, so no other column can gain a pivot.  Each returned row
-    is zero at the pivots before its own; rows are never changed in place.
+    The rows are inserted shortest first (a stable sort), to limit fill-in.
+    A row whose lowest column has no pivot yet becomes that column's pivot;
+    otherwise ``eliminate`` clears the column with that pivot, and the
+    result goes on until it is empty or finds a free column.  So each
+    returned row is zero before its own pivot, and each step reads only
+    the columns of the rows it combines.  The pivot columns are those of
+    the span's reduced form, whatever the order.  Empty rows add nothing;
+    rows are never changed in place.
     """
-    pairs = []
-    for col in sorted(set().union(*pool)):
-        if not pool:
-            break
-        pivot = min((row for row in pool if col in row), key=len, default=None)
-        if pivot is None:
-            continue
-        pairs.append((col, pivot))
-        rest = []
-        for row in pool:
-            if row is pivot:
-                continue
-            if col in row:
-                row = eliminate(row, pivot, col)
-                if not row:
-                    continue
-            rest.append(row)
-        pool = rest
-    return pairs
+    pivots: dict[int, dict] = {}
+    for row in sorted(pool, key=len):
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            row = eliminate(row, pivot, col)
+    return sorted(pivots.items())
 
 
 def _reduced(pool: list[dict], eliminate, skip: int) -> tuple[list[dict], list[int]]:

@@ -370,34 +370,42 @@ def _pair_brackets(table: StructureTable, rows: list, n: int):
     """``bracket(s, t)``: [rows[s], rows[t]] as `_zi_bracket` forms it, each conjugate pair once.
 
     ``rows`` are Z[i] rows of length ``n``.  On a real table, one whose
-    every imaginary part is zero, the constants are their own conjugates,
-    so when rows[s'] and rows[t'] are the entrywise conjugates of rows[s]
-    and rows[t], [rows[s'], rows[t']] = conj [rows[s], rows[t]].  A pair
-    whose conjugate pair was bracketed before is read off that bracket by
-    `kernel.zi_conj`, negated when the conjugate pair came in the other
-    order; every other pair is formed on the table.
+    every imaginary part is zero, the constants are their own conjugates.
+    So when conj rows[s] = sigma_s rows[s'] and conj rows[t] = sigma_t
+    rows[t'], sigma = +-1, then [rows[s'], rows[t']] = sigma_s sigma_t conj
+    [rows[s], rows[t]].  A pair whose conjugate pair was bracketed before is
+    read off that bracket: conjugated, times sigma_s sigma_t, and negated
+    when the conjugate pair came in the other order.  Every other pair is
+    formed on the table.  A row that is its own conjugate, or minus it, is
+    its own mirror.
     """
-    mirror: dict[int, int] = {}
+    mirror: dict[int, tuple[int, int]] = {}
     if table.field == "Q" or not any(y for row in table.rows.values() for _, (_, y) in row):
         position = {frozenset(row.items()): s for s, row in enumerate(rows)}
         for s, row in enumerate(rows):
-            t = position.get(frozenset(kernel.zi_conj(row).items()))
-            if t is not None:
-                mirror[s] = t
+            for sign in (1, -1):
+                conj = frozenset((j, (sign * x, -sign * y)) for j, (x, y) in row.items())
+                t = position.get(conj)
+                if t is not None:
+                    mirror[s] = (t, sign)
+                    break
     dense: dict[int, list] = {}
     formed: dict[tuple[int, int], kernel.ZiRow] = {}
 
     def bracket(s: int, t: int) -> kernel.ZiRow:
-        ms, mt = mirror.get(s), mirror.get(t)
+        ms, sign_s = mirror.get(s, (None, 1))
+        mt, sign_t = mirror.get(t, (None, 1))
         if (ms, mt) in formed:
-            w = kernel.zi_conj(formed[ms, mt])
+            w, sign = formed[ms, mt], sign_s * sign_t
         elif (mt, ms) in formed:
-            w = {k: (-x, y) for k, (x, y) in formed[mt, ms].items()}
+            w, sign = formed[mt, ms], -sign_s * sign_t
         else:
             for r in (s, t):
                 if r not in dense:
                     dense[r] = [rows[r].get(j, (0, 0)) for j in range(n)]
-            w = _zi_bracket(table.rows, dense[s], dense[t], n)
+            w = formed[s, t] = _zi_bracket(table.rows, dense[s], dense[t], n)
+            return w
+        w = {k: (sign * x, -sign * y) for k, (x, y) in w.items()}
         formed[s, t] = w
         return w
 

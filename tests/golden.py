@@ -24,12 +24,12 @@ from nilqp.bigrading import Bigrading, SearchBounds
 from nilqp.catalog import catalog_keys, export_entry, get
 from nilqp.checker import check
 from nilqp.cli import run
-from nilqp.cohomology import bigraded_cohomology
+from nilqp.cohomology import betti_numbers, bigraded_cohomology
 from nilqp.errors import NilqpError
 from nilqp.jsonio import dumps_json, verdict_to_json
 from nilqp.liealg import apply_basis_change, complexify, direct_sum
 
-from seeded import carried_grading, random_invertible_t, seeded_ternary_equations
+from seeded import carried_grading, random_gaussian_t, random_invertible_t, seeded_ternary_equations
 
 GOLDEN_CLI_SHA256 = {
     "validate": (
@@ -65,6 +65,9 @@ GOLDEN_REPORT_SHA256 = (
 )
 GOLDEN_SOLVE_TERNARY_SHA256 = (
     "de7c1c5e57a8b5c9a7ec9117d6b964a88a3dee99c5b29d9a6819414c66af5fac"
+)
+GOLDEN_MOVED_SUMS_BETTI_SHA256 = (
+    "ff49f18cd5de6a7fb699b64c5f918ad70adc6895762e929fa7d1ac8b7773ea7e"
 )
 GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
     "bfd2c5c513b024efcf740928549e6445748e36a30f27ce73756009be5d6f6720"
@@ -155,6 +158,41 @@ def moved_sums_check_digest() -> str:
     return digest.hexdigest()
 
 
+# Sums of dims 9-12 in one seeded basis each, with their representatives,
+# which are read off the whole complex in that basis.  The last is
+# complexified and moved by a Gaussian T, so its ranks run over Q(i).  Each
+# took at most 0.5 s when the digest was recorded, before the elimination
+# inserted rows shortest first and before d_k was assembled term by term.
+MOVED_SUMS_BETTI = (
+    (("n5", "n3", "abelian_1"), 1),
+    (("N3_82", "abelian_1"), 1),
+    (("n5", "filiform_4"), 1),
+    (("n7", "n3"), 1),
+    (("n5", "n5"), 1),
+    (("n3", "abelian_8"), 2),
+    (("n3", "abelian_8", "abelian_1"), 2),
+)
+
+
+def moved_sums_betti_digest() -> str:
+    digest = hashlib.sha256()
+    runs = [(keys, seed, False) for keys, seed in MOVED_SUMS_BETTI]
+    runs.append((("n5", "n3", "abelian_1"), 1, True))
+    for keys, seed, gaussian in runs:
+        alg = get(keys[0]).algebra
+        for key in keys[1:]:
+            alg = direct_sum(alg, get(key).algebra)
+        rng = random.Random(seed)
+        if gaussian:
+            moved = apply_basis_change(complexify(alg), random_gaussian_t(alg.dim, rng))
+        else:
+            moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+        table = betti_numbers(moved, representatives=True)
+        digest.update(f"{'+'.join(keys)} {seed} {gaussian}\n".encode())
+        digest.update(repr((table.betti, sorted(table.representatives.items()))).encode())
+    return digest.hexdigest()
+
+
 def _reshuffled(grading, rng):
     """The grading's generators shuffled among its bidegrees, sizes kept."""
     gens = [v for c in grading.components for v in c.generators]
@@ -223,6 +261,7 @@ def main() -> int:
             ("report", report_digest, GOLDEN_REPORT_SHA256),
             ("moved check", moved_check_digest, GOLDEN_MOVED_CHECK_SHA256),
             ("moved sums check", moved_sums_check_digest, GOLDEN_MOVED_SUMS_CHECK_SHA256),
+            ("moved sums betti", moved_sums_betti_digest, GOLDEN_MOVED_SUMS_BETTI_SHA256),
             ("reshuffled bigraded", reshuffled_bigraded_digest, GOLDEN_RESHUFFLED_BIGRADED_SHA256),
             ("solve_ternary", solve_ternary_digest, GOLDEN_SOLVE_TERNARY_SHA256),
         ]

@@ -12,6 +12,7 @@ import golden
 from golden import (
     GOLDEN_CLI_SHA256,
     GOLDEN_MOVED_CHECK_SHA256,
+    GOLDEN_MOVED_SUMS_BETTI_SHA256,
     GOLDEN_MOVED_SUMS_CHECK_SHA256,
     GOLDEN_REPORT_SHA256,
     GOLDEN_RESHUFFLED_BIGRADED_SHA256,
@@ -41,6 +42,10 @@ def test_moved_check_verdicts_match_golden_digest():
 
 def test_moved_two_step_sum_verdicts_match_golden_digest():
     assert golden.moved_sums_check_digest() == GOLDEN_MOVED_SUMS_CHECK_SHA256
+
+
+def test_moved_sum_betti_numbers_and_representatives_match_golden_digest():
+    assert golden.moved_sums_betti_digest() == GOLDEN_MOVED_SUMS_BETTI_SHA256
 
 
 def test_reshuffled_and_moved_bigraded_cohomology_match_golden_digest():

@@ -390,3 +390,116 @@ def test_zi_matvec_matches_fractions():
     product = kernel.zi_matmul(rows, [x, {}, {1: (0, 1)}])
     assert product == [{0: (4, 3), 1: (-1, 0), 2: (-8, 4)}, {}, {}]
     assert kernel.zi_int_row([0, 3, -1]) == {1: (3, 0), 2: (-1, 0)}
+
+
+def _column_sweep(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
+    """The column sweep that `kernel._echelon` replaced, kept as its reference.
+
+    Each column that some row holds is visited in turn; its pivot is the
+    shortest row holding it, to limit fill-in, and ``eliminate`` clears the
+    column from every other row.  A new row only holds columns of the rows
+    it came from, so no other column can gain a pivot.  Each returned row
+    is zero at the pivots before its own; rows are never changed in place.
+    """
+    pairs = []
+    for col in sorted(set().union(*pool)):
+        if not pool:
+            break
+        pivot = min((row for row in pool if col in row), key=len, default=None)
+        if pivot is None:
+            continue
+        pairs.append((col, pivot))
+        rest = []
+        for row in pool:
+            if row is pivot:
+                continue
+            if col in row:
+                row = eliminate(row, pivot, col)
+                if not row:
+                    continue
+            rest.append(row)
+        pool = rest
+    return pairs
+
+
+def _echelon_pool(rng: random.Random, field: str) -> tuple[list[dict], int]:
+    """Seeded sparse rows over ``field``, in the elimination format of that field.
+
+    Besides random rows the pool holds a duplicate, a multiple by a common
+    content up to 2**70 (over Q(i), times a Gaussian integer of that size),
+    a combination of two rows, an empty row, and two rows of one length.
+    """
+    ncols = rng.randint(1, 9)
+    parts = (-3, -2, -1, 1, 2, 3, 5)
+
+    def entry():
+        return (rng.choice(parts), rng.choice((0,) + parts) if field == "Qi" else 0)
+
+    def some_row(length):
+        return {j: entry() for j in rng.sample(range(ncols), length)}
+
+    rows = [some_row(rng.randint(1, ncols)) for _ in range(rng.randint(1, 8))]
+    length = rng.randint(1, ncols)
+    rows += [some_row(length), some_row(length)]
+    rows.append(dict(rng.choice(rows)))
+    k = rng.randint(2, 2**70)
+    content = (k, k * rng.randint(-1, 1) if field == "Qi" else 0)
+    rows.append(kernel.zi_combine((content, rng.choice(rows))))
+    a, b = rng.sample(rows, 2)
+    rows.append(kernel.zi_combine((entry(), a), ((1, 0), b)))
+    rows.append({})
+    rng.shuffle(rows)
+    return (kernel._reals(rows) if field == "Q" else rows), ncols
+
+
+def _fraction_rows(rows: list[dict], ncols: int, field: str) -> list[list]:
+    """Elimination rows as dense Fractions over Q, or (re, im) Fraction pairs over Q(i)."""
+    if field == "Q":
+        return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+    return [[tuple(map(Fraction, row.get(j, (0, 0)))) for j in range(ncols)] for row in rows]
+
+
+def _c_over(a, b):
+    """The quotient a / b of complex Fractions given as (re, im) pairs."""
+    (x, y), (u, v) = a, b
+    n = u * u + v * v
+    return ((x * u + y * v) / n, (y * u - x * v) / n)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_echelon_insertion_keeps_the_column_sweeps_pivots(field):
+    # Over seeded pools and each pool reversed (so that rows of one length
+    # come in both orders): the pivot columns of the column sweep, each row
+    # zero before its pivot, the reduced rows primitive and, over their
+    # pivots, equal to the Fraction RREF, and the rank of the rows as they
+    # come (not made primitive) equal to the Fraction rank.
+    if field == "Q":
+        eliminate, rank, rref = kernel._q_eliminate, kernel.rank_q, kernel.rref_q
+    else:
+        eliminate, rank, rref = kernel._zi_eliminate, kernel.rank_qi, kernel.rref_qi
+    rng = random.Random(36)
+    ties = 0
+    for _ in range(150):
+        pool, ncols = _echelon_pool(rng, field)
+        lengths = [len(row) for row in pool if row]
+        ties += len(lengths) > len(set(lengths))
+        for rows in (pool, pool[::-1]):
+            got = kernel._echelon(rows, eliminate)
+            want = _column_sweep([row for row in rows if row], eliminate)
+            assert [col for col, _ in got] == [col for col, _ in want]
+            assert all(min(row) == col for col, row in got)
+            dense = _fraction_rows(rows, ncols, field)
+            red, piv = rref(rows, ncols)
+            primitive = kernel._primitive_q if field == "Q" else kernel._primitive_qi
+            assert all(primitive(row) == row for row in red)
+            red = zip(_fraction_rows(red, ncols, field), piv)
+            if field == "Q":
+                want_rows, want_piv = frac_rref(dense, ncols)
+                mine = [[x / row[p] for x in row] for row, p in red]
+                assert rank(rows, ncols) == frac_rank(dense)
+            else:
+                want_rows, want_piv = frac_rref_qi(dense, ncols)
+                mine = [[_c_over(x, row[p]) for x in row] for row, p in red]
+                assert rank(rows, ncols) == _realified_rank(dense)
+            assert piv == want_piv and mine == want_rows[: len(piv)]
+    assert ties >= 100
