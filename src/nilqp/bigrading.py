@@ -42,16 +42,17 @@ read as integers off `liealg.structure_table`, a vector is an exact vector
 ``(row, den)`` on the kernel's Z[i] rows, spans and memberships are read
 off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
 meets are null spaces (`kernel.null_space`, or `kernel.null_space_within`
-where a subspace is cut by more rows), and verification brackets on
-the same table, testing each generator that must be central once
-(`liealg._is_central`) instead of pair by pair.  On a real table, a pair
-of generators whose rows are the conjugates of a pair bracketed before,
-up to sign, takes that bracket's conjugate up to sign
-(`liealg._pair_brackets`), so the search's U and conj U cost h^2
-brackets, not h(2h - 1); a component whose
+where a subspace is cut by more rows).  Verification reads a grading's
+brackets from the one loop that `bigraded_cohomology`'s table reads
+(`cohomology._graded_brackets`): each pair formed once on the same table
+and solved in its target component, on one echelon per component.  It
+tests each generator that must be central once (`liealg._is_central`)
+instead of pair by pair.  On a real table, a pair of generators whose
+rows are the conjugates of a pair bracketed before, up to sign, takes that
+bracket's conjugate up to sign (`liealg._pair_brackets`), so the search's
+U and conj U cost h^2 brackets, not h(2h - 1).  A component whose
 conjugated rows are its mirror's rows passes the conjugation check without
-elimination, and a component's echelon is built only where a check reads
-it.  The J-space
+elimination.  The J-space
 construction keeps its solution space as integer matrices over one
 denominator and its candidates as integer coefficient tuples.  The
 constructions' number theory (lowest terms, exact square roots, rational
@@ -69,7 +70,7 @@ from itertools import accumulate, chain, combinations, islice, permutations, pro
 from math import lcm
 
 from ._arith import isqrt_exact, lowest_terms, rational_roots, solve_ternary
-from .cohomology import _central_generators, _graded_cohomology, _grading_table
+from .cohomology import _central_generators, _graded_brackets, _graded_cohomology, _solved_table
 from .errors import (
     AmbientMismatch,
     GradingNotCompatible,
@@ -82,7 +83,6 @@ from .exact import ExactMatrix, RowReducer, Subspace, Vector, _conjugate_row
 from .liealg import (
     LieAlgebra,
     _moved_table,
-    _pair_brackets,
     _real_form,
     center,
     commutator_ideal,
@@ -237,38 +237,32 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     """`verify_bigrading` of ``g`` on L, from the generators' Z[i] rows.
 
     ``rows`` holds each component's generators as Z[i] rows keyed by
-    bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans,
-    memberships and containments do not depend on scale and are read off
-    echelons (`kernel.zi_insert`/`kernel.zi_reduce`): the spans off one
-    echelon that takes the lowest weight first, and a component's own
-    echelon is built only where a check reads it.  Brackets are formed on
-    `structure_table` (`liealg._pair_brackets`), and conjugation by
-    `_conjugation`.
+    bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans and
+    containments do not depend on scale and are read off echelons
+    (`kernel.zi_insert`/`kernel.zi_reduce`): the spans off one echelon that
+    takes the lowest weight first, and a mirror component's echelon only
+    where the conjugation check (`_conjugation`) reads it.
 
-    Each generator of a component whose every pairing targets a bidegree
-    absent from the grading, such as the (-1, -1) component of the
-    restricted shape, is first tested once on the table
-    (`cohomology._central_generators`).  Every pair that involves one that
-    passes is skipped: its bracket is zero, so it adds no failure.  On a
-    real table, a pair of generators whose rows are the conjugates of a
-    pair bracketed before takes the conjugate of that bracket.  Every other
-    pair is bracketed, so the failures, their order and the report are
-    those of bracketing every pair.  A component whose rows, conjugated,
-    are its mirror's rows passes the conjugation check without
-    elimination.  The tests read the table alone, never the center or C^1
-    computed from it, which verification must not lean on.
+    The brackets come from `cohomology._graded_brackets`, the one loop that
+    the grading table reads too: each live pair is bracketed once and
+    solved in its target component, one echelon per component, and a
+    bracket with no solution is a failure.  Each generator of a component
+    whose every pairing targets a bidegree absent from the grading, such as
+    the (-1, -1) component of the restricted shape, is first tested once on
+    the table (`cohomology._central_generators`).  Every pair that involves
+    one that passes is skipped: its bracket is zero, so it adds no failure.
+    On a real table, a pair of generators whose rows are the conjugates of
+    a pair bracketed before takes the conjugate of that bracket.  Every
+    other pair is bracketed, so the failures, their order and the report
+    are those of bracketing every pair.  A general shape's support check
+    ranks the table written from the same solutions
+    (`cohomology._solved_table`), with no second bracket.  A component whose
+    rows, conjugated, are its mirror's rows passes the conjugation check
+    without elimination.  The tests read the table alone, never the center
+    or C^1 computed from it, which verification must not lean on.
     """
     n = L.dim
     failures: list = []
-    echelons: dict = {}
-
-    def echelon(key):
-        if key not in echelons:
-            echelons[key] = []
-            for row in rows[key]:
-                kernel.zi_insert(echelons[key], row)
-        return echelons[key]
-
     rank = None
     if g.total_generators == n:
         # Lowest weight first: the search's (-1, -1) rows are the center's
@@ -289,98 +283,61 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
         )
 
     bracket_ok = True
-    central = None
+    solved: dict = {}
     if spans:
-        bracket = _pair_brackets(
-            structure_table(L), [row for comp_rows in rows.values() for row in comp_rows], n
-        )
-        # A generator that passes brackets to zero with every other: skip its pairs.
         central = _central_generators(L, rows)
-        live, start = {}, 0
-        for key, comp_rows in rows.items():
-            live[key] = [t for t in range(start, start + len(comp_rows)) if t not in central]
-            start += len(comp_rows)
-        comps = list(g.components)
-        for a in range(len(comps)):
-            for b in range(a, len(comps)):
-                ca, cb = comps[a], comps[b]
-                target = (ca.p + cb.p, ca.q + cb.q)
-                ua, ub = live[ca.p, ca.q], live[cb.p, cb.q]
-                pairs = combinations(ua, 2) if a == b else product(ua, ub)
-                for s, t in pairs:
-                    w = bracket(s, t)
-                    if not w:
-                        continue
-                    if target not in rows:
-                        bracket_ok = False
-                        failures.append(
-                            {
-                                "check": "bracket",
-                                "detail": f"[{ca.p},{ca.q}] x [{cb.p},{cb.q}] hits "
-                                f"absent bidegree {target}",
-                            }
-                        )
-                    elif kernel.zi_reduce(w, echelon(target)):
-                        bracket_ok = False
-                        failures.append(
-                            {
-                                "check": "bracket",
-                                "detail": f"bracket of ({ca.p},{ca.q}) and "
-                                f"({cb.p},{cb.q}) generators leaves the "
-                                f"{target} component",
-                            }
-                        )
+        for ij, (p, q), (a, b), target, solution in _graded_brackets(L, rows, central):
+            if solution is not None:
+                solved[ij] = solution
+                continue
+            bracket_ok = False
+            if target not in rows:
+                detail = f"[{p},{q}] x [{a},{b}] hits absent bidegree {target}"
+            else:
+                detail = (
+                    f"bracket of ({p},{q}) and ({a},{b}) generators leaves the {target} component"
+                )
+            failures.append({"check": "bracket", "detail": detail})
 
-    conjugation = "exact"
+    conjugation = "fails"
     if spans:
         conj, _ = _conjugation(L)
         exact_all = True
         lax_all = True
         for c in g.components:
             img = [conj(row) for row in rows[c.p, c.q]]
-            if img == rows.get((c.q, c.p)):
+            mirror_rows = rows.get((c.q, c.p), [])
+            if img == mirror_rows:
                 continue
-            mirror = echelon((c.q, c.p)) if (c.q, c.p) in rows else []
-            # conj maps the component's span onto the span of img, so
+            mirror: list = []
+            for row in mirror_rows:
+                kernel.zi_insert(mirror, row)
+            # The generators are independent, so each component's rank is its
+            # size.  conj maps the component's span onto the span of img, so
             # img equals the mirror when it has the same rank and lies in it.
-            if len(echelon((c.p, c.q))) != len(mirror) or any(
-                kernel.zi_reduce(row, mirror) for row in img
-            ):
+            if len(img) != len(mirror) or any(kernel.zi_reduce(row, mirror) for row in img):
                 exact_all = False
-                allowed = list(mirror)
+                allowed = mirror
                 for (p, q), comp_rows in rows.items():
                     if p + q < c.p + c.q:
                         for row in comp_rows:
                             kernel.zi_insert(allowed, row)
                 if any(kernel.zi_reduce(row, allowed) for row in img):
                     lax_all = False
-                    failures.append(
-                        {
-                            "check": "conjugation",
-                            "detail": f"conj of ({c.p},{c.q}) not inside "
-                            f"({c.q},{c.p}) + lower weight",
-                        }
-                    )
+                    detail = f"conj of ({c.p},{c.q}) not inside ({c.q},{c.p}) + lower weight"
                 else:
-                    failures.append(
-                        {
-                            "check": "conjugation",
-                            "detail": f"conj of ({c.p},{c.q}) equals ({c.q},{c.p}) "
-                            "only modulo lower weight",
-                        }
-                    )
+                    detail = f"conj of ({c.p},{c.q}) equals ({c.q},{c.p}) only modulo lower weight"
+                failures.append({"check": "conjugation", "detail": detail})
         conjugation = "exact" if exact_all else ("mod_lower_weight" if lax_all else "fails")
-    else:
-        conjugation = "fails"
 
     # In the restricted shape dual generators carry bidegrees (1,0), (0,1),
     # (1,1); a degree-j monomial with a + b + c = j of them sits at (a+c,
     # b+c), which obeys j <= p+q <= 2j and 0 <= p,q <= j outright.
     support_ok = box_ok = spans and bracket_ok
     if support_ok and not g.is_restricted_shape():
-        # The generators span and the brackets keep bidegrees, so the table
-        # in their basis is compatible; the scale of the rows does not matter.
-        table = _graded_cohomology(n, *_grading_table(L, rows, 1, central))
+        # The generators span and every bracket was solved in its target, so
+        # the table in their basis keeps bidegrees; the rows' scale does not matter.
+        table = _graded_cohomology(n, *_solved_table(L, rows, 1, solved))
         for (j, p, q, d) in table.by_bidegree:
             if not j <= p + q <= 2 * j:
                 support_ok = False

@@ -29,9 +29,11 @@ dual bidegree (-p, -q), in the basis of the grading's generators.  That
 table is formed without inverting the basis (`_grading_table`): a
 compatible grading brackets two generators into the component of the sum
 of their bidegrees, so each bracket is solved in that component's
-generators alone, by one reduction of [T | I] per target component T.
-Only a bracket that hits an absent bidegree or leaves its target sends the
-table to `liealg._moved_table`, whose inverse gives the constants that
+generators alone, on one echelon of [T | I] per target component T.
+One loop, `_graded_brackets`, forms and solves the brackets for this
+table and for `bigrading.verify_bigrading`.  Only a bracket that hits an
+absent bidegree or leaves its target sends the table to
+`liealg._moved_table`, whose inverse gives the constants that
 GradingNotCompatible names.  On a real table the bracket of two generators
 whose rows are the conjugates of a pair already bracketed, up to sign, is
 that bracket's conjugate up to sign (`liealg._pair_brackets`), and the
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 from . import kernel
@@ -446,21 +448,17 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int, central=None):
 
     ``generators`` holds Z[i] rows over ``den`` keyed by bidegree (p, q)
     (`Bigrading.kernel_rows`); ``dual`` lists (-p, -q) in their order.  The
-    table is over Q(i) when L or a generator is, and it is
-    `liealg._moved_table`'s, in lowest terms.  Generators that are not a
-    basis, by one echelon that takes the lowest weight first, raise
+    table is `liealg._moved_table`'s, in lowest terms.  Generators that are
+    not a basis, by one echelon that takes the lowest weight first, raise
     GradingNotCompatible.
 
-    No inverse of the basis is formed: each bracket of two generators is
-    written in the generators of its target component, the sum of their
-    bidegrees (`_target_table`).  Only when a bracket hits an absent
-    bidegree or leaves its target does the table come from
+    No inverse of the basis is formed: the brackets come from
+    `_graded_brackets`, each solved in the generators of its target
+    component, and `_solved_table` writes them out.  Only when a bracket
+    hits an absent bidegree or leaves its target does the table come from
     `liealg._moved_table`, whose constants then name the first offender.
     The pairs of a generator that passes `_central_generators` (or is in
-    ``central``, its result when the caller has it) are zero and are not
-    formed, and on a real table the bracket of two generators whose rows
-    are the conjugates of a pair already bracketed, up to sign, is read off
-    that one (`liealg._pair_brackets`).
+    ``central``, an empty set to bracket every pair) are not formed.
     """
     n = L.dim
     rows = [row for comp_rows in generators.values() for row in comp_rows]
@@ -474,73 +472,88 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int, central=None):
     )
     if rank < n:
         raise GradingNotCompatible(f"grading has {n} generators of rank {rank} in dimension {n}")
-    field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
     if central is None:
         central = _central_generators(L, generators)
-    table = _target_table(L, generators, den, field, central)
-    if table is None:
-        table, _, _ = _moved_table(L, rows, den, field)
-    return table, [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
+    solved = {}
+    for ij, *_, solution in _graded_brackets(L, generators, central):
+        if solution is None:
+            return _solved_table(L, generators, den, None)
+        solved[ij] = solution
+    return _solved_table(L, generators, den, solved)
 
 
-def _target_table(L: LieAlgebra, generators: dict, den: int, field: str, central):
-    """`_grading_table`'s table with each bracket solved in its target component, or None.
+def _solved_table(L: LieAlgebra, generators: dict, den: int, solved: dict | None):
+    """`_grading_table`'s ``(table, dual)``, read off the solutions of `_graded_brackets`.
 
-    A component with the Z[i] rows T, k of them, is reduced once, as [T |
-    I] (`kernel.span`), into rows D [r_a | c_a] with r_a = c_a T, r_a being
-    1 at its pivot p_a and zero at the other pivots.  A bracket w lies in
-    span(T) exactly when D w = sum_a w[p_a] D r_a, and then its
-    coordinates in T are sum_a w[p_a] c_a.  None as soon as a bracket is
-    nonzero and its target is absent or does not hold it.
+    ``solved`` maps each pair (i, j) with a nonzero bracket to its
+    ``solution``, which holds s at column 2n and -s c_k at column n + k, c
+    the bracket's coordinates in the generators.  None, when a bracket had
+    no solution, takes `liealg._moved_table`.
     """
     n = L.dim
+    rows = [row for comp_rows in generators.values() for row in comp_rows]
+    field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
+    dual = [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
+    if solved is None:
+        return _moved_table(L, rows, den, field)[0], dual
     old = structure_table(L)
-    keys, rows, starts = [], [], {}
+    # Each c_k times m is -(-s c_k) conj(s) m / |s|^2.
+    m = lcm(*(x * x + y * y for x, y in (res[2 * n] for res in solved.values())))
+    table = {}
+    for ij, res in sorted(solved.items()):
+        x, y = res[2 * n]
+        f = m // (x * x + y * y)
+        coords = kernel.zi_combine(((-f * x, f * y), res)).items()
+        table[ij] = [(c - n, e) for c, e in sorted(coords) if c < 2 * n]
+    field = "Qi" if "Qi" in (old.field, field) else "Q"
+    return _lowest_table(field, den * old.den * m, table), dual
+
+
+def _graded_brackets(L: LieAlgebra, generators: dict, central: set):
+    """Each live pair of a grading's generators bracketed once, and solved in its target.
+
+    ``generators`` holds Z[i] rows keyed by bidegree, numbered in their
+    order, and the pairs of a position in ``central`` are skipped.  Pairs
+    come by components a <= b in that order, `combinations` within one and
+    `product` across two, bracketed by `liealg._pair_brackets`.  Each
+    nonzero bracket w yields ``((i, j), a, b, a + b, solution)``.
+
+    A target component is reduced once, on the first bracket that lands in
+    it: its rows t_k, each with a 1 appended at column n + k, go into one
+    echelon (`kernel.zi_insert`).  [w | 0 | 1], with the 1 at column 2n,
+    reduces on it to s [w | 0 | 1] - sum_k b_k [t_k | e_k], zero at every
+    pivot, whose first n columns vanish exactly when w lies in the target,
+    as sum_k (b_k / s) t_k.  That reduced row is ``solution``, and reading
+    the coordinates off it is left to the caller that needs them
+    (`_solved_table`).  ``solution`` is None when the target is absent or
+    misses w.
+    """
+    n = L.dim
+    starts, rows, live = {}, [], {}
     for key, comp_rows in generators.items():
         starts[key] = len(rows)
-        keys += [key] * len(comp_rows)
+        live[key] = [s for s in range(len(rows), len(rows) + len(comp_rows)) if s not in central]
         rows += comp_rows
-    bracket = _pair_brackets(old, rows, n)
-    solvers: dict = {}
-    solved = {}  # by pair (i, j): (coordinates times D, D)
-    for i, j in combinations([s for s in range(n) if s not in central], 2):
-        w = bracket(i, j)
-        if not w:
-            continue
-        (p, q), (a, b) = keys[i], keys[j]
-        target = (p + a, q + b)
-        if target not in generators:
-            return None
-        if target not in solvers:
-            solvers[target] = _component_solver(generators[target], starts[target], n)
-        pivots, d = solvers[target]
-        hit = [(w[c], r, x) for c, r, x in pivots if c in w]
-        if kernel.zi_combine(((d, 0), w), *(((-e, -f), r) for (e, f), r, _ in hit)):
-            return None
-        solved[i, j] = kernel.zi_combine(*((e, x) for e, _, x in hit)), d
-    m = lcm(*(d for _, d in solvers.values()))
-    table = {
-        ij: sorted((k, (x * (m // d), y * (m // d))) for k, (x, y) in coords.items())
-        for ij, (coords, d) in solved.items()
-    }
-    return _lowest_table("Qi" if "Qi" in (old.field, field) else "Q", den * old.den * m, table)
-
-
-def _component_solver(comp: list, offset: int, n: int):
-    """``(pivots, D)`` of `_target_table` for a component with the Z[i] rows ``comp``.
-
-    ``pivots`` lists (p_a, D r_a, D c_a), c_a indexed by the generators'
-    positions: ``comp`` starts at position ``offset``.
-    """
-    field = "Qi" if any(y for row in comp for _, y in row.values()) else "Q"
-    aug = [{**row, n + a: (1, 0)} for a, row in enumerate(comp)]
-    basis, d = kernel.zi_common(kernel.span(aug, n + len(comp), field))
-    pivots = []
-    for row in basis:
-        r = {c: e for c, e in row.items() if c < n}
-        x = {offset + c - n: e for c, e in row.items() if c >= n}
-        pivots.append((min(r), r, x))
-    return pivots, d
+    bracket = _pair_brackets(structure_table(L), rows, n)
+    keys = list(generators)
+    echelons: dict = {}
+    for x, a in enumerate(keys):
+        for b in keys[x:]:
+            target = (a[0] + b[0], a[1] + b[1])
+            for i, j in combinations(live[a], 2) if a == b else product(live[a], live[b]):
+                w = bracket(i, j)
+                if not w:
+                    continue
+                solution = None
+                if target in generators:
+                    if target not in echelons:
+                        echelons[target] = []
+                        for k, row in enumerate(generators[target], starts[target]):
+                            kernel.zi_insert(echelons[target], {**row, n + k: (1, 0)})
+                    res = kernel.zi_reduce({**w, 2 * n: (1, 0)}, echelons[target])
+                    if min(res) >= n:
+                        solution = res
+                yield (i, j), a, b, target, solution
 
 
 def _central_generators(L: LieAlgebra, generators: dict) -> set[int]:

@@ -20,7 +20,7 @@ import sys
 import tempfile
 
 from nilqp._arith import solve_ternary
-from nilqp.bigrading import Bigrading, SearchBounds
+from nilqp.bigrading import Bigrading, SearchBounds, verify_bigrading
 from nilqp.catalog import catalog_keys, export_entry, get
 from nilqp.checker import check
 from nilqp.cli import run
@@ -71,6 +71,9 @@ GOLDEN_MOVED_SUMS_BETTI_SHA256 = (
 )
 GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
     "bfd2c5c513b024efcf740928549e6445748e36a30f27ce73756009be5d6f6720"
+)
+GOLDEN_RESHUFFLED_VERIFY_SHA256 = (
+    "fe9571fe5dcd5087a7b58fec964942f09bfbf7c455ec75cb50b7c0b3c2fae007"
 )
 
 
@@ -211,14 +214,14 @@ def _bigraded_outcome(alg, grading) -> str:
     return repr((table.betti, table.by_bidegree))
 
 
-def reshuffled_bigraded_digest() -> str:
-    # Every catalog grading, three seeded reshuffles of its generators
-    # (mostly incompatible: the digest holds the exception's message), and
-    # a rationally moved copy under the grading carried along, then
-    # reshuffled.  The digest was recorded before the bidegree blocks and
-    # the Betti numbers were ranked by one routine.
+def _reshuffled_runs():
+    """``(label, algebra, grading)`` for every catalog grading, its reshuffles and its moved copy.
+
+    Each grading runs as stored, then three seeded reshuffles of its
+    generators (mostly incompatible), then a rationally moved copy under the
+    grading carried along, then a reshuffle of that.
+    """
     rng = random.Random(22)
-    digest = hashlib.sha256()
     for key in catalog_keys():
         entry = get(key)
         alg = entry.algebra if entry.algebra.field == "Qi" else complexify(entry.algebra)
@@ -230,8 +233,30 @@ def reshuffled_bigraded_digest() -> str:
             runs += [(alg, _reshuffled(grading, rng)) for _ in range(3)]
             runs += [(moved, carried), (moved, _reshuffled(carried, rng))]
             for case, (target, g) in enumerate(runs):
-                digest.update(f"{key} {number} {case}\n".encode())
-                digest.update(_bigraded_outcome(target, g).encode())
+                yield f"{key} {number} {case}\n", target, g
+
+
+def reshuffled_bigraded_digest() -> str:
+    # The runs of `_reshuffled_runs`; an incompatible grading's digest holds
+    # the exception's message.  The digest was recorded before the bidegree
+    # blocks and the Betti numbers were ranked by one routine.
+    digest = hashlib.sha256()
+    for label, target, g in _reshuffled_runs():
+        digest.update(label.encode())
+        digest.update(_bigraded_outcome(target, g).encode())
+    return digest.hexdigest()
+
+
+def reshuffled_verify_digest() -> str:
+    # The strict and lax `GradingReport` of every run of `_reshuffled_runs`:
+    # its failures, their order and their texts.  The digest was recorded
+    # while verification and the grading table still bracketed each pair in
+    # two loops.
+    digest = hashlib.sha256()
+    for label, target, g in _reshuffled_runs():
+        digest.update(label.encode())
+        for mode in ("strict", "lax"):
+            digest.update(repr(verify_bigrading(target, g, mode)).encode())
     return digest.hexdigest()
 
 
@@ -263,6 +288,7 @@ def main() -> int:
             ("moved sums check", moved_sums_check_digest, GOLDEN_MOVED_SUMS_CHECK_SHA256),
             ("moved sums betti", moved_sums_betti_digest, GOLDEN_MOVED_SUMS_BETTI_SHA256),
             ("reshuffled bigraded", reshuffled_bigraded_digest, GOLDEN_RESHUFFLED_BIGRADED_SHA256),
+            ("reshuffled verify", reshuffled_verify_digest, GOLDEN_RESHUFFLED_VERIFY_SHA256),
             ("solve_ternary", solve_ternary_digest, GOLDEN_SOLVE_TERNARY_SHA256),
         ]
         failed = 0

@@ -19,8 +19,9 @@ from nilqp import (
     direct_sum,
     exterior_basis,
     top_class_bidegree,
+    verify_bigrading,
 )
-from nilqp import cohomology, kernel, liealg
+from nilqp import bigrading, cohomology, kernel, liealg
 from nilqp.catalog import catalog_keys, get
 from nilqp.cohomology import _commutator_adapted_table, _core_table
 from nilqp.liealg import lower_central_series, structure_table
@@ -341,6 +342,8 @@ def test_grading_table_brackets_each_conjugate_pair_once(monkeypatch, key, brack
     # (-1, -1) rows are purely imaginary (conj z = -z).  N1_84 and 37B are
     # graded by real unit vectors, each its own conjugate, so all 6 pairs of
     # their 4 generators outside the (-1, -1) component are formed.
+    # Verification reads the same loop, so it forms as many in either mode,
+    # also on g_sec6's general shape, whose support check ranks the table.
     calls = [0]
     original = liealg._zi_bracket
 
@@ -348,13 +351,18 @@ def test_grading_table_brackets_each_conjugate_pair_once(monkeypatch, key, brack
         calls[0] += 1
         return original(*args)
 
-    for module in (cohomology, liealg):
+    for module in (bigrading, cohomology, liealg):
         if hasattr(module, "_zi_bracket"):
             monkeypatch.setattr(module, "_zi_bracket", counted)
     entry = get(key)
     alg = entry.algebra if entry.algebra.field == "Qi" else complexify(entry.algebra)
-    bigraded_cohomology(alg, entry.known_bigradings[0])
+    grading = entry.known_bigradings[0]
+    bigraded_cohomology(alg, grading)
     assert calls[0] == brackets
+    for mode in ("strict", "lax"):
+        calls[0] = 0
+        assert verify_bigrading(alg, grading, mode).valid
+        assert calls[0] == brackets, mode
 
 
 def test_top_class_bidegrees():

@@ -16,6 +16,7 @@ from golden import (
     GOLDEN_MOVED_SUMS_CHECK_SHA256,
     GOLDEN_REPORT_SHA256,
     GOLDEN_RESHUFFLED_BIGRADED_SHA256,
+    GOLDEN_RESHUFFLED_VERIFY_SHA256,
     GOLDEN_SOLVE_TERNARY_SHA256,
 )
 
@@ -50,6 +51,10 @@ def test_moved_sum_betti_numbers_and_representatives_match_golden_digest():
 
 def test_reshuffled_and_moved_bigraded_cohomology_match_golden_digest():
     assert golden.reshuffled_bigraded_digest() == GOLDEN_RESHUFFLED_BIGRADED_SHA256
+
+
+def test_reshuffled_and_moved_verification_reports_match_golden_digest():
+    assert golden.reshuffled_verify_digest() == GOLDEN_RESHUFFLED_VERIFY_SHA256
 
 
 def test_solve_ternary_matches_golden_digest():

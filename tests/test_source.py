@@ -207,6 +207,8 @@ _VERIFICATION = (
     ("bigrading", "_verify_rows"),
     ("bigrading", "_conjugation"),
     ("cohomology", "_central_generators"),
+    ("cohomology", "_graded_brackets"),
+    ("cohomology", "_solved_table"),
     ("liealg", "_is_central"),
     ("liealg", "_pair_brackets"),
 )
