@@ -1378,11 +1378,15 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     spends its size off the budget, stopping where the budget does, with one
     `RowReducer.add` on the empty row per candidate on one shared empty
     reducer, and no candidate of it is listed.  The others are listed
-    (`_block_terms`), each tested on a fresh reducer, and only one that
-    passes is formed.  So every candidate makes one `add` on its combined
-    residual, zero or not, and the count of those calls, which perfbench
-    reads as the nodes searched, is the same as when every candidate was
-    tested on its own.  U is returned as the exact vectors chosen.
+    (`_block_terms`), and each is tested directly: its combined residuals
+    r1 and r2, of the candidate and of its conjugate, must span a plane
+    (`kernel.zi_plane`), which forms no echelon and divides out no content.
+    Only a candidate that passes is formed.  Each listed candidate makes
+    the `add` calls that a fresh reducer of r1 and r2 would take, on the
+    same shared empty reducer: one, and a second when r1 is not zero.  So
+    the count of those calls, which perfbench reads as the nodes searched,
+    is the same as when every candidate was tested on a reducer of its
+    own.  U is returned as the exact vectors chosen.
     """
     v, h, bounds = frame.v, frame.h, frame.bounds
     seeds = [vec for grp in groups for vec in grp]
@@ -1418,8 +1422,8 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     budget = [bounds.max_nodes]
     coeffs = [c for c in bounds.coefficients if c]
 
-    # Every candidate with zero residuals makes its one `add` on the empty
-    # row, which leaves this reducer empty.
+    # Every candidate makes its `add`s on the empty row, which leaves this
+    # reducer empty.
     add_empty = RowReducer(v).add
     no_row: kernel.ZiRow = {}
 
@@ -1431,9 +1435,9 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
         # satisfy them; the rows ``new`` of the last generator cut all three.
         # A candidate u is independent of the generators when rho(u) and
         # rho(conj u) span a plane, for the linear reduction rho modulo S
-        # (`kernel.zi_residual`).  A block whose pool rows all have rho = 0
-        # makes only its `add`s on the empty row: perfbench counts one
-        # `add` per candidate as a node.
+        # (`kernel.zi_residual`); `kernel.zi_plane` tests that on the two
+        # combined residuals, with no reducer.  perfbench counts the `add`s
+        # on the empty row as the nodes searched.
         if len(chosen) == h:
             return chosen
         space = kernel.null_space_within(spaces[0], new, "Qi")
@@ -1448,8 +1452,9 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
         rows, den = _complex_pool(w, constraints, space, spaces[1:], chosen, alive)
         res = [kernel.zi_residual(row, red.rows) for row in rows]
         res_conj: list = [None] * len(rows)
+        live = {i for i, r in enumerate(res) if r}
         for block, size in _candidate_blocks(len(rows), bounds.depth, len(coeffs)):
-            if not any(res[i] for i in block):
+            if live.isdisjoint(block):
                 taken = min(size, budget[0])
                 budget[0] -= taken
                 for _ in repeat(None, taken):
@@ -1464,13 +1469,15 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
                 if budget[0] <= 0:
                     return None
                 budget[0] -= 1
-                quot = RowReducer(v)
-                if not (
-                    quot.add(kernel.zi_combine(*((c, res[i]) for c, i in terms)))
-                    and quot.add(
-                        kernel.zi_combine(*(((cr, -ci), res_conj[i]) for (cr, ci), i in terms))
-                    )
-                ):
+                # The calls that a reducer of rho(u) and rho(conj u) would take:
+                # one, and a second when rho(u) is not zero.
+                add_empty(no_row)
+                first = kernel.zi_combine(*[(c, res[i]) for c, i in terms])
+                if not first:
+                    continue
+                add_empty(no_row)
+                second = kernel.zi_combine(*[((cr, -ci), res_conj[i]) for (cr, ci), i in terms])
+                if not kernel.zi_plane(first, second):
                     continue
                 cand = kernel.zi_combine(*((c, rows[i]) for c, i in terms))
                 grown = red.copy()

@@ -344,17 +344,19 @@ class RowReducer:
     Rows are kept as primitive sparse Z[i] rows (the kernel's
     ``{column: (re, im)}``: denominators cleared, content divided out) in
     echelon form, and a vector is reduced fraction-free against them
-    (`kernel.zi_reduce`).  Only zero tests are asked of the result, so no
-    row is ever divided by its lead.  `add` and `contains` take a sequence
-    of scalars or a row already encoded by the kernel (`kernel.zi_rows`);
-    any nonzero multiple of a vector spans the same line, so the scale of
-    an encoded row does not matter.  `copy` is cheap: rows are never
-    changed in place, so a copy shares them.  `add` returns False at once
-    on the empty row.  The bigrading search keeps one reducer per level,
-    tests each candidate on a fresh reducer of its residuals modulo those
-    rows (`kernel.zi_residual`), and copies only for a candidate that
-    passes; a candidate whose residuals are all zero makes its one `add` on
-    the empty row, on one empty reducer that the whole search shares.
+    (`kernel.zi_reduce`), with no content divided out until a row is kept.
+    Only zero tests are asked of the result, so no row is ever divided by
+    its lead.  `add` and `contains` take a sequence of scalars or a row
+    already encoded by the kernel (`kernel.zi_rows`); any nonzero multiple
+    of a vector spans the same line, so the scale of an encoded row does
+    not matter.  `copy` is cheap: rows are never changed in place, so a
+    copy shares them.  `add` returns False at once on the empty row.  The
+    bigrading search keeps one reducer per level, tests each candidate's
+    residuals modulo those rows (`kernel.zi_residual`) for a plane with
+    `kernel.zi_plane`, and copies only for a candidate that passes.  Each
+    candidate makes the `add` calls that a fresh reducer of its residuals
+    would take, one and a second when its first residual is not zero, on
+    the empty row of one empty reducer that the whole search shares.
     """
 
     __slots__ = ("ncols", "rows")

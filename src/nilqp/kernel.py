@@ -21,20 +21,27 @@ is the empty, false dict.  A row over Q has zero imaginary parts.
   and the incremental echelon (`zi_reduce`/`zi_insert`) of
   ``exact.RowReducer`` and of the cohomology representatives share
   one elimination step per field, `_q_eliminate` and `_zi_eliminate`:
-  a * v - b * pivot with a / b = pivot[col] / v[col], then the row's content
-  (over Q(i), a gcd in Z[i]) divided out.  No row is ever divided by a
-  pivot: this is fraction-free elimination (Bareiss, Math. Comp. 22 (1968)
-  565-578; Nakos, Turner and Williams, ACM SIGSAM Bull. 31(3) (1997)
-  11-19).  Rank and reduced form run on one loop, `_echelon`, which
+  a * v - b * pivot with a / b = pivot[col] / v[col].  No row is ever
+  divided by a pivot: this is fraction-free elimination (Bareiss, Math.
+  Comp. 22 (1968) 565-578; Nakos, Turner and Williams, ACM SIGSAM Bull.
+  31(3) (1997) 11-19).  Nor does a step divide out the row's content (over
+  Q(i), a gcd in Z[i]): that is done once, to a row that is kept, since
+  the rows eliminated on the way to it, or to zero, are read once and
+  dropped.  Rank and reduced form run on one loop, `_echelon`, which
   inserts the rows shortest first, each eliminated by the pivot of its
   lowest column until it is empty or holds a free lowest column: its work
-  follows the nonzeros of the rows it combines.  Rank takes the rows as
-  they come, since each elimination divides out the content.  The reduced
-  form makes its rows primitive first (a row that is never eliminated is
-  returned as it came), back-substitutes with the same step and returns
-  primitive rows, which `span` divides by their pivot entries to read off
-  the unique reduced row echelon form.  `zi_residual` reduces modulo such
-  an echelon without dividing, so that it stays linear.
+  follows the nonzeros of the rows it combines.  A row made by elimination
+  is made primitive when it becomes a pivot; a row that becomes a pivot as
+  it came stays as it came, so rank takes the rows as they come.  The
+  reduced form makes its rows primitive first, back-substitutes with the
+  same step, makes each row that back-substitution changed primitive once
+  more, and returns primitive rows, which `span` divides by their pivot
+  entries to read off the unique reduced row echelon form.  `zi_reduce`
+  divides out nothing, as only zero tests and lead-normalized solutions
+  are read off its result; `zi_insert` makes the row that it appends
+  primitive.  `zi_residual` reduces modulo such an echelon without
+  dividing, so that it stays linear, and `zi_plane` tells whether two rows
+  span a plane without an echelon at all.
 * `span` returns the reduced basis of a span as exact vectors ``(row,
   den)`` in lowest terms (`q_exact`, `zi_exact`), so that equal vectors are
   equal pairs, and `null_space` is the span of [M^T | I] with the first
@@ -115,12 +122,12 @@ def decode(row: ZiRow, den: int, ncols: int, field: str) -> tuple:
 
 def rank_q(rows: list[dict], ncols: int) -> int:
     """Rank over Q of sparse integer rows ``{column: int}``, columns below ``ncols``."""
-    return len(_echelon(rows, _q_eliminate))
+    return len(_echelon(rows, _q_eliminate, _primitive_q))
 
 
 def rank_qi(rows: list[ZiRow], ncols: int) -> int:
     """Rank over Q(i) of sparse Z[i] rows ``{column: (re, im)}``, columns below ``ncols``."""
-    return len(_echelon(rows, _zi_eliminate))
+    return len(_echelon(rows, _zi_eliminate, _primitive_qi))
 
 
 def rref_q(rows: list[dict], ncols: int, skip: int = 0) -> tuple[list[dict], list[int]]:
@@ -131,12 +138,12 @@ def rref_q(rows: list[dict], ncols: int, skip: int = 0) -> tuple[list[dict], lis
     row by its entry at its pivot gives the nonzero rows of the unique
     reduced form that vanish on the first ``skip`` columns.
     """
-    return _reduced([_primitive_q(row) for row in rows if row], _q_eliminate, skip)
+    return _reduced([_primitive_q(row) for row in rows if row], _q_eliminate, _primitive_q, skip)
 
 
 def rref_qi(rows: list[ZiRow], ncols: int, skip: int = 0) -> tuple[list[ZiRow], list[int]]:
     """Reduced row echelon form over Q(i) of sparse Z[i] rows; as `rref_q`."""
-    return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate, skip)
+    return _reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate, _primitive_qi, skip)
 
 
 def rank(rows: list[ZiRow], ncols: int, field: str) -> int:
@@ -239,7 +246,7 @@ def q_exact(row: dict, lead: int) -> tuple[ZiRow, int]:
     return {j: (x // g, 0) for j, x in row.items()}, row[lead] // g
 
 
-def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
+def _echelon(pool: list[dict], eliminate, primitive) -> list[tuple[int, dict]]:
     """Echelon form of rows, as ``(pivot column, row)`` pairs in column order.
 
     The rows are inserted shortest first (a stable sort), to limit fill-in.
@@ -247,35 +254,45 @@ def _echelon(pool: list[dict], eliminate) -> list[tuple[int, dict]]:
     otherwise ``eliminate`` clears the column with that pivot, and the
     result goes on until it is empty or finds a free column.  So each
     returned row is zero before its own pivot, and each step reads only
-    the columns of the rows it combines.  The pivot columns are those of
-    the span's reduced form, whatever the order.  Empty rows add nothing;
-    rows are never changed in place.
+    the columns of the rows it combines.  The steps divide out no content:
+    ``primitive`` divides it out once, of a row that becomes a pivot after
+    at least one step, and a row that becomes a pivot as it came stays as
+    it came.  The pivot columns are those of the span's reduced form,
+    whatever the order.  Empty rows add nothing; rows are never changed in
+    place.
     """
     pivots: dict[int, dict] = {}
-    for row in sorted(pool, key=len):
+    for first in sorted(pool, key=len):
+        row = first
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                pivots[col] = row
+                pivots[col] = row if row is first else primitive(row)
                 break
             row = eliminate(row, pivot, col)
     return sorted(pivots.items())
 
 
-def _reduced(pool: list[dict], eliminate, skip: int) -> tuple[list[dict], list[int]]:
+def _reduced(pool: list[dict], eliminate, primitive, skip: int) -> tuple[list[dict], list[int]]:
     """`_echelon`'s rows with pivots at or after ``skip``, each later pivot cleared from them.
 
     A row of the echelon is zero before its pivot, so the rows kept are
     zero on the first ``skip`` columns, and back-substitution among them
-    alone gives the rows of the reduced form that vanish there.
+    alone gives the rows of the reduced form that vanish there.  A row
+    that back-substitution changed is made primitive once, when every
+    later pivot has been cleared from it; the others come back as
+    `_echelon` keeps them.
     """
-    pairs = [(col, row) for col, row in _echelon(pool, eliminate) if col >= skip]
+    pairs = [(col, row) for col, row in _echelon(pool, eliminate, primitive) if col >= skip]
     rows = [row for _, row in pairs]
     # Last pivot first: rows[k] is already zero at every later pivot, so
     # subtracting it keeps the rows above zero there too.
-    for k in range(len(pairs) - 1, 0, -1):
-        col, pivot = pairs[k][0], rows[k]
+    for k in range(len(pairs) - 1, -1, -1):
+        col, kept = pairs[k]
+        if rows[k] is not kept:
+            rows[k] = primitive(rows[k])
+        pivot = rows[k]
         for i in range(k):
             if col in rows[i]:
                 rows[i] = eliminate(rows[i], pivot, col)
@@ -283,22 +300,24 @@ def _reduced(pool: list[dict], eliminate, skip: int) -> tuple[list[dict], list[i
 
 
 def _q_eliminate(row: dict, pivot: dict, col: int) -> dict:
-    """a * row - b * pivot, zero in column ``col``, with its content divided out.
+    """a * row - b * pivot, zero in column ``col``, its content not divided out.
 
     a / b = pivot[col] / row[col] in lowest terms.  The zero row comes back
-    empty.
+    empty.  Only a row that is kept is made primitive (`_echelon`,
+    `_reduced`): the rows eliminated on the way to it, or to zero, never
+    are.
     """
     p, f = pivot[col], row[col]
     g = gcd(p, f)
     a, b = p // g, f // g
-    out = {j: a * x for j, x in row.items()}
+    out = dict(row) if a == 1 else {j: a * x for j, x in row.items()}
     for j, y in pivot.items():
         x = out.get(j, 0) - b * y
         if x:
             out[j] = x
         else:
             del out[j]
-    return _primitive_q(out) if out else out
+    return out
 
 
 def _primitive_q(vec: dict) -> dict:
@@ -358,13 +377,31 @@ def zi_conj(row: ZiRow) -> ZiRow:
 
 
 def zi_combine(*terms) -> ZiRow:
-    """The sum of ``c * row`` over the ``(c, row)`` terms, ``c = (re, im)`` in Z[i]."""
-    out: dict[int, tuple[int, int]] = {}
+    """The sum of ``c * row`` over the ``(c, row)`` terms, ``c = (re, im)`` in Z[i].
+
+    The first nonzero term is copied or scaled as a whole, and only a sum in
+    which two terms met at some column is searched for zero entries: Z[i]
+    has no zero divisors, so a nonzero c times a nonzero entry is nonzero.
+    """
+    out: ZiRow = {}
+    met = False
     for (cr, ci), row in terms:
+        if not (cr or ci):
+            continue
+        if not out:
+            if cr == 1 and not ci:
+                out = dict(row)
+            else:
+                out = {j: (cr * x - ci * y, cr * y + ci * x) for j, (x, y) in row.items()}
+            continue
         for j, (x, y) in row.items():
-            a, b = out.get(j, (0, 0))
-            out[j] = (a + cr * x - ci * y, b + cr * y + ci * x)
-    return {j: e for j, e in out.items() if e[0] or e[1]}
+            e = out.get(j)
+            if e is None:
+                out[j] = (cr * x - ci * y, cr * y + ci * x)
+            else:
+                out[j] = (e[0] + cr * x - ci * y, e[1] + cr * y + ci * x)
+                met = True
+    return {j: e for j, e in out.items() if e[0] or e[1]} if met else out
 
 
 def zi_int_row(ints) -> ZiRow:
@@ -443,16 +480,20 @@ def zi_common(vectors) -> tuple[list[ZiRow], int]:
 
 
 def _zi_eliminate(row: ZiRow, pivot: ZiRow, col: int) -> ZiRow:
-    """a * row - b * pivot, zero in column ``col``, with its content divided out.
+    """a * row - b * pivot, zero in column ``col``, its content not divided out.
 
     a / b = pivot[col] / row[col], both Gaussian integers divided by the
-    integer gcd of their four parts.  The zero row comes back empty.
+    integer gcd of their four parts.  The zero row comes back empty.  As
+    over Q, only a row that is kept is made primitive.
     """
     pr, pi = pivot[col]
     fr, fi = row[col]
     g = gcd(pr, pi, fr, fi)
     ar, ai, br, bi = pr // g, pi // g, fr // g, fi // g
-    out = {j: (ar * x - ai * y, ar * y + ai * x) for j, (x, y) in row.items()}
+    if ar == 1 and not ai:
+        out = dict(row)
+    else:
+        out = {j: (ar * x - ai * y, ar * y + ai * x) for j, (x, y) in row.items()}
     for j, (u, v) in pivot.items():
         x, y = out.get(j, (0, 0))
         x -= br * u - bi * v
@@ -461,7 +502,7 @@ def _zi_eliminate(row: ZiRow, pivot: ZiRow, col: int) -> ZiRow:
             out[j] = (x, y)
         else:
             del out[j]
-    return _primitive_qi(out) if out else out
+    return out
 
 
 def zi_reduce(row: ZiRow, echelon: list[tuple[int, ZiRow]]) -> ZiRow:
@@ -469,7 +510,9 @@ def zi_reduce(row: ZiRow, echelon: list[tuple[int, ZiRow]]) -> ZiRow:
 
     ``echelon`` holds ``(lead, row)`` pairs, each row nonzero at its lead and
     zero at the leads of the rows before it, as `zi_insert` builds them.  The
-    result is zero at every lead.
+    result is zero at every lead.  No step divides out its content, so the
+    result is ``row`` times a nonzero Gaussian integer plus a vector of the
+    span, at a scale that no caller reads.
     """
     for lead, pivot in echelon:
         if lead in row:
@@ -506,8 +549,31 @@ def zi_residual(row: ZiRow, echelon: list[tuple[int, ZiRow]]) -> ZiRow:
     return row
 
 
+def zi_plane(x: ZiRow, y: ZiRow) -> bool:
+    """Whether the Z[i] rows ``x`` and ``y`` span a plane over Q(i).
+
+    They do when x is not zero and x[j] * y - y[j] * x is not, at j = min x:
+    that row is zero at j, so it vanishes exactly when y is a multiple of x.
+    Its entries are compared as they are formed, and none is kept.
+    """
+    if not x:
+        return False
+    lead = min(x)
+    pr, pi = x[lead]
+    fr, fi = y.get(lead, (0, 0))
+    for j in x.keys() | y.keys():
+        xr, xi = x.get(j, (0, 0))
+        yr, yi = y.get(j, (0, 0))
+        if pr * yr - pi * yi != fr * xr - fi * xi or pr * yi + pi * yr != fr * xi + fi * xr:
+            return True
+    return False
+
+
 def zi_insert(echelon: list[tuple[int, ZiRow]], row: ZiRow) -> bool:
-    """Append ``row``, reduced, to ``echelon`` if nonzero; True when the span grew."""
+    """Append ``row``, reduced, to ``echelon`` if nonzero; True when the span grew.
+
+    The appended row is made primitive, the one division of its content.
+    """
     row = zi_reduce(row, echelon)
     if not row:
         return False

@@ -18,7 +18,9 @@ import io
 import random
 import sys
 import tempfile
+from itertools import combinations, permutations, product
 
+from nilqp import kernel
 from nilqp._arith import solve_ternary
 from nilqp.bigrading import Bigrading, SearchBounds, verify_bigrading
 from nilqp.catalog import catalog_keys, export_entry, get
@@ -74,6 +76,9 @@ GOLDEN_RESHUFFLED_BIGRADED_SHA256 = (
 )
 GOLDEN_RESHUFFLED_VERIFY_SHA256 = (
     "fe9571fe5dcd5087a7b58fec964942f09bfbf7c455ec75cb50b7c0b3c2fae007"
+)
+GOLDEN_LEAVING_BIGRADED_SHA256 = (
+    "8ba7b95658a96c8ade154f9bbfbd0b52e5f66cf6fc6f8b4178b9033de02b379c"
 )
 
 
@@ -260,6 +265,83 @@ def reshuffled_verify_digest() -> str:
     return digest.hexdigest()
 
 
+def _with_generator_moved(grading, src, k, dst):
+    """The grading with generator ``k`` of component ``src`` moved into component ``dst``."""
+    parts = [(c.p, c.q, list(c.generators)) for c in grading.components]
+    parts[dst][2].append(parts[src][2].pop(k))
+    return Bigrading.build(parts)
+
+
+def _leaves_only(alg, grading) -> bool:
+    """Whether the generators span and some bracket leaves its target, none reaching an absent one.
+
+    Read off `LieAlgebra.bracket` and ranks (`kernel.rank`), apart from the
+    grading table's own membership test.
+    """
+    comps = {(c.p, c.q): list(c.generators) for c in grading.components}
+
+    def rank(vectors):
+        return kernel.rank(kernel.zi_rows(vectors)[0], alg.dim, "Qi")
+
+    if rank([v for gens in comps.values() for v in gens]) < alg.dim:
+        return False
+    keys, leaves = list(comps), False
+    for x, a in enumerate(keys):
+        for b in keys[x:]:
+            target = (a[0] + b[0], a[1] + b[1])
+            for u, v in combinations(comps[a], 2) if a == b else product(comps[a], comps[b]):
+                w = alg.bracket(u, v)
+                if not any(w):
+                    continue
+                if target not in comps:
+                    return False
+                leaves = leaves or rank(comps[target] + [w]) > len(comps[target])
+    return leaves
+
+
+def _leaving_runs():
+    """``(label, algebra, grading)`` for the gradings whose brackets leave a present target.
+
+    From every catalog grading, over Q(i), and its rationally moved copy,
+    each generator of a component with two or more is moved into each other
+    component; a run is kept when every nonzero bracket lands in a bidegree
+    that the grading has, and some bracket leaves that component
+    (`_leaves_only`).  A
+    central generator moved out of the (-1, -1) component does this: the
+    brackets of U and conj U still target (-1, -1), which misses it now.
+    So the grading table is formed by `liealg._moved_table` because the
+    membership test of `cohomology._graded_brackets` fails, never because
+    a bidegree is absent.
+    """
+    rng = random.Random(38)
+    for key in catalog_keys():
+        entry = get(key)
+        alg = entry.algebra if entry.algebra.field == "Qi" else complexify(entry.algebra)
+        for number, grading in enumerate(entry.known_bigradings):
+            t = random_invertible_t(alg.dim, rng)
+            sizes = [len(c.generators) for c in grading.components]
+            for case, (target, g) in enumerate(
+                ((alg, grading), (apply_basis_change(alg, t), carried_grading(grading, t)))
+            ):
+                for src, dst in permutations(range(len(sizes)), 2):
+                    for k in range(sizes[src] if sizes[src] > 1 else 0):
+                        moved = _with_generator_moved(g, src, k, dst)
+                        if _leaves_only(target, moved):
+                            yield f"{key} {number} {case} {src} {k} {dst}\n", target, moved
+
+
+def leaving_bigraded_digest() -> str:
+    # The outcome of `bigraded_cohomology` on each of the 120 runs of
+    # `_leaving_runs`.  It pins the membership test of the grading table and
+    # the coordinates that it reads off; recorded while every elimination
+    # step still divided out its row's content.
+    digest = hashlib.sha256()
+    for label, target, g in _leaving_runs():
+        digest.update(label.encode())
+        digest.update(_bigraded_outcome(target, g).encode())
+    return digest.hexdigest()
+
+
 def solve_ternary_digest() -> str:
     # The solver's triple or None on the seeded equations of `test_arith`,
     # cleared of denominators, and on 3,000 seeded integer triples with
@@ -289,6 +371,7 @@ def main() -> int:
             ("moved sums betti", moved_sums_betti_digest, GOLDEN_MOVED_SUMS_BETTI_SHA256),
             ("reshuffled bigraded", reshuffled_bigraded_digest, GOLDEN_RESHUFFLED_BIGRADED_SHA256),
             ("reshuffled verify", reshuffled_verify_digest, GOLDEN_RESHUFFLED_VERIFY_SHA256),
+            ("leaving bigraded", leaving_bigraded_digest, GOLDEN_LEAVING_BIGRADED_SHA256),
             ("solve_ternary", solve_ternary_digest, GOLDEN_SOLVE_TERNARY_SHA256),
         ]
         failed = 0

@@ -1120,8 +1120,30 @@ def test_residuals_decide_as_the_reducer_does():
         grown = red.copy()
         want = grown.add(x) and grown.add(kernel.zi_conj(x))
         assert got == want
+        # The search's plane test decides as the fresh reducer does.
+        assert kernel.zi_plane(rho(x), rho(kernel.zi_conj(x))) == got
         seen.add((in_span, want))
     assert seen == {(True, False), (False, False), (False, True)}
+    # Edge cases of the plane test, each against a fresh reducer: an empty
+    # row either way, a Gaussian multiple, a single entry, and a pair that
+    # differs in one imaginary part only.
+    x = {0: (1, 2), 2: (3, 0), 4: (-1, 1)}
+    cases = [
+        (x, {}, False),
+        ({}, x, False),
+        ({}, {}, False),
+        (x, kernel.zi_combine(((2, -1), x)), False),
+        (x, kernel.zi_combine(((0, 3), x)), False),
+        ({3: (2, 1)}, {3: (0, 5)}, False),
+        ({3: (2, 1)}, {3: (1, 0), 4: (1, 1)}, True),
+        ({3: (2, 1)}, {1: (1, 0)}, True),
+        (x, {0: (1, 2), 2: (3, 1), 4: (-1, 1)}, True),
+        (x, {0: (1, 2), 2: (3, 0), 4: (-1, 1)}, False),
+    ]
+    for first, second, plane in cases:
+        quot = RowReducer(v)
+        assert (quot.add(first) and quot.add(second)) == plane
+        assert kernel.zi_plane(first, second) == plane
 
 
 def test_dfs_copies_the_reducer_only_for_candidates_that_pass(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 import golden
 from golden import (
     GOLDEN_CLI_SHA256,
+    GOLDEN_LEAVING_BIGRADED_SHA256,
     GOLDEN_MOVED_CHECK_SHA256,
     GOLDEN_MOVED_SUMS_BETTI_SHA256,
     GOLDEN_MOVED_SUMS_CHECK_SHA256,
@@ -55,6 +56,14 @@ def test_reshuffled_and_moved_bigraded_cohomology_match_golden_digest():
 
 def test_reshuffled_and_moved_verification_reports_match_golden_digest():
     assert golden.reshuffled_verify_digest() == GOLDEN_RESHUFFLED_VERIFY_SHA256
+
+
+def test_gradings_whose_brackets_leave_a_present_target_match_golden_digest():
+    # Every failing bracket of these runs lands in a bidegree the grading
+    # has, so the grading table leaves the solved path by its membership
+    # test alone.
+    assert sum(1 for _ in golden._leaving_runs()) == 120
+    assert golden.leaving_bigraded_digest() == GOLDEN_LEAVING_BIGRADED_SHA256
 
 
 def test_solve_ternary_matches_golden_digest():

@@ -475,8 +475,10 @@ def test_echelon_insertion_keeps_the_column_sweeps_pivots(field):
     # come (not made primitive) equal to the Fraction rank.
     if field == "Q":
         eliminate, rank, rref = kernel._q_eliminate, kernel.rank_q, kernel.rref_q
+        primitive = kernel._primitive_q
     else:
         eliminate, rank, rref = kernel._zi_eliminate, kernel.rank_qi, kernel.rref_qi
+        primitive = kernel._primitive_qi
     rng = random.Random(36)
     ties = 0
     for _ in range(150):
@@ -484,13 +486,12 @@ def test_echelon_insertion_keeps_the_column_sweeps_pivots(field):
         lengths = [len(row) for row in pool if row]
         ties += len(lengths) > len(set(lengths))
         for rows in (pool, pool[::-1]):
-            got = kernel._echelon(rows, eliminate)
+            got = kernel._echelon(rows, eliminate, primitive)
             want = _column_sweep([row for row in rows if row], eliminate)
             assert [col for col, _ in got] == [col for col, _ in want]
             assert all(min(row) == col for col, row in got)
             dense = _fraction_rows(rows, ncols, field)
             red, piv = rref(rows, ncols)
-            primitive = kernel._primitive_q if field == "Q" else kernel._primitive_qi
             assert all(primitive(row) == row for row in red)
             red = zip(_fraction_rows(red, ncols, field), piv)
             if field == "Q":
@@ -503,3 +504,113 @@ def test_echelon_insertion_keeps_the_column_sweeps_pivots(field):
                 assert rank(rows, ncols) == _realified_rank(dense)
             assert piv == want_piv and mine == want_rows[: len(piv)]
     assert ties >= 100
+
+
+def _content(rng: random.Random, field: str) -> tuple[int, int]:
+    """A Z[i] content: an integer up to 2**70, over Q(i) times (1 + i)^a (2 + i)^b."""
+    c = (rng.choice((-1, 1)) * rng.randint(1, 2**70), 0)
+    if field == "Qi":
+        for factor in [(1, 1)] * rng.randint(0, 8) + [(2, 1)] * rng.randint(0, 6):
+            c = _zi_mul(c, factor)
+    return c
+
+
+def _zi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _chain_pool(rng: random.Random, field: str, ncols: int, rank: int) -> list[dict]:
+    """Dense Z[i] rows of the given rank, each times a `_content`.
+
+    ``rank`` rows of small parts and a few combinations of them, shuffled:
+    of one length, so each row is inserted in turn and the later ones are
+    eliminated column by column through most of the pivots.
+    """
+
+    def part():
+        return rng.choice((-3, -2, -1, 1, 2, 3))
+
+    base = [
+        {j: (part(), part() if field == "Qi" else 0) for j in range(ncols)} for _ in range(rank)
+    ]
+    combos = [
+        kernel.zi_combine(*(((part(), 0), row) for row in rng.sample(base, 3))) for _ in range(5)
+    ]
+    rows = [kernel.zi_combine((_content(rng, field), row)) for row in base + combos]
+    rng.shuffle(rows)
+    return rows
+
+
+def _in_fraction_span(x: dict, rref_rows: list, pivots: list, ncols: int, field: str) -> bool:
+    """Whether the Z[i] row x lies in the span of a Fraction reduced row echelon form.
+
+    x minus x[p] times the row of each pivot p is zero exactly when it does.
+    """
+    if field == "Q":
+        rest = [Fraction(x.get(j, (0, 0))[0]) for j in range(ncols)]
+        for row, p in zip(rref_rows, pivots):
+            c = rest[p]
+            rest = [a - c * b for a, b in zip(rest, row)]
+        return not any(rest)
+    rest = [tuple(map(Fraction, x.get(j, (0, 0)))) for j in range(ncols)]
+    for row, p in zip(rref_rows, pivots):
+        c = rest[p]
+        rest = [tuple(a - b for a, b in zip(r, _zi_mul(c, y))) for r, y in zip(rest, row)]
+    return not any(a or b for a, b in rest)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi"])
+def test_elimination_keeps_content_until_a_row_is_kept(monkeypatch, field):
+    # Rows carry contents up to 2**70 (over Q(i) times powers of 1 + i and
+    # 2 + i) through chains of 20 and more elimination steps, none of which
+    # divides a content out.  The rank and the reduced form agree with the
+    # Fraction oracles, every reduced row and every row of an incremental
+    # echelon is primitive, `zi_reduce` empties exactly the rows of the
+    # span, and no input row is changed in place.
+    name = "_q_eliminate" if field == "Q" else "_zi_eliminate"
+    original = getattr(kernel, name)
+    last, chain, longest = [None], [0], [0]
+
+    def counted(row, pivot, col):
+        chain[0] = chain[0] + 1 if row is last[0] else 1
+        longest[0] = max(longest[0], chain[0])
+        last[0] = original(row, pivot, col)
+        return last[0]
+
+    monkeypatch.setattr(kernel, name, counted)
+    if field == "Q":
+        rank, rref = kernel.rank_q, kernel.rref_q
+    else:
+        rank, rref = kernel.rank_qi, kernel.rref_qi
+    rng = random.Random(38)
+    for _ in range(3):
+        ncols = rng.randint(22, 24)
+        rows = _chain_pool(rng, field, ncols, ncols - 2)
+        saved = [dict(row) for row in rows]
+        pool = kernel._reals(rows) if field == "Q" else rows
+        dense = _fraction_rows(pool, ncols, field)
+        red, piv = rref(pool, ncols)
+        fractions = zip(_fraction_rows(red, ncols, field), piv)
+        if field == "Q":
+            want_rows, want_piv = frac_rref(dense, ncols)
+            mine = [[x / row[p] for x in row] for row, p in fractions]
+            assert all(gcd(*row.values()) == 1 for row in red)
+        else:
+            want_rows, want_piv = frac_rref_qi(dense, ncols)
+            mine = [[_c_over(x, row[p]) for x in row] for row, p in fractions]
+            assert all(kernel._primitive_qi(row) == row for row in red)
+        assert piv == want_piv == list(range(ncols - 2))
+        assert mine == want_rows[: len(piv)]
+        assert rank(pool, ncols) == len(want_piv)
+        echelon: list = []
+        assert sum(kernel.zi_insert(echelon, row) for row in rows) == ncols - 2
+        assert all(kernel._primitive_qi(row) == row for _, row in echelon)
+        for trial in range(6):
+            x = kernel.zi_combine(*((_content(rng, field), row) for row in rng.sample(rows, 4)))
+            if trial % 2:
+                x = kernel.zi_combine(((1, 0), x), ((1, 0), {rng.randrange(ncols): (1, 0)}))
+            in_span = _in_fraction_span(x, want_rows[: len(piv)], piv, ncols, field)
+            assert (not kernel.zi_reduce(x, echelon)) == in_span
+            assert in_span == (trial % 2 == 0)
+        assert rows == saved
+    assert longest[0] >= 20
