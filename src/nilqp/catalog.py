@@ -30,7 +30,7 @@ from .bigrading import Bigrading
 from .errors import UnknownKey
 from .exact import ExactMatrix
 from .liealg import LieAlgebra, abelian, apply_basis_change, direct_sum
-from .scalars import Gaussian, Q1, Rational
+from .scalars import Gaussian, Q1, Rational, conj
 
 __all__ = ["CatalogEntry", "get", "catalog_keys", "export_entry"]
 
@@ -48,14 +48,14 @@ def _i(c: int = 1) -> Gaussian:
     return Gaussian(0, c)
 
 
-def _unit(n: int, idx, coeffs=None):
+def _unit(n: int, idx):
     """Coordinate vector with given entries, e.g. _unit(7, {0: 1, 2: -i})."""
     v = [Rational(0)] * n
     if isinstance(idx, dict):
         for k, c in idx.items():
             v[k] = c if not isinstance(c, int) else Rational(c)
     else:
-        v[idx] = Q1 if coeffs is None else coeffs
+        v[idx] = Q1
     return tuple(v)
 
 
@@ -264,9 +264,7 @@ _N82_GRADING_GENERATORS = {
 
 
 def _entrywise_conj(v):
-    from .scalars import conj as _conj
-
-    return tuple(_conj(x) for x in v)
+    return tuple(conj(x) for x in v)
 
 
 def _n82_grading(key: str) -> Bigrading:

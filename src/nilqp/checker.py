@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .bigrading import Bigrading, SearchBounds, search_bigrading
 from .catalog import _diagonal_grading, catalog_keys, get
-from .errors import InputError, NotLatticeAdmissible
+from .cohomology import top_class_bidegree
+from .errors import GradingNotDiagonal, InputError, NotLatticeAdmissible
 from .liealg import LieAlgebra, commutator_ideal, lower_central_series
 
 __all__ = [
@@ -71,14 +72,13 @@ class Verdict:
         return self.status == OBSTRUCTED
 
 
-def check(
-    spec: NilmanifoldSpec | LieAlgebra,
-    m: int | None = None,
-    bounds: SearchBounds | None = None,
-) -> Verdict:
-    """Run the full decision pipeline on a rational nilpotent Lie algebra."""
+def check(spec: NilmanifoldSpec | LieAlgebra, bounds: SearchBounds | None = None) -> Verdict:
+    """Run the full decision pipeline on a rational nilpotent Lie algebra.
+
+    A bare `LieAlgebra` is taken with m = 1; `NilmanifoldSpec` sets any other m.
+    """
     if isinstance(spec, LieAlgebra):
-        spec = NilmanifoldSpec(algebra=spec, m=1 if m is None else m)
+        spec = NilmanifoldSpec(algebra=spec, m=1)
     L = spec.algebra
     series = lower_central_series(L)  # raises NotNilpotent
     b1 = L.dim - commutator_ideal(L).dim  # C^1, the series' second term
@@ -207,9 +207,6 @@ def diagonal_h1_check(L: LieAlgebra, g: Bigrading) -> bool:
     (-1,-1); the algebra is then abelian.  Returns that conclusion, checking
     it against the algebra.
     """
-    from .cohomology import top_class_bidegree
-    from .errors import GradingNotDiagonal
-
     if not g.is_diagonal():
         raise GradingNotDiagonal(
             f"components at {g.bidegrees()} are not all diagonal"

@@ -25,7 +25,7 @@ from .checker import Verdict
 from .cohomology import CohomologyTable
 from .errors import ParseError, excerpt
 from .exact import ExactMatrix
-from .liealg import LieAlgebra, validate
+from .liealg import LieAlgebra
 from .scalars import Gaussian, Scalar, format_scalar, parse_scalar, past_digit_limit
 
 __all__ = [
@@ -118,7 +118,7 @@ def _require(data, key, types, path):
     return value
 
 
-def lie_algebra_from_json(data, path: str = "$", check: bool = True) -> LieAlgebra:
+def lie_algebra_from_json(data, path: str = "$") -> LieAlgebra:
     if not isinstance(data, dict):
         raise ParseError("algebra file must be a JSON object", path)
     name = _require(data, "name", str, path)
@@ -182,18 +182,14 @@ def lie_algebra_from_json(data, path: str = "$", check: bool = True) -> LieAlgeb
             raise ParseError(
                 f"real structure must be {dim}x{dim}", f"{path}.real_structure"
             )
-    alg = LieAlgebra.from_brackets(
+    return LieAlgebra.from_brackets(
         name=name,
         dim=dim,
         brackets=brackets,
         field=fielded,
         basis_names=tuple(basis),
         real_structure=real_matrix,
-        check=False,
     )
-    if check:
-        validate(alg)
-    return alg
 
 
 def bigrading_to_json(g: Bigrading) -> dict:

@@ -413,37 +413,21 @@ def _pair_brackets(table: StructureTable, rows: list, n: int):
 
 
 def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
-    """Span of [X_i, w] over all basis vectors X_i and w in the subspace.
+    """Span of [X_s, w] over all basis vectors X_s and w in the subspace.
 
-    The n brackets [X_i, w] of one basis row w of ``sub`` are read off the
-    rows of `structure_table`: a row [X_i, X_j], i < j, adds w_j [X_i, X_j]
-    to [X_i, w] and -w_i [X_i, X_j] to [X_j, w], each bracket summed as its
-    real and imaginary parts.  The rows go to the span in the order of w,
-    then of i.  The span is over L's field.
+    Each basis row w of ``sub`` takes its brackets from `_ad`, the one pass
+    over the rows of `structure_table` that verification's centrality test
+    `_is_central` also makes.  The rows go to the span in the order of w,
+    then of s.  The span is over L's field.
     """
     n = L.dim
-    # Each table row by the basis vectors it meets: X_j with sign 1, X_i with -1.
-    meets: dict[int, list] = {}
-    for (i, j), row in structure_table(L).rows.items():
-        meets.setdefault(j, []).append((i, 1, row))
-        meets.setdefault(i, []).append((j, -1, row))
+    table_rows = structure_table(L).rows
     rows = []
     for w, _ in sub.rows:
-        re: dict[int, list[int]] = {}
-        im: dict[int, list[int]] = {}
-        for j, (a, b) in w.items():
-            for i, sign, row in meets.get(j, ()):
-                if i not in re:
-                    re[i], im[i] = [0] * n, [0] * n
-                rr, ri = re[i], im[i]
-                a2, b2 = sign * a, sign * b
-                for k, (p, q) in row:
-                    rr[k] += a2 * p - b2 * q
-                    ri[k] += a2 * q + b2 * p
-        for i in sorted(re):
-            row = {k: (x, y) for k, (x, y) in enumerate(zip(re[i], im[i])) if x or y}
-            if row:
-                rows.append(row)
+        ad = _ad(table_rows, w, n)
+        for s in sorted(ad):
+            re, im = ad[s]
+            rows.append({k: (x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y})
     return Subspace._span(rows, n, L.field)
 
 
@@ -497,14 +481,13 @@ def _center_rows(table: StructureTable, n: int, pivots) -> list[tuple[kernel.ZiR
     return kernel.null_space(list(stacked.values()), n, table.field)
 
 
-def _is_central(table_rows: dict, x: kernel.ZiRow, n: int) -> bool:
-    """Whether [X_s, x] = 0 for every basis vector X_s, on the ``rows`` of a table.
+def _ad(table_rows: dict, x: kernel.ZiRow, n: int) -> dict[int, tuple[list[int], list[int]]]:
+    """Each nonzero [X_s, x] by s, as dense real and imaginary parts, on the ``rows`` of a table.
 
-    One pass over the rows, summed on dense lists as `_bracket_span` sums:
-    a row [X_i, X_j], i < j, adds x_j [X_i, X_j] to [X_i, x] and -x_i
-    [X_i, X_j] to [X_j, x], and every sum must vanish at each of the ``n``
-    columns.  It reads the table alone, none of the subspaces derived from
-    it.
+    One pass over the rows: a row [X_i, X_j], i < j, adds x_j [X_i, X_j]
+    to [X_i, x] and -x_i [X_i, X_j] to [X_j, x], each summed on two lists
+    of ``n`` ints.  It reads the table alone, none of the subspaces derived
+    from it.
     """
     re: dict[int, list[int]] = {}
     im: dict[int, list[int]] = {}
@@ -527,7 +510,15 @@ def _is_central(table_rows: dict, x: kernel.ZiRow, n: int) -> bool:
             for k, (p, q) in row:
                 rr[k] -= a * p - b * q
                 ri[k] -= a * q + b * p
-    return not any(any(rr) or any(im[s]) for s, rr in re.items())
+    return {s: (rr, im[s]) for s, rr in re.items() if any(rr) or any(im[s])}
+
+
+def _is_central(table_rows: dict, x: kernel.ZiRow, n: int) -> bool:
+    """Whether [X_s, x] = 0 for every basis vector X_s: `_ad` of x on the table's ``rows`` is empty.
+
+    The same pass that `_bracket_span` reads the lower central series from.
+    """
+    return not _ad(table_rows, x, n)
 
 
 @_fact

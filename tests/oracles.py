@@ -272,3 +272,26 @@ def oracle_basis_change(brackets, n, t, real=None):
     conj_t = [[(y[0], -y[1]) for y in col] for col in zip(*t)]
     left = inv_t if real is None else _c_matmul(inv_t, real)
     return out, _c_matmul(left, conj_t)
+
+
+def kronecker_two_step(indices):
+    """A two-step algebra whose pencil is a sum of singular Kronecker blocks.
+
+    Each minimal index e in ``indices`` gives a block L_e with basis
+    x_0..x_e, y_1..y_e, and the forms w1 = sum x_(j-1)^y_j and
+    w2 = sum x_j^y_j; every block shares the center z1, z2, the last two
+    basis vectors, and [a, b] = w1(a, b) z1 + w2(a, b) z2.  Returns
+    ``(n, brackets)`` with ``brackets`` as {(i, j): {k: 1}} for i < j.
+    """
+    n = sum(2 * e + 1 for e in indices) + 2
+    z1, z2 = n - 2, n - 1
+    brackets = {}
+    start = 0
+    for e in indices:
+        # x_j is start + j, y_j is start + e + j.
+        for j in range(1, e + 1):
+            y = start + e + j
+            brackets[(start + j - 1, y)] = {z1: 1}
+            brackets[(start + j, y)] = {z2: 1}
+        start += 2 * e + 1
+    return n, brackets

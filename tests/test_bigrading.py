@@ -70,7 +70,7 @@ from conftest import (
     random_gaussian_t,
     random_invertible_t,
 )
-from oracles import frac_rank, frac_rref_qi, oracle_bracket
+from oracles import frac_rank, frac_rref_qi, kronecker_two_step, oracle_bracket
 
 I = Gaussian(0, 1)
 
@@ -705,6 +705,31 @@ def test_regular_pencil_past_the_expanded_pfaffian():
         out = search_bigrading(alg)
         assert out.found, seed
         assert verify_bigrading(alg, out.bigrading, mode="strict").valid, seed
+
+
+def test_singular_pencil_past_the_expanded_pfaffian(monkeypatch):
+    # L2+L2 (two Kronecker blocks of minimal index 2) has v = 10 > 8 and
+    # dim C^1 = 2, and no member of its pencil is invertible: the Pfaffian
+    # is not expanded, so only (1, 0) seeds, and every member is solved in
+    # turn and fails.
+    tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (1, -2))
+    n, brackets = kronecker_two_step([2, 2])
+    base = LieAlgebra.from_brackets("L2+L2", n, brackets)
+    for seed in (None, 1, 2, 3):
+        alg = base
+        if seed is not None:
+            alg = apply_basis_change(base, random_invertible_t(n, random.Random(seed)))
+        frame = _TwoStepFrame(_realified(alg)[0], SearchBounds())
+        assert (frame.v, frame.c1.dim) == (10, 2), seed
+        assert _pencil_structure(frame) == (list(_kernel_groups(frame, [(1, 0)])), None), seed
+        for lam, mu in tries:
+            assert kernel.zi_solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam))) is None
+    # Unmoved, the seeded depth-first search over the singular pencil finds
+    # U.  The moved copies are not asserted: the search misses them today.
+    assert _traced_search(monkeypatch, base, decline=False) == (["singular_pencil_dfs"], 1, "found")
+    out = search_bigrading(base)
+    assert out.found
+    assert verify_bigrading(base, out.bigrading, mode="strict").valid
 
 
 def test_regular_pencil_forms_spans_only_as_completions_ask(monkeypatch):

@@ -868,42 +868,61 @@ def _fraction_brackets(L: LieAlgebra) -> dict:
 
 
 def test_is_central_agrees_with_the_fraction_bracket(rng):
-    # x is central exactly when the oracle brackets it to zero with every
-    # unit vector; x = a + ib is tested as its real and imaginary parts.
-    # The vectors: unit vectors, the center's basis, each center vector plus
-    # a unit vector, and the generators of the known gradings.
-    tested = central = 0
+    # x is central exactly when a reference brackets it to zero with every
+    # unit vector.  Over Q the reference is the Fraction oracle, which
+    # tests x = a + ib as its real and imaginary parts.  Over Q(i) (37B,
+    # 37D, N1_84, the complexifications of the rational entries, and a
+    # Gaussian-moved copy of each) it is `LieAlgebra.bracket`, which runs
+    # `_zi_bracket` on the table, not `_ad`.  The vectors: unit vectors, the
+    # center's basis, each center vector plus a unit vector (times 1 + i
+    # over Q(i)), and the generators of the known gradings.
+    tested = {"Q": 0, "Qi": 0}
+    central = {"Q": 0, "Qi": 0}
     for key in catalog_keys():
-        base = get(key).algebra
+        entry = get(key)
+        base = entry.algebra
         n = base.dim
-        if base.field != "Q" or not n:
+        if not n:
             continue
-        for alg in (base, apply_basis_change(base, random_invertible_t(n, rng))):
+        if base.field == "Q":
+            graded = complexify(base)
+            algs = [base, apply_basis_change(base, random_invertible_t(n, rng)), graded]
+        else:
+            graded = base
+            algs = [base]
+        algs.append(apply_basis_change(graded, random_gaussian_t(n, rng)))
+        for alg in algs:
             rows = structure_table(alg).rows
-            brackets = _fraction_brackets(alg)
             units = ExactMatrix.identity(n).entries
             z = center(alg).vectors()
+            c = Rational(1) if alg.field == "Q" else Gaussian(1, 1)
             vectors = list(units) + list(z)
-            vectors += [tuple(a + b for a, b in zip(v, u)) for v in z for u in units[:3]]
-            if alg is base:
-                gradings = get(key).known_bigradings
-                vectors += [v for g in gradings for c in g.components for v in c.generators]
-            e = [[Fraction(int(s == t)) for t in range(n)] for s in range(n)]
+            vectors += [tuple(a + c * b for a, b in zip(v, u)) for v in z for u in units[:3]]
+            if alg is base or alg is graded:
+                gradings = entry.known_bigradings
+                vectors += [v for g in gradings for cp in g.components for v in cp.generators]
+            if alg.field == "Q":
+                brackets = _fraction_brackets(alg)
+                e = [[Fraction(int(s == t)) for t in range(n)] for s in range(n)]
             for v in vectors:
-                pairs = [
-                    _fractions(x) if type(x) is Gaussian else (_fractions(x), Fraction(0))
-                    for x in v
-                ]
-                want = not any(
-                    any(oracle_bracket(brackets, n, e[s], list(part)))
-                    for part in zip(*pairs)
-                    for s in range(n)
-                )
+                if alg.field == "Q":
+                    pairs = [
+                        _fractions(x) if type(x) is Gaussian else (_fractions(x), Fraction(0))
+                        for x in v
+                    ]
+                    want = not any(
+                        any(oracle_bracket(brackets, n, e[s], list(part)))
+                        for part in zip(*pairs)
+                        for s in range(n)
+                    )
+                else:
+                    want = not any(x for u in units for x in alg.bracket(u, v))
                 (row,), _ = kernel.zi_rows([v])
                 assert _is_central(rows, row, n) == want, (alg.name, v)
-                tested += 1
-                central += want
-    assert central >= 100 and tested - central >= 100
+                tested[alg.field] += 1
+                central[alg.field] += want
+    for field in ("Q", "Qi"):
+        assert central[field] >= 100 and tested[field] - central[field] >= 100, field
 
 
 def test_pair_brackets_equal_the_brackets_they_replace(monkeypatch, rng):

@@ -209,6 +209,7 @@ _VERIFICATION = (
     ("cohomology", "_central_generators"),
     ("cohomology", "_graded_brackets"),
     ("cohomology", "_solved_table"),
+    ("liealg", "_ad"),
     ("liealg", "_is_central"),
     ("liealg", "_pair_brackets"),
 )
@@ -249,3 +250,88 @@ def test_the_check_sees_a_derived_subspace_inside_verification():
 def test_verification_names_no_derived_subspace():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _derived_subspace_names(sources, _VERIFICATION) == []
+
+
+# The package's layers, lowest first: a module imports only from modules
+# before it, at module level or inside a function.
+_LAYERS = (
+    "errors",
+    "scalars",
+    "_arith",
+    "kernel",
+    "exact",
+    "liealg",
+    "cohomology",
+    "bigrading",
+    "catalog",
+    "checker",
+    "jsonio",
+    "cli",
+    "__init__",
+    "__main__",
+)
+# catalog.export_entry writes with jsonio, which imports checker, which
+# imports catalog: at module level the import would close that cycle.  cli
+# reads the package's __version__, and the package never imports cli.
+_UPWARD = frozenset((("catalog", "jsonio"), ("cli", "__init__")))
+
+
+def _relative_imports(source: str, modules) -> list[tuple[str, int]]:
+    """The package modules that ``source`` imports relatively, each with its line.
+
+    ``from .m import x`` imports m, and ``from . import x`` imports module x
+    when x is one of ``modules``, else the package's ``__init__``.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        if node.module:
+            found.append((node.module.split(".")[0], node.lineno))
+        else:
+            found.extend(
+                (alias.name if alias.name in modules else "__init__", node.lineno)
+                for alias in node.names
+            )
+    return found
+
+
+def _upward_imports(sources: dict[str, str], layers, allowed) -> list[str]:
+    """Each relative import in ``sources`` of a module not before its importer in ``layers``.
+
+    ``sources`` maps a module's name to its text, and ``allowed`` holds the
+    (importer, imported) pairs that may go up.
+    """
+    rank = {name: k for k, name in enumerate(layers)}
+    found = []
+    for module, source in sources.items():
+        for target, line in _relative_imports(source, rank):
+            if rank[target] >= rank[module] and (module, target) not in allowed:
+                found.append(f"{module} -> {target} (line {line})")
+    return sorted(found)
+
+
+def test_the_check_sees_an_upward_import():
+    sources = {
+        "low": "def f():\n    from .high import g\n    return g()\n",
+        "high": "from . import low\nfrom .low import f\n\ndef g():\n    from . import __version__\n",
+        "top": "from . import high, version_name\n",
+    }
+    layers = ("low", "high", "top", "__init__")
+    assert _upward_imports(sources, layers, frozenset()) == [
+        "high -> __init__ (line 5)",
+        "low -> high (line 2)",
+        "top -> __init__ (line 1)",
+    ]
+    assert _upward_imports(sources, layers, {("low", "high"), ("high", "__init__")}) == [
+        "top -> __init__ (line 1)"
+    ]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(path.stem for path in MODULES) == sorted(_LAYERS)
+
+
+def test_relative_imports_go_down_the_layers():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _upward_imports(sources, _LAYERS, _UPWARD) == []
