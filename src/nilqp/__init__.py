@@ -6,6 +6,7 @@ deterministic.  The elimination loops run in one pure-Python kernel on
 arbitrary-precision integers (see nilqp.kernel).
 """
 
+from ._version import __version__
 from .catalog import CatalogEntry, catalog_keys, export_entry, get as catalog_get
 from .checker import (
     NilmanifoldSpec,
@@ -60,8 +61,6 @@ from .liealg import (
     verify_isomorphism,
 )
 from .scalars import Gaussian, Rational, Scalar, format_scalar, parse_scalar
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Bigrading",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__
+from ._version import __version__
 from .bigrading import SearchBounds, search_bigrading, verify_bigrading
 from .catalog import catalog_keys, export_entry, get
 from .checker import (

@@ -88,13 +88,12 @@ from .exact import ExactMatrix
 from .liealg import (
     LieAlgebra,
     StructureTable,
+    _ad,
     _center_rows,
-    _constant_rows,
     _is_central,
     _lowest_table,
     _moved_table,
     _pair_brackets,
-    _sparse_bracket,
     commutator_ideal,
     structure_table,
 )
@@ -263,31 +262,44 @@ def _commutator_adapted_table(L: LieAlgebra) -> StructureTable:
     denominators: R_a = d_a r_a, C^1's stored exact vector ``(R_a, d_a)``.
     Every bracket w lies in C^1, so w = sum_a w[p_a] r_a, and the new
     constants are the pivot entries of the old-basis brackets of the new
-    basis vectors: no inverse is needed.  The brackets are sparse products
-    of `liealg._constant_rows` kept at the pivots alone, entry a at p_a;
-    the dual generators of the n - dim C^1 unit vectors are closed.
+    basis vectors: no inverse is needed.  The bracket of two unit vectors
+    is a row of the table, [e_j, R_a] comes from `liealg._ad` of R_a,
+    taken once, and [R_b, R_a] = sum_j R_b[j] [X_j, R_a]; each is read at
+    the pivots alone, entry a at p_a.  The dual generators of the n - dim
+    C^1 unit vectors are closed.
     """
     n = L.dim
+    table = structure_table(L)
     c1 = commutator_ideal(L)
-    at_pivot = {min(row): a for a, (row, _) in enumerate(c1.rows)}
-    consts = _constant_rows(L, at_pivot)
-    free = [j for j in range(n) if j not in at_pivot]
-    basis = [{j: (1, 0)} for j in free] + [row for row, _ in c1.rows]
+    at = {min(row): a for a, (row, _) in enumerate(c1.rows)}
+    free = [j for j in range(n) if j not in at]
+    f = len(free)
+    ads = [_ad(table.rows, row, n) for row, _ in c1.rows]
     # R_a carries d_a at its pivot, so w = sum_a (w[p_a] / d_a) R_a; over
     # the common multiple m of the d_a the coefficient is w[p_a] (m / d_a).
     dens = [d for _, d in c1.rows]
     m = lcm(*dens)
     scale = [m // d for d in dens]
     rows = {}
-    for s in range(n):
-        for t in range(s + 1, n):
-            w = _sparse_bracket(consts, basis[s], basis[t])
-            if w:
-                hit = sorted(w.items())
-                rows[s, t] = tuple(
-                    (len(free) + a, (x * scale[a], y * scale[a])) for a, (x, y) in hit
-                )
-    return StructureTable(L.field, structure_table(L).den * m, rows)
+    for s, t in combinations(range(n), 2):
+        if t < f:
+            w = table.rows.get((free[s], free[t]), ())
+            row = [(at[k], e) for k, e in w if k in at]
+        else:
+            ad = ads[t - f]
+            u = {free[s]: (1, 0)} if s < f else c1.rows[s - f][0]
+            terms = [(c, ad[j]) for j, c in u.items() if j in ad]
+            row = []
+            for p, a in at.items() if terms else ():
+                x = y = 0
+                for (c, d), (re, im) in terms:
+                    x += c * re[p] - d * im[p]
+                    y += c * im[p] + d * re[p]
+                if x or y:
+                    row.append((a, (x, y)))
+        if row:
+            rows[s, t] = tuple((f + a, (x * scale[a], y * scale[a])) for a, (x, y) in row)
+    return StructureTable(L.field, table.den * m, rows)
 
 
 def _graded_cohomology(n: int, table: StructureTable, dual: list) -> CohomologyTable:

@@ -208,28 +208,30 @@ def validate(L: LieAlgebra) -> ValidationReport:
 
     Raises JacobiViolation or InvalidRealStructure; on success reports lattice
     admissibility (true over Q: rational structure constants admit a lattice).
-    Jacobi runs on `_constant_rows`, and S * conj(S) = I and S conj[X_i, X_j]
-    = [S X_i, S X_j] on `real_structure_rows`, whenever S is given.  Over Q,
-    S must then also be the identity, the only real structure read there.
+    Jacobi runs on `_ad` of each bracket [X_i, X_j], taken once, and S *
+    conj(S) = I and S conj[X_i, X_j] = [S X_i, S X_j] on
+    `real_structure_rows`, whenever S is given.  Over Q, S must then also
+    be the identity, the only real structure read there.
     """
     n = L.dim
     for (i, j), _ in L.brackets:
         if not (0 <= i < j < n):
             raise ValueError(f"{L.name}: bad bracket key ({i}, {j})")
-    # Jacobi: [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0, where
-    # [[Xa,Xb],Xc] = sum_m C_ab^m [Xm,Xc].
-    consts = _constant_rows(L)
+    # Jacobi: [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0, that is
+    # -[Xk, w_ij] - [Xi, w_jk] + [Xj, w_ik] = 0 with w_ab = [Xa, Xb].
+    table_rows = structure_table(L).rows
+    ads = {ab: _ad(table_rows, dict(row), n) for ab, row in table_rows.items()}
     for i, j, k in combinations(range(n), 3):
-        cycle = ((i, j, k), (j, k, i), (k, i, j))
-        terms = [
-            (c, consts[m][z])
-            for x, y, z in cycle
-            for m, c in consts.get(x, {}).get(y, {}).items()
-            if z in consts.get(m, ())
-        ]
-        if kernel.zi_combine(*terms):
+        residual = [0] * (2 * n)
+        for sign, ab, s in ((-1, (i, j), k), (-1, (j, k), i), (1, (i, k), j)):
+            parts = ads.get(ab, {}).get(s)
+            if parts is not None:
+                for t, x in enumerate(parts[0] + parts[1]):
+                    residual[t] += sign * x
+        if any(residual):
             # The residual as the scalars `LieAlgebra.bracket` types.
             e = [tuple(Q1 if s == t else Q0 for s in range(n)) for t in range(n)]
+            cycle = ((i, j, k), (j, k, i), (k, i, j))
             brackets = (L.bracket(L.bracket_basis(x, y), e[z]) for x, y, z in cycle)
             raise JacobiViolation(i, j, k, tuple(map(sum, zip(*brackets))))
     if L.real_structure is not None:
@@ -241,11 +243,10 @@ def validate(L: LieAlgebra) -> ValidationReport:
             raise InvalidRealStructure(
                 f"{L.name}: real structure is not an antilinear involution"
             )
-        table_rows = structure_table(L).rows
         s_cols = [[row.get(j, (0, 0)) for row in s_rows] for j in range(n)]
         for i, j in combinations(range(n), 2):
             # Both sides over the table's denominator times s_den^2.
-            row = consts.get(i, {}).get(j, {})
+            row = dict(table_rows.get((i, j), ()))
             lhs = kernel.zi_combine(((s_den, 0), _conjugate_row(s_rows, row)))
             if lhs != _zi_bracket(table_rows, s_cols[i], s_cols[j], n):
                 raise InvalidRealStructure(
@@ -316,35 +317,6 @@ def real_structure_rows(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
 
 def _identity_rows(n: int) -> tuple[list[kernel.ZiRow], int]:
     return [{j: (1, 0)} for j in range(n)], 1
-
-
-def _constant_rows(L: LieAlgebra, coords: dict | None = None) -> dict[int, dict]:
-    """[X_a, X_b] as the Z[i] row ``rows[a][b]`` over the table's den, for every nonzero bracket.
-
-    Both orders are kept.  With ``coords``, a row keeps only its entries at
-    the columns that ``coords`` maps, under their new indices, and a row
-    left empty is dropped.
-    """
-    rows: dict[int, dict] = {}
-    for (i, j), entries in structure_table(L).rows.items():
-        row = dict(entries) if coords is None else {coords[k]: e for k, e in entries if k in coords}
-        if row:
-            rows.setdefault(i, {})[j] = row
-            rows.setdefault(j, {})[i] = {k: (-x, -y) for k, (x, y) in row.items()}
-    return rows
-
-
-def _sparse_bracket(consts: dict, u: kernel.ZiRow, v: kernel.ZiRow) -> kernel.ZiRow:
-    """[u, v] = sum u_i v_j [X_i, X_j] of sparse Z[i] rows, on `_constant_rows` ``consts``."""
-    terms = []
-    for i, (a, b) in u.items():
-        near = consts.get(i)
-        if near:
-            for j, (c, d) in v.items():
-                row = near.get(j)
-                if row is not None:
-                    terms.append(((a * c - b * d, a * d + b * c), row))
-    return kernel.zi_combine(*terms)
 
 
 def _zi_bracket(rows: dict, u: list, v: list, n: int) -> kernel.ZiRow:
@@ -487,7 +459,9 @@ def _ad(table_rows: dict, x: kernel.ZiRow, n: int) -> dict[int, tuple[list[int],
     One pass over the rows: a row [X_i, X_j], i < j, adds x_j [X_i, X_j]
     to [X_i, x] and -x_i [X_i, X_j] to [X_j, x], each summed on two lists
     of ``n`` ints.  It reads the table alone, none of the subspaces derived
-    from it.
+    from it.  Its callers: `_bracket_span` (the series), `_is_central`
+    (verification), `validate` (Jacobi, on each bracket [X_i, X_j]) and
+    `cohomology._commutator_adapted_table` (on each row of C^1).
     """
     re: dict[int, list[int]] = {}
     im: dict[int, list[int]] = {}

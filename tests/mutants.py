@@ -1,0 +1,163 @@
+"""Mutants of the source that the tests must kill, and a script that tries each one.
+
+Each `Mutant` names a module of ``src/nilqp``, the exact text it replaces
+(which must occur once in that module), the new text, and the test ids
+that must fail on it.  Run from the repository root:
+
+    python tests/mutants.py
+
+The script copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory and first runs every listed test id there unmutated;
+a failure stops it.  Then, for each mutant in turn, it applies the one
+replacement to the copy, runs the mutant's test ids with ``pytest -x -q``,
+and restores the module.  A mutant is "killed" when a test fails,
+"SURVIVED" when all pass, and "STALE" when its text no longer occurs
+exactly once.  The script exits 1 when any mutant survived or is stale.
+When a change to the source moves a mutant's text, update the mutant
+with it; when a test is weakened, the mutant that it killed survives.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ADAPTED = (
+    "tests/test_cohomology.py::test_adapted_table_matches_the_fraction_basis_change",
+    "tests/test_cohomology.py::test_betti_of_unimodular_non_nilpotent_matches_oracle",
+)
+_JACOBI = (
+    "tests/test_liealg.py::test_validate_agrees_with_jacobi_oracle",
+    "tests/test_liealg.py::test_jacobi_violation_detected",
+)
+_IS_CENTRAL = ("tests/test_liealg.py::test_is_central_agrees_with_the_fraction_bracket",)
+
+MUTANTS = (
+    # The adapted table's [R_b, R_a], a bracket of two vectors of C^1.
+    Mutant(
+        "adapted: C1 x C1 term dropped",
+        "cohomology.py",
+        "u = {free[s]: (1, 0)} if s < f else c1.rows[s - f][0]",
+        "u = {free[s]: (1, 0)} if s < f else {}",
+        _ADAPTED,
+    ),
+    Mutant(
+        "adapted: C1 x C1 sign flipped",
+        "cohomology.py",
+        "u = {free[s]: (1, 0)} if s < f else c1.rows[s - f][0]",
+        "u = {free[s]: (1, 0)} if s < f else "
+        "{j: (-x, -y) for j, (x, y) in c1.rows[s - f][0].items()}",
+        _ADAPTED,
+    ),
+    # Jacobi on `_ad` of each bracket.
+    Mutant(
+        "validate: Jacobi's (i, k) sign flipped",
+        "liealg.py",
+        "(1, (i, k), j)",
+        "(-1, (i, k), j)",
+        _JACOBI,
+    ),
+    Mutant(
+        "validate: Jacobi tests real parts only",
+        "liealg.py",
+        "enumerate(parts[0] + parts[1])",
+        "enumerate(parts[0])",
+        _JACOBI,
+    ),
+    # The one ad(x) pass and the layer order.
+    Mutant(
+        "_ad: zero test on real parts only",
+        "liealg.py",
+        "if any(rr) or any(im[s])}",
+        "if any(rr)}",
+        _IS_CENTRAL,
+    ),
+    Mutant(
+        "_ad: wrong sign in the imaginary sum",
+        "liealg.py",
+        "ri[k] += a * q + b * p",
+        "ri[k] += a * q - b * p",
+        _IS_CENTRAL,
+    ),
+    Mutant(
+        "_ad: names center",
+        "liealg.py",
+        "    re: dict[int, list[int]] = {}\n",
+        "    re: dict[int, list[int]] = {} if center else {}\n",
+        ("tests/test_source.py::test_verification_names_no_derived_subspace",),
+    ),
+    Mutant(
+        "kernel: upward import",
+        "kernel.py",
+        '    """Name of the elimination kernel; there is only the pure-Python one."""\n',
+        '    """Name of the elimination kernel; there is only the pure-Python one."""\n'
+        "    from .liealg import LieAlgebra  # noqa: F401\n",
+        ("tests/test_source.py::test_relative_imports_go_down_the_layers",),
+    ),
+    Mutant(
+        "_pencil_structure: singular path returns no groups",
+        "bigrading.py",
+        "    return groups, None\n",
+        "    return [], None\n",
+        ("tests/test_bigrading.py::test_singular_pencil_past_the_expanded_pfaffian",),
+    ),
+)
+
+
+def _pytest(workdir: Path, tests) -> bool:
+    """Whether every test in ``tests`` passes on the package copy in ``workdir``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(workdir / "src")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=workdir, env=env, capture_output=True)
+    return done.returncode == 0
+
+
+def main() -> int:
+    """Try every mutant; return 1 when one survived or is stale."""
+    bad = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory:
+        workdir = Path(directory)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, workdir / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", workdir)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        if not _pytest(workdir, tests):
+            print("the listed tests fail on the unmutated source; no mutant was tried")
+            return 1
+        for m in MUTANTS:
+            path = workdir / "src" / "nilqp" / m.module
+            source = path.read_text()
+            if source.count(m.old) != 1:
+                bad += 1
+                print(f"STALE     {m.name}: its text occurs {source.count(m.old)} times in {m.module}")
+                continue
+            path.write_text(source.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            killed = not _pytest(workdir, m.tests)
+            path.write_text(source)
+            bad += not killed
+            status = "killed  " if killed else "SURVIVED"
+            print(f"{status}  {m.name} ({time.perf_counter() - t0:.1f} s)")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

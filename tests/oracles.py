@@ -295,3 +295,17 @@ def kronecker_two_step(indices):
             brackets[(start + j, y)] = {z2: 1}
         start += 2 * e + 1
     return n, brackets
+
+
+def vergne_q(n):
+    """Vergne's filiform algebra Q_n, n even: [e_1, e_i] = e_(i+1) for 2 <= i <= n - 2,
+    and [e_i, e_(n-i+1)] = (-1)^(i+1) e_n for 2 <= i <= n/2.
+
+    Its C^1 = span(e_3..e_n) brackets into itself: [e_(n/2), e_(n/2+1)] is
+    a multiple of e_n.  Returns ``(n, brackets)`` with ``brackets`` as
+    {(i, j): {k: c}} for i < j, on the 0-based indices of e_1..e_n.
+    """
+    brackets = {(0, i - 1): {i: 1} for i in range(2, n - 1)}
+    for i in range(2, n // 2 + 1):
+        brackets[(i - 1, n - i)] = {n - 1: (-1) ** (i + 1)}
+    return n, brackets

@@ -35,7 +35,14 @@ from conftest import (
     random_invertible_t,
     random_nilpotent,
 )
-from oracles import frac_rref, oracle_abelian_factor_dim, oracle_betti, oracle_differential
+from oracles import (
+    frac_rref,
+    oracle_abelian_factor_dim,
+    oracle_basis_change,
+    oracle_betti,
+    oracle_differential,
+    vergne_q,
+)
 
 # Golden Betti numbers, produced by the independent Fraction oracle
 # (tests/oracles.py) before the implementation was finished.
@@ -691,6 +698,53 @@ def test_adapted_table_closes_the_complement_generators():
         assert all(k >= closed for row in table.rows.values() for k, _ in row), alg.name
         assert list(table.rows) == sorted(table.rows), alg.name
         assert all(i < j for i, j in table.rows), alg.name
+
+
+def _pair(x):
+    """A scalar as (re, im) Fractions."""
+    if isinstance(x, Gaussian):
+        return (Fraction(x.re.num, x.re.den), Fraction(x.im.num, x.im.den))
+    return (Fraction(x.num, x.den), Fraction(0))
+
+
+def _vergne_copies(n):
+    """Vergne's Q_n unmoved, moved at seeds 1-3, and complexified and moved by a Gaussian T."""
+    alg = LieAlgebra.from_brackets(f"Q{n}", *vergne_q(n))
+    moved = [apply_basis_change(alg, random_invertible_t(n, random.Random(seed))) for seed in (1, 2, 3)]
+    gaussian = apply_basis_change(complexify(alg), random_gaussian_t(n, random.Random(n)))
+    return [alg, *moved, gaussian]
+
+
+def test_adapted_table_matches_the_fraction_basis_change():
+    # The adapted constants, divided by the table's den, are the Fraction
+    # oracle's in the basis of unit vectors off C^1's pivots, then C^1's
+    # RREF rows r_a times their stored denominators d_a.  Each input
+    # brackets two vectors of C^1 to a nonzero row, which no catalog entry
+    # does.
+    algebras = _vergne_copies(6) + _vergne_copies(8) + [
+        LieAlgebra.from_brackets(key, *cases[key])
+        for key, cases in (("sl2", UNIMODULAR), ("heis_ext", SOLVABLE))
+    ]
+    for alg in algebras:
+        n = alg.dim
+        c1 = commutator_ideal(alg)
+        free = [j for j in range(n) if j not in _c1_pivots(alg)]
+        units = [[Q1 if k == j else Q0 for k in range(n)] for j in free]
+        cleared = [[x * d for x in v] for v, (_, d) in zip(c1.vectors(), c1.rows)]
+        basis = [[_pair(x) for x in v] for v in units + cleared]
+        brackets = {ij: {k: _pair(c) for k, c in cs.items()} for ij, cs in alg.bracket_map().items()}
+        want, _ = oracle_basis_change(brackets, n, basis)
+        table = _commutator_adapted_table(alg)
+        got = {
+            ij: {k: (Fraction(x, table.den), Fraction(y, table.den)) for k, (x, y) in row}
+            for ij, row in table.rows.items()
+        }
+        assert got == want, (alg.name, alg.field)
+        assert any(s >= len(free) for s, _ in table.rows), alg.name
+    for n in (6, 8):
+        want = oracle_betti(vergne_q(n)[1], n)
+        for alg in _vergne_copies(n):
+            assert list(betti_numbers(alg).betti) == want, (alg.name, alg.field)
 
 
 def test_betti_of_moved_rational_algebras_match_oracle(rng):

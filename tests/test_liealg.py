@@ -55,6 +55,7 @@ from oracles import (
     oracle_bracket,
     oracle_centralizer_dim,
     oracle_jacobi_residual,
+    vergne_q,
 )
 
 
@@ -135,18 +136,44 @@ def _realification(brackets, n):
     return out
 
 
+def _validate_matches_jacobi_oracle(cand, where):
+    """Whether ``cand`` is valid: `validate` fails exactly at the oracle's first failing triple.
+
+    The triple, the residual, the text and the scalars of JacobiViolation
+    are checked against the Fraction oracle on the realification.
+    """
+    n = cand.dim
+    real = _realification(_pair_brackets(cand), n)
+    triples = combinations(range(n), 3)
+    want = next((t for t in triples if any(oracle_jacobi_residual(real, 2 * n, *t))), None)
+    if want is None:
+        assert validate(cand).valid, where
+        return True
+    with pytest.raises(JacobiViolation) as exc:
+        validate(cand)
+    residual = exc.value.residual
+    assert exc.value.triple == want, where
+    r = oracle_jacobi_residual(real, 2 * n, *want)
+    assert [_pair(x) for x in residual] == list(zip(r[:n], r[n:])), where
+    assert str(exc.value) == f"Jacobi identity fails on basis triple {want}; residual {residual}"
+    scalar = Gaussian if cand.field == "Qi" else Rational
+    assert {type(x) for x in residual} == {scalar}, where
+    return False
+
+
 @pytest.mark.parametrize("kind", ["Q", "Qi"])
 def test_validate_agrees_with_jacobi_oracle(kind):
-    # Valid tables (catalog algebras moved by a seeded T) and the same with
-    # one constant perturbed; `validate` fails exactly at the first triple
-    # whose oracle residual is nonzero, and reports that residual.
+    # Valid tables (catalog algebras and Vergne's class-5 Q_6 moved by a
+    # seeded T) and the same with one constant perturbed; `validate` fails
+    # exactly at the first triple whose oracle residual is nonzero, and
+    # reports that residual.
     rng = random.Random(11)
     extra = [Rational(1), Rational(-1, 2), Rational(3)]
     if kind == "Qi":
         extra += [Gaussian(0, 1), Gaussian(Rational(1, 3), -2)]
+    q6 = LieAlgebra.from_brackets("Q6", *vergne_q(6))
     seen = set()
-    for key in ("n3", "n5", "L5_parity", "g_sec6"):
-        base = get(key).algebra
+    for base in [get(key).algebra for key in ("n3", "n5", "L5_parity", "g_sec6")] + [q6]:
         n = base.dim
         for trial in range(4):
             if kind == "Qi":
@@ -160,25 +187,19 @@ def test_validate_agrees_with_jacobi_oracle(kind):
                 k = rng.randrange(n)
                 cs[k] = cs.get(k, Rational(0)) + rng.choice(extra)
             cand = LieAlgebra.from_brackets("t", n, brackets, field=alg.field, check=False)
-            real = _realification(_pair_brackets(cand), n)
-            triples = combinations(range(n), 3)
-            want = next((t for t in triples if any(oracle_jacobi_residual(real, 2 * n, *t))), None)
-            seen.add(want is None)
-            if want is None:
-                assert validate(cand).valid, key
-                continue
-            with pytest.raises(JacobiViolation) as exc:
-                validate(cand)
-            residual = exc.value.residual
-            assert exc.value.triple == want, key
-            r = oracle_jacobi_residual(real, 2 * n, *want)
-            assert [_pair(x) for x in residual] == list(zip(r[:n], r[n:])), key
-            assert str(exc.value) == (
-                f"Jacobi identity fails on basis triple {want}; residual {residual}"
-            )
-            scalar = Gaussian if kind == "Qi" else Rational
-            assert {type(x) for x in residual} == {scalar}, key
+            seen.add(_validate_matches_jacobi_oracle(cand, base.name))
     assert seen == {True, False}
+    # Q_6's [e_3, e_4] = e_6 is a bracket of two vectors of C^1, and Jacobi
+    # on (e_1, e_2, e_4) nests it: [[e_1, e_2], e_4] = [e_3, e_4].  Each
+    # perturbation of that constant fails, unmoved and moved.
+    for c in extra:
+        brackets = {ij: dict(cs) for ij, cs in vergne_q(6)[1].items()}
+        brackets[2, 3][5] += c
+        field = "Qi" if kind == "Qi" else "Q"
+        cand = LieAlgebra.from_brackets("Q6'", 6, brackets, field=field, check=False)
+        t = random_gaussian_t(6, rng) if kind == "Qi" else random_invertible_t(6, rng)
+        for each in (cand, apply_basis_change(cand, t)):
+            assert not _validate_matches_jacobi_oracle(each, (c, each.name))
 
 
 def _c_matrix(pairs):
