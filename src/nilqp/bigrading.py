@@ -43,14 +43,15 @@ read as integers off `liealg.structure_table`, a vector is an exact vector
 off echelons (`kernel.zi_insert`/`kernel.zi_reduce`), subspaces and their
 meets are null spaces (`kernel.null_space`, or `kernel.null_space_within`
 where a subspace is cut by more rows).  Verification reads a grading's
-brackets from the one loop that `bigraded_cohomology`'s table reads
-(`cohomology._graded_brackets`): each pair formed once on the same table
-and solved in its target component, on one echelon per component.  It
-tests each generator that must be central once (`liealg._is_central`)
-instead of pair by pair.  On a real table, a pair of generators whose
-rows are the conjugates of a pair bracketed before, up to sign, takes that
-bracket's conjugate up to sign (`liealg._pair_brackets`), so the search's
-U and conj U cost h^2 brackets, not h(2h - 1).  A component whose
+rank and brackets from the one pass that `bigraded_cohomology`'s table
+reads (`cohomology._graded_solutions`): the generators ranked on one
+echelon, then each pair formed once on the same table and solved in its
+target component, on one echelon per component.  It tests each generator
+that must be central once (`liealg._is_central`) instead of pair by pair.
+On a real table, a pair of generators whose rows are the conjugates of a
+pair bracketed before, up to sign, takes that bracket's conjugate up to
+sign (`liealg._pair_brackets`), so the search's U and conj U cost h^2
+brackets, not h(2h - 1).  A component whose
 conjugated rows are its mirror's rows passes the conjugation check without
 elimination.  The J-space
 construction keeps its solution space as integer matrices over one
@@ -70,7 +71,7 @@ from itertools import accumulate, chain, combinations, islice, permutations, pro
 from math import lcm
 
 from ._arith import isqrt_exact, lowest_terms, rational_roots, solve_ternary
-from .cohomology import _central_generators, _graded_brackets, _graded_cohomology, _solved_table
+from .cohomology import _graded_cohomology, _graded_solutions, _solved_table
 from .errors import (
     AmbientMismatch,
     GradingNotCompatible,
@@ -239,20 +240,21 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     ``rows`` holds each component's generators as Z[i] rows keyed by
     bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans and
     containments do not depend on scale and are read off echelons
-    (`kernel.zi_insert`/`kernel.zi_reduce`): the spans off one echelon that
-    takes the lowest weight first, and a mirror component's echelon only
-    where the conjugation check (`_conjugation`) reads it.
+    (`kernel.zi_insert`/`kernel.zi_reduce`), a mirror component's echelon
+    only where the conjugation check (`_conjugation`) reads it.
 
-    The brackets come from `cohomology._graded_brackets`, the one loop that
-    the grading table reads too: each live pair is bracketed once and
-    solved in its target component, one echelon per component, and a
-    bracket with no solution is a failure.  Each generator of a component
-    whose every pairing targets a bidegree absent from the grading, such as
-    the (-1, -1) component of the restricted shape, is first tested once on
-    the table (`cohomology._central_generators`).  Every pair that involves
-    one that passes is skipped: its bracket is zero, so it adds no failure.
-    On a real table, a pair of generators whose rows are the conjugates of
-    a pair bracketed before takes the conjugate of that bracket.  Every
+    The spans test and the brackets come from `cohomology._graded_solutions`,
+    the one pass that the grading table reads too: it ranks the generators
+    on one echelon that takes the lowest weight first, and when they span,
+    brackets each live pair once and solves it in its target component,
+    one echelon per component; a bracket with no solution is a failure.
+    Each generator of a component whose every pairing targets a bidegree
+    absent from the grading, such as the (-1, -1) component of the
+    restricted shape, is first tested once on the table
+    (`cohomology._central_generators`).  Every pair that involves one that
+    passes is skipped: its bracket is zero, so it adds no failure.  On a
+    real table, a pair of generators whose rows are the conjugates of a
+    pair bracketed before takes the conjugate of that bracket.  Every
     other pair is bracketed, so the failures, their order and the report
     are those of bracketing every pair.  A general shape's support check
     ranks the table written from the same solutions
@@ -263,15 +265,9 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
     """
     n = L.dim
     failures: list = []
-    rank = None
+    rank, solved, misses = None, {}, []
     if g.total_generators == n:
-        # Lowest weight first: the search's (-1, -1) rows are the center's
-        # reduced basis, and its U vanishes at their pivots, so U and conj U
-        # are reduced only against each other.
-        span: list = []
-        rank = sum(
-            kernel.zi_insert(span, row) for key in sorted(rows, key=sum) for row in rows[key]
-        )
+        rank, solved, misses = _graded_solutions(L, rows)
     spans = rank == n
     if not spans:
         failures.append(
@@ -281,23 +277,13 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
                 f"{'n/a' if rank is None else rank} in dimension {n}",
             }
         )
-
-    bracket_ok = True
-    solved: dict = {}
-    if spans:
-        central = _central_generators(L, rows)
-        for ij, (p, q), (a, b), target, solution in _graded_brackets(L, rows, central):
-            if solution is not None:
-                solved[ij] = solution
-                continue
-            bracket_ok = False
-            if target not in rows:
-                detail = f"[{p},{q}] x [{a},{b}] hits absent bidegree {target}"
-            else:
-                detail = (
-                    f"bracket of ({p},{q}) and ({a},{b}) generators leaves the {target} component"
-                )
-            failures.append({"check": "bracket", "detail": detail})
+    for (p, q), (a, b), target in misses:
+        if target not in rows:
+            detail = f"[{p},{q}] x [{a},{b}] hits absent bidegree {target}"
+        else:
+            detail = f"bracket of ({p},{q}) and ({a},{b}) generators leaves the {target} component"
+        failures.append({"check": "bracket", "detail": detail})
+    bracket_ok = not misses
 
     conjugation = "fails"
     if spans:

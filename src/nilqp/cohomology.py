@@ -30,15 +30,16 @@ table is formed without inverting the basis (`_grading_table`): a
 compatible grading brackets two generators into the component of the sum
 of their bidegrees, so each bracket is solved in that component's
 generators alone, on one echelon of [T | I] per target component T.
-One loop, `_graded_brackets`, forms and solves the brackets for this
-table and for `bigrading.verify_bigrading`.  Only a bracket that hits an
-absent bidegree or leaves its target sends the table to
+One pass, `_graded_solutions`, ranks the generators, tests the ones that
+must be central (`_central_generators`) and forms and solves the brackets,
+for this table and for `bigrading.verify_bigrading` alike.  On a real
+table the bracket of two generators whose rows are the conjugates of a
+pair already bracketed, up to sign, is that bracket's conjugate up to sign
+(`liealg._pair_brackets`), and no pair is formed with a generator that
+must be central and passes the test.  Only a bracket that hits an absent
+bidegree or leaves its target sends `_grading_table` to
 `liealg._moved_table`, whose inverse gives the constants that
-GradingNotCompatible names.  On a real table the bracket of two generators
-whose rows are the conjugates of a pair already bracketed, up to sign, is
-that bracket's conjugate up to sign (`liealg._pair_brackets`), and the
-pairs of generators that must be central and are (`_central_generators`)
-are not formed.  Betti
+GradingNotCompatible names.  Betti
 numbers do not depend on the basis, so `betti_numbers` puts every generator
 at (0, 0), one block, in a basis adapted to C^1 = [g, g]: unit vectors
 completing C^1, then C^1's RREF basis (`_commutator_adapted_table`).  There
@@ -433,81 +434,64 @@ def _representatives(n: int, table: StructureTable) -> dict[int, tuple]:
 def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     """Cohomology refined by bidegree blocks under a bracket-compatible grading.
 
-    The grading's generators must be a basis (`_grading_table`), and L's
-    table in that basis must keep bidegrees: C_ij^k != 0 only where dual k
-    = dual i + dual j.  The least (k, (i, j)) that breaks this is the first
-    entry of d_1 to leave its block, and GradingNotCompatible names it.
-    Block dimensions sum to the Betti numbers.
+    The grading's generators must be a basis, and L's table in that basis
+    must keep bidegrees (`_grading_table`, which raises GradingNotCompatible
+    otherwise).  Block dimensions sum to the Betti numbers.
     """
-    n = L.dim
-    table, dual = _grading_table(L, *grading.kernel_rows(n))
-
-    def plus(i: int, j: int) -> tuple[int, int]:
-        return dual[i][0] + dual[j][0], dual[i][1] + dual[j][1]
-
-    bad = [(m, i, j) for (i, j), row in table.rows.items() for m, _ in row if dual[m] != plus(i, j)]
-    if bad:
-        m, i, j = min(bad)
-        raise GradingNotCompatible(
-            f"d maps bidegree {dual[m]} monomial {(m,)} to {plus(i, j)} monomial "
-            f"{(i, j)} in degree 1"
-        )
-    return _graded_cohomology(n, table, dual)
+    return _graded_cohomology(L.dim, *_grading_table(L, *grading.kernel_rows(L.dim)))
 
 
-def _grading_table(L: LieAlgebra, generators: dict, den: int, central=None):
+def _grading_table(L: LieAlgebra, generators: dict, den: int):
     """``(table, dual)``: L's table in the basis of a grading's generators, and their bidegrees.
 
     ``generators`` holds Z[i] rows over ``den`` keyed by bidegree (p, q)
     (`Bigrading.kernel_rows`); ``dual`` lists (-p, -q) in their order.  The
     table is `liealg._moved_table`'s, in lowest terms.  Generators that are
-    not a basis, by one echelon that takes the lowest weight first, raise
-    GradingNotCompatible.
+    not n, or not a basis, raise GradingNotCompatible.
 
-    No inverse of the basis is formed: the brackets come from
-    `_graded_brackets`, each solved in the generators of its target
-    component, and `_solved_table` writes them out.  Only when a bracket
-    hits an absent bidegree or leaves its target does the table come from
-    `liealg._moved_table`, whose constants then name the first offender.
-    The pairs of a generator that passes `_central_generators` (or is in
-    ``central``, an empty set to bracket every pair) are not formed.
+    No inverse of the basis is formed: `_graded_solutions` solves each
+    bracket in the generators of its target component, and `_solved_table`
+    writes the solutions out.  When a bracket hits an absent bidegree or
+    leaves its target, the table must keep bidegrees and does not: C_ij^k
+    != 0 where dual k != dual i + dual j.  Only then is every constant
+    formed, by `liealg._moved_table`, and GradingNotCompatible names the
+    least such (k, (i, j)), the first entry of d_1 to leave its block.
     """
     n = L.dim
     rows = [row for comp_rows in generators.values() for row in comp_rows]
     if len(rows) != n:
         raise GradingNotCompatible(f"grading has {len(rows)} generators for dimension {n}")
-    echelon: list = []
-    rank = sum(
-        kernel.zi_insert(echelon, row)
-        for key in sorted(generators, key=sum)
-        for row in generators[key]
-    )
+    rank, solved, failures = _graded_solutions(L, generators)
     if rank < n:
         raise GradingNotCompatible(f"grading has {n} generators of rank {rank} in dimension {n}")
-    if central is None:
-        central = _central_generators(L, generators)
-    solved = {}
-    for ij, *_, solution in _graded_brackets(L, generators, central):
-        if solution is None:
-            return _solved_table(L, generators, den, None)
-        solved[ij] = solution
+    if failures:
+        dual = [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
+
+        def plus(i: int, j: int) -> tuple[int, int]:
+            return dual[i][0] + dual[j][0], dual[i][1] + dual[j][1]
+
+        # Which constants are nonzero does not depend on the table's field.
+        moved = _moved_table(L, rows, den, L.field)[0]
+        bad = [
+            (k, i, j) for (i, j), row in moved.rows.items() for k, _ in row if dual[k] != plus(i, j)
+        ]
+        k, i, j = min(bad)
+        raise GradingNotCompatible(
+            f"d maps bidegree {dual[k]} monomial {(k,)} to {plus(i, j)} monomial "
+            f"{(i, j)} in degree 1"
+        )
     return _solved_table(L, generators, den, solved)
 
 
-def _solved_table(L: LieAlgebra, generators: dict, den: int, solved: dict | None):
-    """`_grading_table`'s ``(table, dual)``, read off the solutions of `_graded_brackets`.
+def _solved_table(L: LieAlgebra, generators: dict, den: int, solved: dict):
+    """`_grading_table`'s ``(table, dual)``, read off the solutions of `_graded_solutions`.
 
     ``solved`` maps each pair (i, j) with a nonzero bracket to its
     ``solution``, which holds s at column 2n and -s c_k at column n + k, c
-    the bracket's coordinates in the generators.  None, when a bracket had
-    no solution, takes `liealg._moved_table`.
+    the bracket's coordinates in the generators.
     """
     n = L.dim
-    rows = [row for comp_rows in generators.values() for row in comp_rows]
-    field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
     dual = [(-p, -q) for (p, q), comp_rows in generators.items() for _ in comp_rows]
-    if solved is None:
-        return _moved_table(L, rows, den, field)[0], dual
     old = structure_table(L)
     # Each c_k times m is -(-s c_k) conj(s) m / |s|^2.
     m = lcm(*(x * x + y * y for x, y in (res[2 * n] for res in solved.values())))
@@ -517,30 +501,45 @@ def _solved_table(L: LieAlgebra, generators: dict, den: int, solved: dict | None
         f = m // (x * x + y * y)
         coords = kernel.zi_combine(((-f * x, f * y), res)).items()
         table[ij] = [(c - n, e) for c, e in sorted(coords) if c < 2 * n]
-    field = "Qi" if "Qi" in (old.field, field) else "Q"
+    parts = (y for comp_rows in generators.values() for row in comp_rows for _, y in row.values())
+    field = "Qi" if old.field == "Qi" or any(parts) else "Q"
     return _lowest_table(field, den * old.den * m, table), dual
 
 
-def _graded_brackets(L: LieAlgebra, generators: dict, central: set):
-    """Each live pair of a grading's generators bracketed once, and solved in its target.
+def _graded_solutions(L: LieAlgebra, generators: dict):
+    """``(rank, solved, failures)``: a grading's generators ranked, and their brackets solved.
 
     ``generators`` holds Z[i] rows keyed by bidegree, numbered in their
-    order, and the pairs of a position in ``central`` are skipped.  Pairs
-    come by components a <= b in that order, `combinations` within one and
-    `product` across two, bracketed by `liealg._pair_brackets`.  Each
-    nonzero bracket w yields ``((i, j), a, b, a + b, solution)``.
+    order; ``rank`` is their rank.  Only when it is n are brackets formed,
+    each live pair once: the pairs of a generator that passes
+    `_central_generators` are skipped, and the rest come by components a <=
+    b in that order, `combinations` within one and `product` across two,
+    bracketed by `liealg._pair_brackets`.  ``solved`` maps each pair (i, j)
+    whose nonzero bracket lies in its target component a + b to its
+    solution, and ``failures`` lists (a, b, a + b) for every other nonzero
+    bracket, in loop order.
 
     A target component is reduced once, on the first bracket that lands in
     it: its rows t_k, each with a 1 appended at column n + k, go into one
     echelon (`kernel.zi_insert`).  [w | 0 | 1], with the 1 at column 2n,
     reduces on it to s [w | 0 | 1] - sum_k b_k [t_k | e_k], zero at every
     pivot, whose first n columns vanish exactly when w lies in the target,
-    as sum_k (b_k / s) t_k.  That reduced row is ``solution``, and reading
+    as sum_k (b_k / s) t_k.  That reduced row is the solution, and reading
     the coordinates off it is left to the caller that needs them
-    (`_solved_table`).  ``solution`` is None when the target is absent or
-    misses w.
+    (`_solved_table`).
     """
     n = L.dim
+    # Lowest weight first: the search's (-1, -1) rows are the center's
+    # reduced basis, and its U vanishes at their pivots, so U and conj U
+    # are reduced only against each other.
+    span: list = []
+    ordered = (row for key in sorted(generators, key=sum) for row in generators[key])
+    rank = sum(kernel.zi_insert(span, row) for row in ordered)
+    solved: dict = {}
+    failures: list = []
+    if rank < n:
+        return rank, solved, failures
+    central = _central_generators(L, generators)
     starts, rows, live = {}, [], {}
     for key, comp_rows in generators.items():
         starts[key] = len(rows)
@@ -556,7 +555,6 @@ def _graded_brackets(L: LieAlgebra, generators: dict, central: set):
                 w = bracket(i, j)
                 if not w:
                     continue
-                solution = None
                 if target in generators:
                     if target not in echelons:
                         echelons[target] = []
@@ -564,8 +562,10 @@ def _graded_brackets(L: LieAlgebra, generators: dict, central: set):
                             kernel.zi_insert(echelons[target], {**row, n + k: (1, 0)})
                     res = kernel.zi_reduce({**w, 2 * n: (1, 0)}, echelons[target])
                     if min(res) >= n:
-                        solution = res
-                yield (i, j), a, b, target, solution
+                        solved[i, j] = res
+                        continue
+                failures.append((a, b, target))
+    return rank, solved, failures
 
 
 def _central_generators(L: LieAlgebra, generators: dict) -> set[int]:

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -61,6 +62,11 @@ def count_scalar_arithmetic(monkeypatch) -> ScalarCalls:
 
                 monkeypatch.setattr(cls, name, counted)
     return calls
+
+
+def fraction_brackets(L) -> dict:
+    """The constants of an algebra over Q as {(i, j): {k: Fraction}}, the oracles' input."""
+    return {ij: {k: Fraction(c.num, c.den) for k, c in cs} for ij, cs in L.brackets}
 
 
 def _caller(frame) -> str:

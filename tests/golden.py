@@ -309,9 +309,10 @@ def _leaving_runs():
     (`_leaves_only`).  A
     central generator moved out of the (-1, -1) component does this: the
     brackets of U and conj U still target (-1, -1), which misses it now.
-    So the grading table is formed by `liealg._moved_table` because the
-    membership test of `cohomology._graded_brackets` fails, never because
-    a bidegree is absent.
+    So `cohomology._grading_table` names its offender through
+    `liealg._moved_table` because the membership test of
+    `cohomology._graded_solutions` fails, never because a bidegree is
+    absent.
     """
     rng = random.Random(38)
     for key in catalog_keys():

@@ -46,6 +46,19 @@ _JACOBI = (
     "tests/test_liealg.py::test_jacobi_violation_detected",
 )
 _IS_CENTRAL = ("tests/test_liealg.py::test_is_central_agrees_with_the_fraction_bracket",)
+_PAIR_BRACKETS = ("tests/test_liealg.py::test_pair_brackets_equal_the_brackets_they_replace",)
+_SWEEP = "tests/test_kernel.py::test_echelon_insertion_keeps_the_column_sweeps_pivots"
+_CONTENT = ("tests/test_kernel.py::test_elimination_keeps_content_until_a_row_is_kept",)
+_VERIFY = (
+    "tests/test_bigrading.py::test_verify_reports_match_golden_digest",
+    "tests/test_golden.py::test_reshuffled_and_moved_verification_reports_match_golden_digest",
+    "tests/test_bigrading.py::test_verification_matches_a_reference_that_brackets_every_pair",
+)
+_OFFENDER = (
+    "tests/test_golden.py::test_reshuffled_and_moved_bigraded_cohomology_match_golden_digest",
+    "tests/test_golden.py::test_gradings_whose_brackets_leave_a_present_target_match_golden_digest",
+    "tests/test_bigrading.py::test_bigraded_cohomology_names_the_recorded_first_offender",
+)
 
 MUTANTS = (
     # The adapted table's [R_b, R_a], a bracket of two vectors of C^1.
@@ -115,6 +128,114 @@ MUTANTS = (
         "    return groups, None\n",
         "    return [], None\n",
         ("tests/test_bigrading.py::test_singular_pencil_past_the_expanded_pfaffian",),
+    ),
+    # The CE assembly, conjugate pairs and the echelon's order.
+    Mutant(
+        "_assemble: Koszul parity without the factors below m",
+        "cohomology.py",
+        "odd = (bit - 1) ^ between",
+        "odd = between",
+        ("tests/test_cohomology.py::test_term_major_assembly_equals_the_source_major_loop",),
+    ),
+    Mutant(
+        "_pair_brackets: conjugate-pair sign without sigma_t",
+        "liealg.py",
+        "formed[ms, mt], sign_s * sign_t",
+        "formed[ms, mt], sign_s",
+        _PAIR_BRACKETS,
+    ),
+    Mutant(
+        "_pair_brackets: no negated mirrors",
+        "liealg.py",
+        "for sign in (1, -1):",
+        "for sign in (1,):",
+        _PAIR_BRACKETS,
+    ),
+    Mutant(
+        "_echelon: unsorted pivots",
+        "kernel.py",
+        "return sorted(pivots.items())",
+        "return list(pivots.items())",
+        (_SWEEP,),
+    ),
+    Mutant(
+        "rref_q: no primitive pass",
+        "kernel.py",
+        "_reduced([_primitive_q(row) for row in rows if row], _q_eliminate",
+        "_reduced([row for row in rows if row], _q_eliminate",
+        (f"{_SWEEP}[Q]",),
+    ),
+    Mutant(
+        "rref_qi: no primitive pass",
+        "kernel.py",
+        "_reduced([_primitive_qi(row) for row in rows if row], _zi_eliminate",
+        "_reduced([row for row in rows if row], _zi_eliminate",
+        (f"{_SWEEP}[Qi]",),
+    ),
+    # One pass from a grading's generators to its solved brackets.
+    Mutant(
+        "_graded_solutions: components walked in reverse order",
+        "cohomology.py",
+        "    keys = list(generators)\n",
+        "    keys = list(generators)[::-1]\n",
+        _VERIFY,
+    ),
+    Mutant(
+        "_graded_solutions: every bracket taken as solved",
+        "cohomology.py",
+        "if min(res) >= n:",
+        "if True:",
+        _VERIFY + _OFFENDER,
+    ),
+    Mutant(
+        "_grading_table: offender taken from the first failure, not the least",
+        "cohomology.py",
+        "k, i, j = min(bad)",
+        "k, i, j = bad[0]",
+        _OFFENDER,
+    ),
+    Mutant(
+        "_verify_rows: a failure leaves bracket_compatible set",
+        "bigrading.py",
+        "bracket_ok = not misses",
+        "bracket_ok = True",
+        _VERIFY,
+    ),
+    # Content divided once per kept row, and the search's plane test.
+    Mutant(
+        "_echelon: no primitive for a pivot made by elimination",
+        "kernel.py",
+        "pivots[col] = row if row is first else primitive(row)",
+        "pivots[col] = row",
+        _CONTENT,
+    ),
+    Mutant(
+        "_reduced: no primitive after back-substitution",
+        "kernel.py",
+        "            rows[k] = primitive(rows[k])\n",
+        "            pass\n",
+        _CONTENT,
+    ),
+    Mutant(
+        "zi_insert: no primitive",
+        "kernel.py",
+        "echelon.append((min(row), _primitive_qi(row)))",
+        "echelon.append((min(row), row))",
+        _CONTENT,
+    ),
+    Mutant(
+        "zi_plane: real parts only",
+        "kernel.py",
+        "if pr * yr - pi * yi != fr * xr - fi * xi or pr * yi + pi * yr != fr * xi + fi * xr:",
+        "if pr * yr - pi * yi != fr * xr - fi * xi:",
+        ("tests/test_bigrading.py::test_residuals_decide_as_the_reducer_does",),
+    ),
+    Mutant(
+        "_dfs_u: one add per candidate",
+        "bigrading.py",
+        "                add_empty(no_row)\n                second = ",
+        "                second = ",
+        ("tests/test_bigrading.py::test_dfs_adds_and_outcomes_match_the_recorded_ones",),
     ),
 )
 

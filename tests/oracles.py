@@ -283,17 +283,53 @@ def kronecker_two_step(indices):
     basis vectors, and [a, b] = w1(a, b) z1 + w2(a, b) z2.  Returns
     ``(n, brackets)`` with ``brackets`` as {(i, j): {k: 1}} for i < j.
     """
-    n = sum(2 * e + 1 for e in indices) + 2
-    z1, z2 = n - 2, n - 1
-    brackets = {}
+    return pencil_two_step([("L", e) for e in indices])
+
+
+def pencil_two_step(blocks):
+    """A two-step algebra whose pencil of forms w1, w2 is a sum of Kronecker blocks.
+
+    Each block takes the next basis vectors, and every block shares the
+    center z1, z2, the last two basis vectors: [a, b] = w1(a, b) z1 +
+    w2(a, b) z2.  The blocks are
+    - ``("L", e)``: singular, on x_0..x_e, y_1..y_e, with w1 = sum
+      x_(j-1)^y_j and w2 = sum x_j^y_j (L_0 is one vector in no bracket);
+    - ``("J", k, lam)``: a Jordan pair J_k(lam) on x_1..x_k, y_1..y_k, with
+      w2 = sum x_j^y_j and w1 = lam w2 + sum x_j^y_(j+1); lam None is
+      J_k(inf), which swaps the roles of w1 and w2;
+    - ``("C",)``: the block of t^2 + 1 on x_1..x_4, with w1 = x_1^x_2 +
+      x_3^x_4 and w2 = x_1^x_3 - x_2^x_4.
+    Returns ``(n, brackets)`` with ``brackets`` as {(i, j): {k: c}} for i < j.
+    """
+    terms = []  # (a, b, form, c): c x_a ^ x_b in w1 (form 0) or w2 (form 1)
     start = 0
-    for e in indices:
-        # x_j is start + j, y_j is start + e + j.
-        for j in range(1, e + 1):
-            y = start + e + j
-            brackets[(start + j - 1, y)] = {z1: 1}
-            brackets[(start + j, y)] = {z2: 1}
-        start += 2 * e + 1
+    for kind, *args in blocks:
+        if kind == "L":
+            (e,) = args
+            # x_j is start + j, y_j is start + e + j.
+            for j in range(1, e + 1):
+                y = start + e + j
+                terms += [(start + j - 1, y, 0, 1), (start + j, y, 1, 1)]
+            start += 2 * e + 1
+        elif kind == "J":
+            k, lam = args
+            diagonal, shift = (0, 1) if lam is None else (1, 0)
+            # x_j is start + j - 1, y_j is start + k + j - 1.
+            for j in range(k):
+                terms.append((start + j, start + k + j, diagonal, 1))
+                if lam:
+                    terms.append((start + j, start + k + j, 0, lam))
+                if j + 1 < k:
+                    terms.append((start + j, start + k + j + 1, shift, 1))
+            start += 2 * k
+        else:
+            x1, x2, x3, x4 = range(start, start + 4)
+            terms += [(x1, x2, 0, 1), (x3, x4, 0, 1), (x1, x3, 1, 1), (x2, x4, 1, -1)]
+            start += 4
+    n = start + 2
+    brackets = {}
+    for a, b, form, c in terms:
+        brackets.setdefault((a, b), {})[n - 2 + form] = c
     return n, brackets
 
 
@@ -309,3 +345,33 @@ def vergne_q(n):
     for i in range(2, n // 2 + 1):
         brackets[(i - 1, n - i)] = {n - 1: (-1) ** (i + 1)}
     return n, brackets
+
+
+def pencil_discriminant(brackets, n):
+    """b^2 - 4ac of the Pfaffian a l^2 + b l m + c m^2 of the pencil l w1 + m w2, on Fractions.
+
+    For a two-step algebra whose brackets land on two basis vectors z1 < z2
+    and whose other four basis vectors x_0..x_3 (in order) span a
+    complement: w_t(x_a, x_b) is the z_t coefficient of [x_a, x_b], and Pf =
+    w(x_0, x_1) w(x_2, x_3) - w(x_0, x_2) w(x_1, x_3) + w(x_0, x_3) w(x_1,
+    x_2).  A change of basis of the complement scales Pf by its
+    determinant and one of C^1 = span(z1, z2) substitutes (l, m), so the
+    discriminant's class modulo nonzero squares is an isomorphism
+    invariant: zero for a double root, negative for no real root, a
+    positive square for two rational roots.
+    """
+    z = sorted({k for coeffs in brackets.values() for k in coeffs})
+    x = [t for t in range(n) if t not in z]
+    assert len(z) == 2 and len(x) == 4
+
+    def form(a, b):
+        coeffs = brackets.get((x[a], x[b]), {})
+        return Fraction(coeffs.get(z[0], 0)), Fraction(coeffs.get(z[1], 0))
+
+    quad = [Fraction(0)] * 3  # coefficients of l^2, l m, m^2
+    for sign, (a, b), (c, d) in ((1, (0, 1), (2, 3)), (-1, (0, 2), (1, 3)), (1, (0, 3), (1, 2))):
+        (p1, p2), (q1, q2) = form(a, b), form(c, d)
+        quad[0] += sign * p1 * q1
+        quad[1] += sign * (p1 * q2 + p2 * q1)
+        quad[2] += sign * p2 * q2
+    return quad[1] ** 2 - 4 * quad[0] * quad[2]

@@ -1598,7 +1598,8 @@ def _reference_report(L: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
     """`verify_bigrading` with every pair of generators bracketed, none tested for centrality.
 
     Spans on all generators, conjugation on `liealg.real_structure_rows`
-    and the support on a grading table formed with every pair.
+    and the support on the table that inverting the basis gives
+    (`liealg._moved_table`), independent of the solve.
     """
     n = L.dim
     rows = g.kernel_rows(n)[0]
@@ -1669,7 +1670,10 @@ def _reference_report(L: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
         conjugation = "exact" if exact_all else ("mod_lower_weight" if lax_all else "fails")
     support_ok = box_ok = spans and bracket_ok
     if support_ok and not g.is_restricted_shape():
-        table = cohomology._graded_cohomology(n, *cohomology._grading_table(L, rows, 1, set()))
+        flat = [row for comp_rows in rows.values() for row in comp_rows]
+        moved = cohomology._moved_table(L, flat, 1, "Qi")[0]
+        dual = [(-c.p, -c.q) for c in g.components for _ in c.generators]
+        table = cohomology._graded_cohomology(n, moved, dual)
         for j, p, q, d in table.by_bidegree:
             if not j <= p + q <= 2 * j:
                 support_ok = False

@@ -1,9 +1,13 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 
 from nilqp import (
     ExactMatrix,
     abelian,
     apply_basis_change,
+    betti_numbers,
     complexify,
     direct_sum,
     verify_bigrading,
@@ -22,7 +26,8 @@ from nilqp.checker import (
 from nilqp.errors import GradingNotDiagonal, InputError, NotLatticeAdmissible, NotNilpotent
 from nilqp.liealg import LieAlgebra
 
-from conftest import moved_parity_sum, random_invertible_t
+from conftest import fraction_brackets, moved_parity_sum, random_invertible_t
+from oracles import frac_rank, oracle_betti, pencil_discriminant, pencil_two_step
 
 
 def test_spec_requires_rational_field():
@@ -239,6 +244,75 @@ def test_reproduce_classification(dim):
     assert rows == EXPECTED_ROWS[dim]
     assert list(table.obstructed) == EXPECTED_OBSTRUCTED.get(dim, [])
     assert table.passes_only == ()
+
+
+def _verdicts_in_four_bases(base: LieAlgebra) -> list[str]:
+    """`check`'s status on ``base`` unmoved and moved by `random_invertible_t` at seeds 1-3."""
+    bases = [base] + [
+        apply_basis_change(base, random_invertible_t(base.dim, random.Random(seed)))
+        for seed in (1, 2, 3)
+    ]
+    return [check(alg, SearchBounds(max_nodes=2000)).status for alg in bases]
+
+
+def _c1_dim(brackets: dict, n: int) -> int:
+    return frac_rank([[coeffs.get(t, 0) for t in range(n)] for coeffs in brackets.values()])
+
+
+def test_classification_tables_cover_catalog_entries_only():
+    # de Graaf's L6,22(eps) (J. Algebra 309 (2007) 640-653): [x1, x2] = x5,
+    # [x1, x3] = x6, [x2, x4] = eps x6, [x3, x4] = x5.  Its pencil's
+    # Pfaffian is l^2 - eps m^2: a double root at eps = 0, no real root at
+    # eps = -1.  n3+n3's is l m, two rational roots, and n3+n3 is the only
+    # dim-6 catalog entry with dim C^1 = 2; so both get a grading, yet no
+    # catalog entry is isomorphic to them, and `report --dim 6` omits them.
+    n3n3 = fraction_brackets(get("n3+n3").algebra)
+    dim6 = [key for key in catalog_keys() if get(key).algebra.dim == 6]
+    assert [k for k in dim6 if _c1_dim(fraction_brackets(get(k).algebra), 6) == 2] == ["n3+n3"]
+    assert pencil_discriminant(n3n3, 6) == 1
+    betti = (1, 4, 8, 10, 8, 4, 1)
+    assert oracle_betti(n3n3, 6) == list(betti)
+    for eps, discriminant in ((0, 0), (-1, -4)):
+        brackets = {(0, 1): {4: 1}, (0, 2): {5: 1}, (2, 3): {4: 1}}
+        if eps:
+            brackets[1, 3] = {5: eps}
+        alg = LieAlgebra.from_brackets(f"L6,22({eps})", 6, brackets)
+        assert _c1_dim(brackets, 6) == 2
+        assert pencil_discriminant(brackets, 6) == discriminant
+        assert oracle_betti(brackets, 6) == list(betti)
+        assert betti_numbers(alg).betti == betti
+        assert _verdicts_in_four_bases(alg) == [EXHIBITED] * 4, eps
+
+
+# The blocks of `oracles.pencil_two_step` that fit in v <= 6: singular L_0-L_2,
+# Jordan pairs J_1-J_3 at 0, 1 and infinity, and the t^2 + 1 block.
+PENCIL_BLOCKS = (
+    [("L", e) for e in (0, 1, 2)]
+    + [("J", k, lam) for k in (1, 2, 3) for lam in (0, 1, None)]
+    + [("C",)]
+)
+
+
+def test_pencil_verdicts_do_not_depend_on_the_basis():
+    # Two-step algebras of dims 5-8 with dim C^1 = 2, one per list of blocks
+    # with v = n - 2 = 3-6.  The Kronecker type of the pencil is their
+    # invariant (Gauger 1973), and with v <= 6 a pencil has at most three
+    # distinct eigenvalues, which a change of basis of C^1 moves to 0, 1
+    # and infinity.
+    lists = []
+    for r in range(1, 7):
+        for blocks in combinations_with_replacement(PENCIL_BLOCKS, r):
+            n, brackets = pencil_two_step(blocks)
+            if 5 <= n <= 8 and _c1_dim(brackets, n) == 2:
+                lists.append(blocks)
+    assert len(lists) == 56
+    statuses = []
+    for blocks in lists:
+        n, brackets = pencil_two_step(blocks)
+        verdicts = _verdicts_in_four_bases(LieAlgebra.from_brackets(str(blocks), n, brackets))
+        assert verdicts == verdicts[:1] * 4, blocks
+        statuses += verdicts
+    assert (statuses.count(EXHIBITED), statuses.count(OBSTRUCTED)) == (176, 48)
 
 
 def test_reproduce_classification_range():

@@ -31,6 +31,7 @@ from nilqp.scalars import Q0, Q1, Gaussian, Rational
 from conftest import (
     carried_grading,
     count_scalar_arithmetic,
+    fraction_brackets,
     random_gaussian_t,
     random_invertible_t,
     random_nilpotent,
@@ -398,10 +399,7 @@ def test_differential_matches_oracle_on_moved_catalog(rng):
         if alg.field != "Q" or not alg.dim:
             continue
         moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-        brackets = {
-            ij: {t: Fraction(c.num, c.den) for t, c in coeffs.items()}
-            for ij, coeffs in moved.bracket_map().items()
-        }
+        brackets = fraction_brackets(moved)
         for k in range(moved.dim + 1):
             got = ce_differential(moved, k).entries
             want = oracle_differential(brackets, moved.dim, k)
@@ -464,13 +462,6 @@ def test_differential_over_qi_matches_oracle_by_parts():
     assert imaginary == [False, False, False, True, True]
 
 
-def _fraction_brackets(alg):
-    return {
-        ij: {t: Fraction(c.num, c.den) for t, c in coeffs.items()}
-        for ij, coeffs in alg.bracket_map().items()
-    }
-
-
 # Rational forms of the Q(i) catalog entries.
 REAL_FORMS = {"37B": "n7_143", "37D": "n7_142", "N1_84": "N1_84_real"}
 GRADED = sorted(key for key in catalog_keys() if get(key).known_bigradings)
@@ -497,7 +488,7 @@ def test_qi_moved_by_gaussian_denominators(key, rng):
     assert any(c.re and c.im and c.re.den != c.im.den for c in consts)
     real = get(REAL_FORMS[key]).algebra
     assert list(betti_numbers(moved).betti) == oracle_betti(
-        _fraction_brackets(real), real.dim
+        fraction_brackets(real), real.dim
     )
 
 
@@ -517,7 +508,7 @@ SOLVABLE = {
 def test_betti_of_solvable_non_unimodular_matches_oracle(key, rng):
     dim, brackets = SOLVABLE[key]
     alg = LieAlgebra.from_brackets(key, dim, brackets)
-    want = oracle_betti(_fraction_brackets(alg), dim)
+    want = oracle_betti(fraction_brackets(alg), dim)
     assert want != list(reversed(want))
     assert list(betti_numbers(alg).betti) == want
     moved = apply_basis_change(alg, random_invertible_t(dim, rng))
@@ -559,7 +550,7 @@ def test_betti_of_unimodular_non_nilpotent_matches_oracle(key, rng, monkeypatch)
     alg = LieAlgebra.from_brackets(key, dim, brackets)
     with pytest.raises(NotNilpotent):
         lower_central_series(alg)
-    want = oracle_betti(_fraction_brackets(alg), dim)
+    want = oracle_betti(fraction_brackets(alg), dim)
     assert want == list(reversed(want))
     moved = apply_basis_change(alg, random_invertible_t(dim, rng))
     gaussian = apply_basis_change(complexify(alg), random_gaussian_t(dim, rng))
@@ -584,7 +575,7 @@ def test_rank_calls_follow_unimodularity(monkeypatch, rng):
         assert calls == [comb(8, k) for k in (4, 5, 6)], key
     for key, (dim, brackets) in sorted(SOLVABLE.items()):
         alg = LieAlgebra.from_brackets(key, dim, brackets)
-        want = oracle_betti(_fraction_brackets(alg), dim)
+        want = oracle_betti(fraction_brackets(alg), dim)
         copies = [alg, apply_basis_change(alg, random_invertible_t(dim, rng))]
         if key == "r2":
             copies.append(apply_basis_change(complexify(alg), random_gaussian_t(dim, rng)))
@@ -634,7 +625,7 @@ def test_betti_of_random_nilpotent_algebras_match_oracle(n):
     rng = random.Random(n)
     for _ in range(4):
         alg = random_nilpotent(n, rng)
-        want = oracle_betti(_fraction_brackets(alg), n)
+        want = oracle_betti(fraction_brackets(alg), n)
         assert list(betti_numbers(alg).betti) == want, alg.bracket_map()
         moved = apply_basis_change(complexify(alg), random_gaussian_t(n, rng))
         assert list(betti_numbers(moved).betti) == want, alg.bracket_map()
@@ -750,7 +741,7 @@ def test_adapted_table_matches_the_fraction_basis_change():
 def test_betti_of_moved_rational_algebras_match_oracle(rng):
     interleaved = False
     for alg in _rational_bases():
-        want = oracle_betti(_fraction_brackets(alg), alg.dim)
+        want = oracle_betti(fraction_brackets(alg), alg.dim)
         assert list(betti_numbers(alg).betti) == want, alg.name
         for _ in range(2):
             moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
@@ -766,7 +757,7 @@ def test_betti_of_complexifications_moved_by_gaussian_t_match_oracle(rng):
     for alg in _rational_bases():
         if alg.dim > 9:
             continue
-        want = oracle_betti(_fraction_brackets(alg), alg.dim)
+        want = oracle_betti(fraction_brackets(alg), alg.dim)
         moved = apply_basis_change(complexify(alg), random_gaussian_t(alg.dim, rng))
         assert moved.field == "Qi"
         assert list(betti_numbers(moved).betti) == want, alg.name
@@ -802,12 +793,12 @@ def test_betti_of_moved_abelian_sums_match_oracle_or_kunneth(rng):
         alg = get(key).algebra
         if alg.field != "Q" or not alg.brackets:
             continue
-        base = oracle_betti(_fraction_brackets(alg), alg.dim)
+        base = oracle_betti(fraction_brackets(alg), alg.dim)
         for k in range(1, 5):
             total = direct_sum(alg, abelian(k))
             n = total.dim
             if n <= 8:
-                want = oracle_betti(_fraction_brackets(total), n)
+                want = oracle_betti(fraction_brackets(total), n)
                 assert want == _times_one_plus_t(base, k), total.name
             else:
                 want = _times_one_plus_t(base, k)
@@ -822,7 +813,7 @@ def test_betti_of_a_solvable_algebra_plus_an_abelian_factor(rng):
     # holds C^1 and is an ideal, so the Kunneth split still applies.
     alg = LieAlgebra.from_brackets("r2+C2", 4, {(0, 1): {1: 1}})
     want = [1, 3, 3, 1, 0]
-    assert oracle_betti(_fraction_brackets(alg), 4) == want
+    assert oracle_betti(fraction_brackets(alg), 4) == want
     for copy in (alg, *_moved_copies(alg, rng)):
         assert list(betti_numbers(copy).betti) == want, copy.name
         core, k = _core_table(_commutator_adapted_table(copy), 4)
@@ -842,7 +833,7 @@ def test_core_table_drops_the_abelian_factor(rng):
         for extra in range(4):
             total = direct_sum(alg, abelian(extra)) if extra else alg
             n = total.dim
-            want = oracle_abelian_factor_dim(_fraction_brackets(total), n)
+            want = oracle_abelian_factor_dim(fraction_brackets(total), n)
             copies = (total, *_moved_copies(total, rng)) if n <= 9 else (total,)
             for copy in copies:
                 c1_dim = commutator_ideal(copy).dim
@@ -920,7 +911,7 @@ def _fraction_representatives(alg):
     of the span of im d_{k-1} and the representatives kept before it.
     """
     n = alg.dim
-    brackets = _fraction_brackets(alg)
+    brackets = fraction_brackets(alg)
     reps = {}
     for k in range(n + 1):
         ncols = comb(n, k)

@@ -44,7 +44,7 @@ from nilqp.errors import (
 )
 from nilqp.scalars import Gaussian, Rational
 
-from conftest import random_gaussian_t, random_invertible_t
+from conftest import fraction_brackets, random_gaussian_t, random_invertible_t
 from oracles import (
     _c_matmul,
     frac_inverse_qi,
@@ -884,10 +884,6 @@ def test_series_and_commutator_keep_values_and_types(rng):
     assert [t.basis.field for t in lower_central_series(qg).terms] == ["Q", "Qi", "Qi", "Q"]
 
 
-def _fraction_brackets(L: LieAlgebra) -> dict:
-    return {ij: {k: Fraction(c.num, c.den) for k, c in cs} for ij, cs in L.brackets}
-
-
 def test_is_central_agrees_with_the_fraction_bracket(rng):
     # x is central exactly when a reference brackets it to zero with every
     # unit vector.  Over Q the reference is the Fraction oracle, which
@@ -923,7 +919,7 @@ def test_is_central_agrees_with_the_fraction_bracket(rng):
                 gradings = entry.known_bigradings
                 vectors += [v for g in gradings for cp in g.components for v in cp.generators]
             if alg.field == "Q":
-                brackets = _fraction_brackets(alg)
+                brackets = fraction_brackets(alg)
                 e = [[Fraction(int(s == t)) for t in range(n)] for s in range(n)]
             for v in vectors:
                 if alg.field == "Q":

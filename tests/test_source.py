@@ -207,7 +207,7 @@ _VERIFICATION = (
     ("bigrading", "_verify_rows"),
     ("bigrading", "_conjugation"),
     ("cohomology", "_central_generators"),
-    ("cohomology", "_graded_brackets"),
+    ("cohomology", "_graded_solutions"),
     ("cohomology", "_solved_table"),
     ("liealg", "_ad"),
     ("liealg", "_is_central"),
