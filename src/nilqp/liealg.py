@@ -1,26 +1,27 @@
 """Lie algebras over Q and Q(i) given by structure constants.
 
-Brackets are stored sparsely: for each pair i < j a map k -> coefficient of
-the k-th basis vector in [X_i, X_j].  Antisymmetry is implicit and the Jacobi
-identity is enforced by ``validate``, which every public constructor calls.
-An algebra over Q holds only `Rational` constants, so it admits a lattice
-(Malcev): `LieAlgebra.from_brackets` reads a real `Gaussian` constant there
-as its real part and refuses any other.  Algebras over Q(i) may carry a real
-structure: an antilinear involution that is also a bracket automorphism,
-used for all conjugation-dependent checks.
+An algebra keeps its constants once, as its `StructureTable`: for each
+pair i < j with a nonzero bracket, the Gaussian-integer coefficients of
+[X_i, X_j] over the least common denominator of all constants, in the
+kernel's one row format over both fields (Z[i] rows, whose imaginary parts
+are zero over Q).  Antisymmetry is implicit and the Jacobi identity is
+enforced by ``validate``, which every public constructor calls.  An
+algebra over Q has only rational constants, so it admits a lattice
+(Malcev): `LieAlgebra.from_brackets` reads a real `Gaussian` constant
+there as its real part and refuses any other.  Algebras over Q(i) may
+carry a real structure: an antilinear involution that is also a bracket
+automorphism, used for all conjugation-dependent checks.
 
-Brackets, validation, conjugation and changes of basis run on integers, in
-the kernel's one row format over both fields: Z[i] rows, whose imaginary
-parts are zero over Q.  `structure_table` holds the constants once per
-instance as Gaussian-integer pairs over one common denominator, and
-`real_structure_rows` the real structure as Z[i] rows.  `validate` checks
-on them; `LieAlgebra.bracket` and `LieAlgebra.conj_vector` clear the
-denominators of their input, form every product on integers and divide
-once per result entry.  `_moved_table` gives the table in a new basis, in
-lowest terms; `apply_basis_change` decodes it, while the bigraded
-cohomology of ``cohomology`` and the rational form of ``bigrading`` read
-it as it is.  The facts derived from the constants (`structure_table`,
-`real_structure_rows`, `commutator_ideal`, `lower_central_series`,
+Brackets, validation, conjugation and changes of basis run on integers.
+`structure_table` returns the stored table, and `real_structure_rows`
+gives the real structure as Z[i] rows.  `validate` checks on them;
+`LieAlgebra.bracket` and `LieAlgebra.conj_vector` clear the denominators
+of their input, form every product on integers and divide once per result
+entry.  `_moved_table` gives the table in a new basis, in lowest terms,
+and `apply_basis_change` keeps it as it comes; `complexify`, `rename`,
+`direct_sum` and `strip_abelian_factor` share or combine tables without
+decoding them.  The facts derived from the constants
+(`real_structure_rows`, `commutator_ideal`, `lower_central_series`,
 `center`) are computed at most once per instance, and C^1 = [L, L] is the
 one `commutator_ideal` that the series starts from.
 
@@ -28,9 +29,9 @@ Scalars become integers only by `kernel.zi_rows` and are made only for
 the results, by `kernel.decode` on the result's field, and every scalar
 derived here follows one rule: it is a `Gaussian` when the algebra is over
 Q(i) or an input entry is a `Gaussian`, and a `Rational` otherwise.  That
-covers `bracket_basis`, `bracket`, `conj_vector`, the subspaces' vectors
-and the constants and real structure of `apply_basis_change`, which are
-typed by the new algebra's field.
+covers `LieAlgebra.brackets`, a view decoded on each read, `bracket_basis`,
+`bracket`, `conj_vector`, the subspaces' vectors and the real structure of
+`apply_basis_change`, which is typed by the new algebra's field.
 """
 
 from __future__ import annotations
@@ -105,11 +106,18 @@ def _freeze_brackets(brackets, dim: int, field: str) -> tuple:
 
 @dataclass(frozen=True)
 class LieAlgebra:
+    """A Lie algebra whose constants are held once, as its `StructureTable`.
+
+    `brackets` is a view of the table, decoded on each read and never kept.
+    Two algebras are equal, and hash alike, exactly when their names, basis,
+    field, constants and real structure are.
+    """
+
     name: str
     dim: int
     field: str  # "Q" | "Qi"
     basis_names: tuple[str, ...]
-    brackets: tuple  # canonical sparse form, see _freeze_brackets
+    table: StructureTable  # the one stored form of the constants
     real_structure: ExactMatrix | None = None
     # Facts derived from the constants, by function name (see `_fact`):
     # computed at most once per instance, as the algebra is immutable.
@@ -134,12 +142,31 @@ class LieAlgebra:
             dim=dim,
             field=field,
             basis_names=tuple(basis_names),
-            brackets=_freeze_brackets(brackets, dim, field),
+            table=_encoded(_freeze_brackets(brackets, dim, field), field),
             real_structure=real_structure,
         )
         if check:
             validate(alg)
         return alg
+
+    def __hash__(self):
+        rows = frozenset(self.table.rows.items())
+        return hash((self.name, self.dim, self.field, self.basis_names, self.table.den, rows,
+                     self.real_structure))
+
+    @property
+    def brackets(self) -> tuple:
+        """The constants in `_freeze_brackets`' form, decoded from the table on each read.
+
+        They are `Gaussian` over Q(i) and `Rational` over Q, whatever type
+        they were entered as.
+        """
+        out = []
+        for ij, row in self.table.rows.items():
+            ks, pairs = zip(*row)
+            entries = kernel.decode(dict(enumerate(pairs)), self.table.den, len(ks), self.field)
+            out.append((ij, tuple(zip(ks, entries))))
+        return tuple(out)
 
     # -- bracket evaluation -------------------------------------------------
 
@@ -176,16 +203,16 @@ class LieAlgebra:
         return _conjugate(*real_structure_rows(self), v, self.field)
 
     def is_abelian(self) -> bool:
-        return not self.brackets
+        return not self.table.rows
 
     def rename(self, name: str) -> "LieAlgebra":
         return LieAlgebra(
-            name, self.dim, self.field, self.basis_names, self.brackets,
-            self.real_structure,
+            name, self.dim, self.field, self.basis_names, self.table, self.real_structure
         )
 
     def same_brackets(self, other: "LieAlgebra") -> bool:
-        return self.dim == other.dim and self.brackets == other.brackets
+        """Equal constants, over either field: the tables are in lowest terms."""
+        return self.dim == other.dim and self.table[1:] == other.table[1:]
 
 
 @dataclass(frozen=True)
@@ -214,7 +241,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
     be the identity, the only real structure read there.
     """
     n = L.dim
-    for (i, j), _ in L.brackets:
+    for i, j in L.table.rows:
         if not (0 <= i < j < n):
             raise ValueError(f"{L.name}: bad bracket key ({i}, {j})")
     # Jacobi: [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0, that is
@@ -269,13 +296,14 @@ def validate(L: LieAlgebra) -> ValidationReport:
 
 
 class StructureTable(NamedTuple):
-    """The structure constants as Gaussian integers over one common denominator.
+    """The structure constants as Gaussian integers over their least common denominator.
 
     ``rows[i, j]`` holds [X_i, X_j] = sum (re + im*i) / den X_k as the
     pairs ``((k, (re, im)), ...)``, k ascending and no pair zero, for each
-    nonzero bracket with i < j, in the order of ``L.brackets``.  Both
-    fields share it: over "Q" every ``im`` is zero.  The field is the
-    algebra's.
+    nonzero bracket with i < j, in ascending (i, j).  Both fields share
+    it: over "Q" every ``im`` is zero.  An algebra's table is its one
+    stored form of the constants, and its field is the algebra's; being
+    in lowest terms, equal constants give equal tables.
     """
 
     field: str
@@ -297,14 +325,18 @@ def _fact(fn):
     return fact
 
 
-@_fact
 def structure_table(L: LieAlgebra) -> StructureTable:
-    """L's `StructureTable`."""
+    """L's `StructureTable`, the one form in which L keeps its constants."""
+    return L.table
+
+
+def _encoded(frozen: tuple, field: str) -> StructureTable:
+    """The `StructureTable` over ``field`` of constants in `_freeze_brackets`' form."""
     # One row of every constant: none is zero, so the row holds each in order.
-    (row,), den = kernel.zi_rows([[w for _, coeffs in L.brackets for _, w in coeffs]])
+    (row,), den = kernel.zi_rows([[c for _, coeffs in frozen for _, c in coeffs]])
     it = iter(row.values())
     return StructureTable(
-        L.field, den, {ij: tuple((k, next(it)) for k, _ in cs) for ij, cs in L.brackets}
+        field, den, {ij: tuple((k, next(it)) for k, _ in cs) for ij, cs in frozen}
     )
 
 
@@ -505,19 +537,15 @@ def commutator_ideal(L: LieAlgebra) -> Subspace:
 def complexify(L: LieAlgebra) -> LieAlgebra:
     """Same structure constants over Q(i), with entrywise conjugation.
 
-    L's canonical brackets are kept as they are: its `Rational` constants
-    are canonical over Q(i) too.
+    The new table shares the rows of L's: a rational table in lowest terms
+    is one over Q(i) too.  Its `brackets` read as `Gaussian`.
     """
     if L.field == "Qi":
         raise AlreadyComplex(f"{L.name} is already over Q(i)")
     # Jacobi is field-independent and conjugation is entrywise: nothing to validate.
     return LieAlgebra(
-        name=f"{L.name}(C)",
-        dim=L.dim,
-        field="Qi",
-        basis_names=L.basis_names,
-        brackets=L.brackets,
-        real_structure=ExactMatrix.identity(L.dim),
+        f"{L.name}(C)", L.dim, "Qi", L.basis_names, L.table._replace(field="Qi"),
+        ExactMatrix.identity(L.dim),
     )
 
 
@@ -529,9 +557,11 @@ def apply_basis_change(
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    The constants are those of `_moved_table`, each decoded once, and the
-    real structure is formed on the rows of T and T^-1; both are typed by
-    the new algebra's field, which is Q(i) when L or T is.
+    The new algebra keeps `_moved_table`'s table as it comes, and the
+    real structure is formed on the rows of T and T^-1, typed by the new
+    algebra's field, which is Q(i) when L or T is.  Jacobi and the
+    involution properties are conjugation-invariant, so nothing is
+    validated again.
     """
     n = L.dim
     if T.rows != n or T.cols != n:
@@ -552,15 +582,8 @@ def apply_basis_change(
         new_real = ExactMatrix(
             [kernel.decode(row, s_den * inv_den, n, table.field) for row in rows], cols=n
         )
-    return LieAlgebra.from_brackets(
-        name=name or f"{L.name}~",
-        dim=n,
-        brackets=_decoded(table, table.field),
-        field=table.field,
-        basis_names=tuple(f"e{i + 1}" for i in range(n)),
-        real_structure=new_real,
-        check=False,  # Jacobi and involution properties are conjugation-invariant
-    )
+    basis_names = tuple(f"e{i + 1}" for i in range(n))
+    return LieAlgebra(name or f"{L.name}~", n, table.field, basis_names, table, new_real)
 
 
 def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
@@ -604,26 +627,11 @@ def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:
     return kernel.zi_combine(*((c, inv[l]) for l, c in w.items()))
 
 
-def _decoded(table: StructureTable, field: str) -> BracketMap:
-    """The constants of ``table`` as scalars, each decoded once by the kernel.
-
-    Over "Qi" they are `Gaussian`; over "Q" they are the real parts, as `Rational`.
-    """
-    brackets = {}
-    for ij, row in table.rows.items():
-        ks, pairs = zip(*row)
-        entries = kernel.decode(dict(enumerate(pairs)), table.den, len(ks), field)
-        brackets[ij] = dict(zip(ks, entries))
-    return brackets
-
-
 def _real_form(name: str, table: StructureTable, basis_names) -> LieAlgebra | None:
     """The algebra over Q with the constants of a table over Q(i), None if one is not real."""
     if any(y for row in table.rows.values() for _, (_, y) in row):
         return None
-    return LieAlgebra.from_brackets(
-        name, len(basis_names), _decoded(table, "Q"), basis_names=basis_names, check=False
-    )
+    return LieAlgebra(name, len(basis_names), "Q", basis_names, table._replace(field="Q"))
 
 
 def verify_isomorphism(L1: LieAlgebra, L2: LieAlgebra, T: ExactMatrix) -> bool:
@@ -689,15 +697,9 @@ def strip_abelian_factor(L: LieAlgebra) -> tuple[LieAlgebra, int]:
     core_real = None
     if s is not None and not any(s[r, j] for r in range(m, n) for j in range(m)):
         core_real = ExactMatrix([s.row(r)[:m] for r in range(m)], cols=m)
-    core = LieAlgebra.from_brackets(
-        name=f"{L.name}.core",
-        dim=m,
-        brackets={ij: dict(coeffs) for ij, coeffs in moved.brackets},
-        field=L.field,
-        basis_names=tuple(f"c{i + 1}" for i in range(m)),
-        real_structure=core_real,
-        check=False,
-    )
+    # The central vectors bracket to zero, so every row is a pair of the core.
+    core_names = tuple(f"c{i + 1}" for i in range(m))
+    core = LieAlgebra(f"{L.name}.core", m, moved.field, core_names, moved.table, core_real)
     return core, len(central_part)
 
 
@@ -706,26 +708,22 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
     if L1.field != L2.field:
         raise FieldMismatch(f"{L1.field} vs {L2.field}")
     n1, n2 = L1.dim, L2.dim
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {
-        ij: dict(c) for ij, c in L1.brackets
+    t1, t2 = L1.table, L2.table
+    # Both summands over the product of their denominators, then lowest terms.
+    rows = {
+        ij: [(k, (x * t2.den, y * t2.den)) for k, (x, y) in row] for ij, row in t1.rows.items()
     }
-    for (i, j), coeffs in L2.brackets:
-        brackets[(i + n1, j + n1)] = {k + n1: c for k, c in coeffs}
+    for (i, j), row in t2.rows.items():
+        rows[i + n1, j + n1] = [(k + n1, (x * t1.den, y * t1.den)) for k, (x, y) in row]
     names = tuple(f"{nm}'" if nm in L1.basis_names else nm for nm in L2.basis_names)
     real = None
     if L1.real_structure is not None and L2.real_structure is not None:
         top = L1.real_structure.augment(ExactMatrix.zeros(n1, n2))
         bottom = ExactMatrix.zeros(n2, n1).augment(L2.real_structure)
         real = top.stack(bottom)
-    return LieAlgebra.from_brackets(
-        name=f"{L1.name}+{L2.name}",
-        dim=n1 + n2,
-        brackets=brackets,
-        field=L1.field,
-        basis_names=L1.basis_names + names,
-        real_structure=real,
-        check=False,
-    )
+    table = _lowest_table(L1.field, t1.den * t2.den, rows)
+    names = L1.basis_names + names
+    return LieAlgebra(f"{L1.name}+{L2.name}", n1 + n2, L1.field, names, table, real)
 
 
 def abelian(n: int, field: str = "Q", name: str | None = None) -> LieAlgebra:

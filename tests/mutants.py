@@ -48,6 +48,7 @@ _JACOBI = (
 _IS_CENTRAL = ("tests/test_liealg.py::test_is_central_agrees_with_the_fraction_bracket",)
 _PAIR_BRACKETS = ("tests/test_liealg.py::test_pair_brackets_equal_the_brackets_they_replace",)
 _SWEEP = "tests/test_kernel.py::test_echelon_insertion_keeps_the_column_sweeps_pivots"
+_TYPED_BRACKETS = "tests/test_liealg.py::test_brackets_read_as_freeze_brackets_makes_them_typed_by_field"
 _CONTENT = ("tests/test_kernel.py::test_elimination_keeps_content_until_a_row_is_kept",)
 _VERIFY = (
     "tests/test_bigrading.py::test_verify_reports_match_golden_digest",
@@ -188,11 +189,11 @@ MUTANTS = (
         _VERIFY + _OFFENDER,
     ),
     Mutant(
-        "_grading_table: offender taken from the first failure, not the least",
+        "_grading_table: offender taken as the first bad constant in table order",
         "cohomology.py",
         "k, i, j = min(bad)",
         "k, i, j = bad[0]",
-        _OFFENDER,
+        ("tests/test_cohomology.py::test_grading_not_compatible_names_the_least_offender",),
     ),
     Mutant(
         "_verify_rows: a failure leaves bracket_compatible set",
@@ -236,6 +237,40 @@ MUTANTS = (
         "                add_empty(no_row)\n                second = ",
         "                second = ",
         ("tests/test_bigrading.py::test_dfs_adds_and_outcomes_match_the_recorded_ones",),
+    ),
+    # The structure table as the one stored form of the constants.
+    Mutant(
+        "brackets: real constants over Q(i) decoded as Rational",
+        "liealg.py",
+        "len(ks), self.field)",
+        'len(ks), "Qi" if any(y for _, y in pairs) else "Q")',
+        (_TYPED_BRACKETS,),
+    ),
+    Mutant(
+        "complexify: a fresh table encoded instead of shared rows",
+        "liealg.py",
+        'L.table._replace(field="Qi")',
+        '_encoded(L.brackets, "Qi")',
+        ("tests/test_liealg.py::test_each_algebra_holds_its_constants_once",),
+    ),
+    Mutant(
+        "direct_sum: second summand's targets not shifted",
+        "liealg.py",
+        "[(k + n1, (x * t1.den, y * t1.den))",
+        "[(k, (x * t1.den, y * t1.den))",
+        (_TYPED_BRACKETS,),
+    ),
+    Mutant(
+        "from_brackets: table over the product of the denominators",
+        "liealg.py",
+        "    it = iter(row.values())\n",
+        "    f = __import__('math').prod(\n"
+        "        c.den if type(c) is not Gaussian else c.re.den * c.im.den\n"
+        "        for _, cs in frozen for _, c in cs\n"
+        "    ) // den\n"
+        "    row, den = {j: (x * f, y * f) for j, (x, y) in row.items()}, den * f\n"
+        "    it = iter(row.values())\n",
+        ("tests/test_liealg.py::test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are",),
     ),
 )
 

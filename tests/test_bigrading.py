@@ -136,9 +136,7 @@ def test_verify_misplaced_center_fails_bracket_check():
 
 def test_verify_requires_real_structure():
     alg = get("N1_84").algebra
-    stripped = LieAlgebra(
-        alg.name, alg.dim, alg.field, alg.basis_names, alg.brackets, None
-    )
+    stripped = LieAlgebra(alg.name, alg.dim, alg.field, alg.basis_names, alg.table, None)
     with pytest.raises(MissingRealStructure):
         verify_bigrading(stripped, get("N1_84").known_bigradings[0])
 
@@ -150,9 +148,7 @@ def test_verify_rejects_an_unknown_mode():
 
 def test_search_over_qi_requires_real_structure():
     alg = get("N1_84").algebra
-    stripped = LieAlgebra(
-        alg.name, alg.dim, alg.field, alg.basis_names, alg.brackets, None
-    )
+    stripped = LieAlgebra(alg.name, alg.dim, alg.field, alg.basis_names, alg.table, None)
     with pytest.raises(MissingRealStructure, match="N1_84: conjugation checks"):
         search_bigrading(stripped)
 
@@ -421,6 +417,7 @@ def test_search_reads_real_gaussian_constants_over_q_as_rationals(key):
     gaussian = _with_constants(alg, lambda c: Gaussian(c, 0))
     assert all(type(c) is Rational for _, coeffs in gaussian.brackets for _, c in coeffs)
     assert gaussian.brackets == alg.brackets
+    assert gaussian == alg and hash(gaussian) == hash(alg)
     want = search_outcome_to_json(search_bigrading(alg))
     assert want["status"] == "found"
     assert search_outcome_to_json(search_bigrading(gaussian)) == want

@@ -338,6 +338,26 @@ def test_grading_not_compatible_keeps_its_text(rng):
         assert str(err.value) == text
 
 
+def test_grading_not_compatible_names_the_least_offender(rng):
+    # [X1, X2] = X5 and [X1, X3] = X4 both leave a grading that puts X1-X3
+    # in (-1, 0) and X4, X5 in (0, -1).  In table order the first bad
+    # constant is k = 4 of the pair (0, 1); the least (k, (i, j)) is k = 3
+    # of the later pair (0, 2), and that one is named, in any basis.
+    alg = LieAlgebra.from_brackets("x", 5, {(0, 1): {4: 1}, (0, 2): {3: 1}}, field="Qi",
+                                   real_structure=ExactMatrix.identity(5))
+    e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    g = Bigrading.build([(-1, 0, e[:3]), (0, -1, e[3:])])
+    text = "d maps bidegree (0, 1) monomial (3,) to (2, 0) monomial (0, 2) in degree 1"
+    cases = [(alg, g)]
+    for move in (random_invertible_t, random_gaussian_t):
+        t = move(5, rng)
+        cases.append((apply_basis_change(alg, t), carried_grading(g, t)))
+    for target, grading in cases:
+        with pytest.raises(GradingNotCompatible) as err:
+            bigraded_cohomology(target, grading)
+        assert str(err.value) == text
+
+
 @pytest.mark.parametrize(
     "key, brackets",
     [("N1_82", 9), ("N3_82", 9), ("N5_82", 9), ("n7", 9), ("g_sec6", 9), ("N1_84", 6), ("37B", 6)],

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 
@@ -26,7 +27,7 @@ from nilqp import kernel, liealg
 from nilqp.catalog import catalog_keys, get
 from nilqp.exact import check_real_structure
 from nilqp.liealg import (
-    _decoded,
+    _freeze_brackets,
     _is_central,
     _moved_table,
     _zi_bracket,
@@ -374,14 +375,16 @@ def test_invariants_under_random_basis_change(rng):
 
 def test_structure_table_holds_one_row_per_bracket(rng):
     # Every catalog entry and a moved copy, each over Q and complexified:
-    # the rows follow L.brackets, each lists its targets k in ascending
-    # order with no zero pair, is real over Q, and decodes to the constants.
+    # the rows come in ascending (i, j), as L.brackets lists them, each
+    # lists its targets k in ascending order with no zero pair, is real
+    # over Q, and the denominator is the least common one of the constants.
     fields = set()
     for key in catalog_keys():
         alg = get(key).algebra
         for base in (alg, apply_basis_change(alg, random_invertible_t(alg.dim, rng))):
             for L in (base, complexify(base)) if base.field == "Q" else (base,):
                 table = structure_table(L)
+                assert list(table.rows) == sorted(table.rows), (key, L.field)
                 assert list(table.rows) == [ij for ij, _ in L.brackets], (key, L.field)
                 for row in table.rows.values():
                     ks = [k for k, _ in row]
@@ -389,9 +392,154 @@ def test_structure_table_holds_one_row_per_bracket(rng):
                     assert all(pair != (0, 0) for _, pair in row), (key, L.field)
                     if L.field == "Q":
                         assert all(y == 0 for _, (_, y) in row), key
-                assert _decoded(table, L.field) == L.bracket_map(), (key, L.field)
+                parts = [x for row in table.rows.values() for _, pair in row for x in pair]
+                assert gcd(table.den, *parts) == 1, (key, L.field)
                 fields.add(table.field)
     assert fields == {"Q", "Qi"}
+
+
+_FIELDS = {"name", "dim", "field", "basis_names", "table", "real_structure", "_facts"}
+
+
+def _leaves(x):
+    """Every object reachable from ``x`` through tuples, lists and dicts, keys included."""
+    if isinstance(x, (tuple, list)):
+        for y in x:
+            yield from _leaves(y)
+    elif isinstance(x, dict):
+        yield from _leaves(list(x.items()))
+    else:
+        yield x
+
+
+def test_each_algebra_holds_its_constants_once(rng):
+    # What every constructor returns keeps its constants in the table alone,
+    # as ints: no scalar object, no attribute beyond the fields and the memo,
+    # and `brackets` is decoded anew on each read.
+    n5c = complexify(get("n5").algebra)
+    n3_r2 = direct_sum(get("n3").algebra, abelian(2))
+    split = apply_basis_change(n3_r2, random_invertible_t(5, rng))
+    results = [
+        apply_basis_change(get("N3_82").algebra, random_invertible_t(8, rng)),
+        apply_basis_change(get("N3_82").algebra, random_gaussian_t(8, rng)),
+        apply_basis_change(get("N1_84").algebra, random_invertible_t(8, rng)),
+        apply_basis_change(n5c, random_gaussian_t(5, rng)),
+        n5c,
+        n5c.rename("n5 again"),
+        direct_sum(get("n5").algebra, get("filiform_4").algebra),
+        direct_sum(get("N1_84").algebra, n5c),
+        strip_abelian_factor(split)[0],
+        strip_abelian_factor(complexify(split))[0],
+    ]
+    for alg in results:
+        assert set(vars(alg)) == _FIELDS, alg.name
+        stored = (alg.name, alg.dim, alg.field, alg.basis_names, alg.table)
+        assert {type(x) for x in _leaves(stored)} == {str, int}, alg.name
+        assert structure_table(alg) is alg.table and alg.table.field == alg.field, alg.name
+        assert alg.brackets == alg.brackets and alg.brackets is not alg.brackets, alg.name
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.field == "Q":
+            assert structure_table(complexify(alg)).rows is structure_table(alg).rows, key
+
+
+def _field_typed(frozen: tuple, field: str) -> tuple:
+    """`_freeze_brackets`' form with each constant a `Gaussian` over Q(i)."""
+    if field == "Q":
+        return frozen
+    return tuple(
+        (ij, tuple((k, c if type(c) is Gaussian else Gaussian(c, 0)) for k, c in cs))
+        for ij, cs in frozen
+    )
+
+
+def _with_types(frozen: tuple) -> list:
+    """The constants with their types, which == on scalars does not tell apart."""
+    return [(ij, [(k, type(c), c) for k, c in cs]) for ij, cs in frozen]
+
+
+def _scalar_map(pairs: dict) -> dict:
+    """{(i, j): {k: (re, im)}} of Fractions as `Gaussian` constants, entered in reverse order."""
+    def g(x):
+        return Rational(x.numerator, x.denominator)
+
+    return {ij: {k: Gaussian(g(re), g(im)) for k, (re, im) in reversed(cs.items())}
+            for ij, cs in reversed(pairs.items())}
+
+
+def test_brackets_read_as_freeze_brackets_makes_them_typed_by_field(rng):
+    # On the same input, `brackets` equals what `_freeze_brackets` gives,
+    # with the field's types: `Gaussian` over Q(i), `Rational` over Q.
+    # The input: each catalog entry's constants re-entered, its moved
+    # copies' constants from the Fraction oracle, its constants over Q(i)
+    # for its complexification, and both summands' for catalog sums.
+    def check(alg, given, where):
+        want = _field_typed(_freeze_brackets(given, alg.dim, alg.field), alg.field)
+        assert _with_types(alg.brackets) == _with_types(want), where
+
+    seen = set()
+    for key in catalog_keys():
+        alg = get(key).algebra
+        n, given = alg.dim, alg.bracket_map()
+        check(alg, given, key)
+        again = LieAlgebra.from_brackets(
+            alg.name, n, _scalar_map(_pair_brackets(alg)), field=alg.field,
+            basis_names=alg.basis_names, real_structure=alg.real_structure,
+        )
+        assert again == alg and hash(again) == hash(alg), key
+        if alg.field == "Q":
+            check(complexify(alg), given, (key, "complexified"))
+        for t in (random_invertible_t(n, rng), random_gaussian_t(n, rng)):
+            moved = apply_basis_change(alg, t)
+            want, _ = oracle_basis_change(_pair_brackets(alg), n, _pair_rows(t))
+            check(moved, _scalar_map(want), (key, t.field))
+            seen.add(moved.field)
+    assert seen == {"Q", "Qi"}
+    for a, b in (("n3", "n5"), ("filiform_4", "L5_parity"), ("37D", "N1_84"), ("n3", "abelian_1")):
+        first, second = get(a).algebra, get(b).algebra
+        for x, y in ((first, second), (second, first)):
+            if x.field != y.field:
+                x, y = (complexify(z) if z.field == "Q" else z for z in (x, y))
+            given = x.bracket_map()
+            for (i, j), cs in y.bracket_map().items():
+                given[i + x.dim, j + x.dim] = {k + x.dim: c for k, c in cs.items()}
+            check(direct_sum(x, y), given, (x.name, y.name))
+
+
+def test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are():
+    # [X1, X2] = X3/2 + X4, [X1, X3] = X4/2, entered in any dict order, with
+    # ints, `Rational`s or real `Gaussian`s, or carried by the identity: one
+    # algebra, one hash, and a table over 2, not over the product 4.
+    half = Rational(1, 2)
+    names = ("e1", "e2", "e3", "e4")
+    entries = [
+        {(0, 1): {2: half, 3: 1}, (0, 2): {3: half}},
+        {(0, 2): {3: half}, (0, 1): {3: Rational(1), 2: half}},
+        {(0, 1): {3: Gaussian(1, 0), 2: Gaussian(half, 0)}, (0, 2): {3: Gaussian(half)}},
+    ]
+    for field in ("Q", "Qi"):
+        real = ExactMatrix.identity(4) if field == "Qi" else None
+        algebras = [
+            LieAlgebra.from_brackets("x", 4, b, field=field, basis_names=names, real_structure=real)
+            for b in entries
+        ]
+        moved = apply_basis_change(algebras[0], ExactMatrix.identity(4), name="x")
+        for alg in algebras + [moved]:
+            assert alg == algebras[0] and hash(alg) == hash(algebras[0]), field
+            assert alg.same_brackets(algebras[0]), field
+            assert structure_table(alg).den == 2, field
+        other = LieAlgebra.from_brackets(
+            "x", 4, {(0, 1): {2: half, 3: 1}, (0, 2): {3: Rational(1, 3)}},
+            field=field, basis_names=names, real_structure=real,
+        )
+        assert other != algebras[0] and not other.same_brackets(algebras[0]), field
+    rational = LieAlgebra.from_brackets("x", 4, entries[0], basis_names=names)
+    complexified = complexify(rational)
+    entered = LieAlgebra.from_brackets(
+        "x(C)", 4, entries[2], field="Qi", basis_names=names, real_structure=ExactMatrix.identity(4)
+    )
+    assert complexified == entered and hash(complexified) == hash(entered)
+    assert complexified.same_brackets(rational) and complexified != rational
 
 
 def test_moved_table_is_the_structure_table_of_the_moved_algebra(rng):
@@ -795,9 +943,7 @@ def test_series_and_center_computed_once_per_instance():
     again = moved.rename("n5 again")
     assert lower_central_series(again) is not lower_central_series(moved)
     assert lower_central_series(again) == lower_central_series(moved)
-    assert again == LieAlgebra(
-        "n5 again", moved.dim, moved.field, moved.basis_names, moved.brackets
-    )
+    assert again == LieAlgebra("n5 again", moved.dim, moved.field, moved.basis_names, moved.table)
 
 
 def _typed(space):
