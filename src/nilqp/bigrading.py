@@ -91,7 +91,7 @@ from .liealg import (
     real_structure_rows,
     structure_table,
 )
-from .scalars import as_scalar
+from .scalars import Gaussian, Rational, as_scalar
 
 __all__ = [
     "Bigrading",
@@ -123,8 +123,14 @@ class Bigrading:
 
     @classmethod
     def build(cls, components) -> "Bigrading":
+        """The grading of ``(p, q, generators)``: equal scalars of one type are one object in it.
+
+        They are shared through a dict local to the call, keyed by two ints for a `Rational`
+        and four for a `Gaussian`: `Rational` 1 and `Gaussian` 1 + 0i keep their types.
+        """
         comps = []
         seen = set()
+        shared: dict = {}
         for p, q, gens in components:
             if p > 0 or q > 0 or p + q > -1:
                 raise GradingNotCompatible(
@@ -133,10 +139,17 @@ class Bigrading:
             if (p, q) in seen:
                 raise GradingNotCompatible(f"duplicate bidegree ({p}, {q})")
             seen.add((p, q))
-            gen_vecs = tuple(tuple(map(as_scalar, g)) for g in gens)
-            if not gen_vecs:
-                continue
-            comps.append(BigradingComponent(p=p, q=q, generators=gen_vecs))
+            gen_vecs = []
+            for g in gens:
+                vec = []
+                for x in g:
+                    x = x if type(x) in (Rational, Gaussian) else as_scalar(x)
+                    rational = isinstance(x, Rational)
+                    key = (x.num, x.den) if rational else (x.re.num, x.re.den, x.im.num, x.im.den)
+                    vec.append(shared.setdefault(key, x))
+                gen_vecs.append(tuple(vec))
+            if gen_vecs:
+                comps.append(BigradingComponent(p=p, q=q, generators=tuple(gen_vecs)))
         comps.sort(key=lambda c: (-(c.p + c.q), -c.q))
         return cls(components=tuple(comps))
 

@@ -37,7 +37,7 @@ covers `LieAlgebra.brackets`, a view decoded on each read, `bracket_basis`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cache, wraps
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -303,7 +303,9 @@ class StructureTable(NamedTuple):
     nonzero bracket with i < j, in ascending (i, j).  Both fields share
     it: over "Q" every ``im`` is zero.  An algebra's table is its one
     stored form of the constants, and its field is the algebra's; being
-    in lowest terms, equal constants give equal tables.
+    in lowest terms, equal constants give equal tables.  Within one table,
+    equal pairs and equal (k, pair) entries are one object, shared by
+    `_lowest_table`, which builds every table, and no row is changed in place.
     """
 
     field: str
@@ -335,9 +337,7 @@ def _encoded(frozen: tuple, field: str) -> StructureTable:
     # One row of every constant: none is zero, so the row holds each in order.
     (row,), den = kernel.zi_rows([[c for _, coeffs in frozen for _, c in coeffs]])
     it = iter(row.values())
-    return StructureTable(
-        field, den, {ij: tuple((k, next(it)) for k, _ in cs) for ij, cs in frozen}
-    )
+    return _lowest_table(field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in frozen})
 
 
 @_fact
@@ -439,15 +439,22 @@ def _bracket_span(L: LieAlgebra, sub: Subspace) -> Subspace:
 def lower_central_series(L: LieAlgebra) -> LowerCentralSeries:
     """C^0 = L, C^1 = `commutator_ideal`, C^{k+1} = [L, C^k].
 
-    Raises NotNilpotent if the series stabilizes above 0.
+    Raises NotNilpotent if the series stabilizes above 0.  C^0 is one
+    `Subspace.full(n)` per dimension n, shared by every algebra of it.
     """
-    terms = [Subspace.full(L.dim)]
+    terms = [_whole_space(L.dim)]
     while terms[-1].dim > 0:
         nxt = _bracket_span(L, terms[-1]) if len(terms) > 1 else commutator_ideal(L)
         if nxt.dim == terms[-1].dim:
             raise NotNilpotent(nxt.dim)
         terms.append(nxt)
     return LowerCentralSeries(terms=tuple(terms), nilpotency_class=len(terms) - 1)
+
+
+@cache
+def _whole_space(n: int) -> Subspace:
+    """`Subspace.full(n)`, made once per dimension n; no reader changes a subspace's rows."""
+    return Subspace.full(n)
 
 
 @_fact
@@ -582,8 +589,13 @@ def apply_basis_change(
         new_real = ExactMatrix(
             [kernel.decode(row, s_den * inv_den, n, table.field) for row in rows], cols=n
         )
-    basis_names = tuple(f"e{i + 1}" for i in range(n))
-    return LieAlgebra(name or f"{L.name}~", n, table.field, basis_names, table, new_real)
+    return LieAlgebra(name or f"{L.name}~", n, table.field, _moved_names(n), table, new_real)
+
+
+@cache
+def _moved_names(n: int) -> tuple[str, ...]:
+    """("e1", ..., "en"): one tuple per dimension, shared by every moved algebra of it."""
+    return tuple(f"e{i + 1}" for i in range(n))
 
 
 def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
@@ -616,10 +628,19 @@ def _lowest_table(field: str, d: int, rows: dict) -> StructureTable:
     ``rows[i, j]`` lists [X_i, X_j] times ``d`` as pairs (k, (re, im)), k
     ascending and none zero.  The denominator becomes the least one of all
     constants (1 when there is none), so equal constants give equal tables.
+    Equal pairs and equal (k, pair) entries are one tuple each, through dicts
+    local to the call: per table, never process-wide; no reader changes a row.
     """
     g = gcd(d, *(x for row in rows.values() for _, pair in row for x in pair))
-    rows = {ij: tuple((k, (x // g, y // g)) for k, (x, y) in row) for ij, row in rows.items()}
-    return StructureTable(field, d // g, rows)
+    pairs, entries, out = {}, {}, {}
+    for ij, row in rows.items():
+        kept = []
+        for k, (x, y) in row:
+            pair = (x // g, y // g)
+            entry = (k, pairs.setdefault(pair, pair))
+            kept.append(entries.setdefault(entry, entry))
+        out[ij] = tuple(kept)
+    return StructureTable(field, d // g, out)
 
 
 def _coords(inv: list, w: kernel.ZiRow) -> kernel.ZiRow:

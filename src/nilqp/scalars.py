@@ -49,6 +49,8 @@ class Rational:
         if g > 1:
             num //= g
             den //= g
+        elif type(num) is not int or type(den) is not int:
+            num, den = int(num), int(den)  # a bool or int subclass: gcd took both as ints
         _set_num(self, num)
         _set_den(self, den)
 

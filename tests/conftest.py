@@ -64,6 +64,19 @@ def count_scalar_arithmetic(monkeypatch) -> ScalarCalls:
     return calls
 
 
+def held_once(table, where) -> int:
+    """Assert that each distinct (k, pair) entry and each distinct pair of a
+    `StructureTable` is one object; return how many entries repeat a value."""
+    entries, pairs = {}, {}
+    count = 0
+    for row in table.rows.values():
+        for entry in row:
+            assert entries.setdefault(entry, entry) is entry, where
+            assert pairs.setdefault(entry[1], entry[1]) is entry[1], where
+            count += 1
+    return count - len(entries)
+
+
 def fraction_brackets(L) -> dict:
     """The constants of an algebra over Q as {(i, j): {k: Fraction}}, the oracles' input."""
     return {ij: {k: Fraction(c.num, c.den) for k, c in cs} for ij, cs in L.brackets}

@@ -261,16 +261,41 @@ MUTANTS = (
         (_TYPED_BRACKETS,),
     ),
     Mutant(
-        "from_brackets: table over the product of the denominators",
+        "_lowest_table: constants kept over the denominator they came with",
         "liealg.py",
-        "    it = iter(row.values())\n",
-        "    f = __import__('math').prod(\n"
-        "        c.den if type(c) is not Gaussian else c.re.den * c.im.den\n"
-        "        for _, cs in frozen for _, c in cs\n"
-        "    ) // den\n"
-        "    row, den = {j: (x * f, y * f) for j, (x, y) in row.items()}, den * f\n"
-        "    it = iter(row.values())\n",
-        ("tests/test_liealg.py::test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are",),
+        "    g = gcd(d, *(x for row in rows.values() for _, pair in row for x in pair))\n",
+        "    g = 1\n",
+        ("tests/test_liealg.py::test_structure_table_holds_one_row_per_bracket",),
+    ),
+    # Equal values held once within each stored table and grading.
+    Mutant(
+        "_lowest_table: an entry shared under its pair without its k",
+        "liealg.py",
+        "kept.append(entries.setdefault(entry, entry))",
+        "kept.append(entries.setdefault(entry[1], entry))",
+        (
+            _TYPED_BRACKETS,
+            "tests/test_liealg.py::test_tables_hold_each_equal_pair_and_entry_once",
+            "tests/test_cohomology.py::test_grading_tables_hold_each_equal_pair_and_entry_once",
+        ),
+    ),
+    Mutant(
+        "Bigrading.build: scalars shared by value alone",
+        "bigrading.py",
+        "key = (x.num, x.den) if rational else (x.re.num, x.re.den, x.im.num, x.im.den)",
+        "key = (x.num, x.den) if rational else (x.re.num, x.re.den) + ((x.im.num, x.im.den) if x.im else ())",
+        (
+            "tests/test_bigrading.py::test_build_shares_equal_scalars_and_keeps_their_types",
+            "tests/test_bigrading.py::test_search_gradings_of_the_rational_catalog_keep_their_scalar_types",
+        ),
+    ),
+    Mutant(
+        "lower_central_series: one C^0 whatever the dimension",
+        "liealg.py",
+        "@cache\ndef _whole_space(",
+        "@lambda f: lambda n, kept=[]: kept[0] if kept else kept.append(f(n)) or kept[0]\n"
+        "def _whole_space(",
+        ("tests/test_liealg.py::test_series_starts_from_one_whole_space_per_dimension",),
     ),
 )
 

@@ -346,6 +346,39 @@ def test_roundtrip_exercises_lower_weight_correction():
 # -- search -------------------------------------------------------------------
 
 
+def test_build_shares_equal_scalars_and_keeps_their_types():
+    # Within one grading, equal scalars of one type are one object: `Gaussian`
+    # 1 + 0i and `Rational` 1 are equal, and each keeps its type.
+    g = Bigrading.build([
+        (-1, 0, [(Gaussian(1, 0), Gaussian(0, 1), Rational(0))]),
+        (0, -1, [(Gaussian(1, 0), Gaussian(0, -1), Rational(0))]),
+        (-1, -1, [(Rational(0), Rational(0), Rational(1)), (Rational(0), Gaussian(1, 0), 0)]),
+    ])
+    types = [[[type(x) for x in v] for v in c.generators] for c in g.components]
+    assert types == [
+        [[Gaussian, Gaussian, Rational]],
+        [[Gaussian, Gaussian, Rational]],
+        [[Rational, Rational, Rational], [Rational, Gaussian, Rational]],
+    ]
+    scalars = [x for c in g.components for v in c.generators for x in v]
+    assert len({id(x) for x in scalars}) == len({(type(x), x) for x in scalars}) == 5
+
+
+def test_search_gradings_of_the_rational_catalog_keep_their_scalar_types():
+    # U and conj U are over Q(i), and Z is the center over Q.
+    found = 0
+    for key in catalog_keys():
+        alg = get(key).algebra
+        out = search_bigrading(alg) if alg.field == "Q" else None
+        if out is None or not out.found:
+            continue
+        for c in out.bigrading.components:
+            want = Rational if (c.p, c.q) == (-1, -1) else Gaussian
+            assert {type(x) for v in c.generators for x in v} == {want}, (key, c.p, c.q)
+        found += 1
+    assert found == 28
+
+
 def test_search_finds_grading_for_n3():
     out = search_bigrading(get("n3").algebra)
     assert out.found

@@ -32,6 +32,7 @@ from conftest import (
     carried_grading,
     count_scalar_arithmetic,
     fraction_brackets,
+    held_once,
     random_gaussian_t,
     random_invertible_t,
     random_nilpotent,
@@ -306,6 +307,14 @@ def test_grading_table_is_the_moved_table(monkeypatch, rng):
         checked += 1
     assert not fallbacks
     assert checked >= 80  # 28 known gradings, in three bases each
+
+
+def test_grading_tables_hold_each_equal_pair_and_entry_once(rng):
+    # `_grading_table` builds its table through `liealg._lowest_table`.
+    repeats = 0
+    for label, alg, g in _graded_cases(rng):
+        repeats += held_once(cohomology._grading_table(alg, *g.kernel_rows(alg.dim))[0], label)
+    assert repeats > 40  # the sharing is met, not vacuous
 
 
 def test_grading_not_compatible_keeps_its_text(rng):

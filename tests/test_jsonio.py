@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nilqp import betti_numbers
+from nilqp import Bigrading, betti_numbers
 from nilqp.catalog import get
 from nilqp.errors import ParseError
 from nilqp.jsonio import (
@@ -187,6 +187,15 @@ def test_bigrading_roundtrip():
     g = get("g_sec6").known_bigradings[0]
     back = bigrading_from_json(json.loads(dumps_json(bigrading_to_json(g))))
     assert back == g
+
+
+def test_bigrading_built_from_booleans_round_trips():
+    # True is the scalar 1, and its file reads back: it used to print "True".
+    g = Bigrading.build([(-1, -1, [(True, 0, False), (0, 1, 0)]), (-2, -2, [(0, 0, True)])])
+    doc = json.loads(dumps_json(bigrading_to_json(g)))
+    assert doc["components"][0]["generators"] == [["1", "0", "0"], ["0", "1", "0"]]
+    back = bigrading_from_json(doc)
+    assert back == g and back == Bigrading.build([(-1, -1, [(1, 0, 0), (0, 1, 0)]), (-2, -2, [(0, 0, 1)])])
 
 
 def test_bigrading_parse_error_position():

@@ -15,6 +15,7 @@ from nilqp import (
     apply_basis_change,
     betti_numbers,
     center,
+    check,
     commutator_ideal,
     complexify,
     direct_sum,
@@ -45,7 +46,7 @@ from nilqp.errors import (
 )
 from nilqp.scalars import Gaussian, Rational
 
-from conftest import fraction_brackets, random_gaussian_t, random_invertible_t
+from conftest import fraction_brackets, held_once, random_gaussian_t, random_invertible_t
 from oracles import (
     _c_matmul,
     frac_inverse_qi,
@@ -506,6 +507,22 @@ def test_brackets_read_as_freeze_brackets_makes_them_typed_by_field(rng):
             check(direct_sum(x, y), given, (x.name, y.name))
 
 
+def test_tables_hold_each_equal_pair_and_entry_once(rng):
+    # Within one table, equal (re, im) pairs are one tuple and so are equal
+    # (k, pair) entries, however the table was built: catalog entries, their
+    # moved copies, complexifications and catalog sums.  The values and their
+    # order are pinned by the test above.
+    algebras = []
+    for key in catalog_keys():
+        alg = get(key).algebra
+        algebras += [alg, complexify(alg)] if alg.field == "Q" else [alg]
+        algebras += [apply_basis_change(alg, t(alg.dim, rng)) for t in (random_invertible_t, random_gaussian_t)]
+    for a, b in (("n3", "n5"), ("filiform_4", "L5_parity"), ("37D", "N1_84"), ("n3", "n3")):
+        algebras.append(direct_sum(get(a).algebra, get(b).algebra))
+    repeats = sum(held_once(structure_table(alg), alg.name) for alg in algebras)
+    assert repeats > 200  # the sharing is met, not vacuous
+
+
 def test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are():
     # [X1, X2] = X3/2 + X4, [X1, X3] = X4/2, entered in any dict order, with
     # ints, `Rational`s or real `Gaussian`s, or carried by the identity: one
@@ -944,6 +961,24 @@ def test_series_and_center_computed_once_per_instance():
     assert lower_central_series(again) is not lower_central_series(moved)
     assert lower_central_series(again) == lower_central_series(moved)
     assert again == LieAlgebra("n5 again", moved.dim, moved.field, moved.basis_names, moved.table)
+
+
+def test_series_starts_from_one_whole_space_per_dimension(rng):
+    # C^0 is one `Subspace.full(n)` per n, shared by the algebras of that
+    # dimension, and `check` on the whole catalog leaves it the full space.
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.field == "Q":
+            check(alg)
+    firsts = {}
+    for key in catalog_keys():
+        alg = get(key).algebra
+        moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
+        for L in (alg, moved):
+            c0 = lower_central_series(L).terms[0]
+            assert firsts.setdefault(alg.dim, c0) is c0, key
+            assert c0 == Subspace.full(alg.dim) and c0.rows == Subspace.full(alg.dim).rows, key
+    assert len(firsts) == len({get(key).algebra.dim for key in catalog_keys()})
 
 
 def _typed(space):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilqp.errors import ParseError
+from nilqp.exact import ExactMatrix
 from nilqp.scalars import (
     Gaussian,
     Rational,
@@ -153,6 +154,18 @@ def test_canonical_format():
     assert format_scalar(Gaussian(Rational(-1, 2), 3)) == "-1/2+3*i"
     assert format_scalar(Gaussian(2, -1)) == "2-1*i"
     assert format_scalar(Gaussian(0, 0)) == "0"
+
+
+def test_booleans_become_plain_int_rationals():
+    # A bool numerator used to be kept, and printed as "True".
+    for x in (as_scalar(True), Rational(True), Rational(True, True), Gaussian(False, True).im):
+        assert type(x.num) is int and type(x.den) is int and x == 1
+    assert format_scalar(as_scalar(True)) == "1" and format_scalar(as_scalar(False)) == "0"
+    assert format_scalar(Gaussian(False, True)) == "1*i"
+    m = ExactMatrix([[True, False], [False, True]])
+    assert m == ExactMatrix.identity(2)
+    assert [format_scalar(x) for row in m.entries for x in row] == ["1", "0", "0", "1"]
+    assert all(type(x.num) is int for row in m.entries for x in row)
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])
