@@ -6,61 +6,50 @@ deterministic.  The elimination loops run in one pure-Python kernel on
 arbitrary-precision integers (see nilqp.kernel).
 """
 
-from ._version import __version__
-from .catalog import CatalogEntry, catalog_keys, export_entry, get as catalog_get
-from .checker import (
-    NilmanifoldSpec,
-    Verdict,
-    check,
-    diagonal_h1_check,
-    reproduce_classification,
+from importlib import import_module
+
+# The module that defines each public name.  A module is imported on the
+# first read of a name it defines (PEP 562), so `import nilqp` compiles no
+# other module and `catalog_keys()` compiles no search code.  Names are not
+# cached here: the defining module stays the one place each is bound.
+_HOME = {
+    name: module
+    for module, names in {
+        "_version": ("__version__",),
+        "catalog": ("CatalogEntry", "catalog_get", "catalog_keys", "export_entry"),
+        "checker": (
+            "NilmanifoldSpec", "Verdict", "check", "diagonal_h1_check", "reproduce_classification",
+        ),
+        "grading": ("Bigrading", "BigradingComponent"),
+        "bigrading": (
+            "FiltrationPair", "GradingReport", "SearchBounds", "SearchOutcome",
+            "bigrading_from_filtrations", "filtrations_from_bigrading", "search_bigrading",
+            "verify_bigrading",
+        ),
+        "cohomology": (
+            "CohomologyTable", "betti_numbers", "bigraded_cohomology", "ce_differential",
+            "exterior_basis", "top_class_bidegree",
+        ),
+        "exact": (
+            "ExactMatrix", "Subspace", "conjugate_vector", "kernel_basis", "rref_rank",
+            "subspace_sum_intersect",
+        ),
+        "kernel": ("backend_name",),
+        "liealg": (
+            "LieAlgebra", "LowerCentralSeries", "ValidationReport", "abelian",
+            "abelian_split_transformation", "apply_basis_change", "center", "commutator_ideal",
+            "complexify", "direct_sum", "lower_central_series", "strip_abelian_factor",
+            "validate", "verify_isomorphism",
+        ),
+        "scalars": ("Gaussian", "Rational", "Scalar", "format_scalar", "parse_scalar"),
+    }.items()
+    for name in names
+}
+_RENAMED = {"catalog_get": "get"}
+_SUBMODULES = (
+    "_arith", "_version", "bigrading", "catalog", "checker", "cli", "cohomology", "errors",
+    "exact", "grading", "jsonio", "kernel", "liealg", "scalars",
 )
-from .bigrading import (
-    Bigrading,
-    BigradingComponent,
-    FiltrationPair,
-    GradingReport,
-    SearchBounds,
-    SearchOutcome,
-    bigrading_from_filtrations,
-    filtrations_from_bigrading,
-    search_bigrading,
-    verify_bigrading,
-)
-from .cohomology import (
-    CohomologyTable,
-    betti_numbers,
-    bigraded_cohomology,
-    ce_differential,
-    exterior_basis,
-    top_class_bidegree,
-)
-from .exact import (
-    ExactMatrix,
-    Subspace,
-    conjugate_vector,
-    kernel_basis,
-    rref_rank,
-    subspace_sum_intersect,
-)
-from .kernel import backend_name
-from .liealg import (
-    LieAlgebra,
-    LowerCentralSeries,
-    ValidationReport,
-    abelian,
-    abelian_split_transformation,
-    apply_basis_change,
-    center,
-    commutator_ideal,
-    complexify,
-    direct_sum,
-    lower_central_series,
-    strip_abelian_factor,
-    validate,
-    verify_isomorphism,
-)
-from .scalars import Gaussian, Rational, Scalar, format_scalar, parse_scalar
 
 __all__ = [
     "Bigrading",
@@ -116,3 +105,15 @@ __all__ = [
     "verify_bigrading",
     "verify_isomorphism",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), _RENAMED.get(name, name))
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bigrading import Bigrading
 from .errors import UnknownKey
 from .exact import ExactMatrix
+from .grading import Bigrading
 from .liealg import LieAlgebra, abelian, apply_basis_change, direct_sum
 from .scalars import Gaussian, Q1, Rational, conj
 

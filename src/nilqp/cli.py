@@ -7,6 +7,8 @@ any other unexpected exception, which is reported like an error of kind
 "internal" rather than as a traceback.
 Output is deterministic: no timestamps, no randomness, fixed ordering; with
 --format json every result and every error is a single JSON document.
+Each command imports the modules it runs, so `catalog`, `validate` and
+`backend` compile no search code.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .bigrading import SearchBounds, search_bigrading, verify_bigrading
 from .catalog import catalog_keys, export_entry, get
-from .checker import (
-    CLASSIFICATION_DIMS,
-    NilmanifoldSpec,
-    check,
-    reproduce_classification,
-)
-from .cohomology import betti_numbers, bigraded_cohomology
 from .errors import InputError, InternalError, excerpt
 from .jsonio import (
     bigrading_from_json,
@@ -124,7 +118,9 @@ def _add_bounds(sp) -> None:
     )
 
 
-def _bounds_from_args(args) -> SearchBounds:
+def _bounds_from_args(args):
+    from .bigrading import SearchBounds
+
     texts = [c for c in str(args.coeffs).split(",") if c.strip() != ""]
     try:
         coeffs = tuple(map(int, texts))
@@ -215,6 +211,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "cohomology":
+        from .cohomology import betti_numbers, bigraded_cohomology
+
         alg = _load_algebra(args.file)
         if args.bigrading:
             g = bigrading_from_json(load_json(args.bigrading), path=args.bigrading)
@@ -236,6 +234,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "check":
+        from .checker import NilmanifoldSpec, check
+
         alg = _load_algebra(args.file)
         verdict = check(
             NilmanifoldSpec(algebra=alg, m=args.m), bounds=_bounds_from_args(args)
@@ -248,6 +248,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "bigrading-verify":
+        from .bigrading import verify_bigrading
+
         alg = _load_algebra(args.file)
         g = bigrading_from_json(load_json(args.grading_file), path=args.grading_file)
         report = verify_bigrading(alg, g, mode=args.mode)
@@ -263,6 +265,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "bigrading-search":
+        from .bigrading import search_bigrading
+
         alg = _load_algebra(args.file)
         outcome = search_bigrading(alg, _bounds_from_args(args))
         payload = search_outcome_to_json(outcome)
@@ -306,6 +310,8 @@ def _dispatch(args) -> int:
             return 0
 
     if cmd == "report":
+        from .checker import CLASSIFICATION_DIMS, reproduce_classification
+
         if args.dim not in CLASSIFICATION_DIMS:
             raise InputError(
                 f"--dim must be between {CLASSIFICATION_DIMS[0]} "

@@ -14,19 +14,19 @@ position.  Serialization is deterministic: keys sorted, no timestamps.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .bigrading import (
-    Bigrading,
-    GradingReport,
-    SearchBounds,
-    SearchOutcome,
-)
-from .checker import Verdict
-from .cohomology import CohomologyTable
 from .errors import ParseError, excerpt
 from .exact import ExactMatrix
+from .grading import Bigrading
 from .liealg import LieAlgebra
 from .scalars import Gaussian, Scalar, format_scalar, parse_scalar, past_digit_limit
+
+# Read in annotations only: reading and writing files compiles no search code.
+if TYPE_CHECKING:
+    from .bigrading import GradingReport, SearchBounds, SearchOutcome
+    from .checker import Verdict
+    from .cohomology import CohomologyTable
 
 __all__ = [
     "lie_algebra_to_json",

@@ -124,7 +124,8 @@ class Rational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # An integral value equals its int, so it hashes as one.
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __bool__(self):
         return self.num != 0

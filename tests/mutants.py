@@ -281,7 +281,7 @@ MUTANTS = (
     ),
     Mutant(
         "Bigrading.build: scalars shared by value alone",
-        "bigrading.py",
+        "grading.py",
         "key = (x.num, x.den) if rational else (x.re.num, x.re.den, x.im.num, x.im.den)",
         "key = (x.num, x.den) if rational else (x.re.num, x.re.den) + ((x.im.num, x.im.den) if x.im else ())",
         (
@@ -296,6 +296,31 @@ MUTANTS = (
         "@lambda f: lambda n, kept=[]: kept[0] if kept else kept.append(f(n)) or kept[0]\n"
         "def _whole_space(",
         ("tests/test_liealg.py::test_series_starts_from_one_whole_space_per_dimension",),
+    ),
+    # Import only what a call uses.
+    Mutant(
+        "catalog: Bigrading taken from the search's module",
+        "catalog.py",
+        "from .grading import Bigrading\n",
+        "from .bigrading import Bigrading\n",
+        ("tests/test_package.py::test_the_catalog_loads_no_search_code",),
+    ),
+    Mutant(
+        "__init__: checker imported eagerly",
+        "__init__.py",
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nfrom . import checker  # noqa: F401\n",
+        ("tests/test_package.py::test_the_catalog_loads_no_search_code",),
+    ),
+    Mutant(
+        "Rational.__hash__: an integral value hashed apart from its int",
+        "scalars.py",
+        "return hash(self.num) if self.den == 1 else hash((self.num, self.den))",
+        "return hash((self.num, self.den))",
+        (
+            "tests/test_scalars.py::test_equal_numbers_hash_alike",
+            "tests/test_scalars.py::test_an_integral_value_is_one_set_member_whatever_its_type",
+        ),
     ),
 )
 

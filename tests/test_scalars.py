@@ -32,6 +32,28 @@ def test_lowest_terms_and_positive_denominator():
         Rational(1, 0)
 
 
+# Small values, so that equal pairs across the three types are drawn often.
+_small_ints = st.integers(min_value=-3, max_value=3)
+_small_rationals = st.builds(Rational, _small_ints, st.integers(min_value=1, max_value=2))
+_small_numbers = st.one_of(
+    _small_ints,
+    _small_rationals,
+    st.builds(Gaussian, _small_rationals, st.one_of(st.just(0), _small_rationals)),
+)
+
+
+@settings(max_examples=300)
+@given(_small_numbers, _small_numbers)
+def test_equal_numbers_hash_alike(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_an_integral_value_is_one_set_member_whatever_its_type():
+    assert len({5, Rational(5), Gaussian(5, 0), Gaussian(Rational(10, 2), Rational(0))}) == 1
+    assert len({-1, Rational(-1), Rational(1, 2), Gaussian(Rational(1, 2), 0)}) == 2
+
+
 def test_gaussian_equals_rational_when_imaginary_vanishes():
     assert Gaussian(Rational(1, 2), 0) == Rational(1, 2)
     assert Rational(1, 2) == Gaussian(Rational(1, 2), 0)

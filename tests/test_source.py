@@ -261,6 +261,7 @@ _LAYERS = (
     "_arith",
     "kernel",
     "exact",
+    "grading",
     "liealg",
     "cohomology",
     "bigrading",
@@ -271,8 +272,9 @@ _LAYERS = (
     "__init__",
     "__main__",
 )
-# catalog.export_entry writes with jsonio, which imports checker, which
-# imports catalog: at module level the import would close that cycle.
+# catalog.export_entry writes with jsonio, which names checker's `Verdict`
+# and so sits above catalog; the import stays inside the function, so that
+# reading the catalog compiles no jsonio.
 _UPWARD = frozenset((("catalog", "jsonio"),))
 
 
