@@ -60,8 +60,9 @@ denominator and its candidates as integer coefficient tuples.  The
 constructions' number theory (lowest terms, exact square roots, rational
 roots, Legendre's conic solver) is `nilqp._arith`, on plain ints.  Each
 construction returns U as exact vectors; the search lifts them,
-conjugates them (`_conjugation`) and verifies those rows, and decodes
-scalars once, for the `Bigrading` found.
+conjugates them (`_conjugation`), and hands them with the center's
+reduced basis to the `Bigrading` it verifies, as they are: a grading
+keeps its generators as such rows (`nilqp.grading`).
 """
 
 from __future__ import annotations
@@ -150,57 +151,42 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
     complexification without building it: L's table, whose Z[i] constants
     have zero imaginary parts, and entrywise conjugation (`_conjugation`).
     Over Q(i), L needs a real structure.
+
+    It reads the grading's stored rows (`Bigrading.bidegree_rows`), each at
+    its own scale: spans and containments do not depend on scale and are
+    read off echelons (`kernel.zi_insert`/`kernel.zi_reduce`).  The spans
+    test and the brackets come from `cohomology._graded_solutions`, the one
+    pass that the grading table reads too: it ranks the generators on one
+    echelon, lowest weight first, and when they span, brackets each live
+    pair once and solves it in its target component; a bracket with no
+    solution is a failure.  The generators of a component whose every
+    pairing targets an absent bidegree, such as the restricted shape's
+    (-1, -1), are first tested once on the table
+    (`cohomology._central_generators`), and the pairs of one that passes
+    are skipped: its bracket is zero.  On a real table, a pair whose rows
+    are the conjugates of a pair bracketed before takes the conjugate of
+    that bracket.  So the failures, their order and the report are those
+    of bracketing every pair.  A general shape's support check ranks the
+    table written from the same solutions (`cohomology._solved_table`).  A
+    component whose conjugated generators, in lowest terms, are its
+    mirror's stored ones passes the conjugation check without elimination.
+    The tests read the table alone, never the center or C^1 computed from
+    it, which verification must not lean on.
     """
     if mode not in ("strict", "lax"):
         raise ValueError(f"mode must be 'strict' or 'lax', not {mode!r}")
     if L.field == "Qi" and L.real_structure is None:
         raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
-    return _verify_rows(L, g, g.kernel_rows(L.dim)[0], mode)
-
-
-def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingReport:
-    """`verify_bigrading` of ``g`` on L, from the generators' Z[i] rows.
-
-    ``rows`` holds each component's generators as Z[i] rows keyed by
-    bidegree, at any nonzero scale (`Bigrading.kernel_rows`).  Spans and
-    containments do not depend on scale and are read off echelons
-    (`kernel.zi_insert`/`kernel.zi_reduce`), a mirror component's echelon
-    only where the conjugation check (`_conjugation`) reads it.
-
-    The spans test and the brackets come from `cohomology._graded_solutions`,
-    the one pass that the grading table reads too: it ranks the generators
-    on one echelon that takes the lowest weight first, and when they span,
-    brackets each live pair once and solves it in its target component,
-    one echelon per component; a bracket with no solution is a failure.
-    Each generator of a component whose every pairing targets a bidegree
-    absent from the grading, such as the (-1, -1) component of the
-    restricted shape, is first tested once on the table
-    (`cohomology._central_generators`).  Every pair that involves one that
-    passes is skipped: its bracket is zero, so it adds no failure.  On a
-    real table, a pair of generators whose rows are the conjugates of a
-    pair bracketed before takes the conjugate of that bracket.  Every
-    other pair is bracketed, so the failures, their order and the report
-    are those of bracketing every pair.  A general shape's support check
-    ranks the table written from the same solutions
-    (`cohomology._solved_table`), with no second bracket.  A component whose
-    rows, conjugated, are its mirror's rows passes the conjugation check
-    without elimination.  The tests read the table alone, never the center
-    or C^1 computed from it, which verification must not lean on.
-    """
     n = L.dim
+    rows = g.bidegree_rows(n)
     failures: list = []
     rank, solved, misses = None, {}, []
     if g.total_generators == n:
         rank, solved, misses = _graded_solutions(L, rows)
     spans = rank == n
     if not spans:
-        failures.append(
-            {
-                "check": "spans",
-                "detail": f"{g.total_generators} generators of rank "
-                f"{'n/a' if rank is None else rank} in dimension {n}",
-            }
-        )
+        detail = f"{g.total_generators} generators of rank {'n/a' if rank is None else rank}"
+        failures.append({"check": "spans", "detail": f"{detail} in dimension {n}"})
     for (p, q), (a, b), target in misses:
         if target not in rows:
             detail = f"[{p},{q}] x [{a},{b}] hits absent bidegree {target}"
@@ -211,14 +197,18 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
 
     conjugation = "fails"
     if spans:
-        conj, _ = _conjugation(L)
+        conj, s_den = _conjugation(L)
         exact_all = True
         lax_all = True
         for c in g.components:
-            img = [conj(row) for row in rows[c.p, c.q]]
-            mirror_rows = rows.get((c.q, c.p), [])
-            if img == mirror_rows:
+            # conj(row / den) is conj(row) / (den * s_den); in lowest terms
+            # equal vectors are equal pairs.
+            images = tuple(kernel.zi_lowest(conj(row), den * s_den) for row, den in c.rows)
+            mirror_c = g.component(c.q, c.p)
+            if mirror_c is not None and images == mirror_c.rows:
                 continue
+            img = [row for row, _ in images]
+            mirror_rows = rows.get((c.q, c.p), [])
             mirror: list = []
             for row in mirror_rows:
                 kernel.zi_insert(mirror, row)
@@ -249,39 +239,20 @@ def _verify_rows(L: LieAlgebra, g: Bigrading, rows: dict, mode: str) -> GradingR
         # the table in their basis keeps bidegrees; the rows' scale does not matter.
         table = _graded_cohomology(n, *_solved_table(L, rows, 1, solved))
         for (j, p, q, d) in table.by_bidegree:
+            at = f"H^{j} has dimension {d} at ({p},{q}) outside the"
             if not j <= p + q <= 2 * j:
                 support_ok = False
-                failures.append(
-                    {
-                        "check": "support",
-                        "detail": f"H^{j} has dimension {d} at ({p},{q}) "
-                        f"outside the weight band [{j}, {2 * j}]",
-                    }
-                )
+                failures.append({"check": "support", "detail": f"{at} weight band [{j}, {2 * j}]"})
             elif not (0 <= p <= j and 0 <= q <= j):
                 box_ok = False
-                failures.append(
-                    {
-                        "check": "support_box",
-                        "detail": f"H^{j} has dimension {d} at ({p},{q}) "
-                        f"outside the box 0 <= p, q <= {j}",
-                    }
-                )
+                failures.append({"check": "support_box", "detail": f"{at} box 0 <= p, q <= {j}"})
     elif spans and not bracket_ok:
-        failures.append(
-            {"check": "support", "detail": "skipped: bracket incompatible"}
-        )
+        failures.append({"check": "support", "detail": "skipped: bracket incompatible"})
 
     shape = "restricted" if g.is_restricted_shape() else "general"
     return GradingReport(
-        mode=mode,
-        spans=spans,
-        bracket_compatible=bracket_ok,
-        conjugation=conjugation,
-        shape=shape,
-        cohomology_support_ok=support_ok,
-        support_box_ok=box_ok,
-        failures=failures,
+        mode=mode, spans=spans, bracket_compatible=bracket_ok, conjugation=conjugation, shape=shape,
+        cohomology_support_ok=support_ok, support_box_ok=box_ok, failures=failures,
     )
 
 
@@ -340,25 +311,26 @@ class FiltrationPair:
 
 
 def filtrations_from_bigrading(g: Bigrading) -> FiltrationPair:
-    """W_k = sum of components with p + q <= k; F^p = sum with first index >= p."""
+    """W_k = sum of components with p + q <= k; F^p = sum with first index >= p, of stored rows."""
     n = g.ambient_dim
     if n == 0:
         raise GradingNotCompatible("empty bigrading has no ambient space")
+
+    def span(comps) -> Subspace:
+        field = "Qi" if any(c.field == "Qi" for c in comps) else "Q"
+        return Subspace._span([row for c in comps for row in c.checked_rows(n)], n, field)
+
     weights = sorted({c.p + c.q for c in g.components})
     ps = sorted({c.p for c in g.components})
     weight: dict[int, Subspace] = {}
     lo = weights[0]
     for k in range(lo - 1, 1):
-        vecs = [
-            v for c in g.components if c.p + c.q <= k for v in c.generators
-        ]
-        weight[k] = Subspace.from_spanning(vecs, ambient_dim=n)
+        weight[k] = span([c for c in g.components if c.p + c.q <= k])
         if weight[k].dim == n:
             break
     hodge: dict[int, Subspace] = {}
     for p in range(ps[0], 1):
-        vecs = [v for c in g.components if c.p >= p for v in c.generators]
-        hodge[p] = Subspace.from_spanning(vecs, ambient_dim=n)
+        hodge[p] = span([c for c in g.components if c.p >= p])
     hodge[1] = Subspace.zero(n)
     return FiltrationPair.build(n, weight, hodge)
 
@@ -402,9 +374,8 @@ def bigrading_from_filtrations(
                 second = second.sum(term)
                 i += 1
             v_pq = first.intersect(second)
-            if v_pq.dim:
-                comps.append((p, q, v_pq.vectors()))
-    return Bigrading.build(comps)
+            comps.append((p, q, n, v_pq.field, v_pq.rows))
+    return Bigrading._from_rows(comps)
 
 
 # -- bounded search ----------------------------------------------------------
@@ -1547,16 +1518,11 @@ def search_bigrading(
         ]
     conj, s_den = _conjugation(L)
     ubar = [(conj(row), den * s_den) for row, den in u]
-    comps, rows = [], {}
-    for key, vecs in (((-1, 0), u), ((0, -1), ubar)):
-        if vecs:
-            comps.append((*key, [kernel.decode(row, den, L.dim, "Qi") for row, den in vecs]))
-            rows[key] = [row for row, _ in vecs]
-    if z.dim:
-        comps.append((-1, -1, z.vectors()))
-        rows[-1, -1] = [row for row, _ in z.rows]
-    grading = Bigrading.build(comps)
-    report = _verify_rows(L, grading, rows, "strict")
+    n = L.dim
+    grading = Bigrading._from_rows(
+        ((-1, 0, n, "Qi", u), (0, -1, n, "Qi", ubar), (-1, -1, n, z.field, z.rows))
+    )
+    report = verify_bigrading(L, grading, "strict")
     if not report.valid:
         return SearchOutcome(
             status="not_found_within_bounds", witness=necessary, bounds=bounds

@@ -87,28 +87,19 @@ def _diagonal_grading(n: int) -> Bigrading:
 
 
 def _sum_grading(parts) -> Bigrading:
-    """Combine restricted gradings of direct summands by index offset."""
-    u: list = []
-    ubar: list = []
-    w: list = []
+    """Combine restricted gradings of direct summands: each summand's rows shifted by its offset."""
+    comps: dict = {}
     total = sum(p for p, _ in parts)
     offset = 0
     for dim, grading in parts:
-        for comp in grading.components:
-            bucket = {(-1, 0): u, (0, -1): ubar, (-1, -1): w}[(comp.p, comp.q)]
-            for g in comp.generators:
-                vec = [Rational(0)] * total
-                for t, x in enumerate(g):
-                    vec[offset + t] = x
-                bucket.append(tuple(vec))
+        for c in grading.components:
+            fields, rows = comps.setdefault((c.p, c.q), (set(), []))
+            fields.add(c.field)
+            rows += [({offset + j: e for j, e in row.items()}, den) for row, den in c.rows]
         offset += dim
-    comps = []
-    if u:
-        comps.append((-1, 0, u))
-        comps.append((0, -1, ubar))
-    if w:
-        comps.append((-1, -1, w))
-    return Bigrading.build(comps)
+    return Bigrading._from_rows(
+        (p, q, total, "Qi" if "Qi" in fields else "Q", rows) for (p, q), (fields, rows) in comps.items()
+    )
 
 
 _N7_142 = LieAlgebra.from_brackets(

@@ -276,7 +276,7 @@ def _dispatch(args) -> int:
         if outcome.bigrading:
             for c in outcome.bigrading.components:
                 lines.append(
-                    f"  component ({c.p},{c.q}): {len(c.generators)} generators"
+                    f"  component ({c.p},{c.q}): {len(c.rows)} generators"
                 )
         _emit(args, payload, lines)
         return 0

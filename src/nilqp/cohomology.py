@@ -599,8 +599,8 @@ def top_class_bidegree(L: LieAlgebra, grading) -> tuple[int, int]:
     top block of the bigraded cohomology (TopClassMisplaced on failure).
     """
     n = L.dim
-    s = sum(-comp.p * len(comp.generators) for comp in grading.components)
-    t = sum(-comp.q * len(comp.generators) for comp in grading.components)
+    s = sum(-comp.p * len(comp.rows) for comp in grading.components)
+    t = sum(-comp.q * len(comp.rows) for comp in grading.components)
     table = bigraded_cohomology(L, grading)
     dims = table.bidegree_dims()
     top = {(p, q): d for (j, p, q), d in dims.items() if j == n}

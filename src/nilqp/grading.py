@@ -4,28 +4,61 @@ A bigrading assigns basis vectors of a complexified nilpotent Lie algebra to
 integer bidegrees (p, q) with p, q <= 0 and p + q <= -1.  Verifying one, and
 searching for one, is `nilqp.bigrading`; this module holds only the data, so
 that the catalog and the JSON reader can build gradings without it.
+
+A component keeps its generators once, as the kernel's exact vectors
+``(row, den)`` in lowest terms, the form of ``exact.Subspace.rows``: equal
+gradings store equal rows, and every reader reads them.  `Bigrading.build`
+encodes scalars once; the search, the filtrations and the catalog's sums
+hand over the rows they hold.  `BigradingComponent.generators` decodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from . import kernel
 from .errors import AmbientMismatch, GradingNotCompatible
-from .exact import Subspace, Vector
-from .scalars import Gaussian, Rational, as_scalar
+from .exact import Subspace, Vector, _scalar_row
+from .scalars import Gaussian
 
 __all__ = ["Bigrading", "BigradingComponent"]
 
 
 @dataclass(frozen=True)
 class BigradingComponent:
+    """The generators of bidegree (p, q): one ``(row, den)`` each, and their ``lengths``.
+
+    A sparse row does not carry its length, so ``lengths`` does.  ``field``
+    is "Qi" when an entry was entered as `Gaussian`, "Q" otherwise (the rule
+    of ``Subspace.from_spanning``), and takes no part in equality or the
+    hash: `Rational` 1 and `Gaussian` 1 + 0i give equal components.
+    `generators` decodes the rows under it on each read (`kernel.decode`).
+    """
+
     p: int
     q: int
-    generators: tuple[Vector, ...]
+    rows: tuple[tuple[kernel.ZiRow, int], ...]
+    lengths: tuple[int, ...]
+    field: str = dataclass_field(default="Q", compare=False)
+
+    def __hash__(self):
+        rows = tuple((frozenset(row.items()), den) for row, den in self.rows)
+        return hash((self.p, self.q, self.lengths, rows))
+
+    @property
+    def generators(self) -> tuple[Vector, ...]:
+        field = self.field
+        return tuple(kernel.decode(*v, k, field) for v, k in zip(self.rows, self.lengths))
+
+    def checked_rows(self, ambient: int) -> list[kernel.ZiRow]:
+        """The stored Z[i] rows; AmbientMismatch names the first generator of another length."""
+        for k in self.lengths:
+            if k != ambient:
+                raise AmbientMismatch(f"vector of length {k} in ambient dimension {ambient}")
+        return [row for row, _ in self.rows]
 
     def subspace(self, ambient: int) -> Subspace:
-        return Subspace.from_spanning(self.generators, ambient_dim=ambient)
+        return Subspace._span(self.checked_rows(ambient), ambient, self.field)
 
 
 @dataclass(frozen=True)
@@ -34,45 +67,51 @@ class Bigrading:
 
     @classmethod
     def build(cls, components) -> "Bigrading":
-        """The grading of ``(p, q, generators)``: equal scalars of one type are one object in it.
-
-        They are shared through a dict local to the call, keyed by two ints for a `Rational`
-        and four for a `Gaussian`: `Rational` 1 and `Gaussian` 1 + 0i keep their types.
-        """
+        """The grading of ``(p, q, generators)``, sequences of scalars or ints, encoded once."""
         comps = []
         seen = set()
-        shared: dict = {}
         for p, q, gens in components:
             if p > 0 or q > 0 or p + q > -1:
-                raise GradingNotCompatible(
-                    f"bidegree ({p}, {q}) violates p, q <= 0 and p + q <= -1"
-                )
+                raise GradingNotCompatible(f"bidegree ({p}, {q}) violates p, q <= 0 and p + q <= -1")
             if (p, q) in seen:
                 raise GradingNotCompatible(f"duplicate bidegree ({p}, {q})")
             seen.add((p, q))
-            gen_vecs = []
-            for g in gens:
-                vec = []
-                for x in g:
-                    x = x if type(x) in (Rational, Gaussian) else as_scalar(x)
-                    rational = isinstance(x, Rational)
-                    key = (x.num, x.den) if rational else (x.re.num, x.re.den, x.im.num, x.im.den)
-                    vec.append(shared.setdefault(key, x))
-                gen_vecs.append(tuple(vec))
-            if gen_vecs:
-                comps.append(BigradingComponent(p=p, q=q, generators=tuple(gen_vecs)))
+            vecs = [_scalar_row(g) for g in gens]
+            field = "Qi" if any(Gaussian in map(type, v) for v in vecs) else "Q"
+            rows, den = kernel.zi_rows(vecs)
+            comps.append((p, q, tuple(map(len, vecs)), field, [(row, den) for row in rows]))
+        return cls._from_rows(comps)
+
+    @classmethod
+    def _from_rows(cls, components) -> "Bigrading":
+        """The grading of ``(p, q, lengths, field, vectors)``, ``(row, den)`` each, in lowest terms.
+
+        ``lengths`` holds each vector's length, or is one int for all.  The
+        bidegrees are not checked, and a component with no vectors is left out.
+        """
+        comps = [
+            BigradingComponent(
+                p,
+                q,
+                tuple(kernel.zi_lowest(*v) for v in vecs),
+                (lengths,) * len(vecs) if type(lengths) is int else lengths,
+                field,
+            )
+            for p, q, lengths, field, vecs in components
+            if vecs
+        ]
         comps.sort(key=lambda c: (-(c.p + c.q), -c.q))
         return cls(components=tuple(comps))
 
     @property
     def ambient_dim(self) -> int:
         for c in self.components:
-            return len(c.generators[0])
+            return c.lengths[0]
         return 0
 
     @property
     def total_generators(self) -> int:
-        return sum(len(c.generators) for c in self.components)
+        return sum(len(c.rows) for c in self.components)
 
     def bidegrees(self) -> tuple[tuple[int, int], ...]:
         return tuple((c.p, c.q) for c in self.components)
@@ -86,8 +125,8 @@ class Bigrading:
     def canonical(self) -> "Bigrading":
         """Same decomposition with each component's canonical (RREF) basis."""
         n = self.ambient_dim
-        return Bigrading.build(
-            (c.p, c.q, c.subspace(n).vectors()) for c in self.components
+        return Bigrading._from_rows(
+            (c.p, c.q, n, c.field, c.subspace(n).rows) for c in self.components
         )
 
     def is_restricted_shape(self) -> bool:
@@ -96,13 +135,13 @@ class Bigrading:
     def is_diagonal(self) -> bool:
         return all(c.p == c.q for c in self.components)
 
-    def kernel_rows(self, ambient: int) -> tuple[dict[tuple[int, int], list[kernel.ZiRow]], int]:
-        """The generators as Z[i] rows by bidegree, over one denominator (`kernel.zi_rows`).
+    def bidegree_rows(self, ambient: int) -> dict[tuple[int, int], list[kernel.ZiRow]]:
+        """The stored Z[i] rows by bidegree (`BigradingComponent.checked_rows`), each at its scale."""
+        return {(c.p, c.q): c.checked_rows(ambient) for c in self.components}
 
-        Raises AmbientMismatch for a generator whose length is not ``ambient``.
-        """
-        for v in (v for c in self.components for v in c.generators if len(v) != ambient):
-            raise AmbientMismatch(f"vector of length {len(v)} in ambient dimension {ambient}")
-        rows, den = kernel.zi_rows([v for c in self.components for v in c.generators])
+    def kernel_rows(self, ambient: int) -> tuple[dict[tuple[int, int], list[kernel.ZiRow]], int]:
+        """`bidegree_rows` over one denominator (`kernel.zi_common`)."""
+        self.bidegree_rows(ambient)
+        rows, den = kernel.zi_common([v for c in self.components for v in c.rows])
         it = iter(rows)
-        return {(c.p, c.q): [next(it) for _ in c.generators] for c in self.components}, den
+        return {(c.p, c.q): [next(it) for _ in c.rows] for c in self.components}, den

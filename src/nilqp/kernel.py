@@ -466,10 +466,12 @@ def zi_exact(row: ZiRow, lead: int) -> tuple[ZiRow, int]:
 
 
 def zi_lowest(row: ZiRow, den: int) -> tuple[ZiRow, int]:
-    """The exact vector ``row / den`` in lowest terms, for a nonzero ``den``."""
+    """The exact vector ``row / den`` in lowest terms, for a nonzero ``den``; ``row`` if it is."""
     g = gcd(den, *chain.from_iterable(row.values()))
     if den < 0:
         g = -g
+    if g == 1:
+        return row, den
     return {j: (x // g, y // g) for j, (x, y) in row.items()}, den // g
 
 

@@ -196,7 +196,7 @@ MUTANTS = (
         ("tests/test_cohomology.py::test_grading_not_compatible_names_the_least_offender",),
     ),
     Mutant(
-        "_verify_rows: a failure leaves bracket_compatible set",
+        "verify_bigrading: a failure leaves bracket_compatible set",
         "bigrading.py",
         "bracket_ok = not misses",
         "bracket_ok = True",
@@ -279,14 +279,36 @@ MUTANTS = (
             "tests/test_cohomology.py::test_grading_tables_hold_each_equal_pair_and_entry_once",
         ),
     ),
+    # A grading keeps its generators once, as exact Z[i] rows.
     Mutant(
-        "Bigrading.build: scalars shared by value alone",
+        "BigradingComponent.generators: every component read over Q(i)",
         "grading.py",
-        "key = (x.num, x.den) if rational else (x.re.num, x.re.den, x.im.num, x.im.den)",
-        "key = (x.num, x.den) if rational else (x.re.num, x.re.den) + ((x.im.num, x.im.den) if x.im else ())",
+        "        field = self.field\n",
+        '        field = "Qi"\n',
         (
-            "tests/test_bigrading.py::test_build_shares_equal_scalars_and_keeps_their_types",
+            "tests/test_bigrading.py::test_build_tags_each_component_and_reads_it_back_under_its_tag",
             "tests/test_bigrading.py::test_search_gradings_of_the_rational_catalog_keep_their_scalar_types",
+        ),
+    ),
+    Mutant(
+        "Bigrading: generators not put in lowest terms",
+        "grading.py",
+        "tuple(kernel.zi_lowest(*v) for v in vecs)",
+        "tuple(vecs)",
+        (
+            "tests/test_bigrading.py::test_a_generator_is_stored_in_lowest_terms_and_reads_back_as_entered",
+            "tests/test_bigrading.py::test_gradings_round_trip_through_json_to_equal_gradings_with_equal_hashes",
+        ),
+    ),
+    Mutant(
+        "Bigrading.kernel_rows: one component left off the common denominator",
+        "grading.py",
+        "        it = iter(rows)\n",
+        "        rows[: len(self.components[0].rows)] = [r for r, _ in self.components[0].rows]\n"
+        "        it = iter(rows)\n",
+        (
+            "tests/test_bigrading.py::test_kernel_rows_are_the_decoded_generators_over_one_denominator",
+            *_OFFENDER,
         ),
     ),
     Mutant(

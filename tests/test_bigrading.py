@@ -65,6 +65,7 @@ from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_j
 from nilqp.scalars import Gaussian, Rational, format_scalar
 
 from conftest import (
+    carried_grading,
     count_scalar_arithmetic,
     moved_parity_sum,
     random_gaussian_t,
@@ -346,22 +347,85 @@ def test_roundtrip_exercises_lower_weight_correction():
 # -- search -------------------------------------------------------------------
 
 
-def test_build_shares_equal_scalars_and_keeps_their_types():
-    # Within one grading, equal scalars of one type are one object: `Gaussian`
-    # 1 + 0i and `Rational` 1 are equal, and each keeps its type.
+def test_build_tags_each_component_and_reads_it_back_under_its_tag():
+    # A component with any `Gaussian` entry is over Q(i) and reads back all
+    # `Gaussian`; one of `Rational` and int entries reads back `Rational`.
     g = Bigrading.build([
         (-1, 0, [(Gaussian(1, 0), Gaussian(0, 1), Rational(0))]),
         (0, -1, [(Gaussian(1, 0), Gaussian(0, -1), Rational(0))]),
-        (-1, -1, [(Rational(0), Rational(0), Rational(1)), (Rational(0), Gaussian(1, 0), 0)]),
+        (-1, -1, [(Rational(0), Rational(0), Rational(1)), (0, Rational(1, 2), 0)]),
     ])
+    assert [c.field for c in g.components] == ["Qi", "Qi", "Q"]
     types = [[[type(x) for x in v] for v in c.generators] for c in g.components]
     assert types == [
-        [[Gaussian, Gaussian, Rational]],
-        [[Gaussian, Gaussian, Rational]],
-        [[Rational, Rational, Rational], [Rational, Gaussian, Rational]],
+        [[Gaussian, Gaussian, Gaussian]],
+        [[Gaussian, Gaussian, Gaussian]],
+        [[Rational, Rational, Rational], [Rational, Rational, Rational]],
     ]
-    scalars = [x for c in g.components for v in c.generators for x in v]
-    assert len({id(x) for x in scalars}) == len({(type(x), x) for x in scalars}) == 5
+    assert g.components[2].generators == ((0, 0, 1), (0, Rational(1, 2), 0))
+    mixed = Bigrading.build([(-1, -1, [(Rational(1), 0), (0, Gaussian(0, 1))])])
+    assert [[type(x) for x in v] for v in mixed.components[0].generators] == [[Gaussian] * 2] * 2
+
+
+def test_a_generator_is_stored_in_lowest_terms_and_reads_back_as_entered():
+    half = Rational(1, 2)
+    g = Bigrading.build([(-1, -1, [(half, 1), (0, Rational(1, 3))])])
+    (c,) = g.components
+    assert c.rows == (({0: (1, 0), 1: (2, 0)}, 2), ({1: (1, 0)}, 3))
+    assert c.generators == ((half, Rational(1)), (Rational(0), Rational(1, 3)))
+    assert Bigrading.build([(-1, -1, [(Gaussian(half, 1), Gaussian(0, -1))])]).components[0].rows == (
+        ({0: (1, 2), 1: (0, -2)}, 2),
+    )
+
+
+def test_gradings_of_equal_value_are_equal_and_hash_alike():
+    # Rational, Gaussian and int entries of equal value: the field tag takes
+    # no part in equality or the hash.
+    entries = (
+        (1, Rational(1, 2), 0),
+        (Rational(1), Rational(1, 2), Rational(0)),
+        (Gaussian(1, 0), Gaussian(Rational(1, 2), 0), Gaussian(0)),
+    )
+    gradings = [Bigrading.build([(-1, -1, [v, (0, 0, 1)]), (-2, -1, [(0, 1, 0)])]) for v in entries]
+    assert [c.field for g in gradings for c in g.components] == ["Q", "Q", "Q", "Q", "Qi", "Q"]
+    assert gradings[0] == gradings[1] == gradings[2]
+    assert len({hash(g) for g in gradings}) == 1
+    assert len(set(gradings)) == 1
+    assert gradings[0] != Bigrading.build([(-1, -1, [(0, 0, 1), entries[0]]), (-2, -1, [(0, 1, 0)])])
+
+
+def _search_gradings_of_the_rational_catalog():
+    for key in catalog_keys():
+        alg = get(key).algebra
+        if alg.field == "Q":
+            out = search_bigrading(alg)
+            if out.found:
+                yield key, out.bigrading
+
+
+def test_gradings_round_trip_through_json_to_equal_gradings_with_equal_hashes():
+    from nilqp.jsonio import bigrading_from_json, bigrading_to_json
+
+    stored = [(key, g) for key in catalog_keys() for g in get(key).known_bigradings]
+    found = list(_search_gradings_of_the_rational_catalog())
+    assert len(found) == 28
+    for key, g in stored + found:
+        back = bigrading_from_json(bigrading_to_json(g))
+        assert back == g and hash(back) == hash(g), key
+        assert [c.rows for c in back.components] == [c.rows for c in g.components], key
+
+
+def test_kernel_rows_are_the_decoded_generators_over_one_denominator():
+    # The catalog's gradings, and each carried into a basis moved at seed 1,
+    # whose components come over different denominators.
+    gradings = [g for key in catalog_keys() for g in get(key).known_bigradings]
+    moved = [carried_grading(g, random_invertible_t(g.ambient_dim, random.Random(1))) for g in gradings]
+    assert any(len({d for c in g.components for _, d in c.rows}) > 1 for g in moved)
+    for g in gradings + moved:
+        rows, den = kernel.zi_rows([v for c in g.components for v in c.generators])
+        it = iter(rows)
+        want = {(c.p, c.q): [next(it) for _ in c.rows] for c in g.components}
+        assert g.kernel_rows(g.ambient_dim) == (want, den)
 
 
 def test_search_gradings_of_the_rational_catalog_keep_their_scalar_types():

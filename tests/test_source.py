@@ -204,7 +204,6 @@ _DERIVED_SUBSPACES = frozenset(
 )
 _VERIFICATION = (
     ("bigrading", "verify_bigrading"),
-    ("bigrading", "_verify_rows"),
     ("bigrading", "_conjugation"),
     ("cohomology", "_central_generators"),
     ("cohomology", "_graded_solutions"),
@@ -337,3 +336,36 @@ def test_every_module_has_a_layer():
 def test_relative_imports_go_down_the_layers():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _upward_imports(sources, _LAYERS, _UPWARD) == []
+
+
+# A grading keeps its generators once, as exact Z[i] rows
+# (`grading.BigradingComponent.rows`).  `generators` decodes them into
+# scalars; only the JSON writer and the data model itself read it, so counts
+# and kernels read the stored rows.
+_GENERATOR_READERS = frozenset(("grading", "jsonio"))
+
+
+def _generators_reads(sources: dict[str, str]) -> list[str]:
+    """Each place where a module outside `_GENERATOR_READERS` reads an attribute ``generators``."""
+    found = []
+    for module, source in sources.items():
+        if module in _GENERATOR_READERS:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and node.attr == "generators":
+                found.append(f"{module} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_check_sees_a_generators_read():
+    sources = {
+        "grading": "def f(c):\n    return c.generators\n",
+        "jsonio": "def g(c):\n    return c.generators\n",
+        "cli": "note = 'generators'\nlen(c.rows)\n\ndef h(c):\n    return len(c.generators)\n",
+    }
+    assert _generators_reads(sources) == ["cli (line 5)"]
+
+
+def test_only_the_data_model_and_the_writer_read_the_decoded_generators():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _generators_reads(sources) == []
