@@ -175,7 +175,7 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
     """
     if mode not in ("strict", "lax"):
         raise ValueError(f"mode must be 'strict' or 'lax', not {mode!r}")
-    if L.field == "Qi" and L.real_structure is None:
+    if L.field == "Qi" and L.real_rows is None:
         raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
     n = L.dim
     rows = g.bidegree_rows(n)
@@ -263,7 +263,7 @@ def _conjugation(L: LieAlgebra):
     is entrywise (`kernel.zi_conj`, ``den`` 1); otherwise it runs on
     `liealg.real_structure_rows`.
     """
-    if L.real_structure is None:
+    if L.real_rows is None:
         return kernel.zi_conj, 1
     s_rows, s_den = real_structure_rows(L)
     return partial(_conjugate_row, s_rows), s_den
@@ -452,7 +452,7 @@ def _realified(L: LieAlgebra):
     """
     if L.field == "Q":
         return L, None
-    if L.real_structure is None:
+    if L.real_rows is None:
         raise MissingRealStructure(f"{L.name}: conjugation checks need a real structure")
     t_real = _real_form_basis(L)
     table, _, _ = _moved_table(L, *t_real, "Qi")

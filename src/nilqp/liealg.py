@@ -10,28 +10,27 @@ algebra over Q has only rational constants, so it admits a lattice
 (Malcev): `LieAlgebra.from_brackets` reads a real `Gaussian` constant
 there as its real part and refuses any other.  Algebras over Q(i) may
 carry a real structure: an antilinear involution that is also a bracket
-automorphism, used for all conjugation-dependent checks.
+automorphism, used for all conjugation-dependent checks.  It is held once
+too, one exact vector ``(row, den)`` per row in lowest terms (the form of
+``exact.Subspace.rows``), encoded only by `LieAlgebra.from_brackets`.
 
 Brackets, validation, conjugation and changes of basis run on integers.
-`structure_table` returns the stored table, and `real_structure_rows`
-gives the real structure as Z[i] rows.  `validate` checks on them;
+`structure_table` returns the stored table, and `real_structure_rows` puts
+the stored real structure over one denominator.  `validate` checks on them;
 `LieAlgebra.bracket` and `LieAlgebra.conj_vector` clear the denominators
 of their input, form every product on integers and divide once per result
-entry.  `_moved_table` gives the table in a new basis, in lowest terms,
-and `apply_basis_change` keeps it as it comes; `complexify`, `rename`,
-`direct_sum` and `strip_abelian_factor` share or combine tables without
-decoding them.  The facts derived from the constants
-(`real_structure_rows`, `commutator_ideal`, `lower_central_series`,
-`center`) are computed at most once per instance, and C^1 = [L, L] is the
-one `commutator_ideal` that the series starts from.
+entry.  `_moved` gives the table (`_moved_table`) and the real structure
+in a new basis, in lowest terms, for `apply_basis_change` and
+`strip_abelian_factor`; `complexify`, `rename`, `direct_sum` and `abelian`
+share or shift the stored rows.  No constructor builds an `ExactMatrix`.
+`commutator_ideal`, `lower_central_series` and `center` are computed at
+most once per instance, and the series starts from that C^1 = [L, L].
 
-Scalars become integers only by `kernel.zi_rows` and are made only for
-the results, by `kernel.decode` on the result's field, and every scalar
-derived here follows one rule: it is a `Gaussian` when the algebra is over
-Q(i) or an input entry is a `Gaussian`, and a `Rational` otherwise.  That
-covers `LieAlgebra.brackets`, a view decoded on each read, `bracket_basis`,
-`bracket`, `conj_vector`, the subspaces' vectors and the real structure of
-`apply_basis_change`, which is typed by the new algebra's field.
+Scalars are made only for the results, by `kernel.decode` on the result's
+field, by one rule: a `Gaussian` when the algebra is over Q(i) or an input
+entry is a `Gaussian`, and a `Rational` otherwise.  That covers the views
+`LieAlgebra.brackets` and `LieAlgebra.real_structure`, decoded on each
+read, `bracket_basis`, `bracket`, `conj_vector` and the subspaces' vectors.
 """
 
 from __future__ import annotations
@@ -108,9 +107,10 @@ def _freeze_brackets(brackets, dim: int, field: str) -> tuple:
 class LieAlgebra:
     """A Lie algebra whose constants are held once, as its `StructureTable`.
 
-    `brackets` is a view of the table, decoded on each read and never kept.
-    Two algebras are equal, and hash alike, exactly when their names, basis,
-    field, constants and real structure are.
+    `brackets` is a view of the table, decoded on each read and never kept,
+    and `real_structure` one of ``real_rows``, S's rows as exact vectors in
+    lowest terms.  Two algebras are equal, and hash alike, exactly when
+    their names, basis, field, constants and real structure are.
     """
 
     name: str
@@ -118,7 +118,7 @@ class LieAlgebra:
     field: str  # "Q" | "Qi"
     basis_names: tuple[str, ...]
     table: StructureTable  # the one stored form of the constants
-    real_structure: ExactMatrix | None = None
+    real_rows: tuple[tuple[kernel.ZiRow, int], ...] | None = None  # S, row by row
     # Facts derived from the constants, by function name (see `_fact`):
     # computed at most once per instance, as the algebra is immutable.
     _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -143,7 +143,7 @@ class LieAlgebra:
             field=field,
             basis_names=tuple(basis_names),
             table=_encoded(_freeze_brackets(brackets, dim, field), field),
-            real_structure=real_structure,
+            real_rows=None if real_structure is None else _real_rows(name, dim, real_structure),
         )
         if check:
             validate(alg)
@@ -151,8 +151,16 @@ class LieAlgebra:
 
     def __hash__(self):
         rows = frozenset(self.table.rows.items())
-        return hash((self.name, self.dim, self.field, self.basis_names, self.table.den, rows,
-                     self.real_structure))
+        real = self.real_rows and tuple((frozenset(r.items()), d) for r, d in self.real_rows)
+        return hash((self.name, self.dim, self.field, self.basis_names, self.table.den, rows, real))
+
+    @property
+    def real_structure(self) -> ExactMatrix | None:
+        """S decoded from ``real_rows`` on each read over the algebra's field; None if not given."""
+        if self.real_rows is None:
+            return None
+        n, field = self.dim, self.field
+        return ExactMatrix([kernel.decode(*v, n, field) for v in self.real_rows], cols=n)
 
     @property
     def brackets(self) -> tuple:
@@ -198,7 +206,7 @@ class LieAlgebra:
 
     def conj_vector(self, v) -> Vector:
         """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`."""
-        if self.field == "Qi" and self.real_structure is None:
+        if self.field == "Qi" and self.real_rows is None:
             raise InvalidRealStructure(f"{self.name}: no real structure available")
         return _conjugate(*real_structure_rows(self), v, self.field)
 
@@ -206,9 +214,7 @@ class LieAlgebra:
         return not self.table.rows
 
     def rename(self, name: str) -> "LieAlgebra":
-        return LieAlgebra(
-            name, self.dim, self.field, self.basis_names, self.table, self.real_structure
-        )
+        return LieAlgebra(name, self.dim, self.field, self.basis_names, self.table, self.real_rows)
 
     def same_brackets(self, other: "LieAlgebra") -> bool:
         """Equal constants, over either field: the tables are in lowest terms."""
@@ -261,10 +267,7 @@ def validate(L: LieAlgebra) -> ValidationReport:
             cycle = ((i, j, k), (j, k, i), (k, i, j))
             brackets = (L.bracket(L.bracket_basis(x, y), e[z]) for x, y, z in cycle)
             raise JacobiViolation(i, j, k, tuple(map(sum, zip(*brackets))))
-    if L.real_structure is not None:
-        s = L.real_structure
-        if s.rows != n or s.cols != n:
-            raise InvalidRealStructure(f"{L.name}: real structure has wrong shape")
+    if L.real_rows is not None:
         s_rows, s_den = real_structure_rows(L)
         if not _involutive(s_rows, s_den):
             raise InvalidRealStructure(
@@ -282,14 +285,14 @@ def validate(L: LieAlgebra) -> ValidationReport:
                 )
         # Over Q the complexification and the search conjugate by the
         # identity, so any other S would be accepted and never read.
-        if L.field == "Q" and (s_rows, s_den) != _identity_rows(n):
+        if L.field == "Q" and L.real_rows != _identity(n):
             raise InvalidRealStructure(
                 f"{L.name}: a real structure over Q must be the identity"
             )
     return ValidationReport(
         valid=True,
         lattice_admissible=(L.field == "Q"),
-        has_real_structure=L.real_structure is not None or L.field == "Q",
+        has_real_structure=L.real_rows is not None or L.field == "Q",
         dim=n,
         name=L.name,
     )
@@ -340,15 +343,23 @@ def _encoded(frozen: tuple, field: str) -> StructureTable:
     return _lowest_table(field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in frozen})
 
 
-@_fact
+def _real_rows(name: str, n: int, s: ExactMatrix) -> tuple[tuple[kernel.ZiRow, int], ...]:
+    """The n x n matrix S as one exact vector per row, in lowest terms: `LieAlgebra.real_rows`."""
+    if s.rows != n or s.cols != n:
+        raise InvalidRealStructure(f"{name}: real structure has wrong shape")
+    rows, den = kernel.zi_rows(s.entries)
+    return tuple(kernel.zi_lowest(row, den) for row in rows)
+
+
 def real_structure_rows(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
-    """L's real structure S (the identity if none) as `kernel.zi_rows`."""
-    s = L.real_structure
-    return _identity_rows(L.dim) if s is None else kernel.zi_rows(s.entries)
+    """L's real structure S (the identity if none), its rows over one denominator, not kept."""
+    return kernel.zi_common(_identity(L.dim) if L.real_rows is None else L.real_rows)
 
 
-def _identity_rows(n: int) -> tuple[list[kernel.ZiRow], int]:
-    return [{j: (1, 0)} for j in range(n)], 1
+@cache
+def _identity(n: int) -> tuple[tuple[kernel.ZiRow, int], ...]:
+    """The identity's rows as exact vectors: one tuple per dimension; no reader changes a row."""
+    return tuple(({j: (1, 0)}, 1) for j in range(n))
 
 
 def _zi_bracket(rows: dict, u: list, v: list, n: int) -> kernel.ZiRow:
@@ -550,46 +561,43 @@ def complexify(L: LieAlgebra) -> LieAlgebra:
     if L.field == "Qi":
         raise AlreadyComplex(f"{L.name} is already over Q(i)")
     # Jacobi is field-independent and conjugation is entrywise: nothing to validate.
-    return LieAlgebra(
-        f"{L.name}(C)", L.dim, "Qi", L.basis_names, L.table._replace(field="Qi"),
-        ExactMatrix.identity(L.dim),
-    )
+    table = L.table._replace(field="Qi")
+    return LieAlgebra(f"{L.name}(C)", L.dim, "Qi", L.basis_names, table, _identity(L.dim))
 
 
-def apply_basis_change(
-    L: LieAlgebra, T: ExactMatrix, name: str | None = None
-) -> LieAlgebra:
+def apply_basis_change(L: LieAlgebra, T: ExactMatrix, name: str | None = None) -> LieAlgebra:
     """Express the algebra in the new basis e_i = sum_j T[i][j] X_j.
 
     The real structure is transported through T.  Raises
     SingularTransformation when T is not invertible.
 
-    The new algebra keeps `_moved_table`'s table as it comes, and the
-    real structure is formed on the rows of T and T^-1, typed by the new
-    algebra's field, which is Q(i) when L or T is.  Jacobi and the
-    involution properties are conjugation-invariant, so nothing is
-    validated again.
+    The new algebra keeps the table and the real structure of `_moved` as
+    they come; its field is Q(i) when L or T is.  Jacobi and the involution
+    properties are conjugation-invariant, so nothing is validated again.
     """
     n = L.dim
     if T.rows != n or T.cols != n:
-        raise DimensionMismatch(
-            f"transformation is {T.rows}x{T.cols}, algebra has dim {n}"
-        )
-    e, t_den = kernel.zi_rows(T.entries)
-    table, inv, inv_den = _moved_table(L, e, t_den, T.field)
-    new_real = None
-    s = L.real_structure
-    if s is not None or table.field != L.field:
-        # (T^t)^-1 S conj(T)^t, S the identity when L has none: its column
-        # j is the new coordinates of S conj(e_j), over s_den * inv_den.
-        s_rows, s_den = real_structure_rows(L)
-        cols = [_coords(inv, _conjugate_row(s_rows, row)) for row in e]
-        # Over Q, S is the identity and the rows are real.
-        rows = [{c: col[r] for c, col in enumerate(cols) if r in col} for r in range(n)]
-        new_real = ExactMatrix(
-            [kernel.decode(row, s_den * inv_den, n, table.field) for row in rows], cols=n
-        )
-    return LieAlgebra(name or f"{L.name}~", n, table.field, _moved_names(n), table, new_real)
+        raise DimensionMismatch(f"transformation is {T.rows}x{T.cols}, algebra has dim {n}")
+    table, real = _moved(L, *kernel.zi_rows(T.entries), T.field)
+    return LieAlgebra(name or f"{L.name}~", n, table.field, _moved_names(n), table, real)
+
+
+def _moved(L: LieAlgebra, e: list, t_den: int, t_field: str):
+    """`_moved_table` for T = ``e`` / ``t_den``, and S moved to (T^t)^-1 S conj(T)^t.
+
+    S is the identity when L has none.  The new S is in lowest terms, or
+    None when L has none and the field stays.
+    """
+    n = L.dim
+    table, inv, inv_den = _moved_table(L, e, t_den, t_field)
+    if L.real_rows is None and table.field == L.field:
+        return table, None
+    # Column j of the new S is the new coordinates of S conj(e_j), over
+    # s_den * inv_den.  Over Q, S is the identity and the rows are real.
+    s_rows, s_den = real_structure_rows(L)
+    cols = [_coords(inv, _conjugate_row(s_rows, row)) for row in e]
+    rows = ({c: col[r] for c, col in enumerate(cols) if r in col} for r in range(n))
+    return table, tuple(kernel.zi_lowest(row, s_den * inv_den) for row in rows)
 
 
 @cache
@@ -607,7 +615,7 @@ def _moved_table(L: LieAlgebra, e: list, t_den: int, t_field: str):
     the table is `structure_table` of `apply_basis_change`'s algebra.
     """
     n = L.dim
-    solved = kernel.zi_solve(e, _identity_rows(n)[0])
+    solved = kernel.zi_solve(e, [row for row, _ in _identity(n)])
     if solved is None:
         raise SingularTransformation("matrix is singular")
     inv, inv_den = solved  # e^-1 = inv / inv_den
@@ -663,7 +671,7 @@ def verify_isomorphism(L1: LieAlgebra, L2: LieAlgebra, T: ExactMatrix) -> bool:
 
 
 def _abelian_split(L: LieAlgebra):
-    """Deterministic split data: (core basis vectors, central complement).
+    """Deterministic split data: (core basis, central complement), as exact vectors.
 
     Each extension is greedy, in order, on an echelon of the kernel's Z[i] rows.
     """
@@ -674,8 +682,7 @@ def _abelian_split(L: LieAlgebra):
     # Z and S in Z, z lies in C1 + S exactly when it lies in (Z n C1) + S,
     # so they extend a basis of Z n C1 to one of Z.
     echelon = c1.echelon()
-    z_rows = [row for row, _ in z.rows]
-    central = [i for i, row in enumerate(z_rows) if kernel.zi_insert(echelon, row)]
+    central = [i for i, (row, _) in enumerate(z.rows) if kernel.zi_insert(echelon, row)]
     if not central:
         return None, []
     # Extend C1 + central part to a full complement using standard basis vectors.
@@ -683,8 +690,7 @@ def _abelian_split(L: LieAlgebra):
     rows = [row for row, _ in c1.rows] + [{j: (1, 0)} for j in complement]
     core = Subspace._span(rows, n, c1.field)
     assert core.dim == n - len(central)
-    z_vectors = z.vectors()
-    return list(core.vectors()), [z_vectors[i] for i in central]
+    return core.rows, [z.rows[i] for i in central]
 
 
 def abelian_split_transformation(L: LieAlgebra) -> ExactMatrix:
@@ -693,10 +699,10 @@ def abelian_split_transformation(L: LieAlgebra) -> ExactMatrix:
     apply_basis_change(L, T) with this T has the block structure of
     direct_sum(core, abelian(k)).
     """
-    core_basis, central_part = _abelian_split(L)
-    if core_basis is None:
+    core_rows, central = _abelian_split(L)
+    if core_rows is None:
         return ExactMatrix.identity(L.dim)
-    return ExactMatrix(core_basis + central_part, cols=L.dim)
+    return ExactMatrix([kernel.decode(*v, L.dim, L.field) for v in core_rows + central], cols=L.dim)
 
 
 def strip_abelian_factor(L: LieAlgebra) -> tuple[LieAlgebra, int]:
@@ -706,22 +712,24 @@ def strip_abelian_factor(L: LieAlgebra) -> tuple[LieAlgebra, int]:
     deterministically chosen complement and satisfies Z(core) <= C1(core).
     It is read off L in the basis of `abelian_split_transformation`: the
     first m vectors span the core, which holds their brackets, and the last
-    k are central.  The real structure is kept when it maps the core into
-    itself, as the core's block of the transported one.
+    k are central, with L moved on the split's exact vectors (`_moved`).
+    The real structure is kept when it maps the core into itself, as the
+    core's block of the transported one.
     """
-    core_basis, central_part = _abelian_split(L)
-    if core_basis is None:
+    core_rows, central = _abelian_split(L)
+    if core_rows is None:
         return L, 0
-    n, m = L.dim, len(core_basis)
-    moved = apply_basis_change(L, ExactMatrix(core_basis + central_part, cols=n))
-    s = moved.real_structure if L.real_structure is not None else None
+    m = len(core_rows)
+    table, s = _moved(L, *kernel.zi_common(core_rows + central), L.field)
     core_real = None
-    if s is not None and not any(s[r, j] for r in range(m, n) for j in range(m)):
-        core_real = ExactMatrix([s.row(r)[:m] for r in range(m)], cols=m)
+    if s is not None and not any(j < m for row, _ in s[m:] for j in row):
+        core_real = tuple(
+            kernel.zi_lowest({j: e for j, e in row.items() if j < m}, den) for row, den in s[:m]
+        )
     # The central vectors bracket to zero, so every row is a pair of the core.
     core_names = tuple(f"c{i + 1}" for i in range(m))
-    core = LieAlgebra(f"{L.name}.core", m, moved.field, core_names, moved.table, core_real)
-    return core, len(central_part)
+    core = LieAlgebra(f"{L.name}.core", m, table.field, core_names, table, core_real)
+    return core, len(central)
 
 
 def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
@@ -738,23 +746,15 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
         rows[i + n1, j + n1] = [(k + n1, (x * t1.den, y * t1.den)) for k, (x, y) in row]
     names = tuple(f"{nm}'" if nm in L1.basis_names else nm for nm in L2.basis_names)
     real = None
-    if L1.real_structure is not None and L2.real_structure is not None:
-        top = L1.real_structure.augment(ExactMatrix.zeros(n1, n2))
-        bottom = ExactMatrix.zeros(n2, n1).augment(L2.real_structure)
-        real = top.stack(bottom)
+    if L1.real_rows is not None and L2.real_rows is not None:
+        real = L1.real_rows + tuple(({j + n1: e for j, e in r.items()}, d) for r, d in L2.real_rows)
     table = _lowest_table(L1.field, t1.den * t2.den, rows)
     names = L1.basis_names + names
     return LieAlgebra(f"{L1.name}+{L2.name}", n1 + n2, L1.field, names, table, real)
 
 
 def abelian(n: int, field: str = "Q", name: str | None = None) -> LieAlgebra:
-    real = ExactMatrix.identity(n) if field == "Qi" else None
-    return LieAlgebra.from_brackets(
-        name=name or f"abelian_{n}",
-        dim=n,
-        brackets={},
-        field=field,
-        basis_names=tuple(f"A{i + 1}" for i in range(n)),
-        real_structure=real,
-        check=False,
+    return LieAlgebra(
+        name or f"abelian_{n}", n, field, tuple(f"A{i + 1}" for i in range(n)),
+        _lowest_table(field, 1, {}), _identity(n) if field == "Qi" else None,
     )

@@ -311,6 +311,40 @@ MUTANTS = (
             *_OFFENDER,
         ),
     ),
+    # An algebra keeps its real structure once, as exact Z[i] rows.
+    Mutant(
+        "real_structure: the view decoded over Q",
+        "liealg.py",
+        "ExactMatrix([kernel.decode(*v, n, field) for v in self.real_rows], cols=n)",
+        'ExactMatrix([kernel.decode(*v, n, "Q") for v in self.real_rows], cols=n)',
+        ("tests/test_liealg.py::test_every_real_structure_over_qi_reads_gaussian",),
+    ),
+    Mutant(
+        "direct_sum: second summand's real structure rows not shifted",
+        "liealg.py",
+        "tuple(({j + n1: e for j, e in r.items()}, d) for r, d in L2.real_rows)",
+        "tuple(({j: e for j, e in r.items()}, d) for r, d in L2.real_rows)",
+        ("tests/test_liealg.py::test_every_real_structure_over_qi_reads_gaussian",),
+    ),
+    Mutant(
+        "_moved: moved real structure rows not put in lowest terms",
+        "liealg.py",
+        "tuple(kernel.zi_lowest(row, s_den * inv_den) for row in rows)",
+        "tuple((row, s_den * inv_den) for row in rows)",
+        (
+            "tests/test_liealg.py::test_each_algebra_holds_its_constants_once",
+            "tests/test_liealg.py::test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are",
+        ),
+    ),
+    Mutant(
+        "_real_rows: shape not checked where S is encoded",
+        "liealg.py",
+        "    if s.rows != n or s.cols != n:\n",
+        "    if False:\n",
+        (
+            "tests/test_liealg.py::test_a_real_structure_of_the_wrong_shape_is_refused_where_it_is_encoded[False]",
+        ),
+    ),
     Mutant(
         "lower_central_series: one C^0 whatever the dimension",
         "liealg.py",

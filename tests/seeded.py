@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from nilqp import Bigrading, ExactMatrix, LieAlgebra, apply_basis_change, direct_sum
+from nilqp import Bigrading, ExactMatrix, LieAlgebra, apply_basis_change, direct_sum, kernel
 from nilqp.catalog import get
 from nilqp.errors import JacobiViolation
 from nilqp.scalars import Gaussian, Q0, Q1, Rational
@@ -114,8 +114,16 @@ def random_gaussian_t(n: int, rng: random.Random) -> ExactMatrix:
 
 
 def carried_grading(grading: Bigrading, t: ExactMatrix) -> Bigrading:
-    """The grading in the basis moved by T: old coordinates map by (T^t)^-1."""
-    u = t.transpose().inverse()
-    return Bigrading.build(
-        [(c.p, c.q, [u.matvec(v) for v in c.generators]) for c in grading.components]
+    """The grading in the basis moved by T: old coordinates map by (T^t)^-1.
+
+    (T^t)^-1 comes from one `kernel.zi_solve` and maps each component's
+    stored rows; a component reads over Q(i) when it or T does.
+    """
+    n = t.rows
+    a, den = kernel.zi_rows(t.transpose().entries)  # T^t = a / den
+    inv, inv_den = kernel.zi_solve(a, [{j: (1, 0)} for j in range(n)])  # a^-1 = inv / inv_den
+    return Bigrading._from_rows(
+        (c.p, c.q, n, "Qi" if "Qi" in (c.field, t.field) else "Q",
+         [(kernel.zi_combine(((den, 0), kernel.zi_matvec(inv, row))), d * inv_den) for row, d in c.rows])
+        for c in grading.components
     )

@@ -276,6 +276,68 @@ def test_real_structure_must_be_bracket_automorphism():
     assert validate(alg).valid
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_a_real_structure_of_the_wrong_shape_is_refused_where_it_is_encoded(check):
+    # Before any search could read it: unchecked, a 2 x 2 S on a dim-3
+    # algebra once built, and the search then reported a fixed space of
+    # dimension 4.
+    for s in (ExactMatrix.identity(2), ExactMatrix([[1, 0], [0, 1], [0, 0]])):
+        with pytest.raises(InvalidRealStructure, match="^h: real structure has wrong shape$"):
+            LieAlgebra.from_brackets(
+                "h", 3, {(0, 1): {2: 1}}, field="Qi", real_structure=s, check=check
+            )
+
+
+def _qi_algebras(rng):
+    """Algebras over Q(i) from every constructor, each with the S it should read."""
+    out = []
+    for key in catalog_keys():
+        alg = get(key).algebra
+        n = alg.dim
+        if alg.field == "Q":
+            alg = complexify(alg)
+            out.append((alg, ExactMatrix.identity(n)))
+        else:
+            out.append((alg, alg.real_structure))
+        for t in (random_invertible_t(n, rng), random_gaussian_t(n, rng)):
+            moved = apply_basis_change(alg, t)
+            want, want_real = oracle_basis_change(
+                _pair_brackets(alg), n, _pair_rows(t), _pair_rows(alg.real_structure)
+            )
+            out.append((moved, _c_matrix(want_real) if n else ExactMatrix.empty(0)))
+    n1_84 = get("N1_84").algebra
+    for k in (0, 1, 3):
+        out.append((abelian(k, "Qi"), ExactMatrix.identity(k)))
+    for other in (abelian(2, "Qi"), complexify(get("n5").algebra), n1_84):
+        for a, b in ((n1_84, other), (other, n1_84)):
+            sa, sb = a.real_structure, b.real_structure
+            block = sa.augment(ExactMatrix.zeros(a.dim, b.dim)).stack(
+                ExactMatrix.zeros(b.dim, a.dim).augment(sb)
+            )
+            out.append((direct_sum(a, b), block))
+    for base in (n1_84, complexify(get("n3").algebra)):
+        alg = direct_sum(base, abelian(1, "Qi"))
+        core, k = strip_abelian_factor(alg)
+        t = abelian_split_transformation(alg)
+        s = apply_basis_change(alg, t).real_structure
+        out.append((core, ExactMatrix([s.row(r)[: core.dim] for r in range(core.dim)])))
+    return out
+
+
+def test_every_real_structure_over_qi_reads_gaussian(rng):
+    # The rule for derived values: over Q(i) S reads `Gaussian` entries, a
+    # matrix over "Qi", whatever its entries are and however the algebra
+    # was made; its values are the oracle's or the blocks it is made of.
+    cases = _qi_algebras(rng)
+    for alg, want in cases:
+        s = alg.real_structure
+        assert s == want, alg.name
+        if alg.dim:
+            assert s.field == "Qi", alg.name
+            assert {type(x) for row in s.entries for x in row} == {Gaussian}, alg.name
+    assert len(cases) > 100
+
+
 def test_lower_central_series_abelian():
     s = lower_central_series(abelian(3))
     assert s.nilpotency_class == 1
@@ -399,7 +461,7 @@ def test_structure_table_holds_one_row_per_bracket(rng):
     assert fields == {"Q", "Qi"}
 
 
-_FIELDS = {"name", "dim", "field", "basis_names", "table", "real_structure", "_facts"}
+_FIELDS = {"name", "dim", "field", "basis_names", "table", "real_rows", "_facts"}
 
 
 def _leaves(x):
@@ -413,31 +475,56 @@ def _leaves(x):
         yield x
 
 
-def test_each_algebra_holds_its_constants_once(rng):
-    # What every constructor returns keeps its constants in the table alone,
-    # as ints: no scalar object, no attribute beyond the fields and the memo,
-    # and `brackets` is decoded anew on each read.
-    n5c = complexify(get("n5").algebra)
-    n3_r2 = direct_sum(get("n3").algebra, abelian(2))
-    split = apply_basis_change(n3_r2, random_invertible_t(5, rng))
-    results = [
-        apply_basis_change(get("N3_82").algebra, random_invertible_t(8, rng)),
-        apply_basis_change(get("N3_82").algebra, random_gaussian_t(8, rng)),
-        apply_basis_change(get("N1_84").algebra, random_invertible_t(8, rng)),
-        apply_basis_change(n5c, random_gaussian_t(5, rng)),
-        n5c,
-        n5c.rename("n5 again"),
-        direct_sum(get("n5").algebra, get("filiform_4").algebra),
-        direct_sum(get("N1_84").algebra, n5c),
-        strip_abelian_factor(split)[0],
-        strip_abelian_factor(complexify(split))[0],
-    ]
+def test_each_algebra_holds_its_constants_once(rng, monkeypatch):
+    # What every constructor returns keeps its constants in the table alone
+    # and its real structure in its rows alone, as ints: no scalar object,
+    # no attribute beyond the fields and the memo, no memo of S, and
+    # `brackets` and `real_structure` are decoded anew on each read.  No
+    # constructor builds an `ExactMatrix` on the way.
+    catalog = {key: get(key).algebra for key in ("n3", "n5", "N3_82", "N1_84", "filiform_4")}
+    ts = [random_invertible_t(8, rng), random_gaussian_t(8, rng), random_invertible_t(8, rng),
+          random_gaussian_t(5, rng), random_invertible_t(5, rng)]
+
+    def built(*args, **kwargs):
+        raise AssertionError("a constructor built an ExactMatrix")
+
+    with monkeypatch.context() as m:
+        m.setattr(ExactMatrix, "__init__", built)
+        n5c = complexify(catalog["n5"])
+        split = apply_basis_change(direct_sum(catalog["n3"], abelian(2)), ts[4])
+        results = [
+            apply_basis_change(catalog["N3_82"], ts[0]),
+            apply_basis_change(catalog["N3_82"], ts[1]),
+            apply_basis_change(catalog["N1_84"], ts[2]),
+            apply_basis_change(n5c, ts[3]),
+            n5c,
+            n5c.rename("n5 again"),
+            abelian(3, "Qi"),
+            direct_sum(catalog["n5"], catalog["filiform_4"]),
+            direct_sum(catalog["N1_84"], n5c),
+            strip_abelian_factor(split)[0],
+            strip_abelian_factor(complexify(split))[0],
+            strip_abelian_factor(direct_sum(catalog["N1_84"], abelian(1, "Qi")))[0],
+        ]
+    with_s = 0
     for alg in results:
         assert set(vars(alg)) == _FIELDS, alg.name
-        stored = (alg.name, alg.dim, alg.field, alg.basis_names, alg.table)
+        stored = (alg.name, alg.dim, alg.field, alg.basis_names, alg.table, alg.real_rows or ())
         assert {type(x) for x in _leaves(stored)} == {str, int}, alg.name
         assert structure_table(alg) is alg.table and alg.table.field == alg.field, alg.name
-        assert alg.brackets == alg.brackets and alg.brackets is not alg.brackets, alg.name
+        assert alg.brackets == alg.brackets, alg.name
+        assert alg.brackets is not alg.brackets or not alg.table.rows, alg.name  # () is one object
+        if alg.real_rows is not None:
+            with_s += 1
+            assert len(alg.real_rows) == alg.dim, alg.name
+            assert all(den > 0 and kernel.zi_lowest(row, den) == (row, den)
+                       for row, den in alg.real_rows), alg.name
+            assert alg.real_structure == alg.real_structure, alg.name
+            assert alg.real_structure is not alg.real_structure, alg.name
+        liealg.real_structure_rows(alg)
+        center(alg)
+        assert set(alg._facts) <= {"commutator_ideal", "lower_central_series", "center"}, alg.name
+    assert with_s == 9
     for key in catalog_keys():
         alg = get(key).algebra
         if alg.field == "Q":
@@ -541,7 +628,11 @@ def test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are():
             for b in entries
         ]
         moved = apply_basis_change(algebras[0], ExactMatrix.identity(4), name="x")
-        for alg in algebras + [moved]:
+        t = ExactMatrix([[1, 2, 0, 0], [0, Rational(1, 3), 0, 0], [0, 0, 2, 0], [1, 0, 0, 1]])
+        there = apply_basis_change(algebras[0], t)
+        back = apply_basis_change(there, t.inverse(), name="x")
+        back = LieAlgebra(back.name, 4, back.field, names, back.table, back.real_rows)
+        for alg in algebras + [moved, back]:
             assert alg == algebras[0] and hash(alg) == hash(algebras[0]), field
             assert alg.same_brackets(algebras[0]), field
             assert structure_table(alg).den == 2, field
@@ -557,6 +648,16 @@ def test_algebras_are_equal_and_hash_alike_exactly_when_their_constants_are():
     )
     assert complexified == entered and hash(complexified) == hash(entered)
     assert complexified.same_brackets(rational) and complexified != rational
+    # S moved there and back, over Q(i), and entered as given: one algebra.
+    for t in (random_invertible_t(8, random.Random(2)), random_gaussian_t(8, random.Random(2))):
+        alg = get("N1_84").algebra
+        back = apply_basis_change(apply_basis_change(alg, t), t.inverse(), name=alg.name)
+        entered = LieAlgebra.from_brackets(
+            alg.name, 8, alg.bracket_map(), field="Qi", basis_names=back.basis_names,
+            real_structure=alg.real_structure,
+        )
+        assert back == entered and hash(back) == hash(entered), t.field
+        assert back.real_rows == alg.real_rows and back.real_rows is not alg.real_rows, t.field
 
 
 def test_moved_table_is_the_structure_table_of_the_moved_algebra(rng):
@@ -746,7 +847,7 @@ def test_strip_abelian_factor_transports_the_real_structure():
         assert k == 1 and s is not None and s != s.transpose(), key
         assert validate(core).valid, key
         with pytest.raises(InvalidRealStructure):
-            validate(replace(core, real_structure=s.transpose()))
+            validate(replace(core, real_rows=liealg._real_rows(core.name, core.dim, s.transpose())))
 
 
 def test_strip_explicit_isomorphism():

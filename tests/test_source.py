@@ -339,20 +339,22 @@ def test_relative_imports_go_down_the_layers():
 
 
 # A grading keeps its generators once, as exact Z[i] rows
-# (`grading.BigradingComponent.rows`).  `generators` decodes them into
-# scalars; only the JSON writer and the data model itself read it, so counts
-# and kernels read the stored rows.
+# (`grading.BigradingComponent.rows`), and an algebra its real structure
+# (`liealg.LieAlgebra.real_rows`).  `generators` and `real_structure` decode
+# them into scalars; only the JSON writer and each data model itself read
+# them, so counts, kernels and conjugation read the stored rows.
 _GENERATOR_READERS = frozenset(("grading", "jsonio"))
+_REAL_STRUCTURE_READERS = frozenset(("liealg", "jsonio"))
 
 
-def _generators_reads(sources: dict[str, str]) -> list[str]:
-    """Each place where a module outside `_GENERATOR_READERS` reads an attribute ``generators``."""
+def _attribute_reads(sources: dict[str, str], attr: str, readers) -> list[str]:
+    """Each place where a module outside ``readers`` reads an attribute ``attr``."""
     found = []
     for module, source in sources.items():
-        if module in _GENERATOR_READERS:
+        if module in readers:
             continue
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Attribute) and node.attr == "generators":
+            if isinstance(node, ast.Attribute) and node.attr == attr:
                 found.append(f"{module} (line {node.lineno})")
     return sorted(found)
 
@@ -363,9 +365,27 @@ def test_the_check_sees_a_generators_read():
         "jsonio": "def g(c):\n    return c.generators\n",
         "cli": "note = 'generators'\nlen(c.rows)\n\ndef h(c):\n    return len(c.generators)\n",
     }
-    assert _generators_reads(sources) == ["cli (line 5)"]
+    assert _attribute_reads(sources, "generators", _GENERATOR_READERS) == ["cli (line 5)"]
 
 
 def test_only_the_data_model_and_the_writer_read_the_decoded_generators():
     sources = {path.stem: path.read_text() for path in MODULES}
-    assert _generators_reads(sources) == []
+    assert _attribute_reads(sources, "generators", _GENERATOR_READERS) == []
+
+
+def test_the_check_sees_a_real_structure_read():
+    sources = {
+        "liealg": "def f(L):\n    return L.real_structure\n",
+        "jsonio": "def g(L):\n    return L.real_structure\n",
+        "bigrading": "def h(L, real_structure):\n    if L.real_rows is None:\n"
+        "        return real_structure.rows\n    return L.real_structure is None\n",
+        "catalog": "x = build(real_structure=s)\nok = report.has_real_structure\n",
+    }
+    assert _attribute_reads(sources, "real_structure", _REAL_STRUCTURE_READERS) == [
+        "bigrading (line 4)"
+    ]
+
+
+def test_only_the_algebra_and_the_writer_read_the_decoded_real_structure():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _attribute_reads(sources, "real_structure", _REAL_STRUCTURE_READERS) == []
