@@ -48,7 +48,7 @@ _HOME = {
 _RENAMED = {"catalog_get": "get"}
 _SUBMODULES = (
     "_arith", "_version", "bigrading", "catalog", "checker", "cli", "cohomology", "errors",
-    "exact", "grading", "jsonio", "kernel", "liealg", "scalars",
+    "exact", "grading", "jsonio", "kernel", "liealg", "scalars", "twostep",
 )
 
 __all__ = [

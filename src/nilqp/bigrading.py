@@ -18,10 +18,10 @@ The bounded search looks for a restricted-shape grading
 by exact linear algebra on the rational form R and the quotient V = R / Z.
 Over Q, R is the algebra itself, whose constants are all `Rational`; over
 Q(i) it is read off the table in a basis of the fixed space of conjugation.
-The bracket of V is read once, as one alternating form on V per basis
-vector of the commutator ideal C^1 (`_TwoStepFrame`).  The constructions
-are one ordered table of named stages (`_STAGES`); each stage that applies
-runs in turn, and the first to return U wins:
+The stages read V's two-step structure, its forms, pencil and Darboux
+pairs, from `nilqp.twostep`.  The constructions are one ordered table of
+named stages (`_STAGES`); each stage that applies runs in turn, and the
+first to return U wins:
 
 1. trivial: when v = dim V = 0, U = 0.
 2. darboux: when C^1 is a line, a symplectic basis of its form.
@@ -68,7 +68,7 @@ keeps its generators as such rows (`nilqp.grading`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from math import lcm
 
@@ -81,18 +81,17 @@ from .errors import (
     MissingRealStructure,
     NotAFiltration,
 )
-from . import kernel
+from . import kernel, twostep
 from .exact import ExactMatrix, RowReducer, Subspace, _conjugate_row
 from .grading import Bigrading, BigradingComponent
 from .liealg import (
     LieAlgebra,
+    _identity,
     _moved_table,
     _real_form,
     center,
-    commutator_ideal,
     lower_central_series,
     real_structure_rows,
-    structure_table,
 )
 
 __all__ = [
@@ -237,7 +236,7 @@ def verify_bigrading(L: LieAlgebra, g: Bigrading, mode: str = "strict") -> Gradi
     if support_ok and not g.is_restricted_shape():
         # The generators span and every bracket was solved in its target, so
         # the table in their basis keeps bidegrees; the rows' scale does not matter.
-        table = _graded_cohomology(n, *_solved_table(L, rows, 1, solved))
+        table = _graded_cohomology(n, *_solved_table(L, rows, solved))
         for (j, p, q, d) in table.by_bidegree:
             at = f"H^{j} has dimension {d} at ({p},{q}) outside the"
             if not j <= p + q <= 2 * j:
@@ -462,239 +461,20 @@ def _realified(L: LieAlgebra):
     return R, t_real
 
 
-class _TwoStepFrame:
-    """Quotient V = L / Z of a rational 2-step algebra and its bracket forms.
-
-    V has the coordinates of the columns f_0 < f_1 < ... that are not pivots
-    of the center's canonical basis, listed in ``free``: a vector of V lifts
-    to L with its coordinate a on column ``free[a]``.
-    The bracket of two lifts lies in C^1 = [L, L], and its coordinate on the
-    t-th canonical basis row of C^1 is its entry at that row's pivot column,
-    since the other rows vanish there.  So the constant of [X_{f_a}, X_{f_b}]
-    at the t-th pivot is the t-th alternating form of the bracket on V.  The
-    forms are read once, as integers over one denominator, off the integer
-    table of `structure_table`: ``forms[t][a][b] / den`` is that constant.
-    ``form_rows`` holds the same integers as Z[i] rows ``{b: (x, 0)}``, on
-    which the search's constructions work: the t-th form pairs x with u as
-    the dot product of x and the row F_t u = ``kernel.zi_matvec(form_rows[t],
-    u)`` (`commutant_rows`), times ``den``.
-
-    ``R`` is over Q with `Rational` constants, as `_realified` returns it.
-    The frame also holds what the search's stages read: h = v / 2, the
-    bounds, and the pencil (`_pencil_structure`), computed when a stage
-    first reads it.
-    """
-
-    def __init__(self, R: LieAlgebra, bounds: SearchBounds):
-        self.n = R.dim
-        self.z = center(R)
-        pivots = {min(row) for row, _ in self.z.rows}
-        self.free = [j for j in range(self.n) if j not in pivots]
-        self.v = len(self.free)
-        self.h = self.v // 2
-        self.bounds = bounds
-        self.c1 = commutator_ideal(R)
-        slot = {f: a for a, f in enumerate(self.free)}
-        coord = {min(row): t for t, (row, _) in enumerate(self.c1.rows)}
-        table = structure_table(R)
-        self.den = table.den
-        self.forms = [[[0] * self.v for _ in range(self.v)] for _ in coord]
-        for (i, j), row in table.rows.items():
-            if i in slot and j in slot:
-                a, b = slot[i], slot[j]
-                for k, (x, _) in row:
-                    if k in coord:
-                        self.forms[coord[k]][a][b] = x
-                        self.forms[coord[k]][b][a] = -x
-        self.form_rows = [[kernel.zi_int_row(row) for row in form] for form in self.forms]
-
-    @cached_property
-    def pencil(self):
-        return _pencil_structure(self)
-
-    def regular(self) -> bool:
-        """Whether C^1 has two forms and a member of their pencil is invertible."""
-        return self.c1.dim == 2 and self.pencil[1] is not None
-
-    def dfs_seeds(self):
-        """The generic DFS's seed groups and W: the pencil's, or `_generic_seeds`'."""
-        return self.pencil if self.c1.dim == 2 else (_generic_seeds(self), None)
-
-    def commutant_rows(self, rows) -> list[kernel.ZiRow]:
-        """The nonzero rows F_t u for the Z[i] rows u in ``rows``.
-
-        x commutes with every u exactly when x . F_t u = 0 for all of them.
-        """
-        return [
-            fu for u in rows for form in self.form_rows if (fu := kernel.zi_matvec(form, u))
-        ]
-
-
-def _unit_vectors(v: int) -> list[tuple[kernel.ZiRow, int]]:
-    return [({a: (1, 0)}, 1) for a in range(v)]
-
-
-def _darboux_u(frame: _TwoStepFrame) -> list[tuple[kernel.ZiRow, int]]:
+def _darboux_u(frame: twostep._TwoStepFrame) -> list[tuple[kernel.ZiRow, int]]:
     """U generators for a one-dimensional commutator ideal (symplectic case).
 
-    ``frame.c1`` must be a line: the search calls it only then.  Its form
-    is then nondegenerate on V = R / Z: a vector pairing to zero with all of
-    V brackets to zero with all of R, so it lies in Z and is 0 in V.  So
-    every vector left finds a partner, and the reduction always succeeds.
-
-    Symplectic reduction of the one form, from the unit vectors of V, on
-    exact vectors ``(row, den)`` whose Z[i] rows are real: each pair (x, y)
-    has form value 1 on it and is split off the vectors left.  U is returned
-    as the exact vectors x - iy.
+    ``frame.c1`` must be a line: the search calls it only then.  U is
+    returned as the exact vectors x - iy for the Darboux pairs (x, y) of
+    the one form (`twostep._darboux_pairs`).
     """
-    form, fden = frame.forms[0], frame.den
-
-    def pair(x, y):
-        """The form on the rows x and y, times ``fden``."""
-        return sum(a * form[j][k] * b for j, (a, _) in x.items() for k, (b, _) in y.items())
-
-    remaining = _unit_vectors(frame.v)
-    pairs = []
-    while remaining:
-        x, xd = remaining.pop(0)
-        partner = next(idx for idx, (y, _) in enumerate(remaining) if pair(x, y))
-        y, yd = remaining.pop(partner)
-        # y divided by the form's value on x and y, pair(x, y) / (xd yd fden)
-        y, yd = kernel.zi_lowest(kernel.zi_combine(((xd * fden, 0), y)), pair(x, y))
-        reduced = []
-        for vec, vd in remaining:
-            a, b = pair(x, vec), pair(y, vec)
-            if a or b:
-                # vec - a' y + b' x for the form's values a' on (x, vec), b' on (y, vec)
-                scale = xd * yd * fden
-                vec, vd = kernel.zi_lowest(
-                    kernel.zi_combine(((scale, 0), vec), ((-a, 0), y), ((b, 0), x)),
-                    vd * scale,
-                )
-            reduced.append((vec, vd))
-        remaining = reduced
-        pairs.append((x, xd, y, yd))
     return [
         kernel.zi_lowest(kernel.zi_combine(((yd, 0), x), ((0, -xd), y)), xd * yd)
-        for x, xd, y, yd in pairs
+        for x, xd, y, yd in twostep._darboux_pairs(frame)
     ]
 
 
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for a, x in enumerate(p):
-        if not x:
-            continue
-        for b, y in enumerate(q):
-            if y:
-                out[a + b] += x * y
-    return out
-
-
-def _pfaffian_poly(m1, m2, v: int):
-    """Integer coefficients of Pf(lambda*M1 + M2) by perfect-matching expansion."""
-
-    def entry(i, j):
-        return [m2[i][j], m1[i][j]]  # constant, then lambda coefficient
-
-    def rec(indices):
-        if not indices:
-            return [1]
-        out = [0]
-        first = indices[0]
-        for pos in range(1, len(indices)):
-            partner = indices[pos]
-            rest = indices[1:pos] + indices[pos + 1 :]
-            term = _poly_mul(entry(first, partner), rec(rest))
-            sign = 1 if pos % 2 == 1 else -1
-            width = max(len(out), len(term))
-            out = [
-                (out[k] if k < len(out) else 0)
-                + (term[k] if k < len(term) else 0) * sign
-                for k in range(width)
-            ]
-        return out
-
-    coeffs = rec(tuple(range(v)))
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-# The pencil constructions and the depth-first search work on the kernel's
-# Z[i] rows and exact vectors ``(row, den)`` in lowest terms
-# (`kernel.zi_lowest`), so that equal vectors are equal pairs; a group of
-# seeds is a list of them.
-
-
-def _member(frame: _TwoStepFrame, kappa) -> list[kernel.ZiRow]:
-    """The Z[i] rows of sum kappa_t F_t, for integer coefficients kappa of the forms."""
-    terms = [((k, 0), rows) for k, rows in zip(kappa, frame.form_rows) if k]
-    return [kernel.zi_combine(*((c, rows[r]) for c, rows in terms)) for r in range(frame.v)]
-
-
-def _kernel_groups(frame: _TwoStepFrame, members):
-    """The null spaces of the ``members`` (`_member`) that hold a new vector, in order.
-
-    A null space counts when it is neither zero nor all of V, and it is new
-    when some vector of its reduced basis is in no earlier one.
-    """
-    seen: list[tuple[kernel.ZiRow, int]] = []
-    for kappa in members:
-        null = kernel.null_space(_member(frame, kappa), frame.v, "Qi")
-        if 0 < len(null) < frame.v and any(vec not in seen for vec in null):
-            seen.extend(null)
-            yield null
-
-
-def _pencil_structure(frame: _TwoStepFrame):
-    """Covariant pencil data for a 2-dim commutator: (seed groups, operator W).
-
-    Seeds are kernel bases of the degenerate pencil members, located exactly
-    as rational roots of the Pfaffian polynomial (for a singular pencil every
-    member contributes).  The Pfaffian is expanded for even v <= 8, so its
-    degree v/2 reaches 4, but `_arith.rational_roots` solves degree <= 3 only: when a
-    quartic is left after factoring out lambda, its roots are missed and no
-    degenerate member is seeded.  W = M_g^{-1} M_o for an invertible member
-    M_g is self-adjoint for the member pairing, so W-cyclic subspaces
-    commute; its orbit vectors make strong search candidates.  W is read off [M_g | M_o]
-    by `kernel.zi_solve` and returned as ``(rows, d)``: the Z[i] rows of W
-    times the integer d.  It is None for a singular pencil.
-
-    The members lam*M1 + mu*M2 are tried in a fixed order.  Where the
-    Pfaffian is expanded, Pf(lam*M1 + mu*M2) = sum pf[k] lam^k mu^(v/2-k)
-    is nonzero exactly when the member is invertible, that is, when its
-    solve succeeds; so only the first member with a nonzero value is
-    solved, and it is the member that solving each in turn would find.
-    For odd v or v > 8, ``pf`` is the placeholder [1] and every member is
-    solved in turn until one succeeds.
-    """
-    v, h = frame.v, frame.h
-    expanded = v % 2 == 0 and v <= 8
-    pf = _pfaffian_poly(frame.forms[0], frame.forms[1], v) if expanded else [1]
-    tries = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))
-    if all(not c for c in pf):
-        return list(_kernel_groups(frame, tries)), None
-    # Degenerate members: finite rational roots mu with Pf(mu*M1+M2)=0
-    # read off the polynomial in the M1 direction, plus (1:0) itself when
-    # Pf(M1), the coefficient of lam^h, is zero.  ``pf`` is trimmed to a
-    # nonzero last coefficient (the placeholder [1] included), so that is
-    # when its degree is below h.
-    members = rational_roots(pf)
-    if len(pf) - 1 < h:
-        members.append((1, 0))
-    groups = list(_kernel_groups(frame, members))
-    # Invertible member for the pencil operator.
-    for lam, mu in tries + ((1, -2),):
-        if expanded and not sum(c * lam**k * mu ** (h - k) for k, c in enumerate(pf)):
-            continue
-        w = kernel.zi_solve(_member(frame, (lam, mu)), _member(frame, (mu, -lam)))
-        if w is not None:
-            return groups, w
-    return groups, None
-
-
-def _generic_seeds(frame: _TwoStepFrame) -> list[list[tuple[kernel.ZiRow, int]]]:
+def _generic_seeds(frame: twostep._TwoStepFrame) -> list[list[tuple[kernel.ZiRow, int]]]:
     """Degenerate-combination kernel groups for commutator dimension >= 3.
 
     The members tried are each form, then F_s + F_t and F_s - F_t for s < t.
@@ -706,14 +486,14 @@ def _generic_seeds(frame: _TwoStepFrame) -> list[list[tuple[kernel.ZiRow, int]]]
         for sign in (1, -1)
     ]
     groups = []
-    for null in _kernel_groups(frame, combos):
+    for null in twostep._kernel_groups(frame, combos):
         groups.append(null)
         if sum(len(g) for g in groups) >= 4 * frame.v:
             break
     return groups
 
 
-def _compatible_complex_structures(frame: _TwoStepFrame):
+def _compatible_complex_structures(frame: twostep._TwoStepFrame):
     """Basis of {A : beta_t(Ax, y) + beta_t(x, Ay) = 0 for every component}.
 
     A solution with A^2 = -I is exactly a complex structure J whose graph
@@ -977,7 +757,7 @@ def _jspace_candidates(table: _ProductTable):
             yield from _rays_with_square_condition(table, a, b)
 
 
-def _jspace_u(frame: _TwoStepFrame):
+def _jspace_u(frame: twostep._TwoStepFrame):
     """U from a bracket-compatible complex structure (any commutator size).
 
     A candidate X = N / D with X^2 = (mu / D^2) I and -mu = r^2 a square
@@ -1118,7 +898,7 @@ def _pencil_candidates(seeds, w_rows):
         for terms in islice(product(*pools), 48):
             yield kernel.zi_combine(*((one, t) for t in terms)), den
     # Generic vectors next: they are cyclic whenever anything is.
-    pool = _unit_vectors(v)
+    pool = list(_identity(v))
     for grp in seeds:
         for vec in grp:
             if vec not in pool:
@@ -1141,7 +921,7 @@ def _completions(pool):
         yield x
 
 
-def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
+def _regular_pencil_u(frame: twostep._TwoStepFrame, seeds, w):
     """Direct construction of U for a regular two-form pencil.
 
     The operator W = M_g^{-1} M_o satisfies beta_g(u, Wv) = -beta_g(v, Wu),
@@ -1168,7 +948,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
       its commutant is taken; otherwise each w is tested on a copy of
       their echelon.
 
-    ``seeds`` and ``w`` are as `_pencil_structure` returns them.  U is
+    ``seeds`` and ``w`` are as `twostep._pencil_structure` returns them.  U is
     returned as exact vectors ``(row, den)``: the k-th Krylov row of u / den
     is W^k u times d^k, so its denominator is den * d^k.
     """
@@ -1223,7 +1003,7 @@ def _regular_pencil_u(frame: _TwoStepFrame, seeds, w):
     return None
 
 
-def _dfs_u(frame: _TwoStepFrame, groups, w):
+def _dfs_u(frame: twostep._TwoStepFrame, groups, w, bounds: SearchBounds):
     """Depth-first search for h commuting generators transverse to conjugates.
 
     The commutation constraints against already-chosen generators are linear,
@@ -1237,8 +1017,9 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     below dimension h are pruned.
 
     ``groups`` are groups of seeds and ``w`` the pencil operator or None, as
-    `_pencil_structure` returns them; with no pencil, `_generic_seeds` and
-    None.  Every vector is an exact vector, and every subspace is kept as
+    `twostep._pencil_structure` returns them; with no pencil, `_generic_seeds`
+    and None.  ``bounds`` gives the coefficients, the depth and the node
+    budget.  Every vector is an exact vector, and every subspace is kept as
     its reduced basis.  A child's constraints are its parent's and those of
     its last generator.  So a node inherits its parent's constraint space,
     the meets of that space with each invariant subspace and the seeds that
@@ -1269,7 +1050,7 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
     is the same as when every candidate was tested on a reducer of its
     own.  U is returned as the exact vectors chosen.
     """
-    v, h, bounds = frame.v, frame.h, frame.bounds
+    v, h = frame.v, frame.h
     seeds = [vec for grp in groups for vec in grp]
     spans = [[row for row, _ in grp] for grp in groups]
     if w is not None:
@@ -1281,7 +1062,7 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
             ]
             spans += [[row for row, _ in kernel.null_space(power, v, "Qi")], columns]
         orbit: list[tuple[kernel.ZiRow, int]] = []
-        for row, den in seeds + _unit_vectors(v):
+        for row, den in seeds + list(_identity(v)):
             for _ in range(h - 1):
                 row = kernel.zi_matvec(w_rows, row)
                 if not row:
@@ -1374,7 +1155,7 @@ def _dfs_u(frame: _TwoStepFrame, groups, w):
 
     # The root's constraint space is all of V, its meets the invariant
     # subspaces themselves, and every seed satisfies its (no) constraints.
-    return rec([], RowReducer(v), [], [_unit_vectors(v)] + invariants, seeds, [])
+    return rec([], RowReducer(v), [], [list(_identity(v))] + invariants, seeds, [])
 
 
 def _complex_pool(w, constraints, space, meets, chosen, alive):
@@ -1452,17 +1233,20 @@ def _block_terms(block: tuple[int, ...], coeffs) -> list[tuple]:
 
 
 # The search's constructions as (name, applies, run) in the order they are
-# tried (see the module docstring), each reading the frame; ``run`` returns U
-# as exact vectors, or None.  A singular pencil's seeded depth-first search
-# over the members' kernels is cheap and robust, and after it `dfs` does not run.
+# tried (see the module docstring): ``applies`` reads the frame, and ``run``
+# the frame and the search's bounds, and returns U as exact vectors, or None.
+# A singular pencil's seeded depth-first search over the members' kernels is
+# cheap and robust, and after it `dfs` does not run.
 _STAGES = (
-    ("trivial", lambda f: f.v == 0, lambda f: []),
-    ("darboux", lambda f: f.c1.dim == 1, _darboux_u),
-    ("regular_pencil", _TwoStepFrame.regular, lambda f: _regular_pencil_u(f, *f.pencil)),
+    ("trivial", lambda f: f.v == 0, lambda f, b: []),
+    ("darboux", lambda f: f.c1.dim == 1, lambda f, b: _darboux_u(f)),
+    ("regular_pencil", twostep._TwoStepFrame.regular,
+     lambda f, b: _regular_pencil_u(f, *f.pencil)),
     ("singular_pencil_dfs", lambda f: f.c1.dim == 2 and not f.regular(),
-     lambda f: _dfs_u(f, *f.pencil)),
-    ("jspace", lambda f: f.c1.dim >= 2, _jspace_u),
-    ("dfs", lambda f: f.c1.dim >= 3 or f.regular(), lambda f: _dfs_u(f, *f.dfs_seeds())),
+     lambda f, b: _dfs_u(f, *f.pencil, b)),
+    ("jspace", lambda f: f.c1.dim >= 2, lambda f, b: _jspace_u(f)),
+    ("dfs", lambda f: f.c1.dim >= 3 or f.regular(),
+     lambda f, b: _dfs_u(f, *(f.pencil if f.c1.dim == 2 else (_generic_seeds(f), None)), b)),
 )
 
 
@@ -1480,7 +1264,7 @@ def search_bigrading(
             witness={"nilpotency_class": series.nilpotency_class},
             bounds=bounds,
         )
-    frame = _TwoStepFrame(R, bounds)
+    frame = twostep._TwoStepFrame(R)
     # For class <= 2 the commutator sits inside the center, so the canonical
     # core has b1 = dim - dim Z and the abelian factor has dim Z - dim C1.
     b1_core = frame.v
@@ -1497,10 +1281,8 @@ def search_bigrading(
             witness=necessary,
             bounds=bounds,
         )
-    u_gens = next(
-        (u for _, applies, run in _STAGES if applies(frame) and (u := run(frame)) is not None),
-        None,
-    )
+    runs = (run(frame, bounds) for _, applies, run in _STAGES if applies(frame))
+    u_gens = next((u for u in runs if u is not None), None)
     if u_gens is None:
         return SearchOutcome(
             status="not_found_within_bounds", witness=necessary, bounds=bounds

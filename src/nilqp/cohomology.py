@@ -438,14 +438,15 @@ def bigraded_cohomology(L: LieAlgebra, grading) -> CohomologyTable:
     must keep bidegrees (`_grading_table`, which raises GradingNotCompatible
     otherwise).  Block dimensions sum to the Betti numbers.
     """
-    return _graded_cohomology(L.dim, *_grading_table(L, *grading.kernel_rows(L.dim)))
+    return _graded_cohomology(L.dim, *_grading_table(L, grading.bidegree_rows(L.dim)))
 
 
-def _grading_table(L: LieAlgebra, generators: dict, den: int):
+def _grading_table(L: LieAlgebra, generators: dict):
     """``(table, dual)``: L's table in the basis of a grading's generators, and their bidegrees.
 
-    ``generators`` holds Z[i] rows over ``den`` keyed by bidegree (p, q)
-    (`Bigrading.kernel_rows`); ``dual`` lists (-p, -q) in their order.  The
+    ``generators`` holds Z[i] rows keyed by bidegree (p, q), each at its
+    own scale (`Bigrading.bidegree_rows`): scaling a basis vector changes
+    no rank and no zero pattern.  ``dual`` lists (-p, -q) in their order.  The
     table is `liealg._moved_table`'s, in lowest terms.  Generators that are
     not n, or not a basis, raise GradingNotCompatible.
 
@@ -470,8 +471,9 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int):
         def plus(i: int, j: int) -> tuple[int, int]:
             return dual[i][0] + dual[j][0], dual[i][1] + dual[j][1]
 
-        # Which constants are nonzero does not depend on the table's field.
-        moved = _moved_table(L, rows, den, L.field)[0]
+        # Which constants are nonzero depends neither on the table's field
+        # nor on the scale of the rows.
+        moved = _moved_table(L, rows, 1, L.field)[0]
         bad = [
             (k, i, j) for (i, j), row in moved.rows.items() for k, _ in row if dual[k] != plus(i, j)
         ]
@@ -480,10 +482,10 @@ def _grading_table(L: LieAlgebra, generators: dict, den: int):
             f"d maps bidegree {dual[k]} monomial {(k,)} to {plus(i, j)} monomial "
             f"{(i, j)} in degree 1"
         )
-    return _solved_table(L, generators, den, solved)
+    return _solved_table(L, generators, solved)
 
 
-def _solved_table(L: LieAlgebra, generators: dict, den: int, solved: dict):
+def _solved_table(L: LieAlgebra, generators: dict, solved: dict):
     """`_grading_table`'s ``(table, dual)``, read off the solutions of `_graded_solutions`.
 
     ``solved`` maps each pair (i, j) with a nonzero bracket to its
@@ -503,7 +505,7 @@ def _solved_table(L: LieAlgebra, generators: dict, den: int, solved: dict):
         table[ij] = [(c - n, e) for c, e in sorted(coords) if c < 2 * n]
     parts = (y for comp_rows in generators.values() for row in comp_rows for _, y in row.values())
     field = "Qi" if old.field == "Qi" or any(parts) else "Q"
-    return _lowest_table(field, den * old.den * m, table), dual
+    return _lowest_table(field, old.den * m, table), dual
 
 
 def _graded_solutions(L: LieAlgebra, generators: dict):

@@ -138,10 +138,3 @@ class Bigrading:
     def bidegree_rows(self, ambient: int) -> dict[tuple[int, int], list[kernel.ZiRow]]:
         """The stored Z[i] rows by bidegree (`BigradingComponent.checked_rows`), each at its scale."""
         return {(c.p, c.q): c.checked_rows(ambient) for c in self.components}
-
-    def kernel_rows(self, ambient: int) -> tuple[dict[tuple[int, int], list[kernel.ZiRow]], int]:
-        """`bidegree_rows` over one denominator (`kernel.zi_common`)."""
-        self.bidegree_rows(ambient)
-        rows, den = kernel.zi_common([v for c in self.components for v in c.rows])
-        it = iter(rows)
-        return {(c.p, c.q): [next(it) for _ in c.rows] for c in self.components}, den

@@ -143,7 +143,9 @@ class LieAlgebra:
             field=field,
             basis_names=tuple(basis_names),
             table=_encoded(_freeze_brackets(brackets, dim, field), field),
-            real_rows=None if real_structure is None else _real_rows(name, dim, real_structure),
+            real_rows=(
+                None if real_structure is None else _real_rows(name, dim, real_structure, field)
+            ),
         )
         if check:
             validate(alg)
@@ -343,11 +345,16 @@ def _encoded(frozen: tuple, field: str) -> StructureTable:
     return _lowest_table(field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in frozen})
 
 
-def _real_rows(name: str, n: int, s: ExactMatrix) -> tuple[tuple[kernel.ZiRow, int], ...]:
+def _real_rows(
+    name: str, n: int, s: ExactMatrix, field: str
+) -> tuple[tuple[kernel.ZiRow, int], ...]:
     """The n x n matrix S as one exact vector per row, in lowest terms: `LieAlgebra.real_rows`."""
     if s.rows != n or s.cols != n:
         raise InvalidRealStructure(f"{name}: real structure has wrong shape")
     rows, den = kernel.zi_rows(s.entries)
+    # Over Q, as for the constants, S is real: `validate` asks for the identity.
+    if field == "Q" and any(y for row in rows for _, y in row.values()):
+        raise InvalidRealStructure(f"{name}: a real structure over Q must be the identity")
     return tuple(kernel.zi_lowest(row, den) for row in rows)
 
 

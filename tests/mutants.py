@@ -125,10 +125,32 @@ MUTANTS = (
     ),
     Mutant(
         "_pencil_structure: singular path returns no groups",
-        "bigrading.py",
+        "twostep.py",
         "    return groups, None\n",
         "    return [], None\n",
         ("tests/test_bigrading.py::test_singular_pencil_past_the_expanded_pfaffian",),
+    ),
+    # The Darboux pairs of a one-form frame.
+    Mutant(
+        "_darboux_pairs: y scaled without the denominator of x",
+        "twostep.py",
+        "kernel.zi_combine(((xd * fden, 0), y)), pair(x, y))",
+        "kernel.zi_combine(((fden, 0), y)), pair(x, y))",
+        ("tests/test_bigrading.py::test_darboux_pairs_every_vector_when_the_commutator_is_a_line",),
+    ),
+    Mutant(
+        "_darboux_pairs: vectors left not cleared of x",
+        "twostep.py",
+        "((-a, 0), y), ((b, 0), x)),",
+        "((-a, 0), y)),",
+        ("tests/test_bigrading.py::test_darboux_pairs_every_vector_when_the_commutator_is_a_line",),
+    ),
+    Mutant(
+        "bigrading: a name of twostep bound again",
+        "bigrading.py",
+        "from . import kernel, twostep\n",
+        "from . import kernel, twostep\nfrom .twostep import _pencil_structure  # noqa: F401\n",
+        ("tests/test_source.py::test_the_two_step_structure_has_one_home",),
     ),
     # The CE assembly, conjugate pairs and the echelon's order.
     Mutant(
@@ -300,17 +322,6 @@ MUTANTS = (
             "tests/test_bigrading.py::test_gradings_round_trip_through_json_to_equal_gradings_with_equal_hashes",
         ),
     ),
-    Mutant(
-        "Bigrading.kernel_rows: one component left off the common denominator",
-        "grading.py",
-        "        it = iter(rows)\n",
-        "        rows[: len(self.components[0].rows)] = [r for r, _ in self.components[0].rows]\n"
-        "        it = iter(rows)\n",
-        (
-            "tests/test_bigrading.py::test_kernel_rows_are_the_decoded_generators_over_one_denominator",
-            *_OFFENDER,
-        ),
-    ),
     # An algebra keeps its real structure once, as exact Z[i] rows.
     Mutant(
         "real_structure: the view decoded over Q",
@@ -343,6 +354,15 @@ MUTANTS = (
         "    if False:\n",
         (
             "tests/test_liealg.py::test_a_real_structure_of_the_wrong_shape_is_refused_where_it_is_encoded[False]",
+        ),
+    ),
+    Mutant(
+        "_real_rows: imaginary entries of S over Q not refused",
+        "liealg.py",
+        '    if field == "Q" and any(y for row in rows for _, y in row.values()):\n',
+        "    if False:\n",
+        (
+            "tests/test_liealg.py::test_a_non_real_structure_over_q_is_refused_where_it_is_encoded[False]",
         ),
     ),
     Mutant(

@@ -120,6 +120,23 @@ def oracle_bracket(brackets, n, u, v):
     return out
 
 
+def oracle_form_gram(brackets, n, free, pivot, vectors):
+    """The Gram matrix of the bracket form on V = L / Z on ``vectors``, over Fraction.
+
+    A vector of V lifts to L with its coordinate a on column ``free[a]``,
+    and the form of u and w is the entry at column ``pivot`` of [lift u,
+    lift w]: for a two-step L whose C^1 is the line spanned by a vector
+    with entry 1 there, that is the one bracket form.
+    """
+    lifts = []
+    for u in vectors:
+        lift = [Fraction(0)] * n
+        for f, x in zip(free, u):
+            lift[f] = Fraction(x)
+        lifts.append(lift)
+    return [[oracle_bracket(brackets, n, x, y)[pivot] for y in lifts] for x in lifts]
+
+
 def oracle_jacobi_residual(brackets, n, i, j, k):
     """[[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] over Fraction."""
     def basis(t):

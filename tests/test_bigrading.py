@@ -26,7 +26,7 @@ from nilqp import (
     validate,
     verify_bigrading,
 )
-from nilqp import bigrading, checker, cohomology, exact, kernel, liealg
+from nilqp import bigrading, checker, cohomology, exact, kernel, liealg, twostep
 from nilqp.bigrading import (
     FiltrationPair,
     GradingReport,
@@ -36,19 +36,15 @@ from nilqp.bigrading import (
     _generic_seeds,
     _jspace_candidates,
     _jspace_u,
-    _kernel_groups,
     _krylov_span,
-    _member,
     _minimal_degree,
     _nilpotent_via_conic,
     _pencil_candidates,
-    _pencil_structure,
     _ProductTable,
     _rays_with_square_condition,
     _realified,
     _regular_pencil_u,
     _transversal,
-    _TwoStepFrame,
 )
 from nilqp.catalog import catalog_keys, get
 from nilqp.checker import EXHIBITED
@@ -63,15 +59,22 @@ from nilqp.errors import (
 from nilqp.exact import RowReducer
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
 from nilqp.scalars import Gaussian, Rational, format_scalar
+from nilqp.twostep import _kernel_groups, _member, _pencil_structure, _TwoStepFrame
 
 from conftest import (
-    carried_grading,
     count_scalar_arithmetic,
+    fraction_brackets,
     moved_parity_sum,
     random_gaussian_t,
     random_invertible_t,
 )
-from oracles import frac_rank, frac_rref_qi, kronecker_two_step, oracle_bracket
+from oracles import (
+    frac_rank,
+    frac_rref_qi,
+    kronecker_two_step,
+    oracle_bracket,
+    oracle_form_gram,
+)
 
 I = Gaussian(0, 1)
 
@@ -415,19 +418,6 @@ def test_gradings_round_trip_through_json_to_equal_gradings_with_equal_hashes():
         assert [c.rows for c in back.components] == [c.rows for c in g.components], key
 
 
-def test_kernel_rows_are_the_decoded_generators_over_one_denominator():
-    # The catalog's gradings, and each carried into a basis moved at seed 1,
-    # whose components come over different denominators.
-    gradings = [g for key in catalog_keys() for g in get(key).known_bigradings]
-    moved = [carried_grading(g, random_invertible_t(g.ambient_dim, random.Random(1))) for g in gradings]
-    assert any(len({d for c in g.components for _, d in c.rows}) > 1 for g in moved)
-    for g in gradings + moved:
-        rows, den = kernel.zi_rows([v for c in g.components for v in c.generators])
-        it = iter(rows)
-        want = {(c.p, c.q): [next(it) for _ in c.rows] for c in g.components}
-        assert g.kernel_rows(g.ambient_dim) == (want, den)
-
-
 def test_search_gradings_of_the_rational_catalog_keep_their_scalar_types():
     # U and conj U are over Q(i), and Z is the center over Q.
     found = 0
@@ -619,7 +609,7 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
     rng = random.Random(3)
     alg = get("N3_82").algebra
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-    frame = _TwoStepFrame(moved, SearchBounds())
+    frame = _TwoStepFrame(moved)
     v = frame.v
     seeds, w = _pencil_structure(frame)
     u = _regular_pencil_u(frame, seeds, w)
@@ -646,15 +636,14 @@ def test_bi_isotropic_agrees_with_brackets_of_lifts():
 def _moved_frame(keys, seed):
     """The direct sum of ``keys`` moved by a seeded basis change, and its `_TwoStepFrame`.
 
-    The frame is that of the rational form, as the search builds it, with
-    a budget of 2,000 nodes.
+    The frame is that of the rational form, as the search builds it.
     """
     alg = get(keys[0]).algebra
     for key in keys[1:]:
         alg = direct_sum(alg, get(key).algebra)
     rng = random.Random(seed)
     moved = apply_basis_change(alg, random_invertible_t(alg.dim, rng))
-    return moved, _TwoStepFrame(_realified(moved)[0], SearchBounds(max_nodes=2000))
+    return moved, _TwoStepFrame(_realified(moved)[0])
 
 
 def _frac_matmul(a, b):
@@ -727,7 +716,7 @@ def _regular_pencil_frames():
         R = _realified(alg)[0]
         if lower_central_series(R).nilpotency_class > 2:
             continue
-        frame = _TwoStepFrame(R, SearchBounds(max_nodes=2000))
+        frame = _TwoStepFrame(R)
         if frame.v % 2 == 0 and frame.regular():
             frames.append((("+".join(keys), seed), frame))
     return frames
@@ -787,7 +776,7 @@ def test_regular_pencil_past_the_expanded_pfaffian():
         alg = base
         if seed is not None:
             alg = apply_basis_change(base, random_invertible_t(base.dim, random.Random(seed)))
-        frame = _TwoStepFrame(_realified(alg)[0], SearchBounds())
+        frame = _TwoStepFrame(_realified(alg)[0])
         assert (frame.v, frame.c1.dim, frame.regular()) == (10, 2, True), seed
         groups, w = _pencil_structure(frame)
         solved = (
@@ -813,7 +802,7 @@ def test_singular_pencil_past_the_expanded_pfaffian(monkeypatch):
         alg = base
         if seed is not None:
             alg = apply_basis_change(base, random_invertible_t(n, random.Random(seed)))
-        frame = _TwoStepFrame(_realified(alg)[0], SearchBounds())
+        frame = _TwoStepFrame(_realified(alg)[0])
         assert (frame.v, frame.c1.dim) == (10, 2), seed
         assert _pencil_structure(frame) == (list(_kernel_groups(frame, [(1, 0)])), None), seed
         for lam, mu in tries:
@@ -941,17 +930,18 @@ def test_search_constructions_make_no_scalar_arithmetic(monkeypatch):
             (["n7"], 1),
         )
     )
+    bounds = SearchBounds(max_nodes=2000)
     calls = count_scalar_arithmetic(monkeypatch)
     seeds, w = _pencil_structure(regular)
     assert _regular_pencil_u(regular, seeds, w) is not None
     structure = _pencil_structure(w_dfs)
     assert structure[1] is not None
-    _dfs_u(w_dfs, *structure)
+    _dfs_u(w_dfs, *structure, bounds)
     structure = _pencil_structure(singular)
     assert structure[1] is None
-    assert _dfs_u(singular, *structure) is not None
+    assert _dfs_u(singular, *structure, bounds) is not None
     assert generic.c1.dim >= 3
-    _dfs_u(generic, _generic_seeds(generic), None)
+    _dfs_u(generic, _generic_seeds(generic), None, bounds)
     table = _ProductTable(*_compatible_complex_structures(generic))
     assert len(list(_jspace_candidates(table))) == 91
     assert _jspace_u(generic) is None
@@ -978,18 +968,18 @@ def _traced_search(monkeypatch, alg, *, decline: bool):
     tried, pencils = [], []
 
     def traced(name, run):
-        def wrapped(frame):
+        def wrapped(frame, bounds):
             tried.append(name)
-            u = run(frame)
+            u = run(frame, bounds)
             return None if decline else u
 
         return wrapped
 
     stages = tuple((name, applies, traced(name, run)) for name, applies, run in bigrading._STAGES)
     monkeypatch.setattr(bigrading, "_STAGES", stages)
-    original = bigrading._pencil_structure
+    original = twostep._pencil_structure
     monkeypatch.setattr(
-        bigrading, "_pencil_structure", lambda frame: pencils.append(1) or original(frame)
+        twostep, "_pencil_structure", lambda frame: pencils.append(1) or original(frame)
     )
     out = search_bigrading(alg, SearchBounds(max_nodes=2000))
     return tried, len(pencils), out.status
@@ -1026,16 +1016,35 @@ def test_search_tries_its_stages_in_table_order(
 def test_darboux_pairs_every_vector_when_the_commutator_is_a_line():
     # For dim C^1 = 1 the form is nondegenerate on V = R / Z, so Darboux
     # always finds v/2 commuting vectors transverse to their conjugates.
+    # The pairs (x_a, y_a) are a symplectic basis of the form read off
+    # Fraction brackets of lifts: it is 1 on x_a and y_a, and 0 on x_a and
+    # y_b for a != b, on any two x and on any two y.
     keys = set()
     for key in catalog_keys():
         alg = get(key).algebra
-        for seed in (1, 2, 3):
-            moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
-            frame = _TwoStepFrame(_realified(moved)[0], SearchBounds())
+        for seed in (None, 1, 2, 3):
+            moved = alg
+            if seed is not None:
+                moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
+            R = _realified(moved)[0]
+            frame = _TwoStepFrame(R)
             if frame.c1.dim != 1:
                 continue
             keys.add(key)
-            _assert_isotropic_and_transverse(frame, _darboux_u(frame), (key, seed))
+            where = (key, seed)
+            _assert_isotropic_and_transverse(frame, _darboux_u(frame), where)
+            pairs = twostep._darboux_pairs(frame)
+            xs = [_frac_real(x, xd, frame.v) for x, xd, _, _ in pairs]
+            ys = [_frac_real(y, yd, frame.v) for _, _, y, yd in pairs]
+            ((c1_row, _),) = frame.c1.rows
+            pivot = min(c1_row)
+            gram = oracle_form_gram(fraction_brackets(R), R.dim, frame.free, pivot, xs + ys)
+            h = len(pairs)
+            assert 2 * h == frame.v, where
+            # [[0, I], [-I, 0]] in the order x_1 .. x_h, y_1 .. y_h
+            assert gram == [
+                [int(b == a + h) - int(a == b + h) for b in range(2 * h)] for a in range(2 * h)
+            ], where
     assert {"n3", "n5", "n7"} <= keys
 
 
@@ -1063,7 +1072,7 @@ def test_pencil_and_jspace_u_are_isotropic_and_transverse():
             moved = alg
             if seed is not None:
                 moved = apply_basis_change(alg, random_invertible_t(alg.dim, random.Random(seed)))
-            frame = _TwoStepFrame(_realified(moved)[0], SearchBounds(max_nodes=2000))
+            frame = _TwoStepFrame(_realified(moved)[0])
             if frame.v % 2:
                 continue
             stages = []
@@ -1150,7 +1159,7 @@ def test_commutator_ideal_is_computed_once_and_shared(rng):
             assert lower_central_series(L).terms[1] is c1, (key, L.name)
             assert c1.field == L.field, (key, L.name)
             R = _realified(L)[0]  # L itself over Q
-            assert _TwoStepFrame(R, SearchBounds()).c1 is commutator_ideal(R), (key, L.name)
+            assert _TwoStepFrame(R).c1 is commutator_ideal(R), (key, L.name)
             if L.field == "Q":
                 assert check(L).b1 == L.dim - c1.dim, (key, L.name)
                 assert commutator_ideal(L) is c1, (key, L.name)
@@ -1696,7 +1705,7 @@ def _reference_report(L: LieAlgebra, g: Bigrading, mode: str) -> GradingReport:
     (`liealg._moved_table`), independent of the solve.
     """
     n = L.dim
-    rows = g.kernel_rows(n)[0]
+    rows = g.bidegree_rows(n)
     failures = []
     echelons = {key: [] for key in rows}
     for key, comp_rows in rows.items():
@@ -1814,7 +1823,7 @@ def test_verification_matches_a_reference_that_brackets_every_pair(central_gradi
     assert bracket_failures >= 20
     # The searched gradings hold 3-7 generators that pass the test.
     counts = [
-        len(cohomology._central_generators(alg, g.kernel_rows(alg.dim)[0]))
+        len(cohomology._central_generators(alg, g.bidegree_rows(alg.dim)))
         for label, alg, g in central_gradings
         if "@" in label and not label.endswith("+u")
     ]

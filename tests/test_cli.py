@@ -150,19 +150,24 @@ def test_non_automorphism_real_structure_over_q_exit_code_1(capsys, tmp_path, fm
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_non_identity_real_structure_over_q_exit_code_1(capsys, tmp_path, fmt):
     # S = (X1 <-> X2, X3 -> -X3) is a bracket automorphism of n3, but over Q
-    # nothing conjugates by it, so it is refused rather than ignored.
+    # nothing conjugates by it, so it is refused rather than ignored.  An S
+    # with imaginary entries, here not even an involution, is refused where
+    # it is read, with the same text.
     doc = lie_algebra_to_json(get("n3").algebra)
-    doc["real_structure"] = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]
-    path = tmp_path / "n3_twisted.json"
-    dump_json(path, doc)
-    for command in ("validate", "check"):
-        code, out, err = invoke(capsys, "--format", fmt, command, str(path))
-        assert code == 1, command
-        if fmt == "json":
-            error = json.loads(out)["error"]
-            assert error["type"] == "InvalidRealStructure", command
-            err = error["message"]
-        assert "n3: a real structure over Q must be the identity" in err, command
+    twisted = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "-1"]]
+    imaginary = [["0", "1*i", "0"], ["-1*i", "0", "0"], ["0", "0", "1"]]
+    for s in (twisted, imaginary):
+        doc["real_structure"] = s
+        path = tmp_path / "n3_twisted.json"
+        dump_json(path, doc)
+        for command in ("validate", "check"):
+            code, out, err = invoke(capsys, "--format", fmt, command, str(path))
+            assert code == 1, command
+            if fmt == "json":
+                error = json.loads(out)["error"]
+                assert error["type"] == "InvalidRealStructure", command
+                err = error["message"]
+            assert "n3: a real structure over Q must be the identity" in err, command
 
 
 @pytest.mark.parametrize("key", ["2 ", " 2", "02", "+2", "\u0662"])

@@ -298,11 +298,11 @@ def test_grading_table_is_the_moved_table(monkeypatch, rng):
     monkeypatch.setattr(cohomology, "_moved_table", logged)
     checked = 0
     for label, alg, g in _graded_cases(rng):
-        gens, den = g.kernel_rows(alg.dim)
+        gens = g.bidegree_rows(alg.dim)
         rows = [row for comp_rows in gens.values() for row in comp_rows]
         field = "Qi" if any(y for row in rows for _, y in row.values()) else "Q"
-        want = moved_table(alg, rows, den, field)[0]
-        got = cohomology._grading_table(alg, gens, den)[0]
+        want = moved_table(alg, rows, 1, field)[0]
+        got = cohomology._grading_table(alg, gens)[0]
         assert got == want and list(got.rows) == list(want.rows), label
         checked += 1
     assert not fallbacks
@@ -313,7 +313,7 @@ def test_grading_tables_hold_each_equal_pair_and_entry_once(rng):
     # `_grading_table` builds its table through `liealg._lowest_table`.
     repeats = 0
     for label, alg, g in _graded_cases(rng):
-        repeats += held_once(cohomology._grading_table(alg, *g.kernel_rows(alg.dim))[0], label)
+        repeats += held_once(cohomology._grading_table(alg, g.bidegree_rows(alg.dim))[0], label)
     assert repeats > 40  # the sharing is met, not vacuous
 
 

@@ -288,6 +288,25 @@ def test_a_real_structure_of_the_wrong_shape_is_refused_where_it_is_encoded(chec
             )
 
 
+@pytest.mark.parametrize("check", [True, False])
+def test_a_non_real_structure_over_q_is_refused_where_it_is_encoded(check):
+    # Unchecked, S = [[0, i], [-i, 0]] once built over Q: its view read the
+    # zero matrix and conj_vector([1, 0]) returned (0, 0).  Checked, the
+    # non-involutive S was refused as "not an antilinear involution".
+    i = Gaussian(0, 1)
+    for s in ([[0, i], [-i, 0]], [[0, i], [i, 0]], [[1, 0], [0, Gaussian(1, 1)]]):
+        with pytest.raises(
+            InvalidRealStructure, match="^a: a real structure over Q must be the identity$"
+        ):
+            LieAlgebra.from_brackets("a", 2, {}, real_structure=ExactMatrix(s), check=check)
+    # The same S over Q(i), and a real Gaussian S over Q, are encoded.
+    s = ExactMatrix([[0, i], [i, 0]])
+    assert LieAlgebra.from_brackets("a", 2, {}, field="Qi", real_structure=s, check=check)
+    s = ExactMatrix([[Gaussian(1, 0), 0], [0, 1]])
+    alg = LieAlgebra.from_brackets("a", 2, {}, real_structure=s, check=check)
+    assert alg.real_rows == liealg._identity(2)
+
+
 def _qi_algebras(rng):
     """Algebras over Q(i) from every constructor, each with the S it should read."""
     out = []
@@ -847,7 +866,8 @@ def test_strip_abelian_factor_transports_the_real_structure():
         assert k == 1 and s is not None and s != s.transpose(), key
         assert validate(core).valid, key
         with pytest.raises(InvalidRealStructure):
-            validate(replace(core, real_rows=liealg._real_rows(core.name, core.dim, s.transpose())))
+            real_rows = liealg._real_rows(core.name, core.dim, s.transpose(), core.field)
+            validate(replace(core, real_rows=real_rows))
 
 
 def test_strip_explicit_isomorphism():

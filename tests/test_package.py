@@ -18,7 +18,7 @@ SUBMODULES = sorted(
     path.stem for path in (SRC / "nilqp").glob("*.py") if path.stem not in ("__init__", "__main__")
 )
 # Modules that only the search, the checker and the cohomology tables load.
-SEARCH = ("nilqp._arith", "nilqp.bigrading", "nilqp.checker", "nilqp.cohomology")
+SEARCH = ("nilqp._arith", "nilqp.bigrading", "nilqp.checker", "nilqp.cohomology", "nilqp.twostep")
 
 
 def _fresh(code: str, *args: str):

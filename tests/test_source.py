@@ -262,6 +262,7 @@ _LAYERS = (
     "exact",
     "grading",
     "liealg",
+    "twostep",
     "cohomology",
     "bigrading",
     "catalog",
@@ -336,6 +337,23 @@ def test_every_module_has_a_layer():
 def test_relative_imports_go_down_the_layers():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _upward_imports(sources, _LAYERS, _UPWARD) == []
+
+
+def test_the_two_step_structure_has_one_home():
+    # `twostep` reads only the kernel, the algebra and the number theory,
+    # so `cohomology` may call it; the search reads it there and binds none
+    # of its names.
+    from nilqp import bigrading, twostep
+
+    source = (Path(nilqp.__file__).parent / "twostep.py").read_text()
+    assert {m for m, _ in _relative_imports(source, _LAYERS)} == {"kernel", "liealg", "_arith"}
+    own = {
+        name
+        for name, value in vars(twostep).items()
+        if getattr(value, "__module__", None) == twostep.__name__
+    }
+    assert own >= {"_TwoStepFrame", "_darboux_pairs", "_pencil_structure", "_kernel_groups"}
+    assert not own & set(vars(bigrading))
 
 
 # A grading keeps its generators once, as exact Z[i] rows
