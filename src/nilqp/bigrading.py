@@ -351,7 +351,7 @@ def bigrading_from_filtrations(
     n = fp.ambient_dim
     if (real_structure.rows, real_structure.cols) != (n, n):
         raise AmbientMismatch(f"real structure is not {n}x{n}")
-    s_rows, _ = kernel.zi_rows(real_structure.entries)
+    s_rows, _ = kernel.zi_common(real_structure.exact_rows)
     comps = []
     for p in range(-n, 1):
         for q in range(-n, 1):

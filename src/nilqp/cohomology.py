@@ -141,9 +141,7 @@ def ce_differential(L: LieAlgebra, k: int) -> ExactMatrix:
         return ExactMatrix.empty(cols, L.field)
     table = structure_table(L)
     d = _assemble(n, k, _dual_terms(table))
-    return ExactMatrix(
-        [kernel.decode(d.get(r, {}), table.den, cols, L.field) for r in range(rows)], cols=cols
-    )
+    return ExactMatrix._from_rows([(d.get(r, {}), table.den) for r in range(rows)], cols, L.field)
 
 
 def _mask(mon: tuple[int, ...]) -> int:

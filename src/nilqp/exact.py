@@ -1,11 +1,12 @@
 """Exact matrices and canonical subspaces over Q and Q(i).
 
-Matrices are dense and immutable; every entry is an exact scalar and all
-entries of one matrix live in one field ("Q" or "Qi" - mixed input is
-promoted to "Qi").  A subspace holds its reduced-row-echelon basis, which
-is unique, as the kernel's exact integer vectors, so equal subspaces are
-structurally equal objects; sums, meets and containments run on those
-vectors, and scalars are made only when a caller reads the basis.
+A matrix is immutable, over "Q" or "Qi", and keeps its rows once as the
+kernel's exact vectors ``(row, den)`` in lowest terms: products, inverses
+and eliminations run on them, and scalars are made only when a caller
+reads the entries.  A subspace holds its reduced-row-echelon basis, which
+is unique, as the same exact vectors, so equal subspaces are structurally
+equal objects; sums, meets and containments run on those vectors, and
+scalars are made only when a caller reads the basis.
 
 On a real structure's Z[i] rows, `_conjugate_row` is the one S * conj(x),
 and `_involutive` the one test of S * conj(S) = I.
@@ -17,7 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from . import kernel
 from .errors import AmbientMismatch, NotInvolution
-from .scalars import Gaussian, Q0, Q1, Rational, Scalar, as_scalar, format_scalar
+from .scalars import Gaussian, Rational, Scalar, as_scalar, format_scalar
 
 __all__ = [
     "ExactMatrix",
@@ -44,32 +45,42 @@ def _scalar_row(row) -> Vector:
 
 
 class ExactMatrix:
-    """Immutable dense matrix of exact scalars."""
+    """Immutable matrix over Q or Q(i), kept once as exact Z[i] rows.
 
-    __slots__ = ("rows", "cols", "entries", "field")
+    ``exact_rows`` holds each row as an exact vector ``(row, den)`` in
+    lowest terms, as `Subspace.rows` does, so equal matrices hold equal rows
+    over either field.  ``field`` is "Qi" when an entry was entered as a
+    `Gaussian` or an operand of a product, stack or augment is over Q(i).
+    `entries`, `row`, `column` and ``m[i, j]`` are decoded on each read by
+    the field; every operation runs on the rows.
+    """
+
+    __slots__ = ("rows", "cols", "field", "exact_rows")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
         grid = tuple(map(_scalar_row, entries))
-        nrows = len(grid)
-        if nrows:
-            ncols = len(grid[0])
-            if any(len(r) != ncols for r in grid):
+        if grid:
+            cols = len(grid[0])
+            if any(len(r) != cols for r in grid):
                 raise ValueError("ragged rows")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            ncols = cols
-        field = "Q"
-        if any(Gaussian in map(type, row) for row in grid):
-            field = "Qi"
-            grid = tuple(
-                tuple(x if isinstance(x, Gaussian) else Gaussian(x) for x in row)
-                for row in grid
-            )
-        object.__setattr__(self, "rows", nrows)
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "field", field)
+        elif cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        field = "Qi" if any(Gaussian in map(type, row) for row in grid) else "Q"
+        rows, den = kernel.zi_rows(grid)
+        self._fill([(row, den) for row in rows], cols, field)
+
+    @classmethod
+    def _from_rows(cls, vectors, cols: int, field: str) -> "ExactMatrix":
+        """The matrix over ``field`` with one exact vector ``(row, den)`` per row."""
+        m = object.__new__(cls)
+        m._fill(vectors, cols, field)
+        return m
+
+    def _fill(self, vectors, cols: int, field: str) -> None:
+        """Store ``vectors``, each put in lowest terms (`kernel.zi_lowest`)."""
+        exact = tuple(kernel.zi_lowest(*v) for v in vectors)
+        for name, value in zip(self.__slots__, (len(exact), cols, field, exact)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -78,138 +89,124 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Q1 if i == j else Q0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._from_rows([({j: (1, 0)}, 1) for j in range(n)], n, "Q")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[Q0] * cols for _ in range(rows)], cols=cols)
+        return cls._from_rows([({}, 1)] * rows, cols, "Q")
 
     @classmethod
     def empty(cls, cols: int, field: str = "Q") -> "ExactMatrix":
         """The matrix with no rows over ``field``, which no entry can carry."""
-        m = cls([], cols=cols)
-        object.__setattr__(m, "field", field)
-        return m
+        return cls._from_rows([], cols, field)
 
     # -- basics --------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                a == b
-                for ra, rb in zip(self.entries, other.entries)
-                for a, b in zip(ra, rb)
-            )
-        )
+        return (self.cols, self.exact_rows) == (other.cols, other.exact_rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.cols, tuple((frozenset(r.items()), d) for r, d in self.exact_rows)))
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as scalars over the matrix's field, decoded on each read."""
+        return tuple(kernel.decode(row, den, self.cols, self.field) for row, den in self.exact_rows)
 
     def __getitem__(self, idx: tuple[int, int]) -> Scalar:
         i, j = idx
-        return self.entries[i][j]
+        return self.row(i)[j]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
+        return kernel.decode(*self.exact_rows[i], self.cols, self.field)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return self.transpose().row(j)
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(format_scalar(x) for x in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(map(format_scalar, row)) for row in self.entries)
         return f"ExactMatrix({self.rows}x{self.cols} [{body}])"
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return not any(row for row, _ in self.exact_rows)
 
     # -- algebra ---------------------------------------------------------------
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [self.column(j) for j in range(self.cols)] if self.cols else [],
-            cols=self.rows,
-        )
+        rows, den = kernel.zi_common(self.exact_rows)
+        out: list[kernel.ZiRow] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(rows):
+            for j, e in row.items():
+                out[j][i] = e
+        return ExactMatrix._from_rows([(row, den) for row in out], self.rows, self.field)
 
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.cols:
             raise AmbientMismatch(f"cannot stack {self.cols} with {other.cols} columns")
-        return ExactMatrix(self.entries + other.entries, cols=self.cols)
+        field = _either(self.field, other.field)
+        return ExactMatrix._from_rows(self.exact_rows + other.exact_rows, self.cols, field)
 
     def augment(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise AmbientMismatch("row count mismatch in augment")
-        return ExactMatrix(
-            [ra + rb for ra, rb in zip(self.entries, other.entries)],
-            cols=self.cols + other.cols,
-        )
+        out = []
+        for left, (row, den) in zip(self.exact_rows, other.exact_rows):
+            (a, b), d = kernel.zi_common([left, ({self.cols + j: e for j, e in row.items()}, den)])
+            out.append(({**a, **b}, d))
+        return ExactMatrix._from_rows(out, self.cols + other.cols, _either(self.field, other.field))
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise AmbientMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # Sparse-aware triple loop: differential matrices are mostly zeros.
-        out = [[Q0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.entries):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = other.entries[k]
-                for j, b in enumerate(orow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-        return ExactMatrix(out, cols=other.cols)
+        a, da = kernel.zi_common(self.exact_rows)
+        b, db = kernel.zi_common(other.exact_rows)
+        out = [(row, da * db) for row in kernel.zi_matmul(a, b)]
+        return ExactMatrix._from_rows(out, other.cols, _either(self.field, other.field))
 
     def matvec(self, v: Sequence) -> Vector:
+        """The product with v, `Gaussian` when the matrix is over Q(i) or v holds a `Gaussian`."""
         if len(v) != self.cols:
             raise AmbientMismatch("vector length mismatch in matvec")
-        vec = [as_scalar(x) for x in v]
-        out = []
-        for row in self.entries:
-            s: Scalar = Q0
-            for a, x in zip(row, vec):
-                if a and x:
-                    s = s + a * x
-            out.append(s)
-        return tuple(out)
+        rows, den = kernel.zi_common(self.exact_rows)
+        return _apply(kernel.zi_matvec, rows, den, _scalar_row(v), self.field)
 
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["ExactMatrix", list[int]]:
         """Unique reduced row echelon form and its pivot columns."""
-        if self.rows == 0 or self.cols == 0:
-            return self, []
-        space = Subspace._span(kernel.zi_rows(self.entries)[0], self.cols, self.field)
-        zero = kernel.decode({}, 1, self.cols, self.field)
-        red = space.vectors() + (zero,) * (self.rows - space.dim)
-        return ExactMatrix(red, cols=self.cols), [min(row) for row, _ in space.rows]
+        space = kernel.span([row for row, _ in self.exact_rows], self.cols, self.field)
+        red = space + [({}, 1)] * (self.rows - len(space))
+        return ExactMatrix._from_rows(red, self.cols, self.field), [min(row) for row, _ in space]
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return kernel.rank(kernel.zi_rows(self.entries)[0], self.cols, self.field)
+        return kernel.rank([row for row, _ in self.exact_rows], self.cols, self.field)
 
     def inverse(self) -> "ExactMatrix":
-        """Inverse of a square matrix; raises ValueError when singular."""
+        """Inverse of a square matrix, a / den, as a^-1 (den I); raises ValueError when singular."""
         if self.rows != self.cols:
             raise ValueError("only square matrices can be inverted")
-        n = self.rows
-        if n == 0:
-            return self
-        aug = self.augment(ExactMatrix.identity(n))
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        a, den = kernel.zi_common(self.exact_rows)
+        solved = kernel.zi_solve(a, [{j: (den, 0)} for j in range(self.rows)])
+        if solved is None:
             raise ValueError("matrix is singular")
-        return ExactMatrix(
-            [row[n:] for row in red.entries], cols=n
-        )
+        rows, d = solved
+        return ExactMatrix._from_rows([(row, d) for row in rows], self.cols, self.field)
+
+
+def _either(*fields: str) -> str:
+    """"Qi" when any of ``fields`` is, else "Q"."""
+    return "Qi" if "Qi" in fields else "Q"
+
+
+def _apply(step, rows: list[kernel.ZiRow], den: int, vec: Vector, field: str) -> Vector:
+    """``step(rows, x) / (den * dx)`` for ``vec`` = x / dx, over "Qi" if ``field`` or vec is."""
+    (x,), dx = kernel.zi_rows([vec])
+    field = "Qi" if Gaussian in map(type, vec) else field
+    return kernel.decode(step(rows, x), den * dx, len(rows), field)
 
 
 def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:
@@ -220,7 +217,7 @@ def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:
 
 def kernel_basis(m: ExactMatrix) -> "Subspace":
     """Null space of ``m`` acting on column vectors, as a canonical subspace."""
-    return Subspace.null_space(kernel.zi_rows(m.entries)[0], m.cols, m.field)
+    return Subspace.null_space([row for row, _ in m.exact_rows], m.cols, m.field)
 
 
 class Subspace:
@@ -279,7 +276,7 @@ class Subspace:
 
     @property
     def basis(self) -> ExactMatrix:
-        return ExactMatrix(self.vectors(), cols=self.ambient_dim)
+        return ExactMatrix._from_rows(self.rows, self.ambient_dim, self.field)
 
     def vectors(self) -> tuple[Vector, ...]:
         n, field = self.ambient_dim, self.field
@@ -311,7 +308,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         _same_ambient(self, other)
-        field = "Qi" if "Qi" in (self.field, other.field) else "Q"
+        field = _either(self.field, other.field)
         rows = [row for row, _ in self.rows + other.rows]
         return Subspace._span(rows, self.ambient_dim, field)
 
@@ -326,7 +323,7 @@ class Subspace:
         n = self.ambient_dim
         if not (self.dim and other.dim):
             return Subspace.zero(n)
-        field = "Qi" if "Qi" in (self.field, other.field) else "Q"
+        field = _either(self.field, other.field)
         rows = []
         for s in (self, other):
             rows += [row for row, _ in kernel.null_space([r for r, _ in s.rows], n, field)]
@@ -418,16 +415,14 @@ def _conjugate(s_rows: list[kernel.ZiRow], s_den: int, v: Sequence, field: str) 
     vec = _scalar_row(v)
     if len(vec) != len(s_rows):
         raise AmbientMismatch("vector length mismatch in matvec")
-    (row,), den = kernel.zi_rows([vec])
-    field = "Qi" if Gaussian in map(type, vec) else field
-    return kernel.decode(_conjugate_row(s_rows, row), den * s_den, len(vec), field)
+    return _apply(_conjugate_row, s_rows, s_den, vec, field)
 
 
 def check_real_structure(s: ExactMatrix) -> tuple[list[kernel.ZiRow], int]:
-    """Require S * conj(S) = identity (an antilinear involution); returns S's `zi_rows`."""
+    """Require S * conj(S) = identity (an antilinear involution); returns S's rows, one den."""
     if s.rows != s.cols:
         raise NotInvolution("real structure must be square")
-    rows, den = kernel.zi_rows(s.entries)
+    rows, den = kernel.zi_common(s.exact_rows)
     if not _involutive(rows, den):
         raise NotInvolution("S * conj(S) is not the identity")
     return rows, den

@@ -161,8 +161,7 @@ class LieAlgebra:
         """S decoded from ``real_rows`` on each read over the algebra's field; None if not given."""
         if self.real_rows is None:
             return None
-        n, field = self.dim, self.field
-        return ExactMatrix([kernel.decode(*v, n, field) for v in self.real_rows], cols=n)
+        return ExactMatrix._from_rows(self.real_rows, self.dim, self.field)
 
     @property
     def brackets(self) -> tuple:
@@ -351,11 +350,10 @@ def _real_rows(
     """The n x n matrix S as one exact vector per row, in lowest terms: `LieAlgebra.real_rows`."""
     if s.rows != n or s.cols != n:
         raise InvalidRealStructure(f"{name}: real structure has wrong shape")
-    rows, den = kernel.zi_rows(s.entries)
     # Over Q, as for the constants, S is real: `validate` asks for the identity.
-    if field == "Q" and any(y for row in rows for _, y in row.values()):
+    if field == "Q" and any(y for row, _ in s.exact_rows for _, y in row.values()):
         raise InvalidRealStructure(f"{name}: a real structure over Q must be the identity")
-    return tuple(kernel.zi_lowest(row, den) for row in rows)
+    return s.exact_rows
 
 
 def real_structure_rows(L: LieAlgebra) -> tuple[list[kernel.ZiRow], int]:
@@ -585,7 +583,7 @@ def apply_basis_change(L: LieAlgebra, T: ExactMatrix, name: str | None = None) -
     n = L.dim
     if T.rows != n or T.cols != n:
         raise DimensionMismatch(f"transformation is {T.rows}x{T.cols}, algebra has dim {n}")
-    table, real = _moved(L, *kernel.zi_rows(T.entries), T.field)
+    table, real = _moved(L, *kernel.zi_common(T.exact_rows), T.field)
     return LieAlgebra(name or f"{L.name}~", n, table.field, _moved_names(n), table, real)
 
 
@@ -709,7 +707,7 @@ def abelian_split_transformation(L: LieAlgebra) -> ExactMatrix:
     core_rows, central = _abelian_split(L)
     if core_rows is None:
         return ExactMatrix.identity(L.dim)
-    return ExactMatrix([kernel.decode(*v, L.dim, L.field) for v in core_rows + central], cols=L.dim)
+    return ExactMatrix._from_rows(core_rows + central, L.dim, L.field)
 
 
 def strip_abelian_factor(L: LieAlgebra) -> tuple[LieAlgebra, int]:

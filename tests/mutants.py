@@ -60,6 +60,8 @@ _OFFENDER = (
     "tests/test_golden.py::test_gradings_whose_brackets_leave_a_present_target_match_golden_digest",
     "tests/test_bigrading.py::test_bigraded_cohomology_names_the_recorded_first_offender",
 )
+_MATRIX_ROWS = "tests/test_exact.py::test_a_matrix_keeps_its_rows_once_in_lowest_terms"
+_MATRIX_ORACLE = "tests/test_exact.py::test_matrix_api_matches_the_fraction_oracles"
 
 MUTANTS = (
     # The adapted table's [R_b, R_a], a bracket of two vectors of C^1.
@@ -326,8 +328,8 @@ MUTANTS = (
     Mutant(
         "real_structure: the view decoded over Q",
         "liealg.py",
-        "ExactMatrix([kernel.decode(*v, n, field) for v in self.real_rows], cols=n)",
-        'ExactMatrix([kernel.decode(*v, n, "Q") for v in self.real_rows], cols=n)',
+        "ExactMatrix._from_rows(self.real_rows, self.dim, self.field)",
+        'ExactMatrix._from_rows(self.real_rows, self.dim, "Q")',
         ("tests/test_liealg.py::test_every_real_structure_over_qi_reads_gaussian",),
     ),
     Mutant(
@@ -359,7 +361,7 @@ MUTANTS = (
     Mutant(
         "_real_rows: imaginary entries of S over Q not refused",
         "liealg.py",
-        '    if field == "Q" and any(y for row in rows for _, y in row.values()):\n',
+        '    if field == "Q" and any(y for row, _ in s.exact_rows for _, y in row.values()):\n',
         "    if False:\n",
         (
             "tests/test_liealg.py::test_a_non_real_structure_over_q_is_refused_where_it_is_encoded[False]",
@@ -372,6 +374,49 @@ MUTANTS = (
         "@lambda f: lambda n, kept=[]: kept[0] if kept else kept.append(f(n)) or kept[0]\n"
         "def _whole_space(",
         ("tests/test_liealg.py::test_series_starts_from_one_whole_space_per_dimension",),
+    ),
+    # A matrix keeps its entries once, as exact Z[i] rows.
+    Mutant(
+        "ExactMatrix: rows not put in lowest terms",
+        "exact.py",
+        "exact = tuple(kernel.zi_lowest(*v) for v in vectors)",
+        "exact = tuple(vectors)",
+        (_MATRIX_ROWS, _MATRIX_ORACLE),
+    ),
+    Mutant(
+        "ExactMatrix: field tag read off the first row only",
+        "exact.py",
+        'field = "Qi" if any(Gaussian in map(type, row) for row in grid) else "Q"',
+        'field = "Qi" if any(Gaussian in map(type, row) for row in grid[:1]) else "Q"',
+        ("tests/test_exact.py::test_mixed_field_promotion", _MATRIX_ORACLE),
+    ),
+    Mutant(
+        "ExactMatrix.matmul: operands swapped",
+        "exact.py",
+        "kernel.zi_matmul(a, b)",
+        "kernel.zi_matmul(b, a)",
+        (_MATRIX_ORACLE,),
+    ),
+    Mutant(
+        "ExactMatrix.augment: right block not shifted",
+        "exact.py",
+        "({self.cols + j: e for j, e in row.items()}, den)",
+        "({j: e for j, e in row.items()}, den)",
+        (_MATRIX_ORACLE,),
+    ),
+    Mutant(
+        "ExactMatrix.inverse: identity not scaled by the denominator",
+        "exact.py",
+        "[{j: (den, 0)} for j in range(self.rows)]",
+        "[{j: (1, 0)} for j in range(self.rows)]",
+        ("tests/test_exact.py::test_inverse_matches_the_fraction_oracle",),
+    ),
+    Mutant(
+        "_apply: a Gaussian vector decoded by the matrix's field",
+        "exact.py",
+        '    field = "Qi" if Gaussian in map(type, vec) else field\n    return kernel.decode(step(',
+        "    return kernel.decode(step(",
+        ("tests/test_exact.py::test_matvec_result_has_one_scalar_type",),
     ),
     # Import only what a call uses.
     Mutant(

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,23 +7,27 @@ from hypothesis import strategies as st
 from nilqp import (
     ExactMatrix,
     Subspace,
+    abelian,
+    abelian_split_transformation,
     apply_basis_change,
     center,
     commutator_ideal,
     complexify,
     conjugate_vector,
+    direct_sum,
     kernel_basis,
     lower_central_series,
     rref_rank,
     subspace_sum_intersect,
 )
+from nilqp import kernel
 from nilqp.catalog import get
-from nilqp.cohomology import _commutator_adapted_table
+from nilqp.cohomology import _commutator_adapted_table, ce_differential
 from nilqp.errors import AmbientMismatch, NotInvolution
 from nilqp.scalars import Gaussian, Rational
 
-from conftest import count_scalar_arithmetic, random_invertible_t
-from oracles import frac_rank
+from conftest import count_scalar_arithmetic, random_gaussian_t, random_invertible_t
+from oracles import _c_matmul, frac_inverse_qi, frac_rank, frac_rref, frac_rref_qi
 
 
 def M(rows, cols=None):
@@ -225,6 +231,181 @@ def test_mixed_field_promotion():
     m = M([[1, Gaussian(0, 1)]])
     assert m.field == "Qi"
     assert all(isinstance(x, Gaussian) for x in m.entries[0])
+    # A Gaussian entry in any row, not only the first, puts the matrix over Q(i).
+    later = M([[1, 0], [0, Gaussian(2)]])
+    assert later.field == "Qi"
+    assert {type(x) for row in later.entries for x in row} == {Gaussian}
+
+
+def test_matvec_result_has_one_scalar_type():
+    # An entry whose products are all zero is Gaussian too when the matrix
+    # is over Q(i) or the vector holds a Gaussian.
+    i = Gaussian(0, 1)
+    assert M([[i, 0], [0, 0]]).matvec([1, 0]) == (i, 0)
+    assert [type(x) for x in M([[i, 0], [0, 0]]).matvec([1, 0])] == [Gaussian, Gaussian]
+    assert [type(x) for x in M([[1, 0], [0, 0]]).matvec([i, 0])] == [Gaussian, Gaussian]
+    assert [type(x) for x in M([[1, 0], [0, 0]]).matvec([1, 0])] == [Rational, Rational]
+
+
+def test_a_matrix_keeps_its_rows_once_in_lowest_terms():
+    # One exact vector per row, ints only, each in lowest terms whatever
+    # the denominators of the other rows; the entries are decoded on each read.
+    m = M([[1, Rational(1, 2)], [2, 4], [0, 0], [Gaussian(0, 2), Rational(2, 3)]])
+    assert m.exact_rows == (
+        ({0: (2, 0), 1: (1, 0)}, 2),
+        ({0: (2, 0), 1: (4, 0)}, 1),
+        ({}, 1),
+        ({0: (0, 6), 1: (2, 0)}, 3),
+    )
+    assert m.entries == m.entries and m.entries is not m.entries
+    assert set(ExactMatrix.__slots__) == {"rows", "cols", "field", "exact_rows"}
+
+
+# -- the matrix API against the Fraction oracles ---------------------------------
+
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _matrices(draw, rows, cols):
+    """An ExactMatrix of the shape and its entries as (re, im) Fraction pairs.
+
+    Over Q(i) each entry is a `Gaussian` or a `Rational` at random, so a
+    matrix is over Q(i) when any one entry was entered as a `Gaussian`.
+    """
+    qi = draw(st.booleans())
+    pairs, scalars, gaussian = [], [], False
+    for _ in range(rows):
+        prow, srow = [], []
+        for _ in range(cols):
+            re = draw(_FRACTIONS)
+            im = draw(_FRACTIONS) if qi else Fraction(0)
+            as_gaussian = qi and (im != 0 or draw(st.booleans()))
+            gaussian |= as_gaussian
+            x = Rational(re.numerator, re.denominator)
+            if as_gaussian:
+                x = Gaussian(x, Rational(im.numerator, im.denominator))
+            prow.append((re, im))
+            srow.append(x)
+        pairs.append(prow)
+        scalars.append(srow)
+    m = ExactMatrix(scalars, cols=cols)
+    assert m.field == ("Qi" if gaussian else "Q")
+    return m, pairs
+
+
+def _pairs(m):
+    """The entries of ``m`` as (re, im) Fraction pairs, all of the type its field asks for."""
+    kind = Gaussian if m.field == "Qi" else Rational
+    assert all(type(x) is kind for row in m.entries for x in row)
+    return [[_pair(x) for x in row] for row in m.entries]
+
+
+def _pair(x):
+    re, im = (x.re, x.im) if type(x) is Gaussian else (x, Rational(0))
+    return Fraction(re.num, re.den), Fraction(im.num, im.den)
+
+
+def _product(a, b, inner, cols):
+    """``a`` times ``b`` by `_c_matmul`, zeros when the inner dimension is 0."""
+    if not inner:
+        return [[(Fraction(0), Fraction(0))] * cols for _ in a]
+    return _c_matmul(a, b)
+
+
+def _lowest(m):
+    return all(den > 0 and kernel.zi_lowest(row, den) == (row, den) for row, den in m.exact_rows)
+
+
+_DIMS = st.integers(min_value=0, max_value=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_DIMS, _DIMS, _DIMS, _DIMS, st.data())
+def test_matrix_api_matches_the_fraction_oracles(r, c, s, r2, data):
+    (a, pa), (b, pb) = data.draw(_matrices(r, c)), data.draw(_matrices(c, s))
+    (a2, pa2), (a3, pa3) = data.draw(_matrices(r2, c)), data.draw(_matrices(r, s))
+    (v, pv) = data.draw(_matrices(1, c))
+    qi = "Qi" in (a.field, b.field)
+
+    ab = a.matmul(b)
+    assert (ab.rows, ab.cols, ab.field) == (r, s, "Qi" if qi else "Q")
+    assert _pairs(ab) == _product(pa, pb, c, s)
+    out = a.matvec(v.entries[0])
+    assert [_pair(x) for x in out] == [row[0] for row in _product(pa, [[x] for x in pv[0]], c, 1)]
+    kind = Gaussian if "Qi" in (a.field, v.field) else Rational
+    assert all(type(x) is kind for x in out)
+
+    t = a.transpose()
+    assert (t.rows, t.cols, t.field) == (c, r, a.field)
+    assert _pairs(t) == [[row[j] for row in pa] for j in range(c)]
+    assert t.transpose() == a
+    assert [t.row(j) for j in range(c)] == [a.column(j) for j in range(c)]
+    assert all(a[i, j] == a.entries[i][j] for i in range(r) for j in range(c))
+    stacked = a.stack(a2)
+    assert (stacked.rows, stacked.field) == (r + r2, "Qi" if "Qi" in (a.field, a2.field) else "Q")
+    assert _pairs(stacked) == pa + pa2
+    aug = a.augment(a3)
+    assert (aug.cols, aug.field) == (c + s, "Qi" if "Qi" in (a.field, a3.field) else "Q")
+    assert _pairs(aug) == [x + y for x, y in zip(pa, pa3)]
+    for m in (a, ab, t, stacked, aug):
+        assert _lowest(m)
+
+    red, pivots = a.rref()
+    if a.field == "Q":
+        want, want_pivots = frac_rref([[x for x, _ in row] for row in pa], c)
+        want = [[(x, Fraction(0)) for x in row] for row in want]
+    else:
+        want, want_pivots = frac_rref_qi(pa, c)
+    assert (_pairs(red), pivots, red.field) == (want, want_pivots, a.field)
+    assert a.rank() == len(want_pivots)
+    assert kernel_basis(a).dim == c - len(pivots)
+
+    # Equal matrices are equal and hash alike, whatever their fields; a
+    # matrix re-entered from its entries, over the other field, is equal.
+    again = M(a.entries, cols=c)
+    other = M([[Gaussian(x) if a.field == "Q" else x for x in row] for row in a.entries], cols=c)
+    for m in (again, other, a.stack(ExactMatrix.empty(c, "Qi"))):
+        assert m == a and hash(m) == hash(a)
+    assert M(a.entries + a2.entries, cols=c) == stacked
+    if r and c:
+        bumped = [list(row) for row in a.entries]
+        bumped[-1][-1] = bumped[-1][-1] + 1
+        assert M(bumped, cols=c) != a
+
+
+@settings(max_examples=80, deadline=None)
+@given(_DIMS.flatmap(lambda n: _matrices(n, n)))
+def test_inverse_matches_the_fraction_oracle(drawn):
+    a, pa = drawn
+    want = frac_inverse_qi(pa)
+    if want is None:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            a.inverse()
+        return
+    inv = a.inverse()
+    assert (_pairs(inv), inv.field) == (want, a.field)
+    assert a.matmul(inv) == ExactMatrix.identity(a.rows) == inv.matmul(a)
+
+
+def test_shape_errors_keep_their_types_and_texts():
+    a = M([[1, 2], [3, 4]])
+    with pytest.raises(AmbientMismatch, match="cannot multiply 2x2 by 1x2"):
+        a.matmul(M([[1, 2]]))
+    with pytest.raises(AmbientMismatch, match="vector length mismatch in matvec"):
+        a.matvec([1])
+    with pytest.raises(AmbientMismatch, match="cannot stack 2 with 3 columns"):
+        a.stack(M([[1, 2, 3]]))
+    with pytest.raises(AmbientMismatch, match="row count mismatch in augment"):
+        a.augment(M([[1]]))
+    with pytest.raises(ValueError, match="only square matrices can be inverted"):
+        M([[1, 2]]).inverse()
+    with pytest.raises(ValueError, match="ragged rows"):
+        M([[1, 2], [3]])
+    with pytest.raises(ValueError, match="explicit column count"):
+        M([])
+    with pytest.raises(AttributeError, match="immutable"):
+        a.rows = 3
 
 
 _ARITHMETIC = (
@@ -241,13 +422,18 @@ def test_pipeline_facts_build_no_matrix_and_make_no_scalar_arithmetic(rng, monke
     moved = apply_basis_change(get("N1_82").algebra, random_invertible_t(8, rng))
     algebras = [moved, complexify(moved)]
     calls = count_scalar_arithmetic(monkeypatch)
-    init = ExactMatrix.__init__
+    init, from_rows = ExactMatrix.__init__, ExactMatrix._from_rows
 
     def counted_init(self, *args, **kwargs):
         calls.append("ExactMatrix.__init__")
         init(self, *args, **kwargs)
 
+    def counted_from_rows(*args, **kwargs):
+        calls.append("ExactMatrix._from_rows")
+        return from_rows(*args, **kwargs)
+
     monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
+    monkeypatch.setattr(ExactMatrix, "_from_rows", counted_from_rows)
     dims = []
     for alg in algebras:
         terms = lower_central_series(alg).terms
@@ -289,3 +475,35 @@ def test_null_spaces_make_no_scalar_arithmetic(rng, monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert (z.dim, z_c.dim, k.dim, k_qi.dim, meet.dim, meet_qi.dim) == (2, 2, 2, 2, 1, 1)
+
+
+def test_matrix_methods_make_no_scalar_arithmetic(rng, monkeypatch):
+    # A matrix keeps its rows as the kernel's integers: every method, and
+    # the functions that read or build matrices, run on them, and scalars
+    # are only built (and read) for the entries a caller asks for.
+    i = Gaussian(0, 1)
+    a = M([[1, Rational(1, 2), 0], [2, 0, Rational(-1, 3)], [0, 1, 1]])
+    b = M([[1, i, 0], [Gaussian(1, 1), 0, 2], [0, 0, Rational(1, 2)]])
+    alg = get("N1_84").algebra
+    qi = complexify(get("n5").algebra)
+    t, t_qi = random_invertible_t(alg.dim, rng), random_gaussian_t(qi.dim, rng)
+    split = direct_sum(get("n3").algebra, abelian(2))
+    swap = M([[0, 1], [1, 0]])
+    calls = count_scalar_arithmetic(monkeypatch)
+    for m in (a, b):
+        for other in (a, b):
+            m.matmul(other), m.stack(other), m.augment(other), m == other, m != other
+        m.transpose(), m.inverse(), m.rref(), m.rank(), m.is_zero(), hash(m), repr(m)
+        m.matvec([1, i, Rational(2, 3)]), m.matvec((1, 2, 3)), m.entries, m.row(1), m.column(2)
+        m[1, 2], rref_rank(m), kernel_basis(m)
+        M(m.entries, cols=3)
+    ExactMatrix.identity(3), ExactMatrix.zeros(2, 3), ExactMatrix.empty(3, "Qi")
+    with pytest.raises(ValueError):
+        M([[1, 2], [2, 4]]).inverse()
+    conjugate_vector((i, Rational(2)), swap)
+    alg.real_structure, qi.real_structure
+    abelian_split_transformation(split), abelian_split_transformation(alg)
+    ce_differential(alg, 2), ce_differential(qi, 1)
+    apply_basis_change(alg, t), apply_basis_change(qi, t_qi)
+    monkeypatch.undo()
+    assert calls == []

@@ -509,6 +509,7 @@ def test_each_algebra_holds_its_constants_once(rng, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(ExactMatrix, "__init__", built)
+        m.setattr(ExactMatrix, "_from_rows", built)
         n5c = complexify(catalog["n5"])
         split = apply_basis_change(direct_sum(catalog["n3"], abelian(2)), ts[4])
         results = [

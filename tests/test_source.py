@@ -407,3 +407,46 @@ def test_the_check_sees_a_real_structure_read():
 def test_only_the_algebra_and_the_writer_read_the_decoded_real_structure():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _attribute_reads(sources, "real_structure", _REAL_STRUCTURE_READERS) == []
+
+
+# A matrix keeps its entries once, as exact Z[i] rows
+# (`exact.ExactMatrix.exact_rows`), and code hands those rows over: none
+# encodes a matrix's decoded entries again (``kernel.zi_rows(m.entries)``)
+# or decodes rows only to build a matrix of them
+# (``ExactMatrix([kernel.decode(...) ...])``).
+
+
+def _matrix_round_trips(sources: dict[str, str]) -> list[str]:
+    """Each `zi_rows` call on an ``.entries`` and each `ExactMatrix` call on a `decode`."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            args = node.args + [k.value for k in node.keywords]
+            inside = [n for arg in args for n in ast.walk(arg)]
+            name = _named(node.func)
+            if name == "zi_rows" and any(
+                isinstance(n, ast.Attribute) and n.attr == "entries" for n in inside
+            ):
+                found.append(f"{module}.zi_rows (line {node.lineno})")
+            if name == "ExactMatrix" and any(
+                isinstance(n, ast.Call) and _named(n.func) == "decode" for n in inside
+            ):
+                found.append(f"{module}.ExactMatrix (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_check_sees_a_matrix_round_trip():
+    sources = {
+        "a": "rows, den = kernel.zi_rows(s.entries)\nrows = zi_rows([v])\n",
+        "b": "m = ExactMatrix([kernel.decode(*v, n, f) for v in rows], cols=n)\n"
+        "e = ExactMatrix(entries)\nx = ExactMatrix._from_rows(rows, n, f)\n",
+        "c": "def f(entries):\n    return kernel.zi_rows(entries), m.entries\n",
+    }
+    assert _matrix_round_trips(sources) == ["a.zi_rows (line 1)", "b.ExactMatrix (line 1)"]
+
+
+def test_no_module_round_trips_a_matrix_through_scalars():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _matrix_round_trips(sources) == []
