@@ -47,8 +47,8 @@ _HOME = {
 }
 _RENAMED = {"catalog_get": "get"}
 _SUBMODULES = (
-    "_arith", "_version", "bigrading", "catalog", "checker", "cli", "cohomology", "errors",
-    "exact", "grading", "jsonio", "kernel", "liealg", "scalars", "twostep",
+    "_arith", "_record", "_version", "bigrading", "catalog", "checker", "cli", "cohomology",
+    "errors", "exact", "grading", "jsonio", "kernel", "liealg", "scalars", "twostep",
 )
 
 __all__ = [

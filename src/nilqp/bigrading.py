@@ -67,10 +67,11 @@ keeps its generators as such rows (`nilqp.grading`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import partial
 from itertools import accumulate, chain, combinations, islice, permutations, product, repeat
 from math import lcm
+from typing import NamedTuple
 
 from ._arith import isqrt_exact, lowest_terms, rational_roots, solve_ternary
 from .cohomology import _graded_cohomology, _graded_solutions, _solved_table
@@ -82,6 +83,7 @@ from .errors import (
     NotAFiltration,
 )
 from . import kernel, twostep
+from ._record import Record
 from .exact import ExactMatrix, RowReducer, Subspace, _conjugate_row
 from .grading import Bigrading, BigradingComponent
 from .liealg import (
@@ -108,8 +110,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class GradingReport:
+class GradingReport(NamedTuple):
     """Outcome of verify_bigrading.
 
     cohomology_support_ok is the weight-band condition j <= p+q <= 2j on every
@@ -126,7 +127,9 @@ class GradingReport:
     shape: str  # "restricted" | "general"
     cohomology_support_ok: bool
     support_box_ok: bool = True
-    failures: list = field(default_factory=list)
+    # `verify_bigrading` passes a list; a NamedTuple's default is one object
+    # shared by every record, so it is an empty tuple.
+    failures: Sequence[dict] = ()
 
     @property
     def valid(self) -> bool:
@@ -271,8 +274,7 @@ def _conjugation(L: LieAlgebra):
 # -- filtrations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiltrationPair:
+class FiltrationPair(NamedTuple):
     """Increasing weight filtration W and decreasing filtration F."""
 
     ambient_dim: int
@@ -380,22 +382,28 @@ def bigrading_from_filtrations(
 # -- bounded search ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    coefficients: tuple[int, ...] = (-1, 0, 1)
-    depth: int = 2
-    max_nodes: int = 20000
+class SearchBounds(Record):
+    """The depth-first stages' candidate coefficients, combination depth and node budget."""
 
-    def __post_init__(self):
-        if not 1 <= self.depth <= 3:
+    _fields = ("coefficients", "depth", "max_nodes")
+
+    def __init__(
+        self, coefficients: tuple[int, ...] = (-1, 0, 1), depth: int = 2, max_nodes: int = 20000
+    ):
+        if any(type(c) is not int for c in coefficients):
+            raise InputError(f"search bounds: coefficients must be ints, got {coefficients!r}")
+        for name, value in (("depth", depth), ("max_nodes", max_nodes)):
+            if type(value) is not int:
+                raise InputError(f"search bounds: {name} must be an int, got {value!r}")
+        if not 1 <= depth <= 3:
             # The depth-first search combines at most three pool vectors.
-            raise InputError(f"search depth must be 1, 2 or 3, got {self.depth}")
-        if self.max_nodes < 1:
-            raise InputError(f"search node budget must be >= 1, got {self.max_nodes}")
+            raise InputError(f"search depth must be 1, 2 or 3, got {depth}")
+        if max_nodes < 1:
+            raise InputError(f"search node budget must be >= 1, got {max_nodes}")
+        self._store(coefficients, depth, max_nodes)
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     status: str  # "obstructed" | "found" | "not_found_within_bounds"
     reason: str | None = None
     witness: dict | None = None

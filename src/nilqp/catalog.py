@@ -23,8 +23,8 @@ maps are exact isomorphisms and both stored bigradings verify strictly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import UnknownKey
 from .exact import ExactMatrix
@@ -35,8 +35,7 @@ from .scalars import Gaussian, Q1, Rational, conj
 __all__ = ["CatalogEntry", "get", "catalog_keys", "export_entry"]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     key: str
     algebra: LieAlgebra
     known_bigradings: tuple[Bigrading, ...]

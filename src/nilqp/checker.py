@@ -13,8 +13,10 @@ case, where quasi-projectivity is equivalent to the algebra being abelian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from typing import NamedTuple
 
+from ._record import Record
 from .bigrading import Bigrading, SearchBounds, search_bigrading
 from .catalog import _diagonal_grading, catalog_keys, get
 from .cohomology import top_class_bidegree
@@ -39,32 +41,33 @@ PASSES_NECESSARY = "PassesNecessaryConditions"
 EXHIBITED = "BigradingExhibited"
 
 
-@dataclass(frozen=True)
-class NilmanifoldSpec:
-    algebra: LieAlgebra
-    m: int = 1
+class NilmanifoldSpec(Record):
+    """A nilmanifold of ``algebra``, which must be over Q, times the Euclidean factor ℝᵐ, m >= 0."""
 
-    def __post_init__(self):
-        if self.m < 0:
+    _fields = ("algebra", "m")
+
+    def __init__(self, algebra: LieAlgebra, m: int = 1):
+        if m < 0:
             raise InputError("Euclidean factor dimension must be >= 0")
-        if self.algebra.field != "Q":
+        if algebra.field != "Q":
             raise NotLatticeAdmissible(
-                f"{self.algebra.name}: rational structure constants are required "
+                f"{algebra.name}: rational structure constants are required "
                 "for a lattice to exist"
             )
+        self._store(algebra, m)
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     test: str
     witness: dict
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     b1: int
-    reasons: list[Reason] = field(default_factory=list)
+    # `check` passes a list; a NamedTuple's default is one object shared by
+    # every record, so it is an empty tuple.
+    reasons: Sequence[Reason] = ()
     bigrading: Bigrading | None = None
 
     @property
@@ -147,14 +150,12 @@ def check(spec: NilmanifoldSpec | LieAlgebra, bounds: SearchBounds | None = None
     return Verdict(PASSES_NECESSARY, b1, reasons)
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     b1: int
     keys: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
+class ClassificationTable(NamedTuple):
     dim: int
     rows: tuple[ClassificationRow, ...]  # BigradingExhibited entries grouped by b1
     obstructed: tuple[tuple[str, str], ...]  # (key, first obstruction test)

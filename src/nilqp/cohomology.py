@@ -78,10 +78,10 @@ The public `ce_differential` divides by D again to return a dense d_k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, lcm
+from typing import NamedTuple
 
 from . import kernel
 from .errors import DegreeOutOfRange, GradingNotCompatible, TopClassMisplaced
@@ -115,8 +115,7 @@ def exterior_basis(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(n), k))
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple):
     betti: tuple[int, ...]
     by_bidegree: tuple[tuple[int, int, int, int], ...] | None = None  # (j, p, q, dim)
     representatives: dict | None = None  # degree -> tuple of coordinate vectors

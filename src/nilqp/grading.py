@@ -14,9 +14,10 @@ hand over the rows they hold.  `BigradingComponent.generators` decodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from . import kernel
+from ._record import Record
 from .errors import AmbientMismatch, GradingNotCompatible
 from .exact import Subspace, Vector, _scalar_row
 from .scalars import Gaussian
@@ -24,8 +25,7 @@ from .scalars import Gaussian
 __all__ = ["Bigrading", "BigradingComponent"]
 
 
-@dataclass(frozen=True)
-class BigradingComponent:
+class BigradingComponent(Record):
     """The generators of bidegree (p, q): one ``(row, den)`` each, and their ``lengths``.
 
     A sparse row does not carry its length, so ``lengths`` does.  ``field``
@@ -35,11 +35,20 @@ class BigradingComponent:
     `generators` decodes the rows under it on each read (`kernel.decode`).
     """
 
-    p: int
-    q: int
-    rows: tuple[tuple[kernel.ZiRow, int], ...]
-    lengths: tuple[int, ...]
-    field: str = dataclass_field(default="Q", compare=False)
+    _fields = ("p", "q", "rows", "lengths", "field")
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        rows: tuple[tuple[kernel.ZiRow, int], ...],
+        lengths: tuple[int, ...],
+        field: str = "Q",
+    ):
+        self._store(p, q, rows, lengths, field)
+
+    def _key(self) -> tuple:
+        return self.p, self.q, self.rows, self.lengths
 
     def __hash__(self):
         rows = tuple((frozenset(row.items()), den) for row, den in self.rows)
@@ -61,8 +70,7 @@ class BigradingComponent:
         return Subspace._span(self.checked_rows(ambient), ambient, self.field)
 
 
-@dataclass(frozen=True)
-class Bigrading:
+class Bigrading(NamedTuple):
     components: tuple[BigradingComponent, ...]
 
     @classmethod

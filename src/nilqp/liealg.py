@@ -35,13 +35,13 @@ read, `bracket_basis`, `bracket`, `conj_vector` and the subspaces' vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, wraps
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
 from . import kernel
+from ._record import Record
 from .errors import (
     AlreadyComplex,
     DimensionMismatch,
@@ -103,8 +103,7 @@ def _freeze_brackets(brackets, dim: int, field: str) -> tuple:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     """A Lie algebra whose constants are held once, as its `StructureTable`.
 
     `brackets` is a view of the table, decoded on each read and never kept,
@@ -113,15 +112,21 @@ class LieAlgebra:
     their names, basis, field, constants and real structure are.
     """
 
-    name: str
-    dim: int
-    field: str  # "Q" | "Qi"
-    basis_names: tuple[str, ...]
-    table: StructureTable  # the one stored form of the constants
-    real_rows: tuple[tuple[kernel.ZiRow, int], ...] | None = None  # S, row by row
-    # Facts derived from the constants, by function name (see `_fact`):
-    # computed at most once per instance, as the algebra is immutable.
-    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("name", "dim", "field", "basis_names", "table", "real_rows")
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        field: str,  # "Q" | "Qi"
+        basis_names: tuple[str, ...],
+        table: StructureTable,  # the one stored form of the constants
+        real_rows: tuple[tuple[kernel.ZiRow, int], ...] | None = None,  # S, row by row
+    ):
+        self._store(name, dim, field, basis_names, table, real_rows)
+        # Facts derived from the constants, by function name (see `_fact`):
+        # computed at most once per instance, as the algebra is immutable.
+        object.__setattr__(self, "_facts", {})
 
     @classmethod
     def from_brackets(
@@ -222,8 +227,7 @@ class LieAlgebra:
         return self.dim == other.dim and self.table[1:] == other.table[1:]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     lattice_admissible: bool
     has_real_structure: bool
@@ -231,8 +235,7 @@ class ValidationReport:
     name: str
 
 
-@dataclass(frozen=True)
-class LowerCentralSeries:
+class LowerCentralSeries(NamedTuple):
     terms: tuple[Subspace, ...]  # C^0 = full >= C^1 >= ... >= C^t = 0
     nilpotency_class: int
 

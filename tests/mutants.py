@@ -60,6 +60,7 @@ _OFFENDER = (
     "tests/test_golden.py::test_gradings_whose_brackets_leave_a_present_target_match_golden_digest",
     "tests/test_bigrading.py::test_bigraded_cohomology_names_the_recorded_first_offender",
 )
+_RECORDS = "tests/test_records.py::test_records_keep_their_text_and_equality_and_refuse_assignment"
 _MATRIX_ROWS = "tests/test_exact.py::test_a_matrix_keeps_its_rows_once_in_lowest_terms"
 _MATRIX_ORACLE = "tests/test_exact.py::test_matrix_api_matches_the_fraction_oracles"
 
@@ -432,6 +433,45 @@ MUTANTS = (
         "from importlib import import_module\n",
         "from importlib import import_module\n\nfrom . import checker  # noqa: F401\n",
         ("tests/test_package.py::test_the_catalog_loads_no_search_code",),
+    ),
+    # Records without `dataclasses`.
+    Mutant(
+        "catalog: dataclasses imported again",
+        "catalog.py",
+        "from typing import NamedTuple\n",
+        "from dataclasses import dataclass  # noqa: F401\nfrom typing import NamedTuple\n",
+        (
+            "tests/test_source.py::test_no_module_imports_dataclasses[catalog.py]",
+            "tests/test_package.py::test_no_module_loads_dataclasses",
+        ),
+    ),
+    Mutant(
+        "BigradingComponent: field compared",
+        "grading.py",
+        "return self.p, self.q, self.rows, self.lengths\n",
+        "return self.p, self.q, self.rows, self.lengths, self.field\n",
+        (_RECORDS,),
+    ),
+    Mutant(
+        "LieAlgebra: the facts memo shown by repr",
+        "liealg.py",
+        '_fields = ("name", "dim", "field", "basis_names", "table", "real_rows")',
+        '_fields = ("name", "dim", "field", "basis_names", "table", "real_rows", "_facts")',
+        (_RECORDS,),
+    ),
+    Mutant(
+        "SearchBounds: no integer check",
+        "bigrading.py",
+        "            if type(value) is not int:\n",
+        "            if False:\n",
+        ("tests/test_bigrading.py::test_search_bounds_that_are_not_ints_are_refused",),
+    ),
+    Mutant(
+        "SearchBounds: coefficients not checked",
+        "bigrading.py",
+        "if any(type(c) is not int for c in coefficients):",
+        "if False:",
+        ("tests/test_bigrading.py::test_search_bounds_that_are_not_ints_are_refused",),
     ),
     Mutant(
         "Rational.__hash__: an integral value hashed apart from its int",

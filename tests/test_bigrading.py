@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -269,7 +268,7 @@ def test_verify_reports_match_golden_digest():
                     text = dumps_json(grading_report_to_json(reports[mode]))
                     digest.update(f"{key} {mode} {text}\n".encode())
                 # The mode changes only how `valid` reads the conjugation check.
-                assert reports["lax"] == replace(reports["strict"], mode="lax")
+                assert reports["lax"] == reports["strict"]._replace(mode="lax")
     assert digest.hexdigest() == GOLDEN_VERIFY_SHA256
 
 
@@ -547,6 +546,24 @@ def test_search_bounds_out_of_range_are_refused(kwargs):
     assert SearchBounds(depth=3, max_nodes=1).depth == 3
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"coefficients": (1.5,)}, "coefficients"),
+        ({"coefficients": (-1, 0, True)}, "coefficients"),
+        ({"depth": 2.5}, "depth"),
+        ({"depth": 2.0}, "depth"),
+        ({"max_nodes": 2.5}, "max_nodes"),
+    ],
+)
+def test_search_bounds_that_are_not_ints_are_refused(kwargs, field):
+    # The search combines pool vectors with integer coefficients (a float
+    # fails inside the kernel), and a depth or budget that is not an int
+    # would be echoed in the outcome as given.
+    with pytest.raises(InputError, match=f"search bounds: {field} must be"):
+        SearchBounds(**kwargs)
+
+
 def test_search_robust_under_basis_change(rng):
     for key in ("n3", "n5", "n3+n3", "N1_84_real", "N1_82", "N5_82"):
         alg = get(key).algebra
@@ -573,7 +590,7 @@ def test_search_found_gradings_reverify_strict():
         out = search_bigrading(alg)
         assert out.found, alg.name
         report = verify_bigrading(alg, out.bigrading, mode="strict")
-        assert report == replace(out.report, mode="strict"), alg.name
+        assert report == out.report._replace(mode="strict"), alg.name
         if alg.name in ("n5", "N1_82", "N1_84_real"):
             assert report.valid
 
@@ -2036,7 +2053,7 @@ def test_verification_matches_a_fraction_oracle_on_broken_gradings(central_gradi
             want = oracle(broken)
             for mode in ("strict", "lax"):
                 report = verify_bigrading(alg, broken, mode)
-                assert report == replace(want, mode=mode), (label, kind, mode)
+                assert report == want._replace(mode=mode), (label, kind, mode)
             seen.setdefault(kind, set()).add((report.bracket_compatible, report.conjugation))
     assert seen["as found"] == {(True, "exact")}
     assert seen["u + z"] == {(True, "mod_lower_weight")}

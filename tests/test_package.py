@@ -67,6 +67,24 @@ def test_cli_commands_without_a_search_load_none(tmp_path):
     assert not set(loaded) & set(SEARCH)
 
 
+def test_no_module_loads_dataclasses():
+    # A stdlib module that imports `dataclasses` would bring back its
+    # start-up cost (`test_source.py` checks nilqp's own imports).
+    loaded = _fresh(
+        """
+        import json, sys
+        from importlib import import_module
+        import nilqp
+        nilqp.catalog_keys()
+        for name in ("cli", "checker", *sys.argv[1:]):
+            import_module(f"nilqp.{name}")
+        print(json.dumps("dataclasses" in sys.modules))
+        """,
+        *SUBMODULES,
+    )
+    assert loaded is False
+
+
 def test_every_public_name_and_submodule_resolves_to_its_defining_module():
     problems = _fresh(
         """

@@ -165,8 +165,8 @@ def test_only_the_kernel_names_its_per_field_functions():
     assert _per_field_names(sources) == []
 
 
-def _fractions_imports(source: str) -> list[int]:
-    """The lines that import the `fractions` module, at module level or inside a definition."""
+def _imports(source: str, module: str) -> list[int]:
+    """The lines that import the stdlib ``module``, at module level or inside a definition."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -175,7 +175,7 @@ def _fractions_imports(source: str) -> list[int]:
             names = [node.module]
         else:
             continue
-        if any(name.split(".")[0] == "fractions" for name in names):
+        if any(name.split(".")[0] == module for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -186,14 +186,22 @@ def test_the_check_sees_a_fractions_import_inside_a_function():
         "def f(a):\n    from fractions import Fraction as F\n    return F(a)\n\n"
         "note = 'fractions in a string'\nfrom . import fractions_like\n"
     )
-    assert _fractions_imports(source) == [1, 2, 5]
+    assert _imports(source, "fractions") == [1, 2, 5]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_fractions(path):
     # The program's exact numbers are `Rational`, `Gaussian` and plain ints;
     # `fractions.Fraction` is the tests' independent oracle.
-    assert _fractions_imports(path.read_text()) == []
+    assert _imports(path.read_text(), "fractions") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # Importing `dataclasses` pulls in `inspect`, and creating a dataclass
+    # compiles its methods: every process would pay for both at start-up.
+    # The records are NamedTuples, or `_record.Record` where a tuple cannot do.
+    assert _imports(path.read_text(), "dataclasses") == []
 
 
 # Verification must not lean on the eliminations it checks: a grading's
@@ -255,6 +263,7 @@ def test_verification_names_no_derived_subspace():
 # before it, at module level or inside a function.
 _LAYERS = (
     "_version",
+    "_record",
     "errors",
     "scalars",
     "_arith",
