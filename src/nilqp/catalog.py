@@ -9,6 +9,12 @@ eight-dimensional three-step algebra with a five-component bigrading
 (g_sec6), a five-dimensional parity counterexample, and the direct sums
 needed for the classification tables.
 
+`catalog_keys()` reads the keys off a table of builders and builds
+nothing.  `get(key)` builds that entry on its first call, validating every
+algebra it enters by brackets, and returns the same object on every later
+call; an entry made from others (37D and 37B, the direct sums) gets them
+with `get`, so nothing else is built.
+
 Every entry validates; every stored bigrading verifies strictly; every
 stored transformation is an isomorphism onto its target entry (the catalog
 self-test asserts all of this).
@@ -58,26 +64,45 @@ def _unit(n: int, idx):
     return tuple(v)
 
 
-def _heisenberg(k: int) -> LieAlgebra:
-    """Basis (X_1..X_k, Y_1..Y_k, Z) with [X_j, Y_j] = Z."""
+def _entry(key, algebra, gradings=(), transformations=(), provenance="") -> CatalogEntry:
+    return CatalogEntry(
+        key, algebra.rename(key), tuple(gradings), tuple(transformations), provenance
+    )
+
+
+def _abelian(key: str, n: int) -> CatalogEntry:
+    return _entry(
+        key,
+        abelian(n),
+        [_diagonal_grading(n)],
+        provenance="abelian Lie algebra R^n; torus times Euclidean factor",
+    )
+
+
+def _heisenberg(key: str, k: int) -> CatalogEntry:
+    """Basis (X_1..X_k, Y_1..Y_k, Z) with [X_j, Y_j] = Z, graded by X_j ± i Y_j."""
     n = 2 * k + 1
     brackets = {(j, k + j): {n - 1: 1} for j in range(k)}
     names = tuple(f"X{j + 1}" for j in range(k)) + tuple(
         f"Y{j + 1}" for j in range(k)
     ) + ("Z",)
-    return LieAlgebra.from_brackets(f"n{n}", n, brackets, basis_names=names)
-
-
-def _heisenberg_grading(k: int) -> Bigrading:
-    n = 2 * k + 1
     u = [_unit(n, {j: 1, k + j: _i()}) for j in range(k)]
     ubar = [_unit(n, {j: 1, k + j: _i(-1)}) for j in range(k)]
-    return Bigrading.build([(-1, 0, u), (0, -1, ubar), (-1, -1, [_unit(n, n - 1)])])
+    return _entry(
+        key,
+        LieAlgebra.from_brackets(key, n, brackets, basis_names=names),
+        [Bigrading.build([(-1, 0, u), (0, -1, ubar), (-1, -1, [_unit(n, n - 1)])])],
+        provenance=f"Heisenberg algebra of dimension {n}",
+    )
 
 
-def _filiform(n: int) -> LieAlgebra:
+def _filiform(key: str, n: int) -> CatalogEntry:
     brackets = {(0, j): {j + 1: 1} for j in range(1, n - 1)}
-    return LieAlgebra.from_brackets(f"filiform_{n}", n, brackets)
+    return _entry(
+        key,
+        LieAlgebra.from_brackets(key, n, brackets),
+        provenance="filiform algebra [X1, Xi] = X(i+1); maximal class",
+    )
 
 
 def _diagonal_grading(n: int) -> Bigrading:
@@ -101,64 +126,106 @@ def _sum_grading(parts) -> Bigrading:
     )
 
 
-_N7_142 = LieAlgebra.from_brackets(
-    "n7_142",
-    7,
-    {(0, 2): {1: 1}, (0, 4): {3: 1}, (0, 6): {5: 1}, (2, 4): {3: 1}, (4, 6): {1: 1}},
-)
-_N7_143 = LieAlgebra.from_brackets(
-    "n7_143",
-    7,
-    {(0, 2): {1: 1}, (0, 4): {3: 1}, (0, 6): {5: 1}, (2, 4): {5: 1}, (4, 6): {1: 1}},
-)
-
-# e1 = -X7 + i(X1 - X3), e2 = X3 - i X5, e3 = conj(e1), e4 = conj(e2),
-# e5 = -2i X6, e6 = 2i X2, e7 = 2i X4.
-_T_37D = ExactMatrix(
-    [
-        _unit(7, {0: _i(), 2: _i(-1), 6: -1}),
-        _unit(7, {2: 1, 4: _i(-1)}),
-        _unit(7, {0: _i(-1), 2: _i(), 6: -1}),
-        _unit(7, {2: 1, 4: _i()}),
-        _unit(7, {5: _i(-2)}),
-        _unit(7, {1: _i(2)}),
-        _unit(7, {3: _i(2)}),
-    ]
-)
-
-# e1 = X3 + i X7, e2 = X1 - i X5, e3 = conj(e2), e4 = conj(e1),
-# e5 = -2(X2 + i X6), e6 = 2i X4, e7 = 2(X2 - i X6)
-# (the e6/e7 definitions are swapped relative to the usual citation so that
-# the map lands exactly on the classical bracket table).
-_T_37B = ExactMatrix(
-    [
-        _unit(7, {2: 1, 6: _i()}),
-        _unit(7, {0: 1, 4: _i(-1)}),
-        _unit(7, {0: 1, 4: _i()}),
-        _unit(7, {2: 1, 6: _i(-1)}),
-        _unit(7, {1: -2, 5: _i(-2)}),
-        _unit(7, {3: _i(2)}),
-        _unit(7, {1: 2, 5: _i(-2)}),
-    ]
-)
-
-_37D_GRADING = Bigrading.build(
-    [
-        (-1, 0, [_unit(7, 0), _unit(7, 1)]),
-        (0, -1, [_unit(7, 2), _unit(7, 3)]),
-        (-1, -1, [_unit(7, 4), _unit(7, 5), _unit(7, 6)]),
-    ]
-)
-_37B_GRADING = Bigrading.build(
-    [
-        (-1, 0, [_unit(7, 0), _unit(7, 2)]),
-        (0, -1, [_unit(7, 1), _unit(7, 3)]),
-        (-1, -1, [_unit(7, 4), _unit(7, 5), _unit(7, 6)]),
-    ]
-)
+def _direct_sum(key: str, *parts: str) -> CatalogEntry:
+    """The sum of the entries ``parts``, graded by their first stored gradings side by side."""
+    entries = [get(part) for part in parts]
+    algebra = entries[0].algebra
+    for entry in entries[1:]:
+        algebra = direct_sum(algebra, entry.algebra)
+    return _entry(
+        key,
+        algebra,
+        [_sum_grading([(e.algebra.dim, e.known_bigradings[0]) for e in entries])],
+        provenance="direct sum entry for the classification tables",
+    )
 
 
-def _n1_84() -> LieAlgebra:
+def _l5_parity(key: str) -> CatalogEntry:
+    return _entry(
+        key,
+        LieAlgebra.from_brackets(key, 5, {(0, 1): {3: 1}, (0, 2): {4: 1}}),
+        provenance="two-step algebra with odd core b1 (parity obstruction)",
+    )
+
+
+def _n7_142(key: str) -> CatalogEntry:
+    # e1 = -X7 + i(X1 - X3), e2 = X3 - i X5, e3 = conj(e1), e4 = conj(e2),
+    # e5 = -2i X6, e6 = 2i X2, e7 = 2i X4.
+    t_37d = ExactMatrix(
+        [
+            _unit(7, {0: _i(), 2: _i(-1), 6: -1}),
+            _unit(7, {2: 1, 4: _i(-1)}),
+            _unit(7, {0: _i(-1), 2: _i(), 6: -1}),
+            _unit(7, {2: 1, 4: _i()}),
+            _unit(7, {5: _i(-2)}),
+            _unit(7, {1: _i(2)}),
+            _unit(7, {3: _i(2)}),
+        ]
+    )
+    return _entry(
+        key,
+        LieAlgebra.from_brackets(
+            key,
+            7,
+            {(0, 2): {1: 1}, (0, 4): {3: 1}, (0, 6): {5: 1}, (2, 4): {3: 1}, (4, 6): {1: 1}},
+        ),
+        transformations=[("37D", t_37d)],
+        provenance="seven-dimensional classification, entry 1.2(iv)=142",
+    )
+
+
+def _n7_143(key: str) -> CatalogEntry:
+    # e1 = X3 + i X7, e2 = X1 - i X5, e3 = conj(e2), e4 = conj(e1),
+    # e5 = -2(X2 + i X6), e6 = 2i X4, e7 = 2(X2 - i X6)
+    # (the e6/e7 definitions are swapped relative to the usual citation so that
+    # the map lands exactly on the classical bracket table).
+    t_37b = ExactMatrix(
+        [
+            _unit(7, {2: 1, 6: _i()}),
+            _unit(7, {0: 1, 4: _i(-1)}),
+            _unit(7, {0: 1, 4: _i()}),
+            _unit(7, {2: 1, 6: _i(-1)}),
+            _unit(7, {1: -2, 5: _i(-2)}),
+            _unit(7, {3: _i(2)}),
+            _unit(7, {1: 2, 5: _i(-2)}),
+        ]
+    )
+    return _entry(
+        key,
+        LieAlgebra.from_brackets(
+            key,
+            7,
+            {(0, 2): {1: 1}, (0, 4): {3: 1}, (0, 6): {5: 1}, (2, 4): {5: 1}, (4, 6): {1: 1}},
+        ),
+        transformations=[("37B", t_37b)],
+        provenance="seven-dimensional classification, entry 1.2(iv)=143",
+    )
+
+
+def _complex_form(key: str, source: str, holomorphic: tuple[int, int], label: str) -> CatalogEntry:
+    """The entry ``source`` moved by its stored map to ``key``.
+
+    Graded with e_j for j in ``holomorphic`` at (-1, 0), the rest of e1..e4
+    at (0, -1), and e5..e7 at (-1, -1).
+    """
+    entry = get(source)
+    rest = [j for j in range(4) if j not in holomorphic]
+    grading = Bigrading.build(
+        [
+            (-1, 0, [_unit(7, j) for j in holomorphic]),
+            (0, -1, [_unit(7, j) for j in rest]),
+            (-1, -1, [_unit(7, 4), _unit(7, 5), _unit(7, 6)]),
+        ]
+    )
+    return _entry(
+        key,
+        apply_basis_change(entry.algebra, dict(entry.transformations)[key], name=key),
+        [grading],
+        provenance=f"complex presentation of {source} (classical label {label})",
+    )
+
+
+def _n1_84(key: str) -> CatalogEntry:
     """Complex presentation: [X1, X1b] = Z1, [X1, X2b] = Z2, [X2, X1b] = Z3,
     [X2, X2b] = Z4, with the signed-permutation real structure forced by
     conj being a bracket automorphism (conj Z1 = -Z1, conj Z2 = -Z3, ...)."""
@@ -174,30 +241,34 @@ def _n1_84() -> LieAlgebra:
             _unit(8, {7: -1}),
         ]
     ).transpose()
-    return LieAlgebra.from_brackets(
-        "N1_84",
+    algebra = LieAlgebra.from_brackets(
+        key,
         8,
         {(0, 2): {4: 1}, (0, 3): {5: 1}, (1, 2): {6: 1}, (1, 3): {7: 1}},
         field="Qi",
         basis_names=("X1", "X2", "X1b", "X2b", "Z1", "Z2", "Z3", "Z4"),
         real_structure=s,
     )
+    grading = Bigrading.build(
+        [
+            (-1, 0, [_unit(8, 0), _unit(8, 1)]),
+            (0, -1, [_unit(8, 2), _unit(8, 3)]),
+            (-1, -1, [_unit(8, j) for j in range(4, 8)]),
+        ]
+    )
+    return _entry(
+        key,
+        algebra,
+        [grading],
+        provenance="indecomposable dim-8 two-step, b1 = 4 (complex form)",
+    )
 
 
-_N1_84_GRADING = Bigrading.build(
-    [
-        (-1, 0, [_unit(8, 0), _unit(8, 1)]),
-        (0, -1, [_unit(8, 2), _unit(8, 3)]),
-        (-1, -1, [_unit(8, j) for j in range(4, 8)]),
-    ]
-)
-
-
-def _n1_84_real() -> LieAlgebra:
+def _n1_84_real(key: str) -> CatalogEntry:
     """Rational form on U_j = X_j + conj(X_j), V_j = i(X_j - conj(X_j)),
     P1 = i Z1, P2 = i(Z2 + Z3), P3 = Z2 - Z3, P4 = i Z4."""
-    return LieAlgebra.from_brackets(
-        "N1_84_real",
+    algebra = LieAlgebra.from_brackets(
+        key,
         8,
         {
             (0, 1): {4: -2},
@@ -209,21 +280,22 @@ def _n1_84_real() -> LieAlgebra:
         },
         basis_names=("U1", "V1", "U2", "V2", "P1", "P2", "P3", "P4"),
     )
-
-
-# Rows: N1_84's complex basis written in the rational-form basis.
-_T_84 = ExactMatrix(
-    [
-        _unit(8, {0: Rational(1, 2), 1: Gaussian(0, Rational(-1, 2))}),
-        _unit(8, {2: Rational(1, 2), 3: Gaussian(0, Rational(-1, 2))}),
-        _unit(8, {0: Rational(1, 2), 1: Gaussian(0, Rational(1, 2))}),
-        _unit(8, {2: Rational(1, 2), 3: Gaussian(0, Rational(1, 2))}),
-        _unit(8, {4: _i(-1)}),
-        _unit(8, {5: Gaussian(0, Rational(-1, 2)), 6: Rational(1, 2)}),
-        _unit(8, {5: Gaussian(0, Rational(-1, 2)), 6: Rational(-1, 2)}),
-        _unit(8, {7: _i(-1)}),
-    ]
-)
+    # Rows: N1_84's complex basis written in the rational-form basis.
+    t_84 = ExactMatrix(
+        [
+            _unit(8, {0: Rational(1, 2), 1: Gaussian(0, Rational(-1, 2))}),
+            _unit(8, {2: Rational(1, 2), 3: Gaussian(0, Rational(-1, 2))}),
+            _unit(8, {0: Rational(1, 2), 1: Gaussian(0, Rational(1, 2))}),
+            _unit(8, {2: Rational(1, 2), 3: Gaussian(0, Rational(1, 2))}),
+            _unit(8, {4: _i(-1)}),
+            _unit(8, {5: Gaussian(0, Rational(-1, 2)), 6: Rational(1, 2)}),
+            _unit(8, {5: Gaussian(0, Rational(-1, 2)), 6: Rational(-1, 2)}),
+            _unit(8, {7: _i(-1)}),
+        ]
+    )
+    return _entry(
+        key, algebra, transformations=[("N1_84", t_84)], provenance="rational form of N1_84"
+    )
 
 
 _N82_BRACKETS = {
@@ -253,20 +325,21 @@ _N82_GRADING_GENERATORS = {
 }
 
 
-def _entrywise_conj(v):
-    return tuple(conj(x) for x in v)
-
-
-def _n82_grading(key: str) -> Bigrading:
+def _n82(key: str) -> CatalogEntry:
     a_gens = [_unit(8, spec) for spec in _N82_GRADING_GENERATORS[key]]
-    abar = [_entrywise_conj(v) for v in a_gens]
+    abar = [tuple(conj(x) for x in v) for v in a_gens]
     b_gens = [_unit(8, {6: _i(-2)}), _unit(8, {7: _i(-2)})]
-    return Bigrading.build([(-1, 0, a_gens), (0, -1, abar), (-1, -1, b_gens)])
+    return _entry(
+        key,
+        LieAlgebra.from_brackets(key, 8, _N82_BRACKETS[key]),
+        [Bigrading.build([(-1, 0, a_gens), (0, -1, abar), (-1, -1, b_gens)])],
+        provenance="indecomposable dim-8 two-step, b1 = 6",
+    )
 
 
-def _g_sec6() -> LieAlgebra:
-    return LieAlgebra.from_brackets(
-        "g_sec6",
+def _g_sec6(key: str) -> CatalogEntry:
+    algebra = LieAlgebra.from_brackets(
+        key,
         8,
         {
             (0, 2): {4: 1},
@@ -280,159 +353,60 @@ def _g_sec6() -> LieAlgebra:
         },
         basis_names=("X1", "X2", "Y1", "Y2", "Z1", "Z2", "A", "B"),
     )
-
-
-_G_SEC6_GRADING = Bigrading.build(
-    [
-        (-1, 0, [_unit(8, {0: 1, 2: _i()}), _unit(8, {1: 1, 3: _i()})]),
-        (0, -1, [_unit(8, {0: 1, 2: _i(-1)}), _unit(8, {1: 1, 3: _i(-1)})]),
-        (-1, -1, [_unit(8, {4: _i(-2)}), _unit(8, {5: _i(-2)})]),
-        (-2, -1, [_unit(8, {6: _i(-2), 7: 2})]),
-        (-1, -2, [_unit(8, {6: _i(2), 7: 2})]),
-    ]
-)
-
-
-def _build_catalog() -> dict[str, CatalogEntry]:
-    entries: dict[str, CatalogEntry] = {}
-
-    def add(key, algebra, gradings=(), transformations=(), provenance=""):
-        entries[key] = CatalogEntry(
-            key=key,
-            algebra=algebra.rename(key),
-            known_bigradings=tuple(gradings),
-            transformations=tuple(transformations),
-            provenance=provenance,
-        )
-
-    for n in range(1, 9):
-        add(
-            f"abelian_{n}",
-            abelian(n),
-            [_diagonal_grading(n)],
-            provenance="abelian Lie algebra R^n; torus times Euclidean factor",
-        )
-
-    for k, key in ((1, "n3"), (2, "n5"), (3, "n7")):
-        add(
-            key,
-            _heisenberg(k),
-            [_heisenberg_grading(k)],
-            provenance=f"Heisenberg algebra of dimension {2 * k + 1}",
-        )
-
-    for n in (3, 4, 5):
-        add(
-            f"filiform_{n}",
-            _filiform(n),
-            provenance="filiform algebra [X1, Xi] = X(i+1); maximal class",
-        )
-
-    add(
-        "L5_parity",
-        LieAlgebra.from_brackets(
-            "L5_parity", 5, {(0, 1): {3: 1}, (0, 2): {4: 1}}
-        ),
-        provenance="two-step algebra with odd core b1 (parity obstruction)",
+    grading = Bigrading.build(
+        [
+            (-1, 0, [_unit(8, {0: 1, 2: _i()}), _unit(8, {1: 1, 3: _i()})]),
+            (0, -1, [_unit(8, {0: 1, 2: _i(-1)}), _unit(8, {1: 1, 3: _i(-1)})]),
+            (-1, -1, [_unit(8, {4: _i(-2)}), _unit(8, {5: _i(-2)})]),
+            (-2, -1, [_unit(8, {6: _i(-2), 7: 2})]),
+            (-1, -2, [_unit(8, {6: _i(2), 7: 2})]),
+        ]
     )
-
-    add(
-        "n7_142",
-        _N7_142,
-        transformations=[("37D", _T_37D)],
-        provenance="seven-dimensional classification, entry 1.2(iv)=142",
-    )
-    add(
-        "n7_143",
-        _N7_143,
-        transformations=[("37B", _T_37B)],
-        provenance="seven-dimensional classification, entry 1.2(iv)=143",
-    )
-    img_37d = apply_basis_change(_N7_142, _T_37D, name="37D")
-    add(
-        "37D",
-        img_37d,
-        [_37D_GRADING],
-        provenance="complex presentation of n7_142 (classical label 3,7D)",
-    )
-    img_37b = apply_basis_change(_N7_143, _T_37B, name="37B")
-    add(
-        "37B",
-        img_37b,
-        [_37B_GRADING],
-        provenance="complex presentation of n7_143 (classical label 3,7B)",
-    )
-
-    add(
-        "N1_84",
-        _n1_84(),
-        [_N1_84_GRADING],
-        provenance="indecomposable dim-8 two-step, b1 = 4 (complex form)",
-    )
-    add(
-        "N1_84_real",
-        _n1_84_real(),
-        transformations=[("N1_84", _T_84)],
-        provenance="rational form of N1_84",
-    )
-
-    for key in sorted(_N82_BRACKETS):
-        add(
-            key,
-            LieAlgebra.from_brackets(key, 8, _N82_BRACKETS[key]),
-            [_n82_grading(key)],
-            provenance="indecomposable dim-8 two-step, b1 = 6",
-        )
-
-    add(
-        "g_sec6",
-        _g_sec6(),
-        [_G_SEC6_GRADING],
+    return _entry(
+        key,
+        algebra,
+        [grading],
         provenance="three-step dim-8 algebra with a five-component bigrading",
     )
 
-    n3 = entries["n3"].algebra
-    n5 = entries["n5"].algebra
-    g_n3 = _heisenberg_grading(1)
-    g_n5 = _heisenberg_grading(2)
-    sums = [
-        ("n3+C1", direct_sum(n3, abelian(1)), [(3, g_n3), (1, _diagonal_grading(1))]),
-        ("n3+C2", direct_sum(n3, abelian(2)), [(3, g_n3), (2, _diagonal_grading(2))]),
-        ("n3+C3", direct_sum(n3, abelian(3)), [(3, g_n3), (3, _diagonal_grading(3))]),
-        ("n3+C4", direct_sum(n3, abelian(4)), [(3, g_n3), (4, _diagonal_grading(4))]),
-        ("n5+C1", direct_sum(n5, abelian(1)), [(5, g_n5), (1, _diagonal_grading(1))]),
-        ("n5+C2", direct_sum(n5, abelian(2)), [(5, g_n5), (2, _diagonal_grading(2))]),
-        ("n3+n3", direct_sum(n3, n3), [(3, g_n3), (3, g_n3)]),
-        (
-            "n3+n3+C1",
-            direct_sum(direct_sum(n3, n3), abelian(1)),
-            [(3, g_n3), (3, g_n3), (1, _diagonal_grading(1))],
-        ),
-    ]
-    for key, alg, parts in sums:
-        add(
-            key,
-            alg,
-            [_sum_grading(parts)],
-            provenance="direct sum entry for the classification tables",
-        )
-    return entries
+
+# Each key's builder, and the arguments it takes after the key.
+_BUILDERS = {
+    **{f"abelian_{n}": (_abelian, n) for n in range(1, 9)},
+    **{f"n{2 * k + 1}": (_heisenberg, k) for k in (1, 2, 3)},
+    **{f"filiform_{n}": (_filiform, n) for n in (3, 4, 5)},
+    "L5_parity": (_l5_parity,),
+    "n7_142": (_n7_142,),
+    "n7_143": (_n7_143,),
+    "37D": (_complex_form, "n7_142", (0, 1), "3,7D"),
+    "37B": (_complex_form, "n7_143", (0, 2), "3,7B"),
+    "N1_84": (_n1_84,),
+    "N1_84_real": (_n1_84_real,),
+    **{key: (_n82,) for key in _N82_BRACKETS},
+    "g_sec6": (_g_sec6,),
+    **{f"n3+C{n}": (_direct_sum, "n3", f"abelian_{n}") for n in (1, 2, 3, 4)},
+    **{f"n5+C{n}": (_direct_sum, "n5", f"abelian_{n}") for n in (1, 2)},
+    "n3+n3": (_direct_sum, "n3", "n3"),
+    "n3+n3+C1": (_direct_sum, "n3", "n3", "abelian_1"),
+}
 
 
-@lru_cache(maxsize=1)
-def _catalog() -> dict[str, CatalogEntry]:
-    return _build_catalog()
+@lru_cache(maxsize=None)
+def _built(key: str) -> CatalogEntry:
+    build, *args = _BUILDERS[key]
+    return build(key, *args)
 
 
 def catalog_keys() -> tuple[str, ...]:
-    return tuple(sorted(_catalog()))
+    """Every key, sorted; no entry is built."""
+    return tuple(sorted(_BUILDERS))
 
 
 def get(key: str) -> CatalogEntry:
-    try:
-        return _catalog()[key]
-    except KeyError:
-        raise UnknownKey(key) from None
+    """The entry under ``key``, built and validated on the first call; the same object after."""
+    if key not in _BUILDERS:
+        raise UnknownKey(key)
+    return _built(key)
 
 
 def export_entry(key: str, directory) -> list[str]:

@@ -61,6 +61,7 @@ _OFFENDER = (
     "tests/test_bigrading.py::test_bigraded_cohomology_names_the_recorded_first_offender",
 )
 _RECORDS = "tests/test_records.py::test_records_keep_their_text_and_equality_and_refuse_assignment"
+_LAZY_CATALOG = "tests/test_package.py::test_the_catalog_builds_an_entry_on_its_first_get_and_only_its_parts"
 _MATRIX_ROWS = "tests/test_exact.py::test_a_matrix_keeps_its_rows_once_in_lowest_terms"
 _MATRIX_ORACLE = "tests/test_exact.py::test_matrix_api_matches_the_fraction_oracles"
 
@@ -433,6 +434,21 @@ MUTANTS = (
         "from importlib import import_module\n",
         "from importlib import import_module\n\nfrom . import checker  # noqa: F401\n",
         ("tests/test_package.py::test_the_catalog_loads_no_search_code",),
+    ),
+    # The catalog builds an entry on its first `get`.
+    Mutant(
+        "catalog_keys builds every entry",
+        "catalog.py",
+        "    return tuple(sorted(_BUILDERS))\n",
+        "    return tuple(sorted(get(key).key for key in _BUILDERS))\n",
+        (_LAZY_CATALOG,),
+    ),
+    Mutant(
+        "catalog: an entry built again on each get",
+        "catalog.py",
+        "@lru_cache(maxsize=None)\ndef _built(",
+        "def _built(",
+        (_LAZY_CATALOG,),
     ),
     # Records without `dataclasses`.
     Mutant(

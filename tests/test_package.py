@@ -19,6 +19,8 @@ SUBMODULES = sorted(
 )
 # Modules that only the search, the checker and the cohomology tables load.
 SEARCH = ("nilqp._arith", "nilqp.bigrading", "nilqp.checker", "nilqp.cohomology", "nilqp.twostep")
+# The modules that `catalog_keys()` loads; a builder imports nothing more.
+CATALOG_MODULES = ("errors", "_record", "scalars", "kernel", "exact", "grading", "liealg", "catalog")
 
 
 def _fresh(code: str, *args: str):
@@ -45,6 +47,50 @@ def test_the_catalog_loads_no_search_code():
     )
     assert "nilqp.catalog" in loaded and "nilqp.grading" in loaded
     assert not set(loaded) & {*SEARCH, "nilqp.jsonio", "nilqp.cli"}
+    assert set(loaded) == {"nilqp", *(f"nilqp.{m}" for m in CATALOG_MODULES)}
+
+
+def test_the_catalog_builds_an_entry_on_its_first_get_and_only_its_parts():
+    # Every algebra entered by brackets is validated once, when it is built.
+    validated = _fresh(
+        """
+        import json
+        from nilqp import catalog, liealg
+        original = liealg.validate
+        calls = []
+        liealg.validate = lambda L: calls.append(L.name) or original(L)
+        keys = catalog.catalog_keys()
+        seen = [list(calls)]
+        for key in ("n3+n3+C1", "37D"):
+            calls.clear()
+            catalog.get(key)
+            seen.append(list(calls))
+        seen.append(all(catalog.get(k) is catalog.get(k) for k in keys))
+        print(json.dumps(seen))
+        """
+    )
+    assert validated == [[], ["n3"], ["n7_142"], True]
+
+
+def test_entries_do_not_depend_on_the_order_they_are_built_in(tmp_path):
+    exported = {}
+    for order in ("forward", "reverse"):
+        directory = tmp_path / order
+        _fresh(
+            """
+            import json, sys
+            from nilqp.catalog import catalog_keys, export_entry
+            keys = catalog_keys()
+            for key in keys[::-1] if sys.argv[1] == "reverse" else keys:
+                export_entry(key, sys.argv[2])
+            print(json.dumps(None))
+            """,
+            order,
+            str(directory),
+        )
+        exported[order] = {path.name: path.read_bytes() for path in directory.iterdir()}
+    assert len(exported["forward"]) == 66
+    assert exported["forward"] == exported["reverse"]
 
 
 def test_cli_commands_without_a_search_load_none(tmp_path):
