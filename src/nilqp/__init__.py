@@ -48,7 +48,8 @@ _HOME = {
 _RENAMED = {"catalog_get": "get"}
 _SUBMODULES = (
     "_arith", "_record", "_version", "bigrading", "catalog", "checker", "cli", "cohomology",
-    "errors", "exact", "grading", "jsonio", "kernel", "liealg", "scalars", "twostep",
+    "dfs", "errors", "exact", "grading", "jsonio", "jspace", "kernel", "liealg", "pencil",
+    "scalars", "twostep",
 )
 
 __all__ = [

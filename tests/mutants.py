@@ -152,9 +152,18 @@ MUTANTS = (
     Mutant(
         "bigrading: a name of twostep bound again",
         "bigrading.py",
-        "from . import kernel, twostep\n",
-        "from . import kernel, twostep\nfrom .twostep import _pencil_structure  # noqa: F401\n",
+        "from . import dfs, jspace, kernel, pencil, twostep\n",
+        "from . import dfs, jspace, kernel, pencil, twostep\n"
+        "from .twostep import _pencil_structure  # noqa: F401\n",
         ("tests/test_source.py::test_the_two_step_structure_has_one_home",),
+    ),
+    Mutant(
+        "bigrading: a name of pencil bound again",
+        "bigrading.py",
+        "from . import dfs, jspace, kernel, pencil, twostep\n",
+        "from . import dfs, jspace, kernel, pencil, twostep\n"
+        "from .pencil import _krylov_span  # noqa: F401\n",
+        ("tests/test_source.py::test_each_search_construction_has_one_home[pencil]",),
     ),
     # The CE assembly, conjugate pairs and the echelon's order.
     Mutant(
@@ -259,7 +268,7 @@ MUTANTS = (
     ),
     Mutant(
         "_dfs_u: one add per candidate",
-        "bigrading.py",
+        "dfs.py",
         "                add_empty(no_row)\n                second = ",
         "                second = ",
         ("tests/test_bigrading.py::test_dfs_adds_and_outcomes_match_the_recorded_ones",),

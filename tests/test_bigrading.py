@@ -25,28 +25,11 @@ from nilqp import (
     validate,
     verify_bigrading,
 )
-from nilqp import bigrading, checker, cohomology, exact, kernel, liealg, twostep
-from nilqp.bigrading import (
-    FiltrationPair,
-    GradingReport,
-    _compatible_complex_structures,
-    _darboux_u,
-    _dfs_u,
-    _generic_seeds,
-    _jspace_candidates,
-    _jspace_u,
-    _krylov_span,
-    _minimal_degree,
-    _nilpotent_via_conic,
-    _pencil_candidates,
-    _ProductTable,
-    _rays_with_square_condition,
-    _realified,
-    _regular_pencil_u,
-    _transversal,
-)
+from nilqp import bigrading, checker, cohomology, dfs, exact, kernel, liealg, pencil, twostep
+from nilqp.bigrading import FiltrationPair, GradingReport, _darboux_u, _realified
 from nilqp.catalog import catalog_keys, get
 from nilqp.checker import EXHIBITED
+from nilqp.dfs import _dfs_u, _generic_seeds
 from nilqp.errors import (
     AmbientMismatch,
     FieldMismatch,
@@ -57,6 +40,21 @@ from nilqp.errors import (
 )
 from nilqp.exact import RowReducer
 from nilqp.jsonio import dumps_json, grading_report_to_json, search_outcome_to_json
+from nilqp.jspace import (
+    _compatible_complex_structures,
+    _jspace_candidates,
+    _jspace_u,
+    _nilpotent_via_conic,
+    _ProductTable,
+    _rays_with_square_condition,
+)
+from nilqp.pencil import (
+    _krylov_span,
+    _minimal_degree,
+    _pencil_candidates,
+    _regular_pencil_u,
+    _transversal,
+)
 from nilqp.scalars import Gaussian, Rational, format_scalar
 from nilqp.twostep import _kernel_groups, _member, _pencil_structure, _TwoStepFrame
 
@@ -837,13 +835,13 @@ def test_regular_pencil_forms_spans_only_as_completions_ask(monkeypatch):
     # rows and the spans of h - 1 rows are formed only as the completions
     # ask for them: the first completes, where 80-96 spans were formed when
     # all 200 candidates were tried first.
-    krylov = bigrading._krylov_span
+    krylov = pencil._krylov_span
     for seed in (1, 2, 3):
         _, frame = _moved_frame(["n5", "n3", "abelian_1"], seed)
         seeds, w = frame.pencil
         assert _minimal_degree(w[0], frame.h) == frame.h - 1
         spans = []
-        monkeypatch.setattr(bigrading, "_krylov_span", lambda *a: spans.append(1) or krylov(*a))
+        monkeypatch.setattr(pencil, "_krylov_span", lambda *a: spans.append(1) or krylov(*a))
         u = _regular_pencil_u(frame, seeds, w)
         monkeypatch.undo()
         assert u is not None and len(u) == frame.h
@@ -1363,8 +1361,8 @@ def test_candidate_blocks_expand_to_the_reference_order():
                         for terms in complex_candidates(n)
                     ]
                     got = []
-                    for block, size in bigrading._candidate_blocks(n, depth, len(coeffs)):
-                        terms = bigrading._block_terms(block, coeffs)
+                    for block, size in dfs._candidate_blocks(n, depth, len(coeffs)):
+                        terms = dfs._block_terms(block, coeffs)
                         assert len(terms) == size
                         assert all(sorted(i for _, i in t) == sorted(block) for t in terms)
                         got += terms if any(nonzero[i] for i in block) else [None] * size
@@ -1390,7 +1388,7 @@ def test_budget_ending_inside_a_zero_block_stops_as_one_candidate_at_a_time(monk
     budgets = [*range(1, 41), *range(160, 200), 500, 1000, 2000]
     bounds = [SearchBounds(max_nodes=m) for m in budgets]
     coeffs = [c for c in SearchBounds().coefficients if c]
-    original_add, original_blocks = RowReducer.add, bigrading._candidate_blocks
+    original_add, original_blocks = RowReducer.add, dfs._candidate_blocks
     calls = []  # per `add`, whether its row was empty
     starts = []  # per block, the `add`s made before it and its size
 
@@ -1416,7 +1414,7 @@ def test_budget_ending_inside_a_zero_block_stops_as_one_candidate_at_a_time(monk
         return 0 < len(tail) < size and all(tail)
 
     monkeypatch.setattr(RowReducer, "add", counted)
-    monkeypatch.setattr(bigrading, "_candidate_blocks", tracked)
+    monkeypatch.setattr(dfs, "_candidate_blocks", tracked)
     blocked, inside = [], 0
     for b in bounds:
         blocked.append(run(b))
@@ -1431,8 +1429,8 @@ def test_budget_ending_inside_a_zero_block_stops_as_one_candidate_at_a_time(monk
             block.terms = terms
             yield block, 1
 
-    monkeypatch.setattr(bigrading, "_candidate_blocks", singles)
-    monkeypatch.setattr(bigrading, "_block_terms", lambda block, coeffs: [block.terms])
+    monkeypatch.setattr(dfs, "_candidate_blocks", singles)
+    monkeypatch.setattr(dfs, "_block_terms", lambda block, coeffs: [block.terms])
     assert blocked == [run(b) for b in bounds]
     assert inside >= 20
 
@@ -1442,13 +1440,13 @@ def test_inherited_seeds_are_those_that_meet_every_constraint(monkeypatch):
     # every node of searches that exhaust their budget they are the seeds
     # that satisfy all the node's constraints, in the same order.
     nodes = []
-    original = bigrading._complex_pool
+    original = dfs._complex_pool
 
     def recorded(w, constraints, space, meets, chosen, alive):
         nodes.append((bool(chosen), list(constraints), list(alive)))
         return original(w, constraints, space, meets, chosen, alive)
 
-    monkeypatch.setattr(bigrading, "_complex_pool", recorded)
+    monkeypatch.setattr(dfs, "_complex_pool", recorded)
     alg = direct_sum(get("L5_parity").algebra, get("L5_parity").algebra)
     dropped = 0
     for seed in (1, 2, 3):

@@ -18,7 +18,10 @@ SUBMODULES = sorted(
     path.stem for path in (SRC / "nilqp").glob("*.py") if path.stem not in ("__init__", "__main__")
 )
 # Modules that only the search, the checker and the cohomology tables load.
-SEARCH = ("nilqp._arith", "nilqp.bigrading", "nilqp.checker", "nilqp.cohomology", "nilqp.twostep")
+SEARCH = (
+    "nilqp._arith", "nilqp.bigrading", "nilqp.checker", "nilqp.cohomology", "nilqp.dfs",
+    "nilqp.jspace", "nilqp.pencil", "nilqp.twostep",
+)
 # The modules that `catalog_keys()` loads; a builder imports nothing more.
 CATALOG_MODULES = ("errors", "_record", "scalars", "kernel", "exact", "grading", "liealg", "catalog")
 

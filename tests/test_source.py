@@ -272,6 +272,9 @@ _LAYERS = (
     "grading",
     "liealg",
     "twostep",
+    "jspace",
+    "pencil",
+    "dfs",
     "cohomology",
     "bigrading",
     "catalog",
@@ -363,6 +366,38 @@ def test_the_two_step_structure_has_one_home():
     }
     assert own >= {"_TwoStepFrame", "_darboux_pairs", "_pencil_structure", "_kernel_groups"}
     assert not own & set(vars(bigrading))
+
+
+# The search's constructions, each in its own module; `bigrading` reads
+# them as `<module>.<name>` in its stage table.
+_CONSTRUCTIONS = {
+    "jspace": {"_compatible_complex_structures", "_ProductTable", "_jspace_candidates", "_jspace_u"},
+    "pencil": {"_krylov_span", "_minimal_degree", "_pencil_candidates", "_regular_pencil_u"},
+    "dfs": {"_generic_seeds", "_dfs_u", "_complex_pool", "_candidate_blocks", "_block_terms"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(_CONSTRUCTIONS))
+def test_each_search_construction_has_one_home(module):
+    # A construction reads the kernel, the matrices, the algebra, the two-step
+    # structure and the number theory, and nothing of `bigrading`, which
+    # binds none of its names.
+    from importlib import import_module
+
+    from nilqp import bigrading
+
+    construction = import_module(f"nilqp.{module}")
+    source = (Path(nilqp.__file__).parent / f"{module}.py").read_text()
+    imported = {m for m, _ in _relative_imports(source, _LAYERS)}
+    assert imported <= {"kernel", "exact", "liealg", "twostep", "_arith"}
+    own = {
+        name
+        for name, value in vars(construction).items()
+        if getattr(value, "__module__", None) == construction.__name__
+    }
+    assert own >= _CONSTRUCTIONS[module]
+    assert not own & set(vars(bigrading))
+    assert module in vars(bigrading)
 
 
 # A grading keeps its generators once, as exact Z[i] rows
