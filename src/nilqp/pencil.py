@@ -201,23 +201,20 @@ def _regular_pencil_u(frame: twostep._TwoStepFrame, seeds, w):
                     return exact(rows, den)
             elif len(rows) == h - 1 and len(partials) < 16:
                 partials.append((rows, den))
-    # span(grp) is the null space of its annihilator's rows.
-    constraints = [
-        [row for row, _ in kernel.null_space([row for row, _ in grp], v, "Qi")]
-        for grp in seeds
-    ]
-    constraints.append(w_rows)
+    # Each seed group is the reduced basis of its span, and ker W is one more.
+    spaces = [*seeds, kernel.null_space(w_rows, v, "Qi")]
     for rows, den in partials:
         prefix: list = []
         if not _transversal(rows, prefix):
             continue
         # Complete with an eigenvector from the exact commutant of the
         # cyclic part (W fixes its line, so invariance is preserved): the
-        # commutant met with each seed group's span, then with ker W.
+        # commutant met with each seed group's span, then with ker W, each
+        # space cut by the commutant's rows (`kernel.null_space_within`).
         commutant = frame.commutant_rows(rows)
         eigen_pool: list[tuple[kernel.ZiRow, int]] = []
-        for extra in constraints:
-            for vec in kernel.null_space(commutant + extra, v, "Qi"):
+        for space in spaces:
+            for vec in kernel.null_space_within(space, commutant, "Qi"):
                 if vec not in eigen_pool:
                     eigen_pool.append(vec)
         pool_rows, pool_den = kernel.zi_common(eigen_pool)

@@ -273,6 +273,13 @@ MUTANTS = (
         "                second = ",
         ("tests/test_bigrading.py::test_dfs_adds_and_outcomes_match_the_recorded_ones",),
     ),
+    Mutant(
+        "_regular_pencil_u: completion spaces not cut by the commutant",
+        "pencil.py",
+        'kernel.null_space_within(space, commutant, "Qi")',
+        "space",
+        ("tests/test_bigrading.py::test_regular_pencil_outputs_match_golden_digest",),
+    ),
     # The structure table as the one stored form of the constants.
     Mutant(
         "brackets: real constants over Q(i) decoded as Rational",
