@@ -313,10 +313,11 @@ class Subspace:
         return Subspace._span(rows, self.ambient_dim, field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """The meet, as the null space of both annihilators stacked.
+        """The meet, as ``self`` cut by the annihilator of ``other``.
 
         The annihilator of a space, {y : y . x = 0 for each x in it}, is the
-        null space of its rows.  The meet is over Q(i) when either space is
+        null space of its rows; `kernel.null_space_within` cuts ``self``'s
+        reduced basis by it.  The meet is over Q(i) when either space is
         and the meet is not zero.
         """
         _same_ambient(self, other)
@@ -324,10 +325,8 @@ class Subspace:
         if not (self.dim and other.dim):
             return Subspace.zero(n)
         field = _either(self.field, other.field)
-        rows = []
-        for s in (self, other):
-            rows += [row for row, _ in kernel.null_space([r for r, _ in s.rows], n, field)]
-        return Subspace.null_space(rows, n, field)
+        annihilator = [row for row, _ in kernel.null_space([r for r, _ in other.rows], n, field)]
+        return Subspace(n, field, kernel.null_space_within(self.rows, annihilator, field))
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         _same_ambient(self, other)

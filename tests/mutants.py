@@ -492,6 +492,13 @@ MUTANTS = (
         (_RECORDS,),
     ),
     Mutant(
+        "Subspace.intersect: cut by its own annihilator",
+        "exact.py",
+        "kernel.null_space([r for r, _ in other.rows], n, field)",
+        "kernel.null_space([r for r, _ in self.rows], n, field)",
+        ("tests/test_exact.py::test_sum_intersect_dimension_formula",),
+    ),
+    Mutant(
         "SearchBounds: no integer check",
         "bigrading.py",
         "            if type(value) is not int:\n",

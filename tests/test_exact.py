@@ -99,8 +99,19 @@ def _random_vectors(rng, n, gaussian):
     ]
 
 
+def _stacked_annihilators_null_space(x, y):
+    """The meet of two nonzero spaces as the null space of both annihilators stacked."""
+    n, field = x.ambient_dim, "Qi" if "Qi" in (x.field, y.field) else "Q"
+    rows = [
+        row for s in (x, y) for row, _ in kernel.null_space([r for r, _ in s.rows], n, field)
+    ]
+    return kernel.null_space(rows, n, field)
+
+
 def test_sum_intersect_dimension_formula(rng):
     # 25 pairs of spaces over Q, then 27 where one or both are over Q(i).
+    # The meet's exact vectors are those of the null space of both
+    # annihilators stacked, also when one space lies in the other.
     for over_qi in [(False, False)] * 25 + [(True, True), (True, False), (False, True)] * 9:
         n = rng.randrange(1, 6)
         a = Subspace.from_spanning(_random_vectors(rng, n, over_qi[0]), ambient_dim=n)
@@ -110,6 +121,9 @@ def test_sum_intersect_dimension_formula(rng):
         assert i.is_subspace_of(a) and i.is_subspace_of(b)
         assert a.is_subspace_of(s) and b.is_subspace_of(s)
         assert a.intersect(b) == i and a.sum(b) == s
+        for x, y in ((a, b), (a, s), (s, b)):
+            if x.dim and y.dim:
+                assert x.intersect(y).rows == _stacked_annihilators_null_space(x, y)
         # The meet is over Q(i) exactly when an input is and it is not zero.
         qi = "Qi" in (a.basis.field, b.basis.field)
         assert i.basis.field == ("Qi" if qi and i.dim else "Q")
