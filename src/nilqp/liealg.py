@@ -245,7 +245,8 @@ def validate(L: LieAlgebra) -> ValidationReport:
 
     Raises JacobiViolation or InvalidRealStructure; on success reports lattice
     admissibility (true over Q: rational structure constants admit a lattice).
-    Jacobi runs on `_ad` of each bracket [X_i, X_j], taken once, and S *
+    Jacobi runs on `_ad` of each bracket [X_i, X_j], taken once, and a
+    failure reports that integer residual, decoded on L's field; S *
     conj(S) = I and S conj[X_i, X_j] = [S X_i, S X_j] on
     `real_structure_rows`, whenever S is given.  Over Q, S must then also
     be the identity, the only real structure read there.
@@ -256,7 +257,8 @@ def validate(L: LieAlgebra) -> ValidationReport:
             raise ValueError(f"{L.name}: bad bracket key ({i}, {j})")
     # Jacobi: [[Xi,Xj],Xk] + [[Xj,Xk],Xi] + [[Xk,Xi],Xj] = 0, that is
     # -[Xk, w_ij] - [Xi, w_jk] + [Xj, w_ik] = 0 with w_ab = [Xa, Xb].
-    table_rows = structure_table(L).rows
+    table = structure_table(L)
+    table_rows = table.rows
     ads = {ab: _ad(table_rows, dict(row), n) for ab, row in table_rows.items()}
     for i, j, k in combinations(range(n), 3):
         residual = [0] * (2 * n)
@@ -266,11 +268,10 @@ def validate(L: LieAlgebra) -> ValidationReport:
                 for t, x in enumerate(parts[0] + parts[1]):
                     residual[t] += sign * x
         if any(residual):
-            # The residual as the scalars `LieAlgebra.bracket` types.
-            e = [tuple(Q1 if s == t else Q0 for s in range(n)) for t in range(n)]
-            cycle = ((i, j, k), (j, k, i), (k, i, j))
-            brackets = (L.bracket(L.bracket_basis(x, y), e[z]) for x, y, z in cycle)
-            raise JacobiViolation(i, j, k, tuple(map(sum, zip(*brackets))))
+            # `_ad` of a table row is a bracket of two constants, so the
+            # residual is over the table's denominator squared.
+            row = {t: (x, y) for t, (x, y) in enumerate(zip(residual[:n], residual[n:])) if x or y}
+            raise JacobiViolation(i, j, k, kernel.decode(row, table.den**2, n, L.field))
     if L.real_rows is not None:
         s_rows, s_den = real_structure_rows(L)
         if not _involutive(s_rows, s_den):

@@ -91,6 +91,13 @@ MUTANTS = (
         _JACOBI,
     ),
     Mutant(
+        "validate: Jacobi residual decoded over the table's denominator once",
+        "liealg.py",
+        "kernel.decode(row, table.den**2, n, L.field)",
+        "kernel.decode(row, table.den, n, L.field)",
+        _JACOBI,
+    ),
+    Mutant(
         "validate: Jacobi tests real parts only",
         "liealg.py",
         "enumerate(parts[0] + parts[1])",
