@@ -8,7 +8,8 @@ any other unexpected exception, which is reported like an error of kind
 Output is deterministic: no timestamps, no randomness, fixed ordering; with
 --format json every result and every error is a single JSON document.
 Each command imports the modules it runs, so `catalog`, `validate` and
-`backend` compile no search code.
+`backend` compile no search code, and only `catalog`, `check` and `report`
+compile the catalog.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import sys
 
 from ._version import __version__
-from .catalog import catalog_keys, export_entry, get
 from .errors import InputError, InternalError, excerpt
 from .jsonio import (
     bigrading_from_json,
@@ -282,6 +282,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "catalog":
+        from .catalog import catalog_keys, export_entry, get
+
         if args.catalog_command == "list":
             keys = catalog_keys()
             _emit(args, {"keys": list(keys)}, list(keys))

@@ -127,6 +127,13 @@ MUTANTS = (
         ("tests/test_source.py::test_verification_names_no_derived_subspace",),
     ),
     Mutant(
+        "cli: the catalog imported at module level",
+        "cli.py",
+        "from ._version import __version__\n",
+        "from ._version import __version__\nfrom .catalog import get  # noqa: F401\n",
+        ("tests/test_package.py::test_cli_commands_that_read_no_entry_load_no_catalog",),
+    ),
+    Mutant(
         "kernel: upward import",
         "kernel.py",
         '    """Name of the elimination kernel; there is only the pure-Python one."""\n',

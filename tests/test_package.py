@@ -116,6 +116,26 @@ def test_cli_commands_without_a_search_load_none(tmp_path):
     assert not set(loaded) & set(SEARCH)
 
 
+def test_cli_commands_that_read_no_entry_load_no_catalog(tmp_path):
+    nilqp.export_entry("n3", tmp_path)
+    results = _fresh(
+        """
+        import contextlib, io, json, sys
+        from nilqp.cli import run
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["validate", sys.argv[1]], ["cohomology", sys.argv[1]]):
+                codes.append(run(argv))
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("nilqp"))]))
+        """,
+        str(tmp_path / "n3.algebra.json"),
+    )
+    codes, loaded = results
+    assert codes == [0, 0]
+    assert "nilqp.cohomology" in loaded
+    assert "nilqp.catalog" not in loaded
+
+
 def test_no_module_loads_dataclasses():
     # A stdlib module that imports `dataclasses` would bring back its
     # start-up cost (`test_source.py` checks nilqp's own imports).
