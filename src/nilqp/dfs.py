@@ -40,7 +40,7 @@ def _generic_seeds(frame: twostep._TwoStepFrame) -> list[list[tuple[kernel.ZiRow
     return groups
 
 
-def _dfs_u(frame: twostep._TwoStepFrame, groups, w, bounds: SearchBounds):
+def _dfs_u(frame: twostep._TwoStepFrame, groups, w, bounds):
     """Depth-first search for h commuting generators transverse to conjugates.
 
     The commutation constraints against already-chosen generators are linear,
@@ -55,8 +55,8 @@ def _dfs_u(frame: twostep._TwoStepFrame, groups, w, bounds: SearchBounds):
 
     ``groups`` are groups of seeds and ``w`` the pencil operator or None, as
     `twostep._pencil_structure` returns them; with no pencil, `_generic_seeds`
-    and None.  ``bounds`` gives the coefficients, the depth and the node
-    budget.  Every vector is an exact vector, and every subspace is kept as
+    and None.  ``bounds``, a `bigrading.SearchBounds`, gives the
+    coefficients, the depth and the node budget.  Every vector is an exact vector, and every subspace is kept as
     its reduced basis.  A child's constraints are its parent's and those of
     its last generator.  So a node inherits its parent's constraint space,
     the meets of that space with each invariant subspace and the seeds that
