@@ -36,7 +36,7 @@ from .errors import UnknownKey
 from .exact import ExactMatrix
 from .grading import Bigrading
 from .liealg import LieAlgebra, abelian, apply_basis_change, direct_sum
-from .scalars import Gaussian, Q1, Rational, conj
+from .scalars import Gaussian, Rational, conj
 
 __all__ = ["CatalogEntry", "get", "catalog_keys", "export_entry"]
 
@@ -55,13 +55,8 @@ def _i(c: int = 1) -> Gaussian:
 
 def _unit(n: int, idx):
     """Coordinate vector with given entries, e.g. _unit(7, {0: 1, 2: -i})."""
-    v = [Rational(0)] * n
-    if isinstance(idx, dict):
-        for k, c in idx.items():
-            v[k] = c if not isinstance(c, int) else Rational(c)
-    else:
-        v[idx] = Q1
-    return tuple(v)
+    entries = idx if isinstance(idx, dict) else {idx: 1}
+    return tuple(entries.get(k, 0) for k in range(n))
 
 
 def _entry(key, algebra, gradings=(), transformations=(), provenance="") -> CatalogEntry:

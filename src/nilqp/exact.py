@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 
 from . import kernel
 from .errors import AmbientMismatch, NotInvolution
-from .scalars import Gaussian, Rational, Scalar, as_scalar, format_scalar
+from .scalars import Scalar, format_scalar
 
 __all__ = [
     "ExactMatrix",
@@ -32,17 +32,6 @@ __all__ = [
 ]
 
 Vector = tuple[Scalar, ...]
-
-_SCALAR_TYPES = frozenset((Rational, Gaussian))
-
-
-def _scalar_row(row) -> Vector:
-    """``row`` as a tuple of scalars; rows that already are skip `as_scalar`."""
-    row = tuple(row)
-    if _SCALAR_TYPES.issuperset(map(type, row)):
-        return row
-    return tuple(as_scalar(x) for x in row)
-
 
 class ExactMatrix:
     """Immutable matrix over Q or Q(i), kept once as exact Z[i] rows.
@@ -58,15 +47,14 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "field", "exact_rows")
 
     def __init__(self, entries: Iterable[Iterable], cols: int | None = None):
-        grid = tuple(map(_scalar_row, entries))
+        grid = tuple(map(tuple, entries))
+        rows, den, field = kernel.zi_rows(grid)
         if grid:
             cols = len(grid[0])
             if any(len(r) != cols for r in grid):
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        field = "Qi" if any(Gaussian in map(type, row) for row in grid) else "Q"
-        rows, den = kernel.zi_rows(grid)
         self._fill([(row, den) for row in rows], cols, field)
 
     @classmethod
@@ -172,7 +160,7 @@ class ExactMatrix:
         if len(v) != self.cols:
             raise AmbientMismatch("vector length mismatch in matvec")
         rows, den = kernel.zi_common(self.exact_rows)
-        return _apply(kernel.zi_matvec, rows, den, _scalar_row(v), self.field)
+        return _apply(kernel.zi_matvec, rows, den, kernel.zi_rows([v]), self.field)
 
     # -- elimination ------------------------------------------------------------
 
@@ -202,11 +190,13 @@ def _either(*fields: str) -> str:
     return "Qi" if "Qi" in fields else "Q"
 
 
-def _apply(step, rows: list[kernel.ZiRow], den: int, vec: Vector, field: str) -> Vector:
-    """``step(rows, x) / (den * dx)`` for ``vec`` = x / dx, over "Qi" if ``field`` or vec is."""
-    (x,), dx = kernel.zi_rows([vec])
-    field = "Qi" if Gaussian in map(type, vec) else field
-    return kernel.decode(step(rows, x), den * dx, len(rows), field)
+def _apply(step, rows: list[kernel.ZiRow], den: int, encoded: tuple, field: str) -> Vector:
+    """``step(rows, x) / (den * dx)`` for ``encoded`` = `kernel.zi_rows` of a vector x / dx.
+
+    The result is over "Qi" when ``field`` or the vector's field is.
+    """
+    (x,), dx, x_field = encoded
+    return kernel.decode(step(rows, x), den * dx, len(rows), _either(field, x_field))
 
 
 def rref_rank(m: ExactMatrix) -> tuple[ExactMatrix, int]:
@@ -243,14 +233,14 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [tuple(as_scalar(x) for x in v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
+        vecs = [tuple(v) for v in vectors]
+        rows, _, field = kernel.zi_rows(vecs)
+        for v in vecs:
+            if len(v) != ambient_dim:
                 raise AmbientMismatch(
-                    f"vector of length {len(r)} in ambient dimension {ambient_dim}"
+                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
                 )
-        field = "Qi" if any(Gaussian in map(type, r) for r in rows) else "Q"
-        return cls._span(kernel.zi_rows(rows)[0], ambient_dim, field)
+        return cls._span(rows, ambient_dim, field)
 
     @classmethod
     def _span(cls, rows: list[kernel.ZiRow], ambient_dim: int, field: str) -> "Subspace":
@@ -297,10 +287,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} in ambient {self.ambient_dim})"
 
     def contains(self, v: Sequence) -> bool:
-        vec = [as_scalar(x) for x in v]
+        vec = tuple(v)
+        row = _zi(vec)
         if len(vec) != self.ambient_dim:
             raise AmbientMismatch("vector length mismatch")
-        return not kernel.zi_reduce(_zi(vec), self.echelon())
+        return not kernel.zi_reduce(row, self.echelon())
 
     def echelon(self) -> list[tuple[int, kernel.ZiRow]]:
         """The basis as a new ``(lead, row)`` echelon for `kernel.zi_reduce`/`zi_insert`."""
@@ -411,10 +402,11 @@ def _involutive(s_rows: list[kernel.ZiRow], den: int) -> bool:
 
 def _conjugate(s_rows: list[kernel.ZiRow], s_den: int, v: Sequence, field: str) -> Vector:
     """S * conj(v) for S = ``s_rows`` / ``s_den`` over ``field``; `Gaussian` if S or v is."""
-    vec = _scalar_row(v)
+    vec = tuple(v)
+    encoded = kernel.zi_rows([vec])
     if len(vec) != len(s_rows):
         raise AmbientMismatch("vector length mismatch in matvec")
-    return _apply(_conjugate_row, s_rows, s_den, vec, field)
+    return _apply(_conjugate_row, s_rows, s_den, encoded, field)
 
 
 def check_real_structure(s: ExactMatrix) -> tuple[list[kernel.ZiRow], int]:

@@ -19,8 +19,7 @@ from typing import NamedTuple
 from . import kernel
 from ._record import Record
 from .errors import AmbientMismatch, GradingNotCompatible
-from .exact import Subspace, Vector, _scalar_row
-from .scalars import Gaussian
+from .exact import Subspace, Vector
 
 __all__ = ["Bigrading", "BigradingComponent"]
 
@@ -30,7 +29,7 @@ class BigradingComponent(Record):
 
     A sparse row does not carry its length, so ``lengths`` does.  ``field``
     is "Qi" when an entry was entered as `Gaussian`, "Q" otherwise (the rule
-    of ``Subspace.from_spanning``), and takes no part in equality or the
+    of the encoder, `kernel.zi_rows`), and takes no part in equality or the
     hash: `Rational` 1 and `Gaussian` 1 + 0i give equal components.
     `generators` decodes the rows under it on each read (`kernel.decode`).
     """
@@ -84,9 +83,8 @@ class Bigrading(NamedTuple):
             if (p, q) in seen:
                 raise GradingNotCompatible(f"duplicate bidegree ({p}, {q})")
             seen.add((p, q))
-            vecs = [_scalar_row(g) for g in gens]
-            field = "Qi" if any(Gaussian in map(type, v) for v in vecs) else "Q"
-            rows, den = kernel.zi_rows(vecs)
+            vecs = [tuple(g) for g in gens]
+            rows, den, field = kernel.zi_rows(vecs)
             comps.append((p, q, tuple(map(len, vecs)), field, [(row, den) for row in rows]))
         return cls._from_rows(comps)
 

@@ -5,8 +5,8 @@ know one row format, over both fields: the sparse Z[i] row ``{column: (re,
 im)}``, a Gaussian integer per entry, with no zero entries, so the zero row
 is the empty, false dict.  A row over Q has zero imaginary parts.
 
-* Conversion: `zi_rows` is the one encoder, which clears vectors of
-  `Rational`, `Gaussian` or int scalars of one common denominator into Z[i]
+* Conversion: `zi_rows` is the one encoder, which reads the field of
+  entered scalars and clears them of one common denominator into Z[i]
   rows.  `decode` is the one decoder, which divides a denominator out of a
   row and makes the scalars of a field.  Callers pass the field and do not
   choose between functions for Q and for Q(i): `rank`, `span` and
@@ -63,7 +63,7 @@ from __future__ import annotations
 from itertools import chain
 from math import gcd, lcm
 
-from .scalars import Q0, Gaussian, Rational
+from .scalars import Q0, Gaussian, Rational, as_scalar
 
 ZiRow = dict[int, tuple[int, int]]
 
@@ -78,26 +78,27 @@ def backend_name() -> str:
 # -- conversion from and to scalars ---------------------------------------------
 
 
-def zi_rows(vectors) -> tuple[list[ZiRow], int]:
-    """Scalar vectors as Z[i] rows over one common denominator.
+def zi_rows(vectors) -> tuple[list[ZiRow], int, str]:
+    """Entered scalar vectors as Z[i] rows over one common denominator, and their field.
 
-    Returns ``(rows, den)`` with ``vec[j] == (re + im*i) / den`` for each
-    entry ``(re, im) = row[j]``, ``den`` the least common denominator of all
-    real and imaginary parts; `decode` inverts it.  Entries may be
-    `Gaussian`, `Rational` or int.
+    Returns ``(rows, den, field)`` with ``vec[j] == (re + im*i) / den`` for
+    each entry ``(re, im) = row[j]``, ``den`` the least common denominator of
+    all real and imaginary parts; `decode` inverts it.  ``field`` is "Qi"
+    exactly when an entry is a `Gaussian`.  Entries pass `as_scalar`: ints
+    and bools read as `Rational`, and a non-scalar raises TypeError.
     """
     types = set(map(type, chain.from_iterable(vectors)))
-    if int in types:
-        vectors = [[Rational(x) if type(x) is int else x for x in vec] for vec in vectors]
+    if not types <= {Rational, Gaussian}:
+        vectors = [[as_scalar(x) for x in vec] for vec in vectors]
     if Gaussian not in types:  # no imaginary parts: the common case, kept fast
         den = lcm(*{x.den for x in chain.from_iterable(vectors)})
         return [
             {j: (x.num * (den // x.den), 0) for j, x in enumerate(vec) if x.num} for vec in vectors
-        ], den
+        ], den, "Q"
     parts = [[(x.re, x.im) if type(x) is Gaussian else (x, Q0) for x in vec] for vec in vectors]
     den = lcm(*{x.den for vec in parts for pair in vec for x in pair})
     scaled = [[(a.num * (den // a.den), b.num * (den // b.den)) for a, b in vec] for vec in parts]
-    return [{j: p for j, p in enumerate(vec) if p[0] or p[1]} for vec in scaled], den
+    return [{j: p for j, p in enumerate(vec) if p[0] or p[1]} for vec in scaled], den, "Qi"
 
 
 def decode(row: ZiRow, den: int, ncols: int, field: str) -> tuple:

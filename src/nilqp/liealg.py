@@ -51,9 +51,9 @@ from .errors import (
     NotNilpotent,
     SingularTransformation,
 )
-from .exact import ExactMatrix, Subspace, Vector, _scalar_row
-from .exact import _conjugate, _conjugate_row, _involutive
-from .scalars import Gaussian, Q0, Q1, Scalar, as_scalar
+from .exact import ExactMatrix, Subspace, Vector
+from .exact import _conjugate, _conjugate_row, _either, _involutive
+from .scalars import Gaussian, Scalar, as_scalar
 
 __all__ = [
     "LieAlgebra",
@@ -189,7 +189,7 @@ class LieAlgebra(Record):
 
     def bracket_basis(self, i: int, j: int) -> Vector:
         """[X_i, X_j] as a coordinate vector: the `bracket` of two unit vectors."""
-        e = [[Q1 if k == t else Q0 for k in range(self.dim)] for t in (i, j)]
+        e = [[int(k == t) for k in range(self.dim)] for t in (i, j)]
         return self.bracket(*e)
 
     def bracket(self, u, v) -> Vector:
@@ -201,14 +201,13 @@ class LieAlgebra(Record):
         denominators (`kernel.decode`), over Q(i) when L is or u or v holds a
         `Gaussian`.
         """
-        uu, vv = _scalar_row(u), _scalar_row(v)
+        uu, vv = tuple(u), tuple(v)
+        (ru, rv), den, field = kernel.zi_rows([uu, vv])
         table = structure_table(self)
         n = self.dim
-        (ru, rv), den = kernel.zi_rows([uu, vv])
         us, vs = ([r.get(j, (0, 0)) for j in range(len(x))] for r, x in ((ru, uu), (rv, vv)))
         w = _zi_bracket(table.rows, us, vs, n)
-        field = "Qi" if Gaussian in map(type, uu + vv) else table.field
-        return kernel.decode(w, den * den * table.den, n, field)
+        return kernel.decode(w, den * den * table.den, n, _either(field, table.field))
 
     def conj_vector(self, v) -> Vector:
         """Antilinear conjugation v -> S * conj(v), S = I over Q, on `real_structure_rows`."""
@@ -343,7 +342,7 @@ def structure_table(L: LieAlgebra) -> StructureTable:
 def _encoded(frozen: tuple, field: str) -> StructureTable:
     """The `StructureTable` over ``field`` of constants in `_freeze_brackets`' form."""
     # One row of every constant: none is zero, so the row holds each in order.
-    (row,), den = kernel.zi_rows([[c for _, coeffs in frozen for _, c in coeffs]])
+    (row,), den, _ = kernel.zi_rows([[c for _, coeffs in frozen for _, c in coeffs]])
     it = iter(row.values())
     return _lowest_table(field, den, {ij: [(k, next(it)) for k, _ in cs] for ij, cs in frozen})
 

@@ -418,9 +418,20 @@ MUTANTS = (
     Mutant(
         "ExactMatrix: field tag read off the first row only",
         "exact.py",
-        'field = "Qi" if any(Gaussian in map(type, row) for row in grid) else "Q"',
-        'field = "Qi" if any(Gaussian in map(type, row) for row in grid[:1]) else "Q"',
+        "rows, den, field = kernel.zi_rows(grid)\n",
+        "rows, den, _ = kernel.zi_rows(grid)\n        field = kernel.zi_rows(grid[:1])[2]\n",
         ("tests/test_exact.py::test_mixed_field_promotion", _MATRIX_ORACLE),
+    ),
+    # Entered scalars are read by one encoder, through `as_scalar`.
+    Mutant(
+        "zi_rows: only ints put through as_scalar",
+        "kernel.py",
+        "vectors = [[as_scalar(x) for x in vec] for vec in vectors]",
+        "vectors = [[Rational(x) if type(x) is int else x for x in vec] for vec in vectors]",
+        (
+            "tests/test_scalars.py::test_booleans_become_plain_int_rationals",
+            "tests/test_scalars.py::test_as_scalar_rejects_floats_and_strings",
+        ),
     ),
     Mutant(
         "ExactMatrix.matmul: operands swapped",
@@ -446,8 +457,8 @@ MUTANTS = (
     Mutant(
         "_apply: a Gaussian vector decoded by the matrix's field",
         "exact.py",
-        '    field = "Qi" if Gaussian in map(type, vec) else field\n    return kernel.decode(step(',
-        "    return kernel.decode(step(",
+        "len(rows), _either(field, x_field))",
+        "len(rows), field)",
         ("tests/test_exact.py::test_matvec_result_has_one_scalar_type",),
     ),
     # Import only what a call uses.

@@ -120,7 +120,7 @@ def carried_grading(grading: Bigrading, t: ExactMatrix) -> Bigrading:
     stored rows; a component reads over Q(i) when it or T does.
     """
     n = t.rows
-    a, den = kernel.zi_rows(t.transpose().entries)  # T^t = a / den
+    a, den, _ = kernel.zi_rows(t.transpose().entries)  # T^t = a / den
     inv, inv_den = kernel.zi_solve(a, [{j: (1, 0)} for j in range(n)])  # a^-1 = inv / inv_den
     return Bigrading._from_rows(
         (c.p, c.q, n, "Qi" if "Qi" in (c.field, t.field) else "Q",

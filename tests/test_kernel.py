@@ -225,7 +225,7 @@ def test_rowreducer_copy_leaves_original_unchanged(data):
 def test_zi_rows_combine_and_decode_match_fractions(data):
     rows, ncols = data
     vecs = [_gaussians(row) for row in rows]
-    encoded, den = kernel.zi_rows(vecs)
+    encoded, den, _ = kernel.zi_rows(vecs)
     assert [kernel.decode(r, den, ncols, "Qi") for r in encoded] == vecs
     x, y = rows[0], rows[-1]
     # x + i*y - 2*conj(x), on Z[i] rows and on Fractions

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilqp.errors import ParseError
-from nilqp.exact import ExactMatrix
+from nilqp.exact import ExactMatrix, Subspace, conjugate_vector
+from nilqp.grading import Bigrading
+from nilqp.liealg import LieAlgebra
 from nilqp.scalars import (
     Gaussian,
     Rational,
@@ -22,6 +24,22 @@ rationals = st.builds(
 )
 gaussians = st.builds(Gaussian, rationals, rationals)
 scalars = st.one_of(rationals, gaussians)
+
+_H3 = LieAlgebra.from_brackets("h3", 3, {(0, 1): {2: 1}})
+
+# Each public entry point at which entered scalars reach the encoder
+# (`kernel.zi_rows`), as a function of one vector of length 3 whose first
+# entry is not zero.  All but `contains` give back scalars.
+ENTRY_POINTS = {
+    "ExactMatrix": lambda v: ExactMatrix([v]).entries[0],
+    "matvec": lambda v: ExactMatrix.identity(3).matvec(v),
+    "Subspace.from_spanning": lambda v: Subspace.from_spanning([v], 3).vectors()[0],
+    "contains": lambda v: Subspace.from_spanning([(1, 0, 2)], 3).contains(v),
+    "conjugate_vector": lambda v: conjugate_vector(v, ExactMatrix.identity(3)),
+    "LieAlgebra.bracket": lambda v: _H3.bracket(v, (0, 1, 0)),
+    "conj_vector": lambda v: _H3.conj_vector(v),
+    "Bigrading.build": lambda v: Bigrading.build([(-1, -1, [v])]).components[0].generators[0],
+}
 
 
 def test_lowest_terms_and_positive_denominator():
@@ -188,12 +206,32 @@ def test_booleans_become_plain_int_rationals():
     assert m == ExactMatrix.identity(2)
     assert [format_scalar(x) for row in m.entries for x in row] == ["1", "0", "0", "1"]
     assert all(type(x.num) is int for row in m.entries for x in row)
+    # Every entry point reads ints and bools as the Rationals they equal.
+    for name, entry in ENTRY_POINTS.items():
+        want = entry((Rational(1), Rational(0), Rational(2)))
+        for v in ((True, False, 2), (1, 0, 2), (True, Rational(0), 2)):
+            got = entry(v)
+            assert got == want, (name, v)
+            if name != "contains":
+                assert all(type(x) is Rational and type(x.num) is int for x in got), (name, v)
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", None])
 def test_as_scalar_rejects_floats_and_strings(bad):
     with pytest.raises(TypeError, match="not a scalar"):
         as_scalar(bad)
+    # Every entry point refuses it with `as_scalar`'s error.
+    for name, entry in ENTRY_POINTS.items():
+        with pytest.raises(TypeError, match="not a scalar"):
+            entry((1, bad, 0))
+            pytest.fail(name)
+
+
+@pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - {"contains"}))
+def test_an_entry_point_reads_qi_exactly_when_an_entry_is_gaussian(name):
+    # Gaussian(1) is real, yet it puts the vector over Q(i).
+    for v, want in (((Gaussian(1), 0, 2), Gaussian), ((1, Rational(0), Rational(1, 2)), Rational)):
+        assert {type(x) for x in ENTRY_POINTS[name](v)} == {want}, v
 
 
 def _value(digits: str) -> int:

@@ -494,3 +494,54 @@ def test_the_check_sees_a_matrix_round_trip():
 def test_no_module_round_trips_a_matrix_through_scalars():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert _matrix_round_trips(sources) == []
+
+
+# Entered scalars are read in one place, the encoder `kernel.zi_rows`: it
+# reads their field ("Qi" exactly when an entry is a `Gaussian`) and puts
+# each entry through `as_scalar`.  No other module reads a field off the
+# entries' types or normalizes entries for it; `liealg._freeze_brackets`,
+# whose rule reads a real constant of an algebra over Q as its real part,
+# is the one other caller of `as_scalar`.
+
+
+def _scalar_rules(sources: dict[str, str]) -> list[str]:
+    """Each field read off entries' types outside `kernel`, and each other `as_scalar` call."""
+    found = []
+    for module, source in sources.items():
+        if module == "kernel":
+            continue
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if "Gaussian in map(type" in line:
+                found.append(f"{module} field test (line {lineno})")
+        tree = ast.parse(source)
+        own_rule = {
+            id(node)
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name == "_freeze_brackets"
+            for node in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            call = isinstance(node, ast.Call) and _named(node.func) == "as_scalar"
+            if call and id(node) not in own_rule:
+                found.append(f"{module}.as_scalar (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_check_sees_a_scalar_rule_outside_the_kernel():
+    sources = {
+        "kernel": 'field = "Qi" if Gaussian in map(type, v) else "Q"\nx = as_scalar(y)\n',
+        "exact": 'f = "Qi" if any(Gaussian in map(type, r) for r in rows) else "Q"\n'
+        "row = tuple(as_scalar(x) for x in v)\nnote = 'as_scalar'\n",
+        "liealg": "def _freeze_brackets(b):\n    return as_scalar(b)\n\n"
+        "def bracket(u):\n    return [scalars.as_scalar(x) for x in u]\n",
+    }
+    assert _scalar_rules(sources) == [
+        "exact field test (line 1)",
+        "exact.as_scalar (line 2)",
+        "liealg.as_scalar (line 5)",
+    ]
+
+
+def test_only_the_kernel_reads_the_field_of_entered_scalars():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert _scalar_rules(sources) == []
