@@ -44,6 +44,7 @@ from . import kernel
 from ._record import Record
 from .errors import (
     AlreadyComplex,
+    AmbientMismatch,
     DimensionMismatch,
     FieldMismatch,
     InvalidRealStructure,
@@ -103,6 +104,18 @@ def _freeze_brackets(brackets, dim: int, field: str) -> tuple:
     return tuple(sorted(out))
 
 
+def _checked_shape(dim: int, field: str, basis_names) -> tuple[str, ...]:
+    """``basis_names`` as a tuple, once ``dim`` >= 0, ``field`` and their number are checked."""
+    if dim < 0:
+        raise ValueError(f"dimension {dim} must be >= 0")
+    if field not in ("Q", "Qi"):
+        raise ValueError(f"field must be 'Q' or 'Qi', not {field!r}")
+    names = tuple(basis_names)
+    if len(names) != dim:
+        raise ValueError(f"basis must list {dim} names, not {len(names)}")
+    return names
+
+
 class LieAlgebra(Record):
     """A Lie algebra whose constants are held once, as its `StructureTable`.
 
@@ -141,12 +154,12 @@ class LieAlgebra(Record):
         check: bool = True,
     ) -> "LieAlgebra":
         if basis_names is None:
-            basis_names = tuple(f"X{i + 1}" for i in range(dim))
+            basis_names = (f"X{i + 1}" for i in range(dim))
         alg = cls(
             name=name,
             dim=dim,
             field=field,
-            basis_names=tuple(basis_names),
+            basis_names=_checked_shape(dim, field, basis_names),
             table=_encoded(_freeze_brackets(brackets, dim, field), field),
             real_rows=(
                 None if real_structure is None else _real_rows(name, dim, real_structure, field)
@@ -188,8 +201,14 @@ class LieAlgebra(Record):
         return {ij: dict(coeffs) for ij, coeffs in self.brackets}
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        """[X_i, X_j] as a coordinate vector: the `bracket` of two unit vectors."""
-        e = [[int(k == t) for k in range(self.dim)] for t in (i, j)]
+        """[X_i, X_j] as a coordinate vector: the `bracket` of two unit vectors.
+
+        Raises IndexError unless both indices lie in 0..dim-1.
+        """
+        n = self.dim
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"basis indices ({i}, {j}) out of range 0..{n - 1}")
+        e = [[int(k == t) for k in range(n)] for t in (i, j)]
         return self.bracket(*e)
 
     def bracket(self, u, v) -> Vector:
@@ -199,13 +218,17 @@ class LieAlgebra(Record):
         one common denominator (`kernel.zi_rows`), every term is a Z[i]
         product, and each entry is divided once by the product of the three
         denominators (`kernel.decode`), over Q(i) when L is or u or v holds a
-        `Gaussian`.
+        `Gaussian`.  Raises AmbientMismatch unless both have length dim.
         """
         uu, vv = tuple(u), tuple(v)
         (ru, rv), den, field = kernel.zi_rows([uu, vv])
-        table = structure_table(self)
         n = self.dim
-        us, vs = ([r.get(j, (0, 0)) for j in range(len(x))] for r, x in ((ru, uu), (rv, vv)))
+        if len(uu) != n or len(vv) != n:
+            raise AmbientMismatch(
+                f"bracket of vectors of lengths {len(uu)} and {len(vv)} in dimension {n}"
+            )
+        table = structure_table(self)
+        us, vs = ([r.get(j, (0, 0)) for j in range(n)] for r in (ru, rv))
         w = _zi_bracket(table.rows, us, vs, n)
         return kernel.decode(w, den * den * table.den, n, _either(field, table.field))
 
@@ -763,6 +786,6 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
 
 def abelian(n: int, field: str = "Q", name: str | None = None) -> LieAlgebra:
     return LieAlgebra(
-        name or f"abelian_{n}", n, field, tuple(f"A{i + 1}" for i in range(n)),
+        name or f"abelian_{n}", n, field, _checked_shape(n, field, (f"A{i + 1}" for i in range(n))),
         _lowest_table(field, 1, {}), _identity(n) if field == "Qi" else None,
     )

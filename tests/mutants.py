@@ -407,6 +407,21 @@ MUTANTS = (
         "def _whole_space(",
         ("tests/test_liealg.py::test_series_starts_from_one_whole_space_per_dimension",),
     ),
+    # The constructors and the bracket refuse what lies outside the algebra.
+    Mutant(
+        "LieAlgebra.bracket: vector lengths not checked",
+        "liealg.py",
+        "if len(uu) != n or len(vv) != n:",
+        "if False:",
+        ("tests/test_liealg.py::test_bracket_refuses_vectors_and_indices_outside_the_algebra",),
+    ),
+    Mutant(
+        "from_brackets: number of basis names not checked",
+        "liealg.py",
+        "if len(names) != dim:",
+        "if False:",
+        ("tests/test_jsonio.py::test_every_algebra_that_the_constructors_accept_round_trips",),
+    ),
     # A matrix keeps its entries once, as exact Z[i] rows.
     Mutant(
         "ExactMatrix: rows not put in lowest terms",

@@ -1,8 +1,9 @@
 import json
+from functools import partial
 
 import pytest
 
-from nilqp import Bigrading, betti_numbers
+from nilqp import Bigrading, LieAlgebra, abelian, betti_numbers
 from nilqp.catalog import get
 from nilqp.errors import ParseError
 from nilqp.jsonio import (
@@ -32,6 +33,29 @@ def roundtrip_algebra(key):
 @pytest.mark.parametrize("key", ["n3", "N1_84", "g_sec6", "37B", "n3+n3+C1"])
 def test_lie_algebra_roundtrip(key):
     roundtrip_algebra(key)
+
+
+def test_every_algebra_that_the_constructors_accept_round_trips():
+    # from_brackets and abelian accepted a negative dimension, a field other
+    # than "Q" and "Qi", and a wrong number of basis names; the last was
+    # written to a file that the reader refuses.
+    for dim in range(-1, 4):
+        brackets = {(0, 1): {2: 1}} if dim == 3 else {}
+        for field in ("Q", "Qi", "R"):
+            shape_ok = dim >= 0 and field in ("Q", "Qi")
+            builds = [(shape_ok, partial(abelian, dim, field))]
+            for k in (None, *range(5)):
+                names = None if k is None else [f"E{t}" for t in range(k)]
+                build = partial(LieAlgebra.from_brackets, "g", dim, brackets, field=field, basis_names=names)
+                builds.append((shape_ok and k in (None, dim), build))
+            for valid, build in builds:
+                if not valid:
+                    with pytest.raises(ValueError):
+                        build()
+                    continue
+                alg = build()
+                data = json.loads(dumps_json(lie_algebra_to_json(alg)))
+                assert lie_algebra_from_json(data) == alg
 
 
 def base_doc():

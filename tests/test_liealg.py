@@ -35,6 +35,7 @@ from nilqp.liealg import (
 )
 from nilqp.errors import (
     AlreadyComplex,
+    AmbientMismatch,
     DimensionMismatch,
     FieldMismatch,
     InvalidRealStructure,
@@ -436,6 +437,22 @@ def test_conj_vector_over_qi_needs_a_real_structure():
     # Over Q the conjugation is the identity's, with or without S.
     assert n3().conj_vector([1, Gaussian(0, 2), 0]) == (1, Gaussian(0, -2), 0)
 
+
+def test_bracket_refuses_vectors_and_indices_outside_the_algebra():
+    L = get("n5").algebra  # [X1, X3] = [X2, X4] = X5
+    e = [[int(k == t) for k in range(5)] for t in range(5)]
+    assert L.bracket(e[0], e[2]) == L.bracket_basis(0, 2) == tuple(e[4])
+    # A longer vector's extra entries were dropped, and a shorter one raised IndexError.
+    for u in (e[0] + [1, 1], e[0][:2]):
+        for args in ((u, e[2]), (e[2], u)):
+            with pytest.raises(AmbientMismatch, match=f"lengths .*{len(u)}.* in dimension 5"):
+                L.bracket(*args)
+    with pytest.raises(AmbientMismatch):
+        L.conj_vector(e[0] + [1, 1])
+    # An index outside the basis gave the zero vector.
+    for i, j in ((0, 7), (-1, 2), (2, 5)):
+        with pytest.raises(IndexError, match="out of range 0..4"):
+            L.bracket_basis(i, j)
 
 
 def test_invariants_under_random_basis_change(rng):
